@@ -25,19 +25,18 @@ from repro.types import TaskSpec
 #: is 2× this.
 PRE_REWORK_BASELINE_TASKS_PER_S = 3256.0
 
-#: The pipelined (depth 32) rate recorded on this host before the wire
-#: v4 binary framing + span/settle batching round (JSON envelope
-#: framing throughout).  The v4 fast path's bar is 1.5× this.
+#: The pipelined (depth 32) rate recorded on this host before the
+#: binary framing + span/settle batching round (JSON envelope framing
+#: throughout).  The bar is 1.5× this.
 PRE_V4_PIPELINED_TASKS_PER_S = 7942.31
 
 
 def _run_live(
     executors: int, n_tasks: int, bundle_size: int, pipeline_depth: int = 1,
-    wire_binary: bool = True,
 ) -> dict:
     with LocalFalkon(
         executors=executors, bundle_size=bundle_size,
-        pipeline_depth=pipeline_depth, wire_binary=wire_binary,
+        pipeline_depth=pipeline_depth,
     ) as falkon:
         tasks = [
             TaskSpec.sleep(0, task_id=f"lv-{bundle_size}-{pipeline_depth}-{i:05d}")
@@ -71,19 +70,12 @@ def test_live_throughput(benchmark, show):
         # process state: the anchor rates they are compared against
         # were measured the same way, and ~10k tasks of prior in-process
         # history measurably depresses a CPython run (allocator/GC
-        # state).  Best of two per wire: a single short run is at the
-        # mercy of scheduler noise.
+        # state).  Best of two: a single short run is at the mercy of
+        # scheduler noise.
         pipelined = [_run_live(4, 3000, 500, pipeline_depth=32) for _ in range(2)]
-        pipelined_json = [
-            _run_live(4, 3000, 500, pipeline_depth=32, wire_binary=False)
-            for _ in range(2)
-        ]
         rows = {
             "pipelined (depth 32), 4 executors": max(
                 pipelined, key=lambda r: r["tasks_per_s"]
-            ),
-            "pipelined (depth 32), wire JSON": max(
-                pipelined_json, key=lambda r: r["tasks_per_s"]
             ),
             "bundled (300), 4 executors": _run_live(4, n_tasks, 300),
             "bundled (300), 2 executors": _run_live(2, n_tasks, 300),
@@ -110,7 +102,7 @@ def test_live_throughput(benchmark, show):
             "pre_rework_baseline_tasks_per_s": PRE_REWORK_BASELINE_TASKS_PER_S,
             "speedup_vs_baseline": v4_rate / PRE_REWORK_BASELINE_TASKS_PER_S,
             "pre_v4_pipelined_tasks_per_s": PRE_V4_PIPELINED_TASKS_PER_S,
-            "wire_v4_speedup_vs_pre_v4": v4_rate / PRE_V4_PIPELINED_TASKS_PER_S,
+            "v4_speedup_vs_pre_v4": v4_rate / PRE_V4_PIPELINED_TASKS_PER_S,
         },
     )
 
@@ -123,7 +115,7 @@ def test_live_throughput(benchmark, show):
     # sustains at least 2× the pre-rework rate on the same machine.
     assert (rows["pipelined (depth 32), 4 executors"]["tasks_per_s"]
             >= 2.0 * PRE_REWORK_BASELINE_TASKS_PER_S)
-    # The wire-v4 round's bar: the binary fast path (plus the batching
-    # it was profiled alongside) clears 1.5× the pre-v4 pipelined rate.
+    # The binary-framing round's bar: the framing (plus the batching it
+    # was profiled alongside) clears 1.5× the pre-v4 pipelined rate.
     assert (rows["pipelined (depth 32), 4 executors"]["tasks_per_s"]
             >= 1.5 * PRE_V4_PIPELINED_TASKS_PER_S)

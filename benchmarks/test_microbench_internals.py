@@ -7,7 +7,8 @@ These are the only benches that use pytest-benchmark's repeated-round
 timing; the experiment benches run their workload once.
 """
 
-from repro.net.wire import FrameReader, encode_frame
+from repro.net.message import Message, MessageType
+from repro.net.wire import FrameReader, encode_message_v4
 from repro.sim import Environment, Store
 
 
@@ -59,18 +60,17 @@ def test_store_fanin_with_many_parked_getters(benchmark):
 
 def test_wire_codec_roundtrip(benchmark):
     """Frame encode + incremental decode for a 300-task bundle."""
-    payload = {
-        "type": "submit",
+    message = Message(MessageType.SUBMIT, sender="client", payload={
         "tasks": [
             {"task_id": f"t{i}", "command": "sleep", "args": ["0"], "duration": 0.0}
             for i in range(300)
         ],
-    }
+    })
 
     def run():
-        frame = encode_frame(payload)
+        frame = encode_message_v4(message)
         (decoded,) = FrameReader().feed(frame)
-        return len(decoded["tasks"])
+        return len(decoded.payload["tasks"])
 
     assert benchmark(run) == 300
 

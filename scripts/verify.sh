@@ -2,7 +2,7 @@
 # Repo verify gate: lint, tier-1 tests, and a live-plane throughput smoke.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick  skip the benchmark smoke run (lint + tier-1 only)
+#   --quick  skip only the Figure 3 throughput smoke at the end
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,27 +31,20 @@ python -m pytest -x -q
 # an error, not a skip: `repro bench` would silently record a fresh
 # baseline and pass, which is exactly how a regression sneaks through
 # a wiped checkout.  Record one deliberately instead.
-echo "== dispatch bench gate (wire v4 binary) =="
+echo "== dispatch bench gate =="
 if [[ ! -f BENCH_baseline.json ]]; then
     echo "ERROR: BENCH_baseline.json is missing — the bench gate has nothing to compare against." >&2
     echo "Record a baseline first:  PYTHONPATH=src python -m repro bench --quick --update-baseline" >&2
     exit 1
 fi
-python -m repro bench --quick --wire binary
+python -m repro bench --quick
 
-# The JSON path stays first-class: v1-v3 peers negotiate down to it,
-# so it gets its own regression gate against the same baseline.  The
-# wider tolerance absorbs the measured v4-over-JSON framing delta
-# (~10%, docs/PERFORMANCE.md) on top of ordinary host noise.
-echo "== dispatch bench gate (wire JSON fallback) =="
-python -m repro bench --quick --wire json --tolerance 0.35
-
-# IOLoop sharding microbench: echoed frames/s with 1 vs 4 selector
-# loops, recorded under "ioloop_scaling" in BENCH_dispatch.json.
-# Informational (no ratio gate): on a one-core host the ratio is
-# honestly <= 1 (docs/PERFORMANCE.md, "Multi-core I/O").
-echo "== ioloop scaling microbench =="
-python -m repro bench --quick --io-microbench --io-threads 4
+# Standing-benchmark smoke (BENCHMARK.json, bench/README.md): all four
+# workloads for ~1 s each.  Exits non-zero — and prints "correct":
+# false — when an output check or an import of the benchmark breaks,
+# so that fails here, not in the pipeline that runs the benchmark.
+echo "== standing benchmark smoke =="
+python3 bench/run.py --smoke | tail -n 1 | grep -q '"correct": true'
 
 # Telemetry overhead gate: the live telemetry plane (heartbeat-carried
 # stats + HTTP status surface) must cost < 5% of sleep-0 throughput.
@@ -91,7 +84,7 @@ python -m repro scenarios run --smoke
 # Federated scenario oracle gate: the same smoke seed replayed across
 # a 2-shard federation, including a mid-run shard kill -9 + restart;
 # the oracles must hold from the client's vantage (docs/PROTOCOL.md,
-# "Federation (wire v3)").
+# "Federation").
 echo "== federated scenario oracle gate =="
 python -m repro scenarios run --smoke --shards 2
 

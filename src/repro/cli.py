@@ -148,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="run one quick round under an all-thread cProfile "
                         "and print the top-20 cumulative frames (no gate)")
-    p.add_argument("--wire", choices=("binary", "json"), default="binary",
-                   help="wire codec under test: 'binary' negotiates the v4 "
-                        "fast path (default), 'json' pins the v1-v3 framing")
-    p.add_argument("--io-threads", type=int, default=1, metavar="N",
-                   help="dispatcher IOLoopGroup size (connections sharded "
-                        "across N selector threads)")
-    p.add_argument("--io-microbench", action="store_true",
-                   help="IOLoop scaling microbench: echo frames across "
-                        "sharded connections with 1 vs N loops and record "
-                        "the ratio in --dispatch-out")
     p.add_argument("--baseline", metavar="PATH", default="BENCH_baseline.json",
                    help="recorded-baseline file (created on first run)")
     p.add_argument("--tolerance", type=float, default=0.20,
@@ -989,17 +979,10 @@ def _cmd_bench(args) -> int:
 
     if args.shards:
         return _bench_shards(args)
-    if args.io_microbench:
-        return _bench_ioloop(args)
 
     n_tasks = 1500 if args.quick else 5000
-    wire_kwargs: dict = {"wire_binary": args.wire == "binary"}
-    if args.io_threads > 1:
-        wire_kwargs["io_threads"] = args.io_threads
 
     def one_round(round_index: int, **deploy_kwargs) -> dict:
-        for key, value in wire_kwargs.items():
-            deploy_kwargs.setdefault(key, value)
         with LocalFalkon(
             executors=args.executors,
             bundle_size=500,
@@ -1034,8 +1017,7 @@ def _cmd_bench(args) -> int:
     best = max((one_round(i) for i in range(2)), key=lambda r: r["tasks_per_s"])
     rate = best["tasks_per_s"]
     print(f"dispatch bench ({'quick, ' if args.quick else ''}{n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"wire {args.wire}):")
+          f"{args.executors} executors, pipeline depth {args.pipeline}):")
     print(f"  {rate:,.0f} tasks/s, dispatch p50 {best['dispatch_p50_s'] * 1e3:.1f} ms, "
           f"p99 {best['dispatch_p99_s'] * 1e3:.1f} ms")
 
@@ -1086,7 +1068,7 @@ def _bench_profile(args, n_tasks: int, one_round) -> int:
         ioloop.default_loop().stop()
     stats = collect()
     print(f"profiled bench round ({n_tasks} sleep-0 tasks, {args.executors} "
-          f"executors, pipeline depth {args.pipeline}, wire {args.wire}): "
+          f"executors, pipeline depth {args.pipeline}): "
           f"{result['tasks_per_s']:,.0f} tasks/s under instrumentation")
     print(print_top(stats, 20), end="")
     return 0
@@ -1186,144 +1168,6 @@ def _bench_shards(args) -> int:
         print(f"  federation speedup below the acceptance gate",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _bench_ioloop(args) -> int:
-    """IOLoop scaling microbench: echo frames across sharded connections.
-
-    The task benchmark cannot isolate the I/O plane — dispatch CPU
-    (codec, span recording, scheduling) dominates and the GIL caps the
-    whole process at one core.  This bench strips everything but the
-    selector loops: an echo server shards inbound connections across an
-    :class:`IOLoopGroup` (SO_REUSEPORT acceptors where the platform has
-    them, round-robin handoff otherwise), clients pump pre-framed
-    messages, and the measured quantity is echoed frames/s with 1 loop
-    versus ``--io-threads`` loops on identical connection counts.  The
-    ratio lands in ``--dispatch-out`` next to the shard-scaling curve;
-    on a one-core container expect ~1.0x (the syscalls that release the
-    GIL still serialise onto one core) — the bench demonstrates the
-    sharding machinery and measures what the host can actually give.
-    """
-    import json
-    import os
-    import socket as socket_mod
-    import threading
-
-    from repro.live.ioloop import IOLoopGroup, create_reuseport_servers
-    from repro.live.protocol import Connection
-    from repro.net.message import Message, MessageType
-
-    threads = max(2, args.io_threads)
-    n_conns = max(4, threads * 2)
-    n_frames = 500 if args.quick else 2000  # per connection, each way
-    binary = args.wire == "binary"
-
-    def measure(loop_count: int) -> float:
-        server_group = IOLoopGroup(threads=loop_count, name="bench-srv").start()
-        client_group = IOLoopGroup(threads=loop_count, name="bench-cli").start()
-        server_conns: list[Connection] = []
-        client_conns: list[Connection] = []
-        listeners: list[socket_mod.socket] = []
-        total = n_conns * n_frames
-        done = threading.Event()
-        received = [0]
-        recv_lock = threading.Lock()
-
-        def accept_on(loop):
-            def on_accept(sock: socket_mod.socket) -> None:
-                conn = Connection(sock, handler=lambda m: None,
-                                  name="echo-srv", loop=loop)
-                conn.wire_v4 = binary
-                conn.handler = conn.send  # echo every frame straight back
-                server_conns.append(conn)
-                conn.start()
-            return on_accept
-
-        try:
-            try:
-                listeners = create_reuseport_servers("127.0.0.1", 0, loop_count)
-                port = listeners[0].getsockname()[1]
-                for sock, loop in zip(listeners, server_group.loops):
-                    loop.add_server(sock, accept_on(loop))
-            except OSError:
-                sock = socket_mod.socket(socket_mod.AF_INET,
-                                         socket_mod.SOCK_STREAM)
-                sock.bind(("127.0.0.1", 0))
-                sock.listen(128)
-                port = sock.getsockname()[1]
-                listeners = [sock]
-                server_group.add_server(
-                    sock,
-                    lambda client: accept_on(server_group.next_loop())(client))
-
-            def on_echo(message: Message) -> None:
-                with recv_lock:
-                    received[0] += 1
-                    if received[0] >= total:
-                        done.set()
-
-            for index in range(n_conns):
-                sock = socket_mod.create_connection(("127.0.0.1", port),
-                                                    timeout=10)
-                conn = Connection(sock, handler=on_echo,
-                                  name=f"echo-cli-{index}",
-                                  loop=client_group.next_loop())
-                conn.wire_v4 = binary
-                client_conns.append(conn)
-                conn.start()
-
-            started = time.perf_counter()
-            for conn in client_conns:
-                for seq in range(n_frames):
-                    conn.send(Message(MessageType.HEARTBEAT, sender="bench",
-                                      payload={"seq": seq}))
-            if not done.wait(timeout=120):
-                raise RuntimeError(
-                    f"ioloop bench stalled: {received[0]}/{total} echoes")
-            elapsed = time.perf_counter() - started
-            return total / elapsed
-        finally:
-            for conn in client_conns + server_conns:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            for sock in listeners:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            client_group.stop()
-            server_group.stop()
-
-    base = max(measure(1) for _ in range(2))
-    multi = max(measure(threads) for _ in range(2))
-    ratio = multi / base
-    cores = os.cpu_count() or 1
-    print(f"ioloop scaling bench ({'quick, ' if args.quick else ''}{n_conns} "
-          f"connections x {n_frames} echoed frames, wire {args.wire}, "
-          f"best of 2 rounds, {cores} core(s) visible):")
-    print(f"  1 loop    {base:,.0f} frames/s")
-    print(f"  {threads} loops   {multi:,.0f} frames/s -> {ratio:.2f}x")
-
-    data = {}
-    if os.path.exists(args.dispatch_out):
-        try:
-            with open(args.dispatch_out) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    scaling = data.setdefault("ioloop_scaling", {})
-    scaling.setdefault("frames_per_s", {}).update(
-        {"1": base, str(threads): multi})
-    scaling.update(ratio_vs_1_loop=ratio, io_threads=threads,
-                   connections=n_conns, frames_per_conn=n_frames,
-                   wire=args.wire, quick=args.quick, cores_visible=cores)
-    with open(args.dispatch_out, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"  recorded -> {args.dispatch_out}")
     return 0
 
 

@@ -26,7 +26,7 @@ and sockets instead of simulated time:
   ``falkon://host:port`` address used across the live plane.
 * :mod:`repro.live.federation` — multi-dispatcher federation: the
   consistent-hash :class:`ShardRouter` facade, shard-to-shard work
-  stealing (wire v3) and :class:`LocalFederation` for in-process
+  stealing and :class:`LocalFederation` for in-process
   multi-shard deployments (``docs/API.md``).
 """
 

@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union, overload
 
 from repro.errors import ProtocolError, ReconnectError
 from repro.live.endpoint import Endpoint, EndpointLike, as_endpoint
-from repro.live.ioloop import IOLoopGroup
 from repro.live.protocol import Connection, result_from_dict, task_to_dict
 from repro.net.message import Message, MessageType
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
@@ -172,9 +171,9 @@ class TaskFuture:
         self._settle()
 
 
-#: What ``submit`` accepts: one spec, any sequence of specs, or a
-#: pre-built :class:`Bundle` (legacy shim — bundling is internal now).
-Submittable = Union[TaskSpec, Sequence[TaskSpec], Bundle]
+#: What ``submit`` accepts: one spec or any sequence of specs
+#: (bundling to ``bundle_size`` is internal).
+Submittable = Union[TaskSpec, Sequence[TaskSpec]]
 
 
 class LiveClient:
@@ -194,14 +193,10 @@ class LiveClient:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         max_submit_retries: int = 1000,
-        io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
     ) -> None:
         if bundle_size <= 0:
             raise ValueError("bundle_size must be positive")
-        if io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
         if max_reconnects < 0:
             raise ValueError("max_reconnects must be >= 0")
         if backoff_base <= 0 or backoff_cap < backoff_base:
@@ -243,16 +238,6 @@ class LiveClient:
         self._user_closed = False
         self._reconnecting = threading.Lock()
         self.epr: Optional[str] = None
-        #: Whether the dispatcher echoed the "bin" capability on the
-        #: latest CREATE_INSTANCE exchange (read by _connect).
-        self._caps_bin = False
-        #: Offer the wire v4 binary fast path on CREATE_INSTANCE
-        #: (``caps: ["bin"]``); False emulates a JSON-only v1-v3 peer.
-        self.wire_binary = wire_binary
-        #: Private IOLoopGroup for this client's socket; 1 (default)
-        #: keeps the process-wide shared outbound loop.
-        self._io_loops = (IOLoopGroup(io_threads, name="client")
-                          if io_threads > 1 else None)
         #: Bounded ring of structured wire events (see repro.obs.flight).
         self.flight = FlightRecorder("client", enabled=flight)
         self._conn = self._connect()
@@ -278,17 +263,11 @@ class LiveClient:
             on_close=self._conn_closed,
             key=self.key,
             name="client",
-            loop=self._io_loops.next_loop() if self._io_loops else None,
         ).start()
         # Factory/instance pattern: obtain our endpoint reference first;
         # a reconnect resumes the existing instance by sending it back.
         self._instance_ready.clear()
         payload = {"epr": self.epr} if self.epr else {}
-        if self.wire_binary:
-            # Offer wire v4; the flip waits for the dispatcher's
-            # capability echo on INSTANCE_CREATED (its reader accepts
-            # both framings, so the directions switch independently).
-            payload["caps"] = ["bin"]
         try:
             conn.send(Message(MessageType.CREATE_INSTANCE, sender="client", payload=payload))
         except ProtocolError:
@@ -297,8 +276,6 @@ class LiveClient:
         if not self._instance_ready.wait(10.0):
             conn.close()
             raise ProtocolError("dispatcher did not answer CREATE_INSTANCE")
-        if self.wire_binary and self._caps_bin:
-            conn.wire_v4 = True  # wire v4 negotiated: flip our sends
         return conn
 
     def _conn_closed(self) -> None:
@@ -343,15 +320,13 @@ class LiveClient:
     @overload
     def submit(self, tasks: TaskSpec) -> TaskFuture: ...
     @overload
-    def submit(self, tasks: Union[Sequence[TaskSpec], Bundle]) -> list[TaskFuture]: ...
+    def submit(self, tasks: Sequence[TaskSpec]) -> list[TaskFuture]: ...
 
     def submit(self, tasks: Submittable):
         """Submit work; returns one future per task.
 
-        Accepts a single :class:`TaskSpec` (returns its one future), a
-        sequence of specs (returns a list of futures, same order), or a
-        legacy :class:`Bundle` (treated as its task sequence — the
-        client re-bundles to ``bundle_size`` internally anyway).
+        Accepts a single :class:`TaskSpec` (returns its one future) or
+        a sequence of specs (returns a list of futures, same order).
         """
         if isinstance(tasks, TaskSpec):
             return self._submit_many([tasks])[0]
@@ -395,11 +370,8 @@ class LiveClient:
         for _attempt in range(self.max_submit_retries + 1):
             self._submit_ack.clear()
             self._submit_reply = {}
-            # One spec-dict list serves every framing: on a v4
-            # connection the frame head carries it without the
-            # canonicalising sort, and the dispatcher keeps the parsed
-            # dicts verbatim for re-dispatch (per-spec pre-encoded
-            # blobs were measured slower — see docs/PERFORMANCE.md).
+            # The dispatcher keeps the parsed spec dicts verbatim for
+            # re-dispatch.
             self._conn.send(
                 Message(MessageType.SUBMIT, sender=self.epr or "client",
                         payload={"tasks": specs})
@@ -461,8 +433,6 @@ class LiveClient:
         except Exception:
             pass
         self._conn.close()
-        if self._io_loops is not None:
-            self._io_loops.stop()
 
     #: FalkonClient protocol spelling of :meth:`close`.
     shutdown = close
@@ -478,10 +448,6 @@ class LiveClient:
         self.flight.record(FRAME_RX, msg.type.name)
         if msg.type is MessageType.INSTANCE_CREATED:
             self.epr = msg.payload.get("epr")
-            # Record the negotiation outcome; _connect flips the new
-            # connection's send framing after the handshake (the
-            # handler may run before self._conn is assigned).
-            self._caps_bin = "bin" in (msg.payload.get("caps") or ())
             self._instance_ready.set()
         elif msg.type is MessageType.SUBMIT_ACK:
             self._submit_reply = {"ok": True}
@@ -496,14 +462,8 @@ class LiveClient:
             }
             self._submit_ack.set()
         elif msg.type is MessageType.CLIENT_NOTIFY:
-            # Singular "result" (v1) or a batched "results" list (v2 —
-            # results settled together ride one frame).
-            payloads = []
-            single = msg.payload.get("result")
-            if single:
-                payloads.append(single)
-            payloads.extend(msg.payload.get("results", ()))
-            self._fulfill_many(payloads)
+            # Results settled together ride one frame.
+            self._fulfill_many(msg.payload.get("results", ()))
         elif msg.type is MessageType.RESULTS:
             # Poll/backfill reply {10}: everything finished so far.
             self._fulfill_many(msg.payload.get("results", ()))

@@ -52,9 +52,9 @@ exec/end-to-end latencies feed fixed-bucket histograms (p50/p90/p99),
 and each task accumulates an ordered span chain ``submit → enqueue →
 notify → pull → exec → result → ack`` in a :class:`repro.obs.SpanCollector`,
 queryable with :meth:`LiveDispatcher.trace`.  A compact trace context
-rides the WORK/RESULT_ACK frames and is echoed back on RESULT (wire
-protocol v2), so executor-side execution timing lands in the right
-task's chain even across replays.
+rides each WORK/RESULT_ACK task entry and is echoed back on RESULT, so
+executor-side execution timing lands in the right task's chain even
+across replays.
 
 Durability (see ``docs/RELIABILITY.md``): with ``journal_dir`` set,
 every lifecycle transition is written through a crash-safe
@@ -63,9 +63,9 @@ batching on the 20 ms window, snapshot compaction).  SUBMIT is
 acknowledged only after its records are durable; a restarted
 dispatcher replays snapshot+tail, re-enqueues non-terminal tasks, and
 keeps settled results queryable so reconnecting clients resolve their
-futures.  Executors echo still-held work on REGISTER (``inflight``,
-wire v2-optional) so a task that survived on an agent across the crash
-is adopted by attempt-echo instead of double-executed.
+futures.  Executors echo still-held work on REGISTER (``inflight``)
+so a task that survived on an agent across the crash is adopted by
+attempt-echo instead of double-executed.
 
 Overload protection: a bounded ``queue_limit`` turns excess SUBMIT
 bundles into SUBMIT_REJECT frames carrying a ``retry_after`` hint —
@@ -73,7 +73,7 @@ backpressure instead of OOM.  Poison tasks that exhaust their retry
 budget land in a dead-letter queue (``repro dlq list|show|retry``)
 instead of cycling through executor evictions forever.
 
-Federation (wire v3, see ``repro.live.federation``): with ``shard_id``
+Federation (see ``repro.live.federation``): with ``shard_id``
 set, the dispatcher is one shard of a multi-dispatcher deployment.
 Peer shards gossip queue depths over the HEARTBEAT stats leg, and an
 idle shard steals bounded batches of *queued* tasks from the deepest
@@ -101,7 +101,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.live.endpoint import Endpoint
-from repro.live.ioloop import IOLoop, IOLoopGroup, create_reuseport_servers
+from repro.live.ioloop import IOLoop
 from repro.live.journal import (
     Journal,
     RESULT_DEFAULTS,
@@ -118,7 +118,7 @@ from repro.live.protocol import (
     task_to_dict,
 )
 from repro.net.message import Message, MessageType
-from repro.net.wire import encode_frame
+from repro.net.wire import encode_message_v4
 from repro.obs import (
     DispatcherStats,
     EventLog,
@@ -322,8 +322,6 @@ class LiveDispatcher:
         shard_id: Optional[str] = None,
         steal_batch_max: int = 32,
         steal_min_queue: int = 2,
-        io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
         flight_dump_dir: Optional[str] = None,
         stall_after: float = 5.0,
@@ -357,7 +355,7 @@ class LiveDispatcher:
         self.reject_retry_after = reject_retry_after
         #: Federation identity: ``None`` keeps the classic single-shard
         #: dispatcher (gossip HEARTBEATs are ignored, STEAL frames are
-        #: refused — the v2 interop posture).
+        #: refused).
         self.shard_id = shard_id
         #: Most tasks one STEAL_GRANT may hand over.
         self.steal_batch_max = steal_batch_max
@@ -402,8 +400,8 @@ class LiveDispatcher:
         self._started = time.monotonic()
         # NOTIFY carries no state: one frame, encoded and signed once,
         # broadcast to every executor from this shared bytes cache.
-        self._notify_frame = encode_frame(
-            Message(MessageType.NOTIFY, sender="dispatcher").to_dict(), key=key
+        self._notify_frame = encode_message_v4(
+            Message(MessageType.NOTIFY, sender="dispatcher"), key=key
         )
         # The observability plane: typed instruments replace the old
         # hand-rolled integer attributes (kept readable via properties),
@@ -498,8 +496,8 @@ class LiveDispatcher:
         self._watchdogs = WatchdogPanel()
         self.metrics.gauge(
             "ioloop_lag_seconds",
-            help="Latest IOLoop scheduled-vs-actual wakeup delta (worst loop)",
-            fn=lambda: max((lp.lag_s for lp in self._loops.loops), default=0.0))
+            help="Latest IOLoop scheduled-vs-actual wakeup delta",
+            fn=lambda: self._loop.lag_s)
         self.metrics.gauge(
             "queue_stall_seconds",
             help="Seconds the queue has had depth>0, idle executors, and "
@@ -539,50 +537,20 @@ class LiveDispatcher:
             if flight:
                 self.journal.flight = self.flight
 
-        if io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
-        #: Selector threads serving this dispatcher's sockets.  With
-        #: more than one, inbound sessions are sharded across an
-        #: :class:`~repro.live.ioloop.IOLoopGroup` — via one
-        #: SO_REUSEPORT acceptor per loop where the platform has it,
-        #: round-robin handoff from a single acceptor otherwise.
-        self.io_threads = io_threads
-        #: Offer the wire v4 binary fast path to capable peers
-        #: (negotiated per session; JSON peers interoperate unchanged).
-        self.wire_binary = wire_binary
         self._closing = threading.Event()
-        self._servers: list[socket.socket] = []
-        if io_threads > 1:
-            try:
-                self._servers = create_reuseport_servers(host, port, io_threads)
-            except OSError:
-                self._servers = []
-        if not self._servers:
-            self._servers = [socket.create_server((host, port))]
-        self.host, self.port = self._servers[0].getsockname()[:2]
-        self._loops = IOLoopGroup(
-            io_threads, name=f"dispatcher-{self.port}")
+        self._server = socket.create_server((host, port))
+        self.host, self.port = self._server.getsockname()[:2]
+        self._loop = IOLoop(name=f"dispatcher-{self.port}")
         if flight:
-            for loop in self._loops.loops:
-                loop.flight = self.flight
-        self._loops.start()
+            self._loop.flight = self.flight
+        self._loop.start()
         # Watchdog checks over the subsystems just built (the queue
         # stall check needs per-sweep inputs and runs separately in
         # _watchdog_tick).
         self._watchdogs.add("ioloop", self._check_ioloop_lag)
         self._watchdogs.add("journal", self._check_journal)
         self._watchdogs.add("locks", self._check_lock_waits)
-        if len(self._servers) > 1:
-            # Kernel-sharded accepts: each acceptor lives on its own
-            # loop and pins its sessions there.
-            for loop, server in zip(self._loops.loops, self._servers):
-                loop.add_server(
-                    server,
-                    lambda sock, loop=loop: self._accept(sock, loop))
-        else:
-            self._loops.add_server(
-                self._servers[0],
-                lambda sock: self._accept(sock, self._loops.next_loop()))
+        self._loop.add_server(self._server, self._accept)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="dispatcher-monitor", daemon=True
         )
@@ -984,8 +952,8 @@ class LiveDispatcher:
         The executor table merges session-side truth (busy set,
         pipeline depth, liveness age) with the newest heartbeat-carried
         stats when the executor streams them — so the table is useful
-        even against agents that heartbeat without stats (v1 peers) or
-        not at all.
+        even against agents that heartbeat without stats or not at
+        all.
         """
         now = time.monotonic()
         with self._exec_lock:
@@ -1025,8 +993,7 @@ class LiveDispatcher:
             # ``repro doctor`` attribute payloads without guessing
             # from ports.
             "shard_id": self.shard_id,
-            "wire": "v4" if self.wire_binary else "v3",
-            "io_threads": self.io_threads,
+            "wire": "v4",
             "health": self.health_snapshot(),
         }
         if self.shard_id is not None:
@@ -1062,18 +1029,17 @@ class LiveDispatcher:
         if self._http is not None:
             self._http.close()
         self.events.close()
-        for server in self._servers:
-            try:
-                server.close()
-            except OSError:
-                pass
+        try:
+            self._server.close()
+        except OSError:
+            pass
         with self._exec_lock:
             sessions = [e.conn for e in self._executors.values()]
         with self._client_lock:
             sessions += [c.conn for c in self._clients.values()]
         for conn in sessions:
             conn.close()
-        self._loops.stop()
+        self._loop.stop()
         if self.journal is not None:
             self.journal.close()
 
@@ -1084,15 +1050,13 @@ class LiveDispatcher:
         self.close()
 
     # -- accept / demux -------------------------------------------------------
-    def _accept(self, sock: socket.socket, loop: "IOLoop") -> None:
+    def _accept(self, sock: socket.socket) -> None:
         if self._closing.is_set():
             sock.close()
             return
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The session's role is unknown until its first message; it is
-        # pinned to *loop* (its acceptor's loop, or the round-robin
-        # pick) for its whole lifetime.
-        _Session(self, sock, loop).start()
+        # The session's role is unknown until its first message.
+        _Session(self, sock).start()
 
     # -- liveness monitor ------------------------------------------------------
     def _monitor_loop(self) -> None:
@@ -1162,8 +1126,7 @@ class LiveDispatcher:
 
     # -- watchdogs -------------------------------------------------------------
     def _check_ioloop_lag(self) -> Optional[str]:
-        worst = max(
-            (loop.drain_max_lag() for loop in self._loops.loops), default=0.0)
+        worst = self._loop.drain_max_lag()
         if worst > IOLOOP_LAG_DEGRADED:
             return f"ioloop wakeup lag {worst:.2f}s (handler blocking the loop?)"
         return None
@@ -1226,8 +1189,7 @@ class LiveDispatcher:
             "status": "degraded" if reasons else "ok",
             "degraded": reasons,
             "shard_id": self.shard_id,
-            "wire": "v4" if self.wire_binary else "v3",
-            "io_threads": self.io_threads,
+            "wire": "v4",
             "uptime_s": time.monotonic() - self._started,
         }
 
@@ -1336,16 +1298,9 @@ class LiveDispatcher:
         self.events.emit(ev.CLIENT_CONNECT, client_id, resumed=bool(requested))
         if stale_conn is not None:
             stale_conn.close()
-        ack_payload: dict = {"epr": client_id}
-        if self.wire_binary and "bin" in (msg.payload.get("caps") or ()):
-            # Binary framing negotiated: echo the capability and flip
-            # our send direction now — the client's reader accepts both
-            # framings, so the INSTANCE_CREATED itself may go binary.
-            session.conn.wire_v4 = True
-            ack_payload["caps"] = ["bin"]
         session.conn.send(
             Message(MessageType.INSTANCE_CREATED, sender="dispatcher",
-                    payload=ack_payload)
+                    payload={"epr": client_id})
         )
 
     def _on_submit(self, session: "_Session", msg: Message) -> None:
@@ -1542,22 +1497,13 @@ class LiveDispatcher:
         session.role = ("executor", executor_id)
         self.events.emit(ev.EXECUTOR_REGISTER, executor_id,
                          reconnect=reconnect, pipeline=executor.pipeline)
-        # Wire v2-optional inflight echo: tasks the executor already
-        # executed (or still holds) across a dispatcher restart.  A
-        # matching attempt adopts the dispatch instead of re-running it
-        # elsewhere; a mismatch means the task was already superseded —
-        # the executor's resent result will be dropped as stale.
+        # Inflight echo: tasks the executor already executed (or still
+        # holds) across a dispatcher restart.  A matching attempt
+        # adopts the dispatch instead of re-running it elsewhere; a
+        # mismatch means the task was already superseded — the
+        # executor's resent result will be dropped as stale.
         self._adopt_inflight(executor, msg.payload.get("inflight") or ())
-        ack_payload: dict = {}
-        if self.wire_binary and "bin" in (msg.payload.get("caps") or ()):
-            # Wire v4 negotiated (same pattern as v3's "steal"): flip
-            # our send direction and echo the capability so the
-            # executor flips its own.  Readers on both ends accept both
-            # framings, so the directions may switch independently.
-            session.conn.wire_v4 = True
-            ack_payload["caps"] = ["bin"]
-        session.conn.send(Message(MessageType.REGISTER_ACK, sender="dispatcher",
-                                  payload=ack_payload))
+        session.conn.send(Message(MessageType.REGISTER_ACK, sender="dispatcher"))
         with self._queue_lock:
             notify = bool(self._queue)
         if notify:
@@ -1571,10 +1517,10 @@ class LiveDispatcher:
 
     def _on_heartbeat(self, session: "_Session", msg: Message) -> None:
         # Receipt alone refreshes ``last_seen`` (see _Session._handle).
-        # Wire v2 peers additionally piggy-back a compact stats dict;
-        # it folds into the rolling time-series store.  Only sessions
-        # that completed REGISTER may write — a raw peer spraying junk
-        # heartbeats must not mint series.
+        # Executors piggy-back a compact stats dict; it folds into the
+        # rolling time-series store.  Only sessions that completed
+        # REGISTER may write — a raw peer spraying junk heartbeats
+        # must not mint series.
         role = session.role
         shard = msg.payload.get("shard")
         if (
@@ -1583,11 +1529,11 @@ class LiveDispatcher:
             and shard.get("id")
             and (role is None or role[0] == "peer")
         ):
-            # Wire v3 federation gossip.  A non-federated dispatcher
-            # (``shard_id is None``) skips this branch, falls through,
-            # and drops the frame on the unregistered-session floor —
-            # it never advertises the "steal" capability, so a v3 peer
-            # never sends it a STEAL frame: v2 interop is untouched.
+            # Federation gossip.  A non-federated dispatcher (``shard_id
+            # is None``) skips this branch, falls through, and drops
+            # the frame on the unregistered-session floor — it never
+            # advertises the "steal" capability, so a peer never sends
+            # it a STEAL frame.
             self._on_peer_gossip(session, msg, shard)
             return
         if role is None or role[0] != "executor":
@@ -1596,16 +1542,15 @@ class LiveDispatcher:
         if stats is not None:
             self.timeseries.ingest(role[1], time.monotonic(), stats)
 
-    # -- federation protocol (wire v3) ----------------------------------------
+    # -- federation protocol ---------------------------------------------------
     def _gossip_message(self, rsvp: bool) -> Message:
         """Our side of the depth gossip, as a HEARTBEAT frame."""
         with self._queue_lock:
             qlen = len(self._queue)
-        caps = ["steal", "bin"] if self.wire_binary else ["steal"]
         payload: dict = {
             "shard": {
                 "id": self.shard_id,
-                "caps": caps,
+                "caps": ["steal"],
                 "stats": {"queued": qlen},
                 # Fleet health rides the gossip leg: peers store the
                 # last observation, so /fleet can report a shard's
@@ -1641,10 +1586,6 @@ class LiveDispatcher:
         self._ensure_peer_session(peer_id, session.conn)
         self._touch(PEER_PREFIX + peer_id)
         caps = [c for c in (shard.get("caps") or ()) if isinstance(c, str)]
-        if self.wire_binary and "bin" in caps:
-            # The peer decodes wire v4: flip this inbound link's send
-            # direction (STEAL_GRANT frames with spec blobs ride it).
-            session.conn.wire_v4 = True
         self.flight.record(fl.GOSSIP, peer_id)
         self._note_peer_depth(peer_id, shard.get("stats") or {}, caps,
                               health=shard.get("health"))
@@ -1890,7 +1831,7 @@ class LiveDispatcher:
             if info is None or now - info["t"] > PEER_DEPTH_TTL:
                 continue  # never steal on stale gossip
             if "steal" not in info.get("caps", ()):
-                continue  # the peer did not negotiate wire v3
+                continue  # the peer does not grant steals
             if not link.ready:
                 continue
             if info["queued"] >= depth_floor and info["queued"] > best:
@@ -1920,16 +1861,17 @@ class LiveDispatcher:
             return
         with executor.lock:
             executor.notified = False
-        # Legacy (depth-1) peers always get one task per pull — the
-        # old overwrite-the-busy-slot semantics; pipelined peers get
-        # up to their remaining capacity.
+        # Depth-1 peers always get one task per pull (the pull floor:
+        # a pull from a depth-1 agent means it is free, whatever the
+        # busy set still says); pipelined peers get up to their
+        # remaining capacity.
         want = max(1, executor.capacity()) if executor.pipeline == 1 else executor.capacity()
         claimed = self._claim_many(executor, want, mode="get-work")
         if not claimed:
             session.conn.send(Message(MessageType.NO_WORK, sender="dispatcher"))
             return
         work = Message(MessageType.WORK, sender="dispatcher", payload={})
-        self._fill_task_payload(work, claimed, executor)
+        self._fill_task_payload(work, claimed)
         session.conn.send(work)
         self._mark_delivered_many(claimed, executor_id)
 
@@ -1947,19 +1889,14 @@ class LiveDispatcher:
         # the grant, so busy accounting and attempt echoes line up.
         is_peer = role[0] == "peer"
         executor_id = PEER_PREFIX + role[1] if is_peer else role[1]
-        # v1: one completion under "result"/"attempt"/"exec".  v2
-        # pipelining: a "results" list whose entries each carry their
-        # own attempt echo and exec window — one frame (and one ack)
-        # for a whole executor-side batch.
-        entries: list[tuple[dict, Optional[int], dict]] = []
-        single = msg.payload.get("result")
-        if single is not None:
-            entries.append((single, msg.payload.get("attempt"),
-                            msg.payload.get("exec") or {}))
-        for item in msg.payload.get("results", ()):
-            if isinstance(item, dict) and item.get("result") is not None:
-                entries.append((item["result"], item.get("attempt"),
-                                item.get("exec") or {}))
+        # A "results" list whose entries each carry their own attempt
+        # echo and exec window — one frame (and one ack) for a whole
+        # executor-side batch.
+        entries: list[tuple[dict, Optional[int], dict]] = [
+            (item["result"], item.get("attempt"), item.get("exec") or {})
+            for item in msg.payload.get("results", ())
+            if isinstance(item, dict) and item.get("result") is not None
+        ]
         if not entries:
             return
         executor = self._exec_get(executor_id)
@@ -2027,11 +1964,10 @@ class LiveDispatcher:
             self.spans.record_many(span_rows)
         if journal_rows:
             self.journal.append_many(journal_rows)
-        # Piggy-back queued work on the acknowledgement {7}: one task
-        # for legacy peers, up to the pipeline's remaining capacity for
-        # peers that advertised a depth (§3.4 extended).  Never to a
-        # federation peer: stealing is explicit-request-only, a
-        # piggy-backed task would be a push the thief never asked for.
+        # Piggy-back queued work on the acknowledgement {7}, up to the
+        # executor's remaining pipeline capacity (§3.4 extended).
+        # Never to a federation peer: stealing is explicit-request-only,
+        # a piggy-backed task would be a push the thief never asked for.
         claimed: list[_LiveRecord] = []
         if self.piggyback and executor is not None and not is_peer:
             claimed = self._claim_many(executor, executor.capacity(), mode="piggyback")
@@ -2046,7 +1982,7 @@ class LiveDispatcher:
                 wake = self._pick_idle_executors(qlen)
         ack = Message(MessageType.RESULT_ACK, sender="dispatcher", payload={})
         if claimed:
-            self._fill_task_payload(ack, claimed, executor)
+            self._fill_task_payload(ack, claimed)
         ack_delivered = True
         try:
             session.conn.send(ack)
@@ -2074,8 +2010,8 @@ class LiveDispatcher:
 
     # -- provisioner protocol ----------------------------------------------------
     def _on_status(self, session: "_Session", msg: Message) -> None:
-        # The provisioner's poll may piggy-back its own stats (wire v2
-        # optional field, mirroring executor heartbeats).
+        # The provisioner's poll may piggy-back its own stats
+        # (mirroring executor heartbeats).
         stats = stats_from_payload(msg.payload)
         if stats is not None:
             self.timeseries.ingest(PROVISIONER_SOURCE, time.monotonic(), stats)
@@ -2181,21 +2117,13 @@ class LiveDispatcher:
         return data
 
     def _fill_task_payload(
-        self, message: Message, claimed: list[_LiveRecord], executor: _ExecutorSession
+        self, message: Message, claimed: list[_LiveRecord]
     ) -> None:
-        """Attach claimed tasks to a WORK/RESULT_ACK message.
-
-        Legacy depth-1 peers get the v1 singular ``task``/``attempt``
-        keys with the trace at top level; pipelined peers get a
-        ``tasks`` list whose entries carry their own trace context.
-        Spec dicts are the cached wire dicts — never rebuilt per frame.
+        """Attach claimed tasks to a WORK/RESULT_ACK message as a
+        ``tasks`` list whose entries carry their own attempt and trace
+        context.  Spec dicts are the cached wire dicts — never rebuilt
+        per frame.
         """
-        if executor.pipeline == 1:
-            record = claimed[0]
-            message.payload["task"] = self._spec_dict(record)
-            message.payload["attempt"] = record.attempts
-            message.trace = record.trace_wire
-            return
         message.payload["tasks"] = [
             {
                 "task": self._spec_dict(record),
@@ -2477,8 +2405,7 @@ class LiveDispatcher:
         """Push settled results, one CLIENT_NOTIFY frame per client.
 
         Results settled in the same batch and owned by the same client
-        ride a single frame (``results`` list); a lone result keeps the
-        v1 singular ``result`` key.
+        ride a single frame (``results`` list).
         """
         if not notifies:
             return
@@ -2510,12 +2437,10 @@ class LiveDispatcher:
                     "completed": result.timeline.completed,
                 }
                 payloads.append(payload)
-            body = ({"result": payloads[0]} if len(payloads) == 1
-                    else {"results": payloads})
             try:
                 client.conn.send(
                     Message(MessageType.CLIENT_NOTIFY, sender="dispatcher",
-                            payload=body)
+                            payload={"results": payloads})
                 )
             except Exception:
                 continue  # client went away; results remain queryable
@@ -2680,13 +2605,11 @@ class _Session:
         MessageType.STEAL_REQUEST: LiveDispatcher._on_steal_request,
     }
 
-    def __init__(self, dispatcher: LiveDispatcher, sock: socket.socket,
-                 loop: Optional["IOLoop"] = None) -> None:
+    def __init__(self, dispatcher: LiveDispatcher, sock: socket.socket) -> None:
         self.dispatcher = dispatcher
         self.role: Optional[tuple[str, str]] = None
         name = f"session-{next(dispatcher._session_seq)}"
-        if loop is None:
-            loop = dispatcher._loops.next_loop()
+        loop = dispatcher._loop
         if dispatcher.fault_plan is not None:
             from repro.live.faults import FaultyConnection
 

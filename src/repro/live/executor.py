@@ -5,7 +5,10 @@ Python callables when the command is ``python:<name>``; ``sleep`` is
 interpreted natively so micro-benchmarks don't fork.  The hybrid
 push/pull protocol of §3.3: the executor blocks on its socket until a
 NOTIFY push arrives, answers with a GET_WORK pull, and after each
-RESULT may find the next task piggy-backed on the RESULT_ACK (§3.4).
+RESULT may find the next tasks piggy-backed on the RESULT_ACK (§3.4).
+WORK and RESULT_ACK carry a ``tasks`` list of up to ``pipeline``
+entries and RESULT a ``results`` list; depth 1 (the default) is the
+one-entry case of the same shapes.
 
 A finite ``idle_timeout`` implements the distributed release policy:
 an executor that waits that long without work de-registers and exits
@@ -17,18 +20,16 @@ task from a dead agent; when the connection drops unexpectedly it
 reconnects with capped exponential backoff and re-registers (the
 ``reconnect`` flag lets the dispatcher supersede the stale session).
 
-Telemetry: unless ``heartbeat_stats=False``, each HEARTBEAT
-piggy-backs a compact ``stats`` dict (wire v2-optional field; v1
-dispatchers ignore unknown payload keys) that the dispatcher folds
-into its rolling time-series store — no extra frames, no extra
-round trips.
+Telemetry: each HEARTBEAT piggy-backs a compact ``stats`` dict that
+the dispatcher folds into its rolling time-series store — no extra
+frames, no extra round trips.
 
 Crash resilience (``docs/RELIABILITY.md``): a result whose RESULT
 frame could not be sent (the dispatcher died or the link dropped) is
 *stashed*, not discarded.  The next REGISTER echoes the stashed tasks
-as ``inflight`` entries (``{task_id, attempt}``; wire v2-optional — a
-v1 dispatcher ignores the key) so a journal-recovered dispatcher can
-adopt the dispatch instead of re-executing it elsewhere; right after
+as ``inflight`` entries (``{task_id, attempt}``) so a
+journal-recovered dispatcher can adopt the dispatch instead of
+re-executing it elsewhere; right after
 REGISTER_ACK the stashed results are resent.  A superseded attempt's
 resend loses the attempt-number race and is dropped as stale.
 """
@@ -44,7 +45,6 @@ import time
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.live.endpoint import EndpointLike, as_endpoint
-from repro.live.ioloop import IOLoopGroup
 from repro.live.protocol import Connection, result_to_dict, task_from_dict
 from repro.net.message import Message, MessageType
 from repro.obs import ExecutorStats, MetricsRegistry
@@ -64,8 +64,8 @@ PythonRegistry = dict[str, Callable[..., object]]
 #: Payload marker distinguishing "our socket died" from a user stop().
 _CONN_CLOSED = "connection-closed"
 
-#: Pipelined executors batch finished results into one RESULT frame,
-#: but never sit on a result longer than this (seconds) — the
+#: Executors batch finished results into one RESULT frame, but never
+#: sit on a result longer than this (seconds) — the
 #: dispatcher's replay timer must not see silence while tasks finish.
 _RESULT_BATCH_WINDOW = 0.02
 
@@ -87,9 +87,6 @@ class LiveExecutor:
         backoff_cap: float = 2.0,
         fault_plan: Optional["FaultPlan"] = None,
         pipeline: int = 1,
-        heartbeat_stats: bool = True,
-        io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
     ) -> None:
         if idle_timeout is not None and idle_timeout <= 0:
@@ -110,7 +107,7 @@ class LiveExecutor:
         self.key = key
         #: Advertised pipelining depth: how many queued tasks the
         #: dispatcher may stack on one WORK/RESULT_ACK frame (§3.4
-        #: piggy-backing extended).  1 keeps the v1 wire format.
+        #: piggy-backing extended).
         self.pipeline = pipeline
         self.executor_id = executor_id or f"live-exec-{next(_executor_seq):05d}"
         self.idle_timeout = idle_timeout
@@ -121,18 +118,6 @@ class LiveExecutor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.fault_plan = fault_plan
-        #: Piggy-back stats on HEARTBEAT frames (set False to emulate a
-        #: v1 peer that sends bare heartbeats).
-        self.heartbeat_stats = heartbeat_stats
-        #: Offer the wire v4 binary fast path on REGISTER (``caps:
-        #: ["bin"]``); False emulates a JSON-only v1-v3 peer.
-        self.wire_binary = wire_binary
-        if io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
-        #: Private IOLoopGroup for this agent's sockets; 1 (default)
-        #: keeps the process-wide shared outbound loop.
-        self._io_loops = (IOLoopGroup(io_threads, name=self.executor_id)
-                          if io_threads > 1 else None)
         self.metrics = MetricsRegistry(prefix="executor")
         # Agent-side flight recorder: frame rx/tx only (execution
         # detail already rides spans); dumped by the harness on crash
@@ -155,8 +140,6 @@ class LiveExecutor:
         # stale sample is harmless telemetry).
         self._busy = 0
         self._backlog = 0
-        self._current_attempt: Optional[int] = None
-        self._current_trace: Optional[dict] = None
         # Executed-but-unreported result entries (the RESULT send
         # failed); echoed on the next REGISTER and resent after its
         # ack.  Only the executor thread touches it.
@@ -240,7 +223,6 @@ class LiveExecutor:
                 name=self.executor_id,
                 plan=self.fault_plan,
                 fault_role="executor",
-                loop=self._io_loops.next_loop() if self._io_loops else None,
             )
         else:
             conn = Connection(
@@ -249,7 +231,6 @@ class LiveExecutor:
                 on_close=on_close,
                 key=self.key,
                 name=self.executor_id,
-                loop=self._io_loops.next_loop() if self._io_loops else None,
             )
         return conn.start()
 
@@ -281,19 +262,10 @@ class LiveExecutor:
                 register_payload = {
                     "executor_id": self.executor_id,
                     "reconnect": registered_once,
+                    "pipeline": self.pipeline,
                 }
-                if self.wire_binary:
-                    # Offer the wire v4 binary fast path; the flip
-                    # waits for the dispatcher's capability echo on
-                    # REGISTER_ACK, so a JSON-only dispatcher keeps a
-                    # pure-JSON stream in both directions.
-                    register_payload["caps"] = ["bin"]
-                if self.pipeline > 1:
-                    # Advertised only when used, so depth-1 agents stay
-                    # byte-identical to v1 REGISTER frames.
-                    register_payload["pipeline"] = self.pipeline
                 if self._unreported:
-                    # Inflight echo (wire v2-optional): tasks this agent
+                    # Inflight echo: tasks this agent
                     # already executed whose results never left — a
                     # recovered dispatcher adopts them by attempt match
                     # instead of double-executing.
@@ -348,8 +320,6 @@ class LiveExecutor:
                     except Exception:
                         pass
                 conn.close()
-            if self._io_loops is not None:
-                self._io_loops.stop()
 
     def _loop(self) -> str:
         """Serve one connection; returns why it ended:
@@ -368,10 +338,6 @@ class LiveExecutor:
                 return "closed"
             if msg.type is MessageType.REGISTER_ACK:
                 self._acked_this_conn = True
-                if self.wire_binary and "bin" in (msg.payload.get("caps") or ()):
-                    conn = self._conn
-                    if conn is not None:
-                        conn.wire_v4 = True  # negotiated: flip our sends
                 self._registered.set()
                 if self._unreported:
                     # The dispatcher has now adopted (or superseded) the
@@ -386,34 +352,19 @@ class LiveExecutor:
                 except Exception:
                     pass  # the close callback queues the shutdown marker
             elif msg.type in (MessageType.WORK, MessageType.RESULT_ACK):
-                # v1: one task under "task"/"attempt" with the trace at
-                # top level.  v2 pipelining: a "tasks" list whose
-                # entries carry their own attempt and trace context.
-                entries: list[tuple[dict, Optional[int], Optional[dict]]] = []
-                task_payload = msg.payload.get("task")
-                if task_payload is not None:
-                    entries.append((task_payload, msg.payload.get("attempt"), msg.trace))
-                for item in msg.payload.get("tasks", ()):
-                    if isinstance(item, dict) and item.get("task") is not None:
-                        entries.append((item["task"], item.get("attempt"), item.get("trace")))
+                # A "tasks" list whose entries carry their own attempt
+                # and trace context.
+                entries = [
+                    (item["task"], item.get("attempt"), item.get("trace"))
+                    for item in msg.payload.get("tasks", ())
+                    if isinstance(item, dict) and item.get("task") is not None
+                ]
                 self._backlog = len(entries)
                 # Drain the whole local batch before the next pull.
-                if self.pipeline > 1:
-                    # Results batch into as few RESULT frames as the
-                    # flush window allows — one frame for a burst of
-                    # short tasks instead of one frame (and one ack
-                    # round trip) each.
-                    self._execute_batch(entries)
-                else:
-                    for task_payload, attempt, trace in entries:
-                        if self._stop.is_set():
-                            break
-                        self._current_attempt = attempt
-                        self._current_trace = trace
-                        try:
-                            self._execute_and_report(task_from_dict(task_payload))
-                        except Exception:
-                            break  # results lost with the connection; replay covers it
+                # Results batch into as few RESULT frames as the flush
+                # window allows — one frame for a burst of short tasks
+                # instead of one frame (and one ack round trip) each.
+                self._execute_batch(entries)
                 self._backlog = 0
             elif msg.type is MessageType.ERROR:
                 if "duplicate executor id" in msg.payload.get("error", ""):
@@ -427,68 +378,25 @@ class LiveExecutor:
             conn = self._conn
             if conn is None or conn.closed:
                 continue
-            payload = {}
-            if self.heartbeat_stats:
-                # Compact stats delta, folded into the dispatcher's
-                # time-series store (wire v2-optional field; a v1
-                # dispatcher ignores unknown payload keys).
-                payload["stats"] = {
-                    "busy": self._busy,
-                    "backlog": self._backlog,
-                    "executed": self._m_executed.value,
-                    "exec_sum_s": self._h_exec.sum,
-                    "reconnects": self._m_reconnects.value,
-                }
+            # Compact stats delta, folded into the dispatcher's
+            # time-series store.
+            payload = {"stats": {
+                "busy": self._busy,
+                "backlog": self._backlog,
+                "executed": self._m_executed.value,
+                "exec_sum_s": self._h_exec.sum,
+                "reconnects": self._m_reconnects.value,
+            }}
             try:
                 conn.send(Message(MessageType.HEARTBEAT, sender=self.executor_id,
                                   payload=payload))
             except Exception:
                 pass  # the main loop handles the dead connection
 
-    def _execute_and_report(self, spec: TaskSpec) -> None:
-        exec_started = time.monotonic()
-        self._busy = 1
-        try:
-            result = self.execute(spec)
-        finally:
-            self._busy = 0
-            self._backlog = max(0, self._backlog - 1)
-        exec_seconds = time.monotonic() - exec_started
-        self._m_executed.inc()
-        self._h_exec.observe(exec_seconds)
-        payload = {
-            "result": result_to_dict(result),
-            # Locally measured execution window: the dispatcher anchors
-            # the task's "exec" span on it (clocks differ; only the
-            # duration crosses the wire).
-            "exec": {"seconds": exec_seconds},
-        }
-        if self._current_attempt is not None:
-            # Echo the dispatcher's attempt number so late results from
-            # superseded attempts can be recognised and dropped.
-            payload["attempt"] = self._current_attempt
-        try:
-            self._conn.send(
-                Message(MessageType.RESULT, sender=self.executor_id,
-                        payload=payload, trace=self._current_trace)
-            )
-            self.flight.record(FRAME_TX, "RESULT", tasks=1)
-        except Exception:
-            # The work is done but the report never left: stash it for
-            # the inflight echo + resend on the next session rather
-            # than letting a replay re-execute it.
-            entry = {"result": payload["result"], "exec": payload["exec"]}
-            if self._current_attempt is not None:
-                entry["attempt"] = self._current_attempt
-            if self._current_trace is not None:
-                entry["trace"] = self._current_trace
-            self._unreported.append(entry)
-            raise
-
     def _execute_batch(
         self, entries: list[tuple[dict, Optional[int], Optional[dict]]]
     ) -> None:
-        """Run a pipelined batch, reporting results in bulk (wire v2).
+        """Run one WORK/RESULT_ACK batch, reporting results in bulk.
 
         Each finished task becomes one entry of a ``results`` list;
         the accumulated batch flushes when ``_RESULT_BATCH_WINDOW``
@@ -515,9 +423,14 @@ class LiveExecutor:
             self._h_exec.observe(exec_seconds)
             entry = {
                 "result": result_to_dict(result),
+                # Locally measured execution window: the dispatcher
+                # anchors the task's "exec" span on it (clocks differ;
+                # only the duration crosses the wire).
                 "exec": {"seconds": exec_seconds},
             }
             if attempt is not None:
+                # Echo the dispatcher's attempt number so late results
+                # from superseded attempts can be recognised and dropped.
                 entry["attempt"] = attempt
             if trace is not None:
                 entry["trace"] = trace

@@ -32,6 +32,8 @@ from typing import Optional
 
 from repro.errors import ProtocolError
 from repro.live.protocol import Connection
+from repro.net.message import WIRE_CODES, MessageType
+from repro.net.wire import HEADER_BYTES
 from repro.sim.rng import RngStreams
 
 __all__ = ["FaultAction", "FaultPlan", "FaultyConnection"]
@@ -80,10 +82,10 @@ class FaultPlan:
         (no draw consumed, keeping per-type schedules stable).  Lets a
         chaos run starve one protocol edge — e.g. drop every NOTIFY to
         manufacture a genuine queue stall — without also severing
-        registration or heartbeats.  Matching sniffs the encoded
-        bytes, because cached broadcast frames never exist as
-        :class:`Message` objects on the send path; use JSON framing
-        (``wire_binary=False``) when exact per-type matching matters.
+        registration or heartbeats.  Names are :class:`MessageType`
+        member names, any case; matching reads the type code in the
+        encoded frame's header, because cached broadcast frames never
+        exist as :class:`Message` objects on the send path.
     """
 
     def __init__(
@@ -115,13 +117,11 @@ class FaultPlan:
         self._crash_hits: dict[str, int] = {}
         self.roles = frozenset(roles) if roles is not None else None
         self.drop_types = frozenset(drop_types) if drop_types else None
-        # JSON frames carry MessageType *values* — lowercase — while
-        # callers naturally write wire names ({"NOTIFY"}); sniff both
-        # spellings so either convention matches.
-        self._drop_tokens = tuple(
-            f'"{spelling}"'.encode("utf-8")
-            for t in self.drop_types or ()
-            for spelling in {t, t.lower()})
+        try:
+            self._drop_codes = frozenset(
+                WIRE_CODES[MessageType[t.upper()]] for t in self.drop_types or ())
+        except KeyError as exc:
+            raise ValueError(f"drop_types: unknown message type {exc.args[0]!r}") from None
         self._rng = RngStreams(self.seed)
         self._lock = threading.Lock()
         self.counters = {
@@ -145,13 +145,13 @@ class FaultPlan:
         """Whether an encoded frame is eligible for type-scoped drops.
 
         With no ``drop_types`` every frame is eligible.  Otherwise the
-        raw bytes are sniffed for the quoted type token (JSON frames
-        carry ``"type": "NOTIFY"`` literally); a miss means the frame
-        is exempt from the drop draw entirely.
+        frame's header type code (byte 2) must be one of the named
+        types; a miss means the frame is exempt from the drop draw
+        entirely.
         """
         if self.drop_types is None:
             return True
-        return any(token in frame for token in self._drop_tokens)
+        return frame[2] in self._drop_codes
 
     def decide(self, name: str, frame_index: int) -> tuple[FaultAction, float]:
         """The fate of frame *frame_index* on connection *name*.
@@ -202,11 +202,12 @@ class FaultPlan:
         return False
 
     def corrupt_offset(self, name: str, frame_length: int) -> int:
-        """Deterministic body byte offset to flip in a corrupted frame."""
+        """Deterministic body byte offset to flip in a corrupted frame
+        (past the fixed header, so the frame boundary survives)."""
         with self._lock:
             stream = self._rng.stream(f"faults:{name}:corrupt")
-            span = max(1, frame_length - 4)
-            return 4 + int(stream.integers(0, span))
+            span = max(1, frame_length - HEADER_BYTES)
+            return HEADER_BYTES + int(stream.integers(0, span))
 
     def schedule(self, name: str, frames: int) -> list[FaultAction]:
         """The first *frames* decisions for connection *name*.

@@ -1,5 +1,5 @@
 """Multi-dispatcher federation: sharding + work stealing behind one
-logical Falkon (wire v3).
+logical Falkon.
 
 Topology
 --------
@@ -150,7 +150,7 @@ class PeerLink:
     @property
     def ready(self) -> bool:
         """Connected *and* the peer advertised the "steal" capability
-        in its gossip reply — the wire-v3 negotiation gate."""
+        in its gossip reply."""
         return self.connected and "steal" in self._caps
 
     # -- lifecycle -------------------------------------------------------------
@@ -276,14 +276,6 @@ class PeerLink:
                 caps = tuple(c for c in (shard.get("caps") or ())
                              if isinstance(c, str))
                 self._caps = caps
-                # Wire-v4 negotiation, gossip edition: once the peer
-                # advertises "bin" (and we speak it), flip our sends on
-                # this link to binary framing.  Readers always accept
-                # both framings, so each direction flips independently.
-                conn = self._conn
-                if (conn is not None and not conn.wire_v4
-                        and self.dispatcher.wire_binary and "bin" in caps):
-                    conn.wire_v4 = True
                 self.dispatcher._note_peer_depth(
                     self.shard_id, shard.get("stats") or {}, list(caps),
                     health=shard.get("health"))
@@ -331,7 +323,6 @@ class ShardRouter:
         max_reconnects: int = 2,
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
-        io_threads: int = 1,
     ) -> None:
         self.endpoints = Endpoint.parse_list(endpoints)
         if len({e.url for e in self.endpoints}) != len(self.endpoints):
@@ -344,9 +335,6 @@ class ShardRouter:
             max_reconnects=max_reconnects,
             backoff_base=backoff_base,
             backoff_cap=backoff_cap,
-            # Each shard client shards its socket I/O across this many
-            # selector loops (see docs/PERFORMANCE.md, "Multi-core I/O").
-            io_threads=io_threads,
             # The router owns retarget policy: a SUBMIT_REJECT must
             # surface immediately so the bundle can move shards instead
             # of camping on a full queue.
@@ -670,7 +658,6 @@ class LocalFederation:
         queue_limit: Optional[int] = None,
         steal_batch_max: int = 32,
         steal_min_queue: int = 2,
-        heartbeat_stats: bool = True,
         http_port: Optional[int] = None,
         retain_settled: Optional[int] = None,
         flight: bool = True,
@@ -701,7 +688,6 @@ class LocalFederation:
         self._executor_kwargs = dict(
             heartbeat_interval=heartbeat_interval,
             pipeline=pipeline_depth,
-            heartbeat_stats=heartbeat_stats,
             flight=flight,
         )
         self.journal_root = journal_root

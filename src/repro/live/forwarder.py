@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.errors import ProtocolError
 from repro.live.endpoint import Endpoint
-from repro.live.ioloop import IOLoopGroup
 from repro.live.protocol import Connection
 from repro.net.message import Message, MessageType
 
@@ -72,18 +71,10 @@ class LiveForwarder:
         host: str = "127.0.0.1",
         port: int = 0,
         key: Optional[bytes] = None,
-        io_threads: int = 1,
     ) -> None:
         if not dispatcher_addresses:
             raise ValueError("a forwarder needs at least one dispatcher")
-        if io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
         self.key = key
-        #: Private selector loops for upstream sessions; 1 (default)
-        #: keeps the old shared-loop model (see docs/PERFORMANCE.md,
-        #: "Multi-core I/O").
-        self._io_loops = (IOLoopGroup(io_threads, name="forwarder")
-                          if io_threads > 1 else None)
         self._lock = threading.RLock()
         self._clients: dict[str, _UpstreamClient] = {}
         self._task_owner: dict[str, tuple[str, "_Downstream"]] = {}
@@ -127,8 +118,6 @@ class LiveForwarder:
             clients = list(self._clients.values())
         for client in clients:
             client.conn.close()
-        if self._io_loops is not None:
-            self._io_loops.stop()
 
     def __enter__(self) -> "LiveForwarder":
         return self
@@ -144,9 +133,7 @@ class LiveForwarder:
             except OSError:
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            loop = (self._io_loops.next_loop()
-                    if self._io_loops is not None else None)
-            session = _ForwarderSession(self, sock, loop=loop)
+            session = _ForwarderSession(self, sock)
             session.conn.start()
 
     def _on_create_instance(self, session: "_ForwarderSession") -> None:
@@ -194,16 +181,11 @@ class LiveForwarder:
 
     # -- downstream (result relay) -------------------------------------------------
     def _relay_result(self, downstream: _Downstream, msg: Message) -> None:
-        # A notify frame carries one result (v1 "result") or a settled
-        # batch (v2 "results"); each entry routes to its own owner.
-        payloads = []
-        single = msg.payload.get("result")
-        if single:
-            payloads.append(single)
-        payloads.extend(
-            p for p in msg.payload.get("results", ()) if isinstance(p, dict)
-        )
-        for payload in payloads:
+        # A notify frame carries a settled batch; each entry routes to
+        # its own owner.
+        for payload in msg.payload.get("results", ()):
+            if not isinstance(payload, dict):
+                continue
             task_id = payload.get("task_id")
             with self._lock:
                 owner = self._task_owner.pop(task_id, None)
@@ -214,7 +196,7 @@ class LiveForwarder:
                 try:
                     client.conn.send(
                         Message(MessageType.CLIENT_NOTIFY, sender="forwarder",
-                                payload={"result": payload})
+                                payload={"results": [payload]})
                     )
                 except Exception:
                     pass
@@ -229,8 +211,7 @@ class LiveForwarder:
 
 
 class _ForwarderSession:
-    def __init__(self, forwarder: LiveForwarder, sock: socket.socket,
-                 loop=None) -> None:
+    def __init__(self, forwarder: LiveForwarder, sock: socket.socket) -> None:
         self.forwarder = forwarder
         self.client_id: Optional[str] = None
         self.conn = Connection(
@@ -239,7 +220,6 @@ class _ForwarderSession:
             on_close=lambda: forwarder._session_closed(self),
             key=forwarder.key,
             name="fwd-session",
-            loop=loop,
         )
 
     def _handle(self, msg: Message) -> None:

@@ -29,7 +29,6 @@ per instance so their lifecycle is self-contained.
 
 from __future__ import annotations
 
-import itertools
 import selectors
 import socket
 import threading
@@ -40,7 +39,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.live.protocol import Connection
 
-__all__ = ["IOLoop", "IOLoopGroup", "create_reuseport_servers", "default_loop"]
+__all__ = ["IOLoop", "default_loop"]
 
 
 #: Lag-probe interval: the loop's ``select`` wakes at least this often
@@ -272,86 +271,6 @@ class IOLoop:
                             conn.close()
                         except Exception:
                             pass
-
-
-class IOLoopGroup:
-    """N independent selector loops with connections sharded across them.
-
-    Each :class:`IOLoop` keeps its own selector thread, wake-up pipe
-    and op queue; a connection is pinned to exactly one loop for its
-    lifetime, so no cross-loop locking is ever needed.  Servers pick
-    loops two ways:
-
-    * **SO_REUSEPORT acceptors** (:func:`create_reuseport_servers`):
-      one listening socket per loop bound to the same port — the
-      kernel shards accepted connections, and each session lives on
-      the loop that accepted it.
-    * **Round-robin handoff** (:meth:`next_loop`): a single acceptor
-      assigns each accepted connection to the next loop in rotation.
-
-    A group of one degenerates to exactly the old single-loop model.
-    """
-
-    def __init__(self, threads: int = 1, name: str = "io") -> None:
-        if threads < 1:
-            raise ValueError("IOLoopGroup needs at least one thread")
-        self.name = name
-        self.loops = [IOLoop(name=f"{name}.{i}") for i in range(threads)]
-        self._rr = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self.loops)
-
-    def start(self) -> "IOLoopGroup":
-        for loop in self.loops:
-            loop.start()
-        return self
-
-    def stop(self) -> None:
-        for loop in self.loops:
-            loop.stop()
-
-    def next_loop(self) -> IOLoop:
-        """The next loop in rotation (round-robin sharding)."""
-        return self.loops[next(self._rr) % len(self.loops)]
-
-    def add_server(self, sock: socket.socket,
-                   on_accept: Callable[[socket.socket], None]) -> None:
-        """Accept on *sock* via the first loop (callers shard accepted
-        connections themselves with :meth:`next_loop`)."""
-        self.loops[0].add_server(sock, on_accept)
-
-
-def create_reuseport_servers(
-    host: str, port: int, count: int
-) -> list[socket.socket]:
-    """*count* listening sockets sharing one TCP port via SO_REUSEPORT.
-
-    The first socket may bind port 0; the kernel-chosen port is then
-    reused for the rest, so ephemeral-port deployments still work.
-    Raises ``OSError`` on platforms without SO_REUSEPORT (callers fall
-    back to a single acceptor with round-robin handoff).
-    """
-    if not hasattr(socket, "SO_REUSEPORT"):
-        raise OSError("SO_REUSEPORT unsupported on this platform")
-    socks: list[socket.socket] = []
-    try:
-        for _ in range(count):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((host, port))
-            sock.listen(128)
-            if port == 0:
-                port = sock.getsockname()[1]
-            socks.append(sock)
-    except BaseException:
-        for sock in socks:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        raise
-    return socks
 
 
 _default_loop: Optional[IOLoop] = None

@@ -51,8 +51,8 @@ class LocalFalkon:
         dispatcher's executor-facing connections for chaos runs.
     pipeline_depth:
         Tasks an executor may hold locally beyond the running one
-        (§3.4 piggy-backing extended to bounded pipelining); 1 keeps
-        the classic one-task-per-exchange protocol.
+        (§3.4 piggy-backing extended to bounded pipelining); 1 is
+        one task per exchange.
     http_port:
         Start the dispatcher's HTTP status surface on this port
         (``0`` picks a free one; ``None`` — the default — keeps HTTP
@@ -61,9 +61,6 @@ class LocalFalkon:
         Stream dispatcher lifecycle events to this JSONL path
         (``repro events replay`` reads it back).  ``None`` keeps the
         event log disabled — the zero-overhead default.
-    heartbeat_stats:
-        Executors piggy-back telemetry on their heartbeats (needs
-        ``heartbeat_interval``); False emulates v1 bare heartbeats.
     journal_dir:
         Directory for the dispatcher's crash-safe journal; a directory
         holding state from a previous run is recovered on boot
@@ -110,13 +107,10 @@ class LocalFalkon:
         pipeline_depth: int = 1,
         http_port: Optional[int] = None,
         events_out: Optional[str] = None,
-        heartbeat_stats: bool = True,
         journal_dir: Optional[str] = None,
         queue_limit: Optional[int] = None,
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
-        io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
         flight_dump_dir: Optional[str] = None,
         stall_after: float = 5.0,
@@ -143,8 +137,6 @@ class LocalFalkon:
             queue_limit=queue_limit,
             journal_compact_every=journal_compact_every,
             retain_settled=retain_settled,
-            io_threads=io_threads,
-            wire_binary=wire_binary,
             flight=flight,
             flight_dump_dir=flight_dump_dir,
             stall_after=stall_after,
@@ -165,8 +157,6 @@ class LocalFalkon:
                     python_registry=self.python_registry,
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
-                    heartbeat_stats=heartbeat_stats,
-                    wire_binary=wire_binary,
                     flight=flight,
                     **kw,
                 ),
@@ -179,16 +169,13 @@ class LocalFalkon:
                     python_registry=self.python_registry,
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
-                    heartbeat_stats=heartbeat_stats,
-                    wire_binary=wire_binary,
                     flight=flight,
                 ).start()
                 self.executors.append(executor)
             for executor in self.executors:
                 executor.wait_registered()
         self.client = LiveClient(self.dispatcher.endpoint, key=key,
-                                 bundle_size=bundle_size, wire_binary=wire_binary,
-                                 flight=flight)
+                                 bundle_size=bundle_size, flight=flight)
         if http_port is not None:
             # Started last: the registries closure re-reads the pool on
             # every scrape, so provisioned executors appear without

@@ -1,4 +1,4 @@
-"""Framed-JSON connections and task serialisation for the live plane.
+"""Framed connections and task serialisation for the live plane.
 
 A :class:`Connection` wraps a TCP socket with the wire codec from
 :mod:`repro.net.wire`: buffered, thread-safe framed sends flushed by a
@@ -20,7 +20,6 @@ coalesced into a single syscall.
 
 from __future__ import annotations
 
-import json
 import math
 import socket
 import threading
@@ -30,7 +29,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.errors import ProtocolError
 from repro.live.ioloop import IOLoop, default_loop
 from repro.net.message import Message
-from repro.net.wire import FrameReader, encode_frame, encode_message_v4
+from repro.net.wire import FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
 
 __all__ = [
@@ -98,7 +97,8 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
         )
     except KeyError:
         pass
-    # Sparse peer dict (older/minimal encoders): tolerate missing keys.
+    # Sparse dict (journal recovery reads default-stripped records;
+    # hand-written peers send minimal specs): tolerate missing keys.
     env = data.get("env")
     reads = data.get("reads")
     writes = data.get("writes")
@@ -157,14 +157,14 @@ def result_from_dict(data: dict[str, Any]) -> TaskResult:
 
 
 def stats_from_payload(payload: Mapping[str, Any]) -> Optional[dict[str, float]]:
-    """Extract the wire-v2 optional ``stats`` field from a payload.
+    """Extract the optional ``stats`` field from a payload.
 
     HEARTBEAT and STATUS frames may carry a compact ``stats`` dict of
-    numeric deltas (see ``docs/PROTOCOL.md``); v1 peers simply omit it.
-    Like the ``trace`` field, it is best-effort: anything that is not a
-    ``{str: finite number}`` mapping is dropped rather than trusted —
-    a junk or future-version peer must never poison the dispatcher's
-    time-series store.  Returns ``None`` when nothing usable remains.
+    numeric deltas (see ``docs/PROTOCOL.md``).  It is best-effort:
+    anything that is not a ``{str: finite number}`` mapping is dropped
+    rather than trusted — a junk peer must never poison the
+    dispatcher's time-series store.  Returns ``None`` when nothing
+    usable remains.
     """
     raw = payload.get("stats")
     if not isinstance(raw, Mapping):
@@ -214,11 +214,6 @@ class Connection:
         self.on_close = on_close
         self.key = key
         self.name = name
-        #: Send framing for this connection.  Starts False (JSON) and
-        #: flips to True after the wire-v4 ``"bin"`` capability is
-        #: negotiated for this direction; the reader always accepts
-        #: both framings, so each direction may flip independently.
-        self.wire_v4 = False
         self._loop = loop
         self._reader = FrameReader(key=key)
         self._out: deque[bytes] = deque()
@@ -239,34 +234,9 @@ class Connection:
     def closed(self) -> bool:
         return self._closed.is_set()
 
-    def send(self, message: Message, blobs: Optional[dict[str, Any]] = None) -> None:
-        """Frame, sign (if keyed) and transmit *message*.
-
-        *blobs* carries pre-encoded JSON payload values (see
-        :func:`repro.net.wire.encode_message_v4`).  On a binary
-        connection they are spliced into the frame verbatim; on a JSON
-        connection they are parsed back into the payload — correctness
-        is framing-independent, only the cost differs.
-
-        Measured on CPython (see docs/PERFORMANCE.md): the v4 win
-        comes from skipping ``to_dict``/``sort_keys`` on encode and —
-        decisively, when keyed — verifying a raw HMAC instead of
-        re-canonicalising the body, so v4 framing is used for every
-        frame once negotiated.
-        """
-        if self.wire_v4:
-            self.send_encoded(encode_message_v4(message, key=self.key, blobs=blobs))
-            return
-        if blobs:
-            payload = dict(message.payload)
-            for bkey, value in blobs.items():
-                if isinstance(value, (bytes, bytearray, memoryview)):
-                    payload[bkey] = json.loads(bytes(value))
-                else:
-                    payload[bkey] = [json.loads(bytes(v)) for v in value]
-            message = Message(message.type, message.sender, payload,
-                              message.msg_id, message.trace)
-        self.send_encoded(encode_frame(message.to_dict(), key=self.key))
+    def send(self, message: Message) -> None:
+        """Frame, sign (if keyed) and transmit *message*."""
+        self.send_encoded(encode_message_v4(message, key=self.key))
 
     def send_encoded(self, frame: bytes) -> None:
         """Queue one already-encoded frame for transmission.
@@ -355,11 +325,8 @@ class Connection:
             self.close()
             return
         try:
-            for payload in self._reader.feed(chunk):
-                if payload.__class__ is Message:
-                    self.handler(payload)  # wire-v4 frames decode directly
-                else:
-                    self.handler(Message.from_dict(payload))
+            for message in self._reader.feed(chunk):
+                self.handler(message)
         except ProtocolError:
             self.close()  # tampered/garbled stream: drop the connection
         except Exception:

@@ -166,10 +166,10 @@ class LocalProvisioner:
             self._stop.wait(self.poll_interval)
 
     def _poll(self) -> Optional[DispatcherStats]:
-        # The poll piggy-backs this provisioner's own stats (wire
-        # v2-optional field, same pattern as heartbeat-carried executor
-        # stats) — the dispatcher's telemetry plane sees pool size and
-        # allocation churn without any extra frame.
+        # The poll piggy-backs this provisioner's own stats (same
+        # pattern as heartbeat-carried executor stats) — the
+        # dispatcher's telemetry plane sees pool size and allocation
+        # churn without any extra frame.
         stats_payload = {
             "stats": {
                 "pool_size": len(self._pool),

@@ -7,13 +7,13 @@ Three pieces:
   overheads, the Axis grow-able-array bundling term).
 * :mod:`repro.net.message` — protocol message vocabulary shared by both
   planes (register / notify / get-work / result / piggy-backed ack).
-* :mod:`repro.net.wire` — length-prefixed JSON frame codec with optional
-  HMAC signing, used by the live TCP plane.
+* :mod:`repro.net.wire` — binary frame codec with optional HMAC
+  signing, used by the live TCP plane.
 """
 
 from repro.net.costs import WSCostModel, BundlingCostModel, NetworkModel
 from repro.net.message import Message, MessageType
-from repro.net.wire import FrameReader, encode_frame, decode_frame, sign_payload, verify_payload
+from repro.net.wire import FrameReader, decode_frame, encode_message_v4
 
 __all__ = [
     "WSCostModel",
@@ -22,8 +22,6 @@ __all__ = [
     "Message",
     "MessageType",
     "FrameReader",
-    "encode_frame",
     "decode_frame",
-    "sign_payload",
-    "verify_payload",
+    "encode_message_v4",
 ]

@@ -23,36 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["PROTOCOL_VERSION", "MessageType", "Message", "WIRE_CODES", "CODE_TO_TYPE"]
 
-#: Wire protocol version.  v2 adds the optional compact trace-context
-#: field (``trace: {tid, sid}``) that rides WORK / RESULT_ACK / RESULT
-#: frames for end-to-end task tracing; v1 peers simply ignore it and
-#: omit it, which v2 ends tolerate (spans degrade, nothing breaks).
-#:
-#: v3 adds the federation leg (``docs/PROTOCOL.md`` §wire-v3): an
-#: optional ``shard`` object on HEARTBEAT frames (``{id, caps,
-#: stats}``) that shards gossip queue depths with, plus the
-#: STEAL_REQUEST / STEAL_GRANT exchange for work stealing.  The whole
-#: leg is capability-negotiated: a shard sends STEAL frames only after
-#: the peer's gossip reply advertised ``"steal"`` in ``shard.caps``.
-#: A v2 single-shard dispatcher ignores the unsolicited gossip
-#: HEARTBEAT (unregistered sessions cannot mint state), never replies
-#: with a capability, and therefore never sees a STEAL frame — v2
-#: peers interoperate untouched.
-#:
-#: v4 adds a compact binary framing (``docs/PROTOCOL.md`` §wire-v4): a
-#: struct-packed fixed header (magic ``0xFB``, version, message-type
-#: code, flags, body length), a raw-bytes HMAC instead of the JSON
-#: signature envelope, and opaque pre-encoded payload blobs so the
-#: SUBMIT → WORK → RESULT → RESULT_ACK hot loop never re-serialises a
-#: task spec.  Binary framing is capability-negotiated per connection
-#: (``"bin"`` in REGISTER / CREATE_INSTANCE / shard-gossip caps, same
-#: pattern as v3's ``"steal"``); a v1–v3 JSON peer never advertises it
-#: and keeps speaking length-prefixed JSON on the same port — the
-#: first frame byte (``0xFB`` vs a length ≤ ``0x03``) disambiguates.
+#: Wire protocol version, carried in byte 1 of every frame header
+#: (``docs/PROTOCOL.md``).  A frame with any other version is rejected.
 PROTOCOL_VERSION = 4
 
 _msg_counter = itertools.count(1)
@@ -94,7 +70,7 @@ class MessageType(Enum):
     STATUS = "status"
     STATUS_REPLY = "status-reply"
 
-    # dispatcher <-> dispatcher federation (wire v3, capability-gated)
+    # dispatcher <-> dispatcher federation (gated on the "steal" capability)
     #: An idle shard asks a deeper peer for up to ``want`` queued tasks.
     STEAL_REQUEST = "steal-request"
     #: The donor's answer: ``tasks`` entries (task + attempt echo),
@@ -106,10 +82,10 @@ class MessageType(Enum):
     ERROR = "error"
 
 
-#: Stable numeric codes for the wire-v4 binary header.  Codes are part
-#: of the protocol: once assigned they are never renumbered, and new
-#: message kinds append at the end.  A v4 frame whose code is absent
-#: here is a :class:`repro.errors.ProtocolError` at the decoder.
+#: Stable numeric codes for the frame header.  Codes are part of the
+#: protocol: once assigned they are never renumbered, and new message
+#: kinds append at the end.  A frame whose code is absent here is a
+#: :class:`repro.errors.ProtocolError` at the decoder.
 WIRE_CODES: dict[MessageType, int] = {
     MessageType.CREATE_INSTANCE: 1,
     MessageType.INSTANCE_CREATED: 2,
@@ -154,37 +130,3 @@ class Message:
     sender: str = ""
     payload: dict[str, Any] = field(default_factory=dict)
     msg_id: int = field(default_factory=lambda: next(_msg_counter))
-    #: Optional compact trace context ``{"tid": str, "sid": int}``
-    #: (protocol v2); ``None`` on untraced frames and v1 peers.
-    trace: Optional[dict[str, Any]] = None
-    #: Raw pre-encoded JSON bytes for payload values that arrived as
-    #: wire-v4 blobs: ``{key: bytes}`` or ``{key: [bytes, ...]}`` for
-    #: list-valued blobs.  Receivers use these to cache or re-splice a
-    #: value (e.g. a task spec) without ever re-serialising it; never
-    #: present on JSON-framed messages and excluded from ``to_dict``.
-    blobs: Optional[dict[str, Any]] = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise for the wire."""
-        data = {
-            "v": PROTOCOL_VERSION,
-            "type": self.type.value,
-            "sender": self.sender,
-            "payload": self.payload,
-            "msg_id": self.msg_id,
-        }
-        if self.trace is not None:
-            data["trace"] = self.trace
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Message":
-        """Parse a wire dict; raises ``KeyError``/``ValueError`` on junk."""
-        trace = data.get("trace")
-        return cls(
-            type=MessageType(data["type"]),
-            sender=data.get("sender", ""),
-            payload=data.get("payload", {}),
-            msg_id=data.get("msg_id", 0),
-            trace=trace if isinstance(trace, dict) else None,
-        )

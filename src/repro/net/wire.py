@@ -1,30 +1,22 @@
 """Wire codec for the live TCP plane.
 
-Frames are ``4-byte big-endian length || JSON body``.  When a shared
-key is supplied, the body is an envelope ``{"body": ..., "sig": hex}``
-where ``sig`` is HMAC-SHA256 over the canonical JSON of ``body`` — our
-stand-in for GSISecureConversation's per-message authentication (the
-paper treats security purely as per-message overhead, §4.1).
+One framing, one version.  Every frame is::
 
-Encode-once fast path: :func:`encode_frame` canonicalises the payload
-exactly once and signs *those* bytes; the envelope is assembled around
-them by byte splicing, so a signed frame costs one ``json.dumps``, not
-two.  The canonical encoding is a fixed point of ``dumps(loads(x))``,
-which is what lets the receiver re-derive the same bytes for
-verification.
+    header   ">BBBBI" — magic 0xFB, version 4, type code, flags, body_len
+    body     u32 head_len || head JSON
+    trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
 
-Wire v4 (binary framing) shares the byte stream: a v4 frame starts
-with the magic byte ``0xFB``, which can never open a JSON frame (a
-legal JSON length prefix is ≤ ``MAX_FRAME_BYTES`` = 64 MiB, so its
-first byte is ≤ ``0x03``), letting one :class:`FrameReader` parse a
-stream that mixes both framings.  See :func:`encode_message_v4` for
-the layout.  v4 signing is a raw HMAC-SHA256 over the transmitted
-header+body bytes — no canonicalisation on either side.
+The head is ``{"sender", "msg_id", "payload"}``: the message type
+lives only in the header code, and the head is *not* canonicalised (no
+``sort_keys``) — signing covers the transmitted header+body bytes
+directly, so neither side re-serialises to sign or verify.  The HMAC
+is our stand-in for GSISecureConversation's per-message authentication
+(the paper treats security purely as per-message overhead, §4.1).
 
-The codec is deliberately socket-free: :func:`encode_frame` returns
-bytes and :class:`FrameReader` is an incremental push parser, so the
-protocol is unit-testable without I/O and reusable over any byte
-stream.
+The codec is deliberately socket-free: :func:`encode_message_v4`
+returns bytes and :class:`FrameReader` is an incremental push parser,
+so the protocol is unit-testable without I/O and reusable over any
+byte stream.
 """
 
 from __future__ import annotations
@@ -33,20 +25,17 @@ import hashlib
 import hmac
 import json
 import struct
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import ProtocolError, SecurityError
-from repro.net.message import CODE_TO_TYPE, Message, WIRE_CODES
+from repro.net.message import CODE_TO_TYPE, PROTOCOL_VERSION, Message, WIRE_CODES
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "V4_MAGIC",
-    "encode_frame",
+    "HEADER_BYTES",
     "decode_frame",
     "encode_message_v4",
-    "sign_bytes",
-    "sign_payload",
-    "verify_payload",
     "FrameReader",
 ]
 
@@ -54,84 +43,27 @@ __all__ = [
 #: ~60 KB, so 64 MiB leaves ample headroom while bounding memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-_LENGTH = struct.Struct(">I")
-
-#: First byte of every wire-v4 frame.  Chosen > 0x03 so it can never
-#: be confused with the high byte of a legal JSON length prefix
-#: (lengths are capped at 64 MiB), which is what lets one stream carry
-#: both framings.
+#: First byte of every frame.
 V4_MAGIC = 0xFB
 
-#: v4 fixed header: magic, version, message-type code, flags, body length.
+#: Fixed header: magic, version, message-type code, flags, body length.
 _V4_HEADER = struct.Struct(">BBBBI")
+#: Size of the fixed header; its byte 2 is the message-type code.
+HEADER_BYTES = _V4_HEADER.size
 _V4_U32 = struct.Struct(">I")
-_V4_U16 = struct.Struct(">H")
 #: Body carries a trailing raw HMAC-SHA256 over header+body.
 _V4_FLAG_SIGNED = 0x01
-#: Body carries a blob section after the head (pre-encoded payload values).
-_V4_FLAG_BLOBS = 0x02
-_V4_KNOWN_FLAGS = _V4_FLAG_SIGNED | _V4_FLAG_BLOBS
+_V4_KNOWN_FLAGS = _V4_FLAG_SIGNED
 _V4_DIGEST_BYTES = 32
-_V4_VERSION = 4
 
-_dumps = json.dumps  # hot-path alias; v4 heads are not canonicalised
+_dumps = json.dumps  # hot-path alias; heads are not canonicalised
 
 #: Sentinel: the buffer does not yet hold a complete frame.
 _INCOMPLETE = object()
 
 
-def _canonical(payload: Any) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def sign_bytes(body: bytes, key: bytes) -> str:
-    """HMAC-SHA256 signature (hex) over *body* as transmitted."""
-    return hmac.new(key, body, hashlib.sha256).hexdigest()
-
-
-def sign_payload(payload: Any, key: bytes) -> str:
-    """HMAC-SHA256 signature (hex) over the canonical JSON of *payload*."""
-    return sign_bytes(_canonical(payload), key)
-
-
-def verify_payload(envelope: dict[str, Any], key: bytes) -> Any:
-    """Check an envelope's signature and return the inner body.
-
-    Raises
-    ------
-    SecurityError
-        On a missing or non-matching signature.
-    """
-    if not isinstance(envelope, dict) or "sig" not in envelope or "body" not in envelope:
-        raise SecurityError("secure frame lacks signature envelope")
-    expected = sign_payload(envelope["body"], key)
-    if not hmac.compare_digest(expected, str(envelope["sig"])):
-        raise SecurityError("frame signature mismatch")
-    return envelope["body"]
-
-
-def encode_frame(payload: Any, key: Optional[bytes] = None) -> bytes:
-    """Serialise *payload* into one length-prefixed frame.
-
-    The payload is canonicalised exactly once; with a key, the HMAC is
-    computed over those bytes and the envelope is spliced around them
-    (the keys ``body`` < ``sig`` are already in canonical sort order).
-    """
-    body = _canonical(payload)
-    if key is not None:
-        sig = sign_bytes(body, key)
-        body = b'{"body":' + body + b',"sig":"' + sig.encode() + b'"}'
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds limit {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(body)) + body
-
-
-def decode_frame(frame: bytes, key: Optional[bytes] = None) -> Any:
-    """Inverse of :func:`encode_frame` for one complete frame.
-
-    Also decodes wire-v4 frames (returning a :class:`Message`); the
-    framings share one parser.
-    """
+def decode_frame(frame: bytes, key: Optional[bytes] = None) -> Message:
+    """Inverse of :func:`encode_message_v4` for one complete frame."""
     reader = FrameReader(key=key)
     messages = list(reader.feed(frame))
     if len(messages) != 1 or reader.pending_bytes:
@@ -139,197 +71,89 @@ def decode_frame(frame: bytes, key: Optional[bytes] = None) -> Any:
     return messages[0]
 
 
-def encode_message_v4(
-    message: Message,
-    key: Optional[bytes] = None,
-    blobs: Optional[dict[str, Any]] = None,
-) -> bytes:
-    """Serialise *message* into one wire-v4 binary frame.
-
-    Layout::
-
-        header   ">BBBBI" — magic 0xFB, version 4, type code, flags, body_len
-        body     u32 head_len || head JSON ||
-                 [u16 nblobs || (u32 len || blob bytes)*  when FLAG_BLOBS]
-        trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
-
-    The head is ``{"sender", "msg_id", "payload"[, "trace"][, "_blobs"]}``
-    — the message type lives only in the header code, and the head is
-    *not* canonicalised (no ``sort_keys``): signing covers the
-    transmitted bytes directly, so neither side re-serialises.
-
-    *blobs* maps payload keys to pre-encoded JSON values — ``bytes``
-    for a scalar value or a ``list[bytes]`` whose entries become a JSON
-    array.  Blob keys must be absent from ``message.payload``; the head
-    records them as ``"_blobs": [[key, n], ...]`` (``n == -1`` scalar,
-    else list length) and the decoder splices the parsed values back
-    into the payload.  This is the hot-path escape hatch: a dispatcher
-    forwards a task spec it received as a blob without a single
-    ``json.dumps``.
-    """
-    flags = 0
-    head: dict[str, Any] = {
-        "sender": message.sender,
-        "msg_id": message.msg_id,
-        "payload": message.payload,
-    }
-    if message.trace is not None:
-        head["trace"] = message.trace
-    blob_parts: list[bytes] = []
-    if blobs:
-        flags |= _V4_FLAG_BLOBS
-        markers: list[list[Any]] = []
-        for bkey, value in blobs.items():
-            if bkey in message.payload:
-                raise ProtocolError(f"blob key {bkey!r} collides with payload")
-            if isinstance(value, (bytes, bytearray, memoryview)):
-                markers.append([bkey, -1])
-                blob_parts.append(bytes(value))
-            else:
-                markers.append([bkey, len(value)])
-                blob_parts.extend(bytes(v) for v in value)
-        head["_blobs"] = markers
-    head_bytes = _dumps(head, separators=(",", ":")).encode()
+def encode_message_v4(message: Message, key: Optional[bytes] = None) -> bytes:
+    """Serialise *message* into one frame (layout in the module docstring)."""
+    head_bytes = _dumps(
+        {"sender": message.sender, "msg_id": message.msg_id,
+         "payload": message.payload},
+        separators=(",", ":"),
+    ).encode()
     body_len = _V4_U32.size + len(head_bytes)
-    if blob_parts or flags & _V4_FLAG_BLOBS:
-        body_len += _V4_U16.size + sum(_V4_U32.size + len(b) for b in blob_parts)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {body_len} bytes exceeds limit {MAX_FRAME_BYTES}")
-    if key is not None:
-        flags |= _V4_FLAG_SIGNED
     try:
         code = WIRE_CODES[message.type]
     except KeyError:
-        raise ProtocolError(f"message type {message.type!r} has no wire-v4 code") from None
-    buf = bytearray(_V4_HEADER.size + body_len)
-    _V4_HEADER.pack_into(buf, 0, V4_MAGIC, _V4_VERSION, code, flags, body_len)
-    offset = _V4_HEADER.size
-    _V4_U32.pack_into(buf, offset, len(head_bytes))
-    offset += _V4_U32.size
-    buf[offset : offset + len(head_bytes)] = head_bytes
-    offset += len(head_bytes)
-    if flags & _V4_FLAG_BLOBS:
-        _V4_U16.pack_into(buf, offset, len(blob_parts))
-        offset += _V4_U16.size
-        for blob in blob_parts:
-            _V4_U32.pack_into(buf, offset, len(blob))
-            offset += _V4_U32.size
-            buf[offset : offset + len(blob)] = blob
-            offset += len(blob)
+        raise ProtocolError(f"message type {message.type!r} has no wire code") from None
+    flags = _V4_FLAG_SIGNED if key is not None else 0
+    frame = (_V4_HEADER.pack(V4_MAGIC, PROTOCOL_VERSION, code, flags, body_len)
+             + _V4_U32.pack(len(head_bytes)) + head_bytes)
     if key is not None:
-        buf += hmac.new(key, bytes(buf), hashlib.sha256).digest()
-    return bytes(buf)
+        frame += hmac.new(key, frame, hashlib.sha256).digest()
+    return frame
 
 
-def _decode_v4_body(
-    code: int, flags: int, body: memoryview, key: Optional[bytes]
-) -> Message:
-    """Parse one complete v4 body (signature already checked) into a Message."""
+def _decode_v4_body(code: int, body: memoryview) -> Message:
+    """Parse one complete body (signature already checked) into a Message."""
     try:
         msg_type = CODE_TO_TYPE[code]
     except KeyError:
-        raise ProtocolError(f"unknown wire-v4 message code {code}") from None
+        raise ProtocolError(f"unknown wire message code {code}") from None
     if len(body) < _V4_U32.size:
-        raise ProtocolError("wire-v4 body truncated before head length")
+        raise ProtocolError("frame body truncated before head length")
     (head_len,) = _V4_U32.unpack_from(body, 0)
-    offset = _V4_U32.size
-    if offset + head_len > len(body):
-        raise ProtocolError("wire-v4 head overruns body")
+    if _V4_U32.size + head_len != len(body):
+        raise ProtocolError("frame head length disagrees with body length")
     try:
-        head = json.loads(bytes(body[offset : offset + head_len]))
+        head = json.loads(bytes(body[_V4_U32.size:]))
     except ValueError as exc:
-        raise ProtocolError(f"wire-v4 head is not valid JSON: {exc}") from exc
+        # JSONDecodeError and UnicodeDecodeError both subclass
+        # ValueError; a fuzzed frame must never escape the
+        # ProtocolError contract and kill the I/O loop.
+        raise ProtocolError(f"frame head is not valid JSON: {exc}") from exc
     if not isinstance(head, dict):
-        raise ProtocolError("wire-v4 head is not an object")
-    offset += head_len
+        raise ProtocolError("frame head is not an object")
     payload = head.get("payload")
     if not isinstance(payload, dict):
-        raise ProtocolError("wire-v4 head lacks a payload object")
-    raw_blobs: Optional[dict[str, Any]] = None
-    if flags & _V4_FLAG_BLOBS:
-        if offset + _V4_U16.size > len(body):
-            raise ProtocolError("wire-v4 body truncated before blob count")
-        (nblobs,) = _V4_U16.unpack_from(body, offset)
-        offset += _V4_U16.size
-        blob_parts: list[bytes] = []
-        for _ in range(nblobs):
-            if offset + _V4_U32.size > len(body):
-                raise ProtocolError("wire-v4 body truncated before blob length")
-            (blob_len,) = _V4_U32.unpack_from(body, offset)
-            offset += _V4_U32.size
-            if offset + blob_len > len(body):
-                raise ProtocolError("wire-v4 blob overruns body")
-            blob_parts.append(bytes(body[offset : offset + blob_len]))
-            offset += blob_len
-        markers = head.get("_blobs")
-        if not isinstance(markers, list):
-            raise ProtocolError("wire-v4 blob frame lacks _blobs markers")
-        raw_blobs = {}
-        index = 0
-        try:
-            for bkey, count in markers:
-                if count == -1:
-                    blob = blob_parts[index]
-                    index += 1
-                    payload[bkey] = json.loads(blob)
-                    raw_blobs[bkey] = blob
-                else:
-                    group = blob_parts[index : index + count]
-                    if len(group) != count:
-                        raise ProtocolError("wire-v4 _blobs markers overrun blob list")
-                    index += count
-                    payload[bkey] = [json.loads(blob) for blob in group]
-                    raw_blobs[bkey] = group
-        except ProtocolError:
-            raise
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ProtocolError(f"wire-v4 blob section malformed: {exc}") from exc
-        if index != len(blob_parts):
-            raise ProtocolError("wire-v4 blob section has unclaimed blobs")
-    if offset != len(body):
-        raise ProtocolError("wire-v4 body has trailing bytes")
-    trace = head.get("trace")
+        raise ProtocolError("frame head lacks a payload object")
     return Message(
         type=msg_type,
         sender=head.get("sender", ""),
         payload=payload,
         msg_id=head.get("msg_id", 0),
-        trace=trace if isinstance(trace, dict) else None,
-        blobs=raw_blobs,
     )
 
 
 class FrameReader:
-    """Incremental frame parser for both framings.
+    """Incremental frame parser.
 
-    Feed it arbitrary byte chunks; it yields each completed frame —
-    the decoded payload (usually a dict) for length-prefixed JSON
-    frames, a :class:`Message` for wire-v4 binary frames.  TCP gives
-    no message boundaries, so the event loop pushes ``recv()`` chunks
-    through one of these.  The framings may interleave freely on one
-    stream: each frame's first byte (``0xFB`` vs a length high byte
-    ≤ ``0x03``) selects its parser.
+    Feed it arbitrary byte chunks; it yields each completed frame as a
+    :class:`Message`.  TCP gives no message boundaries, so the event
+    loop pushes ``recv()`` chunks through one of these.
 
-    An oversized frame raises :class:`ProtocolError` once, then the
-    reader discards exactly the advertised body and resynchronises on
-    the next frame boundary — a caller that chooses to keep the stream
-    alive loses only the offending frame, never the frames behind it.
-    (The live plane still drops the connection on any ProtocolError;
-    resynchronisation is for embedders with their own policy.)
+    A frame with a bad version, unknown flag bits or an oversized body
+    raises :class:`ProtocolError` once, then the reader discards
+    exactly the advertised body and resynchronises on the next frame
+    boundary — a caller that chooses to keep the stream alive loses
+    only the offending frame, never the frames behind it.  A first
+    byte other than ``0xFB`` has no boundary to resynchronise on: the
+    buffer is dropped and the error raised.  (The live plane drops the
+    connection on any ProtocolError; resynchronisation is for
+    embedders with their own policy.)
     """
 
     def __init__(self, key: Optional[bytes] = None) -> None:
         self._key = key
         self._buffer = bytearray()
-        self._skip = 0  # bytes of an oversized body still to discard
+        self._skip = 0  # bytes of a rejected body still to discard
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
         return len(self._buffer) + self._skip
 
-    def feed(self, chunk: bytes) -> Iterator[Any]:
-        """Consume *chunk*; yield every payload completed by it."""
+    def feed(self, chunk: bytes) -> Iterator[Message]:
+        """Consume *chunk*; yield every message completed by it."""
         self._buffer.extend(chunk)
         while True:
             if self._skip:
@@ -340,55 +164,29 @@ class FrameReader:
                     return
             if not self._buffer:
                 return
-            if self._buffer[0] == V4_MAGIC:
-                frame = self._next_v4()
-            else:
-                frame = self._next_json()
+            if self._buffer[0] != V4_MAGIC:
+                first = self._buffer[0]
+                self._buffer.clear()
+                raise ProtocolError(f"not a wire frame: first byte 0x{first:02x}")
+            frame = self._next_frame()
             if frame is _INCOMPLETE:
                 return
             yield frame
 
-    def _next_json(self) -> Any:
-        """Parse one length-prefixed JSON frame, or ``_INCOMPLETE``."""
-        if len(self._buffer) < _LENGTH.size:
-            return _INCOMPLETE
-        (length,) = _LENGTH.unpack_from(self._buffer, 0)
-        if length > MAX_FRAME_BYTES:
-            # Arm skip mode before raising so a caller that keeps
-            # feeding resynchronises at the next frame boundary.
-            del self._buffer[: _LENGTH.size]
-            self._skip = length
-            raise ProtocolError(f"advertised frame length {length} exceeds limit")
-        end = _LENGTH.size + length
-        if len(self._buffer) < end:
-            return _INCOMPLETE
-        body = bytes(self._buffer[_LENGTH.size : end])
-        del self._buffer[:end]
-        try:
-            payload = json.loads(body)
-        except ValueError as exc:
-            # JSONDecodeError and UnicodeDecodeError both subclass
-            # ValueError; a fuzzed frame must never escape the
-            # ProtocolError contract and kill the I/O loop.
-            raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-        if self._key is not None:
-            payload = verify_payload(payload, self._key)
-        return payload
-
-    def _next_v4(self) -> Any:
-        """Parse one wire-v4 binary frame, or ``_INCOMPLETE``."""
+    def _next_frame(self):
+        """Parse one frame off the buffer, or ``_INCOMPLETE``."""
         if len(self._buffer) < _V4_HEADER.size:
             return _INCOMPLETE
         _magic, version, code, flags, body_len = _V4_HEADER.unpack_from(self._buffer, 0)
         trailer = _V4_DIGEST_BYTES if flags & _V4_FLAG_SIGNED else 0
-        if version != _V4_VERSION or flags & ~_V4_KNOWN_FLAGS:
+        if version != PROTOCOL_VERSION or flags & ~_V4_KNOWN_FLAGS:
             # Resync past the advertised body: a corrupt header from a
             # future or broken peer must not poison the frames behind it.
             del self._buffer[: _V4_HEADER.size]
             self._skip = min(body_len, MAX_FRAME_BYTES) + trailer
-            if version != _V4_VERSION:
-                raise ProtocolError(f"unsupported binary wire version {version}")
-            raise ProtocolError(f"unknown wire-v4 flags 0x{flags:02x}")
+            if version != PROTOCOL_VERSION:
+                raise ProtocolError(f"unsupported wire version {version}")
+            raise ProtocolError(f"unknown wire flags 0x{flags:02x}")
         if body_len > MAX_FRAME_BYTES:
             del self._buffer[: _V4_HEADER.size]
             self._skip = body_len + trailer
@@ -400,12 +198,12 @@ class FrameReader:
         del self._buffer[:end]
         if self._key is not None:
             if not trailer:
-                raise SecurityError("unsigned wire-v4 frame on a keyed channel")
+                raise SecurityError("unsigned frame on a keyed channel")
             signed = frame[: _V4_HEADER.size + body_len]
             digest = hmac.new(self._key, signed, hashlib.sha256).digest()
             if not hmac.compare_digest(digest, frame[-_V4_DIGEST_BYTES:]):
                 raise SecurityError("frame signature mismatch")
         elif trailer:
-            raise SecurityError("signed wire-v4 frame on an unkeyed channel")
+            raise SecurityError("signed frame on an unkeyed channel")
         body = memoryview(frame)[_V4_HEADER.size : _V4_HEADER.size + body_len]
-        return _decode_v4_body(code, flags, body, self._key)
+        return _decode_v4_body(code, body)

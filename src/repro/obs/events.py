@@ -49,7 +49,7 @@ EXECUTOR_EVICT = "executor-evict"
 EXECUTOR_DROP = "executor-drop"
 CLIENT_CONNECT = "client-connect"
 DISPATCHER_RECOVER = "dispatcher-recover"
-#: Federation (wire v3): work-stealing lifecycle.
+#: Federation: work-stealing lifecycle.
 PEER_GOSSIP = "peer-gossip"
 STEAL_GRANT = "steal-grant"
 STEAL_INGEST = "steal-ingest"

@@ -11,9 +11,9 @@ observed *while tasks flow* — no dependencies, no framework:
 ``GET /dlq``                the dead-letter queue (quarantined tasks)
 ``GET /dlq/<id>``           one quarantined task's entry
 ``POST /dlq/<id>/retry``    re-queue a quarantined task (``repro dlq retry``)
-``GET /healthz``            liveness + health: JSON with shard identity and
-                            ``degraded`` reasons when a health callable is
-                            wired; plain ``ok`` otherwise (legacy probes)
+``GET /healthz``            liveness + health: JSON ``status`` and
+                            ``degraded`` reasons, plus shard identity when
+                            a health callable is wired
 ``GET /fleet``              merged multi-shard status (federation router)
 ``POST /debug/dump``        flush the flight recorder to a dump file
 ==========================  ================================================
@@ -162,16 +162,9 @@ class StatusServer:
             self._reply_json(handler, 200, json_safe(entry))
             return
         if path == "/healthz":
-            if self._healthz is not None:
-                self._reply_json(handler, 200, json_safe(self._healthz()))
-                return
-            # Legacy probes (no health callable wired): plain ok.
-            body = b"ok\n"
-            handler.send_response(200)
-            handler.send_header("Content-Type", "text/plain; charset=utf-8")
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
+            health = (self._healthz() if self._healthz is not None
+                      else {"status": "ok", "degraded": []})
+            self._reply_json(handler, 200, json_safe(health))
             return
         if path == "/fleet" and self._fleet is not None:
             self._reply_json(handler, 200, json_safe(self._fleet()))

@@ -1,54 +1,33 @@
 """Frozen, typed stats snapshots for the live plane.
 
 These replace the stringly-keyed ``stats()`` dicts: every component
-returns a frozen dataclass whose fields are the contract.  For
-back-compat (wire payloads, the metrics helpers that predate this
-layer, and external scripts holding ``stats["queued"]``) each snapshot
-also quacks like a read-only mapping and exposes :meth:`as_dict`.
+returns a frozen dataclass whose fields are the contract;
+:meth:`StatsSnapshot.as_dict` is the wire/JSON representation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["StatsSnapshot", "DispatcherStats", "ExecutorStats", "ProvisionerStats"]
 
 
 @dataclass(frozen=True)
 class StatsSnapshot:
-    """Base class: dataclass fields + read-only mapping duck-typing."""
+    """Base class: dataclass fields plus dict conversion both ways."""
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view (the wire/back-compat representation)."""
+        """Plain-dict view (the wire representation)."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StatsSnapshot":
-        """Build from a (possibly older-protocol) dict, ignoring
-        unknown keys and defaulting missing ones."""
+        """Build from a wire dict, ignoring unknown keys and
+        defaulting missing ones."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    # -- mapping shim --------------------------------------------------------
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key, default)
-
-    def keys(self):
-        return self.as_dict().keys()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.as_dict())
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
 
 
 @dataclass(frozen=True)
@@ -80,7 +59,7 @@ class DispatcherStats(StatsSnapshot):
     #: dispatched tasks adopted from executors' REGISTER inflight echo.
     recovered: int = 0
     inflight_adopted: int = 0
-    #: Federation (wire v3): work-stealing traffic.  ``stolen_in``
+    #: Federation: work-stealing traffic.  ``stolen_in``
     #: tasks were accepted from peers (and count in ``accepted``);
     #: ``stolen_completed``/``stolen_failed`` settled here on a peer's
     #: behalf (and count in ``completed``/``failed``).  Aggregators

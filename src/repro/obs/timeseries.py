@@ -7,7 +7,7 @@ from a single post-mortem dump.  :class:`TimeSeriesStore` is the
 dispatcher-side fold target for that observation stream:
 
 * executors piggy-back compact stats deltas on their HEARTBEAT frames
-  (wire v2-optional ``stats`` field; see ``docs/PROTOCOL.md``), and the
+  (the ``stats`` field; see ``docs/PROTOCOL.md``), and the
   provisioner does the same on its STATUS poll;
 * the dispatcher's monitor sweep samples its own gauges on the same
   clock;

@@ -73,7 +73,7 @@ def test_chaos_run_completes_everything_and_reproduces():
     # outcome — every task accepted, completed, none failed or lost —
     # must not.
     for key in ("accepted", "completed", "failed"):
-        assert stats_a[key] == stats_b[key]
+        assert getattr(stats_a, key) == getattr(stats_b, key)
 
 
 def test_fault_schedule_is_identical_across_fresh_plans():
@@ -125,74 +125,3 @@ def test_trace_propagation_survives_fault_injection():
             assert span.trace_id == by_task[span.task_id]
         # The run was not clean: the fault plan really dropped frames.
         assert plan.snapshot()["frames_dropped"] > 0
-
-
-def test_v3_and_v4_executors_interoperate_under_frame_loss():
-    """Satellite acceptance: one dispatcher serving a JSON-only (v3)
-    executor and a binary (v4) executor side by side, under seeded
-    frame loss.  Every task completes exactly-once-visible, trace
-    chains stay intact, and the capability negotiation really split
-    the fleet (one session flipped to binary framing, one stayed on
-    JSON)."""
-    from repro.live.client import LiveClient
-    from repro.live.dispatcher import LiveDispatcher
-    from repro.live.executor import LiveExecutor
-
-    n_tasks = 120
-    plan = FaultPlan(seed=SEED + 2, drop_rate=DROP_RATE)
-    dispatcher = LiveDispatcher(
-        heartbeat_interval=0.2,
-        heartbeat_miss_budget=3,
-        replay_timeout=0.75,
-        max_retries=12,
-        fault_plan=plan,
-    )
-    legacy = None
-    modern = None
-    client = None
-    try:
-        legacy = LiveExecutor(dispatcher.endpoint, heartbeat_interval=0.2,
-                              pipeline=4, wire_binary=False).start()
-        modern = LiveExecutor(dispatcher.endpoint, heartbeat_interval=0.2,
-                              pipeline=4, wire_binary=True).start()
-        legacy.wait_registered()
-        modern.wait_registered()
-
-        # Negotiation split the fleet: the v4 peer's sends flipped to
-        # binary framing, the v3 peer's never did.
-        assert modern._conn.wire_v4 is True
-        assert legacy._conn.wire_v4 is False
-
-        client = LiveClient(dispatcher.endpoint, bundle_size=40,
-                            wire_binary=True)
-        specs = [TaskSpec.sleep(0.0, task_id=f"interop-{i:04d}")
-                 for i in range(n_tasks)]
-        futures = client.submit(specs)
-        results = [f.result(timeout=120.0) for f in futures]
-
-        # Exactly-once-visible completion: one ok result per submitted
-        # task, no duplicates, nothing lost, nothing failed.
-        assert all(r.ok for r in results)
-        assert sorted(r.task_id for r in results) == sorted(
-            s.task_id for s in specs)
-        stats = dispatcher.stats()
-        assert stats.accepted == n_tasks
-        assert stats.completed == n_tasks
-        assert stats.failed == 0
-        assert tasks_lost(stats) == 0
-
-        # Both framings actually carried work.
-        served = {r.executor_id for r in results}
-        assert legacy.executor_id in served
-        assert modern.executor_id in served
-
-        # Trace chains survived the mixed fleet and the frame loss.
-        for spec in specs:
-            errors = dispatcher.spans.chain_errors(spec.task_id)
-            assert not errors, errors
-        assert plan.snapshot()["frames_dropped"] > 0
-    finally:
-        for peer in (client, legacy, modern):
-            if peer is not None:
-                peer.close() if isinstance(peer, LiveClient) else peer.stop()
-        dispatcher.close()

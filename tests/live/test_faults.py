@@ -57,6 +57,8 @@ def test_fault_plan_validation():
         FaultPlan(drop_rate=-0.1)
     with pytest.raises(ValueError):
         FaultPlan(delay_range=(0.5, 0.1))
+    with pytest.raises(ValueError):
+        FaultPlan(drop_types={"NOTFY"})
 
 
 def test_fault_plan_kill_schedule_overrides_rates():
@@ -77,6 +79,28 @@ def test_faulty_connection_drops_frames():
     time.sleep(0.2)
     assert received == []
     assert plan.snapshot()["frames_dropped"] == 5
+    left.close()
+    right.close()
+
+
+def test_type_scoped_drops_match_the_header_type_code_exactly():
+    # Only NOTIFY frames drop.  A RESULT whose payload merely contains
+    # the word is out of scope: it passes and consumes no draw.
+    left_sock, right_sock = _socket_pair()
+    received = []
+    plan = FaultPlan(seed=1, drop_rate=1.0, drop_types={"NOTIFY"}, roles=None)
+    left = FaultyConnection(left_sock, handler=lambda m: None, name="L", plan=plan).start()
+    right = Connection(right_sock, handler=received.append, name="R").start()
+    result = {"results": [{"result": {"task_id": "t", "stdout": '"notify" "NOTIFY"'}}]}
+    left.send(Message(MessageType.NOTIFY))
+    left.send(Message(MessageType.RESULT, sender="notify", payload=result))
+    left.send(Message(MessageType.NOTIFY))
+    assert wait_until(lambda: len(received) == 1)
+    time.sleep(0.1)
+    assert [m.type for m in received] == [MessageType.RESULT]
+    assert received[0].payload == result
+    assert plan.snapshot()["frames_seen"] == 2
+    assert plan.snapshot()["frames_dropped"] == 2
     left.close()
     right.close()
 
@@ -184,7 +208,7 @@ def test_executor_killed_mid_task_is_redispatched_and_completes():
         victim.recv_until(MessageType.NOTIFY)
         victim.send(Message(MessageType.GET_WORK, sender="victim"))
         work = victim.recv_until(MessageType.WORK)
-        assert work.payload["task"]["task_id"] == "redispatch-1"
+        assert work.payload["tasks"][0]["task"]["task_id"] == "redispatch-1"
         victim.close()
         assert wait_until(lambda: dispatcher.stats().registered == 0, timeout=5.0)
         backup = LiveExecutor(dispatcher.endpoint).start()
@@ -320,7 +344,8 @@ def test_ack_send_failure_does_not_charge_retry_or_attempt():
         worker.recv_until(MessageType.NOTIFY)
         worker.send(Message(MessageType.GET_WORK, sender="fragile"))
         work = worker.recv_until(MessageType.WORK)
-        assert work.payload["task"]["task_id"] == "done-task"
+        (entry,) = work.payload["tasks"]
+        assert entry["task"]["task_id"] == "done-task"
 
         # Make the dispatcher's ack transmission fail exactly like a
         # dead socket: close, then raise (Connection.send's contract).
@@ -339,10 +364,10 @@ def test_ack_send_failure_does_not_charge_retry_or_attempt():
             Message(
                 MessageType.RESULT,
                 sender="fragile",
-                payload={
+                payload={"results": [{
                     "result": {"task_id": "done-task", "return_code": 0},
-                    "attempt": work.payload["attempt"],
-                },
+                    "attempt": entry["attempt"],
+                }]},
             )
         )
         # The completed task's notification must still reach the client.
@@ -397,6 +422,4 @@ def test_dispatcher_stats_include_failure_counters():
         stats = falkon.dispatcher.stats()
     for key in ("executors_declared_dead", "reconnects", "stale_results", "frames_dropped"):
         assert getattr(stats, key) == 0
-        # the mapping shim keeps wire payloads and legacy callers working
-        assert key in stats
-        assert stats[key] == 0
+        assert stats.as_dict()[key] == 0

@@ -102,13 +102,13 @@ class TestWorkStealing:
             thief.close()
 
 
-# ---------------------------------------------------------------- v2 interop
-class TestWireV2Interop:
+# ------------------------------------------------------ steal capability gate
+class TestStealCapabilityGate:
     def test_plain_dispatcher_never_sees_steal_traffic(self):
-        """A federated shard peered at a non-federated (wire v2)
-        dispatcher must not steal from it: the v2 side never
-        advertises the capability, so the link never becomes ready."""
-        plain = LiveDispatcher()  # shard_id=None: the v2 dispatcher
+        """A federated shard peered at a non-federated dispatcher must
+        not steal from it: the plain side never advertises the "steal"
+        capability, so the link never becomes ready."""
+        plain = LiveDispatcher()  # shard_id=None: not federated
         fed = LiveDispatcher(shard_id="f", monitor_interval=0.05,
                              steal_min_queue=0)
         plain_exec = fed_exec = client = None
@@ -121,9 +121,9 @@ class TestWireV2Interop:
             plain_exec = LiveExecutor(plain.endpoint).start()
             plain_exec.wait_registered()
             client = LiveClient(plain.endpoint)
-            futures = client.submit(specs(12, seconds=0.05, prefix="v2"))
+            futures = client.submit(specs(12, seconds=0.05, prefix="plain"))
             time.sleep(0.6)  # several monitor sweeps' worth of temptation
-            # No peer pseudo-executor materialised on the v2 dispatcher,
+            # No peer pseudo-executor materialised on the plain dispatcher,
             # no grants, no stolen tasks anywhere.
             assert not [e for e in plain._executors if e.startswith("peer:")]
             assert plain.stats().steals_granted == 0

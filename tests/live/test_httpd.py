@@ -111,16 +111,16 @@ class TestStatusServerUnit:
             assert excinfo.value.headers["Content-Type"] == "application/json"
             assert "kaboom" in json.load(excinfo.value)["error"]
 
-    def test_healthz_legacy_plain_text_without_callable(self):
+    def test_healthz_json_without_callable(self):
         with self.make_server() as server:
             status, headers, body = fetch(server.url("/healthz"))
         assert status == 200
-        assert headers["Content-Type"].startswith("text/plain")
-        assert body == b"ok\n"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {"status": "ok", "degraded": []}
 
     def test_healthz_json_when_callable_wired(self):
         health = {"status": "degraded", "degraded": ["queue stalled"],
-                  "shard_id": "shard-0", "wire": "v4", "io_threads": 2}
+                  "shard_id": "shard-0", "wire": "v4"}
         with StatusServer(lambda: "", dict, lambda _tid: None,
                           healthz=lambda: health) as server:
             status, headers, body = fetch(server.url("/healthz"))
@@ -213,8 +213,7 @@ class TestLiveHttpSmoke:
             health = json.loads(body)
             assert health["status"] == "ok"
             assert health["degraded"] == []
-            assert health["wire"] in ("v3", "v4")
-            assert health["io_threads"] >= 1
+            assert health["wire"] == "v4"
 
     def test_repro_top_renders_against_a_live_surface(self, capsys):
         from repro.cli import main

@@ -1,10 +1,10 @@
-"""Bounded pipelining (§3.4 piggy-backing extended, wire v2).
+"""Bounded pipelining (§3.4 piggy-backing extended).
 
 Executors that advertise ``pipeline: N`` in REGISTER receive up to N
 queued tasks per WORK/RESULT_ACK frame as a ``tasks`` list, report
 completions in batched RESULT frames, and the dispatcher pushes the
 matching settled results to clients in batched CLIENT_NOTIFY frames.
-Depth-1 peers keep the v1 singular ``task``/``result`` wire format.
+Depth 1 is the one-entry case of the same list shapes.
 """
 
 import pytest
@@ -53,7 +53,6 @@ def test_pipelined_work_frame_carries_task_list():
             _register_pipelined(peer, "pp-exec", 4)
             peer.send(Message(MessageType.GET_WORK, sender="pp-exec"))
             work = peer.recv_until(MessageType.WORK)
-            assert "task" not in work.payload  # v2, not the singular v1 key
             entries = work.payload["tasks"]
             assert 1 <= len(entries) <= 4
             for entry in entries:
@@ -77,7 +76,7 @@ def test_batched_result_settles_all_and_refills_ack():
             work = peer.recv_until(MessageType.WORK)
             entries = work.payload["tasks"]
             assert len(entries) == 4
-            # One RESULT frame carries the whole batch (wire v2).
+            # One RESULT frame carries the whole batch.
             peer.send(
                 Message(
                     MessageType.RESULT,
@@ -111,23 +110,52 @@ def test_batched_result_settles_all_and_refills_ack():
             client.close()
 
 
-def test_depth1_peer_keeps_v1_singular_wire_format():
+def test_depth1_peer_gets_one_entry_task_lists():
+    # Depth 1 is the N = 1 case of the list shapes: no singular
+    # "task"/"attempt" keys, one entry per WORK and per RESULT_ACK.
     with LiveDispatcher() as dispatcher:
         client = LiveClient(dispatcher.endpoint)
-        futures = client.submit(_sleep_tasks(3, "v1"))
+        futures = client.submit(_sleep_tasks(3, "d1"))
         peer = RawPeer(dispatcher.address)
         try:
-            peer.register("v1-exec")
-            peer.send(Message(MessageType.GET_WORK, sender="v1-exec"))
+            peer.register("d1-exec")  # advertises no pipeline: depth 1
+            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
             work = peer.recv_until(MessageType.WORK)
-            assert "tasks" not in work.payload
-            assert work.payload["task"]["task_id"].startswith("v1-")
-            assert work.payload["attempt"] == 1
-            assert work.trace is not None
+            assert set(work.payload) == {"tasks"}
+            (entry,) = work.payload["tasks"]
+            assert entry["task"]["task_id"].startswith("d1-")
+            assert entry["attempt"] == 1
+            assert entry["trace"] and "tid" in entry["trace"]
+            peer.send(Message(
+                MessageType.RESULT, sender="d1-exec",
+                payload={"results": [{
+                    "result": {"task_id": entry["task"]["task_id"],
+                               "return_code": 0},
+                    "attempt": entry["attempt"],
+                    "trace": entry["trace"],
+                }]}))
+            ack = peer.recv_until(MessageType.RESULT_ACK)
+            (refill,) = ack.payload["tasks"]
+            assert refill["task"]["task_id"] != entry["task"]["task_id"]
+            done = next(f for f in futures
+                        if f.task_id == entry["task"]["task_id"])
+            assert done.result(timeout=5.0).ok
         finally:
             peer.close()
             client.close()
-            del futures
+
+
+def test_depth1_executor_end_to_end_has_complete_span_chains():
+    with LocalFalkon(executors=2) as falkon:  # pipeline_depth defaults to 1
+        assert all(e.pipeline == 1 for e in falkon.executors)
+        tasks = _sleep_tasks(60, "e2e")
+        results = falkon.run(tasks, timeout=60)
+        assert all(r.ok for r in results)
+        assert sorted(r.task_id for r in results) == sorted(t.task_id for t in tasks)
+        spans = falkon.dispatcher.spans
+        for task in tasks:
+            assert not spans.chain_errors(task.task_id), spans.chain_errors(task.task_id)
+            assert spans.chain_complete(task.task_id)
 
 
 def test_advertised_depth_is_capped():

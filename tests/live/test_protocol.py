@@ -21,7 +21,7 @@ from repro.live import (
     task_to_dict,
 )
 from repro.net.message import Message, MessageType
-from repro.net.wire import MAX_FRAME_BYTES, FrameReader, encode_frame
+from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC, FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
 
 
@@ -129,18 +129,24 @@ def test_send_after_close_raises():
 # ---------------------------------------------------------------------------
 def _sample_frame(key=None) -> bytes:
     msg = Message(MessageType.NOTIFY, sender="fuzz", payload={"n": 17, "s": "abc"})
-    return encode_frame(msg.to_dict(), key=key)
+    return encode_message_v4(msg, key=key)
+
+
+def _header(code: int, flags: int, body_len: int, version: int = 4) -> bytes:
+    return struct.pack(">BBBBI", V4_MAGIC, version, code, flags, body_len)
 
 
 def test_fuzz_mutated_signed_frames_always_raise_protocol_error():
-    # Any single-byte mutation of a signed frame body changes content
-    # under the signature: the reader must reject every one of them.
+    # Any single-byte mutation of a signed frame changes content under
+    # the signature (or the signature itself): the reader must reject
+    # every one of them.  Only the body-length field (bytes 4-7) is
+    # spared — lengthening it just leaves the reader waiting.
     rng = random.Random(0xFA1C07)
     frame = _sample_frame(key=b"secret")
+    indices = [i for i in range(len(frame)) if not 4 <= i < 8]
     for _ in range(300):
         mutated = bytearray(frame)
-        index = rng.randrange(4, len(frame))
-        mutated[index] ^= rng.randrange(1, 256)
+        mutated[rng.choice(indices)] ^= rng.randrange(1, 256)
         reader = FrameReader(key=b"secret")
         with pytest.raises(ProtocolError):
             list(reader.feed(bytes(mutated)))
@@ -155,7 +161,7 @@ def test_fuzz_mutations_never_escape_the_protocol_error_contract():
     frame = _sample_frame()
     for _ in range(300):
         mutated = bytearray(frame)
-        index = rng.randrange(4, len(frame))
+        index = rng.randrange(len(frame))
         mutated[index] ^= rng.randrange(1, 256)
         reader = FrameReader()
         try:
@@ -176,20 +182,25 @@ def test_truncated_frames_are_inert_and_resumable():
 
 
 def test_corrupted_hmac_signature_raises_security_error():
-    import json
-
-    envelope = json.loads(_sample_frame(key=b"secret")[4:])
-    envelope["sig"] = "0" * 64
-    body = json.dumps(envelope).encode()
+    frame = _sample_frame(key=b"secret")
+    forged = frame[:-32] + b"\0" * 32
     reader = FrameReader(key=b"secret")
     with pytest.raises(SecurityError):
-        list(reader.feed(struct.pack(">I", len(body)) + body))
+        list(reader.feed(forged))
 
 
 def test_oversized_advertised_length_rejected():
     reader = FrameReader()
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"junk"))
+        list(reader.feed(_header(14, 0, MAX_FRAME_BYTES + 1) + b"junk"))
+
+
+#: A well-formed REGISTER in the retired framing (4-byte length, then a
+#: JSON envelope): the first byte is not 0xFB, so it is not a frame.
+_LEGACY_JSON_REGISTER = (
+    b'{"msg_id":1,"payload":{"executor_id":"old-exec"},'
+    b'"sender":"old-exec","type":"register","v":3}'
+)
 
 
 def _assert_dispatcher_still_serves(dispatcher: LiveDispatcher) -> None:
@@ -203,11 +214,12 @@ def _assert_dispatcher_still_serves(dispatcher: LiveDispatcher) -> None:
 @pytest.mark.parametrize(
     "hostile_bytes",
     [
-        struct.pack(">I", MAX_FRAME_BYTES + 1) + b"junk",  # oversized header
-        struct.pack(">I", 8) + b"\xff" * 8,  # invalid UTF-8 body
-        struct.pack(">I", 4) + b"}{!(",  # invalid JSON body
+        _header(14, 0, MAX_FRAME_BYTES + 1) + b"junk",  # oversized header
+        _header(14, 0, 12) + struct.pack(">I", 8) + b"\xff" * 8,  # invalid UTF-8 head
+        _header(14, 0, 8) + struct.pack(">I", 4) + b"}{!(",  # invalid JSON head
+        struct.pack(">I", len(_LEGACY_JSON_REGISTER)) + _LEGACY_JSON_REGISTER,
     ],
-    ids=["oversized", "non-utf8", "bad-json"],
+    ids=["oversized", "non-utf8", "bad-json", "length-prefixed-json"],
 )
 def test_hostile_frames_drop_session_but_not_server(hostile_bytes):
     # A garbage stream must cost its own session only: the reader
@@ -219,6 +231,9 @@ def test_hostile_frames_drop_session_but_not_server(hostile_bytes):
         hostile.settimeout(10.0)
         assert hostile.recv(1) == b""  # server closed us, didn't hang
         hostile.close()
+        # The refused stream minted no session of either kind.
+        assert dispatcher.stats().registered == 0
+        assert not dispatcher._clients
         _assert_dispatcher_still_serves(dispatcher)
     finally:
         dispatcher.close()

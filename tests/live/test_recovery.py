@@ -216,8 +216,9 @@ def test_register_inflight_echo_adopts_matching_attempt(tmp_path):
         assert wait_until(lambda: disp.stats().inflight_adopted == 1, timeout=5.0)
         assert disp.stats().queued == 0  # not re-dispatched elsewhere
         peer.send(Message(MessageType.RESULT, sender="e-1",
-                          payload={"result": {"task_id": "adopt-1", "return_code": 0},
-                                   "attempt": 1}))
+                          payload={"results": [{
+                              "result": {"task_id": "adopt-1", "return_code": 0},
+                              "attempt": 1}]}))
         peer.recv_until(MessageType.RESULT_ACK)
         assert wait_until(lambda: disp.stats().completed == 1, timeout=5.0)
     finally:
@@ -239,8 +240,9 @@ def test_register_inflight_echo_mismatched_attempt_not_adopted(tmp_path):
         stats = disp.stats()
         assert stats.inflight_adopted == 0
         peer.send(Message(MessageType.RESULT, sender="e-1",
-                          payload={"result": {"task_id": "stale-1", "return_code": 0},
-                                   "attempt": 1}))
+                          payload={"results": [{
+                              "result": {"task_id": "stale-1", "return_code": 0},
+                              "attempt": 1}]}))
         peer.recv_until(MessageType.RESULT_ACK)
         assert wait_until(lambda: disp.stats().stale_results == 1, timeout=5.0)
         assert disp.stats().completed == 0

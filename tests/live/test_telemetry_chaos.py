@@ -7,8 +7,8 @@ The acceptance bar for the live telemetry plane under adversity:
   because every delta carries cumulative counters;
 * an evicted executor's series disappear from the store and the status
   surface (no stuck gauges);
-* v1 peers — bare heartbeats, or junk where the stats field should be —
-  interoperate: the run completes and the store stays clean.
+* hand-written peers — bare heartbeats, or junk where the stats field
+  should be — interoperate: the run completes and the store stays clean.
 """
 
 import math
@@ -116,31 +116,35 @@ class TestEvictionConvergence:
 
 class TestV1Interop:
     def test_stats_free_heartbeats_complete_the_run(self):
-        # heartbeat_stats=False emulates a v1 agent: bare HEARTBEAT
-        # frames, no stats field anywhere.
-        with LocalFalkon(
-            executors=2,
-            heartbeat_interval=0.1,
-            heartbeat_stats=False,
-        ) as falkon:
-            tasks = [TaskSpec.sleep(0, task_id=f"v1-{i:04d}") for i in range(80)]
-            results = falkon.run(tasks, timeout=60)
-            assert all(r.ok for r in results)
-            store = falkon.dispatcher.timeseries
-            # No executor series were minted; the dispatcher's own
-            # samples (and derived gauges) still work.
-            for executor in falkon.executors:
-                assert store.latest(executor.executor_id) == {}
-            assert wait_until(
-                lambda: store.latest("dispatcher").get("completed", 0.0) >= 80,
-                timeout=10.0,
-            )
-            # The status surface degrades gracefully: the executor
-            # table still lists both agents from session-side truth.
-            snapshot = falkon.dispatcher.status_snapshot()
-            assert len(snapshot["executors"]) == 2
-            for row in snapshot["executors"].values():
+        # A hand-written agent sending bare HEARTBEAT frames: no stats
+        # field anywhere.  Liveness is served, no series is minted.
+        with LocalFalkon(executors=1) as falkon:
+            peer = RawPeer(falkon.dispatcher.address)
+            try:
+                peer.register("bare-exec")
+                for _ in range(3):
+                    peer.send(Message(MessageType.HEARTBEAT, sender="bare-exec"))
+                # Frames are handled in order: the NO_WORK reply proves
+                # the heartbeats before it were processed.
+                peer.send(Message(MessageType.GET_WORK, sender="bare-exec"))
+                peer.recv_until(MessageType.NO_WORK)
+                tasks = [TaskSpec.sleep(0, task_id=f"bare-{i:04d}") for i in range(80)]
+                results = falkon.run(tasks, timeout=60)
+                assert all(r.ok for r in results)
+                store = falkon.dispatcher.timeseries
+                assert store.latest("bare-exec") == {}
+                # The dispatcher's own samples (and derived gauges)
+                # still work.
+                assert wait_until(
+                    lambda: store.latest("dispatcher").get("completed", 0.0) >= 80,
+                    timeout=10.0,
+                )
+                # The status surface degrades gracefully: the executor
+                # table still lists the agent from session-side truth.
+                row = falkon.dispatcher.status_snapshot()["executors"]["bare-exec"]
                 assert "pipeline" in row and "executed" not in row
+            finally:
+                peer.close()
 
     def test_junk_stats_never_poison_the_store(self):
         with LocalFalkon(executors=1) as falkon:

@@ -59,7 +59,7 @@ class TestTruePositive:
         plan = FaultPlan(seed=7, drop_rate=1.0, drop_types={"NOTIFY"},
                          roles=("executor",))
         falkon = LocalFalkon(executors=2, fault_plan=plan,
-                             wire_binary=False, stall_after=0.4,
+                             stall_after=0.4,
                              heartbeat_interval=0.05, http_port=0)
         try:
             falkon.submit(

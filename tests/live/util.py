@@ -15,7 +15,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.net.message import Message, MessageType
-from repro.net.wire import FrameReader, encode_frame
+from repro.net.wire import FrameReader, encode_message_v4
 
 
 def wait_until(
@@ -43,7 +43,7 @@ class RawPeer:
         self._pending: deque[Message] = deque()
 
     def send(self, msg: Message) -> None:
-        self.sock.sendall(encode_frame(msg.to_dict(), key=self.key))
+        self.sock.sendall(encode_message_v4(msg, key=self.key))
 
     def recv(self, timeout: float = 5.0) -> Message:
         """Next inbound message; raises ``TimeoutError`` when none."""
@@ -55,8 +55,7 @@ class RawPeer:
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ConnectionError("peer closed")
-            for payload in self._reader.feed(chunk):
-                self._pending.append(Message.from_dict(payload))
+            self._pending.extend(self._reader.feed(chunk))
             if self._pending:
                 return self._pending.popleft()
         raise TimeoutError("no message within timeout")

@@ -1,19 +1,14 @@
 """Unit and property tests for the wire codec and message vocabulary."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SecurityError
-from repro.net import (
-    FrameReader,
-    Message,
-    MessageType,
-    decode_frame,
-    encode_frame,
-    sign_payload,
-    verify_payload,
-)
+from repro.net import FrameReader, Message, MessageType, decode_frame, encode_message_v4
+from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC
 
 KEY = b"shared-secret"
 
@@ -23,139 +18,133 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=10), children, max_size=4),
     max_leaves=20,
 )
+payloads = st.dictionaries(st.text(max_size=10), json_values, max_size=4)
+
+
+def _msg(payload, mtype=MessageType.SUBMIT) -> Message:
+    return Message(mtype, sender="peer-1", payload=payload)
+
+
+def _header(code: int, flags: int, body_len: int, version: int = 4) -> bytes:
+    return struct.pack(">BBBBI", V4_MAGIC, version, code, flags, body_len)
 
 
 def test_roundtrip_plain():
-    payload = {"type": "submit", "tasks": [1, 2, 3]}
-    assert decode_frame(encode_frame(payload)) == payload
+    msg = _msg({"tasks": [1, 2, 3]})
+    assert decode_frame(encode_message_v4(msg)) == msg
 
 
 def test_roundtrip_signed():
-    payload = {"hello": "world"}
-    frame = encode_frame(payload, key=KEY)
-    assert decode_frame(frame, key=KEY) == payload
+    msg = _msg({"hello": "world"})
+    assert decode_frame(encode_message_v4(msg, key=KEY), key=KEY) == msg
 
 
 def test_tampered_signed_frame_rejected():
-    frame = bytearray(encode_frame({"amount": 1}, key=KEY))
-    # Flip a byte inside the JSON body (after the 4-byte length prefix).
-    frame[-2] ^= 0x01
-    with pytest.raises((SecurityError, ProtocolError)):
+    frame = bytearray(encode_message_v4(_msg({"amount": 1}), key=KEY))
+    # Flip a byte inside the JSON head (before the 32-byte HMAC trailer).
+    frame[-34] ^= 0x01
+    with pytest.raises(SecurityError):
         decode_frame(bytes(frame), key=KEY)
 
 
-def test_signed_frame_read_without_key_exposes_envelope():
-    frame = encode_frame({"x": 1}, key=KEY)
-    envelope = decode_frame(frame)  # no key: envelope visible, body intact
-    assert verify_payload(envelope, KEY) == {"x": 1}
-
-
 def test_wrong_key_rejected():
-    frame = encode_frame({"x": 1}, key=KEY)
+    frame = encode_message_v4(_msg({"x": 1}), key=KEY)
     with pytest.raises(SecurityError):
         decode_frame(frame, key=b"other-key")
 
 
-def test_missing_envelope_rejected():
-    with pytest.raises(SecurityError):
-        verify_payload({"body": 1}, KEY)
-    with pytest.raises(SecurityError):
-        verify_payload("not-a-dict", KEY)
-
-
-def test_sign_payload_is_deterministic_and_order_insensitive():
-    assert sign_payload({"a": 1, "b": 2}, KEY) == sign_payload({"b": 2, "a": 1}, KEY)
-
-
 def test_frame_reader_handles_fragmentation():
-    payloads = [{"n": i} for i in range(5)]
-    stream = b"".join(encode_frame(p) for p in payloads)
+    messages = [_msg({"n": i}) for i in range(5)]
+    stream = b"".join(encode_message_v4(m) for m in messages)
     reader = FrameReader()
     got = []
     # Feed one byte at a time: worst-case TCP fragmentation.
     for i in range(len(stream)):
         got.extend(reader.feed(stream[i : i + 1]))
-    assert got == payloads
+    assert got == messages
     assert reader.pending_bytes == 0
 
 
 def test_frame_reader_handles_coalescing():
-    payloads = [{"n": i} for i in range(10)]
-    stream = b"".join(encode_frame(p) for p in payloads)
-    reader = FrameReader()
-    assert list(reader.feed(stream)) == payloads
+    messages = [_msg({"n": i}) for i in range(10)]
+    stream = b"".join(encode_message_v4(m) for m in messages)
+    assert list(FrameReader().feed(stream)) == messages
 
 
 def test_frame_reader_rejects_oversized_header():
-    import struct
-
     reader = FrameReader()
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", 2**31)))
+        list(reader.feed(_header(4, 0, 2**31)))
 
 
 def test_frame_reader_oversized_frame_does_not_poison_stream():
-    import struct
-
-    from repro.net.wire import MAX_FRAME_BYTES
-
-    before = encode_frame({"n": "before"})
+    before, after = _msg({"n": "before"}), _msg({"n": "after"})
     oversized_len = MAX_FRAME_BYTES + 1
-    after = encode_frame({"n": "after"})
     reader = FrameReader()
-    assert list(reader.feed(before)) == [{"n": "before"}]
+    assert list(reader.feed(encode_message_v4(before))) == [before]
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", oversized_len)))
+        list(reader.feed(_header(4, 0, oversized_len)))
     # Stream the advertised-but-bogus body in chunks, with the next
     # good frame appended mid-way: the reader must discard exactly the
     # oversized body, then resynchronise and parse the good frame.
     junk = b"x" * oversized_len
     got = []
     got.extend(reader.feed(junk[: oversized_len // 2]))
-    got.extend(reader.feed(junk[oversized_len // 2 :] + after))
-    assert got == [{"n": "after"}]
+    got.extend(reader.feed(junk[oversized_len // 2 :] + encode_message_v4(after)))
+    assert got == [after]
     assert reader.pending_bytes == 0
 
 
 def test_frame_reader_rejects_bad_json():
-    import struct
-
-    body = b"{not json"
+    head = b"{not json"
+    body = struct.pack(">I", len(head)) + head
     with pytest.raises(ProtocolError):
-        list(FrameReader().feed(struct.pack(">I", len(body)) + body))
+        list(FrameReader().feed(_header(4, 0, len(body)) + body))
+
+
+def test_length_prefixed_json_frame_is_rejected():
+    # The retired framing: 4-byte big-endian length, then a JSON body.
+    body = b'{"type":"register","payload":{}}'
+    reader = FrameReader()
+    with pytest.raises(ProtocolError):
+        list(reader.feed(struct.pack(">I", len(body)) + body))
+    assert reader.pending_bytes == 0  # nothing to resynchronise on
 
 
 def test_decode_frame_rejects_partial():
-    frame = encode_frame({"a": 1})
+    frame = encode_message_v4(_msg({"a": 1}))
     with pytest.raises(ProtocolError):
         decode_frame(frame[:-1])
     with pytest.raises(ProtocolError):
         decode_frame(frame + frame)
 
 
-@given(json_values)
+@given(payloads)
 def test_roundtrip_property_plain(payload):
-    assert decode_frame(encode_frame(payload)) == payload
+    msg = _msg(payload)
+    assert decode_frame(encode_message_v4(msg)) == msg
 
 
-@given(json_values)
+@given(payloads)
 def test_roundtrip_property_signed(payload):
-    assert decode_frame(encode_frame(payload, key=KEY), key=KEY) == payload
+    msg = _msg(payload)
+    assert decode_frame(encode_message_v4(msg, key=KEY), key=KEY) == msg
 
 
-@given(st.lists(json_values, min_size=1, max_size=8), st.integers(1, 64))
-def test_fragmented_stream_property(payloads, chunk):
-    stream = b"".join(encode_frame(p) for p in payloads)
+@given(st.lists(payloads, min_size=1, max_size=8), st.integers(1, 64))
+def test_fragmented_stream_property(payload_list, chunk):
+    messages = [_msg(p) for p in payload_list]
+    stream = b"".join(encode_message_v4(m) for m in messages)
     reader = FrameReader()
     got = []
     for i in range(0, len(stream), chunk):
         got.extend(reader.feed(stream[i : i + chunk]))
-    assert got == payloads
+    assert got == messages
 
 
 def test_message_roundtrip():
     msg = Message(MessageType.SUBMIT, sender="client-1", payload={"tasks": []})
-    parsed = Message.from_dict(msg.to_dict())
+    parsed = decode_frame(encode_message_v4(msg))
     assert parsed.type is MessageType.SUBMIT
     assert parsed.sender == "client-1"
     assert parsed.msg_id == msg.msg_id
@@ -167,6 +156,8 @@ def test_message_ids_increase():
     assert b.msg_id > a.msg_id
 
 
-def test_message_from_dict_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        Message.from_dict({"type": "bogus"})
+def test_unknown_type_code_rejected():
+    frame = bytearray(encode_message_v4(Message(MessageType.NOTIFY)))
+    frame[2] = 0xEE
+    with pytest.raises(ProtocolError):
+        decode_frame(bytes(frame))

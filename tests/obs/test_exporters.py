@@ -179,15 +179,8 @@ class TestTypedStats:
         assert parsed.queued == 2
         assert parsed.accepted == 5
 
-    def test_mapping_shim(self):
-        stats = DispatcherStats(queued=4)
-        assert stats["queued"] == 4
-        assert stats.get("missing", -1) == -1
-        assert "queued" in stats
-        assert set(stats.keys()) == set(stats.as_dict())
-
     def test_executor_and_provisioner_snapshots(self):
         e = ExecutorStats(executor_id="x1", tasks_executed=9)
         assert e.as_dict()["tasks_executed"] == 9
         p = ProvisionerStats(pool_size=2, allocations=5)
-        assert p["allocations"] == 5
+        assert p.allocations == 5
