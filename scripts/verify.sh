@@ -40,11 +40,15 @@ fi
 python -m repro bench --quick
 
 # Standing-benchmark smoke (BENCHMARK.json, bench/README.md): all four
-# workloads for ~1 s each.  Exits non-zero — and prints "correct":
-# false — when an output check or an import of the benchmark breaks,
-# so that fails here, not in the pipeline that runs the benchmark.
+# workloads for ~1 s each, untraced and traced.  The traced pass is the
+# one that imports bench/layers.py and reads spans.chain / chain_errors
+# / stats().as_dict() / metrics.snapshot() / journal.stats() /
+# dlq_list() / tasks_executed back out of the SUT, so a change that
+# breaks a surface the benchmark uses fails here — not in the pipeline
+# that runs the benchmark.  The benchmark's own unit tests ride along.
 echo "== standing benchmark smoke =="
-python3 bench/run.py --smoke | tail -n 1 | grep -q '"correct": true'
+python3 bench/run.py --smoke --trace | tail -n 1 | grep -q '"correct": true'
+python3 -m pytest bench/tests -q
 
 # Telemetry overhead gate: the live telemetry plane (heartbeat-carried
 # stats + HTTP status surface) must cost < 5% of sleep-0 throughput.

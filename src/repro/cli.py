@@ -1570,8 +1570,28 @@ def _trace_http(args) -> int:
         return 2
     shard_note = f" on any of {len(bases)} shards" if len(bases) > 1 else ""
     print(f"no trace recorded for task {args.task_id!r}{shard_note} "
-          f"at {args.http}", file=sys.stderr)
+          f"at {args.http}{_eviction_note(bases)}", file=sys.stderr)
     return 1
+
+
+def _eviction_note(bases: list[str]) -> str:
+    """Why a chain may be missing though the task ran: the span store
+    is bounded.  Empty unless some shard's ``/status`` reports
+    evictions (or when none answers — the note is best-effort)."""
+    import urllib.error
+
+    notes = []
+    for base in bases:
+        try:
+            store = _fetch_json(base + "/status").get("trace") or {}
+        except (urllib.error.URLError, OSError, ValueError):
+            continue
+        if store.get("evicted_total"):
+            where = f"{base}: " if len(bases) > 1 else ""
+            notes.append(f"; {where}the collector keeps the newest "
+                         f"{store.get('capacity')} traces and has evicted "
+                         f"{store['evicted_total']}")
+    return "".join(notes)
 
 
 def _cmd_export(args) -> int:

@@ -193,7 +193,7 @@ def _journal_spec_wire(spec: TaskSpec, raw: Optional[dict]) -> dict:
     return data
 
 
-@dataclass
+@dataclass(slots=True)
 class _LiveRecord:
     spec: TaskSpec
     client_id: str
@@ -206,7 +206,8 @@ class _LiveRecord:
     delivered: bool = False
     #: How the current attempt was handed over ("get-work"/"piggyback").
     dispatch_mode: str = ""
-    #: Wire form of the trace context riding this attempt's WORK frame.
+    #: Wire form of the trace context riding this attempt's WORK frame
+    #: (restamped on every dispatch, released at terminal settle).
     trace_wire: Optional[dict] = None
     #: The spec's wire dict, captured verbatim from the client's
     #: SUBMIT payload (else built lazily on first dispatch), so a
@@ -214,6 +215,9 @@ class _LiveRecord:
     #: re-serialises the shared dict at frame speed.  (Pre-encoded
     #: byte splicing was measured slower: many small Python-level
     #: ops lose to one big C ``dumps``; see docs/PERFORMANCE.md.)
+    #: Released at terminal settle — a settled task is never sent
+    #: again unless ``dlq_retry`` requeues it, and ``_spec_dict``
+    #: rebuilds it then.
     spec_dict: Optional[dict] = None
     timeline: TaskTimeline = field(default_factory=TaskTimeline)
     result: Optional[TaskResult] = None
@@ -241,6 +245,16 @@ class _ExecutorSession:
         #: Set (under ``lock``) when the session leaves the executor
         #: table; a concurrent claim seeing it undoes its dispatch.
         self.dead = False
+        self._dispatch_attrs: dict[str, tuple] = {}
+
+    def dispatch_attrs(self, mode: str) -> tuple:
+        """The notify/pull span attrs for *mode* — one shared tuple
+        per session and mode, not two fresh ones per dispatch."""
+        attrs = self._dispatch_attrs.get(mode)
+        if attrs is None:
+            attrs = self._dispatch_attrs[mode] = (
+                ("executor", self.executor_id), ("mode", mode))
+        return attrs
 
     def capacity(self) -> int:
         with self.lock:
@@ -457,6 +471,15 @@ class LiveDispatcher:
             "stolen_completed", help="Stolen tasks settled ok on behalf of a peer")
         self._m_stolen_failed = self.metrics.counter(
             "stolen_failed", help="Stolen tasks settled failed on behalf of a peer")
+        # The span store is bounded: a chain missing from it is an
+        # evicted trace, not a lost task, and these two say which.
+        self.metrics.counter(
+            "trace_spans", help="Spans recorded by the span collector",
+            fn=lambda: self.spans.spans_recorded)
+        self.metrics.counter(
+            "trace_evicted",
+            help="Traces evicted from the bounded span collector (oldest first)",
+            fn=lambda: self.spans.traces_evicted)
         self.metrics.gauge("peers", help="Peer shards with fresh gossip",
                            fn=lambda: len(self._peer_depths))
         self.metrics.gauge("dlq_size", help="Tasks currently quarantined",
@@ -987,6 +1010,12 @@ class LiveDispatcher:
                 "e2e_p99_s": self._h_e2e.p99,
             },
             "journal": self.journal.stats() if self.journal is not None else None,
+            "trace": {
+                "capacity": self.spans.capacity,
+                "traces": len(self.spans),
+                "spans_total": self.spans.spans_recorded,
+                "evicted_total": self.spans.traces_evicted,
+            },
             "dlq": self.dlq_list(),
             "uptime_s": now - self._started,
             # Shard identity at top level: fleet aggregation and
@@ -1331,13 +1360,24 @@ class LiveDispatcher:
                 return
         now = self._now()
         bundle = len(tasks)
+        # Dedupe against known ids and within the bundle (first
+        # occurrence wins): a client retrying a SUBMIT whose ack was
+        # lost (or rejected bundle it re-sends) must not double-enqueue
+        # — resubmission is idempotent per task id.  ``raw_by_id`` keeps
+        # the wire dict each fresh spec arrived as, verbatim: dispatch
+        # re-serialises this shared dict instead of rebuilding it, and
+        # the journal strips its defaults without a task_to_dict pass.
+        fresh: list[TaskSpec] = []
+        raw_by_id: dict[str, Optional[dict]] = {}
+        dup_records: list[_LiveRecord] = []
         with self._records_lock:
-            # Dedupe against known ids: a client retrying a SUBMIT whose
-            # ack was lost (or rejected bundle it re-sends) must not
-            # double-enqueue — resubmission is idempotent per task id.
-            fresh = [spec for spec in tasks if spec.task_id not in self._records]
-            dup_records = [self._records[spec.task_id] for spec in tasks
-                           if spec.task_id in self._records]
+            for spec, raw in zip(tasks, raw_specs):
+                known = self._records.get(spec.task_id)
+                if known is not None:
+                    dup_records.append(known)
+                elif spec.task_id not in raw_by_id:
+                    raw_by_id[spec.task_id] = raw if isinstance(raw, dict) else None
+                    fresh.append(spec)
         # A duplicate of an already-settled task (resubmission after a
         # lost ack, or a reused journal directory) must still converge:
         # its original CLIENT_NOTIFY may have gone out long ago, so the
@@ -1348,11 +1388,6 @@ class LiveDispatcher:
             with record.lock:
                 if record.result is not None:
                     settled_dupes.append(record.result)
-        # The wire dict each spec arrived as, kept verbatim: dispatch
-        # re-serialises this shared dict instead of rebuilding it, and
-        # the journal strips its defaults without a task_to_dict pass.
-        dict_by_id = {spec.task_id: raw for spec, raw in zip(tasks, raw_specs)
-                      if isinstance(raw, dict)}
         journaled = self.journal is not None and bool(fresh)
         if journaled:
             # Durable-before-accept: one group commit covers the bundle
@@ -1363,7 +1398,7 @@ class LiveDispatcher:
             # few dict keys per task, not a serialisation pass.
             self.journal.append_many([
                 {"k": "submit", "id": spec.task_id,
-                 "spec": _journal_spec_wire(spec, dict_by_id.get(spec.task_id)),
+                 "spec": _journal_spec_wire(spec, raw_by_id[spec.task_id]),
                  "client": client_id}
                 for spec in fresh
             ])
@@ -1374,7 +1409,7 @@ class LiveDispatcher:
         new_records: list[_LiveRecord] = []
         for spec in fresh:
             record = _LiveRecord(spec=spec, client_id=client_id)
-            record.spec_dict = dict_by_id.get(spec.task_id)
+            record.spec_dict = raw_by_id[spec.task_id]
             record.timeline.submitted = now
             new_records.append(record)
         if journaled and not self.journal.commit():
@@ -1673,7 +1708,7 @@ class LiveDispatcher:
         # An empty grant still goes out: it clears the thief's
         # outstanding-request flag so it can try another peer.
         session.conn.send(reply)
-        self._mark_delivered_many(granted, executor.executor_id)
+        self._mark_delivered_many(granted, executor)
         if granted:
             self._m_steals_granted.inc()
             self._m_stolen_out.inc(len(granted))
@@ -1873,7 +1908,7 @@ class LiveDispatcher:
         work = Message(MessageType.WORK, sender="dispatcher", payload={})
         self._fill_task_payload(work, claimed)
         session.conn.send(work)
-        self._mark_delivered_many(claimed, executor_id)
+        self._mark_delivered_many(claimed, executor)
 
     def _on_result(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -1907,11 +1942,19 @@ class LiveDispatcher:
                 executor.notified = False
         notifies: list[tuple[str, TaskResult]] = []
         settled: list[_LiveRecord] = []
-        results = [result_from_dict(payload) for payload, _, _ in entries]
         # One records-lock round trip for the whole batch: a pipelined
         # RESULT frame carries dozens of completions.
         with self._records_lock:
-            records = [self._records.get(result.task_id) for result in results]
+            records = [self._records.get(payload.get("task_id"))
+                       for payload, _, _ in entries]
+        # Each result adopts its record's timeline (what _settle hands
+        # the client anyway) and, below, its record's task id string —
+        # the frame's decoded copies are garbage once the frame is.
+        results = [
+            result_from_dict(payload,
+                             record.timeline if record is not None else None)
+            for (payload, _, _), record in zip(entries, records)
+        ]
         # Deferred spans for the whole frame: exec/result pairs (plus
         # any retry-enqueue rows _settle appends) flush through one
         # record_many below.  Row order = append order = chain order,
@@ -1921,6 +1964,10 @@ class LiveDispatcher:
         span_rows: list[tuple] = []
         journal_rows: Optional[list[dict]] = (
             [] if self.journal is not None else None)
+        # Span attrs identical across the frame are built once, not per
+        # task: the executor pair, and one tuple per outcome seen.
+        executor_attr = ("executor", executor_id)
+        outcome_attrs: dict[str, tuple] = {}
         for (result_payload, echoed_attempt, exec_info), result, record in zip(
             entries, results, records
         ):
@@ -1930,6 +1977,7 @@ class LiveDispatcher:
                 result.executor_id = executor_id
             if record is None:
                 continue
+            result.task_id = record.spec.task_id
             with record.lock:
                 if record.state.terminal:
                     continue
@@ -1947,14 +1995,17 @@ class LiveDispatcher:
                 outcome = ("ok" if result.ok else
                            "fail" if record.attempts > self.max_retries
                            else "retry")
+                result_attrs = outcome_attrs.get(outcome)
+                if result_attrs is None:
+                    result_attrs = outcome_attrs[outcome] = (
+                        executor_attr, ("outcome", outcome))
                 span_rows.append(
                     (result.task_id, "exec", now - exec_seconds, now,
                      record.attempts,
-                     (("executor", executor_id), ("seconds", exec_seconds))))
+                     (executor_attr, ("seconds", exec_seconds))))
                 span_rows.append(
                     (result.task_id, "result", self._now(), None,
-                     record.attempts,
-                     (("executor", executor_id), ("outcome", outcome))))
+                     record.attempts, result_attrs))
                 notify_payload = self._settle(record, result, span_rows,
                                               journal_rows)
                 if notify_payload is not None:
@@ -1994,7 +2045,8 @@ class LiveDispatcher:
             # must still reach the client.
             ack_delivered = False
         else:
-            self._mark_delivered_many(claimed, executor_id)
+            if claimed:
+                self._mark_delivered_many(claimed, executor)
         if settled:
             ack_now = self._now()
             ack_attrs = (("executor", executor_id),
@@ -2096,10 +2148,11 @@ class LiveDispatcher:
         self, batch: list[tuple["_LiveRecord", tuple]]
     ) -> None:
         """Record a claim burst's "notify" spans in one call and stamp
-        each record's wire trace context from the returned spans."""
+        each record's wire trace context from the returned spans (the
+        one span per dispatch whose context goes on the wire)."""
         if not batch:
             return
-        contexts = self.spans.record_many([row for _, row in batch])
+        contexts = self.spans.record_stamped([row for _, row in batch])
         for (record, _row), ctx in zip(batch, contexts):
             record.trace_wire = ctx.to_wire() if ctx is not None else None
 
@@ -2162,8 +2215,7 @@ class LiveDispatcher:
         self.flight.record(fl.QUEUE_CLAIM, record.spec.task_id)
         span_rows.append((record, (
             record.spec.task_id, "notify", record.timeline.dispatched, None,
-            record.attempts,
-            (("executor", executor.executor_id), ("mode", mode)),
+            record.attempts, executor.dispatch_attrs(mode),
         )))
         if journal_rows is not None:
             journal_rows.append({"k": "dispatch", "id": record.spec.task_id,
@@ -2189,7 +2241,7 @@ class LiveDispatcher:
                     self._queue.appendleft(record.spec.task_id)
 
     def _mark_delivered_many(
-        self, records: list[_LiveRecord], executor_id: str
+        self, records: list[_LiveRecord], executor: _ExecutorSession
     ) -> None:
         """The WORK/ack frame carrying *records* left this process.
 
@@ -2197,6 +2249,7 @@ class LiveDispatcher:
         ``record_many`` call — the per-record version cost one span
         lock per task, twice per dispatch with "notify".
         """
+        executor_id = executor.executor_id
         rows = []
         for record in records:
             with record.lock:
@@ -2206,8 +2259,7 @@ class LiveDispatcher:
                     rows.append((
                         record.spec.task_id, "pull", now, None,
                         record.attempts,
-                        (("executor", executor_id),
-                         ("mode", record.dispatch_mode)),
+                        executor.dispatch_attrs(record.dispatch_mode),
                     ))
                     self._h_dispatch.observe(now - record.timeline.submitted)
                     if self.events.enabled:
@@ -2276,6 +2328,11 @@ class LiveDispatcher:
             result.attempts = record.attempts
             result.timeline = record.timeline
             record.result = result
+            # Wire-only state: a settled task is not dispatched again
+            # unless dlq_retry requeues it, and then _spec_dict()
+            # rebuilds and the notify flush restamps.
+            record.spec_dict = None
+            record.trace_wire = None
             if result.ok:
                 self._m_completed.inc()
                 if stolen:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import socket
+import sys
 import threading
 from collections import deque
 from typing import Any, Callable, Mapping, Optional
@@ -30,7 +31,7 @@ from repro.errors import ProtocolError
 from repro.live.ioloop import IOLoop, default_loop
 from repro.net.message import Message
 from repro.net.wire import FrameReader, encode_message_v4
-from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
+from repro.types import DataLocation, DataRef, TaskResult, TaskSpec, TaskTimeline
 
 __all__ = [
     "Connection",
@@ -75,7 +76,11 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
     The empty-collection fast paths matter: this runs twice per task
     (dispatcher admission, executor delivery) and the common spec has
     no env/reads/writes — three generator round trips for nothing.
+    The low-cardinality strings are interned: a decoded frame carries
+    a fresh ``"sleep"`` / ``"."`` / stage label per task, and the
+    dispatcher retains every spec.
     """
+    intern = sys.intern
     try:
         # Dense fast path: our own task_to_dict always emits every key,
         # and subscripting beats ten bound-method .get() calls on a
@@ -85,15 +90,15 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
         writes = data["writes"]
         return TaskSpec(
             task_id=data["task_id"],
-            command=data["command"],
+            command=intern(data["command"]),
             args=tuple(data["args"]),
-            working_dir=data["working_dir"],
+            working_dir=intern(data["working_dir"]),
             env=tuple(tuple(pair) for pair in env) if env else (),
             duration=data["duration"],
             reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
             writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
             runtime_estimate=data["runtime_estimate"],
-            stage=data["stage"],
+            stage=intern(data["stage"]),
         )
     except KeyError:
         pass
@@ -104,15 +109,15 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
     writes = data.get("writes")
     return TaskSpec(
         task_id=data["task_id"],
-        command=data.get("command", "sleep"),
+        command=intern(data.get("command", "sleep")),
         args=tuple(data.get("args", ())),
-        working_dir=data.get("working_dir", "."),
+        working_dir=intern(data.get("working_dir", ".")),
         env=tuple(tuple(pair) for pair in env) if env else (),
         duration=data.get("duration", 0.0),
         reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
         writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
         runtime_estimate=data.get("runtime_estimate"),
-        stage=data.get("stage", ""),
+        stage=intern(data.get("stage", "")),
     )
 
 
@@ -130,7 +135,17 @@ def result_to_dict(result: TaskResult) -> dict[str, Any]:
     }
 
 
-def result_from_dict(data: dict[str, Any]) -> TaskResult:
+def result_from_dict(
+    data: dict[str, Any], timeline: Optional[TaskTimeline] = None
+) -> TaskResult:
+    """Parse a wire dict back into a :class:`TaskResult`.
+
+    The wire form carries no timeline; the result gets *timeline* when
+    the caller already owns the authoritative one (the dispatcher's
+    record), else a fresh empty one.
+    """
+    if timeline is None:
+        timeline = TaskTimeline()
     try:
         # Dense fast path mirroring task_from_dict: result_to_dict
         # always emits every key.
@@ -142,6 +157,7 @@ def result_from_dict(data: dict[str, Any]) -> TaskResult:
             executor_id=data["executor_id"],
             error=data["error"],
             attempts=data["attempts"],
+            timeline=timeline,
         )
     except KeyError:
         pass
@@ -153,6 +169,7 @@ def result_from_dict(data: dict[str, Any]) -> TaskResult:
         executor_id=data.get("executor_id", ""),
         error=data.get("error", ""),
         attempts=data.get("attempts", 1),
+        timeline=timeline,
     )
 
 

@@ -63,14 +63,18 @@ def quantile_from_values(values: Sequence[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonic counter."""
+    """A monotonic counter; may also read through a callback when the
+    count already lives elsewhere (the span collector's totals)."""
 
-    __slots__ = ("name", "help", "_value", "_lock")
+    __slots__ = ("name", "help", "_value", "_fn", "_lock")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(
+        self, name: str, help: str = "", fn: Optional[Callable[[], int]] = None
+    ) -> None:
         self.name = name
         self.help = help
         self._value = 0
+        self._fn = fn
         self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
@@ -81,10 +85,12 @@ class Counter:
 
     @property
     def value(self) -> int:
+        if self._fn is not None:
+            return int(self._fn())
         return self._value
 
     def __repr__(self) -> str:
-        return f"<Counter {self.name}={self._value}>"
+        return f"<Counter {self.name}={self.value}>"
 
 
 class Gauge:
@@ -252,8 +258,13 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, Any] = {}
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help)
+    def counter(
+        self, name: str, help: str = "", fn: Optional[Callable[[], int]] = None
+    ) -> Counter:
+        counter = self._get_or_create(name, Counter, help)
+        if fn is not None:
+            counter._fn = fn
+        return counter
 
     def gauge(
         self, name: str, help: str = "", fn: Optional[Callable[[], float]] = None

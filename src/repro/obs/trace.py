@@ -22,9 +22,8 @@ that actually settled the task (:meth:`SpanCollector.chain_complete`).
 
 from __future__ import annotations
 
-import itertools
 import threading
-from collections import OrderedDict
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -42,12 +41,18 @@ SPAN_ORDER: tuple[str, ...] = (
 
 _SPAN_RANK = {name: index for index, name in enumerate(SPAN_ORDER)}
 
-_trace_seq = itertools.count(1)
+#: Span rows each trace holds in the fixed-width columns; the rest of a
+#: longer chain spills to a per-slot list.
+_WIDTH = 8
+#: Slots the columns grow by at a time: ``SpanCollector()`` allocates
+#: nothing, and a collector that sees few tasks stays small.
+_GROW_SLOTS = 256
+_ATTEMPT_MAX = 2**31 - 1
 
 
-def _new_trace_id(task_id: str) -> str:
-    """Process-unique, human-greppable trace id for *task_id*."""
-    return f"tr-{next(_trace_seq):08x}-{task_id}"
+def _trace_id(seq: int, task_id: str) -> str:
+    """Human-greppable trace id: the collector's open order + the task."""
+    return f"tr-{seq:08x}-{task_id}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,44 +115,23 @@ class Span:
                 f"{details}").rstrip()
 
 
-class _Trace:
-    """Span rows are stored as plain tuples ``(span_id, parent_id,
-    name, attempt, start, end, attrs_items)`` and materialised into
-    :class:`Span` objects only on query — recording happens seven
-    times per task on the dispatch hot path, reading a handful of
-    times per run, so construction cost belongs on the read side."""
-
-    __slots__ = ("trace_id", "task_id", "rows", "last_span_id", "last_start")
-
-    def __init__(self, trace_id: str, task_id: str) -> None:
-        self.trace_id = trace_id
-        self.task_id = task_id
-        self.rows: list[tuple] = []
-        self.last_span_id = 0
-        self.last_start = 0.0
-
-    def materialise(self) -> list[Span]:
-        return [
-            Span(
-                trace_id=self.trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                name=name,
-                task_id=self.task_id,
-                attempt=attempt,
-                start=start,
-                end=end,
-                attrs=tuple(sorted(attrs)),
-            )
-            for span_id, parent_id, name, attempt, start, end, attrs in self.rows
-        ]
-
-
 class SpanCollector:
     """Thread-safe per-task span store with bounded trace count.
 
     The collector keeps at most *capacity* traces (oldest evicted
     first), so tracing is safe to leave enabled on endurance runs.
+
+    Storage is columnar, not an object graph per task: recording runs
+    seven times per task on the dispatch hot path and reading a handful
+    of times per run, so a span costs a few ``array`` cells and
+    :class:`Span` objects exist only on the read side.  Every trace
+    owns one *slot* — ``seq % capacity``, where *seq* is the trace's
+    open order, which makes slot reuse exactly oldest-first eviction —
+    and a slot is :data:`_WIDTH` rows in each column; a longer chain
+    (retries, undelivered requeues) spills its tail to a per-slot list.
+    Span ids are row positions (1-based; the parent is the previous
+    row) and the trace id is formatted from ``(seq, task_id)`` on read,
+    so neither is stored.  Columns grow with the slots in use.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
@@ -155,7 +139,23 @@ class SpanCollector:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, _Trace]" = OrderedDict()
+        self._seq: dict[str, int] = {}
+        self._next_seq = 0
+        # Per-slot columns: the owning task id (eviction unlinks it),
+        # rows recorded (columns plus spill), and the last row's start
+        # (the causal clamp's floor).
+        self._task: list[Optional[str]] = []
+        self._count = array("I")
+        self._floor = array("d")
+        # Per-row columns, _WIDTH cells per slot.  Attempts are 32-bit
+        # and saturate: ``dlq_retry`` leaves them unbounded in principle.
+        self._start = array("d")
+        self._end = array("d")
+        self._rank = array("B")
+        self._attempt = array("i")
+        self._attrs: list[Any] = []
+        # slot -> rows past _WIDTH, as (start, end, rank, attempt, attrs).
+        self._spill: dict[int, list[tuple]] = {}
         self.spans_recorded = 0
         self.traces_evicted = 0
 
@@ -163,7 +163,7 @@ class SpanCollector:
     def begin(self, task_id: str) -> str:
         """Open (or reuse) the trace for *task_id*; returns its trace id."""
         with self._lock:
-            return self._begin_locked(task_id)
+            return _trace_id(self._begin_locked(task_id), task_id)
 
     def begin_many(self, task_ids: Iterable[str]) -> None:
         """Open traces for a whole bundle under one lock round trip."""
@@ -171,15 +171,39 @@ class SpanCollector:
             for task_id in task_ids:
                 self._begin_locked(task_id)
 
-    def _begin_locked(self, task_id: str) -> str:
-        trace = self._traces.get(task_id)
-        if trace is None:
-            trace = _Trace(_new_trace_id(task_id), task_id)
-            self._traces[task_id] = trace
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-                self.traces_evicted += 1
-        return trace.trace_id
+    def _begin_locked(self, task_id: str) -> int:
+        seq = self._seq.get(task_id)
+        if seq is not None:
+            return seq
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        slot = seq % self.capacity
+        if seq >= self.capacity:
+            # The slot's previous owner is the oldest live trace.  Its
+            # attr refs stay until overwritten — bounded, and clearing
+            # eight cells per begin is hot-path work for nothing.
+            del self._seq[self._task[slot]]
+            if self._spill:
+                self._spill.pop(slot, None)
+            self._count[slot] = 0
+            self.traces_evicted += 1
+        elif slot == len(self._task):
+            self._grow()
+        self._task[slot] = task_id
+        self._seq[task_id] = seq
+        return seq
+
+    def _grow(self) -> None:
+        """Extend every column by one step of zeroed slots."""
+        slots = min(_GROW_SLOTS, self.capacity - len(self._task))
+        self._task.extend([None] * slots)
+        self._attrs.extend([()] * (slots * _WIDTH))
+        for column, cells in (
+            (self._count, slots), (self._floor, slots),
+            (self._start, slots * _WIDTH), (self._end, slots * _WIDTH),
+            (self._rank, slots * _WIDTH), (self._attempt, slots * _WIDTH),
+        ):
+            column.frombytes(bytes(cells * column.itemsize))
 
     def record(
         self,
@@ -197,93 +221,146 @@ class SpanCollector:
         for unknown tasks — never invents orphan traces for stale
         deliveries).
         """
-        if name not in _SPAN_RANK:
-            raise ValueError(f"unknown span name {name!r} (expected one of {SPAN_ORDER})")
-        with self._lock:
-            return self._record_locked(task_id, name, start, end, attempt,
-                                       tuple(attrs.items()))
+        return self.record_stamped(
+            [(task_id, name, start, end, attempt, tuple(attrs.items()))])[0]
 
-    def record_many(
-        self,
-        rows: Iterable[tuple],
-    ) -> list[Optional[TraceContext]]:
+    def record_many(self, rows: Iterable[tuple]) -> None:
         """Append many spans under one lock round trip.
 
         Each row is ``(task_id, name, start, end, attempt, attrs_items)``
         with *attrs_items* a tuple of key/value pairs.  Rows append in
-        order (chain order = row order); the returned contexts line up
-        with the rows (``None`` for unknown tasks, as in :meth:`record`).
+        order (chain order = row order); rows for unknown tasks are
+        dropped, as in :meth:`record`.  No contexts are built — callers
+        that put one on the wire use :meth:`record_stamped`.
         """
-        out: list[Optional[TraceContext]] = []
         with self._lock:
+            self._append_locked(rows, None)
+
+    def record_stamped(
+        self, rows: Iterable[tuple]
+    ) -> list[Optional[TraceContext]]:
+        """:meth:`record_many`, returning each row's span context
+        (``None`` for unknown tasks) — taken under the same lock, so a
+        concurrent span for the same task cannot slip between the
+        append and the read."""
+        contexts: list[Optional[TraceContext]] = []
+        with self._lock:
+            self._append_locked(rows, contexts)
+        return contexts
+
+    def _append_locked(
+        self, rows: Iterable[tuple],
+        contexts: Optional[list[Optional[TraceContext]]],
+    ) -> None:
+        rank_of = _SPAN_RANK.get
+        seq_of = self._seq.get
+        capacity = self.capacity
+        count = self._count
+        floor_of = self._floor
+        starts = self._start
+        ends = self._end
+        ranks = self._rank
+        attempts = self._attempt
+        attrs_of = self._attrs
+        recorded = 0
+        try:
             for task_id, name, start, end, attempt, attrs_items in rows:
-                if name not in _SPAN_RANK:
+                rank = rank_of(name)
+                if rank is None:
                     raise ValueError(
                         f"unknown span name {name!r} (expected one of {SPAN_ORDER})")
-                out.append(self._record_locked(
-                    task_id, name, start, end, attempt, tuple(attrs_items)))
-        return out
-
-    def _record_locked(
-        self,
-        task_id: str,
-        name: str,
-        start: float,
-        end: Optional[float],
-        attempt: int,
-        attrs_items: tuple,
-    ) -> Optional[TraceContext]:
-        trace = self._traces.get(task_id)
-        if trace is None:
-            return None
-        span_id = trace.last_span_id = trace.last_span_id + 1
-        parent = span_id - 1 if span_id > 1 else None
-        if trace.rows:
-            # Chains are causal: a span anchored on another clock
-            # (the executor-measured exec window) must not rewind
-            # behind its predecessor.
-            floor = trace.last_start
-            if start < floor:
-                if end is not None:
-                    end = max(end, floor)
-                start = floor
-        trace.last_start = start
-        trace.rows.append((
-            span_id, parent, name, attempt,
-            start, start if end is None else end,
-            attrs_items,
-        ))
-        self.spans_recorded += 1
-        return TraceContext(trace.trace_id, span_id)
+                seq = seq_of(task_id)
+                if seq is None:
+                    if contexts is not None:
+                        contexts.append(None)
+                    continue
+                slot = seq % capacity
+                n = count[slot]
+                if n:
+                    # Chains are causal: a span anchored on another
+                    # clock (the executor-measured exec window) must
+                    # not rewind behind its predecessor.
+                    floor = floor_of[slot]
+                    if start < floor:
+                        if end is not None and end < floor:
+                            end = floor
+                        start = floor
+                if end is None:
+                    end = start
+                if n < _WIDTH:
+                    cell = slot * _WIDTH + n
+                    starts[cell] = start
+                    ends[cell] = end
+                    ranks[cell] = rank
+                    try:
+                        attempts[cell] = attempt
+                    except OverflowError:
+                        attempts[cell] = max(-_ATTEMPT_MAX, min(attempt, _ATTEMPT_MAX))
+                    attrs_of[cell] = tuple(attrs_items)
+                else:
+                    self._spill.setdefault(slot, []).append(
+                        (start, end, rank, attempt, tuple(attrs_items)))
+                floor_of[slot] = start
+                # Last, so a row whose cells failed to store stays invisible.
+                count[slot] = n + 1
+                recorded += 1
+                if contexts is not None:
+                    contexts.append(TraceContext(_trace_id(seq, task_id), n + 1))
+        finally:
+            self.spans_recorded += recorded
 
     # -- queries -------------------------------------------------------------
     def chain(self, task_id: str) -> list[Span]:
         """The ordered span chain for *task_id* (empty if unknown)."""
         with self._lock:
-            trace = self._traces.get(task_id)
-            return trace.materialise() if trace is not None else []
+            seq = self._seq.get(task_id)
+            if seq is None:
+                return []
+            slot = seq % self.capacity
+            n = self._count[slot]
+            base = slot * _WIDTH
+            rows = [
+                (self._start[cell], self._end[cell], self._rank[cell],
+                 self._attempt[cell], self._attrs[cell])
+                for cell in range(base, base + min(n, _WIDTH))
+            ]
+            if n > _WIDTH:
+                rows += self._spill[slot]
+        trace_id = _trace_id(seq, task_id)
+        return [
+            Span(
+                trace_id=trace_id,
+                span_id=span_id,
+                parent_id=span_id - 1 if span_id > 1 else None,
+                name=SPAN_ORDER[rank],
+                task_id=task_id,
+                attempt=attempt,
+                start=start,
+                end=end,
+                attrs=tuple(sorted(attrs)),
+            )
+            for span_id, (start, end, rank, attempt, attrs) in enumerate(rows, 1)
+        ]
 
     def context(self, task_id: str) -> Optional[TraceContext]:
         """Context of the most recent span of *task_id*."""
         with self._lock:
-            trace = self._traces.get(task_id)
-            if trace is None or not trace.rows:
-                return None
-            return TraceContext(trace.trace_id, trace.last_span_id)
+            seq = self._seq.get(task_id)
+            n = self._count[seq % self.capacity] if seq is not None else 0
+        return TraceContext(_trace_id(seq, task_id), n) if n else None
 
     def task_ids(self) -> list[str]:
         with self._lock:
-            return list(self._traces)
+            return list(self._seq)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._traces)
+            return len(self._seq)
 
     def all_spans(self) -> list[Span]:
         """Every buffered span, grouped by trace, chain-ordered."""
-        with self._lock:
-            traces = list(self._traces.values())
-        return [span for trace in traces for span in trace.materialise()]
+        return [span for task_id in self.task_ids()
+                for span in self.chain(task_id)]
 
     # -- validation ----------------------------------------------------------
     def chain_complete(self, task_id: str) -> bool:

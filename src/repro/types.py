@@ -90,7 +90,7 @@ class DataRef:
             raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """An executable task.
 
@@ -157,7 +157,7 @@ class TaskSpec:
         return sum(ref.size_bytes for ref in self.writes)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskTimeline:
     """Timestamps collected along a task's life (all in seconds).
 
@@ -186,7 +186,7 @@ class TaskTimeline:
         return self.completed - self.submitted
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskResult:
     """Outcome of one task execution."""
 

@@ -368,6 +368,41 @@ def test_resubmission_is_idempotent_per_task_id():
         disp.close()
 
 
+def test_duplicate_task_id_inside_one_bundle_is_accepted_once(tmp_path):
+    """A hand-written peer repeating an id inside one SUBMIT bundle
+    (LiveClient refuses to) gets one record, one queue entry, one
+    journal row and one span chain — first occurrence wins — while the
+    ack still counts the bundle, as for any idempotent resubmission."""
+    from repro.live.journal import read_journal_tail
+    from repro.live.protocol import task_to_dict
+    from repro.scenarios.oracles import OracleReport, check_conservation
+
+    first = TaskSpec(task_id="twin", command="sleep", args=("0",), stage="first")
+    second = TaskSpec(task_id="twin", command="sleep", args=("0",), stage="second")
+    other = TaskSpec(task_id="single", command="sleep", args=("0",))
+    with LocalFalkon(executors=1, journal_dir=str(tmp_path)) as falkon:
+        disp = falkon.dispatcher
+        peer = RawPeer(disp.address)
+        try:
+            peer.send(Message(MessageType.CREATE_INSTANCE, sender="raw"))
+            peer.recv_until(MessageType.INSTANCE_CREATED)
+            peer.send(Message(MessageType.SUBMIT, sender="raw", payload={
+                "tasks": [task_to_dict(t) for t in (first, second, other)]}))
+            assert peer.recv_until(MessageType.SUBMIT_ACK).payload["accepted"] == 3
+            assert wait_until(lambda: disp.stats().completed == 2, timeout=10.0)
+        finally:
+            peer.close()
+        report = OracleReport()
+        check_conservation(report, submitted=2, stats=disp.stats())
+        assert report.ok, report.summary()
+        assert disp._records["twin"].spec.stage == "first"
+        assert wait_until(lambda: disp.spans.chain_errors("twin") == [], timeout=5.0)
+        assert [s.name for s in disp.trace("twin")].count("submit") == 1
+        assert disp.stats().queued == 0
+    rows, _ = read_journal_tail(os.path.join(str(tmp_path), "journal.jsonl"))
+    assert sorted(r["id"] for r in rows if r["k"] == "submit") == ["single", "twin"]
+
+
 def test_duplicate_submit_of_settled_task_renotifies():
     """Submitting a task id that already settled (reused journal dir,
     resubmission after a lost ack) converges instead of hanging: the
