@@ -1,0 +1,216 @@
+#!/usr/bin/env python3
+"""Where a task's CPU goes in the dispatcher process, by thread, handler,
+collector generation and frame kind.
+
+Usage::
+
+    PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20]
+
+A bare ``LiveDispatcher`` and four pipelined executors run in this
+process; a client in a child process pushes sleep-0 tasks through them
+in closed-loop waves of 5 000 (the ``burst_sleep0`` shape of the
+standing benchmark), so this process's CPU bill is the SUT's alone.
+Four tables, all in µs (or bytes) per task:
+
+* **threads** — each thread's CPU clock over the run;
+* **handlers** — the dispatcher's own ``stats().handler_cpu_s``: thread
+  CPU inside each message handler and the monitor sweep (the loop
+  thread's remainder is frame decode, socket I/O and ``select``);
+* **collector** — time inside the cyclic GC by generation, from
+  ``gc.callbacks`` installed by this script (nothing under ``src/``
+  touches ``gc``); it is *included* in whichever thread and handler
+  tripped the collection, not additional to them;
+* **frames** — bytes and frames sent per message type, both directions,
+  counted at ``Connection._transmit`` (patched here, in both
+  processes; the child reports its own sends).
+
+See ``docs/PERFORMANCE.md``, "CPU per task".
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
+
+WAVE = 5_000
+BUNDLE = 500
+EXECUTORS = 4
+PIPELINE = 32
+
+
+def _count_frames() -> tuple[Counter, Counter]:
+    """Patch ``Connection._transmit`` to tally (bytes, frames) per type."""
+    from repro.live.protocol import Connection
+    from repro.net.message import CODE_TO_TYPE
+
+    sent_bytes: Counter = Counter()
+    sent_frames: Counter = Counter()
+    transmit = Connection._transmit
+
+    def counting_transmit(self, frame: bytes) -> None:
+        kind = CODE_TO_TYPE[frame[2]].name
+        sent_bytes[kind] += len(frame)
+        sent_frames[kind] += 1
+        transmit(self, frame)
+
+    Connection._transmit = counting_transmit
+    return sent_bytes, sent_frames
+
+
+def _client(host: str, port: int, waves: int) -> int:
+    from repro.live.client import LiveClient
+    from repro.types import TaskSpec
+
+    sent_bytes, sent_frames = _count_frames()
+    started = time.process_time()
+    client = LiveClient.connect(host, port, bundle_size=BUNDLE)
+    try:
+        for wave in range(waves):
+            futures = client.submit([
+                TaskSpec.sleep(0, task_id=f"burst_sleep0-0123456789ab-{i:07d}")
+                for i in range(wave * WAVE, (wave + 1) * WAVE)
+            ])
+            for future in futures:
+                if not future.result(timeout=300).ok:
+                    return 1
+            client.release_settled()
+    finally:
+        client.close()
+    print(json.dumps({"bytes": sent_bytes, "frames": sent_frames,
+                      "cpu_s": time.process_time() - started}))
+    return 0
+
+
+def _thread_cpu() -> dict[str, float]:
+    out: dict[str, float] = {}
+    for thread in threading.enumerate():
+        try:
+            clock = time.pthread_getcpuclockid(thread.ident)
+            out[thread.name] = time.clock_gettime(clock)
+        except (OSError, TypeError):
+            continue  # thread ended between enumerate and read
+    return out
+
+
+class _CollectorClock:
+    """Seconds and collections per GC generation, via ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.seconds = [0.0, 0.0, 0.0]
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        # A collection starts and stops on the thread that tripped it.
+        if phase == "start":
+            self._started = time.thread_time()
+        else:
+            generation = info["generation"]
+            self.seconds[generation] += time.thread_time() - self._started
+            self.collections[generation] += 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--waves", type=int, default=20,
+                        help="closed-loop waves of 5 000 sleep-0 tasks")
+    parser.add_argument("--client", nargs=2, metavar=("HOST", "PORT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.client:
+        return _client(args.client[0], int(args.client[1]), args.waves)
+
+    from repro.live.dispatcher import LiveDispatcher
+    from repro.live.executor import LiveExecutor
+
+    sent_bytes, sent_frames = _count_frames()
+    dispatcher = LiveDispatcher()
+    executors = [LiveExecutor(dispatcher.endpoint, pipeline=PIPELINE).start()
+                 for _ in range(EXECUTORS)]
+    collector = _CollectorClock()
+    tasks = args.waves * WAVE
+    try:
+        for executor in executors:
+            if not executor.wait_registered(timeout=10.0):
+                raise RuntimeError(f"{executor.executor_id} did not register")
+        gc.collect()
+        gc.callbacks.append(collector)
+        sent_bytes.clear()
+        sent_frames.clear()
+        threads_before = _thread_cpu()
+        handlers_before = dispatcher.stats().handler_cpu_s
+        cpu_before = time.process_time()
+        child = subprocess.run(
+            [sys.executable, __file__, "--waves", str(args.waves),
+             "--client", dispatcher.host, str(dispatcher.port)],
+            stdout=subprocess.PIPE, text=True)
+        cpu = time.process_time() - cpu_before
+        handlers = dispatcher.stats().handler_cpu_s
+        threads = _thread_cpu()
+        gc.callbacks.remove(collector)
+        if child.returncode != 0 or dispatcher.tasks_completed != tasks:
+            print(f"census run failed: client exit {child.returncode}, "
+                  f"{dispatcher.tasks_completed}/{tasks} completed",
+                  file=sys.stderr)
+            return 1
+        client = json.loads(child.stdout.splitlines()[-1])
+    finally:
+        for executor in executors:
+            executor.stop()
+        for executor in executors:
+            executor.join(timeout=5.0)
+        dispatcher.close()
+
+    def per_task(seconds: float) -> float:
+        return seconds / tasks * 1e6
+
+    print(f"{tasks} sleep-0 tasks, {args.waves} waves of {WAVE}, "
+          f"{EXECUTORS} executors at depth {PIPELINE}")
+    print(f"\nprocess CPU {per_task(cpu):7.1f} us/task   "
+          f"(client process {per_task(client['cpu_s']):.1f})")
+
+    print(f"\n{'thread':<28} {'us/task':>8}")
+    executor_names = {e.executor_id for e in executors}
+    folded: Counter = Counter()
+    for name, after in threads.items():
+        spent = after - threads_before.get(name, 0.0)
+        folded["executors (x%d)" % EXECUTORS if name in executor_names
+               else name] += spent
+    for name, spent in sorted(folded.items(), key=lambda kv: -kv[1]):
+        if per_task(spent) >= 0.05:
+            print(f"{name:<28} {per_task(spent):8.1f}")
+
+    print(f"\n{'handler':<28} {'us/task':>8}")
+    spent_in = {name: handlers[name] - handlers_before.get(name, 0.0)
+                for name in handlers}
+    for name, spent in sorted(spent_in.items(), key=lambda kv: -kv[1]):
+        if per_task(spent) >= 0.05:
+            print(f"{name:<28} {per_task(spent):8.1f}")
+    print(f"{'all handlers':<28} {per_task(sum(spent_in.values())):8.1f}")
+
+    print(f"\n{'collector':<28} {'us/task':>8} {'collections':>12}")
+    for generation in range(3):
+        print(f"{'generation %d' % generation:<28} "
+              f"{per_task(collector.seconds[generation]):8.1f} "
+              f"{collector.collections[generation]:12d}")
+    print(f"{'all generations':<28} {per_task(sum(collector.seconds)):8.1f}")
+
+    print(f"\n{'frame kind':<28} {'bytes/task':>10} {'tasks/frame':>12}")
+    sent_bytes.update(client["bytes"])
+    sent_frames.update(client["frames"])
+    for kind, size in sorted(sent_bytes.items(), key=lambda kv: -kv[1]):
+        if size / tasks >= 0.5:
+            print(f"{kind:<28} {size / tasks:10.1f} "
+                  f"{tasks / sent_frames[kind]:12.1f}")
+    print(f"{'all frames':<28} {sum(sent_bytes.values()) / tasks:10.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

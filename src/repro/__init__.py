@@ -58,7 +58,6 @@ from repro.config import (
     ReleasePolicyName,
     SecurityMode,
 )
-from repro.core import FalkonSystem, SimClient, SimDispatcher, SimExecutor, Provisioner
 from repro.types import Bundle, DataLocation, DataRef, TaskResult, TaskSpec, TaskState
 
 __version__ = "1.0.0"
@@ -86,3 +85,19 @@ __all__ = [
     "DataLocation",
     "__version__",
 ]
+
+#: The simulation plane's names resolve on first access (PEP 562): a
+#: process that only runs the live plane never imports ``repro.core``
+#: and, through it, numpy.
+_SIM_PLANE = frozenset(
+    {"FalkonSystem", "SimDispatcher", "SimExecutor", "SimClient", "Provisioner"})
+
+
+def __getattr__(name: str):
+    if name in _SIM_PLANE:
+        from importlib import import_module
+
+        value = getattr(import_module("repro.core"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

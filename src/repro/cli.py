@@ -698,6 +698,7 @@ def _cmd_dlq(args) -> int:
             # Offline: replay the journal directory.  Retry needs a
             # live dispatcher — the journal alone cannot re-dispatch.
             from repro.live.journal import recover
+            from repro.live.protocol import task_from_dict
 
             state = recover(journal)
             quarantined = [t for t in state.tasks.values() if t.in_dlq]
@@ -713,7 +714,9 @@ def _cmd_dlq(args) -> int:
                 return 0
             entries = [
                 {"task_id": t.task_id, "client_id": t.client_id,
-                 "command": t.spec.get("command", ""),
+                 # The journalled spec is sparse (defaults omitted):
+                 # parse it for the command the task actually runs.
+                 "command": task_from_dict(t.spec).command,
                  "attempts": t.attempts, "error": t.dlq_error}
                 for t in sorted(quarantined, key=lambda t: t.task_id)
             ]

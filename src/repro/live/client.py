@@ -36,6 +36,9 @@ from repro.types import Bundle, TaskResult, TaskSpec, TaskTimeline
 
 __all__ = ["TaskFuture", "LiveClient"]
 
+#: A timeline stamp CLIENT_NOTIFY omitted: the dispatcher does not know it.
+_NAN = float("nan")
+
 
 class TaskFuture:
     """Completion handle for one submitted task.
@@ -484,12 +487,11 @@ class LiveClient:
             futures = self._futures
             for payload in payloads:
                 timeline = payload.get("timeline") or {}
-                result = result_from_dict(payload)
-                result.timeline = TaskTimeline(
-                    submitted=timeline.get("submitted", float("nan")),
-                    dispatched=timeline.get("dispatched", float("nan")),
-                    completed=timeline.get("completed", float("nan")),
-                )
+                result = result_from_dict(payload, TaskTimeline(
+                    submitted=timeline.get("submitted", _NAN),
+                    dispatched=timeline.get("dispatched", _NAN),
+                    completed=timeline.get("completed", _NAN),
+                ))
                 future = futures.get(result.task_id)
                 if future is not None:
                     pairs.append((future, result))

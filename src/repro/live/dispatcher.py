@@ -91,6 +91,7 @@ budget and the DLQ, so each task has exactly one home.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import socket
 import threading
@@ -102,13 +103,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import ProtocolError
 from repro.live.endpoint import Endpoint
 from repro.live.ioloop import IOLoop
-from repro.live.journal import (
-    Journal,
-    RESULT_DEFAULTS,
-    SPEC_DEFAULTS,
-    recover as recover_journal,
-    strip_defaults,
-)
+from repro.live.journal import Journal, recover as recover_journal
 from repro.live.protocol import (
     Connection,
     result_from_dict,
@@ -166,31 +161,30 @@ LOCK_WAIT_DEGRADED = 1.0
 JOURNAL_STALE_DEGRADED = 5.0
 
 
-def _journal_spec(spec: TaskSpec) -> dict:
-    """A task spec as journalled: default fields and the task_id
-    stripped (the record's ``id`` carries the latter; recovery
-    restores both)."""
-    data = strip_defaults(task_to_dict(spec), SPEC_DEFAULTS)
-    data.pop("task_id", None)
+def _wal_object(data: dict) -> dict:
+    """A freshly built wire object (``task_to_dict`` / ``result_to_dict``)
+    as a WAL row stores it: minus ``task_id``, which the row's ``id``
+    carries and recovery restores."""
+    del data["task_id"]
     return data
 
 
-def _journal_result(result: TaskResult) -> dict:
-    """A task result as journalled (same stripping as specs)."""
-    data = strip_defaults(result_to_dict(result), RESULT_DEFAULTS)
-    data.pop("task_id", None)
-    return data
+def _timeline_stamps(timeline: TaskTimeline) -> Optional[dict]:
+    """The CLIENT_NOTIFY ``timeline`` object: the stamps that are known.
 
-
-def _journal_spec_wire(spec: TaskSpec, raw: Optional[dict]) -> dict:
-    """Like :func:`_journal_spec`, but strips from the wire dict the
-    spec arrived as when one is in hand — the admission path already
-    holds it, so journalling costs no re-serialisation pass."""
-    if raw is None:
-        return _journal_spec(spec)
-    data = strip_defaults(raw, SPEC_DEFAULTS)
-    data.pop("task_id", None)
-    return data
+    An unknown stamp (NaN — a result recovered from the journal has a
+    fresh timeline) is omitted, as defaults are everywhere on the wire,
+    and ``None`` says no stamp is known: ``NaN`` is not JSON.
+    """
+    isfinite = math.isfinite
+    stamps = {}
+    if isfinite(timeline.submitted):
+        stamps["submitted"] = timeline.submitted
+    if isfinite(timeline.dispatched):
+        stamps["dispatched"] = timeline.dispatched
+    if isfinite(timeline.completed):
+        stamps["completed"] = timeline.completed
+    return stamps or None
 
 
 @dataclass(slots=True)
@@ -211,7 +205,7 @@ class _LiveRecord:
     trace_wire: Optional[dict] = None
     #: The spec's wire dict, captured verbatim from the client's
     #: SUBMIT payload (else built lazily on first dispatch), so a
-    #: WORK/piggyback frame never rebuilds it — the C JSON encoder
+    #: WORK/RESULT_ACK frame never rebuilds it — the C JSON encoder
     #: re-serialises the shared dict at frame speed.  (Pre-encoded
     #: byte splicing was measured slower: many small Python-level
     #: ops lose to one big C ``dumps``; see docs/PERFORMANCE.md.)
@@ -231,6 +225,29 @@ class _LiveRecord:
     origin_attempt: int = 0
     #: Guards every mutable field above (fine-grained locking).
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+
+#: One settled result on its way out: the recipient (the owning client,
+#: or ``peer:<shard>`` for a stolen task's donor), the result, and the
+#: record it settled — in hand at every call site, so the notify path
+#: marks it acked without a second table lookup.
+_Notify = tuple[str, TaskResult, "_LiveRecord"]
+
+
+class _SettleBatch:
+    """What one handler's settles owe the shared sinks, paid once per
+    frame by :meth:`LiveDispatcher._flush_settles` — span rows, WAL
+    rows, e2e samples and the two terminal counters — instead of one
+    lock round trip per sink per task."""
+
+    __slots__ = ("span_rows", "journal_rows", "e2e", "completed", "failed")
+
+    def __init__(self) -> None:
+        self.span_rows: list[tuple] = []
+        self.journal_rows: list[dict] = []
+        self.e2e: list[float] = []
+        self.completed = 0
+        self.failed = 0
 
 
 class _ExecutorSession:
@@ -321,7 +338,6 @@ class LiveDispatcher:
         port: int = 0,
         key: Optional[bytes] = None,
         max_retries: int = 3,
-        piggyback: bool = True,
         heartbeat_interval: Optional[float] = None,
         heartbeat_miss_budget: int = 3,
         replay_timeout: Optional[float] = None,
@@ -360,7 +376,6 @@ class LiveDispatcher:
             raise ValueError("replay_timeout must be positive when set")
         self.key = key
         self.max_retries = max_retries
-        self.piggyback = piggyback
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_miss_budget = heartbeat_miss_budget
         self.replay_timeout = replay_timeout
@@ -500,6 +515,14 @@ class LiveDispatcher:
         self._h_e2e = self.metrics.histogram(
             "e2e_latency_seconds",
             help="Submit -> settle latency per task")
+        # Where the loop thread's CPU goes, by message type (plus the
+        # monitor's sweep): thread-CPU seconds spent inside each handler.
+        self._m_handler_cpu = {
+            name: self.metrics.counter(
+                f"handler_{name}_cpu_seconds",
+                help=f"Thread CPU seconds spent in the {name} handler")
+            for name in (*_Session.HANDLER_NAMES.values(), "sweep")
+        }
 
         # The flight recorder: a bounded ring of structured events,
         # flushed to a dump on crash/SIGTERM/oracle violation/POST
@@ -669,6 +692,8 @@ class LiveDispatcher:
             dispatch_latency_p50=self._h_dispatch.p50,
             dispatch_latency_p90=self._h_dispatch.p90,
             dispatch_latency_p99=self._h_dispatch.p99,
+            handler_cpu_s={name: counter.value for name, counter
+                           in self._m_handler_cpu.items()},
         )
 
     def trace(self, task_id: str) -> list[Span]:
@@ -1089,11 +1114,14 @@ class LiveDispatcher:
 
     # -- liveness monitor ------------------------------------------------------
     def _monitor_loop(self) -> None:
+        sweep_cpu = self._m_handler_cpu["sweep"]
         while not self._closing.wait(self.monitor_interval):
+            started = time.thread_time()
             try:
                 self._sweep()
             except Exception:  # a sweep must never kill the monitor
                 pass
+            sweep_cpu.inc(time.thread_time() - started)
 
     def _sweep(self) -> None:
         now = time.monotonic()
@@ -1107,7 +1135,7 @@ class LiveDispatcher:
                 with executor.lock:
                     if now - executor.last_seen > deadline:
                         dead.append(executor.executor_id)
-        overdue_notifies: list[tuple[str, TaskResult]] = []
+        overdue_notifies: list[_Notify] = []
         if self.replay_timeout is not None:
             now_rel = now - self._started
             with self._records_lock:
@@ -1365,8 +1393,7 @@ class LiveDispatcher:
         # lost (or rejected bundle it re-sends) must not double-enqueue
         # — resubmission is idempotent per task id.  ``raw_by_id`` keeps
         # the wire dict each fresh spec arrived as, verbatim: dispatch
-        # re-serialises this shared dict instead of rebuilding it, and
-        # the journal strips its defaults without a task_to_dict pass.
+        # re-serialises this shared dict instead of rebuilding it.
         fresh: list[TaskSpec] = []
         raw_by_id: dict[str, Optional[dict]] = {}
         dup_records: list[_LiveRecord] = []
@@ -1383,22 +1410,22 @@ class LiveDispatcher:
         # its original CLIENT_NOTIFY may have gone out long ago, so the
         # stored result is re-pushed to the submitter below.  The
         # future's first-wins rule dedupes on the client.
-        settled_dupes: list[TaskResult] = []
+        settled_dupes: list[_Notify] = []
         for record in dup_records:
             with record.lock:
                 if record.result is not None:
-                    settled_dupes.append(record.result)
+                    settled_dupes.append((client_id, record.result, record))
         journaled = self.journal is not None and bool(fresh)
         if journaled:
             # Durable-before-accept: one group commit covers the bundle
             # and runs before any dispatcher state changes, so a
             # SUBMIT_ACK is a promise the tasks survive a crash.  Specs
-            # are stored default-stripped and the whole bundle is
-            # buffered under one lock — the WAL cost of a submit is a
-            # few dict keys per task, not a serialisation pass.
+            # are stored in the sparse wire form and the whole bundle
+            # is buffered under one lock — the WAL cost of a submit is
+            # a few dict keys per task.
             self.journal.append_many([
                 {"k": "submit", "id": spec.task_id,
-                 "spec": _journal_spec_wire(spec, raw_by_id[spec.task_id]),
+                 "spec": _wal_object(task_to_dict(spec)),
                  "client": client_id}
                 for spec in fresh
             ])
@@ -1466,9 +1493,7 @@ class LiveDispatcher:
                     payload={"accepted": len(tasks)})
         )
         if settled_dupes:
-            self._notify_clients(
-                [(client_id, result) for result in settled_dupes]
-            )
+            self._notify_clients(settled_dupes)
         for executor in idle_to_notify:
             self._send_notify(executor)
 
@@ -1479,8 +1504,6 @@ class LiveDispatcher:
         if role is None or role[0] != "client":
             return
         client_id = role[1]
-        from repro.live.protocol import result_to_dict
-
         with self._records_lock:
             records = list(self._records.values())
         finished = []
@@ -1727,7 +1750,7 @@ class LiveDispatcher:
         re-returns the stored result so both shards converge.
         """
         accepted: list[_LiveRecord] = []
-        resend: list[tuple[str, TaskResult]] = []
+        resend: list[_Notify] = []
         now = self._now()
         client_id = PEER_PREFIX + donor_shard
         for entry in entries:
@@ -1745,7 +1768,7 @@ class LiveDispatcher:
                     record.origin_attempt = attempt
                     stored = record.result if record.state.terminal else None
                 if stored is not None:
-                    resend.append((record.client_id, stored))
+                    resend.append((record.client_id, stored, record))
                 continue
             record = _LiveRecord(spec=spec, client_id=client_id)
             record.origin_shard = donor_shard
@@ -1760,7 +1783,7 @@ class LiveDispatcher:
         if self.journal is not None and accepted:
             self.journal.append_many([
                 {"k": "submit", "id": record.spec.task_id,
-                 "spec": _journal_spec(record.spec),
+                 "spec": _wal_object(task_to_dict(record.spec)),
                  "client": client_id,
                  "origin": {"shard": donor_shard,
                             "attempt": record.origin_attempt}}
@@ -1783,42 +1806,43 @@ class LiveDispatcher:
             self._notify_clients(resend)
         return len(accepted)
 
-    def _return_stolen(self, donor_shard: str, results: list[TaskResult]) -> None:
+    def _return_stolen(self, donor_shard: str, settled: list[_Notify]) -> None:
         """Send settled stolen-task results home over the donor's peer
         link.  Delivered results are acked + evicted like client
         notifies; an unreachable donor leaves them terminal and
         un-acked, so a re-grant after the donor recovers re-returns
         the stored result instead of re-running the task."""
-        from repro.live.protocol import result_to_dict
-
         with self._peer_lock:
             link = self._peer_links.get(donor_shard)
         entries = []
-        for result in results:
-            with self._records_lock:
-                record = self._records.get(result.task_id)
-            attempt = None
-            exec_seconds = 0.0
-            if record is not None:
-                with record.lock:
-                    attempt = record.origin_attempt
-                    if record.timeline.dispatched:
-                        exec_seconds = max(
-                            0.0,
-                            record.timeline.completed - record.timeline.dispatched,
-                        )
+        for _, result, record in settled:
+            with record.lock:
+                attempt = record.origin_attempt
+                exec_seconds = 0.0
+                if record.timeline.dispatched:
+                    exec_seconds = max(
+                        0.0,
+                        record.timeline.completed - record.timeline.dispatched,
+                    )
             entries.append({"result": result_to_dict(result),
                             "attempt": attempt,
                             "exec": {"seconds": exec_seconds}})
         if link is None or not link.send_results(entries):
             return
+        self._mark_acked(settled)
+
+    def _mark_acked(self, settled: list[_Notify]) -> None:
+        """The frame carrying *settled* left this process: journal the
+        delivery so recovery knows which results the receiver may have
+        seen.  (Buffered send ≠ receipt — the ``acked`` bit is a
+        best-effort delivery marker, not an end-to-end ack; the
+        client-side future dedupes any re-notify.)  One journal record
+        covers the whole frame — ``ids`` keeps the hot path at one
+        append per flush, not one per task."""
         acked_ids = []
-        for result in results:
-            with self._records_lock:
-                record = self._records.get(result.task_id)
-            if record is not None:
-                with record.lock:
-                    record.acked = True
+        for _, result, record in settled:
+            with record.lock:
+                record.acked = True
             acked_ids.append(result.task_id)
         self._journal_append("acked", "", ids=acked_ids)
         self._evict_settled(acked_ids)
@@ -1940,8 +1964,6 @@ class LiveDispatcher:
                 for result_payload, _, _ in entries:
                     executor.busy.discard(result_payload.get("task_id"))
                 executor.notified = False
-        notifies: list[tuple[str, TaskResult]] = []
-        settled: list[_LiveRecord] = []
         # One records-lock round trip for the whole batch: a pipelined
         # RESULT frame carries dozens of completions.
         with self._records_lock:
@@ -1955,20 +1977,22 @@ class LiveDispatcher:
                              record.timeline if record is not None else None)
             for (payload, _, _), record in zip(entries, records)
         ]
-        # Deferred spans for the whole frame: exec/result pairs (plus
-        # any retry-enqueue rows _settle appends) flush through one
-        # record_many below.  Row order = append order = chain order,
-        # so per-task ordering is exactly what the per-task calls gave.
-        # WAL records batch identically (one buffer-lock round trip
-        # per frame; same flush window, so durability is unchanged).
-        span_rows: list[tuple] = []
-        journal_rows: Optional[list[dict]] = (
-            [] if self.journal is not None else None)
+        # Everything the frame owes a shared sink is paid once, after
+        # the loop: exec/result span rows (plus any retry-enqueue rows
+        # _settle appends — row order = append order = chain order, so
+        # per-task ordering is exactly what per-task calls gave), WAL
+        # rows (same flush window, so durability is unchanged), the
+        # exec/e2e histogram samples and the counters.
+        notifies: list[_Notify] = []
+        batch = _SettleBatch()
+        span_rows = batch.span_rows
+        exec_samples: list[float] = []
+        stale = 0
         # Span attrs identical across the frame are built once, not per
         # task: the executor pair, and one tuple per outcome seen.
         executor_attr = ("executor", executor_id)
         outcome_attrs: dict[str, tuple] = {}
-        for (result_payload, echoed_attempt, exec_info), result, record in zip(
+        for (_, echoed_attempt, exec_info), result, record in zip(
             entries, results, records
         ):
             if not (is_peer and result.executor_id):
@@ -1979,57 +2003,61 @@ class LiveDispatcher:
                 continue
             result.task_id = record.spec.task_id
             with record.lock:
-                if record.state.terminal:
+                # DISPATCHED is the state a result is expected in;
+                # only the others pay for the ``terminal`` property.
+                state = record.state
+                if state is not TaskState.DISPATCHED and state.terminal:
                     continue
-                if echoed_attempt is not None and echoed_attempt != record.attempts:
+                attempts = record.attempts
+                if echoed_attempt is not None and echoed_attempt != attempts:
                     # A superseded attempt (the replay timer already
                     # re-dispatched this task): drop the stale result.
-                    self._m_stale.inc()
+                    stale += 1
                     continue
+                # One clock reading per settled entry stamps its exec
+                # end, result and completion.  The executor measured
+                # execution on its own clock; anchor the exec span at
+                # result arrival (the collector clamps it to stay
+                # monotonic).
                 now = self._now()
-                # The executor measured execution on its own clock;
-                # anchor the exec span at result arrival (the
-                # collector clamps it to stay monotonic).
                 exec_seconds = float(exec_info.get("seconds", 0.0))
-                self._h_exec.observe(exec_seconds)
-                outcome = ("ok" if result.ok else
-                           "fail" if record.attempts > self.max_retries
-                           else "retry")
+                exec_samples.append(exec_seconds)
+                ok = result.ok
+                outcome = ("ok" if ok else
+                           "fail" if attempts > self.max_retries else "retry")
                 result_attrs = outcome_attrs.get(outcome)
                 if result_attrs is None:
                     result_attrs = outcome_attrs[outcome] = (
                         executor_attr, ("outcome", outcome))
+                task_id = result.task_id
                 span_rows.append(
-                    (result.task_id, "exec", now - exec_seconds, now,
-                     record.attempts,
+                    (task_id, "exec", now - exec_seconds, now, attempts,
                      (executor_attr, ("seconds", exec_seconds))))
                 span_rows.append(
-                    (result.task_id, "result", self._now(), None,
-                     record.attempts, result_attrs))
-                notify_payload = self._settle(record, result, span_rows,
-                                              journal_rows)
-                if notify_payload is not None:
-                    notifies.append(notify_payload)
-                    settled.append(record)
-        if span_rows:
-            self.spans.record_many(span_rows)
-        if journal_rows:
-            self.journal.append_many(journal_rows)
+                    (task_id, "result", now, None, attempts, result_attrs))
+                notify = self._settle(record, result, ok, now, batch)
+                if notify is not None:
+                    notifies.append(notify)
+        self._h_exec.observe_many(exec_samples)
+        if stale:
+            self._m_stale.inc(stale)
+        self._flush_settles(batch)
         # Piggy-back queued work on the acknowledgement {7}, up to the
         # executor's remaining pipeline capacity (§3.4 extended).
         # Never to a federation peer: stealing is explicit-request-only,
         # a piggy-backed task would be a push the thief never asked for.
         claimed: list[_LiveRecord] = []
-        if self.piggyback and executor is not None and not is_peer:
+        if executor is not None and not is_peer:
             claimed = self._claim_many(executor, executor.capacity(), mode="piggyback")
         wake: list[_ExecutorSession] = []
         if not claimed:
             with self._queue_lock:
                 qlen = len(self._queue)
             if qlen:
-                # No piggy-back (disabled, or a retry refilled the
-                # queue after the claim): fall back to a NOTIFY push so
-                # idle executors — including this one — pick it up.
+                # Nothing piggy-backed (a peer session, or a retry
+                # refilled the queue after the claim): fall back to a
+                # NOTIFY push so idle executors — including this one —
+                # pick it up.
                 wake = self._pick_idle_executors(qlen)
         ack = Message(MessageType.RESULT_ACK, sender="dispatcher", payload={})
         if claimed:
@@ -2047,14 +2075,14 @@ class LiveDispatcher:
         else:
             if claimed:
                 self._mark_delivered_many(claimed, executor)
-        if settled:
+        if notifies:
             ack_now = self._now()
             ack_attrs = (("executor", executor_id),
                          ("delivered", ack_delivered))
             self.spans.record_many([
-                (settled_record.spec.task_id, "ack", ack_now, None,
-                 settled_record.attempts, ack_attrs)
-                for settled_record in settled
+                (record.spec.task_id, "ack", ack_now, None,
+                 record.attempts, ack_attrs)
+                for _, _, record in notifies
             ])
         for idle_executor in wake:
             self._send_notify(idle_executor)
@@ -2092,6 +2120,9 @@ class LiveDispatcher:
         span_batch: list[tuple[_LiveRecord, tuple]] = []
         journal_batch: Optional[list[dict]] = (
             [] if self.journal is not None else None)
+        # One clock reading and one attrs tuple stamp the whole burst.
+        now = self._now()
+        attrs = executor.dispatch_attrs(mode)
         while len(claimed) < limit:
             # Batched pops: one queue-lock and one records-lock round
             # trip per claim burst, not per task (the hot path claims
@@ -2111,8 +2142,8 @@ class LiveDispatcher:
                 with record.lock:
                     if record.state is not TaskState.QUEUED:
                         continue  # a duplicate queue entry from a replay path
-                    self._mark_dispatched(record, executor, mode, span_batch,
-                                          journal_batch)
+                    self._mark_dispatched(record, executor, mode, now, attrs,
+                                          span_batch, journal_batch)
                 task_id = record.spec.task_id
                 undo = False
                 with executor.lock:
@@ -2152,9 +2183,9 @@ class LiveDispatcher:
         one span per dispatch whose context goes on the wire)."""
         if not batch:
             return
-        contexts = self.spans.record_stamped([row for _, row in batch])
-        for (record, _row), ctx in zip(batch, contexts):
-            record.trace_wire = ctx.to_wire() if ctx is not None else None
+        wires = self.spans.record_wire([row for _, row in batch])
+        for (record, _row), wire in zip(batch, wires):
+            record.trace_wire = wire
 
     @staticmethod
     def _spec_dict(record: _LiveRecord) -> dict:
@@ -2191,12 +2222,16 @@ class LiveDispatcher:
         record: _LiveRecord,
         executor: _ExecutorSession,
         mode: str,
+        now: float,
+        attrs: tuple,
         span_rows: list[tuple["_LiveRecord", tuple]],
         journal_rows: Optional[list[dict]],
     ) -> None:
         """Transition a QUEUED record to DISPATCHED (record lock held).
 
-        The "notify" span is deferred into *span_rows*; the caller
+        *now* and *attrs* (the claim burst's clock reading and its
+        ``executor.dispatch_attrs(mode)``) stamp the "notify" span,
+        which is deferred into *span_rows*; the caller
         flushes the burst through :meth:`_flush_notify_spans`, which
         also stamps ``record.trace_wire`` — before any frame is built
         from it (``_fill_task_payload`` runs after the claim returns).
@@ -2211,14 +2246,13 @@ class LiveDispatcher:
         record.executor_id = executor.executor_id
         record.delivered = False
         record.dispatch_mode = mode
-        record.timeline.dispatched = self._now()
-        self.flight.record(fl.QUEUE_CLAIM, record.spec.task_id)
+        record.timeline.dispatched = now
+        task_id = record.spec.task_id
+        self.flight.record(fl.QUEUE_CLAIM, task_id)
         span_rows.append((record, (
-            record.spec.task_id, "notify", record.timeline.dispatched, None,
-            record.attempts, executor.dispatch_attrs(mode),
-        )))
+            task_id, "notify", now, None, record.attempts, attrs)))
         if journal_rows is not None:
-            journal_rows.append({"k": "dispatch", "id": record.spec.task_id,
+            journal_rows.append({"k": "dispatch", "id": task_id,
                                  "attempt": record.attempts,
                                  "executor": executor.executor_id})
 
@@ -2251,17 +2285,19 @@ class LiveDispatcher:
         """
         executor_id = executor.executor_id
         rows = []
+        latencies = []
+        # One clock reading for the frame: it left in one send.
+        now = self._now()
         for record in records:
             with record.lock:
                 if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
                     record.delivered = True
-                    now = self._now()
                     rows.append((
                         record.spec.task_id, "pull", now, None,
                         record.attempts,
                         executor.dispatch_attrs(record.dispatch_mode),
                     ))
-                    self._h_dispatch.observe(now - record.timeline.submitted)
+                    latencies.append(now - record.timeline.submitted)
                     if self.events.enabled:
                         self.events.emit(ev.TASK_DISPATCH, record.spec.task_id,
                                          executor=executor_id,
@@ -2269,6 +2305,7 @@ class LiveDispatcher:
                                          mode=record.dispatch_mode)
         if rows:
             self.spans.record_many(rows)
+            self._h_dispatch.observe_many(latencies)
             self.flight.record(fl.FRAME_TX, "WORK", tasks=len(rows),
                                executor=executor_id)
         # Chaos hook: die right after a WORK/ack frame left — the task
@@ -2305,26 +2342,32 @@ class LiveDispatcher:
         except Exception:
             self._drop_executor(executor.executor_id, only_conn=executor.conn)
 
-    def _settle(self, record: _LiveRecord, result: TaskResult,
-                span_rows: Optional[list] = None,
-                journal_rows: Optional[list] = None):
-        """Finalize or retry (record lock held).  Returns client-notify args.
+    def _settle(self, record: _LiveRecord, result: TaskResult, ok: bool,
+                now: float, batch: _SettleBatch) -> Optional[_Notify]:
+        """Finalize or retry (record lock held) — the only place a
+        record turns terminal.  Returns the client notify, or ``None``
+        when the task went back to the queue.
 
-        With *span_rows*, the retry path's "enqueue" span is appended
-        there for the caller's batched flush (safe: claims only happen
-        on the dispatcher loop thread, so nothing can dispatch the
-        requeued task before the caller flushes).  *journal_rows*
-        batches the result/dlq/requeue WAL records the same way; all
-        of them ride the async flush window either way.
+        *ok* is ``result.ok`` and *now* the clock reading that stamps
+        the transition, both taken once by the caller.  Span rows, WAL
+        rows, the e2e sample and the terminal counters land in *batch*
+        for the caller's one :meth:`_flush_settles` per frame (safe for
+        the retry path's "enqueue" span: claims only happen on the
+        dispatcher loop thread, so nothing can dispatch the requeued
+        task before the caller flushes; the WAL rows ride the async
+        flush window either way).
         """
         # A stolen task settles on its FIRST result, pass or fail: the
         # donor shard owns the retry budget and the DLQ (each task has
         # exactly one home), so retrying or quarantining here would
         # double-count both.  The failure travels back instead.
         stolen = bool(record.origin_shard)
-        if result.ok or stolen or record.attempts > self.max_retries:
-            record.state = TaskState.COMPLETED if result.ok else TaskState.FAILED
-            record.timeline.completed = self._now()
+        task_id = record.spec.task_id
+        journaled = self.journal is not None
+        if ok or stolen or record.attempts > self.max_retries:
+            outcome = "ok" if ok else "fail"
+            record.state = TaskState.COMPLETED if ok else TaskState.FAILED
+            record.timeline.completed = now
             result.attempts = record.attempts
             result.timeline = record.timeline
             record.result = result
@@ -2333,78 +2376,71 @@ class LiveDispatcher:
             # rebuilds and the notify flush restamps.
             record.spec_dict = None
             record.trace_wire = None
-            if result.ok:
-                self._m_completed.inc()
+            if ok:
+                batch.completed += 1
                 if stolen:
                     self._m_stolen_done.inc()
             else:
-                self._m_failed.inc()
+                batch.failed += 1
                 if stolen:
                     self._m_stolen_failed.inc()
-            self._h_e2e.observe(record.timeline.completed - record.timeline.submitted)
-            self.flight.record(fl.TASK_SETTLE, record.spec.task_id,
-                               outcome="ok" if result.ok else "fail")
+            batch.e2e.append(now - record.timeline.submitted)
+            self.flight.record(fl.TASK_SETTLE, task_id, outcome=outcome)
             if self.events.enabled:
                 self.events.emit(
-                    ev.TASK_SETTLE, record.spec.task_id,
-                    outcome="ok" if result.ok else "fail",
+                    ev.TASK_SETTLE, task_id, outcome=outcome,
                     attempts=record.attempts, executor=result.executor_id,
                 )
-            if self.journal is not None:
-                # Guarded block: _journal_result's stripping pass must
-                # cost nothing on journal-less dispatchers.
-                row = {"k": "result", "id": record.spec.task_id,
-                       "outcome": "ok" if result.ok else "fail",
-                       "result": _journal_result(result)}
-                if journal_rows is not None:
-                    journal_rows.append(row)
-                else:
-                    self.journal.append_many([row])
-            if not result.ok and not stolen:
+            if journaled:
+                batch.journal_rows.append(
+                    {"k": "result", "id": task_id, "outcome": outcome,
+                     "result": _wal_object(result_to_dict(result))})
+            if not ok and not stolen:
                 # Poison task: the retry budget is spent.  The client
                 # still sees the terminal failure (no hanging futures);
                 # the task is additionally quarantined for inspection
                 # and operator-driven retry (``repro dlq``).
                 with self._dlq_lock:
-                    self._dlq[record.spec.task_id] = self._dlq_entry_from_record(record)
+                    self._dlq[task_id] = self._dlq_entry_from_record(record)
                 self._m_dlq.inc()
-                if journal_rows is not None:
-                    journal_rows.append({"k": "dlq", "id": record.spec.task_id,
-                                         "error": result.error})
-                else:
-                    self._journal_append("dlq", record.spec.task_id,
-                                         error=result.error)
-                self.events.emit(ev.TASK_DLQ, record.spec.task_id,
+                if journaled:
+                    batch.journal_rows.append(
+                        {"k": "dlq", "id": task_id, "error": result.error})
+                self.events.emit(ev.TASK_DLQ, task_id,
                                  attempts=record.attempts, error=result.error)
-            return (record.client_id, result)
+            return (record.client_id, result, record)
         # retry
         self._m_retries.inc()
-        self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
+        self.flight.record(fl.QUEUE_REQUEUE, task_id)
         if self.events.enabled:
-            self.events.emit(ev.TASK_RETRY, record.spec.task_id,
+            self.events.emit(ev.TASK_RETRY, task_id,
                              attempt=record.attempts, reason="failed-result")
         record.state = TaskState.QUEUED
         record.executor_id = ""
         record.delivered = False
-        if span_rows is not None:
-            span_rows.append((
-                record.spec.task_id, "enqueue", self._now(), None,
-                record.attempts + 1, (("reason", "retry"),),
-            ))
-        else:
-            self.spans.record(
-                record.spec.task_id, "enqueue", self._now(),
-                attempt=record.attempts + 1, reason="retry",
-            )
+        batch.span_rows.append((
+            task_id, "enqueue", now, None,
+            record.attempts + 1, (("reason", "retry"),),
+        ))
         with self._queue_lock:
-            self._queue.append(record.spec.task_id)
-        if journal_rows is not None and self.journal is not None:
-            journal_rows.append({"k": "requeue", "id": record.spec.task_id,
-                                 "attempt": record.attempts})
-        else:
-            self._journal_append("requeue", record.spec.task_id,
-                                 attempt=record.attempts)
+            self._queue.append(task_id)
+        if journaled:
+            batch.journal_rows.append({"k": "requeue", "id": task_id,
+                                       "attempt": record.attempts})
         return None
+
+    def _flush_settles(self, batch: _SettleBatch) -> None:
+        """Pay what a handler's :meth:`_settle` calls deferred: one
+        lock round trip per sink for the whole frame."""
+        if batch.span_rows:
+            self.spans.record_many(batch.span_rows)
+        if batch.journal_rows:
+            self.journal.append_many(batch.journal_rows)
+        if batch.completed:
+            self._m_completed.inc(batch.completed)
+        if batch.failed:
+            self._m_failed.inc(batch.failed)
+        self._h_e2e.observe_many(batch.e2e)
 
     def _requeue_dispatched(self, record: _LiveRecord, reason: str):
         """Replay a dispatched task whose executor/response is gone
@@ -2449,16 +2485,15 @@ class LiveDispatcher:
         self.spans.record(task_id, "result", now, attempt=record.attempts,
                           executor=record.executor_id, synthetic=True,
                           outcome="fail", reason=reason)
-        notify = self._settle(record, result)
+        batch = _SettleBatch()
+        notify = self._settle(record, result, False, now, batch)
+        self._flush_settles(batch)
         self.spans.record(task_id, "ack", self._now(), attempt=record.attempts,
                           executor=record.executor_id, synthetic=True,
                           delivered=False)
         return notify
 
-    def _notify_client(self, client_id: str, result: TaskResult) -> None:
-        self._notify_clients([(client_id, result)])
-
-    def _notify_clients(self, notifies: list[tuple[str, TaskResult]]) -> None:
+    def _notify_clients(self, notifies: list[_Notify]) -> None:
         """Push settled results, one CLIENT_NOTIFY frame per client.
 
         Results settled in the same batch and owned by the same client
@@ -2466,33 +2501,30 @@ class LiveDispatcher:
         """
         if not notifies:
             return
-        from repro.live.protocol import result_to_dict
-
-        by_client: dict[str, list[TaskResult]] = {}
-        stolen_home: dict[str, list[TaskResult]] = {}
-        for client_id, result in notifies:
+        by_client: dict[str, list[_Notify]] = {}
+        stolen_home: dict[str, list[_Notify]] = {}
+        for notify in notifies:
+            client_id = notify[0]
             if client_id.startswith(PEER_PREFIX):
                 # A settled stolen task: its "client" is the donor
                 # shard, and the result goes home over the peer link.
                 stolen_home.setdefault(
-                    client_id[len(PEER_PREFIX):], []).append(result)
+                    client_id[len(PEER_PREFIX):], []).append(notify)
             else:
-                by_client.setdefault(client_id, []).append(result)
-        for donor_shard, results in stolen_home.items():
-            self._return_stolen(donor_shard, results)
-        for client_id, results in by_client.items():
+                by_client.setdefault(client_id, []).append(notify)
+        for donor_shard, settled in stolen_home.items():
+            self._return_stolen(donor_shard, settled)
+        for client_id, settled in by_client.items():
             with self._client_lock:
                 client = self._clients.get(client_id)
             if client is None:
                 continue
             payloads = []
-            for result in results:
+            for _, result, _ in settled:
                 payload = result_to_dict(result)
-                payload["timeline"] = {
-                    "submitted": result.timeline.submitted,
-                    "dispatched": result.timeline.dispatched,
-                    "completed": result.timeline.completed,
-                }
+                stamps = _timeline_stamps(result.timeline)
+                if stamps is not None:
+                    payload["timeline"] = stamps
                 payloads.append(payload)
             try:
                 client.conn.send(
@@ -2503,24 +2535,7 @@ class LiveDispatcher:
                 continue  # client went away; results remain queryable
             self.flight.record(fl.FRAME_TX, "CLIENT_NOTIFY",
                                results=len(payloads))
-            # The notify left this process: journal the delivery so
-            # recovery knows which results the client may have seen.
-            # (Buffered send ≠ client receipt — the ``acked`` bit is a
-            # best-effort delivery marker, not an end-to-end ack; the
-            # client-side future dedupes any re-notify.)  One journal
-            # record covers the whole frame — ``ids`` keeps the hot
-            # path at one append per flush, not one per task.
-            acked_ids = [result.task_id for result in results]
-            with self._records_lock:
-                acked_records = [self._records.get(task_id)
-                                 for task_id in acked_ids]
-            for record in acked_records:
-                if record is not None:
-                    with record.lock:
-                        record.acked = True
-            if self.journal is not None:
-                self._journal_append("acked", "", ids=acked_ids)
-            self._evict_settled(acked_ids)
+            self._mark_acked(settled)
 
     def _evict_settled(self, acked_ids: list[str]) -> None:
         """Enforce ``retain_settled``: drop the oldest acked, settled,
@@ -2584,7 +2599,7 @@ class LiveDispatcher:
             executor.dead = True
             in_flight = list(executor.busy)
             executor.busy.clear()
-        notifies: list[tuple[str, TaskResult]] = []
+        notifies: list[_Notify] = []
         for task_id in in_flight:
             with self._records_lock:
                 record = self._records.get(task_id)
@@ -2661,6 +2676,10 @@ class _Session:
         MessageType.STATUS: LiveDispatcher._on_status,
         MessageType.STEAL_REQUEST: LiveDispatcher._on_steal_request,
     }
+    #: Handler-CPU attribution key per message type: ``submit``,
+    #: ``get_work``, ``result``, ...
+    HANDLER_NAMES = {mtype: handler.__name__.removeprefix("_on_")
+                     for mtype, handler in _HANDLERS.items()}
 
     def __init__(self, dispatcher: LiveDispatcher, sock: socket.socket) -> None:
         self.dispatcher = dispatcher
@@ -2705,7 +2724,10 @@ class _Session:
                 Message(MessageType.ERROR, payload={"error": f"unexpected {msg.type.value}"})
             )
             return
+        started = time.thread_time()
         handler(self.dispatcher, self, msg)
+        self.dispatcher._m_handler_cpu[self.HANDLER_NAMES[msg.type]].inc(
+            time.thread_time() - started)
         if self.role is not None and getattr(self.conn, "fault_role", None) is None:
             # Tag the connection for role-scoped fault plans once the
             # first message reveals what this session is, and re-key

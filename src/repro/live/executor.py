@@ -405,6 +405,7 @@ class LiveExecutor:
         RESULT frames — and N dispatcher wakeups — into one.
         """
         pending: list[dict] = []
+        exec_samples: list[float] = []
         window_started = 0.0
         for task_payload, attempt, trace in entries:
             if self._stop.is_set():
@@ -418,9 +419,9 @@ class LiveExecutor:
             finally:
                 self._busy = 0
                 self._backlog = max(0, self._backlog - 1)
-            exec_seconds = time.monotonic() - exec_started
-            self._m_executed.inc()
-            self._h_exec.observe(exec_seconds)
+            finished = time.monotonic()
+            exec_seconds = finished - exec_started
+            exec_samples.append(exec_seconds)
             entry = {
                 "result": result_to_dict(result),
                 # Locally measured execution window: the dispatcher
@@ -435,12 +436,21 @@ class LiveExecutor:
             if trace is not None:
                 entry["trace"] = trace
             pending.append(entry)
-            if time.monotonic() - window_started >= _RESULT_BATCH_WINDOW:
-                if not self._send_results(pending):
+            if finished - window_started >= _RESULT_BATCH_WINDOW:
+                if not self._report(pending, exec_samples):
                     return
                 pending = []
+                exec_samples = []
         if pending:
-            self._send_results(pending)
+            self._report(pending, exec_samples)
+
+    def _report(self, batch: list[dict], exec_samples: list[float]) -> bool:
+        """Account one RESULT frame's executions — one counter and one
+        histogram round trip per frame, so ``/metrics`` lags a task by
+        at most the batch window — then send it."""
+        self._m_executed.inc(len(exec_samples))
+        self._h_exec.observe_many(exec_samples)
+        return self._send_results(batch)
 
     def _send_results(self, batch: list[dict]) -> bool:
         try:

@@ -6,15 +6,21 @@ becomes crash-safe instead.  Every task lifecycle transition is one
 append-only JSONL record:
 
 =============  ==========================================================
-``submit``     task accepted from a client (full spec + owning client)
+``submit``     task accepted from a client (``spec`` + owning client)
 ``dispatch``   attempt ``n`` handed to an executor
 ``requeue``    attempt abandoned (failed result / replay / lost agent)
-``result``     terminal settle (``ok``/``fail``) with the full result
+``result``     terminal settle (``ok``/``fail``) with the ``result``
 ``acked``      CLIENT_NOTIFY left this process (one record per flush,
                carrying every covered task id in ``ids``)
 ``dlq``        retry budget exhausted; task quarantined in the DLQ
 ``dlq-retry``  operator re-queued a quarantined task
 =============  ==========================================================
+
+A row's ``spec`` / ``result`` is the sparse wire object
+(:func:`repro.live.protocol.task_to_dict` / ``result_to_dict``) minus
+``task_id``, which the row's ``id`` carries; recovery parses it with
+the same tolerant decoders the wire uses, so rows written in the
+all-keys shape of older journals still load.
 
 Durability model (see ``docs/RELIABILITY.md``):
 
@@ -134,10 +140,13 @@ def parse_journal_line(line: str) -> Optional[list[dict[str, Any]]]:
 
 
 #: Wire-dict fields whose values match the parser defaults of
-#: :func:`repro.live.protocol.task_from_dict` — journal ``submit``
-#: records drop them (:func:`strip_defaults`) so a sleep-0 spec costs
-#: three keys on disk, not ten.  Recovery round-trips through the same
-#: parser, which restores every stripped default.
+#: :func:`repro.live.protocol.task_from_dict`.  No longer on any hot
+#: path: ``task_to_dict`` / ``result_to_dict`` emit the sparse form
+#: themselves (from the dataclass defaults) and the dispatcher journals
+#: that.  This table, :data:`RESULT_DEFAULTS` and
+#: :func:`strip_defaults` stay importable and correct only because
+#: ``bench/layers.py`` builds its isolated WAL rows with them; the next
+#: ``benchmark`` PR can retire all three.
 SPEC_DEFAULTS: dict[str, Any] = {
     "working_dir": ".",
     "env": [],
@@ -166,7 +175,9 @@ def strip_defaults(data: dict[str, Any], defaults: dict[str, Any]) -> dict[str, 
 
     Journal bandwidth is dispatcher CPU (the flusher's JSON encoding
     shares the GIL with the I/O loop), so every default field written
-    per task is pure overhead on the hot path.
+    per task is pure overhead on the hot path.  Nothing under ``src/``
+    calls this any more (see :data:`SPEC_DEFAULTS`): on an already
+    sparse wire object it is the identity.
     """
     return {k: v for k, v in data.items() if defaults.get(k, _MISSING) != v}
 

@@ -54,122 +54,123 @@ def _ref_from_dict(data: dict[str, Any]) -> DataRef:
     return DataRef(data["name"], data["size"], DataLocation(data["location"]))
 
 
+#: One default-constructed instance of each dataclass: the codecs below
+#: compare against (and fall back to) these, so the dataclass stays the
+#: only place a field default is written down.
+_SPEC0 = TaskSpec(task_id="defaults")
+_RESULT0 = TaskResult(task_id="defaults")
+
+
 def task_to_dict(task: TaskSpec) -> dict[str, Any]:
-    """Serialise a :class:`TaskSpec` for the wire."""
-    return {
-        "task_id": task.task_id,
-        "command": task.command,
-        "args": list(task.args),
-        "working_dir": task.working_dir,
-        "env": [list(pair) for pair in task.env],
-        "duration": task.duration,
-        "reads": [_ref_to_dict(r) for r in task.reads],
-        "writes": [_ref_to_dict(r) for r in task.writes],
-        "runtime_estimate": task.runtime_estimate,
-        "stage": task.stage,
-    }
+    """Serialise a :class:`TaskSpec` for the wire and the WAL.
+
+    Sparse: ``task_id`` plus only the fields that differ from the
+    dataclass defaults — a sleep-0 spec is ``{"task_id", "args"}``.
+    A spec crosses four hops and eight JSON passes per task; a default
+    that travels says nothing and costs bytes, parse time and one
+    GC-tracked list per empty collection at every one of them.
+    """
+    d = _SPEC0
+    data: dict[str, Any] = {"task_id": task.task_id}
+    if task.command != d.command:
+        data["command"] = task.command
+    if task.args != d.args:
+        data["args"] = list(task.args)
+    if task.working_dir != d.working_dir:
+        data["working_dir"] = task.working_dir
+    if task.env != d.env:
+        data["env"] = [list(pair) for pair in task.env]
+    if task.duration != d.duration:
+        data["duration"] = task.duration
+    if task.reads != d.reads:
+        data["reads"] = [_ref_to_dict(r) for r in task.reads]
+    if task.writes != d.writes:
+        data["writes"] = [_ref_to_dict(r) for r in task.writes]
+    if task.runtime_estimate != d.runtime_estimate:
+        data["runtime_estimate"] = task.runtime_estimate
+    if task.stage != d.stage:
+        data["stage"] = task.stage
+    return data
 
 
 def task_from_dict(data: dict[str, Any]) -> TaskSpec:
-    """Parse a wire dict back into a :class:`TaskSpec`.
+    """Parse a wire/WAL dict back into a :class:`TaskSpec`.
 
-    The empty-collection fast paths matter: this runs twice per task
-    (dispatcher admission, executor delivery) and the common spec has
-    no env/reads/writes — three generator round trips for nothing.
+    Any subset of the fields is accepted — absent means default — so
+    the sparse form, the all-keys form of older journals and
+    checkpoints, and a hand-written peer's minimal spec all parse
+    through these same lines.  Non-dict input raises ``TypeError`` and
+    a missing ``task_id`` ``KeyError`` (recovery skips such records).
     The low-cardinality strings are interned: a decoded frame carries
-    a fresh ``"sleep"`` / ``"."`` / stage label per task, and the
-    dispatcher retains every spec.
+    a fresh command / stage label per task, and the dispatcher retains
+    every spec.
     """
+    task_id = data["task_id"]
+    get = data.get
+    d = _SPEC0
     intern = sys.intern
-    try:
-        # Dense fast path: our own task_to_dict always emits every key,
-        # and subscripting beats ten bound-method .get() calls on a
-        # path that runs twice per task.
-        env = data["env"]
-        reads = data["reads"]
-        writes = data["writes"]
-        return TaskSpec(
-            task_id=data["task_id"],
-            command=intern(data["command"]),
-            args=tuple(data["args"]),
-            working_dir=intern(data["working_dir"]),
-            env=tuple(tuple(pair) for pair in env) if env else (),
-            duration=data["duration"],
-            reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
-            writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
-            runtime_estimate=data["runtime_estimate"],
-            stage=intern(data["stage"]),
-        )
-    except KeyError:
-        pass
-    # Sparse dict (journal recovery reads default-stripped records;
-    # hand-written peers send minimal specs): tolerate missing keys.
-    env = data.get("env")
-    reads = data.get("reads")
-    writes = data.get("writes")
+    args = get("args")
+    env = get("env")
+    reads = get("reads")
+    writes = get("writes")
     return TaskSpec(
-        task_id=data["task_id"],
-        command=intern(data.get("command", "sleep")),
-        args=tuple(data.get("args", ())),
-        working_dir=intern(data.get("working_dir", ".")),
-        env=tuple(tuple(pair) for pair in env) if env else (),
-        duration=data.get("duration", 0.0),
-        reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
-        writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
-        runtime_estimate=data.get("runtime_estimate"),
-        stage=intern(data.get("stage", "")),
+        task_id=task_id,
+        command=intern(get("command", d.command)),
+        args=tuple(args) if args else d.args,
+        working_dir=intern(get("working_dir", d.working_dir)),
+        env=tuple(tuple(pair) for pair in env) if env else d.env,
+        duration=get("duration", d.duration),
+        reads=tuple(_ref_from_dict(r) for r in reads) if reads else d.reads,
+        writes=tuple(_ref_from_dict(r) for r in writes) if writes else d.writes,
+        runtime_estimate=get("runtime_estimate", d.runtime_estimate),
+        stage=intern(get("stage", d.stage)),
     )
 
 
 def result_to_dict(result: TaskResult) -> dict[str, Any]:
-    """Serialise a :class:`TaskResult` (timeline excluded: the
-    dispatcher keeps authoritative timestamps)."""
-    return {
-        "task_id": result.task_id,
-        "return_code": result.return_code,
-        "stdout": result.stdout,
-        "stderr": result.stderr,
-        "executor_id": result.executor_id,
-        "error": result.error,
-        "attempts": result.attempts,
-    }
+    """Serialise a :class:`TaskResult`, sparse like :func:`task_to_dict`
+    (an ok result is ``{"task_id", "executor_id"}``).  The timeline is
+    excluded: the dispatcher keeps authoritative timestamps."""
+    d = _RESULT0
+    data: dict[str, Any] = {"task_id": result.task_id}
+    if result.return_code != d.return_code:
+        data["return_code"] = result.return_code
+    if result.stdout != d.stdout:
+        data["stdout"] = result.stdout
+    if result.stderr != d.stderr:
+        data["stderr"] = result.stderr
+    if result.executor_id != d.executor_id:
+        data["executor_id"] = result.executor_id
+    if result.error != d.error:
+        data["error"] = result.error
+    if result.attempts != d.attempts:
+        data["attempts"] = result.attempts
+    return data
 
 
 def result_from_dict(
     data: dict[str, Any], timeline: Optional[TaskTimeline] = None
 ) -> TaskResult:
-    """Parse a wire dict back into a :class:`TaskResult`.
+    """Parse a wire/WAL dict back into a :class:`TaskResult`; any subset
+    of the fields is accepted and unknown keys are ignored, as in
+    :func:`task_from_dict`.
 
     The wire form carries no timeline; the result gets *timeline* when
     the caller already owns the authoritative one (the dispatcher's
     record), else a fresh empty one.
     """
-    if timeline is None:
-        timeline = TaskTimeline()
-    try:
-        # Dense fast path mirroring task_from_dict: result_to_dict
-        # always emits every key.
-        return TaskResult(
-            task_id=data["task_id"],
-            return_code=data["return_code"],
-            stdout=data["stdout"],
-            stderr=data["stderr"],
-            executor_id=data["executor_id"],
-            error=data["error"],
-            attempts=data["attempts"],
-            timeline=timeline,
-        )
-    except KeyError:
-        pass
+    task_id = data["task_id"]
+    get = data.get
+    d = _RESULT0
     return TaskResult(
-        task_id=data["task_id"],
-        return_code=data.get("return_code", 0),
-        stdout=data.get("stdout", ""),
-        stderr=data.get("stderr", ""),
-        executor_id=data.get("executor_id", ""),
-        error=data.get("error", ""),
-        attempts=data.get("attempts", 1),
-        timeline=timeline,
+        task_id=task_id,
+        return_code=get("return_code", d.return_code),
+        stdout=get("stdout", d.stdout),
+        stderr=get("stderr", d.stderr),
+        executor_id=get("executor_id", d.executor_id),
+        error=get("error", d.error),
+        attempts=get("attempts", d.attempts),
+        timeline=timeline if timeline is not None else TaskTimeline(),
     )
 
 

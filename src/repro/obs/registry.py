@@ -63,7 +63,8 @@ def quantile_from_values(values: Sequence[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonic counter; may also read through a callback when the
+    """A monotonic counter — an event count, or an accumulated quantity
+    such as CPU seconds; may also read through a callback when the
     count already lives elsewhere (the span collector's totals)."""
 
     __slots__ = ("name", "help", "_value", "_fn", "_lock")
@@ -77,7 +78,7 @@ class Counter:
         self._fn = fn
         self._lock = threading.Lock()
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
@@ -172,6 +173,36 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record a batch of observations under one lock acquisition.
+
+        Same buckets, sum (added in order, so bit-identical), count,
+        min and max as calling :meth:`observe` on each value; NaN is
+        ignored.  A handler that settles a 32-entry frame pays one
+        lock round trip, not 32.
+        """
+        values = [value for value in values if value == value]
+        if not values:
+            return
+        bisect_left = bisect.bisect_left
+        buckets = self.buckets
+        indexes = [bisect_left(buckets, value) for value in values]
+        low = min(values)
+        high = max(values)
+        with self._lock:
+            counts = self._counts
+            for index in indexes:
+                counts[index] += 1
+            total = self._sum
+            for value in values:
+                total += value
+            self._sum = total
+            self._count += len(values)
+            if low < self._min:
+                self._min = low
+            if high > self._max:
+                self._max = high
 
     @property
     def count(self) -> int:

@@ -8,7 +8,7 @@ returns a frozen dataclass whose fields are the contract;
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 __all__ = ["StatsSnapshot", "DispatcherStats", "ExecutorStats", "ProvisionerStats"]
@@ -76,6 +76,10 @@ class DispatcherStats(StatsSnapshot):
     dispatch_latency_p50: float = math.nan
     dispatch_latency_p90: float = math.nan
     dispatch_latency_p99: float = math.nan
+    #: Thread-CPU seconds spent inside each message handler (keyed by
+    #: message type: ``submit``, ``result``, ``get_work``, ...) and in
+    #: the monitor's ``sweep`` — which layer is burning the loop's CPU.
+    handler_cpu_s: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

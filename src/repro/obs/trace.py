@@ -248,9 +248,20 @@ class SpanCollector:
             self._append_locked(rows, contexts)
         return contexts
 
+    def record_wire(self, rows: Iterable[tuple]) -> list[Optional[dict]]:
+        """:meth:`record_stamped` for callers that only put the context
+        on the wire: each row's ``{"tid", "sid"}`` dict (what
+        :meth:`TraceContext.to_wire` gives), with no context object
+        built in between."""
+        wire: list[Optional[dict]] = []
+        with self._lock:
+            self._append_locked(rows, wire, wire_form=True)
+        return wire
+
     def _append_locked(
         self, rows: Iterable[tuple],
-        contexts: Optional[list[Optional[TraceContext]]],
+        contexts: Optional[list],
+        wire_form: bool = False,
     ) -> None:
         rank_of = _SPAN_RANK.get
         seq_of = self._seq.get
@@ -305,7 +316,10 @@ class SpanCollector:
                 count[slot] = n + 1
                 recorded += 1
                 if contexts is not None:
-                    contexts.append(TraceContext(_trace_id(seq, task_id), n + 1))
+                    contexts.append(
+                        {"tid": _trace_id(seq, task_id), "sid": n + 1}
+                        if wire_form
+                        else TraceContext(_trace_id(seq, task_id), n + 1))
         finally:
             self.spans_recorded += recorded
 

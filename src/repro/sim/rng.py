@@ -9,8 +9,10 @@ components — runs stay reproducible experiment-to-experiment.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -30,6 +32,11 @@ class RngStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
+            # Imported on first use: the live plane builds an RngStreams
+            # per FaultPlan but most processes never draw from one, and
+            # numpy is ~170 ms and ~17 MB they should not pay for.
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             gen = np.random.default_rng(int.from_bytes(digest[:8], "little"))
             self._streams[name] = gen

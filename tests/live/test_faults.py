@@ -163,7 +163,9 @@ def test_heartbeat_misses_evict_half_open_executor():
         # The socket stays open but the peer goes silent: only the
         # liveness protocol can catch this.
         assert wait_until(lambda: dispatcher.stats().registered == 0, timeout=5.0)
-        assert dispatcher.stats().executors_declared_dead == 1
+        # The sweep counts the eviction after the drop returns.
+        assert wait_until(
+            lambda: dispatcher.stats().executors_declared_dead == 1, timeout=5.0)
         zombie.close()
     finally:
         dispatcher.close()

@@ -86,15 +86,28 @@ def test_strip_defaults_round_trips_through_parsers():
     )
     from repro.types import TaskResult, TaskSpec
 
+    # The wire form is already sparse (``command`` "sleep" is a default
+    # and no longer travels), so stripping it is the identity ...
     spec = TaskSpec.sleep(0, task_id="t-1")
-    stripped = strip_defaults(task_to_dict(spec), SPEC_DEFAULTS)
-    assert set(stripped) == {"task_id", "command", "args"}
+    wire = task_to_dict(spec)
+    stripped = strip_defaults(wire, SPEC_DEFAULTS)
+    assert stripped == wire and set(stripped) == {"task_id", "args"}
     assert task_from_dict(stripped) == spec
 
     result = TaskResult(task_id="t-1", executor_id="e-1")
-    stripped = strip_defaults(result_to_dict(result), RESULT_DEFAULTS)
-    assert set(stripped) == {"task_id", "executor_id"}
+    wire = result_to_dict(result)
+    stripped = strip_defaults(wire, RESULT_DEFAULTS)
+    assert stripped == wire and set(stripped) == {"task_id", "executor_id"}
     assert result_from_dict(stripped) == result
+
+    # ... and on the all-keys dict of an older writer it still drops
+    # exactly the tabled defaults, which the parsers restore.
+    dense = {"task_id": "t-1", "command": "sleep", "args": ["0"],
+             "working_dir": ".", "env": [], "duration": 0.0, "reads": [],
+             "writes": [], "runtime_estimate": None, "stage": ""}
+    stripped = strip_defaults(dense, SPEC_DEFAULTS)
+    assert set(stripped) == {"task_id", "command", "args"}
+    assert task_from_dict(stripped) == task_from_dict(dense) == spec
 
 
 # -- the journal ---------------------------------------------------------------

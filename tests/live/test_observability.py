@@ -80,6 +80,26 @@ class TestLiveMetrics:
         assert "falkon_dispatcher_tasks_accepted_total 4" in text
         assert "falkon_executor_tasks_executed_total 4" in text
 
+    def test_handler_cpu_says_which_handler_burnt_the_loop(self):
+        """Which layer is burning the CPU, from the artefacts of one
+        run: thread-CPU seconds per message handler, on ``stats()``
+        (and so ``/status``) and as one registry counter each."""
+        with LocalFalkon(executors=1, pipeline_depth=8) as falkon:
+            falkon.run([TaskSpec.sleep(0.0, task_id=f"h-{i:04d}")
+                        for i in range(400)], timeout=30)
+            cpu = falkon.dispatcher.stats().handler_cpu_s
+            snap = falkon.dispatcher.metrics.snapshot()
+            status = falkon.dispatcher.status_snapshot()
+        assert {"submit", "result", "get_work", "heartbeat", "register",
+                "sweep"} <= set(cpu)
+        # 400 admissions and 400 settles cost measurable CPU; nobody
+        # polled for results.
+        assert cpu["submit"] > 0 and cpu["result"] > 0
+        assert cpu["get_results"] == 0
+        assert all(seconds >= 0 for seconds in cpu.values())
+        assert snap["dispatcher_handler_result_cpu_seconds"] >= cpu["result"]
+        assert status["dispatcher"]["handler_cpu_s"].keys() == cpu.keys()
+
     def test_dump_observability_round_trips_spans(self, tmp_path):
         from repro.obs import read_spans_jsonl
 

@@ -201,3 +201,109 @@ def test_pipelined_run_survives_frame_loss():
             ),
             timeout=5.0,
         )
+
+
+# -- per-frame accounting ≡ per-entry accounting -----------------------------------
+def _drive_mixed_results(journal_dir: str, one_frame: bool) -> dict:
+    """Bring a journaled dispatcher (``max_retries=1``) to six tasks in
+    six different positions, then deliver their RESULT entries — ok,
+    retry, exhausted retry, stale attempt, unknown id, already terminal
+    — in one frame or in six, and return everything the handler owes
+    its sinks: counters, histogram counts, span chains, chain errors
+    and WAL rows."""
+    from repro.live.journal import read_journal_tail
+
+    dispatcher = LiveDispatcher(journal_dir=journal_dir, max_retries=1)
+    client = RawPeer(dispatcher.address)
+    executor = RawPeer(dispatcher.address)
+    ids = ["mx-ok", "mx-retry", "mx-spent", "mx-stale", "mx-ghost", "mx-done"]
+
+    def submit(*task_ids):
+        client.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": task_id, "args": ["0"]} for task_id in task_ids]}))
+        client.recv_until(MessageType.SUBMIT_ACK)
+
+    def entry(task_id, attempt, ok=True):
+        result = {"task_id": task_id}
+        if not ok:
+            result.update(return_code=2, error="boom")
+        return {"result": result, "attempt": attempt, "exec": {"seconds": 0.25}}
+
+    def report(*entries):
+        executor.send(Message(MessageType.RESULT, sender="e-1",
+                              payload={"results": list(entries)}))
+        return executor.recv_until(MessageType.RESULT_ACK).payload.get("tasks", [])
+
+    try:
+        client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        client.recv_until(MessageType.INSTANCE_CREATED)
+        _register_pipelined(executor, "e-1", 8)
+        # mx-spent burns its one retry and mx-done settles, up front.
+        submit("mx-spent", "mx-done")
+        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
+        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 2
+        (again,) = report(entry("mx-spent", 1, ok=False), entry("mx-done", 1))
+        assert (again["task"]["task_id"], again["attempt"]) == ("mx-spent", 2)
+        submit("mx-ok", "mx-retry", "mx-stale")
+        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
+        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 3
+
+        mixed = [
+            entry("mx-ok", 1), entry("mx-retry", 1, ok=False),
+            entry("mx-spent", 2, ok=False), entry("mx-stale", 7),
+            entry("mx-ghost", 1), entry("mx-done", 1),
+        ]
+        if one_frame:
+            refill = report(*mixed)
+        else:
+            refill = [task for one in mixed for task in report(one)]
+        assert [(t["task"]["task_id"], t["attempt"]) for t in refill] == [
+            ("mx-retry", 2)]
+
+        stats = dispatcher.stats()
+        # Both terminal notifies out, so every WAL row is appended.
+        assert wait_until(lambda: all(
+            dispatcher._records[task_id].acked
+            for task_id in ("mx-ok", "mx-spent", "mx-done")))
+        assert dispatcher.journal.commit()
+        rows, _ = read_journal_tail(dispatcher.journal.tail_path)
+        return {
+            "stats": (stats.completed, stats.failed, stats.retries,
+                      stats.stale_results, stats.dlq_size, stats.queued),
+            "histograms": (dispatcher._h_exec.count, dispatcher._h_e2e.count,
+                           dispatcher._h_dispatch.count),
+            "exec_sum": dispatcher._h_exec.sum,
+            "chains": {task_id: [(s.name, s.attempt, s.get("outcome"))
+                                 for s in dispatcher.trace(task_id)]
+                       for task_id in ids},
+            "chain_errors": {task_id: dispatcher.spans.chain_errors(task_id)
+                             for task_id in ids},
+            "wal": {task_id: [{k: v for k, v in row.items() if k != "id"}
+                              for row in rows if row["id"] == task_id]
+                    for task_id in ids},
+            "acked": sorted(acked for row in rows if row["k"] == "acked"
+                            for acked in row["ids"]),
+        }
+    finally:
+        client.close()
+        executor.close()
+        dispatcher.close()
+
+
+def test_mixed_result_frame_accounts_like_one_entry_frames(tmp_path):
+    """The dispatcher pays its sinks once per RESULT frame (one
+    ``observe_many`` per histogram, one ``inc(n)`` per counter, one
+    span and one WAL batch); what lands in them must be exactly what
+    six one-entry frames leave."""
+    batched = _drive_mixed_results(str(tmp_path / "one-frame"), one_frame=True)
+    single = _drive_mixed_results(str(tmp_path / "six-frames"), one_frame=False)
+    assert batched == single
+    assert batched["stats"] == (2, 1, 2, 1, 1, 0)
+    # Executions observed: the two up front, then ok, retry and spent —
+    # never the stale, unknown or already-terminal entry.
+    assert batched["histograms"] == (5, 3, 7)
+    assert batched["chain_errors"]["mx-ok"] == []
+    assert batched["chain_errors"]["mx-spent"] == []
+    assert [row["k"] for row in batched["wal"]["mx-spent"]] == [
+        "submit", "dispatch", "requeue", "dispatch", "result", "dlq"]
+    assert batched["acked"] == ["mx-done", "mx-ok", "mx-spent"]

@@ -8,8 +8,10 @@ quarantine instead of cycling, and a bounded queue pushes back with
 SUBMIT_REJECT until clients converge.
 """
 
+import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -24,7 +26,10 @@ from repro.live import (
     LiveExecutor,
     LocalFalkon,
 )
+from repro.live.journal import read_journal_tail
+from repro.live.protocol import task_to_dict
 from repro.net.message import Message, MessageType
+from repro.net.wire import HEADER_BYTES
 from repro.types import TaskSpec
 
 from tests.live.util import RawPeer, wait_until
@@ -165,6 +170,166 @@ def test_recovery_tolerates_malformed_result_record(tmp_path):
         assert stats.failed == 1  # bad-1, with a synthesized failure result
         assert stats.queued == 1  # ok-1 re-enqueued normally
     finally:
+        disp.close()
+
+
+#: One history — lg-1 settled ok and acked, lg-2 failed into the DLQ,
+#: lg-3 dispatched when the dispatcher stopped — in the WAL shapes of
+#: older writers: ``spec`` always names its ``command`` and ``result``
+#: its ``executor_id`` (the parent commit's default-stripped rows), and
+#: lg-3's spec has every key (rows from before any stripping).
+LEGACY_ROWS = [
+    {"k": "submit", "id": "lg-1", "client": "client-0001",
+     "spec": {"command": "sleep", "args": ["0"]}},
+    {"k": "submit", "id": "lg-2", "client": "client-0001",
+     "spec": {"command": "echo", "args": ["hi"], "env": [["A", "1"]],
+              "runtime_estimate": 0.5, "stage": "s-7"}},
+    {"k": "submit", "id": "lg-3", "client": "client-0001",
+     "spec": {"task_id": "lg-3", "command": "sleep", "args": ["0"],
+              "working_dir": ".", "env": [], "duration": 2.0, "reads": [],
+              "writes": [], "runtime_estimate": None, "stage": ""}},
+    {"k": "dispatch", "id": "lg-1", "attempt": 1, "executor": "e-1"},
+    {"k": "result", "id": "lg-1", "outcome": "ok",
+     "result": {"executor_id": "e-1"}},
+    {"k": "dispatch", "id": "lg-2", "attempt": 1, "executor": "e-1"},
+    {"k": "acked", "id": "", "ids": ["lg-1"]},
+    {"k": "result", "id": "lg-2", "outcome": "fail",
+     "result": {"return_code": 3, "stdout": "", "stderr": "x",
+                "executor_id": "e-1", "error": "boom", "attempts": 1}},
+    {"k": "dlq", "id": "lg-2", "error": "boom"},
+    {"k": "dispatch", "id": "lg-3", "attempt": 1, "executor": "e-1"},
+    {"k": "acked", "id": "", "ids": ["lg-2"]},
+]
+LEGACY_SPECS = [
+    TaskSpec(task_id="lg-1", command="sleep", args=("0",)),
+    TaskSpec(task_id="lg-2", command="echo", args=("hi",), env=(("A", "1"),),
+             runtime_estimate=0.5, stage="s-7"),
+    TaskSpec(task_id="lg-3", command="sleep", args=("0",), duration=2.0),
+]
+
+
+def recovered_view(journal_dir):
+    """What a dispatcher booted on *journal_dir* rebuilt, minus clocks."""
+    disp = LiveDispatcher(journal_dir=journal_dir)
+    try:
+        records = {}
+        for task_id, record in disp._records.items():
+            result = record.result
+            records[task_id] = (
+                record.spec, record.state, record.attempts, record.client_id,
+                record.acked,
+                result and (result.return_code, result.stdout, result.stderr,
+                            result.executor_id, result.error, result.attempts),
+            )
+        return records, [e["task_id"] for e in disp.dlq_list()], list(disp._queue)
+    finally:
+        disp.close()
+
+
+def test_recovery_reads_older_journal_shapes_like_its_own(tmp_path):
+    """The WAL ``spec`` / ``result`` is now the sparse wire object; a
+    journal whose rows name every default (or merely more of them)
+    must recover to exactly the records this writer's own rows give."""
+    legacy_dir = str(tmp_path / "legacy")
+    with Journal(legacy_dir) as journal:
+        journal.append_many(LEGACY_ROWS)
+        assert journal.commit()
+
+    # The same history, driven through a live dispatcher by hand.
+    own_dir = str(tmp_path / "own")
+    disp = LiveDispatcher(journal_dir=own_dir, max_retries=0, flight=False)
+    client = RawPeer(disp.address)
+    executor = RawPeer(disp.address)
+    try:
+        client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        client.recv_until(MessageType.INSTANCE_CREATED)
+        executor.register("e-1")
+        client.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [task_to_dict(spec) for spec in LEGACY_SPECS]}))
+        client.recv_until(MessageType.SUBMIT_ACK)
+        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
+        (entry,) = executor.recv_until(MessageType.WORK).payload["tasks"]
+        for outcome in ({}, {"return_code": 3, "stderr": "x", "error": "boom"}):
+            executor.send(Message(MessageType.RESULT, sender="e-1", payload={
+                "results": [{"result": {"task_id": entry["task"]["task_id"],
+                                        **outcome},
+                             "attempt": entry["attempt"]}]}))
+            # The ack piggy-backs the next task onto the depth-1 executor.
+            (entry,) = executor.recv_until(
+                MessageType.RESULT_ACK).payload["tasks"]
+            client.recv_until(MessageType.CLIENT_NOTIFY)
+        assert entry["task"]["task_id"] == "lg-3"
+        # Stop with lg-3 in flight: a clean close would fail it over.
+        assert wait_until(
+            lambda: disp.journal.stats()["records"] == len(LEGACY_ROWS))
+        assert disp.journal.commit()
+        disp.simulate_crash()
+    finally:
+        client.close()
+        executor.close()
+        disp.close()
+    rows, _ = read_journal_tail(os.path.join(own_dir, "journal.jsonl"))
+    assert [(r["k"], r["id"]) for r in rows] == [
+        (r["k"], r["id"]) for r in LEGACY_ROWS]
+    # This writer's rows: the wire object minus task_id, defaults omitted.
+    assert rows[0]["spec"] == {"args": ["0"]}
+    assert rows[4]["result"] == {"executor_id": "e-1"}
+    assert rows[7]["result"] == {"return_code": 3, "stderr": "x",
+                                 "executor_id": "e-1", "error": "boom"}
+
+    assert recovered_view(legacy_dir) == recovered_view(own_dir)
+    records, dlq, queue = recovered_view(own_dir)
+    assert [records[spec.task_id][0] for spec in LEGACY_SPECS] == LEGACY_SPECS
+    assert dlq == ["lg-2"] and queue == ["lg-3"]
+
+
+def test_renotified_recovered_result_is_strict_json(tmp_path):
+    """A result recovered from the journal has no timeline; re-pushed
+    on a duplicate SUBMIT, its CLIENT_NOTIFY must omit the unknown
+    stamps — bare ``NaN`` tokens are not JSON, and only Python's
+    parser reads them."""
+    journal_dir = str(tmp_path)
+    with LocalFalkon(executors=1, journal_dir=journal_dir) as falkon:
+        assert falkon.run(specs(1, seconds=0.0, prefix="nan"), timeout=10)[0].ok
+    disp = LiveDispatcher(journal_dir=journal_dir)
+    peer = RawPeer(disp.address)
+    client = None
+    try:
+        peer.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        peer.recv_until(MessageType.INSTANCE_CREATED)
+        peer.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": "nan-0000", "args": ["0.0"]}]}))
+        # Read the raw bytes: SUBMIT_ACK, then the re-pushed CLIENT_NOTIFY.
+        raw = b""
+        frames = []
+        while len(frames) < 2:
+            raw += peer.sock.recv(65536)
+            while len(raw) >= HEADER_BYTES:
+                (body_len,) = struct.unpack_from(">I", raw, 4)
+                if len(raw) < HEADER_BYTES + body_len:
+                    break
+                frames.append(raw[HEADER_BYTES + 4:HEADER_BYTES + body_len])
+                raw = raw[HEADER_BYTES + body_len:]
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token} on the wire")
+
+        notify = json.loads(frames[1], parse_constant=reject)
+        (result,) = notify["payload"]["results"]
+        assert result["task_id"] == "nan-0000" and "timeline" not in result
+
+        # A real client still fills the unknown stamps with NaN.
+        client = LiveClient(disp.endpoint)
+        renotified = client.submit(
+            specs(1, seconds=0.0, prefix="nan")[0]).result(timeout=10.0)
+        assert renotified.ok
+        timeline = renotified.timeline
+        assert all(stamp != stamp for stamp in (
+            timeline.submitted, timeline.dispatched, timeline.completed))
+    finally:
+        if client is not None:
+            client.close()
+        peer.close()
         disp.close()
 
 
@@ -373,8 +538,6 @@ def test_duplicate_task_id_inside_one_bundle_is_accepted_once(tmp_path):
     (LiveClient refuses to) gets one record, one queue entry, one
     journal row and one span chain — first occurrence wins — while the
     ack still counts the bundle, as for any idempotent resubmission."""
-    from repro.live.journal import read_journal_tail
-    from repro.live.protocol import task_to_dict
     from repro.scenarios.oracles import OracleReport, check_conservation
 
     first = TaskSpec(task_id="twin", command="sleep", args=("0",), stage="first")

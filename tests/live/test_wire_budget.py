@@ -1,0 +1,86 @@
+"""Bytes on the wire per task, pinned on the three hot frames.
+
+Every byte of a frame is serialiser CPU at both ends (the paper's
+ceiling, §3.4), so the frames are budgeted like memory is
+(``test_task_memory``).  The frames are the ones the real client,
+dispatcher and executor put on their sockets during a 500-task sleep-0
+run at pipeline depth 32, captured at ``Connection.send_encoded``; the
+two things in them that vary run to run — the process-wide ``msg_id``
+and the executor-measured ``exec.seconds`` — are pinned before
+counting, so the byte counts repeat exactly and the gate can fail
+without flaking.
+
+Readings (bytes per task; budget = 1.1 x this commit's):
+
+===========  ==================  ===========
+frame        all-keys wire form  sparse form
+===========  ==================  ===========
+SUBMIT x500  179.1               61.1
+WORK x32     274.1               156.1
+RESULT x32   269.3               205.3
+===========  ==================  ===========
+
+The all-keys column is the parent commit (``task_to_dict`` /
+``result_to_dict`` emitting every field, defaults included).
+"""
+
+from repro.live import LocalFalkon
+from repro.live.protocol import Connection
+from repro.net.message import Message, MessageType
+from repro.net.wire import decode_frame, encode_message_v4
+from repro.types import TaskSpec
+
+TASKS = 500
+DEPTH = 32
+
+#: 1.1 x the sparse-form readings above, in bytes per task.
+SUBMIT_BUDGET = 67.2
+WORK_BUDGET = 171.7
+RESULT_BUDGET = 225.8
+
+
+def pinned_size(message: Message) -> int:
+    """Frame bytes with the run-dependent fields pinned."""
+    for entry in message.payload.get("results", ()):
+        entry["exec"]["seconds"] = 1.25e-05
+    return len(encode_message_v4(
+        Message(message.type, message.sender, message.payload, msg_id=0)))
+
+
+def test_hot_frames_stay_within_their_byte_budgets(monkeypatch):
+    frames = []
+    send_encoded = Connection.send_encoded
+
+    def recording(self, frame):
+        frames.append(frame)
+        send_encoded(self, frame)
+
+    monkeypatch.setattr(Connection, "send_encoded", recording)
+    tasks = [TaskSpec.sleep(0, task_id=f"burst_sleep0-0123456789ab-{i:07d}")
+             for i in range(TASKS)]
+    with LocalFalkon(executors=1, pipeline_depth=DEPTH,
+                     bundle_size=TASKS) as falkon:
+        assert all(r.ok for r in falkon.run(tasks, timeout=60))
+
+    by_type: dict[MessageType, list[Message]] = {}
+    for frame in frames:
+        message = decode_frame(frame)
+        by_type.setdefault(message.type, []).append(message)
+
+    (submit,) = by_type[MessageType.SUBMIT]
+    assert len(submit.payload["tasks"]) == TASKS
+    assert submit.payload["tasks"][0] == {
+        "task_id": tasks[0].task_id, "args": ["0"]}
+    # Full-depth frames only: the first pull and every piggy-backed ack
+    # carry 32 entries; a RESULT batch split by the executor's 20 ms
+    # flush window is skipped, not counted.
+    work = next(m for m in by_type[MessageType.WORK]
+                if len(m.payload["tasks"]) == DEPTH)
+    result = next(m for m in by_type[MessageType.RESULT]
+                  if len(m.payload["results"]) == DEPTH)
+    assert set(result.payload["results"][0]["result"]) == {
+        "task_id", "executor_id"}
+
+    assert pinned_size(submit) / TASKS <= SUBMIT_BUDGET
+    assert pinned_size(work) / DEPTH <= WORK_BUDGET
+    assert pinned_size(result) / DEPTH <= RESULT_BUDGET

@@ -98,6 +98,32 @@ class TestHistogram:
         assert pairs[-1][0] == math.inf
         assert pairs[-1][1] == 3
 
+    def test_observe_many_equals_observing_each(self):
+        """One lock round trip per frame must be indistinguishable
+        from one per sample — bit-identical sum included."""
+        import random
+
+        rng = random.Random(22)
+        batches = [
+            [],
+            [math.nan],
+            [0.0042],
+            [math.nan, 1e-9, 0.1, math.nan, 299.0, 1e6, 0.1],
+            [rng.lognormvariate(-6, 3) for _ in range(500)],
+            [0.0001, 0.00025, 300.0],  # exactly on bucket bounds
+        ]
+        each, many = Histogram("each"), Histogram("many")
+        for batch in batches:
+            for value in batch:
+                each.observe(value)
+            many.observe_many(iter(batch))
+            assert many.bucket_counts() == each.bucket_counts()
+            assert (many.count, many.sum) == (each.count, each.sum)
+            assert (many._min, many._max) == (each._min, each._max)
+            for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+                got, want = many.quantile(q), each.quantile(q)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):

@@ -129,3 +129,19 @@ class TestSpanCollector:
         ctx = c.record("t1", "enqueue", 0.01, attempt=1)
         assert c.context("t1") == ctx
         assert c.context("ghost") is None
+
+    def test_record_wire_is_record_stamped_in_wire_form(self):
+        """Same rows, same order, same ids — just no context object
+        between the collector and the frame."""
+        rows = [("t1", "submit", 0.0, None, 0, ()),
+                ("ghost", "notify", 0.1, None, 1, ()),
+                ("t1", "enqueue", 0.1, None, 1, (("reason", "submit"),)),
+                ("t2", "submit", 0.2, None, 0, ())]
+        stamped, wired = SpanCollector(), SpanCollector()
+        for collector in (stamped, wired):
+            collector.begin_many(["t1", "t2"])
+        contexts = stamped.record_stamped(rows)
+        assert wired.record_wire(rows) == [
+            ctx.to_wire() if ctx is not None else None for ctx in contexts]
+        assert contexts[1] is None
+        assert wired.all_spans() == stamped.all_spans()

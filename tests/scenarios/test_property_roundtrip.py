@@ -13,13 +13,20 @@ round-trip laws the journal and the wire rely on:
 * ``FrameReader`` re-assembles signed frames fed in arbitrary chunkings,
   rejects any tampered signed body, and resynchronises past rejected
   headers.
+
+The sparse wire form adds two ``hypothesis`` laws on generated specs and
+results: ``from_dict(to_dict(x)) == x`` with no default ever emitted,
+and the all-keys dict of older writers decodes to the same object.
 """
 
+import dataclasses
 import json
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SecurityError
 from repro.live.journal import (
@@ -43,7 +50,7 @@ from repro.net.wire import (
     decode_frame,
     encode_message_v4,
 )
-from repro.types import DataLocation, DataRef, TaskSpec
+from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
 
 ROUNDS = 60
 
@@ -163,6 +170,107 @@ def test_defaults_stripped_results_round_trip_exactly():
         parsed = result_from_dict(parse_journal_line(journal_line(wire))[0])
         # timeline is dispatcher-side state, excluded from the codec
         assert result_to_dict(parsed) == result_to_dict(result)
+
+
+# ---------------------------------------------------------------------------
+# the sparse wire form
+# ---------------------------------------------------------------------------
+_text = st.text(max_size=12)
+_refs = st.lists(
+    st.builds(DataRef, _text, st.integers(0, 10**9),
+              st.sampled_from(list(DataLocation))),
+    max_size=2).map(tuple)
+_seconds = st.floats(0, 1e6, allow_nan=False)
+#: Each field draws its dataclass default about as often as anything else.
+_specs = st.builds(
+    TaskSpec,
+    task_id=st.text(min_size=1, max_size=12),
+    command=st.sampled_from(["sleep", "echo", "python:job", "späce-ü", "日本語"]),
+    args=st.lists(_text, max_size=3).map(tuple),
+    working_dir=st.sampled_from([".", "/tmp", "rel/dïr"]),
+    env=st.lists(st.tuples(_text, _text), max_size=2).map(tuple),
+    duration=st.one_of(st.just(0.0), _seconds),
+    reads=_refs,
+    writes=_refs,
+    runtime_estimate=st.one_of(st.none(), st.just(0.0), _seconds),
+    stage=st.sampled_from(["", "stage-1", "étape"]),
+)
+_results = st.builds(
+    TaskResult,
+    task_id=st.text(min_size=1, max_size=12),
+    return_code=st.sampled_from([0, 1, -9, 137]),
+    stdout=_text,
+    stderr=_text,
+    executor_id=st.sampled_from(["", "exec-0001"]),
+    error=st.sampled_from(["", "boom", "ünïcode"]),
+    attempts=st.integers(1, 20),
+)
+
+def _dense_ref(ref: DataRef) -> dict:
+    return {"name": ref.name, "size": ref.size_bytes,
+            "location": ref.location.value}
+
+
+def dense_spec(spec: TaskSpec) -> dict:
+    """The wire dict older writers emitted: every key, always."""
+    return {
+        "task_id": spec.task_id, "command": spec.command,
+        "args": list(spec.args), "working_dir": spec.working_dir,
+        "env": [list(pair) for pair in spec.env], "duration": spec.duration,
+        "reads": [_dense_ref(r) for r in spec.reads],
+        "writes": [_dense_ref(r) for r in spec.writes],
+        "runtime_estimate": spec.runtime_estimate, "stage": spec.stage,
+    }
+
+
+def dense_result(result: TaskResult) -> dict:
+    return {
+        "task_id": result.task_id, "return_code": result.return_code,
+        "stdout": result.stdout, "stderr": result.stderr,
+        "executor_id": result.executor_id, "error": result.error,
+        "attempts": result.attempts,
+    }
+
+
+def assert_sparse(wire: dict, obj, cls) -> None:
+    """*wire* names exactly the fields of *obj* that differ from the
+    dataclass defaults (plus ``task_id``, which has none)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    differing = {name for name, default in defaults.items()
+                 if getattr(obj, name) != default}
+    assert set(wire) == differing | {"task_id"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_sparse_spec_round_trips_and_no_default_travels(spec):
+    wire = task_to_dict(spec)
+    assert_sparse(wire, spec, TaskSpec)
+    assert task_from_dict(json.loads(json.dumps(wire))) == spec
+    assert task_from_dict(dense_spec(spec)) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_results)
+def test_sparse_result_round_trips_and_no_default_travels(result):
+    wire = result_to_dict(result)
+    assert_sparse(wire, result, TaskResult)
+    # The timeline is dispatcher-side state, excluded from the codec.
+    timeline = result.timeline
+    assert result_from_dict(json.loads(json.dumps(wire)), timeline) == result
+    assert result_from_dict(dense_result(result), timeline) == result
+
+
+def test_decoders_reject_non_objects_and_missing_ids():
+    """What recovery catches: ``TypeError`` for a value that is not a
+    wire object at all, ``KeyError`` for one without its id."""
+    for decode in (task_from_dict, result_from_dict):
+        for junk in ("corrupt", ["task_id"], None, 7):
+            with pytest.raises(TypeError):
+                decode(junk)
+        with pytest.raises(KeyError):
+            decode({"command": "sleep"})
 
 
 # ---------------------------------------------------------------------------
