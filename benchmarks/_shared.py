@@ -1,40 +1,9 @@
 """Shared, memoised experiment runs for benches that split one
 experiment across several paper artifacts (Tables 3/4, Figures 12/13
 all come from the same six §4.6 runs; Figures 9/10 from the same 54 K
-run), plus the ``BENCH_dispatch.json`` sink that tracks the dispatch
-perf trajectory across PRs."""
+run)."""
 
-import json
-import os
-import threading
-import time
 from functools import lru_cache
-
-#: Where dispatch benchmark numbers accumulate (repo root).
-BENCH_DISPATCH_PATH = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_dispatch.json")
-)
-
-_bench_lock = threading.Lock()
-
-
-def record_bench(section: str, data: dict) -> str:
-    """Merge one benchmark's numbers into ``BENCH_dispatch.json``.
-
-    Each benchmark owns a top-level *section*; re-running replaces only
-    its own section, so one file carries the whole perf trajectory.
-    """
-    with _bench_lock:
-        try:
-            with open(BENCH_DISPATCH_PATH) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            doc = {}
-        doc[section] = dict(data, recorded_at=time.strftime("%Y-%m-%dT%H:%M:%S"))
-        with open(BENCH_DISPATCH_PATH, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return BENCH_DISPATCH_PATH
 
 
 @lru_cache(maxsize=1)

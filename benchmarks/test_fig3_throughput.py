@@ -7,7 +7,6 @@ executor sustains 28 / 12 tasks/s.
 
 import pytest
 
-from benchmarks._shared import record_bench
 from repro.experiments import run_fig3
 from repro.experiments.fig3_throughput import PAPER_ANCHORS_FIG3
 from repro.metrics import Table
@@ -25,16 +24,6 @@ def test_fig3_throughput(benchmark, show):
     table.add_row("paper peak", PAPER_ANCHORS_FIG3["falkon_none_peak"],
                   PAPER_ANCHORS_FIG3["falkon_gsi_peak"], PAPER_ANCHORS_FIG3["gt4_bound"])
     show(table)
-
-    record_bench(
-        "fig3_throughput",
-        {
-            "peak_tasks_per_s_none": result.peak("none"),
-            "peak_tasks_per_s_gsi": result.peak("gsi"),
-            "single_executor_tasks_per_s_none": result.at(1).throughput_none,
-            "paper_anchors": dict(PAPER_ANCHORS_FIG3),
-        },
-    )
 
     # Peaks match the paper within a few percent.
     assert result.peak("none") == pytest.approx(487.0, rel=0.06)

@@ -2,13 +2,12 @@
 
 Performance floors for the hot internals that the full-scale
 experiments depend on: the DES kernel's event loop, the store under
-massive fan-in, the wire codec, and end-to-end simulated task cycles.
-These are the only benches that use pytest-benchmark's repeated-round
-timing; the experiment benches run their workload once.
+massive fan-in, and end-to-end simulated task cycles.  (The wire codec
+is priced by the standing benchmark's ``net.wire.*`` rows.)  These are
+the only benches that use pytest-benchmark's repeated-round timing; the
+experiment benches run their workload once.
 """
 
-from repro.net.message import Message, MessageType
-from repro.net.wire import FrameReader, encode_message_v4
 from repro.sim import Environment, Store
 
 
@@ -56,23 +55,6 @@ def test_store_fanin_with_many_parked_getters(benchmark):
         return len(served)
 
     assert benchmark(run) == 10_000
-
-
-def test_wire_codec_roundtrip(benchmark):
-    """Frame encode + incremental decode for a 300-task bundle."""
-    message = Message(MessageType.SUBMIT, sender="client", payload={
-        "tasks": [
-            {"task_id": f"t{i}", "command": "sleep", "args": ["0"], "duration": 0.0}
-            for i in range(300)
-        ],
-    })
-
-    def run():
-        frame = encode_message_v4(message)
-        (decoded,) = FrameReader().feed(frame)
-        return len(decoded.payload["tasks"])
-
-    assert benchmark(run) == 300
 
 
 def test_simulated_task_cycle_rate(benchmark):

@@ -4,7 +4,7 @@ collector generation and frame kind.
 
 Usage::
 
-    PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20]
+    PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20] [--profile]
 
 A bare ``LiveDispatcher`` and four pipelined executors run in this
 process; a client in a child process pushes sleep-0 tasks through them
@@ -24,12 +24,18 @@ Four tables, all in µs (or bytes) per task:
   counted at ``Connection._transmit`` (patched here, in both
   processes; the child reports its own sends).
 
+``--profile`` runs the same waves under an all-thread cProfile
+(:mod:`repro.obs.profiling`) and prints the top-20 cumulative frames in
+place of the tables, whose clocks the instrumentation would skew: the
+tables say which thread and handler, the profile says which function.
+
 See ``docs/PERFORMANCE.md``, "CPU per task".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import subprocess
@@ -120,52 +126,68 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--waves", type=int, default=20,
                         help="closed-loop waves of 5 000 sleep-0 tasks")
+    parser.add_argument("--profile", action="store_true",
+                        help="print the top-20 cumulative cProfile frames "
+                             "over all threads instead of the tables")
     parser.add_argument("--client", nargs=2, metavar=("HOST", "PORT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.client:
         return _client(args.client[0], int(args.client[1]), args.waves)
 
+    from repro.live import ioloop
     from repro.live.dispatcher import LiveDispatcher
     from repro.live.executor import LiveExecutor
+    from repro.obs.profiling import print_top, profile_all_threads
 
     sent_bytes, sent_frames = _count_frames()
-    dispatcher = LiveDispatcher()
-    executors = [LiveExecutor(dispatcher.endpoint, pipeline=PIPELINE).start()
-                 for _ in range(EXECUTORS)]
-    collector = _CollectorClock()
-    tasks = args.waves * WAVE
-    try:
-        for executor in executors:
-            if not executor.wait_registered(timeout=10.0):
-                raise RuntimeError(f"{executor.executor_id} did not register")
-        gc.collect()
-        gc.callbacks.append(collector)
-        sent_bytes.clear()
-        sent_frames.clear()
-        threads_before = _thread_cpu()
-        handlers_before = dispatcher.stats().handler_cpu_s
-        cpu_before = time.process_time()
-        child = subprocess.run(
-            [sys.executable, __file__, "--waves", str(args.waves),
-             "--client", dispatcher.host, str(dispatcher.port)],
-            stdout=subprocess.PIPE, text=True)
-        cpu = time.process_time() - cpu_before
-        handlers = dispatcher.stats().handler_cpu_s
-        threads = _thread_cpu()
-        gc.callbacks.remove(collector)
-        if child.returncode != 0 or dispatcher.tasks_completed != tasks:
-            print(f"census run failed: client exit {child.returncode}, "
-                  f"{dispatcher.tasks_completed}/{tasks} completed",
-                  file=sys.stderr)
-            return 1
-        client = json.loads(child.stdout.splitlines()[-1])
-    finally:
-        for executor in executors:
-            executor.stop()
-        for executor in executors:
-            executor.join(timeout=5.0)
-        dispatcher.close()
+    # Threads are profiled from their first event, so the SUT starts
+    # inside the block; the shared outbound loop stops with it so its
+    # thread's profile is complete before the merge.
+    profiling = profile_all_threads() if args.profile else contextlib.nullcontext()
+    with profiling as collect:
+        dispatcher = LiveDispatcher()
+        executors = [LiveExecutor(dispatcher.endpoint, pipeline=PIPELINE).start()
+                     for _ in range(EXECUTORS)]
+        collector = _CollectorClock()
+        tasks = args.waves * WAVE
+        try:
+            for executor in executors:
+                if not executor.wait_registered(timeout=10.0):
+                    raise RuntimeError(f"{executor.executor_id} did not register")
+            gc.collect()
+            gc.callbacks.append(collector)
+            sent_bytes.clear()
+            sent_frames.clear()
+            threads_before = _thread_cpu()
+            handlers_before = dispatcher.stats().handler_cpu_s
+            cpu_before = time.process_time()
+            child = subprocess.run(
+                [sys.executable, __file__, "--waves", str(args.waves),
+                 "--client", dispatcher.host, str(dispatcher.port)],
+                stdout=subprocess.PIPE, text=True)
+            cpu = time.process_time() - cpu_before
+            handlers = dispatcher.stats().handler_cpu_s
+            threads = _thread_cpu()
+            gc.callbacks.remove(collector)
+            if child.returncode != 0 or dispatcher.tasks_completed != tasks:
+                print(f"census run failed: client exit {child.returncode}, "
+                      f"{dispatcher.tasks_completed}/{tasks} completed",
+                      file=sys.stderr)
+                return 1
+            client = json.loads(child.stdout.splitlines()[-1])
+        finally:
+            for executor in executors:
+                executor.stop()
+            for executor in executors:
+                executor.join(timeout=5.0)
+            dispatcher.close()
+        if args.profile:
+            ioloop.default_loop().stop()
+    if args.profile:
+        print(f"{args.waves * WAVE} sleep-0 tasks under instrumentation")
+        print(print_top(collect(), 20), end="")
+        return 0
 
     def per_task(seconds: float) -> float:
         return seconds / tasks * 1e6

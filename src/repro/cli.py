@@ -12,10 +12,7 @@ Usage (after ``pip install -e .``)::
     python -m repro top --shards http://h:8090    # fleet view via /fleet
     python -m repro doctor /tmp/flight-dumps/     # post-mortem dump analysis
     python -m repro events replay run.jsonl       # timeline from an event log
-    python -m repro bench --quick                 # regression-gated dispatch bench
-    python -m repro bench --telemetry             # telemetry overhead budget gate
     python -m repro live --shards 2               # federated: 2 dispatcher shards
-    python -m repro bench --quick --shards 2      # federation scaling gate
     python -m repro export --out results/ [--quick]
 
 Every command is a thin wrapper over the public library API; the
@@ -77,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve /metrics, /status and /tasks/<id> over HTTP "
                         "while the run is live (0 picks a free port)")
     p.add_argument("--events-out", metavar="PATH", default=None,
-                   help="stream dispatcher lifecycle events to this JSONL file "
-                        "(replay with `repro events replay PATH`)")
+                   help="follow the dispatcher's flight ring to this JSONL "
+                        "file (replay with `repro events replay PATH`)")
     p.add_argument("--linger", type=float, default=0.0, metavar="SECONDS",
                    help="keep the deployment (and its HTTP surface) up this "
                         "long after the tasks finish")
@@ -138,59 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="event log written by `repro live --events-out`")
 
     p = sub.add_parser(
-        "bench",
-        help="live dispatch benchmark with a regression gate against a recorded baseline",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller run (1500 tasks) for the verify gate")
-    p.add_argument("--executors", type=int, default=4)
-    p.add_argument("--pipeline", type=int, default=32, metavar="DEPTH")
-    p.add_argument("--profile", action="store_true",
-                   help="run one quick round under an all-thread cProfile "
-                        "and print the top-20 cumulative frames (no gate)")
-    p.add_argument("--baseline", metavar="PATH", default="BENCH_baseline.json",
-                   help="recorded-baseline file (created on first run)")
-    p.add_argument("--tolerance", type=float, default=0.20,
-                   help="allowed fractional regression before the gate fails")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="overwrite the recorded baseline with this run")
-    p.add_argument("--telemetry", action="store_true",
-                   help="measure the telemetry plane's overhead (paired runs "
-                        "with and without --http-port + streamed stats) and "
-                        "gate it against --budget")
-    p.add_argument("--budget", type=float, default=0.05,
-                   help="allowed fractional throughput cost of the telemetry "
-                        "plane (with --telemetry)")
-    p.add_argument("--out", metavar="PATH", default="BENCH_telemetry.json",
-                   help="where --telemetry records its measurement")
-    p.add_argument("--flight", action="store_true",
-                   help="measure the flight recorder + watchdogs' overhead "
-                        "on top of the telemetry plane (paired runs with the "
-                        "recorder off vs on) and gate the combined cost "
-                        "against --budget; merged into --out")
-    p.add_argument("--journal", action="store_true",
-                   help="measure the write-ahead journal's overhead (paired "
-                        "runs with and without --journal-dir durability) and "
-                        "gate it against --journal-budget")
-    p.add_argument("--journal-budget", type=float, default=0.10,
-                   help="allowed fractional throughput cost of the journal "
-                        "(with --journal)")
-    p.add_argument("--journal-out", metavar="PATH", default="BENCH_journal.json",
-                   help="where --journal records its measurement")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="federation scaling bench: N subprocess shards behind "
-                        "a ShardRouter, measured against a 1-shard run in the "
-                        "same invocation and gated on the speedup ratio")
-    p.add_argument("--shard-gate", type=float, default=None, metavar="RATIO",
-                   help="minimum N-shard/1-shard speedup (default: 1.5 at 2 "
-                        "shards, 2.5 at 4, interpolated elsewhere)")
-    p.add_argument("--dispatch-out", metavar="PATH", default="BENCH_dispatch.json",
-                   help="where --shards appends its scaling measurements")
-
-    p = sub.add_parser(
         "shard",
         help="run one federation shard (dispatcher + executors + peer links); "
-             "normally spawned by `repro live/bench --shards N`",
+             "normally spawned by `repro live --shards N`",
     )
     p.add_argument("--shard-id", required=True, metavar="ID")
     p.add_argument("--port", type=int, required=True)
@@ -292,7 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "top": _cmd_top,
         "doctor": _cmd_doctor,
         "events": _cmd_events,
-        "bench": _cmd_bench,
         "shard": _cmd_shard,
         "scenarios": _cmd_scenarios,
         "trace": _cmd_trace,
@@ -963,412 +909,6 @@ def _cmd_events(args) -> int:
     table.add_row("executors dropped", summary["executors_dropped"])
     table.print()
     print("kinds: " + ", ".join(f"{k}={v}" for k, v in summary["kinds"].items()))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """Dispatch throughput with a >tolerance regression gate.
-
-    Runs the pipelined sleep-0 benchmark (best of two rounds), records
-    the result, and compares tasks/s against the recorded baseline
-    file: a drop beyond ``--tolerance`` fails loudly with exit code 1.
-    The first run (or ``--update-baseline``) records the baseline.
-    """
-    import json
-    import os
-
-    from repro.live import LocalFalkon
-    from repro.types import TaskSpec
-
-    if args.shards:
-        return _bench_shards(args)
-
-    n_tasks = 1500 if args.quick else 5000
-
-    def one_round(round_index: int, **deploy_kwargs) -> dict:
-        with LocalFalkon(
-            executors=args.executors,
-            bundle_size=500,
-            pipeline_depth=args.pipeline,
-            **deploy_kwargs,
-        ) as falkon:
-            tasks = [
-                TaskSpec.sleep(0, task_id=f"bench-{round_index}-{i:06d}")
-                for i in range(n_tasks)
-            ]
-            started = time.perf_counter()
-            results = falkon.run(tasks, timeout=300)
-            elapsed = time.perf_counter() - started
-            if not all(r.ok for r in results):
-                raise RuntimeError("benchmark tasks failed")
-            stats = falkon.dispatcher.stats()
-        return {
-            "tasks_per_s": n_tasks / elapsed,
-            "dispatch_p50_s": stats.dispatch_latency_p50,
-            "dispatch_p99_s": stats.dispatch_latency_p99,
-        }
-
-    if args.profile:
-        return _bench_profile(args, n_tasks, one_round)
-    if args.flight:
-        return _bench_flight(args, n_tasks, one_round)
-    if args.telemetry:
-        return _bench_telemetry(args, n_tasks, one_round)
-    if args.journal:
-        return _bench_journal(args, n_tasks, one_round)
-
-    best = max((one_round(i) for i in range(2)), key=lambda r: r["tasks_per_s"])
-    rate = best["tasks_per_s"]
-    print(f"dispatch bench ({'quick, ' if args.quick else ''}{n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}):")
-    print(f"  {rate:,.0f} tasks/s, dispatch p50 {best['dispatch_p50_s'] * 1e3:.1f} ms, "
-          f"p99 {best['dispatch_p99_s'] * 1e3:.1f} ms")
-
-    baseline_path = args.baseline
-    record = {
-        "tasks_per_s": rate,
-        "dispatch_p50_s": best["dispatch_p50_s"],
-        "dispatch_p99_s": best["dispatch_p99_s"],
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "quick": args.quick,
-    }
-    if args.update_baseline or not os.path.exists(baseline_path):
-        with open(baseline_path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"  recorded baseline -> {baseline_path}")
-        return 0
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    reference = float(baseline["tasks_per_s"])
-    floor = reference * (1.0 - args.tolerance)
-    verdict = "OK" if rate >= floor else "REGRESSION"
-    print(f"  baseline {reference:,.0f} tasks/s ({baseline_path}); "
-          f"floor at -{args.tolerance:.0%} = {floor:,.0f}: {verdict}")
-    if rate < floor:
-        print(f"  dispatch throughput regressed more than {args.tolerance:.0%} "
-              f"against the recorded baseline", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_profile(args, n_tasks: int, one_round) -> int:
-    """One bench round under an all-thread cProfile; top-20 frames.
-
-    Evidence, not a gate: the point is to rank where dispatch CPU goes
-    (wire codec, selector loop, span recording, ...) before attacking
-    it.  The shared outbound IOLoop is stopped before merging so its
-    selector thread flushes its profile; it is recreated on demand by
-    the next user.
-    """
-    from repro.live import ioloop
-    from repro.obs.profiling import print_top, profile_all_threads
-
-    with profile_all_threads() as collect:
-        result = one_round(0)
-        ioloop.default_loop().stop()
-    stats = collect()
-    print(f"profiled bench round ({n_tasks} sleep-0 tasks, {args.executors} "
-          f"executors, pipeline depth {args.pipeline}): "
-          f"{result['tasks_per_s']:,.0f} tasks/s under instrumentation")
-    print(print_top(stats, 20), end="")
-    return 0
-
-
-def _bench_shards(args) -> int:
-    """Federation scaling bench: N subprocess shards vs 1, ratio-gated.
-
-    Both configurations run in the *same invocation* — same machine
-    state, same subprocess topology (router in this process, shards as
-    children) — so the ratio isolates what federation adds.  Per-shard
-    resources are held constant and the tasks carry a fixed nonzero
-    runtime (the paper's task-length framing, Figure 7): a single
-    shard's capacity is ``executors / task_seconds``, federation
-    multiplies the deployment, and the ratio shows aggregate capacity
-    scaling rather than single-core dispatch CPU (which cannot scale
-    on a one-core box).  The gate is the acceptance ratio from
-    docs/API.md: 1.5x at 2 shards, 2.5x at 4, linear in between
-    (``--shard-gate`` overrides).
-    """
-    import json
-    import os
-
-    from repro.live.federation import ShardRouter
-    from repro.types import TaskSpec
-
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
-    task_seconds = 0.005
-    n_tasks = 2000 if args.quick else 4000
-
-    def measure(shards: int) -> float:
-        best = 0.0
-        with _ShardFleet(shards, executors=args.executors,
-                         pipeline=args.pipeline).wait_ready() as fleet:
-            router = ShardRouter(fleet.urls, bundle_size=500)
-            try:
-                for round_index in range(2):
-                    tasks = [
-                        TaskSpec.sleep(
-                            task_seconds,
-                            task_id=f"bench{shards}-{round_index}-{i:06d}")
-                        for i in range(n_tasks)
-                    ]
-                    started = time.perf_counter()
-                    results = router.run(tasks, timeout=300)
-                    elapsed = time.perf_counter() - started
-                    if not all(r.ok for r in results):
-                        raise RuntimeError("benchmark tasks failed")
-                    best = max(best, n_tasks / elapsed)
-            finally:
-                router.shutdown()
-        return best
-
-    base = measure(1)
-    print(f"federation bench ({'quick, ' if args.quick else ''}{n_tasks} "
-          f"sleep-{task_seconds * 1e3:g}ms tasks, {args.executors} "
-          f"executors/shard, pipeline depth {args.pipeline}, "
-          f"best of 2 rounds):")
-    print(f"  1 shard   {base:,.0f} tasks/s")
-    rates = {"1": base}
-    ratios: dict[str, float] = {}
-    failed = False
-    if args.shards > 1:
-        rate = measure(args.shards)
-        ratio = rate / base
-        gate = (args.shard_gate if args.shard_gate is not None
-                else 1.5 + max(0, args.shards - 2) * 0.5)
-        rates[str(args.shards)] = rate
-        ratios[str(args.shards)] = ratio
-        verdict = "OK" if ratio >= gate else "BELOW GATE"
-        print(f"  {args.shards} shards  {rate:,.0f} tasks/s -> "
-              f"{ratio:.2f}x (gate {gate:.2f}x): {verdict}")
-        failed = ratio < gate
-
-    # Merge into the dispatch record so repeated invocations
-    # (--shards 2, then --shards 4) accumulate one scaling curve.
-    data = {}
-    if os.path.exists(args.dispatch_out):
-        try:
-            with open(args.dispatch_out) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    scaling = data.setdefault("shard_scaling", {})
-    scaling.setdefault("rates_tasks_per_s", {}).update(rates)
-    scaling.setdefault("ratios_vs_1_shard", {}).update(ratios)
-    scaling.update(n_tasks=n_tasks, executors_per_shard=args.executors,
-                   pipeline=args.pipeline, quick=args.quick,
-                   task_seconds=task_seconds)
-    with open(args.dispatch_out, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"  recorded -> {args.dispatch_out}")
-    if failed:
-        print(f"  federation speedup below the acceptance gate",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _merge_json_record(path: str, updates: dict) -> None:
-    """Read-modify-write a JSON record file.
-
-    The telemetry and flight benches share one artifact
-    (``BENCH_telemetry.json``); each must preserve the other's keys
-    rather than clobbering the file.  An unreadable existing file is
-    replaced — the measurements are reproducible, the artifact is not
-    precious.
-    """
-    import json
-
-    record: dict = {}
-    try:
-        with open(path) as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict):
-            record = loaded
-    except (OSError, ValueError):
-        pass
-    record.update(updates)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _bench_telemetry(args, n_tasks: int, one_round) -> int:
-    """Measure what the live telemetry plane costs, and gate it.
-
-    Interleaved A/B rounds (base, telemetry, base, telemetry, ...) so
-    machine-load drift hits both configurations equally; the gate
-    compares each telemetry round against its *adjacent* base round
-    and takes the best pairing, exactly like the journal bench: the
-    first in-process round is measurably faster than every later one
-    (allocator/GC state), so an unpaired best-vs-best ratio charges
-    that decay to the telemetry plane and inflates the overhead by
-    more than the plane itself costs.
-    """
-    # The full telemetry plane as a user would turn it on: HTTP status
-    # surface up, executors streaming heartbeat stats, the monitor
-    # folding self-samples.  Event logging stays off — it is opt-in
-    # per run (`--events-out`) and documented as outside this budget.
-    telemetry_kwargs = {"heartbeat_interval": 0.25, "http_port": 0}
-    rounds = 3
-    pairs: list[tuple[float, float]] = []
-    for i in range(rounds):
-        base_rate = one_round(2 * i)["tasks_per_s"]
-        telem_rate = one_round(2 * i + 1, **telemetry_kwargs)["tasks_per_s"]
-        pairs.append((base_rate, telem_rate))
-    overhead = min(max(0.0, 1.0 - t / b) for b, t in pairs)
-    base_best = max(b for b, _ in pairs)
-    telem_best = max(t for _, t in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "telemetry_tasks_per_s": telem_best,
-        "overhead_fraction": overhead,
-        "budget_fraction": args.budget,
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "rounds": rounds,
-        "telemetry_config": {"heartbeat_interval": 0.25, "http": True,
-                             "events": False},
-        "quick": args.quick,
-    }
-    _merge_json_record(args.out, record)
-    print(f"telemetry overhead bench ({n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"{rounds} interleaved round pairs):")
-    print(f"  base      {base_best:,.0f} tasks/s")
-    print(f"  telemetry {telem_best:,.0f} tasks/s "
-          f"(heartbeat stats @0.25s + HTTP surface)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
-          f"(budget {args.budget:.0%}) -> {args.out}")
-    if overhead > args.budget:
-        print(f"  telemetry plane exceeds its overhead budget "
-              f"({overhead:.1%} > {args.budget:.0%})", file=sys.stderr)
-        return 1
-    print("  OK: telemetry plane within budget")
-    return 0
-
-
-def _bench_flight(args, n_tasks: int, one_round) -> int:
-    """Measure the flight recorder + watchdogs' cost, and gate it.
-
-    Same interleaved A/B harness as the telemetry bench, with the
-    whole observability surface stacked on the variant side: base
-    rounds run with the recorder *off* and no telemetry plane, variant
-    rounds with the recorder ringing every frame/queue event *plus*
-    heartbeat stats and the HTTP surface.  The combined overhead must
-    stay inside the single ``--budget`` (5% by default) — the flight
-    recorder does not get its own budget on top of telemetry's.  The
-    measurement merges into ``--out`` under the ``"flight"`` key,
-    preserving the plain-telemetry record alongside it.
-    """
-    variant_kwargs = {"heartbeat_interval": 0.25, "http_port": 0,
-                      "flight": True}
-    rounds = 3
-    pairs: list[tuple[float, float]] = []
-    for i in range(rounds):
-        base_rate = one_round(2 * i, flight=False)["tasks_per_s"]
-        flight_rate = one_round(2 * i + 1, **variant_kwargs)["tasks_per_s"]
-        pairs.append((base_rate, flight_rate))
-    overhead = min(max(0.0, 1.0 - f / b) for b, f in pairs)
-    base_best = max(b for b, _ in pairs)
-    flight_best = max(f for _, f in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "flight_tasks_per_s": flight_best,
-        "overhead_fraction": overhead,
-        "budget_fraction": args.budget,
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "rounds": rounds,
-        "variant_config": {"heartbeat_interval": 0.25, "http": True,
-                           "flight": True, "watchdogs": True},
-        "quick": args.quick,
-    }
-    _merge_json_record(args.out, {"flight": record})
-    print(f"flight recorder overhead bench ({n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"{rounds} interleaved round pairs):")
-    print(f"  base            {base_best:,.0f} tasks/s (recorder off, no telemetry)")
-    print(f"  flight+telemetry {flight_best:,.0f} tasks/s "
-          f"(recorder + watchdogs + heartbeat stats + HTTP)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
-          f"(budget {args.budget:.0%}) -> {args.out}")
-    if overhead > args.budget:
-        print(f"  flight recorder exceeds the combined observability budget "
-              f"({overhead:.1%} > {args.budget:.0%})", file=sys.stderr)
-        return 1
-    print("  OK: flight recorder + watchdogs within budget")
-    return 0
-
-
-def _bench_journal(args, n_tasks: int, one_round) -> int:
-    """Measure what crash-safe journalling costs, and gate it.
-
-    Same paired-interleaved shape as the telemetry bench: (plain,
-    journalled, plain, journalled, ...) rounds so machine-load drift
-    hits both configurations equally.  The gate compares each
-    journalled round against its *adjacent* plain round and takes the
-    best pairing: cross-invocation CPU drift inflates an unpaired
-    best-vs-best ratio by more than the journal itself costs, whereas
-    the best adjacent pair bounds the true overhead from above with
-    far less variance.  Each journalled round writes into a fresh
-    temporary directory — this measures steady-state WAL cost
-    (group-committed SUBMITs + windowed dispatch/result/ack records +
-    fsync batching), not recovery.
-    """
-    import json
-    import shutil
-    import tempfile
-
-    rounds = 4
-    pairs: list[tuple[float, float]] = []
-    for i in range(rounds):
-        base_rate = one_round(2 * i)["tasks_per_s"]
-        journal_dir = tempfile.mkdtemp(prefix="bench-journal-")
-        try:
-            journal_rate = one_round(2 * i + 1, journal_dir=journal_dir)["tasks_per_s"]
-        finally:
-            shutil.rmtree(journal_dir, ignore_errors=True)
-        pairs.append((base_rate, journal_rate))
-    overhead = min(max(0.0, 1.0 - j / b) for b, j in pairs)
-    base_best = max(b for b, _ in pairs)
-    journal_best = max(j for _, j in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "journal_tasks_per_s": journal_best,
-        "pairs": [{"base_tasks_per_s": b, "journal_tasks_per_s": j} for b, j in pairs],
-        "overhead_fraction": overhead,
-        "budget_fraction": args.journal_budget,
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "rounds": rounds,
-        "quick": args.quick,
-    }
-    with open(args.journal_out, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"journal overhead bench ({n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"{rounds} interleaved round pairs):")
-    print(f"  plain     {base_best:,.0f} tasks/s")
-    print(f"  journaled {journal_best:,.0f} tasks/s "
-          f"(group-committed WAL + fsync batching)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
-          f"(budget {args.journal_budget:.0%}) -> {args.journal_out}")
-    if overhead > args.journal_budget:
-        print(f"  journal exceeds its overhead budget "
-              f"({overhead:.1%} > {args.journal_budget:.0%})", file=sys.stderr)
-        return 1
-    print("  OK: journal within budget")
     return 0
 
 

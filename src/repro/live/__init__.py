@@ -44,7 +44,6 @@ from repro.live.dispatcher import LiveDispatcher
 from repro.live.executor import LiveExecutor
 from repro.live.client import LiveClient, TaskFuture
 from repro.live.provisioner import LocalProvisioner
-from repro.live.forwarder import LiveForwarder
 from repro.live.local import LocalFalkon
 from repro.live.federation import (
     FederationStats,
@@ -72,7 +71,6 @@ __all__ = [
     "LiveClient",
     "TaskFuture",
     "LocalProvisioner",
-    "LiveForwarder",
     "LocalFalkon",
     "Endpoint",
     "as_endpoint",

@@ -116,7 +116,6 @@ from repro.net.message import Message, MessageType
 from repro.net.wire import encode_message_v4
 from repro.obs import (
     DispatcherStats,
-    EventLog,
     MetricsRegistry,
     Span,
     SpanCollector,
@@ -124,7 +123,6 @@ from repro.obs import (
     TimeSeriesStore,
     render_prometheus,
 )
-from repro.obs import events as ev
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
 from repro.obs.watchdog import StallDetector, TimedLock, WatchdogPanel
@@ -148,6 +146,12 @@ PEER_PREFIX = "peer:"
 #: choosing a steal victim — a stale depth must not trigger a raid on
 #: a shard that already drained.
 PEER_DEPTH_TTL = 2.0
+
+#: Most tasks one STEAL_GRANT may hand over.
+STEAL_BATCH_MAX = 32
+
+#: The ``retry_after`` hint (seconds) carried on SUBMIT_REJECT.
+REJECT_RETRY_AFTER = 0.25
 
 #: Watchdog thresholds (seconds).  An IOLoop whose wakeup lag exceeds
 #: the first is being starved by a blocking handler; a journal flush
@@ -307,12 +311,6 @@ class LiveDispatcher:
     fault_plan:
         A :class:`repro.live.faults.FaultPlan`; when set, every inbound
         session speaks through a fault-injecting connection.
-    event_log:
-        A :class:`repro.obs.EventLog` to receive lifecycle events
-        (task submit/dispatch/retry/settle, executor register/evict/
-        drop).  ``None`` installs a disabled log: the hot path pays one
-        attribute check and nothing else, which keeps the telemetry
-        overhead budget honest (``docs/OBSERVABILITY.md``).
     journal_dir:
         Directory for the crash-safe write-ahead journal.  When it
         already holds state from a previous incarnation, the
@@ -325,8 +323,6 @@ class LiveDispatcher:
         queue past this limit is refused with SUBMIT_REJECT (carrying
         a ``retry_after`` hint) instead of accepted into unbounded
         memory.  ``None`` keeps admission open.
-    reject_retry_after:
-        The ``retry_after`` hint (seconds) carried on SUBMIT_REJECT.
     journal_compact_every:
         Compact the journal into a snapshot once its tail holds this
         many records.
@@ -343,14 +339,11 @@ class LiveDispatcher:
         replay_timeout: Optional[float] = None,
         monitor_interval: Optional[float] = None,
         fault_plan: Optional["FaultPlan"] = None,
-        event_log: Optional[EventLog] = None,
         journal_dir: Optional[str] = None,
         queue_limit: Optional[int] = None,
-        reject_retry_after: float = 0.25,
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
         shard_id: Optional[str] = None,
-        steal_batch_max: int = 32,
         steal_min_queue: int = 2,
         flight: bool = True,
         flight_dump_dir: Optional[str] = None,
@@ -358,16 +351,12 @@ class LiveDispatcher:
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if steal_batch_max < 1:
-            raise ValueError("steal_batch_max must be >= 1")
         if steal_min_queue < 0:
             raise ValueError("steal_min_queue must be >= 0")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 when set")
         if retain_settled is not None and retain_settled < 1:
             raise ValueError("retain_settled must be >= 1 when set")
-        if reject_retry_after <= 0:
-            raise ValueError("reject_retry_after must be positive")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive when set")
         if heartbeat_miss_budget < 1:
@@ -381,13 +370,10 @@ class LiveDispatcher:
         self.replay_timeout = replay_timeout
         self.fault_plan = fault_plan
         self.queue_limit = queue_limit
-        self.reject_retry_after = reject_retry_after
         #: Federation identity: ``None`` keeps the classic single-shard
         #: dispatcher (gossip HEARTBEATs are ignored, STEAL frames are
         #: refused).
         self.shard_id = shard_id
-        #: Most tasks one STEAL_GRANT may hand over.
-        self.steal_batch_max = steal_batch_max
         #: Queue depth below which this shard neither grants steals nor
         #: raids peers (the last few tasks are cheaper run locally than
         #: shipped).
@@ -445,7 +431,6 @@ class LiveDispatcher:
         # the monitor's self-samples fold into bounded rolling series;
         # the optional HTTP surface and ``repro top`` read them back.
         self.timeseries = TimeSeriesStore()
-        self.events = event_log if event_log is not None else EventLog(enabled=False)
         self._http: Optional[StatusServer] = None
         #: Optional cross-shard trace resolver: called with a task id
         #: when the local span store has no chain, so ``/tasks/<id>``
@@ -783,10 +768,10 @@ class LiveDispatcher:
         self.recovered_tasks = len(state.tasks)
         self._m_recovered.inc(len(state.tasks))
         self._m_accepted.inc(len(state.tasks))
-        self.events.emit(ev.DISPATCHER_RECOVER, "dispatcher",
-                         tasks=len(state.tasks), requeued=len(requeue),
-                         truncated=state.truncated,
-                         from_snapshot=state.from_snapshot)
+        self.flight.record(fl.RECOVER, "dispatcher",
+                           tasks=len(state.tasks), requeued=len(requeue),
+                           truncated=state.truncated,
+                           from_snapshot=state.from_snapshot)
 
     def _adopt_inflight(self, executor: _ExecutorSession, echo) -> None:
         """Adopt REGISTER-echoed tasks the executor still holds.
@@ -841,10 +826,7 @@ class LiveDispatcher:
                                      attempt=attempt,
                                      executor=executor.executor_id,
                                      adopted=True)
-                if self.events.enabled:
-                    self.events.emit(ev.TASK_DISPATCH, task_id,
-                                     executor=executor.executor_id,
-                                     attempt=attempt, mode="adopted")
+                self.flight.record(fl.QUEUE_CLAIM, task_id, mode="adopted")
 
     @staticmethod
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
@@ -932,7 +914,7 @@ class LiveDispatcher:
             with self._queue_lock:
                 self._queue.append(task_id)
         self._journal_append("dlq-retry", task_id)
-        self.events.emit(ev.TASK_DLQ_RETRY, task_id)
+        self.flight.record(fl.DLQ_RETRY, task_id)
         for executor in self._pick_idle_executors(1):
             self._send_notify(executor)
         return True
@@ -1082,7 +1064,7 @@ class LiveDispatcher:
             link.close()
         if self._http is not None:
             self._http.close()
-        self.events.close()
+        self.flight.close()
         try:
             self._server.close()
         except OSError:
@@ -1164,7 +1146,7 @@ class LiveDispatcher:
             wake = self._pick_idle_executors(qlen)
         for executor_id in dead:
             if self._drop_executor(executor_id, reason="heartbeat-timeout",
-                                   kind=ev.EXECUTOR_EVICT):
+                                   kind=fl.EXECUTOR_EVICT):
                 self._m_dead.inc()
         for executor in wake:
             self._send_notify(executor)
@@ -1352,7 +1334,7 @@ class LiveDispatcher:
                 client_id = f"client-{next(self._client_seq):04d}"
             self._clients[client_id] = _ClientSession(client_id, session.conn)
         session.role = ("client", client_id)
-        self.events.emit(ev.CLIENT_CONNECT, client_id, resumed=bool(requested))
+        self.flight.record(fl.CLIENT_CONNECT, client_id, resumed=bool(requested))
         if stale_conn is not None:
             stale_conn.close()
         session.conn.send(
@@ -1376,12 +1358,12 @@ class LiveDispatcher:
                 qlen = len(self._queue)
             if qlen + len(tasks) > self.queue_limit:
                 self._m_rejects.inc()
-                self.events.emit(ev.SUBMIT_REJECT, client_id,
-                                 bundle=len(tasks), queued=qlen,
-                                 limit=self.queue_limit)
+                self.flight.record(fl.SUBMIT_REJECT, client_id,
+                                   bundle=len(tasks), queued=qlen,
+                                   limit=self.queue_limit)
                 session.conn.send(
                     Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
-                            payload={"retry_after": self.reject_retry_after,
+                            payload={"retry_after": REJECT_RETRY_AFTER,
                                      "queued": qlen,
                                      "limit": self.queue_limit})
                 )
@@ -1448,11 +1430,11 @@ class LiveDispatcher:
             # built records are discarded), so no state needs
             # unwinding.
             self._m_rejects.inc()
-            self.events.emit(ev.SUBMIT_REJECT, client_id,
-                             bundle=bundle, reason="journal")
+            self.flight.record(fl.SUBMIT_REJECT, client_id,
+                               bundle=bundle, reason="journal")
             session.conn.send(
                 Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
-                        payload={"retry_after": self.reject_retry_after,
+                        payload={"retry_after": REJECT_RETRY_AFTER,
                                  "reason": "journal"})
             )
             return
@@ -1481,12 +1463,6 @@ class LiveDispatcher:
             if self.flight.enabled:
                 for record in new_records:
                     self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
-            if self.events.enabled:
-                # Guarded: per-task emission must cost nothing when no
-                # event log is attached (the common case).
-                for record in new_records:
-                    self.events.emit(ev.TASK_SUBMIT, record.spec.task_id,
-                                     client=client_id, bundle=bundle)
         idle_to_notify = self._pick_idle_executors(len(tasks))
         session.conn.send(
             Message(MessageType.SUBMIT_ACK, sender="dispatcher",
@@ -1553,8 +1529,8 @@ class LiveDispatcher:
             if reconnect:
                 self._m_reconnects.inc()
         session.role = ("executor", executor_id)
-        self.events.emit(ev.EXECUTOR_REGISTER, executor_id,
-                         reconnect=reconnect, pipeline=executor.pipeline)
+        self.flight.record(fl.EXECUTOR_REGISTER, executor_id,
+                           reconnect=reconnect, pipeline=executor.pipeline)
         # Inflight echo: tasks the executor already executed (or still
         # holds) across a dispatcher restart.  A matching attempt
         # adopts the dispatch instead of re-running it elsewhere; a
@@ -1638,7 +1614,6 @@ class LiveDispatcher:
             return
         if session.role is None:
             session.role = ("peer", peer_id)
-            self.events.emit(ev.PEER_GOSSIP, peer_id, first=True)
         elif session.role[1] != peer_id:
             return  # a session cannot change shard identity mid-stream
         self._ensure_peer_session(peer_id, session.conn)
@@ -1662,7 +1637,7 @@ class LiveDispatcher:
             # session; its in-flight stolen-out tasks replay here.
             self._drop_executor(executor_id, reason="peer-reconnect")
         executor = _ExecutorSession(executor_id, conn,
-                                    pipeline=max(2, self.steal_batch_max))
+                                    pipeline=STEAL_BATCH_MAX)
         with self._exec_lock:
             self._executors[executor_id] = executor
         return executor
@@ -1713,7 +1688,7 @@ class LiveDispatcher:
             # Keep enough queued work to feed our own idle capacity
             # (plus the configured floor); only the surplus travels.
             surplus = qlen - max(self._local_idle_capacity(), self.steal_min_queue)
-            grant = min(want, self.steal_batch_max, surplus)
+            grant = min(want, STEAL_BATCH_MAX, surplus)
             if grant > 0:
                 granted = self._claim_many(executor, grant, mode="steal")
         reply = Message(
@@ -1736,7 +1711,6 @@ class LiveDispatcher:
             self._m_steals_granted.inc()
             self._m_stolen_out.inc(len(granted))
             self.flight.record(fl.STEAL_GRANT, peer_id, tasks=len(granted))
-            self.events.emit(ev.STEAL_GRANT, peer_id, tasks=len(granted))
 
     def _ingest_stolen(self, donor_shard: str, entries: list) -> int:
         """Thief side: accept a STEAL_GRANT's tasks into our own
@@ -1799,7 +1773,6 @@ class LiveDispatcher:
             self._m_stolen_in.inc(len(accepted))
             self.flight.record(fl.STEAL_INGEST, donor_shard,
                                tasks=len(accepted))
-            self.events.emit(ev.STEAL_INGEST, donor_shard, tasks=len(accepted))
             for executor in self._pick_idle_executors(len(accepted)):
                 self._send_notify(executor)
         if resend:
@@ -1897,7 +1870,7 @@ class LiveDispatcher:
                 best = info["queued"]
                 target = link
         if target is not None:
-            target.maybe_steal(min(idle, self.steal_batch_max))
+            target.maybe_steal(min(idle, STEAL_BATCH_MAX))
 
     def _steal_hint(self, link) -> None:
         """A donor NOTIFYed our peer link: it has queued work.  Steal
@@ -1908,7 +1881,7 @@ class LiveDispatcher:
             return
         idle = self._local_idle_capacity()
         if idle > 0 and link.ready:
-            link.maybe_steal(min(idle, self.steal_batch_max))
+            link.maybe_steal(min(idle, STEAL_BATCH_MAX))
 
     def _on_get_work(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -1950,24 +1923,42 @@ class LiveDispatcher:
         executor_id = PEER_PREFIX + role[1] if is_peer else role[1]
         # A "results" list whose entries each carry their own attempt
         # echo and exec window — one frame (and one ack) for a whole
-        # executor-side batch.
-        entries: list[tuple[dict, Optional[int], dict]] = [
-            (item["result"], item.get("attempt"), item.get("exec") or {})
-            for item in msg.payload.get("results", ())
-            if isinstance(item, dict) and item.get("result") is not None
-        ]
+        # executor-side batch.  The frame is validated whole before it
+        # mutates anything: a malformed entry is skipped — its task
+        # stays DISPATCHED and in ``busy`` for the normal replay paths —
+        # so it cannot strand the frame's good entries mid-settle.
+        entries: list[tuple[dict, Optional[int], float]] = []
+        for item in msg.payload.get("results", ()):
+            if not isinstance(item, dict):
+                continue
+            payload = item.get("result")
+            attempt = item.get("attempt")
+            exec_info = item.get("exec") or {}
+            if (
+                not isinstance(payload, dict)
+                or not isinstance(payload.get("task_id"), str)
+                or not isinstance(exec_info, dict)
+                or not (attempt is None or isinstance(attempt, int))
+            ):
+                continue
+            try:
+                exec_seconds = float(exec_info.get("seconds", 0.0))
+            except (TypeError, ValueError):
+                continue
+            if math.isfinite(exec_seconds):
+                entries.append((payload, attempt, exec_seconds))
         if not entries:
             return
         executor = self._exec_get(executor_id)
         if executor is not None:
             with executor.lock:
-                for result_payload, _, _ in entries:
-                    executor.busy.discard(result_payload.get("task_id"))
+                for payload, _, _ in entries:
+                    executor.busy.discard(payload["task_id"])
                 executor.notified = False
         # One records-lock round trip for the whole batch: a pipelined
         # RESULT frame carries dozens of completions.
         with self._records_lock:
-            records = [self._records.get(payload.get("task_id"))
+            records = [self._records.get(payload["task_id"])
                        for payload, _, _ in entries]
         # Each result adopts its record's timeline (what _settle hands
         # the client anyway) and, below, its record's task id string —
@@ -1992,7 +1983,7 @@ class LiveDispatcher:
         # task: the executor pair, and one tuple per outcome seen.
         executor_attr = ("executor", executor_id)
         outcome_attrs: dict[str, tuple] = {}
-        for (_, echoed_attempt, exec_info), result, record in zip(
+        for (_, echoed_attempt, exec_seconds), result, record in zip(
             entries, results, records
         ):
             if not (is_peer and result.executor_id):
@@ -2020,7 +2011,6 @@ class LiveDispatcher:
                 # result arrival (the collector clamps it to stay
                 # monotonic).
                 now = self._now()
-                exec_seconds = float(exec_info.get("seconds", 0.0))
                 exec_samples.append(exec_seconds)
                 ok = result.ok
                 outcome = ("ok" if ok else
@@ -2298,11 +2288,6 @@ class LiveDispatcher:
                         executor.dispatch_attrs(record.dispatch_mode),
                     ))
                     latencies.append(now - record.timeline.submitted)
-                    if self.events.enabled:
-                        self.events.emit(ev.TASK_DISPATCH, record.spec.task_id,
-                                         executor=executor_id,
-                                         attempt=record.attempts,
-                                         mode=record.dispatch_mode)
         if rows:
             self.spans.record_many(rows)
             self._h_dispatch.observe_many(latencies)
@@ -2386,11 +2371,6 @@ class LiveDispatcher:
                     self._m_stolen_failed.inc()
             batch.e2e.append(now - record.timeline.submitted)
             self.flight.record(fl.TASK_SETTLE, task_id, outcome=outcome)
-            if self.events.enabled:
-                self.events.emit(
-                    ev.TASK_SETTLE, task_id, outcome=outcome,
-                    attempts=record.attempts, executor=result.executor_id,
-                )
             if journaled:
                 batch.journal_rows.append(
                     {"k": "result", "id": task_id, "outcome": outcome,
@@ -2406,15 +2386,12 @@ class LiveDispatcher:
                 if journaled:
                     batch.journal_rows.append(
                         {"k": "dlq", "id": task_id, "error": result.error})
-                self.events.emit(ev.TASK_DLQ, task_id,
-                                 attempts=record.attempts, error=result.error)
+                self.flight.record(fl.DLQ_ADD, task_id,
+                                   attempts=record.attempts, error=result.error)
             return (record.client_id, result, record)
         # retry
         self._m_retries.inc()
         self.flight.record(fl.QUEUE_REQUEUE, task_id)
-        if self.events.enabled:
-            self.events.emit(ev.TASK_RETRY, task_id,
-                             attempt=record.attempts, reason="failed-result")
         record.state = TaskState.QUEUED
         record.executor_id = ""
         record.delivered = False
@@ -2454,9 +2431,6 @@ class LiveDispatcher:
         if record.attempts <= self.max_retries:
             self._m_retries.inc()
             self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
-            if self.events.enabled:
-                self.events.emit(ev.TASK_RETRY, record.spec.task_id,
-                                 attempt=record.attempts, reason=reason)
             record.state = TaskState.QUEUED
             record.executor_id = ""
             record.delivered = False
@@ -2572,7 +2546,7 @@ class LiveDispatcher:
         executor_id: str,
         only_conn: Optional[Connection] = None,
         reason: str = "connection-closed",
-        kind: str = ev.EXECUTOR_DROP,
+        kind: str = fl.EXECUTOR_DROP,
     ) -> bool:
         """Remove an executor; replay its in-flight tasks.
 
@@ -2594,7 +2568,7 @@ class LiveDispatcher:
         # Telemetry convergence: the dead agent's series disappear so
         # the status surface never shows stuck gauges for it.
         self.timeseries.forget(executor_id)
-        self.events.emit(kind, executor_id, reason=reason)
+        self.flight.record(kind, executor_id, reason=reason)
         with executor.lock:
             executor.dead = True
             in_flight = list(executor.busy)

@@ -24,7 +24,7 @@ own executors, journal and metrics, joined two ways:
 
 :class:`LocalFederation` wires all of it up in-process (the unit-test
 and scenario plane); :func:`shard_main` runs one shard as a standalone
-process for ``repro shard`` / ``repro bench --shards N``, where real
+process for ``repro shard`` / ``repro live --shards N``, where real
 parallel speedup needs separate interpreters.
 """
 
@@ -638,7 +638,7 @@ class LocalFederation:
 
     In-process shards share the GIL, so this is the *correctness*
     plane (tests, scenarios, chaos); throughput scaling experiments
-    use subprocess shards (``repro bench --shards N``).
+    use subprocess shards (``benchmarks/test_shard_scaling.py``).
     """
 
     def __init__(
@@ -656,7 +656,6 @@ class LocalFederation:
         bundle_size: int = 300,
         journal_root: Optional[str] = None,
         queue_limit: Optional[int] = None,
-        steal_batch_max: int = 32,
         steal_min_queue: int = 2,
         http_port: Optional[int] = None,
         retain_settled: Optional[int] = None,
@@ -678,7 +677,6 @@ class LocalFederation:
             replay_timeout=replay_timeout,
             monitor_interval=monitor_interval,
             queue_limit=queue_limit,
-            steal_batch_max=steal_batch_max,
             steal_min_queue=steal_min_queue,
             retain_settled=retain_settled,
             flight=flight,

@@ -58,9 +58,9 @@ class LocalFalkon:
         (``0`` picks a free one; ``None`` — the default — keeps HTTP
         off).  Endpoints: ``/metrics``, ``/status``, ``/tasks/<id>``.
     events_out:
-        Stream dispatcher lifecycle events to this JSONL path
-        (``repro events replay`` reads it back).  ``None`` keeps the
-        event log disabled — the zero-overhead default.
+        Follow the dispatcher's flight ring to this JSONL path, one
+        line per event (``repro events replay`` reads it back).
+        Requires ``flight=True``.
     journal_dir:
         Directory for the dispatcher's crash-safe journal; a directory
         holding state from a previous run is recovered on boot
@@ -80,8 +80,7 @@ class LocalFalkon:
     flight:
         Keep flight recorders (bounded in-memory event rings; see
         :mod:`repro.obs.flight`) on every component.  On by default —
-        the ring is append-only and lock-free — but A/B overhead runs
-        (``repro bench --flight``) switch it off for the baseline.
+        the ring is append-only and lock-free.
     flight_dump_dir:
         Where crash/SIGTERM/manual flight dumps land; ``None`` falls
         back to a per-PID directory under the system tempdir.
@@ -119,12 +118,9 @@ class LocalFalkon:
             raise ValueError("executors must be positive")
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        key = b"local-falkon-shared-key" if security is SecurityMode.GSI_SECURE_CONVERSATION else None
-        event_log = None
-        if events_out is not None:
-            from repro.obs import EventLog
-
-            event_log = EventLog(path=events_out)
+        if events_out is not None and not flight:
+            raise ValueError("events_out follows the flight ring: it needs flight=True")
+        key =b"local-falkon-shared-key" if security is SecurityMode.GSI_SECURE_CONVERSATION else None
         self.dispatcher = LiveDispatcher(
             key=key,
             max_retries=max_retries,
@@ -132,7 +128,6 @@ class LocalFalkon:
             heartbeat_miss_budget=heartbeat_miss_budget,
             replay_timeout=replay_timeout,
             fault_plan=fault_plan,
-            event_log=event_log,
             journal_dir=journal_dir,
             queue_limit=queue_limit,
             journal_compact_every=journal_compact_every,
@@ -141,6 +136,10 @@ class LocalFalkon:
             flight_dump_dir=flight_dump_dir,
             stall_after=stall_after,
         )
+        if events_out is not None:
+            # Before any peer connects; the ring already holds a
+            # journal recovery's event, and the follow writes it first.
+            self.dispatcher.flight.follow(events_out)
         self.http = None
         self.python_registry = python_registry or {}
         self.executors: list[LiveExecutor] = []

@@ -18,11 +18,10 @@ One layer shared by the simulation and live planes:
 * :mod:`repro.obs.httpd` — the stdlib HTTP scrape/status surface
   (``/metrics``, ``/status``, ``/tasks/<id>``) behind ``repro live
   --http-port`` and ``repro top``.
-* :mod:`repro.obs.events` — structured JSONL lifecycle event log with
-  ``repro events replay`` timeline reconstruction.
 * :mod:`repro.obs.flight` — per-component flight recorders: bounded
   lock-free event rings flushed to versioned JSON dumps on crash,
-  SIGTERM, oracle violation or ``POST /debug/dump``.
+  SIGTERM, oracle violation or ``POST /debug/dump``, and followed as
+  JSONL for ``repro events replay`` timeline reconstruction.
 * :mod:`repro.obs.watchdog` — stall detection, contended-lock timing
   and the named-check panel behind ``/healthz``'s ``degraded`` field.
 * :mod:`repro.obs.doctor` — the ``repro doctor`` dump analyzer:
@@ -63,13 +62,14 @@ from repro.obs.timeseries import (
     efficiency_curve,
 )
 from repro.obs.httpd import StatusServer, json_safe
-from repro.obs.events import Event, EventLog, read_events_jsonl, replay_summary
 from repro.obs.flight import (
     FLIGHT_DUMP_VERSION,
     FlightRecorder,
     flight_dump_path,
     load_flight_dumps,
+    read_events_jsonl,
     read_flight_dump,
+    replay_summary,
 )
 from repro.obs.watchdog import StallDetector, TimedLock, WatchdogPanel
 from repro.obs.doctor import analyze, render_report
@@ -103,8 +103,6 @@ __all__ = [
     "efficiency_curve",
     "StatusServer",
     "json_safe",
-    "Event",
-    "EventLog",
     "read_events_jsonl",
     "replay_summary",
     "FLIGHT_DUMP_VERSION",

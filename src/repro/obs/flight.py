@@ -32,12 +32,22 @@ Dump format (version 1, see ``docs/PROTOCOL.md``)::
 Event monotonic stamps convert to wall time via ``t +
 wall_minus_mono``, which is how the doctor aligns dumps taken by
 different processes on the same host.
+
+The ring is also the lifecycle log: :meth:`FlightRecorder.follow`
+(``repro live --events-out``) writes what the ring holds and then every
+later event to a JSONL file, one line per event on both clocks::
+
+    {"t_mono": ..., "t_wall": ..., "kind": ..., "subject": ..., "attrs": {...}}
+
+``repro events replay`` reads it back (:func:`read_events_jsonl`,
+:func:`replay_summary`) with the same kind vocabulary as the dumps.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from collections import deque
 from typing import Any, Iterable, Optional
@@ -48,6 +58,8 @@ __all__ = [
     "flight_dump_path",
     "read_flight_dump",
     "load_flight_dumps",
+    "read_events_jsonl",
+    "replay_summary",
     # event kinds
     "FRAME_RX",
     "FRAME_TX",
@@ -62,6 +74,14 @@ __all__ = [
     "LOOP_ITER",
     "GOSSIP",
     "WATCHDOG",
+    "EXECUTOR_REGISTER",
+    "EXECUTOR_EVICT",
+    "EXECUTOR_DROP",
+    "CLIENT_CONNECT",
+    "SUBMIT_REJECT",
+    "RECOVER",
+    "DLQ_ADD",
+    "DLQ_RETRY",
 ]
 
 #: Version stamp written into every dump; bump on schema changes.
@@ -86,6 +106,53 @@ JOURNAL_COMMIT = "journal.commit"  # attrs: records, seconds
 LOOP_ITER = "loop.iter"        # subject: loop name; attrs: lag_s
 GOSSIP = "gossip"              # subject: peer shard id
 WATCHDOG = "watchdog"          # subject: check name; attrs: reason
+# Per session or per incident, never per ok task.  None is ``queue.*`` or
+# ``task.*``: the doctor reads those two namespaces as open-task
+# transitions.
+EXECUTOR_REGISTER = "executor.register"  # subject: executor id; attrs: reconnect, pipeline
+EXECUTOR_EVICT = "executor.evict"  # subject: executor id (heartbeat timeout); attrs: reason
+EXECUTOR_DROP = "executor.drop"  # subject: executor id; attrs: reason
+CLIENT_CONNECT = "client.connect"  # subject: client id; attrs: resumed
+SUBMIT_REJECT = "submit.reject"  # subject: client id; attrs: bundle, queued+limit | reason
+RECOVER = "dispatcher.recover"  # attrs: tasks, requeued, truncated, from_snapshot
+DLQ_ADD = "dlq.add"            # subject: task id; attrs: attempts, error
+DLQ_RETRY = "dlq.retry"        # subject: task id
+
+
+class _FollowedRing(deque):
+    """The ring while a JSONL follow is attached.
+
+    ``append`` also writes the event as one line, so ``record()`` is
+    the same enabled check, tuple and append with or without a follow.
+    The file has its own lock: the IOLoop, monitor and journal threads
+    share the ring.
+    """
+
+    def __init__(self, events: Iterable[tuple], maxlen: Optional[int], fh) -> None:
+        super().__init__(events, maxlen)
+        self._fh = fh
+        self._lock = threading.Lock()
+        # One offset for the whole file, as a dump's ``wall_minus_mono``.
+        self._wall_minus_mono = time.time() - time.monotonic()
+        for event in self:
+            self._write(event)
+
+    def _write(self, event: tuple) -> None:
+        t, kind, subject, attrs = event
+        self._fh.write(json.dumps(
+            {"t_mono": t, "t_wall": t + self._wall_minus_mono, "kind": kind,
+             "subject": subject, "attrs": attrs or {}}, sort_keys=True) + "\n")
+
+    def append(self, event: tuple) -> None:
+        with self._lock:
+            super().append(event)
+            if self._fh is not None:
+                self._write(event)
+
+    def close(self) -> None:
+        with self._lock:
+            self._fh.close()
+            self._fh = None
 
 
 class FlightRecorder:
@@ -134,6 +201,24 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._ring.clear()
+
+    # -- JSONL follow --------------------------------------------------------
+    def follow(self, path: "str | os.PathLike[str]") -> None:
+        """Append what the ring holds to *path* as JSONL, then every
+        later event as it is recorded, until :meth:`close`.
+
+        Attach before traffic: an event recorded by another thread
+        while the rings are swapped may miss the file.
+        """
+        fh = open(path, "a", encoding="utf-8")
+        self._ring = _FollowedRing(self._ring, self._ring.maxlen, fh)
+
+    def close(self) -> None:
+        """Flush and detach the follow, if any; the ring keeps recording."""
+        ring = self._ring
+        if isinstance(ring, _FollowedRing):
+            self._ring = deque(ring, maxlen=ring.maxlen)
+            ring.close()
 
     # -- dumps ---------------------------------------------------------------
     def dump(
@@ -253,3 +338,66 @@ def events_between(
         t = event.get("t", 0.0)
         if t_lo <= t <= t_hi:
             yield event
+
+
+def read_events_jsonl(path: "str | os.PathLike[str]") -> list[dict]:
+    """Parse a followed JSONL file back into event dicts.
+
+    Blank lines are skipped; a truncated trailing line (the writer died
+    mid-record) is dropped rather than raising, so a log from a crashed
+    run still replays.
+    """
+    events: list[dict] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                data = json.loads(line)
+                events.append({
+                    "kind": str(data.get("kind", "")),
+                    "subject": str(data.get("subject", "")),
+                    "t_mono": float(data.get("t_mono", 0.0)),
+                    "t_wall": float(data.get("t_wall", 0.0)),
+                    "attrs": dict(data.get("attrs") or {}),
+                })
+            except (AttributeError, TypeError, ValueError):
+                continue  # blank, truncated, or not an event object
+    return events
+
+
+def replay_summary(events: Iterable[dict]) -> dict[str, Any]:
+    """Reconstruct a timeline summary from a followed event stream.
+
+    Durations come from the monotonic clock; the wall-clock bounds are
+    reported alongside for correlation with external logs.
+    """
+    events = sorted(events, key=lambda e: e["t_mono"])
+    kinds: dict[str, int] = {}
+    outcomes: dict[str, int] = {}
+    executors: set[str] = set()
+    dropped: set[str] = set()
+    for event in events:
+        kind = event["kind"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == TASK_SETTLE:
+            outcome = str(event["attrs"].get("outcome", "unknown"))
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        elif kind == EXECUTOR_REGISTER:
+            executors.add(event["subject"])
+        elif kind in (EXECUTOR_DROP, EXECUTOR_EVICT):
+            dropped.add(event["subject"])
+    duration = events[-1]["t_mono"] - events[0]["t_mono"] if len(events) > 1 else 0.0
+    settled = kinds.get(TASK_SETTLE, 0)
+    return {
+        "events": len(events),
+        "kinds": dict(sorted(kinds.items())),
+        "duration_s": duration,
+        "wall_start": events[0]["t_wall"] if events else None,
+        "wall_end": events[-1]["t_wall"] if events else None,
+        "submitted": kinds.get(QUEUE_ENQUEUE, 0),
+        "settled": settled,
+        "outcomes": dict(sorted(outcomes.items())),
+        "retries": kinds.get(QUEUE_REQUEUE, 0),
+        "throughput_tasks_per_s": settled / duration if duration > 0 else None,
+        "executors_registered": len(executors),
+        "executors_dropped": len(dropped),
+    }

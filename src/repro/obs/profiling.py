@@ -1,8 +1,8 @@
-"""All-thread cProfile harness for `repro bench --profile`.
+"""All-thread cProfile harness for `scripts/task_cpu_census.py --profile`.
 
 ``cProfile`` instruments one thread, but the live plane's hot path
 runs on IOLoop selector threads and executor workers — a main-thread
-profile of the bench shows nothing but waiting.  This module installs
+profile of a run shows nothing but waiting.  This module installs
 a bootstrap hook via :func:`threading.setprofile` that, on the first
 profile event of every newly started thread, swaps itself for a
 dedicated per-thread C profiler.  At the end the per-thread profiles

@@ -307,3 +307,106 @@ def test_mixed_result_frame_accounts_like_one_entry_frames(tmp_path):
     assert [row["k"] for row in batched["wal"]["mx-spent"]] == [
         "submit", "dispatch", "requeue", "dispatch", "result", "dlq"]
     assert batched["acked"] == ["mx-done", "mx-ok", "mx-spent"]
+
+
+# -- a RESULT frame is validated whole before it mutates anything -------------------
+def _drive_frame_with_bad_entry(journal_dir: str, bad) -> dict:
+    """Three tasks dispatched in one WORK frame to a journaled
+    dispatcher; one RESULT frame settles the first two and carries
+    *bad* (a malformed third entry, or ``None`` for no third entry).
+    Returns what the frame left behind, then checks the third task is
+    replayed once the session drops."""
+    from repro.live.journal import read_journal_tail
+    from repro.scenarios.oracles import OracleReport, check_conservation
+    from repro.types import TaskState
+
+    dispatcher = LiveDispatcher(journal_dir=journal_dir)
+    client = RawPeer(dispatcher.address)
+    executor = RawPeer(dispatcher.address)
+    second = None
+    ids = ["bad-0", "bad-1", "bad-2"]
+
+    def ok_entry(task_id, attempt):
+        return {"result": {"task_id": task_id}, "attempt": attempt,
+                "exec": {"seconds": 0.25}}
+
+    try:
+        client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        client.recv_until(MessageType.INSTANCE_CREATED)
+        client.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": task_id, "args": ["0"]} for task_id in ids]}))
+        client.recv_until(MessageType.SUBMIT_ACK)
+        _register_pipelined(executor, "e-1", 8)
+        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
+        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 3
+
+        entries = [ok_entry("bad-0", 1), ok_entry("bad-1", 1)]
+        if bad is not None:
+            entries.append(bad)
+        executor.send(Message(MessageType.RESULT, sender="e-1",
+                              payload={"results": entries}))
+        # The session survives the bad entry: the frame is acknowledged.
+        executor.recv_until(MessageType.RESULT_ACK)
+        notified = client.recv_until(MessageType.CLIENT_NOTIFY).payload["results"]
+        assert wait_until(lambda: all(
+            dispatcher._records[task_id].acked for task_id in ids[:2]))
+        assert dispatcher.journal.commit()
+        rows, _ = read_journal_tail(dispatcher.journal.tail_path)
+        stats = dispatcher.stats()
+        observed = {
+            "notified": sorted(r["task_id"] for r in notified),
+            "stats": (stats.completed, stats.failed, stats.retries, stats.busy),
+            "histograms": (dispatcher._h_exec.count, dispatcher._h_e2e.count),
+            "wal": {task_id: [row["k"] for row in rows if row.get("id") == task_id]
+                    for task_id in ids},
+            "acked": sorted(acked for row in rows if row["k"] == "acked"
+                            for acked in row["ids"]),
+        }
+        # The skipped entry's task is still the executor's to finish...
+        assert dispatcher._records["bad-2"].state is TaskState.DISPATCHED
+        assert dispatcher._executors["e-1"].busy == {"bad-2"}
+        # ...and is replayed through the normal path when the session drops.
+        executor.close()
+        second = RawPeer(dispatcher.address)
+        _register_pipelined(second, "e-2", 8)
+        second.send(Message(MessageType.GET_WORK, sender="e-2"))
+        (again,) = second.recv_until(MessageType.WORK).payload["tasks"]
+        assert (again["task"]["task_id"], again["attempt"]) == ("bad-2", 2)
+        second.send(Message(MessageType.RESULT, sender="e-2",
+                            payload={"results": [ok_entry("bad-2", 2)]}))
+        second.recv_until(MessageType.RESULT_ACK)
+        (late,) = client.recv_until(MessageType.CLIENT_NOTIFY).payload["results"]
+        assert late["task_id"] == "bad-2"
+        report = OracleReport()
+        check_conservation(report, submitted=3, stats=dispatcher.stats())
+        assert report.ok, report.summary()
+        return observed
+    finally:
+        client.close()
+        executor.close()
+        if second is not None:
+            second.close()
+        dispatcher.close()
+
+
+@pytest.mark.parametrize("bad", [
+    {"result": {"task_id": "bad-2"}, "attempt": 1, "exec": {"seconds": "x"}},
+    {"result": "oops", "attempt": 1, "exec": {"seconds": 0.0}},
+    {"result": {"task_id": "bad-2"}, "attempt": "1", "exec": {"seconds": 0.0}},
+    {"result": {"task_id": "bad-2"}, "attempt": 1, "exec": {"seconds": float("inf")}},
+], ids=["seconds-not-a-number", "result-not-a-dict", "attempt-not-an-int",
+        "seconds-not-finite"])
+def test_malformed_result_entry_is_skipped_and_the_rest_of_the_frame_settles(
+    tmp_path, bad
+):
+    """One bad entry used to raise mid-settle: the session closed with
+    the frame's good entries COMPLETED in memory but never notified,
+    counted or journaled, and every busy slot already cleared."""
+    with_bad = _drive_frame_with_bad_entry(str(tmp_path / "bad"), bad)
+    without = _drive_frame_with_bad_entry(str(tmp_path / "control"), None)
+    assert with_bad == without
+    assert with_bad["notified"] == ["bad-0", "bad-1"]
+    assert with_bad["stats"] == (2, 0, 0, 1)
+    assert with_bad["wal"]["bad-0"] == ["submit", "dispatch", "result"]
+    assert with_bad["wal"]["bad-2"] == ["submit", "dispatch"]
+    assert with_bad["acked"] == ["bad-0", "bad-1"]

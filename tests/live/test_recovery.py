@@ -503,17 +503,27 @@ def test_overflow_rejected_then_converges():
 
 
 def test_reject_carries_retry_after_hint():
-    disp = LiveDispatcher(queue_limit=2, reject_retry_after=0.5)
-    client = LiveClient(disp.endpoint, max_submit_retries=0, bundle_size=10)
-    try:
-        client.submit(specs(2, prefix="fill"))  # fills the queue (no executors)
-        from repro.errors import ProtocolError
+    from repro.live.dispatcher import REJECT_RETRY_AFTER
 
-        with pytest.raises(ProtocolError):
-            client.submit(specs(4, prefix="over"))
-        assert client.submit_rejects == 1
+    disp = LiveDispatcher(queue_limit=2)
+    peer = RawPeer(disp.address)
+    try:
+        peer.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        peer.recv_until(MessageType.INSTANCE_CREATED)
+
+        def submit(batch):
+            peer.send(Message(MessageType.SUBMIT, sender="c", payload={
+                "tasks": [task_to_dict(spec) for spec in batch]}))
+
+        submit(specs(2, prefix="fill"))  # fills the queue (no executors)
+        peer.recv_until(MessageType.SUBMIT_ACK)
+        submit(specs(4, prefix="over"))
+        reject = peer.recv_until(MessageType.SUBMIT_REJECT)
+        assert reject.payload == {
+            "retry_after": REJECT_RETRY_AFTER, "queued": 2, "limit": 2}
+        assert disp.stats().submit_rejects == 1
     finally:
-        client.close()
+        peer.close()
         disp.close()
 
 
@@ -586,5 +596,3 @@ def test_duplicate_submit_of_settled_task_renotifies():
 def test_queue_limit_validation():
     with pytest.raises(ValueError):
         LiveDispatcher(queue_limit=0)
-    with pytest.raises(ValueError):
-        LiveDispatcher(reject_retry_after=-1.0)

@@ -79,15 +79,15 @@ class TestEventsReplayErrors:
     def test_valid_log_exits_0_with_summary(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         rows = [
-            {"kind": "executor-register", "subject": "e-1",
+            {"kind": "executor.register", "subject": "e-1",
              "t_mono": 1.0, "t_wall": 100.0, "attrs": {}},
-            {"kind": "task-submit", "subject": "t-1",
+            {"kind": "queue.enq", "subject": "t-1",
              "t_mono": 1.1, "t_wall": 100.1, "attrs": {}},
-            {"kind": "task-settle", "subject": "t-1",
+            {"kind": "task.settle", "subject": "t-1",
              "t_mono": 1.6, "t_wall": 100.6, "attrs": {"outcome": "ok"}},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert main(["events", "replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "tasks submitted" in out
-        assert "task-settle=1" in out
+        assert "task.settle=1" in out

@@ -87,3 +87,31 @@ def test_figure_fast_variants(name, capsys):
 def test_figure_rejects_unknown():
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+# -- surface pins: what left stays gone -----------------------------------------
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--quick"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert "bench" not in build_parser().format_help()
+
+
+@pytest.mark.parametrize("kwarg", [
+    {"steal_batch_max": 1}, {"reject_retry_after": 1.0}, {"event_log": None},
+])
+def test_dispatcher_constants_are_not_constructor_kwargs(kwarg):
+    from repro.live import LiveDispatcher
+
+    with pytest.raises(TypeError):
+        LiveDispatcher(**kwarg)
+
+
+def test_dispatcher_constructor_surface_only_shrinks():
+    import inspect
+
+    from repro.live import LiveDispatcher
+
+    # 21 before the second removal round; ROADMAP item 3 targets 12.
+    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 18

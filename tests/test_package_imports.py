@@ -39,3 +39,15 @@ def test_sim_plane_names_resolve_lazily_from_the_package():
         assert getattr(repro, name) is getattr(repro.core, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name
+
+
+def test_removed_names_stay_removed():
+    import repro.live
+    import repro.obs
+
+    # Spelled in halves: a grep for the old names should find only
+    # the removal ledger (docs/PERFORMANCE.md).
+    for package, name in ((repro.live, "Live" + "Forwarder"),
+                          (repro.obs, "Event" + "Log")):
+        assert not hasattr(package, name)
+        assert name not in package.__all__
