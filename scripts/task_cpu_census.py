@@ -4,12 +4,17 @@ collector generation and frame kind.
 
 Usage::
 
-    PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20] [--profile]
+    PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20] [--durable] [--profile]
 
 A bare ``LiveDispatcher`` and four pipelined executors run in this
 process; a client in a child process pushes sleep-0 tasks through them
 in closed-loop waves of 5 000 (the ``burst_sleep0`` shape of the
 standing benchmark), so this process's CPU bill is the SUT's alone.
+``--durable`` runs the same waves through the SUT of the benchmark's
+two durable workloads instead (``bench/workloads.DURABLE_CONFIG``: a
+journal in a temporary directory, heartbeating executors, bounded
+retention), which adds the ``journal-flusher`` row and puts compaction
+on the ``dispatcher-monitor`` one.
 Four tables, all in µs (or bytes) per task:
 
 * **threads** — each thread's CPU clock over the run;
@@ -29,7 +34,7 @@ Four tables, all in µs (or bytes) per task:
 place of the tables, whose clocks the instrumentation would skew: the
 tables say which thread and handler, the profile says which function.
 
-See ``docs/PERFORMANCE.md``, "CPU per task".
+See ``docs/PERFORMANCE.md``, "CPU per task" and "The durable path".
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -126,6 +133,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--waves", type=int, default=20,
                         help="closed-loop waves of 5 000 sleep-0 tasks")
+    parser.add_argument("--durable", action="store_true",
+                        help="journaled, heartbeating SUT with bounded "
+                             "retention (bench/workloads.DURABLE_CONFIG)")
     parser.add_argument("--profile", action="store_true",
                         help="print the top-20 cumulative cProfile frames "
                              "over all threads instead of the tables")
@@ -141,13 +151,23 @@ def main() -> int:
     from repro.obs.profiling import print_top, profile_all_threads
 
     sent_bytes, sent_frames = _count_frames()
+    config: dict = {}
+    scratch = contextlib.ExitStack()
+    if args.durable:
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+        from workloads import DURABLE_CONFIG
+
+        config = dict(DURABLE_CONFIG, journal_dir=scratch.enter_context(
+            tempfile.TemporaryDirectory(prefix="census-journal-")))
     # Threads are profiled from their first event, so the SUT starts
     # inside the block; the shared outbound loop stops with it so its
     # thread's profile is complete before the merge.
     profiling = profile_all_threads() if args.profile else contextlib.nullcontext()
-    with profiling as collect:
-        dispatcher = LiveDispatcher()
-        executors = [LiveExecutor(dispatcher.endpoint, pipeline=PIPELINE).start()
+    with scratch, profiling as collect:
+        dispatcher = LiveDispatcher(**config)
+        heartbeat = config.get("heartbeat_interval")
+        executors = [LiveExecutor(dispatcher.endpoint, pipeline=PIPELINE,
+                                  heartbeat_interval=heartbeat).start()
                      for _ in range(EXECUTORS)]
         collector = _CollectorClock()
         tasks = args.waves * WAVE
@@ -170,6 +190,7 @@ def main() -> int:
             handlers = dispatcher.stats().handler_cpu_s
             threads = _thread_cpu()
             gc.callbacks.remove(collector)
+            journal = dispatcher.journal.stats() if args.durable else {}
             if child.returncode != 0 or dispatcher.tasks_completed != tasks:
                 print(f"census run failed: client exit {child.returncode}, "
                       f"{dispatcher.tasks_completed}/{tasks} completed",
@@ -193,7 +214,9 @@ def main() -> int:
         return seconds / tasks * 1e6
 
     print(f"{tasks} sleep-0 tasks, {args.waves} waves of {WAVE}, "
-          f"{EXECUTORS} executors at depth {PIPELINE}")
+          f"{EXECUTORS} executors at depth {PIPELINE}"
+          + (f", durable ({journal['compactions']} compactions)"
+             if args.durable else ""))
     print(f"\nprocess CPU {per_task(cpu):7.1f} us/task   "
           f"(client process {per_task(client['cpu_s']):.1f})")
 

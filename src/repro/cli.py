@@ -643,6 +643,8 @@ def _cmd_dlq(args) -> int:
         else:
             # Offline: replay the journal directory.  Retry needs a
             # live dispatcher — the journal alone cannot re-dispatch.
+            import dataclasses
+
             from repro.live.journal import recover
             from repro.live.protocol import task_from_dict
 
@@ -655,7 +657,7 @@ def _cmd_dlq(args) -> int:
                     print(f"task {args.task_id!r} is not in the DLQ",
                           file=sys.stderr)
                     return 1
-                for key, value in sorted(match.to_dict().items()):
+                for key, value in sorted(dataclasses.asdict(match).items()):
                     print(f"{key}: {value}")
                 return 0
             entries = [

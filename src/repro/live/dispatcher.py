@@ -59,9 +59,9 @@ across replays.
 Durability (see ``docs/RELIABILITY.md``): with ``journal_dir`` set,
 every lifecycle transition is written through a crash-safe
 :class:`repro.live.journal.Journal` (CRC-per-record JSONL, fsync
-batching on the 20 ms window, snapshot compaction).  SUBMIT is
+batching on the 20 ms window, read-free compaction).  SUBMIT is
 acknowledged only after its records are durable; a restarted
-dispatcher replays snapshot+tail, re-enqueues non-terminal tasks, and
+dispatcher replays base+tail, re-enqueues non-terminal tasks, and
 keeps settled results queryable so reconnecting clients resolve their
 futures.  Executors echo still-held work on REGISTER (``inflight``)
 so a task that survived on an agent across the crash is adopted by
@@ -103,7 +103,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import ProtocolError
 from repro.live.endpoint import Endpoint
 from repro.live.ioloop import IOLoop
-from repro.live.journal import Journal, recover as recover_journal
+from repro.live.journal import Journal, RecoveredState
 from repro.live.protocol import (
     Connection,
     result_from_dict,
@@ -324,8 +324,8 @@ class LiveDispatcher:
         a ``retry_after`` hint) instead of accepted into unbounded
         memory.  ``None`` keeps admission open.
     journal_compact_every:
-        Compact the journal into a snapshot once its tail holds this
-        many records.
+        Compact the journal (rewrite its base from the rows of
+        unreleased tasks) once its tail holds this many records.
     """
 
     def __init__(
@@ -540,6 +540,11 @@ class LiveDispatcher:
             fn=lambda: (self.journal.last_flush_s
                         if self.journal is not None else 0.0))
         self.metrics.gauge(
+            "journal_compact_seconds",
+            help="Duration of the journal's most recent compaction",
+            fn=lambda: (self.journal.last_compact_s
+                        if self.journal is not None else 0.0))
+        self.metrics.gauge(
             "lock_wait_seconds",
             help="Worst contended leaf-lock acquisition wait since the "
                  "last sweep",
@@ -559,14 +564,18 @@ class LiveDispatcher:
         self.journal: Optional[Journal] = None
         self.recovered_tasks = 0
         if journal_dir is not None:
-            self._recover_from_journal(journal_dir)
-            self.journal = Journal(
+            # Opening the journal reads the directory once: the state
+            # it hands over is the one its own table was seeded from.
+            journal = Journal(
                 journal_dir,
                 compact_every=journal_compact_every,
                 prune_settled=retain_settled is not None,
             )
+            self._recover_from_journal(journal.recovered)
+            journal.recovered = None
             if flight:
-                self.journal.flight = self.flight
+                journal.flight = self.flight
+            self.journal = journal
 
         self._closing = threading.Event()
         self._server = socket.create_server((host, port))
@@ -692,13 +701,12 @@ class LiveDispatcher:
         if journal is not None:
             journal.append(kind, task_id, **fields)
 
-    def _recover_from_journal(self, journal_dir: str) -> None:
-        """Rebuild records, queue and DLQ from snapshot + tail replay.
+    def _recover_from_journal(self, state: RecoveredState) -> None:
+        """Rebuild records, queue and DLQ from the journal's replay.
 
         Runs in ``__init__`` before the server socket exists, so no
         locks are contended; they are taken anyway for uniformity.
         """
-        state = recover_journal(journal_dir)
         if not state.tasks:
             return
         requeue: list[str] = []
@@ -1154,11 +1162,10 @@ class LiveDispatcher:
         self._watchdog_tick(now, qlen, executors)
         if self.shard_id is not None:
             self._federation_tick(now, qlen)
-        # Journal hygiene: fold a long tail into a snapshot off the hot
-        # path (the monitor thread).  The journal compacts from its own
-        # durable contents (rotate + fold), so no dispatcher state view
-        # is captured here — there is no snapshot-vs-append race to get
-        # wrong.
+        # Journal hygiene: retire a long tail off the hot path (the
+        # monitor thread).  The journal compacts from its own table of
+        # durable rows, so no dispatcher state view is captured here —
+        # there is no snapshot-vs-append race to get wrong.
         journal = self.journal
         if journal is not None and journal.should_compact():
             journal.compact()
@@ -1178,6 +1185,8 @@ class LiveDispatcher:
             return "journal failed: writes are no longer durable"
         if journal.last_flush_s > JOURNAL_FLUSH_DEGRADED:
             return f"journal flush took {journal.last_flush_s:.2f}s"
+        if journal.last_compact_s > JOURNAL_FLUSH_DEGRADED:
+            return f"journal compaction took {journal.last_compact_s:.2f}s"
         stats = journal.stats()
         stale = time.monotonic() - journal.last_flush_t
         if stats["pending"] > 0 and stale > JOURNAL_STALE_DEGRADED:

@@ -36,30 +36,32 @@ Durability model (see ``docs/RELIABILITY.md``):
 * Every record line carries a CRC32 over its JSON body.  A torn or
   bit-rotten tail (the process died mid-write) truncates cleanly at
   the last good record instead of poisoning recovery.
-* Periodic compaction *rotates* the tail aside (atomic rename), opens
-  a fresh tail for concurrent appends, folds old snapshot + rotated
-  segment into a new ``snapshot.json`` via the atomic temp+rename
-  writer, then deletes the segment.  No append — not even one racing
-  the compaction — ever lands in a file that gets destroyed: records
-  live in the rotated segment (folded) or the fresh tail (replayed).
-  A crash at any point leaves a recoverable triple of
-  snapshot + rotated segment + tail.
+* Periodic compaction reads nothing back: the journal keeps the
+  durable rows of every task not yet *released* (settled, acked, out
+  of the DLQ) and writes those as the new ``base.jsonl`` — see
+  :meth:`Journal.compact` for the rotation and its crash windows.  A
+  journal that releases nothing (``prune_settled`` off) has nothing to
+  rewrite: its rotated tails become numbered archives.
 
-Recovery (:func:`recover`) replays snapshot+tail into a
-:class:`RecoveredState`; the dispatcher re-enqueues every non-terminal
-task and keeps terminal results queryable so reconnecting clients
-resolve futures that settled before the crash.
+Recovery (:func:`recover`) replays archives, base, segment and tail —
+one row format, one replay function — into a :class:`RecoveredState`;
+the dispatcher re-enqueues every non-terminal task and keeps terminal
+results queryable so reconnecting clients resolve futures that settled
+before the crash.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
+
+from repro.obs import flight as fl
 
 __all__ = [
     "Journal",
@@ -69,7 +71,8 @@ __all__ = [
     "parse_journal_line",
     "read_journal_tail",
     "recover",
-    "iter_snapshot_and_tail",
+    "TAIL_NAME",
+    "BASE_NAME",
     "strip_defaults",
     "SPEC_DEFAULTS",
     "RESULT_DEFAULTS",
@@ -83,13 +86,20 @@ FLUSH_WINDOW = 0.02
 #: Compact once the tail holds this many records (tunable per journal).
 DEFAULT_COMPACT_EVERY = 50_000
 
-SNAPSHOT_NAME = "snapshot.json"
 TAIL_NAME = "journal.jsonl"
+#: The rows of every unreleased task as of the last compaction.
+BASE_NAME = "base.jsonl"
 #: A tail renamed aside by an in-progress compaction.  Exists only
 #: transiently (or after a crash mid-compaction, until the next boot
-#: or compaction folds it); recovery replays it between snapshot and
-#: tail — its records all precede the tail's.
+#: or compaction retires it); its records all precede the tail's.
 ROTATED_NAME = TAIL_NAME + ".compacting"
+#: Rotated tails a journal that releases nothing keeps, in order.
+ARCHIVE_NAME = "archive-{:06d}.jsonl"
+#: What older commits compacted into; read, never written.  The first
+#: :class:`Journal` opened on one rewrites it as archive 0.
+SNAPSHOT_NAME = "snapshot.json"
+#: Rows per line of a base: bounds one ``json.dumps`` (one GIL hold).
+BASE_LINE_ROWS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +192,37 @@ def strip_defaults(data: dict[str, Any], defaults: dict[str, Any]) -> dict[str, 
     return {k: v for k, v in data.items() if defaults.get(k, _MISSING) != v}
 
 
-def read_journal_tail(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int]:
-    """Read every valid record from a tail file.
+def _scan(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int, int]:
+    """``(records, truncated, good)`` of one journal file.
 
-    Returns ``(records, truncated)`` where *truncated* counts lines
-    dropped at the first CRC/parse failure — replay stops there, since
-    anything after a torn record cannot be trusted to be ordered.
+    *truncated* counts lines dropped at the first CRC/parse failure —
+    replay stops there, since anything after a torn record cannot be
+    trusted to be ordered — and *good* is the byte length of what came
+    before it.  A line is whole only with its newline: the writer emits
+    both in one write, so a line without one was never acknowledged.
     """
     records: list[dict] = []
-    truncated = 0
+    good = 0
     try:
-        fh = open(path, "r", encoding="utf-8", errors="replace")
+        fh = open(path, "rb")
     except FileNotFoundError:
-        return records, truncated
+        return records, 0, good
     with fh:
         lines = fh.readlines()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        decoded = parse_journal_line(line)
-        if decoded is None:
-            truncated = sum(1 for rest in lines[index:] if rest.strip())
-            break
-        records.extend(decoded)
-    return records, truncated
+    for index, raw in enumerate(lines):
+        if raw.strip():
+            decoded = (parse_journal_line(raw.decode("utf-8", errors="replace"))
+                       if raw.endswith(b"\n") else None)
+            if decoded is None:
+                return records, sum(1 for rest in lines[index:] if rest.strip()), good
+            records.extend(decoded)
+        good += len(raw)
+    return records, 0, good
+
+
+def read_journal_tail(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int]:
+    """Every valid record of a journal file, and the lines dropped."""
+    return _scan(path)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +253,16 @@ class RecoveredTask:
     def terminal(self) -> bool:
         return self.state in ("completed", "failed")
 
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "task_id": self.task_id,
-            "spec": self.spec,
-            "client_id": self.client_id,
-            "state": self.state,
-            "attempts": self.attempts,
-            "executor_id": self.executor_id,
-            "result": self.result,
-            "acked": self.acked,
-            "in_dlq": self.in_dlq,
-            "dlq_error": self.dlq_error,
-        }
-        if self.origin is not None:
-            data["origin"] = self.origin
-        return data
+    @property
+    def released(self) -> bool:
+        """Nothing is left to do for the task: its result is settled,
+        reached the client connection and is not quarantined.  A
+        pruning journal forgets it; a ``submit`` for its id starts over."""
+        return self.terminal and self.acked and not self.in_dlq
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RecoveredTask":
+        """One ``snapshot.json`` entry (the format older commits wrote)."""
         return cls(
             task_id=str(data["task_id"]),
             spec=dict(data.get("spec", {})),
@@ -275,11 +283,11 @@ class RecoveredState:
     """Everything :func:`recover` rebuilds from a journal directory."""
 
     tasks: dict[str, RecoveredTask] = field(default_factory=dict)
-    #: Records replayed from the tail (after the snapshot).
+    #: Records replayed from the rotated segment and the tail.
     replayed: int = 0
-    #: Tail lines dropped at a torn/corrupt record.
+    #: Lines dropped at a torn/corrupt record.
     truncated: int = 0
-    #: Whether a snapshot contributed state.
+    #: Whether a base, an archive or a legacy snapshot contributed state.
     from_snapshot: bool = False
 
     def apply(self, record: dict[str, Any]) -> None:
@@ -297,7 +305,11 @@ class RecoveredState:
         if not task_id:
             return
         if kind == "submit":
-            if task_id not in self.tasks:  # resubmission is idempotent
+            known = self.tasks.get(task_id)
+            # Resubmission is idempotent — unless the task was released:
+            # the dispatcher journals a second submit only for an id it
+            # has evicted, and runs it as a new task.
+            if known is None or known.released:
                 spec = dict(record.get("spec", {}))
                 # Writers drop the spec's task_id (the record's "id"
                 # carries it); restore it for the wire-dict parsers.
@@ -355,53 +367,92 @@ class RecoveredState:
         )
 
 
-def _apply_snapshot(
-    state: RecoveredState, snapshot_path: Union[str, "os.PathLike[str]"]
-) -> None:
-    """Load ``snapshot.json`` entries into *state* (no-op if absent)."""
+def _snapshot_rows(path: Union[str, "os.PathLike[str]"]) -> list[dict[str, Any]]:
+    """A legacy ``snapshot.json`` as journal rows that replay to the
+    tasks it holds (none if absent or unreadable)."""
     try:
-        with open(snapshot_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             snapshot = json.load(fh)
     except (FileNotFoundError, ValueError):
-        return
-    if not isinstance(snapshot, dict):
-        return
-    for entry in snapshot.get("tasks", ()):
+        return []
+    rows: list[dict[str, Any]] = []
+    for entry in snapshot.get("tasks", ()) if isinstance(snapshot, dict) else ():
         try:
             task = RecoveredTask.from_dict(entry)
         except (KeyError, TypeError, ValueError):
             continue
-        state.tasks[task.task_id] = task
-    state.from_snapshot = True
+        task_id = task.task_id
+        rows.append({"k": "submit", "id": task_id, "spec": task.spec,
+                     "client": task.client_id, "origin": task.origin})
+        if task.attempts or task.executor_id:
+            rows.append({"k": "dispatch", "id": task_id, "attempt": task.attempts,
+                         "executor": task.executor_id})
+            if task.state == "queued":
+                rows.append({"k": "requeue", "id": task_id, "attempt": task.attempts})
+        if task.terminal:
+            rows.append({"k": "result", "id": task_id, "result": task.result,
+                         "outcome": "ok" if task.state == "completed" else "fail"})
+        if task.in_dlq:
+            rows.append({"k": "dlq", "id": task_id, "error": task.dlq_error})
+        if task.acked:
+            rows.append({"k": "acked", "id": task_id})
+    return rows
+
+
+def _write_rows(path: str, rows: list[dict[str, Any]]) -> int:
+    """Replace *path* with *rows* as journal lines, all or nothing:
+    temp file, fsync, atomic rename.  Returns the bytes written."""
+    size = 0
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        for at in range(0, len(rows), BASE_LINE_ROWS):
+            size += fh.write(journal_line(rows[at:at + BASE_LINE_ROWS]) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(path + ".tmp", path)
+    return size
+
+
+def _archives(directory: str) -> list[str]:
+    """The directory's archive paths, oldest first."""
+    return sorted(glob.glob(os.path.join(glob.escape(directory), "archive-*.jsonl")))
+
+
+def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
+    """Replay *directory* in write order — legacy snapshot, archives,
+    base, rotated segment, tail — showing *track* each file's rows.
+    Returns the state, the tail's row count and its good byte length.
+    """
+    state = RecoveredState()
+    history = [os.path.join(directory, SNAPSHOT_NAME), *_archives(directory),
+               os.path.join(directory, BASE_NAME)]
+    rows = good = 0
+    for path in history + [os.path.join(directory, ROTATED_NAME),
+                           os.path.join(directory, TAIL_NAME)]:
+        records, truncated, good = (
+            (_snapshot_rows(path), 0, 0) if path.endswith(".json") else _scan(path))
+        for record in records:
+            state.apply(record)
+        if track is not None:
+            track(records)
+        state.truncated += truncated
+        rows = len(records)
+        if path not in history:
+            state.replayed += rows
+        elif rows:
+            state.from_snapshot = True
+    return state, rows, good
 
 
 def recover(directory: Union[str, "os.PathLike[str]"]) -> RecoveredState:
-    """Rebuild dispatcher state from snapshot + rotated segment + tail.
-
-    The rotated segment only exists after a crash mid-compaction; its
-    records all precede the tail's, so replay order is snapshot, then
-    segment, then tail.  A segment already folded into the snapshot
-    (the crash hit between snapshot rename and segment unlink) is
-    replayed once more on top of it — record application converges
-    under exact re-sequencing, so the duplicate pass is harmless.
-    """
-    directory = os.fspath(directory)
-    state = RecoveredState()
-    _apply_snapshot(state, os.path.join(directory, SNAPSHOT_NAME))
-    for name in (ROTATED_NAME, TAIL_NAME):
-        records, truncated = read_journal_tail(os.path.join(directory, name))
-        for record in records:
-            state.apply(record)
-        state.replayed += len(records)
-        state.truncated += truncated
-    return state
+    """Rebuild dispatcher state from a journal directory (read-only)."""
+    return _replay(os.fspath(directory))[0]
 
 
 # ---------------------------------------------------------------------------
 # the journal itself
 # ---------------------------------------------------------------------------
 class Journal:
-    """Append-only WAL with group commit and snapshot compaction.
+    """Append-only WAL with group commit and read-free compaction.
 
     Thread-safe: appends may come from any dispatcher thread (handlers
     run on the I/O loop, sweeps on the monitor thread); one flusher
@@ -423,27 +474,40 @@ class Journal:
         os.makedirs(self.directory, exist_ok=True)
         self.flush_window = flush_window
         self.compact_every = compact_every
-        #: Drop acked, settled, non-DLQ tasks from the snapshot at fold
-        #: time.  Without this the snapshot accretes one entry per task
-        #: forever, making each compaction (and final recovery) O(total
-        #: tasks ever) — a million-task endurance run would spend its
-        #: time re-serialising history.  The acked bit means the result
-        #: already reached the client connection, so a recovered
-        #: dispatcher has nothing left to do for the task; DLQ'd tasks
-        #: are always retained for ``dlq retry``.
+        #: Forget released tasks (:attr:`RecoveredTask.released`) at
+        #: compaction.  Without this nothing is ever reclaimed: the
+        #: directory, and a restart's replay, grow with every task ever
+        #: run — a million-task endurance run needs it.
         self.prune_settled = prune_settled
         self.tail_path = os.path.join(self.directory, TAIL_NAME)
-        self.snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
+        self.base_path = os.path.join(self.directory, BASE_NAME)
         self.rotated_path = os.path.join(self.directory, ROTATED_NAME)
-        # Complete a compaction a previous incarnation died inside of:
-        # fold its rotated segment into the snapshot now, so recovery
-        # debt stays bounded and this incarnation's compactions never
-        # find a stale segment in the way of their rename.
+        #: Task id -> ``[flags, row, ...]``: the durable rows of every
+        #: unreleased task, in write order — what the next base is made
+        #: of.  Empty unless ``prune_settled``.  Guarded by ``_io_lock``.
+        self._live: dict[str, list] = {}
+        snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
+        legacy = _snapshot_rows(snapshot_path)
+        if legacy:  # a directory an older commit wrote: now its oldest archive
+            _write_rows(os.path.join(self.directory, ARCHIVE_NAME.format(0)), legacy)
+            os.unlink(snapshot_path)
+        #: What the directory held at open, for the dispatcher to boot
+        #: from (it clears this once read).
+        self.recovered: Optional[RecoveredState]
+        self.recovered, self._tail_records, good = _replay(
+            self.directory, self._track if prune_settled else None)
+        # Complete a compaction a previous incarnation died inside of,
+        # so recovery debt stays bounded.
         try:
-            self._fold_rotated_segment()
+            self._retire_history(self._live_rows())
         except OSError:
-            pass  # recovery reads the segment in place; retried next compact
+            pass  # recovery reads the files in place; retried next compact
         self._fh = open(self.tail_path, "a", encoding="utf-8")
+        if self._fh.tell() != good:
+            # A torn last line (power cut mid-write): cut it, or every
+            # later append lands behind it where no reader ever looks.
+            os.truncate(self.tail_path, good)
+            os.fsync(self._fh.fileno())
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         #: Serialises every touch of the tail file — the flusher's
@@ -454,7 +518,6 @@ class Journal:
         self._buffer: list[dict] = []
         self._appended = 0  # records ever appended (this incarnation)
         self._flushed = 0   # records durable on disk
-        self._tail_records = self._count_existing_tail()
         self._sync_requested = False
         self._closed = False
         self._abandoned = False
@@ -465,23 +528,22 @@ class Journal:
             "flushes": 0,
             "compactions": 0,
         }
-        # Flush-latency watchdog feed: last flush duration, worst
-        # since drain, and when the last flush finished (monotonic).
+        # Latency watchdog feed: last flush / compaction duration, the
+        # worst of each, and when the last flush finished (monotonic).
         # Plain floats (GIL-atomic) read by the dispatcher's sweep.
         self.last_flush_s = 0.0
         self.max_flush_s = 0.0
         self.last_flush_t = time.monotonic()
+        self.last_compact_s = 0.0
+        self.max_compact_s = 0.0
         #: Optional :class:`repro.obs.flight.FlightRecorder`; when set,
-        #: each flushed batch records a ``journal.commit`` event.
+        #: each flushed batch records a ``journal.commit`` event and
+        #: each compaction a ``journal.compact``.
         self.flight = None
         self._flusher = threading.Thread(
             target=self._flush_loop, name="journal-flusher", daemon=True
         )
         self._flusher.start()
-
-    def _count_existing_tail(self) -> int:
-        records, _ = read_journal_tail(self.tail_path)
-        return len(records)
 
     # -- appends -------------------------------------------------------------
     def append(self, kind: str, task_id: str, **fields: Any) -> None:
@@ -604,13 +666,53 @@ class Journal:
             self.last_flush_t = time.monotonic()
             flight = self.flight
             if flight is not None:
-                flight.record("journal.commit", "",
+                flight.record(fl.JOURNAL_COMMIT, "",
                               records=len(batch), seconds=round(took, 6))
             with self._cond:
                 self._flushed += len(batch)
                 self._tail_records += len(batch)
                 self.counters["flushes"] += 1
                 self._cond.notify_all()
+            # After the barrier is released, and only what is on disk:
+            # the table is never ahead of the files.
+            if self.prune_settled:
+                self._track(batch)
+
+    def _track(self, batch: list[dict]) -> None:
+        """Fold durable rows into the table (``_io_lock`` held):
+        :meth:`RecoveredState.apply` reduced to what decides
+        :attr:`RecoveredTask.released` — flag 1 terminal, 2 acked, 4
+        quarantined; released is exactly 3.  Rows for an id with no
+        entry are dropped here, as ``apply`` ignores them.
+        """
+        live = self._live
+        for row in batch:
+            kind, task_id = row.get("k"), row.get("id")
+            if kind == "acked":
+                for task_id in row.get("ids") or (task_id,):
+                    entry = live.get(task_id)
+                    if entry is None:
+                        continue
+                    entry[0] |= 2
+                    if entry[0] == 3:
+                        del live[task_id]
+                    else:  # unsettled or quarantined: the ack stays on file
+                        entry.append({"k": "acked", "id": task_id})
+                continue
+            entry = live.get(task_id)
+            if kind == "submit":
+                if entry is None and task_id:
+                    live[task_id] = [0, row]
+            elif entry is not None:
+                entry.append(row)
+                if kind == "result":
+                    entry[0] |= 1
+                    if entry[0] == 3:
+                        del live[task_id]
+                elif kind == "dlq":
+                    entry[0] |= 5
+                elif kind == "dlq-retry":
+                    entry[0] = 0
 
     # -- compaction ----------------------------------------------------------
     @property
@@ -623,91 +725,96 @@ class Journal:
             return (self._tail_records >= self.compact_every
                     and not self._closed and not self._failed)
 
-    def _fold_rotated_segment(self) -> None:
-        """Fold the rotated segment (if any) into ``snapshot.json``.
+    def _live_rows(self) -> list[dict]:
+        return [row for entry in self._live.values() for row in entry[1:]]
 
-        The new snapshot is exactly old snapshot ⊕ segment records —
-        journal contents only, never the dispatcher's in-memory view,
-        so there is no window in which a durable record is absent from
-        both the snapshot and a surviving file.  The atomic temp+rename
-        writer makes the swap all-or-nothing; the segment is unlinked
-        only after the new snapshot is in place.
+    def _retire_history(self, rows: list[dict]) -> int:
+        """Second half of a compaction, and what boot runs to finish an
+        interrupted one; returns the bytes of the base written.
+        Pruning: everything older than the tail becomes one base of
+        *rows*, then the files it replaces go, oldest first, so a
+        crash leaves a suffix of history under a base that covers it.  Otherwise nothing can be
+        dropped: segment (and a pruning incarnation's base) become the
+        next archives.
         """
-        if not os.path.exists(self.rotated_path):
-            return
-        from repro.obs.exporters import atomic_writer
-
-        state = RecoveredState()
-        _apply_snapshot(state, self.snapshot_path)
-        records, _ = read_journal_tail(self.rotated_path)
-        for record in records:
-            state.apply(record)
-        tasks = list(state.tasks.values())
-        if self.prune_settled:
-            tasks = [t for t in tasks
-                     if not (t.terminal and t.acked and not t.in_dlq)]
-        with atomic_writer(self.snapshot_path) as fh:
-            json.dump(
-                {"version": 1,
-                 "tasks": [t.to_dict() for t in tasks]},
-                fh, sort_keys=True,
-            )
-        os.unlink(self.rotated_path)
+        archives = _archives(self.directory)
+        if not self.prune_settled:
+            number = 1 + (int(archives[-1][-12:-6]) if archives else 0)
+            for path in (self.base_path, self.rotated_path):
+                if os.path.exists(path):
+                    os.replace(path, os.path.join(
+                        self.directory, ARCHIVE_NAME.format(number)))
+                    number += 1
+            return 0
+        stale = archives + ([self.rotated_path]
+                            if os.path.exists(self.rotated_path) else [])
+        if not stale:
+            return 0
+        size = _write_rows(self.base_path, rows)
+        for path in stale:
+            os.unlink(path)
+        return size
 
     def compact(self) -> None:
-        """Fold the tail into ``snapshot.json`` without losing appends.
+        """Retire the tail without reading it back or losing appends.
 
         Rotation, not truncation: the tail is atomically renamed aside
         and a fresh tail opened under the I/O lock, so a record
         appended at *any* point during compaction lands either in the
-        rotated segment (drained there before the rename, hence folded
-        into the snapshot) or in the fresh tail (replayed on top of
-        it) — never in a file that gets destroyed.  Crash windows:
-        before the rename nothing has changed; after it, recovery
-        reads snapshot + segment + tail; between the snapshot swap and
-        the segment unlink, the segment is replayed once more over a
-        snapshot that already folds it, which converges (application
-        is idempotent under exact re-sequencing).
+        rotated segment (drained there before the rename, hence in the
+        table, hence in the new base unless its task is released) or
+        in the fresh tail (replayed on top of the base) — never in a
+        file that gets destroyed.  The base's rows are taken under the
+        rotation's lock hold: exactly what is durable up to that point.
+        Crash windows: before the rename nothing has changed; after
+        it, recovery reads base + segment + tail; between the base
+        swap and the segment unlink, the segment is replayed once more
+        over a base that already covers it, which converges
+        (application is idempotent under exact re-sequencing).
         """
-        try:
-            # A segment left by an earlier failed fold must be cleared
-            # first — the rename below would silently clobber it.
-            self._fold_rotated_segment()
-        except OSError:
-            return
+        started = time.monotonic()
         with self._cond:
             if self._closed or self._failed:
                 return
-            # Drain the buffer into the outgoing tail so the fold
+            # Drain the buffer into the outgoing tail so the base
             # covers everything appended before the rotation point.
             batch, self._buffer = self._buffer, []
         if batch:
             self._write_batch(batch)
-        with self._cond:
-            if self._closed or self._failed:
-                return
         with self._io_lock:
             with self._cond:
                 if self._closed or self._failed:
                     return
-                try:
-                    self._fh.close()
-                    os.replace(self.tail_path, self.rotated_path)
-                    self._fh = open(self.tail_path, "a", encoding="utf-8")
-                except OSError:
-                    self._failed = True
-                    self._cond.notify_all()
-                    return
-                self._tail_records = 0
+                # A segment still here is one whose retirement failed:
+                # rotating over it would destroy it, so finish that
+                # compaction instead (the table covers it and more).
+                if not os.path.exists(self.rotated_path):
+                    try:
+                        self._fh.close()
+                        os.replace(self.tail_path, self.rotated_path)
+                        self._fh = open(self.tail_path, "a", encoding="utf-8")
+                    except OSError:
+                        self._failed = True
+                        self._cond.notify_all()
+                        return
+                    self._tail_records = 0
+            rows, live_tasks = self._live_rows(), len(self._live)
         try:
-            self._fold_rotated_segment()
+            size = self._retire_history(rows)
         except OSError:
-            # Disk trouble while snapshotting: the segment stays on
-            # disk, recovery replays it in place, and the next
-            # compaction (or boot) retries the fold.
+            # Disk trouble: the segment stays on disk, recovery replays
+            # it in place, and the next compaction (or boot) retries.
             return
+        took = time.monotonic() - started
+        self.last_compact_s = took
+        if took > self.max_compact_s:
+            self.max_compact_s = took
         with self._cond:
             self.counters["compactions"] += 1
+        flight = self.flight
+        if flight is not None:
+            flight.record(fl.JOURNAL_COMPACT, "", seconds=round(took, 6),
+                          live_tasks=live_tasks, rows=len(rows), bytes=size)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -767,7 +874,10 @@ class Journal:
             out["pending"] = len(self._buffer)
             out["tail_records"] = self._tail_records
             out["failed"] = int(self._failed)
+        out["live_tasks"] = len(self._live)
         out["last_flush_s"] = round(self.last_flush_s, 6)
+        out["last_compact_s"] = round(self.last_compact_s, 6)
+        out["max_compact_s"] = round(self.max_compact_s, 6)
         return out
 
     def __enter__(self) -> "Journal":
@@ -779,11 +889,3 @@ class Journal:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"<Journal {self.directory} {state} tail={self._tail_records}>"
-
-
-def iter_snapshot_and_tail(
-    directory: Union[str, "os.PathLike[str]"],
-) -> Iterator[RecoveredTask]:
-    """Convenience for offline inspection (``repro dlq --journal``)."""
-    state = recover(directory)
-    yield from state.tasks.values()

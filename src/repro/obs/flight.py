@@ -71,6 +71,7 @@ __all__ = [
     "STEAL_GRANT",
     "STEAL_INGEST",
     "JOURNAL_COMMIT",
+    "JOURNAL_COMPACT",
     "LOOP_ITER",
     "GOSSIP",
     "WATCHDOG",
@@ -103,6 +104,7 @@ STEAL_REQUEST = "steal.request"  # subject: peer shard id
 STEAL_GRANT = "steal.grant"    # subject: peer shard id; attrs: tasks
 STEAL_INGEST = "steal.ingest"  # subject: donor shard id; attrs: tasks
 JOURNAL_COMMIT = "journal.commit"  # attrs: records, seconds
+JOURNAL_COMPACT = "journal.compact"  # attrs: seconds, live_tasks, rows, bytes
 LOOP_ITER = "loop.iter"        # subject: loop name; attrs: lag_s
 GOSSIP = "gossip"              # subject: peer shard id
 WATCHDOG = "watchdog"          # subject: check name; attrs: reason

@@ -197,7 +197,7 @@ def check_journal_consistency(
     *recovered* is a :class:`repro.live.journal.RecoveredState` built
     from the run's journal directory after shutdown.  With ``pruned``
     (bounded retention), settled acked tasks legitimately vanish from
-    the snapshot, so only the DLQ and pending sets are compared; an
+    the journal, so only the DLQ and pending sets are compared; an
     unpruned journal must additionally account for every accepted task.
     """
     report.record("journal-consistency")

@@ -173,8 +173,8 @@ def run_soak(
         while submitted < total_tasks:
             n = min(wave_size, total_tasks - submitted)
             # Poison positions drawn per wave from the seeded stream so
-            # the DLQ keeps filling (and draining via compaction-cycled
-            # snapshots) for the whole run.
+            # the DLQ keeps filling (and riding through compaction
+            # after compaction) for the whole run.
             n_poison = min(poison_per_wave, n)
             poison_at = set(
                 int(i) for i in poison_stream.choice(n, size=n_poison,

@@ -5,6 +5,7 @@ and the replay fold (:class:`RecoveredState`) — everything that must
 hold for restart recovery to be trustworthy, tested without sockets.
 """
 
+import dataclasses
 import json
 import os
 import zlib
@@ -174,17 +175,20 @@ def test_reopen_existing_tail_appends(tmp_path):
     assert [r["id"] for r in records] == ["t-1", "t-2"]
 
 
-def test_compaction_snapshots_and_truncates(tmp_path):
-    journal = Journal(tmp_path, compact_every=5)
+def test_compaction_snapshots_and_truncates(tmp_path, prune=False):
+    journal = Journal(tmp_path, compact_every=5, prune_settled=prune)
     try:
         for i in range(6):
             journal.append("submit", f"t-{i}", spec={"command": "sleep"}, client="c")
         journal.commit()
         assert journal.should_compact()
-        journal.compact()  # folds the tail's own records into the snapshot
+        journal.compact()  # the tail's rows move behind it: base or archive
         assert journal.tail_records == 0
         assert not journal.should_compact()
         assert not os.path.exists(tmp_path / "journal.jsonl.compacting")
+        history = "base.jsonl" if prune else "archive-000001.jsonl"
+        assert sorted(os.listdir(tmp_path)) == sorted([history, "journal.jsonl"])
+        assert len(read_journal_tail(tmp_path / history)[0]) == 6
         # post-compaction records land in the fresh tail
         journal.append("result", "t-0", outcome="ok", result={})
         journal.commit()
@@ -194,7 +198,47 @@ def test_compaction_snapshots_and_truncates(tmp_path):
     assert state.from_snapshot
     assert len(state.tasks) == 6
     assert state.tasks["t-0"].state == "completed"
-    assert state.replayed == 1  # only the post-snapshot record
+    assert state.replayed == 1  # only the post-compaction record
+
+
+def test_pruning_compaction_writes_base_and_truncates(tmp_path):
+    test_compaction_snapshots_and_truncates(tmp_path, prune=True)
+
+
+def test_pruning_compaction_keeps_only_unreleased_tasks(tmp_path):
+    """Released means settled, acked and out of the DLQ; everything
+    else — running, unacked, quarantined — is carried into the base,
+    with the one-id form of a frame-wide ack."""
+    with Journal(tmp_path, prune_settled=True) as journal:
+        for task_id in ("t-done", "t-run", "t-unacked", "t-dlq"):
+            journal.append("submit", task_id, spec={"command": "sleep"}, client="c")
+            journal.append("dispatch", task_id, attempt=1, executor="e-1")
+        journal.append("result", "t-done", outcome="ok", result={})
+        journal.append("result", "t-unacked", outcome="ok", result={})
+        journal.append("result", "t-dlq", outcome="fail", result={"return_code": 1})
+        journal.append("dlq", "t-dlq", error="poison")
+        journal.append("acked", "", ids=["t-done", "t-dlq", "t-ghost"])
+        journal.append("dispatch", "t-done", attempt=2, executor="e-2")  # stale
+        before = recover(tmp_path).tasks  # an open journal's directory reads
+        # (tracking rides the flusher after the barrier is released)
+        assert journal.commit()
+        assert wait_until(lambda: journal.stats()["live_tasks"] == 3)
+        journal.compact()
+        assert journal.stats()["live_tasks"] == 3
+        rows, truncated = read_journal_tail(tmp_path / "base.jsonl")
+        assert truncated == 0
+        assert {r["id"] for r in rows} == {"t-run", "t-unacked", "t-dlq"}
+        assert {"k": "acked", "id": "t-dlq"} in rows
+        journal.append("acked", "", ids=["t-unacked"])
+        journal.append("dlq-retry", "t-dlq")
+        assert journal.commit()
+        assert wait_until(lambda: journal.stats()["live_tasks"] == 2)
+    assert before == {}
+    state = recover(tmp_path)
+    assert set(state.tasks) == {"t-run", "t-unacked", "t-dlq"}
+    assert state.tasks["t-unacked"].released
+    assert state.tasks["t-dlq"].state == "queued" and not state.tasks["t-dlq"].acked
+    assert [t.task_id for t in state.pending()] == ["t-dlq", "t-run"]
 
 
 def test_compaction_never_loses_committed_records(tmp_path):
@@ -226,53 +270,150 @@ def test_compaction_never_loses_committed_records(tmp_path):
     assert missing == []
 
 
-def test_recover_reads_interrupted_compaction_segment(tmp_path):
-    """Crash between the tail rotation and the snapshot swap: the
-    rotated segment holds records absent from both snapshot and tail,
-    and recovery must replay it between the two."""
-    snap_task = RecoveredTask(task_id="t-snap", spec={"command": "sleep"},
-                              client_id="c")
-    (tmp_path / "snapshot.json").write_text(
-        json.dumps({"version": 1, "tasks": [snap_task.to_dict()]}))
-    (tmp_path / "journal.jsonl.compacting").write_text(
-        journal_line({"k": "submit", "id": "t-rot",
-                      "spec": {"command": "sleep"}, "client": "c"}) + "\n")
-    (tmp_path / "journal.jsonl").write_text(
-        journal_line({"k": "submit", "id": "t-tail",
-                      "spec": {"command": "sleep"}, "client": "c"}) + "\n")
+def _submit_line(task_id):
+    return journal_line({"k": "submit", "id": task_id,
+                         "spec": {"command": "sleep"}, "client": "c"}) + "\n"
+
+
+def test_recover_reads_interrupted_compaction_segment(tmp_path, prune=False):
+    """Crash between the tail rotation and the base swap: the rotated
+    segment holds records absent from both base and tail, and recovery
+    must replay it between the two."""
+    (tmp_path / "base.jsonl").write_text(_submit_line("t-base"))
+    (tmp_path / "journal.jsonl.compacting").write_text(_submit_line("t-rot"))
+    (tmp_path / "journal.jsonl").write_text(_submit_line("t-tail"))
     state = recover(tmp_path)
-    assert set(state.tasks) == {"t-snap", "t-rot", "t-tail"}
+    assert set(state.tasks) == {"t-base", "t-rot", "t-tail"}
+    assert state.from_snapshot and state.replayed == 2
 
     # Opening a Journal over the directory completes the interrupted
-    # compaction: the segment folds into the snapshot and disappears,
-    # with nothing lost.
-    with Journal(tmp_path) as journal:
+    # compaction: the segment goes into the base (or, with nothing to
+    # prune, base and segment become archives) and disappears, with
+    # nothing lost.
+    with Journal(tmp_path, prune_settled=prune) as journal:
         assert not os.path.exists(tmp_path / "journal.jsonl.compacting")
         assert journal.tail_records == 1  # t-tail only
+        assert set(journal.recovered.tasks) == {"t-base", "t-rot", "t-tail"}
+    history = (["base.jsonl"] if prune
+               else ["archive-000001.jsonl", "archive-000002.jsonl"])
+    assert sorted(os.listdir(tmp_path)) == sorted(history + ["journal.jsonl"])
     state = recover(tmp_path)
-    assert set(state.tasks) == {"t-snap", "t-rot", "t-tail"}
+    assert set(state.tasks) == {"t-base", "t-rot", "t-tail"}
+    assert state.replayed == 1
+
+
+def test_pruning_boot_completes_interrupted_compaction(tmp_path):
+    test_recover_reads_interrupted_compaction_segment(tmp_path, prune=True)
 
 
 def test_recover_converges_when_segment_already_folded(tmp_path):
-    """Crash between the snapshot swap and the segment unlink: the
-    segment's records are replayed once more on top of a snapshot that
-    already folds them, and the state converges."""
+    """Crash between the base swap and the segment unlink: the
+    segment's records are replayed once more on top of a base that
+    already holds them, and the state converges."""
     records = [
         {"k": "submit", "id": "t-1", "spec": {"command": "sleep"}, "client": "c"},
         {"k": "dispatch", "id": "t-1", "attempt": 1, "executor": "e-1"},
+        {"k": "requeue", "id": "t-1", "attempt": 1},
+        {"k": "dispatch", "id": "t-1", "attempt": 2, "executor": "e-2"},
         {"k": "result", "id": "t-1", "outcome": "ok", "result": {}},
     ]
-    folded = RecoveredState()
-    for record in records:
-        folded.apply(record)
-    (tmp_path / "snapshot.json").write_text(json.dumps(
-        {"version": 1, "tasks": [t.to_dict() for t in folded.tasks.values()]}))
-    (tmp_path / "journal.jsonl.compacting").write_text(
-        "\n".join(journal_line(r) for r in records) + "\n")
+    lines = "\n".join(journal_line(r) for r in records) + "\n"
+    (tmp_path / "base.jsonl").write_text(lines)
+    (tmp_path / "journal.jsonl.compacting").write_text(lines)
     state = recover(tmp_path)
     task = state.tasks["t-1"]
-    assert task.state == "completed" and task.attempts == 1
+    assert task.state == "completed" and task.attempts == 2
+    assert task.executor_id == "e-2"
     assert state.pending() == []
+
+
+def _legacy_entry(task):
+    """A task as the snapshot writer of older commits serialised it."""
+    entry = dataclasses.asdict(task)
+    if entry["origin"] is None:
+        del entry["origin"]
+    return entry
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_legacy_snapshot_directory_upgrades_in_place(tmp_path, prune):
+    """snapshot.json + segment + tail, as commits before the base wrote
+    them: recovered as they read it, and rewritten as journal rows by
+    the first Journal opened on it."""
+    folded = RecoveredState()
+    for record in [
+        _submit("t-queued"),
+        {"k": "dispatch", "id": "t-queued", "attempt": 2, "executor": "e-1"},
+        {"k": "requeue", "id": "t-queued", "attempt": 2},
+        _submit("t-run", origin={"shard": "s-1", "attempt": 3}),
+        {"k": "dispatch", "id": "t-run", "attempt": 1, "executor": "e-2"},
+        _submit("t-unacked"),
+        {"k": "dispatch", "id": "t-unacked", "attempt": 1, "executor": "e-1"},
+        {"k": "result", "id": "t-unacked", "outcome": "ok",
+         "result": {"executor_id": "e-1"}},
+        _submit("t-dlq"),
+        {"k": "result", "id": "t-dlq", "outcome": "fail",
+         "result": {"return_code": 1}},
+        {"k": "dlq", "id": "t-dlq", "error": "poison"},
+        {"k": "acked", "id": "", "ids": ["t-dlq"]},
+    ]:
+        folded.apply(record)
+    (tmp_path / "snapshot.json").write_text(json.dumps(
+        {"version": 1, "tasks": [_legacy_entry(t) for t in folded.tasks.values()]}))
+    (tmp_path / "journal.jsonl.compacting").write_text(
+        journal_line({"k": "acked", "id": "", "ids": ["t-unacked"]}) + "\n"
+        + _submit_line("t-rot"))
+    (tmp_path / "journal.jsonl").write_text(_submit_line("t-tail"))
+    before = recover(tmp_path)
+    assert before.from_snapshot and before.replayed == 3
+    assert before.tasks["t-queued"] == folded.tasks["t-queued"]
+    assert before.tasks["t-unacked"].released
+
+    with Journal(tmp_path, prune_settled=prune) as journal:
+        assert journal.recovered.tasks == before.tasks
+    history = (["base.jsonl"] if prune else
+               ["archive-000000.jsonl", "archive-000001.jsonl"])
+    assert sorted(os.listdir(tmp_path)) == sorted(history + ["journal.jsonl"])
+    after = recover(tmp_path)
+    if prune:
+        assert "t-unacked" not in after.tasks  # released in the segment
+        del before.tasks["t-unacked"]
+    assert after.tasks == before.tasks
+
+
+def test_append_after_torn_tail_is_recoverable(tmp_path):
+    """A power cut mid-line leaves a torn last line; the next
+    incarnation must cut it before appending, or everything it commits
+    sits behind a line no reader gets past."""
+    with Journal(tmp_path) as journal:
+        for task_id in ("a", "b"):
+            journal.append("submit", task_id, spec={"command": "sleep"}, client="c")
+            assert journal.commit()
+    tail = tmp_path / "journal.jsonl"
+    os.truncate(tail, os.path.getsize(tail) - 15)
+    state = recover(tmp_path)
+    assert set(state.tasks) == {"a"} and state.truncated == 1
+    with Journal(tmp_path) as journal:
+        assert set(journal.recovered.tasks) == {"a"}
+        assert journal.recovered.truncated == 1 and journal.tail_records == 1
+        journal.append("submit", "c", spec={"command": "sleep"}, client="c")
+        assert journal.commit()
+    state = recover(tmp_path)
+    assert set(state.tasks) == {"a", "c"} and state.truncated == 0
+
+
+def test_line_without_its_newline_is_torn(tmp_path):
+    """The writer emits a line and its newline in one write, so a line
+    that ends the file without one was never acknowledged — and must
+    not be kept, or the next append would be glued onto it."""
+    (tmp_path / "journal.jsonl").write_text(
+        _submit_line("a") + _submit_line("b").rstrip("\n"))
+    records, truncated = read_journal_tail(tmp_path / "journal.jsonl")
+    assert [r["id"] for r in records] == ["a"] and truncated == 1
+    with Journal(tmp_path) as journal:
+        journal.append("submit", "c")
+        assert journal.commit()
+    assert set(recover(tmp_path).tasks) == {"a", "c"}
 
 
 def test_fsync_failure_fails_journal_and_commit(tmp_path, monkeypatch):
@@ -399,4 +540,4 @@ def test_recovered_task_dict_round_trip():
         state="dispatched", attempts=2, executor_id="e-1",
         result=None, acked=False, in_dlq=False,
     )
-    assert RecoveredTask.from_dict(task.to_dict()) == task
+    assert RecoveredTask.from_dict(_legacy_entry(task)) == task

@@ -6,6 +6,7 @@ replay``).  These tests drive a real dispatcher and read both back.
 """
 
 import json
+import urllib.request
 
 from repro.live import LiveDispatcher, LocalFalkon
 from repro.net.message import Message, MessageType
@@ -133,17 +134,57 @@ def test_follow_attached_after_boot_writes_the_recovery_that_predates_it(tmp_pat
     assert replay_summary(events)["settled"] == 3
 
 
+def test_compaction_shows_in_flight_dump_metrics_status_and_health(tmp_path):
+    """Compaction is no longer the one silent journal operation: an
+    operator sees that it ran, how long it took and what it kept."""
+    with LocalFalkon(executors=2, pipeline_depth=8, http_port=0,
+                     heartbeat_interval=0.05, retain_settled=50,
+                     journal_dir=str(tmp_path / "journal"),
+                     journal_compact_every=200) as falkon:
+        journal = falkon.dispatcher.journal
+        results = falkon.run([TaskSpec.sleep(0, task_id=f"cmp-{i:03d}")
+                              for i in range(300)])
+        assert all(r.ok for r in results)
+        assert wait_until(lambda: journal.stats()["compactions"] >= 1)
+        stats = journal.stats()
+        assert {"records", "commits", "flushes", "compactions", "pending",
+                "tail_records", "failed", "last_flush_s",  # bench/sut.py reads these
+                "live_tasks", "last_compact_s", "max_compact_s"} <= set(stats)
+        assert 0 < stats["last_compact_s"] <= stats["max_compact_s"]
+        path = falkon.dispatcher.dump_flight(str(tmp_path / "flight.json"),
+                                             reason="manual")
+        base = falkon.http.url("").rstrip("/")
+        with urllib.request.urlopen(base + "/metrics", timeout=5.0) as response:
+            metrics = response.read().decode()
+        with urllib.request.urlopen(base + "/status", timeout=5.0) as response:
+            status = json.load(response)
+        assert falkon.dispatcher._check_journal() is None
+        journal.last_compact_s = 30.0  # what a wedged disk would leave here
+        assert "compaction took 30.00s" in falkon.dispatcher._check_journal()
+    with open(path) as fh:
+        compacts = [e for e in json.load(fh)["events"]
+                    if e["kind"] == fl.JOURNAL_COMPACT]
+    assert compacts and all(
+        e["seconds"] > 0 and e["rows"] >= e["live_tasks"] >= 0 and e["bytes"] >= 0
+        for e in compacts)
+    assert "falkon_dispatcher_journal_compact_seconds" in metrics
+    assert "falkon_dispatcher_journal_flush_seconds" in metrics
+    assert status["journal"]["compactions"] >= 1
+    assert {"live_tasks", "last_compact_s", "max_compact_s"} <= set(status["journal"])
+
+
 def test_every_kind_the_dispatcher_records_is_a_named_constant_with_a_docs_row():
     import inspect
     import os
     import re
 
-    from repro.live import dispatcher
+    from repro.live import dispatcher, journal
 
-    source = inspect.getsource(dispatcher)
+    source = inspect.getsource(dispatcher) + inspect.getsource(journal)
     assert not re.search(r"flight\.record\(\s*[\"']", source)  # no literals
     names = set(re.findall(r"\bfl\.([A-Z_]+)\b", source))
-    assert {"QUEUE_ENQUEUE", "EXECUTOR_EVICT", "SUBMIT_REJECT"} <= names
+    assert {"QUEUE_ENQUEUE", "EXECUTOR_EVICT", "SUBMIT_REJECT",
+            "JOURNAL_COMMIT", "JOURNAL_COMPACT"} <= names
     assert names <= set(fl.__all__)
     docs = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "docs", "OBSERVABILITY.md")

@@ -63,6 +63,37 @@ def test_restart_recovers_queue_and_results(tmp_path):
         disp2.close()
 
 
+def test_bundle_acked_after_a_torn_tail_survives_the_next_crash(tmp_path):
+    """Crash, power-cut-style torn last line, restart: what the second
+    incarnation acknowledges must reach the third.  (It used to append
+    behind the torn line, where recovery never reads.)"""
+    journal_dir = str(tmp_path)
+    disp = LiveDispatcher(journal_dir=journal_dir)
+    client = LiveClient(disp.endpoint, max_reconnects=0)
+    client.submit(specs(2, prefix="one"))
+    client.submit(specs(2, prefix="torn"))
+    client.close()
+    disp.simulate_crash()
+    tail = tmp_path / "journal.jsonl"
+    os.truncate(tail, os.path.getsize(tail) - 15)
+
+    disp2 = LiveDispatcher(journal_dir=journal_dir)
+    try:
+        assert disp2.recovered_tasks == 2  # the torn bundle is gone
+        client = LiveClient(disp2.endpoint, max_reconnects=0)
+        client.submit(specs(3, prefix="two"))  # returns once acknowledged
+        client.close()
+    finally:
+        disp2.simulate_crash()
+
+    disp3 = LiveDispatcher(journal_dir=journal_dir)
+    try:
+        assert disp3.recovered_tasks == 5
+        assert disp3.stats().queued == 5
+    finally:
+        disp3.close()
+
+
 @pytest.mark.chaos
 def test_seeded_crash_between_dispatch_and_result_ack(tmp_path):
     """Seeded chaos: the dispatcher dies with a RESULT frame in hand
