@@ -3,7 +3,7 @@
 
 Falkon's pieces — dispatcher, executors, provisioner, client — all run
 on this machine over real TCP sockets, speaking the paper's protocol
-(register / notify / get-work / result / piggy-backed ack).
+(register / work pushed to idle executors / result / piggy-backed ack).
 
 Run:  python examples/quickstart.py
 """

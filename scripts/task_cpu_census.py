@@ -5,6 +5,7 @@ collector generation and frame kind.
 Usage::
 
     PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20] [--durable] [--profile]
+    PYTHONPATH=src python scripts/task_cpu_census.py --paced [--seconds 20]
 
 A bare ``LiveDispatcher`` and four pipelined executors run in this
 process; a client in a child process pushes sleep-0 tasks through them
@@ -14,7 +15,12 @@ standing benchmark), so this process's CPU bill is the SUT's alone.
 two durable workloads instead (``bench/workloads.DURABLE_CONFIG``: a
 journal in a temporary directory, heartbeating executors, bounded
 retention), which adds the ``journal-flusher`` row and puts compaction
-on the ``dispatcher-monitor`` one.
+on the ``dispatcher-monitor`` one.  ``--paced`` drives that durable SUT
+with the ``paced_durable`` shape instead of waves: seeded Poisson
+arrivals at ``PACED_RATE_PER_S`` whose child client submits each
+``TICK_S`` tick's due tasks, open loop, for ``--seconds`` — the
+latency-bound regime where per-exchange cost, not per-task work,
+dominates.
 Four tables, all in µs (or bytes) per task:
 
 * **threads** — each thread's CPU clock over the run;
@@ -27,7 +33,8 @@ Four tables, all in µs (or bytes) per task:
   tripped the collection, not additional to them;
 * **frames** — bytes and frames sent per message type, both directions,
   counted at ``Connection._transmit`` (patched here, in both
-  processes; the child reports its own sends).
+  processes; the child reports its own sends): the per-exchange
+  ledger, one row per frame kind that was sent at all.
 
 ``--profile`` runs the same waves under an all-thread cProfile
 (:mod:`repro.obs.profiling`) and prints the top-20 cumulative frames in
@@ -55,6 +62,10 @@ WAVE = 5_000
 BUNDLE = 500
 EXECUTORS = 4
 PIPELINE = 32
+#: Seed of the ``--paced`` arrival schedule (both processes draw it).
+PACED_SEED = 0
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "bench")
 
 
 def _count_frames() -> tuple[Counter, Counter]:
@@ -76,25 +87,57 @@ def _count_frames() -> tuple[Counter, Counter]:
     return sent_bytes, sent_frames
 
 
-def _client(host: str, port: int, waves: int) -> int:
-    from repro.live.client import LiveClient
+def _paced_schedule(seconds: float):
+    """The ``paced_durable`` generator: ``(inputs, tasks due per tick,
+    tick seconds)`` for *seconds* of schedule."""
+    sys.path.insert(0, BENCH_DIR)
+    from workloads import PACED_RATE_PER_S, TICK_S, Inputs
+
+    inputs = Inputs(PACED_SEED, "paced_durable")
+    return inputs, inputs.poisson_ticks(PACED_RATE_PER_S, seconds), TICK_S
+
+
+def _submit_waves(client, waves: int) -> bool:
     from repro.types import TaskSpec
+
+    for wave in range(waves):
+        futures = client.submit([
+            TaskSpec.sleep(0, task_id=f"burst_sleep0-0123456789ab-{i:07d}")
+            for i in range(wave * WAVE, (wave + 1) * WAVE)
+        ])
+        if not all(future.result(timeout=300).ok for future in futures):
+            return False
+        client.release_settled()
+    return True
+
+
+def _submit_paced(client, seconds: float) -> bool:
+    """Open loop: every tick submits what is due, settled or not."""
+    inputs, ticks, tick_s = _paced_schedule(seconds)
+    futures = []
+    started = time.monotonic() + tick_s
+    for index, due in enumerate(ticks):
+        delay = started + index * tick_s - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        if due:
+            futures.extend(client.submit(inputs.specs(due)))
+    return all(future.result(timeout=300).ok for future in futures)
+
+
+def _client(host: str, port: int, waves: int, paced_seconds: float) -> int:
+    from repro.live.client import LiveClient
 
     sent_bytes, sent_frames = _count_frames()
     started = time.process_time()
     client = LiveClient.connect(host, port, bundle_size=BUNDLE)
     try:
-        for wave in range(waves):
-            futures = client.submit([
-                TaskSpec.sleep(0, task_id=f"burst_sleep0-0123456789ab-{i:07d}")
-                for i in range(wave * WAVE, (wave + 1) * WAVE)
-            ])
-            for future in futures:
-                if not future.result(timeout=300).ok:
-                    return 1
-            client.release_settled()
+        ok = (_submit_paced(client, paced_seconds) if paced_seconds
+              else _submit_waves(client, waves))
     finally:
         client.close()
+    if not ok:
+        return 1
     print(json.dumps({"bytes": sent_bytes, "frames": sent_frames,
                       "cpu_s": time.process_time() - started}))
     return 0
@@ -136,14 +179,21 @@ def main() -> int:
     parser.add_argument("--durable", action="store_true",
                         help="journaled, heartbeating SUT with bounded "
                              "retention (bench/workloads.DURABLE_CONFIG)")
+    parser.add_argument("--paced", action="store_true",
+                        help="the durable SUT under the paced_durable open-loop "
+                             "shape instead of closed-loop waves")
+    parser.add_argument("--seconds", type=float, default=20.0,
+                        help="length of the --paced arrival schedule")
     parser.add_argument("--profile", action="store_true",
                         help="print the top-20 cumulative cProfile frames "
                              "over all threads instead of the tables")
     parser.add_argument("--client", nargs=2, metavar=("HOST", "PORT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
+    paced_seconds = args.seconds if args.paced else 0.0
     if args.client:
-        return _client(args.client[0], int(args.client[1]), args.waves)
+        return _client(args.client[0], int(args.client[1]), args.waves,
+                       paced_seconds)
 
     from repro.live import ioloop
     from repro.live.dispatcher import LiveDispatcher
@@ -153,8 +203,8 @@ def main() -> int:
     sent_bytes, sent_frames = _count_frames()
     config: dict = {}
     scratch = contextlib.ExitStack()
-    if args.durable:
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    if args.durable or args.paced:
+        sys.path.insert(0, BENCH_DIR)
         from workloads import DURABLE_CONFIG
 
         config = dict(DURABLE_CONFIG, journal_dir=scratch.enter_context(
@@ -170,7 +220,8 @@ def main() -> int:
                                   heartbeat_interval=heartbeat).start()
                      for _ in range(EXECUTORS)]
         collector = _CollectorClock()
-        tasks = args.waves * WAVE
+        tasks = (sum(_paced_schedule(paced_seconds)[1]) if args.paced
+                 else args.waves * WAVE)
         try:
             for executor in executors:
                 if not executor.wait_registered(timeout=10.0):
@@ -184,13 +235,15 @@ def main() -> int:
             cpu_before = time.process_time()
             child = subprocess.run(
                 [sys.executable, __file__, "--waves", str(args.waves),
+                 *(["--paced", "--seconds", str(args.seconds)] if args.paced
+                   else []),
                  "--client", dispatcher.host, str(dispatcher.port)],
                 stdout=subprocess.PIPE, text=True)
             cpu = time.process_time() - cpu_before
             handlers = dispatcher.stats().handler_cpu_s
             threads = _thread_cpu()
             gc.callbacks.remove(collector)
-            journal = dispatcher.journal.stats() if args.durable else {}
+            journal = dispatcher.journal.stats() if config else {}
             if child.returncode != 0 or dispatcher.tasks_completed != tasks:
                 print(f"census run failed: client exit {child.returncode}, "
                       f"{dispatcher.tasks_completed}/{tasks} completed",
@@ -206,17 +259,19 @@ def main() -> int:
         if args.profile:
             ioloop.default_loop().stop()
     if args.profile:
-        print(f"{args.waves * WAVE} sleep-0 tasks under instrumentation")
+        print(f"{tasks} sleep-0 tasks under instrumentation")
         print(print_top(collect(), 20), end="")
         return 0
 
     def per_task(seconds: float) -> float:
         return seconds / tasks * 1e6
 
-    print(f"{tasks} sleep-0 tasks, {args.waves} waves of {WAVE}, "
+    shape = (f"open loop for {args.seconds:g} s" if args.paced
+             else f"{args.waves} waves of {WAVE}")
+    print(f"{tasks} sleep-0 tasks, {shape}, "
           f"{EXECUTORS} executors at depth {PIPELINE}"
           + (f", durable ({journal['compactions']} compactions)"
-             if args.durable else ""))
+             if config else ""))
     print(f"\nprocess CPU {per_task(cpu):7.1f} us/task   "
           f"(client process {per_task(client['cpu_s']):.1f})")
 
@@ -246,14 +301,14 @@ def main() -> int:
               f"{collector.collections[generation]:12d}")
     print(f"{'all generations':<28} {per_task(sum(collector.seconds)):8.1f}")
 
-    print(f"\n{'frame kind':<28} {'bytes/task':>10} {'tasks/frame':>12}")
+    print(f"\n{'frame kind':<28} {'bytes/task':>10} {'frames/task':>12}")
     sent_bytes.update(client["bytes"])
     sent_frames.update(client["frames"])
     for kind, size in sorted(sent_bytes.items(), key=lambda kv: -kv[1]):
-        if size / tasks >= 0.5:
-            print(f"{kind:<28} {size / tasks:10.1f} "
-                  f"{tasks / sent_frames[kind]:12.1f}")
-    print(f"{'all frames':<28} {sum(sent_bytes.values()) / tasks:10.1f}")
+        print(f"{kind:<28} {size / tasks:10.1f} "
+              f"{sent_frames[kind] / tasks:12.3f}")
+    print(f"{'all frames':<28} {sum(sent_bytes.values()) / tasks:10.1f} "
+          f"{sum(sent_frames.values()) / tasks:12.3f}")
     return 0
 
 

@@ -5,9 +5,11 @@ Implements the full Figure 2 exchange over real sockets:
 * clients CREATE_INSTANCE (factory/instance pattern, §3.2), SUBMIT
   bundles of tasks, and receive CLIENT_NOTIFY messages as results
   arrive;
-* executors REGISTER, receive NOTIFY pushes, pull with GET_WORK,
-  deliver RESULT and get a RESULT_ACK that piggy-backs queued work
-  (§3.4) — up to the executor's advertised ``pipeline`` depth;
+* executors REGISTER and, while idle, are pushed WORK straight away
+  (no NOTIFY → GET_WORK round trip); they deliver RESULT and get a
+  RESULT_ACK that piggy-backs queued work (§3.4) — both up to the
+  executor's advertised ``pipeline`` depth.  GET_WORK stays the
+  explicit pull; NOTIFY is only the steal hint to peer shards;
 * a STATUS message answers the provisioner's poll {POLL}.
 
 Failed or disconnected executors have their in-flight tasks replayed
@@ -202,7 +204,8 @@ class _LiveRecord:
     #: whose WORK/ack transmission failed is *undelivered*: requeueing
     #: it must not burn an attempt or count as a retry.
     delivered: bool = False
-    #: How the current attempt was handed over ("get-work"/"piggyback").
+    #: How the current attempt was handed over ("push"/"get-work"/
+    #: "piggyback"/"adopted"/"steal").
     dispatch_mode: str = ""
     #: Wire form of the trace context riding this attempt's WORK frame
     #: (restamped on every dispatch, released at terminal settle).
@@ -414,7 +417,8 @@ class LiveDispatcher:
         self._session_seq = itertools.count(1)
         self._started = time.monotonic()
         # NOTIFY carries no state: one frame, encoded and signed once,
-        # broadcast to every executor from this shared bytes cache.
+        # sent to every idle peer shard as its steal hint from this
+        # shared bytes cache.
         self._notify_frame = encode_message_v4(
             Message(MessageType.NOTIFY, sender="dispatcher"), key=key
         )
@@ -820,8 +824,8 @@ class LiveDispatcher:
                         executor.busy.add(task_id)
                     # Recovery queued this task before the executor
                     # reappeared; pull the entry so the queue stat and
-                    # idle-notify fan-out reflect reality (claimers
-                    # would skip the now-DISPATCHED record anyway).
+                    # idle push reflect reality (claimers would skip
+                    # the now-DISPATCHED record anyway).
                     with self._queue_lock:
                         try:
                             self._queue.remove(task_id)
@@ -923,8 +927,7 @@ class LiveDispatcher:
                 self._queue.append(task_id)
         self._journal_append("dlq-retry", task_id)
         self.flight.record(fl.DLQ_RETRY, task_id)
-        for executor in self._pick_idle_executors(1):
-            self._send_notify(executor)
+        self._loop.call_soon(self._wake_idle)
         return True
 
     # -- HTTP status surface --------------------------------------------------
@@ -1141,23 +1144,22 @@ class LiveDispatcher:
                         )
                         if notify is not None:
                             overdue_notifies.append(notify)
-        wake: list[_ExecutorSession] = []
         with self._queue_lock:
             qlen = len(self._queue)
         if qlen:
-            # Anti-starvation: a lost NOTIFY frame must not strand
-            # queued work next to idle executors forever.
+            # Anti-starvation: work the replays above requeued must not
+            # sit next to idle executors — push it from the loop thread
+            # (this one never claims), and re-arm idle peer shards'
+            # steal hint.
             for executor in executors:
                 with executor.lock:
                     if not executor.busy:
                         executor.notified = False
-            wake = self._pick_idle_executors(qlen)
+            self._loop.call_soon(self._wake_idle)
         for executor_id in dead:
             if self._drop_executor(executor_id, reason="heartbeat-timeout",
                                    kind=fl.EXECUTOR_EVICT):
                 self._m_dead.inc()
-        for executor in wake:
-            self._send_notify(executor)
         self._notify_clients(overdue_notifies)
         self._watchdog_tick(now, qlen, executors)
         if self.shard_id is not None:
@@ -1420,10 +1422,6 @@ class LiveDispatcher:
                  "client": client_id}
                 for spec in fresh
             ])
-            # Start the write+fsync NOW and overlap it with the record
-            # building below; the commit barrier then has little or
-            # nothing left to wait for.
-            self.journal.request_sync()
         new_records: list[_LiveRecord] = []
         for spec in fresh:
             record = _LiveRecord(spec=spec, client_id=client_id)
@@ -1472,15 +1470,13 @@ class LiveDispatcher:
             if self.flight.enabled:
                 for record in new_records:
                     self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
-        idle_to_notify = self._pick_idle_executors(len(tasks))
         session.conn.send(
             Message(MessageType.SUBMIT_ACK, sender="dispatcher",
                     payload={"accepted": len(tasks)})
         )
         if settled_dupes:
             self._notify_clients(settled_dupes)
-        for executor in idle_to_notify:
-            self._send_notify(executor)
+        self._wake_idle()
 
     def _on_get_results(self, session: "_Session", msg: Message) -> None:
         # Results are pushed via CLIENT_NOTIFY; GET_RESULTS answers with
@@ -1547,10 +1543,7 @@ class LiveDispatcher:
         # executor's resent result will be dropped as stale.
         self._adopt_inflight(executor, msg.payload.get("inflight") or ())
         session.conn.send(Message(MessageType.REGISTER_ACK, sender="dispatcher"))
-        with self._queue_lock:
-            notify = bool(self._queue)
-        if notify:
-            self._send_notify(executor)
+        self._wake_idle()
 
     def _on_deregister(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -1782,8 +1775,8 @@ class LiveDispatcher:
             self._m_stolen_in.inc(len(accepted))
             self.flight.record(fl.STEAL_INGEST, donor_shard,
                                tasks=len(accepted))
-            for executor in self._pick_idle_executors(len(accepted)):
-                self._send_notify(executor)
+            # The grant arrives on the peer link's thread.
+            self._loop.call_soon(self._wake_idle)
         if resend:
             self._notify_clients(resend)
         return len(accepted)
@@ -1896,25 +1889,16 @@ class LiveDispatcher:
         role = session.role
         if role is None or role[0] != "executor":
             return
-        executor_id = role[1]
-        executor = self._exec_get(executor_id)
+        executor = self._exec_get(role[1])
         if executor is None:
             return
-        with executor.lock:
-            executor.notified = False
-        # Depth-1 peers always get one task per pull (the pull floor:
-        # a pull from a depth-1 agent means it is free, whatever the
-        # busy set still says); pipelined peers get up to their
-        # remaining capacity.
+        # The explicit pull.  Depth-1 peers always get one task per
+        # pull (the pull floor: a pull from a depth-1 agent means it is
+        # free, whatever the busy set still says); pipelined peers get
+        # up to their remaining capacity.
         want = max(1, executor.capacity()) if executor.pipeline == 1 else executor.capacity()
-        claimed = self._claim_many(executor, want, mode="get-work")
-        if not claimed:
+        if not self._send_work(executor, want, "get-work"):
             session.conn.send(Message(MessageType.NO_WORK, sender="dispatcher"))
-            return
-        work = Message(MessageType.WORK, sender="dispatcher", payload={})
-        self._fill_task_payload(work, claimed)
-        session.conn.send(work)
-        self._mark_delivered_many(claimed, executor)
 
     def _on_result(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -2048,16 +2032,6 @@ class LiveDispatcher:
         claimed: list[_LiveRecord] = []
         if executor is not None and not is_peer:
             claimed = self._claim_many(executor, executor.capacity(), mode="piggyback")
-        wake: list[_ExecutorSession] = []
-        if not claimed:
-            with self._queue_lock:
-                qlen = len(self._queue)
-            if qlen:
-                # Nothing piggy-backed (a peer session, or a retry
-                # refilled the queue after the claim): fall back to a
-                # NOTIFY push so idle executors — including this one —
-                # pick it up.
-                wake = self._pick_idle_executors(qlen)
         ack = Message(MessageType.RESULT_ACK, sender="dispatcher", payload={})
         if claimed:
             self._fill_task_payload(ack, claimed)
@@ -2083,8 +2057,10 @@ class LiveDispatcher:
                  record.attempts, ack_attrs)
                 for _, _, record in notifies
             ])
-        for idle_executor in wake:
-            self._send_notify(idle_executor)
+        if not claimed:
+            # Nothing piggy-backed (a peer's results, or this executor
+            # has no room left): whatever is queued goes to the idle.
+            self._wake_idle()
         self._notify_clients(notifies)
 
     # -- provisioner protocol ----------------------------------------------------
@@ -2311,27 +2287,58 @@ class LiveDispatcher:
             for _ in records:
                 self._maybe_crash("after-dispatch")
 
-    def _pick_idle_executors(self, limit: int) -> list[_ExecutorSession]:
-        """Idle executors to NOTIFY, at most *limit*."""
+    def _wake_idle(self) -> None:
+        """Hand queued work to the idle (loop thread only, like every
+        claim: other threads post it with ``self._loop.call_soon``).
+
+        In table order, each executor with an empty busy set is pushed
+        one WORK frame of up to its advertised depth, until the queue
+        runs dry — what the first GET_WORK to answer a NOTIFY used to
+        take, one round trip later.  A peer shard is never pushed work
+        (stealing is explicit-request-only); an idle one gets the
+        NOTIFY steal hint, once until the sweep re-arms it.
+        """
         with self._exec_lock:
             executors = list(self._executors.values())
-        chosen = []
         for executor in executors:
-            if len(chosen) >= limit:
-                break
+            with self._queue_lock:
+                if not self._queue:
+                    return
+            peer = executor.executor_id.startswith(PEER_PREFIX)
             with executor.lock:
-                if not executor.dead and not executor.busy and not executor.notified:
-                    executor.notified = True
-                    chosen.append(executor)
-        return chosen
+                if executor.dead or executor.busy or (peer and executor.notified):
+                    continue
+            if peer:
+                self._send_notify(executor)
+            else:
+                self._send_work(executor, executor.pipeline, "push")
+
+    def _send_work(self, executor: _ExecutorSession, want: int, mode: str) -> bool:
+        """Claim up to *want* queued tasks for *executor* and send them
+        in one WORK frame — a push and an explicit pull alike (the
+        piggy-backed ack runs the same steps on its RESULT_ACK).
+        Returns whether anything was claimed.  A failed send has
+        already closed the connection, whose close callback requeues
+        the undelivered claim uncharged; a dropped frame is a lost WORK
+        for the replay timer."""
+        claimed = self._claim_many(executor, want, mode)
+        if not claimed:
+            return False
+        work = Message(MessageType.WORK, sender="dispatcher", payload={})
+        self._fill_task_payload(work, claimed)
+        try:
+            executor.conn.send(work)
+        except ProtocolError:
+            return True
+        self._mark_delivered_many(claimed, executor)
+        return True
 
     def _send_notify(self, executor: _ExecutorSession) -> None:
+        """The steal hint to an idle peer shard (shared NOTIFY bytes)."""
         with executor.lock:
             executor.notified = True
         self.flight.record(fl.FRAME_TX, "NOTIFY", executor=executor.executor_id)
         try:
-            # Shared pre-encoded frame: NOTIFY is identical for every
-            # executor, so broadcast costs zero re-encoding/re-signing.
             executor.conn.send_encoded(self._notify_frame)
         except Exception:
             self._drop_executor(executor.executor_id, only_conn=executor.conn)
@@ -2609,14 +2616,13 @@ class LiveDispatcher:
                     notify = self._requeue_dispatched(record, f"executor {executor_id} lost")
                     if notify is not None:
                         notifies.append(notify)
-        wake: list[_ExecutorSession] = []
         with self._queue_lock:
             qlen = len(self._queue)
-        if qlen:
-            wake = self._pick_idle_executors(1)
         executor.conn.close()
-        for idle in wake:
-            self._send_notify(idle)
+        if qlen:
+            # Any thread drops executors (the loop on a close, the
+            # monitor on an eviction): the wake runs on the loop.
+            self._loop.call_soon(self._wake_idle)
         self._notify_clients(notifies)
         return True
 

@@ -2,11 +2,11 @@
 
 Tasks execute as subprocesses (``command`` + ``args``) or as registered
 Python callables when the command is ``python:<name>``; ``sleep`` is
-interpreted natively so micro-benchmarks don't fork.  The hybrid
-push/pull protocol of §3.3: the executor blocks on its socket until a
-NOTIFY push arrives, answers with a GET_WORK pull, and after each
-RESULT may find the next tasks piggy-backed on the RESULT_ACK (§3.4).
-WORK and RESULT_ACK carry a ``tasks`` list of up to ``pipeline``
+interpreted natively so micro-benchmarks don't fork.  The executor
+blocks on its socket until work arrives: a WORK frame the dispatcher
+pushes while the executor is idle (where the paper's §3.3 sends a
+NOTIFY and waits for a GET_WORK), or the next tasks piggy-backed on a
+RESULT_ACK (§3.4).  Both carry a ``tasks`` list of up to ``pipeline``
 entries and RESULT a ``results`` list; depth 1 (the default) is the
 one-entry case of the same shapes.
 
@@ -345,22 +345,16 @@ class LiveExecutor:
                     # failed resend re-stashes for the next session.
                     pending, self._unreported = self._unreported, []
                     self._send_results(pending)
-            elif msg.type is MessageType.NOTIFY:
-                try:
-                    self._conn.send(Message(MessageType.GET_WORK, sender=self.executor_id))
-                    self.flight.record(FRAME_TX, "GET_WORK")
-                except Exception:
-                    pass  # the close callback queues the shutdown marker
             elif msg.type in (MessageType.WORK, MessageType.RESULT_ACK):
                 # A "tasks" list whose entries carry their own attempt
-                # and trace context.
+                # and trace context, asked for or not.
                 entries = [
                     (item["task"], item.get("attempt"), item.get("trace"))
                     for item in msg.payload.get("tasks", ())
                     if isinstance(item, dict) and item.get("task") is not None
                 ]
                 self._backlog = len(entries)
-                # Drain the whole local batch before the next pull.
+                # Drain the whole local batch before the next frame.
                 # Results batch into as few RESULT frames as the flush
                 # window allows — one frame for a burst of short tasks
                 # instead of one frame (and one ack round trip) each.
@@ -369,9 +363,6 @@ class LiveExecutor:
             elif msg.type is MessageType.ERROR:
                 if "duplicate executor id" in msg.payload.get("error", ""):
                     self._rejected.set()
-                continue
-            elif msg.type is MessageType.NO_WORK:
-                continue
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):

@@ -80,9 +80,9 @@ class FaultPlan:
         Message-type names (``{"NOTIFY"}``) the random ``drop_rate``
         draw is restricted to; frames of other types pass untouched
         (no draw consumed, keeping per-type schedules stable).  Lets a
-        chaos run starve one protocol edge — e.g. drop every NOTIFY to
-        manufacture a genuine queue stall — without also severing
-        registration or heartbeats.  Names are :class:`MessageType`
+        chaos run starve one protocol edge — e.g. drop every WORK frame
+        so only the replay timer recovers pushed tasks — without also
+        severing registration or heartbeats.  Names are :class:`MessageType`
         member names, any case; matching reads the type code in the
         encoded frame's header, because cached broadcast frames never
         exist as :class:`Message` objects on the send path.
@@ -290,8 +290,8 @@ class FaultyConnection(Connection):
         """Apply the fault plan to one already-encoded frame.
 
         Overriding the encoded-bytes choke point (rather than
-        :meth:`send`) means cached fast-path frames — NOTIFY broadcast
-        bytes, pipelined WORK — face the same fault schedule as
+        :meth:`send`) means cached fast-path frames — the NOTIFY steal
+        hint's bytes, pipelined WORK — face the same fault schedule as
         individually encoded ones.
         """
         plan = self.plan

@@ -11,8 +11,9 @@ spawned a reader thread per connection.
 Thread model
 ------------
 * The loop thread owns the selector.  All selector mutations funnel
-  through :meth:`_post`, a wake-up pipe plus an op queue, so any
-  thread may attach/detach connections or arm write interest.
+  through :meth:`call_soon`, a wake-up pipe plus an op queue, so any
+  thread may attach/detach connections or arm write interest — or run
+  any other op that must happen on the loop thread.
 * Connection handlers run *on the loop thread*.  They must not block;
   the live plane's handlers only take short-held locks and append to
   queues/buffers.
@@ -123,7 +124,9 @@ class IOLoop:
                 pass
 
     # -- cross-thread requests ----------------------------------------------
-    def _post(self, op: Callable[[], None]) -> None:
+    def call_soon(self, op: Callable[[], None]) -> None:
+        """Run *op* on the loop thread at its next iteration (from any
+        thread, the loop thread included)."""
         self._ops.append(op)
         self._wake()
 
@@ -136,21 +139,21 @@ class IOLoop:
     def attach(self, conn: "Connection") -> None:
         """Register *conn* for reads (socket must be non-blocking)."""
         self.start()
-        self._post(lambda: self._attach(conn))
+        self.call_soon(lambda: self._attach(conn))
 
     def detach(self, conn: "Connection") -> None:
         """Unregister *conn* and close its fd on the loop thread."""
-        self._post(lambda: self._detach(conn))
+        self.call_soon(lambda: self._detach(conn))
         if self._stopped.is_set() or self._thread is None:
             self._detach(conn)  # loop gone: finalise inline
 
     def want_write(self, conn: "Connection") -> None:
         """Arm write interest for *conn* (buffered bytes pending)."""
-        self._post(lambda: self._set_mask(
+        self.call_soon(lambda: self._set_mask(
             conn, selectors.EVENT_READ | selectors.EVENT_WRITE))
 
     def clear_write(self, conn: "Connection") -> None:
-        self._post(lambda: self._set_mask(conn, selectors.EVENT_READ))
+        self.call_soon(lambda: self._set_mask(conn, selectors.EVENT_READ))
 
     def add_server(self, sock: socket.socket,
                    on_accept: Callable[[socket.socket], None]) -> None:
@@ -165,7 +168,7 @@ class IOLoop:
             except (KeyError, ValueError, OSError):
                 pass
 
-        self._post(register)
+        self.call_soon(register)
 
     # -- loop-thread internals ----------------------------------------------
     def _attach(self, conn: "Connection") -> None:

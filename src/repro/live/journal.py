@@ -27,12 +27,17 @@ Durability model (see ``docs/RELIABILITY.md``):
 * Appends land in an in-memory buffer; a flusher thread writes and
   ``fsync``\\ s them on the live plane's 20 ms batching window, so the
   journal costs one fsync per window, not one per task.
-* :meth:`Journal.commit` is a group-commit barrier: it prods the
-  flusher and blocks until everything appended so far is durable.  The
+* :meth:`Journal.commit` is a group-commit barrier led by its caller:
+  it writes and fsyncs everything buffered so far on the calling
+  thread, unless a concurrent writer already covered it.  The
   dispatcher calls it once per SUBMIT bundle before acknowledging, so
   an acknowledged task can never be lost; dispatch/result records ride
   the window asynchronously (a crash may replay up to 20 ms of them —
   at-least-once, by design).
+* One taker: whoever writes the buffer — flusher, commit, compaction,
+  close — takes it inside the I/O-lock hold that writes it.  Rows
+  therefore reach the file in append order, and the count of durable
+  rows is a position: rows ``[0, n)`` are on disk.
 * Every record line carries a CRC32 over its JSON body.  A torn or
   bit-rotten tail (the process died mid-write) truncates cleanly at
   the last good record instead of poisoning recovery.
@@ -455,8 +460,9 @@ class Journal:
     """Append-only WAL with group commit and read-free compaction.
 
     Thread-safe: appends may come from any dispatcher thread (handlers
-    run on the I/O loop, sweeps on the monitor thread); one flusher
-    thread owns the file.
+    run on the I/O loop, sweeps on the monitor thread); the file is
+    written under the I/O lock by whoever takes the buffer — the
+    flusher's window timer, a committing caller, compaction or close.
     """
 
     def __init__(
@@ -510,15 +516,14 @@ class Journal:
             os.fsync(self._fh.fileno())
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        #: Serialises every touch of the tail file — the flusher's
-        #: write+fsync, compaction's close/rename/reopen, and the final
-        #: close.  Lock order: ``_io_lock`` may wrap ``_cond``, never
-        #: the reverse.
+        #: Serialises every touch of the tail file — taking the buffer
+        #: and writing it, compaction's close/rename/reopen, and the
+        #: final close.  Lock order: ``_io_lock`` may wrap ``_cond``,
+        #: never the reverse.
         self._io_lock = threading.Lock()
         self._buffer: list[dict] = []
         self._appended = 0  # records ever appended (this incarnation)
-        self._flushed = 0   # records durable on disk
-        self._sync_requested = False
+        self._flushed = 0   # records durable on disk: the first this many
         self._closed = False
         self._abandoned = False
         self._failed = False  # unrecoverable write/fsync error
@@ -551,7 +556,7 @@ class Journal:
 
         Deliberately cheap: the caller (often the dispatcher's I/O
         loop) only builds a dict and takes the lock — JSON encoding and
-        the CRC happen on the flusher thread, off the dispatch path.
+        the CRC happen when the buffer is written, off the append.
         """
         record = {"k": kind, "id": task_id}
         record.update(fields)
@@ -577,106 +582,88 @@ class Journal:
             self._appended += len(records)
             self.counters["records"] += len(records)
 
-    def request_sync(self) -> None:
-        """Wake the flusher now, without waiting for durability.
-
-        Lets a caller that will :meth:`commit` shortly start the
-        write+fsync early and overlap it with its own CPU work (the
-        fsync releases the GIL); the later ``commit()`` barrier then
-        finds most — often all — of the window already flushed.
-        """
-        with self._cond:
-            if self._closed or self._failed:
-                return
-            self._sync_requested = True
-            self._cond.notify_all()
-
     def commit(self, timeout: float = 5.0) -> bool:
-        """Group-commit barrier: block until prior appends are durable.
+        """Group-commit barrier: return once prior appends are durable.
 
-        Returns ``False`` on timeout and on a closed or *failed*
-        journal — a ``False`` means the appends are NOT known durable,
-        and callers who promised durability (the SUBMIT ack path) must
-        refuse rather than ack.  A failed journal returns immediately
-        instead of burning the timeout: once a write or fsync has
-        errored, no later barrier can ever succeed.
+        The caller leads: it writes and fsyncs everything buffered on
+        its own thread, or returns at once if a concurrent writer
+        already covered its rows.  Returns ``False`` when the I/O lock
+        stays busy past *timeout* and on a closed or *failed* journal —
+        a ``False`` means the appends are NOT known durable, and callers
+        who promised durability (the SUBMIT ack path) must refuse rather
+        than ack.
         """
         with self._cond:
             if self._closed or self._failed:
                 return False
             target = self._appended
             self.counters["commits"] += 1
-            self._sync_requested = True
-            self._cond.notify_all()
-            self._cond.wait_for(
-                lambda: self._flushed >= target or self._closed or self._failed,
-                timeout,
-            )
+        if not self._io_lock.acquire(timeout=timeout):
+            return False
+        try:
+            if self._flushed < target:
+                self._flush_locked()
             return self._flushed >= target
+        finally:
+            self._io_lock.release()
 
     # -- flusher -------------------------------------------------------------
     def _flush_loop(self) -> None:
+        """Write the asynchronous rows (dispatch, result, acked) once a
+        window.  Sleeping the full window, never waking on buffer
+        occupancy, is what batches them into one fsync."""
         while True:
             with self._cond:
-                # Sleep the *full* window unless a commit barrier (or
-                # shutdown) needs the disk now: waking on mere buffer
-                # occupancy would degrade group commit into one fsync
-                # per record under load — the opposite of batching.
-                self._cond.wait_for(
-                    lambda: self._sync_requested or self._closed or self._failed,
-                    self.flush_window,
-                )
+                self._cond.wait_for(lambda: self._closed or self._failed,
+                                    self.flush_window)
                 if self._closed or self._failed:
                     return
-                batch, self._buffer = self._buffer, []
-                self._sync_requested = False
-            if batch:
-                self._write_batch(batch)
-            else:
-                with self._cond:
-                    # A commit barrier with nothing to write: wake it.
-                    self._cond.notify_all()
+            with self._io_lock:
+                self._flush_locked()
 
-    def _write_batch(self, batch: list[dict]) -> None:
+    def _flush_locked(self) -> None:
+        """Take the buffer and write it (``_io_lock`` held): the one
+        way rows reach the tail, so no taker can overtake another."""
+        with self._cond:
+            batch, self._buffer = self._buffer, []
+        if not batch:
+            return
         started = time.monotonic()
-        with self._io_lock:
-            try:
-                # One array line per window: a single json.dumps amortises
-                # the per-record encoder overhead (~3x cheaper), and the
-                # whole window stays atomic under the line's CRC.
-                self._fh.write(journal_line(batch) + "\n")
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                # A write or fsync error is fatal: _flushed can never
-                # catch _appended again, so pretending otherwise would
-                # leave every future commit() burning its full timeout
-                # while acks silently stop being durable.  Fail the
-                # journal loudly instead — commits return False at
-                # once and the dispatcher refuses new submits.
-                with self._cond:
-                    self._failed = True
-                    self._buffer.clear()
-                    self._cond.notify_all()
-                return
-            took = time.monotonic() - started
-            self.last_flush_s = took
-            if took > self.max_flush_s:
-                self.max_flush_s = took
-            self.last_flush_t = time.monotonic()
-            flight = self.flight
-            if flight is not None:
-                flight.record(fl.JOURNAL_COMMIT, "",
-                              records=len(batch), seconds=round(took, 6))
+        try:
+            # One array line per window: a single json.dumps amortises
+            # the per-record encoder overhead (~3x cheaper), and the
+            # whole window stays atomic under the line's CRC.
+            self._fh.write(journal_line(batch) + "\n")
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        except (OSError, ValueError):
+            # A write or fsync error is fatal: _flushed can never
+            # catch _appended again, so pretending otherwise would
+            # leave every future commit() waiting while acks silently
+            # stop being durable.  Fail the journal loudly instead —
+            # commits return False at once and the dispatcher refuses
+            # new submits.
             with self._cond:
-                self._flushed += len(batch)
-                self._tail_records += len(batch)
-                self.counters["flushes"] += 1
+                self._failed = True
+                self._buffer.clear()
                 self._cond.notify_all()
-            # After the barrier is released, and only what is on disk:
-            # the table is never ahead of the files.
-            if self.prune_settled:
-                self._track(batch)
+            return
+        took = time.monotonic() - started
+        self.last_flush_s = took
+        if took > self.max_flush_s:
+            self.max_flush_s = took
+        self.last_flush_t = time.monotonic()
+        flight = self.flight
+        if flight is not None:
+            flight.record(fl.JOURNAL_COMMIT, "",
+                          records=len(batch), seconds=round(took, 6))
+        with self._cond:
+            self._flushed += len(batch)
+            self._tail_records += len(batch)
+            self.counters["flushes"] += 1
+        # Only what is on disk: the table is never ahead of the files.
+        if self.prune_settled:
+            self._track(batch)
 
     def _track(self, batch: list[dict]) -> None:
         """Fold durable rows into the table (``_io_lock`` held):
@@ -761,8 +748,8 @@ class Journal:
         Rotation, not truncation: the tail is atomically renamed aside
         and a fresh tail opened under the I/O lock, so a record
         appended at *any* point during compaction lands either in the
-        rotated segment (drained there before the rename, hence in the
-        table, hence in the new base unless its task is released) or
+        rotated segment (drained there in the same lock hold, hence in
+        the table, hence in the new base unless its task is released) or
         in the fresh tail (replayed on top of the base) — never in a
         file that gets destroyed.  The base's rows are taken under the
         rotation's lock hold: exactly what is durable up to that point.
@@ -773,15 +760,10 @@ class Journal:
         (application is idempotent under exact re-sequencing).
         """
         started = time.monotonic()
-        with self._cond:
-            if self._closed or self._failed:
-                return
+        with self._io_lock:
             # Drain the buffer into the outgoing tail so the base
             # covers everything appended before the rotation point.
-            batch, self._buffer = self._buffer, []
-        if batch:
-            self._write_batch(batch)
-        with self._io_lock:
+            self._flush_locked()
             with self._cond:
                 if self._closed or self._failed:
                     return
@@ -822,13 +804,11 @@ class Journal:
         with self._cond:
             if self._closed:
                 return
-            batch, self._buffer = self._buffer, []
-            self._closed = True
+            self._closed = True  # appends stop: the buffer is final
             self._cond.notify_all()
-        if batch:
-            self._write_batch(batch)
         self._flusher.join(timeout=2.0)
         with self._io_lock:
+            self._flush_locked()
             try:
                 self._fh.flush()
                 self._fh.close()

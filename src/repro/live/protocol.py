@@ -259,8 +259,8 @@ class Connection:
     def send_encoded(self, frame: bytes) -> None:
         """Queue one already-encoded frame for transmission.
 
-        This is the choke point for pre-encoded fast paths (cached
-        NOTIFY broadcasts) and for fault injection
+        This is the choke point for pre-encoded fast paths (the cached
+        NOTIFY steal hint) and for fault injection
         (:class:`repro.live.faults.FaultyConnection` overrides it).
         """
         self._transmit(frame)

@@ -2,8 +2,8 @@
 
 The live plane's failure modes that *don't* close a socket are the
 hard ones: an IOLoop thread starved by a blocking handler, a queue
-that stops draining because every NOTIFY evaporated, a journal
-flusher wedged on a dying disk, a leaf lock turned convoy.  Each gets
+that stops draining next to idle executors, a journal flusher wedged
+on a dying disk, a leaf lock turned convoy.  Each gets
 a cheap probe here; the dispatcher's monitor sweep evaluates them and
 surfaces the verdicts as registry gauges plus ``degraded`` reason
 strings on ``/healthz``.
@@ -42,8 +42,10 @@ class StallDetector:
       keeping every executor busy is backpressure, not a stall);
     * **progress moved** — dispatches are happening.
 
-    Only "work waiting, workers idle, nothing moving" trips it, which
-    is precisely the lost-NOTIFY / wedged-loop signature.
+    Only "work waiting, workers idle, nothing moving" trips it.  Idle
+    executors are pushed work, so no lost frame produces that (a lost
+    WORK leaves its task dispatched, for the replay timer); a wake that
+    never runs does — the signature of a wedged dispatcher loop.
     """
 
     def __init__(self, stall_after: float = 5.0) -> None:

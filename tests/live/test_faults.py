@@ -206,11 +206,10 @@ def test_executor_killed_mid_task_is_redispatched_and_completes():
         victim.register("victim")
         client = LiveClient(dispatcher.endpoint)
         futures = client.submit([TaskSpec.sleep(0.0, task_id="redispatch-1")])
-        # Pull the task, then die without ever answering.
-        victim.recv_until(MessageType.NOTIFY)
-        victim.send(Message(MessageType.GET_WORK, sender="victim"))
-        work = victim.recv_until(MessageType.WORK)
-        assert work.payload["tasks"][0]["task"]["task_id"] == "redispatch-1"
+        # The task is pushed to the idle victim, which dies without
+        # ever answering.
+        (entry,) = victim.recv_work()
+        assert entry["task"]["task_id"] == "redispatch-1"
         victim.close()
         assert wait_until(lambda: dispatcher.stats().registered == 0, timeout=5.0)
         backup = LiveExecutor(dispatcher.endpoint).start()
@@ -253,10 +252,9 @@ def test_replay_timeout_redispatches_lost_work():
         lossy = RawPeer(dispatcher.address)
         lossy.register("lossy")
         client = LiveClient(dispatcher.endpoint)
+        # The task is pushed to the idle lossy session: the dispatcher
+        # marks it dispatched, but the WORK frame never arrives.
         futures = client.submit([TaskSpec.sleep(0.0, task_id="lost-work-1")])
-        # Pull explicitly (the NOTIFY was dropped too): the dispatcher
-        # marks the task dispatched, but the WORK frame never arrives.
-        lossy.send(Message(MessageType.GET_WORK, sender="lossy"))
         assert wait_until(lambda: dispatcher.stats().retries >= 1, timeout=10.0)
         lossy.close()
         plan.drop_rate = 0.0  # the rescuer's frames get through
@@ -343,10 +341,8 @@ def test_ack_send_failure_does_not_charge_retry_or_attempt():
         futures = client.submit(
             [TaskSpec.sleep(0.0, task_id="done-task"), TaskSpec.sleep(0.0, task_id="piggy-task")]
         )
-        worker.recv_until(MessageType.NOTIFY)
-        worker.send(Message(MessageType.GET_WORK, sender="fragile"))
-        work = worker.recv_until(MessageType.WORK)
-        (entry,) = work.payload["tasks"]
+        # The idle depth-1 worker is pushed the first task only.
+        (entry,) = worker.recv_work()
         assert entry["task"]["task_id"] == "done-task"
 
         # Make the dispatcher's ack transmission fail exactly like a

@@ -244,30 +244,103 @@ def test_pruning_compaction_keeps_only_unreleased_tasks(tmp_path):
 def test_compaction_never_loses_committed_records(tmp_path):
     """Appends racing a compaction land in the rotated segment or the
     fresh tail — never in a file the compaction destroys.  Every record
-    whose commit() returned True must survive recovery."""
+    whose commit() returned True must survive recovery, with three
+    committers (more threads than this suite assumes cores), the
+    flusher and a compaction loop all taking the buffer, and thread
+    switches forced every 10 µs."""
+    import sys
     import threading
 
     journal = Journal(tmp_path, flush_window=0.001, compact_every=1)
     committed = []
 
-    def churn():
-        for i in range(120):
-            task_id = f"t-{i:04d}"
+    def churn(name):
+        for i in range(60):
+            task_id = f"{name}-{i:04d}"
             journal.append("submit", task_id,
                            spec={"command": "sleep"}, client="c")
             if journal.commit(timeout=10.0):
                 committed.append(task_id)
 
-    thread = threading.Thread(target=churn)
-    thread.start()
-    while thread.is_alive():
-        journal.compact()
-    thread.join()
-    journal.close()
+    threads = [threading.Thread(target=churn, args=(f"t{n}",)) for n in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            journal.compact()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        journal.close()
     state = recover(tmp_path)
-    assert len(committed) == 120
+    assert len(committed) == 180
     missing = [t for t in committed if t not in state.tasks]
     assert missing == []
+
+
+def test_commit_never_returns_before_its_rows_are_on_disk(tmp_path):
+    """Regression: durable rows were counted, not positioned.  A taker
+    took the buffer under the append lock and wrote it under the I/O
+    lock, so with the flusher paused between taking b0..b2 and writing
+    them, a compaction took b3..b5 and wrote them first; the count
+    covered the commit's target, and ``commit()`` returned True with
+    its own rows only in memory — an acknowledged SUBMIT a power cut
+    then loses.  Here the flusher pauses on its way to the I/O lock."""
+    import threading
+
+    paused, release = threading.Event(), threading.Event()
+
+    class PausingLock:
+        """The I/O lock, but the flusher's first acquisition waits."""
+
+        def __init__(self, lock):
+            self._lock = lock
+
+        def acquire(self, blocking=True, timeout=-1):
+            if (threading.current_thread().name == "journal-flusher"
+                    and not paused.is_set()):
+                paused.set()
+                release.wait(10.0)
+            return self._lock.acquire(blocking, timeout)
+
+        def release(self):
+            self._lock.release()
+
+        def __enter__(self):
+            return self.acquire()
+
+        def __exit__(self, *exc):
+            self.release()
+
+    journal = Journal(tmp_path, flush_window=0.05)
+    journal._io_lock = PausingLock(journal._io_lock)
+    outcome = []
+    committer = threading.Thread(
+        target=lambda: outcome.append(journal.commit(timeout=10.0)))
+    compactor = threading.Thread(target=journal.compact)
+    try:
+        journal.append_many([_submit(f"b{i}") for i in range(3)])
+        assert paused.wait(5.0)  # the flusher is stuck on its way to disk
+        committer.start()
+        journal.append_many([_submit(f"b{i}") for i in range(3, 6)])
+        compactor.start()
+        if wait_until(lambda: outcome, timeout=1.0):
+            # Whatever a commit promised must already be recoverable.
+            assert outcome == [True]
+            assert {"b0", "b1", "b2"} <= set(recover(tmp_path).tasks)
+        release.set()
+        committer.join(10.0)
+        compactor.join(10.0)
+        assert not compactor.is_alive()
+        assert outcome == [True]
+    finally:
+        release.set()
+        journal.close()
+    assert set(recover(tmp_path).tasks) == {f"b{i}" for i in range(6)}
 
 
 def _submit_line(task_id):

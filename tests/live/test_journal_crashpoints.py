@@ -6,7 +6,8 @@ writing, ``write``, ``os.fsync``, ``os.replace`` / ``os.rename``,
 ``os.unlink``, ``os.truncate`` — for every k of a scripted history:
 append, commit, compact over live, released, quarantined and
 unacked-terminal tasks, more appends (a resubmitted released id, a DLQ
-retry), a second compaction, close.  Bytes written but not yet fsynced
+retry), a second compaction raced by a commit on another thread (a
+SUBMIT on the loop thread against the monitor's compaction), close.  Bytes written but not yet fsynced
 survive the cut whole, not at all, or half (a torn final write).
 
 After every cut:
@@ -29,6 +30,7 @@ rows outside the rotation's lock hold.
 import builtins
 import os
 import shutil
+import threading
 
 import pytest
 
@@ -225,10 +227,18 @@ class History:
         append(DRAINED_BY_COMPACT)
         journal.compact()
         commit()
-        for batch in BEFORE_SECOND_COMPACT:
+        *committed, raced = BEFORE_SECOND_COMPACT
+        for batch in committed:
             append(batch)
             commit()
+        # Whichever of the two takes the buffer writes it; the other
+        # finds it durable.  Either way the disk sees the same ops.
+        append(raced)
+        committer = threading.Thread(target=commit)
+        committer.start()
         journal.compact()
+        committer.join(10.0)
+        assert not committer.is_alive()
         append(AFTER_SECOND_COMPACT)
         commit()
         journal.close()

@@ -112,14 +112,15 @@ def test_batched_result_settles_all_and_refills_ack():
 
 def test_depth1_peer_gets_one_entry_task_lists():
     # Depth 1 is the N = 1 case of the list shapes: no singular
-    # "task"/"attempt" keys, one entry per WORK and per RESULT_ACK.
+    # "task"/"attempt" keys, one entry per WORK — pushed or pulled —
+    # and per RESULT_ACK.
     with LiveDispatcher() as dispatcher:
         client = LiveClient(dispatcher.endpoint)
-        futures = client.submit(_sleep_tasks(3, "d1"))
+        futures = client.submit(_sleep_tasks(4, "d1"))
         peer = RawPeer(dispatcher.address)
         try:
             peer.register("d1-exec")  # advertises no pipeline: depth 1
-            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
+            # Registering with work queued: one task is pushed.
             work = peer.recv_until(MessageType.WORK)
             assert set(work.payload) == {"tasks"}
             (entry,) = work.payload["tasks"]
@@ -140,6 +141,12 @@ def test_depth1_peer_gets_one_entry_task_lists():
             done = next(f for f in futures
                         if f.task_id == entry["task"]["task_id"])
             assert done.result(timeout=5.0).ok
+            # The explicit pull keeps its depth-1 floor: one more task,
+            # though the busy set still holds the refill.
+            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
+            (pulled,) = peer.recv_work()
+            assert pulled["task"]["task_id"] not in {
+                entry["task"]["task_id"], refill["task"]["task_id"]}
         finally:
             peer.close()
             client.close()

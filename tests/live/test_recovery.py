@@ -278,8 +278,8 @@ def test_recovery_reads_older_journal_shapes_like_its_own(tmp_path):
         client.send(Message(MessageType.SUBMIT, sender="c", payload={
             "tasks": [task_to_dict(spec) for spec in LEGACY_SPECS]}))
         client.recv_until(MessageType.SUBMIT_ACK)
-        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
-        (entry,) = executor.recv_until(MessageType.WORK).payload["tasks"]
+        # The first task is pushed to the idle depth-1 executor.
+        (entry,) = executor.recv_work()
         for outcome in ({}, {"return_code": 3, "stderr": "x", "error": "boom"}):
             executor.send(Message(MessageType.RESULT, sender="e-1", payload={
                 "results": [{"result": {"task_id": entry["task"]["task_id"],

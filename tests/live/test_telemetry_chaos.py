@@ -12,6 +12,7 @@ The acceptance bar for the live telemetry plane under adversity:
 """
 
 import math
+import threading
 
 import pytest
 
@@ -114,12 +115,33 @@ class TestEvictionConvergence:
             assert all(s in store.sources() for s in survivors)
 
 
+def _serve_bare(peer: RawPeer, stop: threading.Event) -> None:
+    """A hand-written agent's loop: run whatever tasks arrive — pushed
+    or piggy-backed — and report them, with a bare (stats-free)
+    HEARTBEAT ahead of every report."""
+    while not stop.is_set():
+        try:
+            msg = peer.recv(timeout=0.1)
+        except (TimeoutError, OSError):
+            continue
+        if msg.type not in (MessageType.WORK, MessageType.RESULT_ACK):
+            continue
+        tasks = msg.payload.get("tasks") or ()
+        if tasks:
+            peer.send(Message(MessageType.HEARTBEAT, sender="bare-exec"))
+            peer.send(Message(MessageType.RESULT, sender="bare-exec", payload={
+                "results": [{"result": {"task_id": t["task"]["task_id"]},
+                             "attempt": t["attempt"]} for t in tasks]}))
+
+
 class TestV1Interop:
     def test_stats_free_heartbeats_complete_the_run(self):
         # A hand-written agent sending bare HEARTBEAT frames: no stats
         # field anywhere.  Liveness is served, no series is minted.
         with LocalFalkon(executors=1) as falkon:
             peer = RawPeer(falkon.dispatcher.address)
+            stop = threading.Event()
+            server = threading.Thread(target=_serve_bare, args=(peer, stop))
             try:
                 peer.register("bare-exec")
                 for _ in range(3):
@@ -128,9 +150,13 @@ class TestV1Interop:
                 # the heartbeats before it were processed.
                 peer.send(Message(MessageType.GET_WORK, sender="bare-exec"))
                 peer.recv_until(MessageType.NO_WORK)
+                # Idle agents are pushed work, so the bare one takes its
+                # share of the run.
+                server.start()
                 tasks = [TaskSpec.sleep(0, task_id=f"bare-{i:04d}") for i in range(80)]
                 results = falkon.run(tasks, timeout=60)
                 assert all(r.ok for r in results)
+                assert any(r.executor_id == "bare-exec" for r in results)
                 store = falkon.dispatcher.timeseries
                 assert store.latest("bare-exec") == {}
                 # The dispatcher's own samples (and derived gauges)
@@ -144,6 +170,9 @@ class TestV1Interop:
                 row = falkon.dispatcher.status_snapshot()["executors"]["bare-exec"]
                 assert "pipeline" in row and "executed" not in row
             finally:
+                stop.set()
+                if server.is_alive():
+                    server.join(timeout=5.0)
                 peer.close()
 
     def test_junk_stats_never_poison_the_store(self):

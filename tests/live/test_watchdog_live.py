@@ -1,12 +1,14 @@
 """Stall watchdog against a real deployment: the suppression rules
 (no false positives on idle or saturated clusters) and the true
-positive (every NOTIFY dropped on the floor must read as degraded).
+positive (a wedged loop thread holding back a wake must read as
+degraded).
 """
 
 import json
+import threading
 import urllib.request
 
-from repro.live import FaultPlan, LocalFalkon
+from repro.live import LocalFalkon
 from repro.types import TaskSpec
 
 from tests.live.util import wait_until
@@ -53,17 +55,32 @@ class TestNoFalsePositives:
 
 class TestTruePositive:
     def test_dropped_notifies_trip_the_stall_detector(self):
-        """Chaos plan that eats every NOTIFY: queued work, idle
-        executors, no dispatch — the lost-wakeup signature the
-        detector exists for.  Must surface on /healthz and /metrics."""
-        plan = FaultPlan(seed=7, drop_rate=1.0, drop_types={"NOTIFY"},
-                         roles=("executor",))
-        falkon = LocalFalkon(executors=2, fault_plan=plan,
-                             stall_after=0.4,
-                             heartbeat_interval=0.05, http_port=0)
+        """Idle executors are pushed WORK, so no dropped frame can leave
+        work queued next to them any more: a lost WORK is a dispatched
+        task, the replay timer's.  The stall push can still have is a
+        wedged loop thread — here a posted op blocks it while
+        ``dlq_retry`` queues work whose wake is posted behind it:
+        queued work, idle executors, no dispatch.  Must surface on
+        /healthz and /metrics, and clear once the loop runs the wake.
+        (No heartbeats: a wedged loop would evict the executors.)"""
+        runs = []
+
+        def fails_once():
+            runs.append(1)
+            if len(runs) == 1:
+                raise RuntimeError("first run fails")
+
+        falkon = LocalFalkon(executors=2, max_retries=0,
+                             python_registry={"fails_once": fails_once},
+                             stall_after=0.4, http_port=0)
+        wedge = threading.Event()
         try:
-            falkon.submit(
-                [TaskSpec.sleep(0, task_id=f"stall-{i}") for i in range(4)])
+            (result,) = falkon.run(
+                [TaskSpec(task_id="stall-0", command="python:fails_once")],
+                timeout=20)
+            assert not result.ok
+            falkon.dispatcher._loop.call_soon(lambda: wedge.wait(30.0))
+            assert falkon.dispatcher.dlq_retry("stall-0")
 
             def stalled():
                 health = falkon.dispatcher.health_snapshot()
@@ -78,5 +95,10 @@ class TestTruePositive:
             assert "falkon_dispatcher_degraded 1" in metrics
             assert "falkon_dispatcher_queue_stall_seconds" in metrics
             assert "falkon_dispatcher_ioloop_lag_seconds" in metrics
+            wedge.set()
+            assert wait_until(
+                lambda: falkon.dispatcher.stats().completed == 1, timeout=10.0)
+            assert wait_until(lambda: not stalled(), timeout=10.0)
         finally:
+            wedge.set()
             falkon.close()

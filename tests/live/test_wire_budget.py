@@ -22,11 +22,18 @@ RESULT x32   269.3               205.3
 
 The all-keys column is the parent commit (``task_to_dict`` /
 ``result_to_dict`` emitting every field, defaults included).
+
+The wake path is pinned by frame count: a bundle arriving at idle
+executors costs one pushed WORK, where the paper's hybrid exchange paid
+a NOTIFY per idle executor, their GET_WORKs, and a NO_WORK for every
+one that lost the race.
 """
+
+from collections import Counter
 
 from repro.live import LocalFalkon
 from repro.live.protocol import Connection
-from repro.net.message import Message, MessageType
+from repro.net.message import CODE_TO_TYPE, Message, MessageType
 from repro.net.wire import decode_frame, encode_message_v4
 from repro.types import TaskSpec
 
@@ -84,3 +91,29 @@ def test_hot_frames_stay_within_their_byte_budgets(monkeypatch):
     assert pinned_size(submit) / TASKS <= SUBMIT_BUDGET
     assert pinned_size(work) / DEPTH <= WORK_BUDGET
     assert pinned_size(result) / DEPTH <= RESULT_BUDGET
+
+
+def test_bundles_into_idle_executors_cost_one_work_frame_each(monkeypatch):
+    """Four idle depth-32 executors, three 5-task bundles (the
+    ``paced_durable`` steady state): exactly one WORK per bundle and no
+    NOTIFY / GET_WORK / NO_WORK.  The NOTIFY → GET_WORK exchange cost
+    3 / 12 / 12 / 9 of them."""
+    sent = Counter()
+    transmit = Connection._transmit
+
+    def counting(self, frame):
+        sent[CODE_TO_TYPE[frame[2]]] += 1
+        transmit(self, frame)
+
+    monkeypatch.setattr(Connection, "_transmit", counting)
+    with LocalFalkon(executors=4, pipeline_depth=DEPTH) as falkon:
+        sent.clear()
+        for bundle in range(3):
+            tasks = [TaskSpec.sleep(0, task_id=f"wake-{bundle}-{i}")
+                     for i in range(5)]
+            assert all(r.ok for r in falkon.run(tasks, timeout=30))
+    wake_frames = {kind: sent[kind] for kind in (
+        MessageType.WORK, MessageType.NOTIFY, MessageType.GET_WORK,
+        MessageType.NO_WORK)}
+    assert wake_frames == {MessageType.WORK: 3, MessageType.NOTIFY: 0,
+                           MessageType.GET_WORK: 0, MessageType.NO_WORK: 0}
