@@ -110,7 +110,7 @@ def _by_structure(dispatcher) -> dict[str, int]:
     walk.seen.add(id(records))
     for task_id, record in records.items():
         out["records"] += (walk.deep(task_id) + walk.shallow(record)
-                           + walk.deep(record.lock) + walk.deep(record.timeline))
+                           + walk.deep(record.timeline))
         out["spec"] += walk.deep(record.spec)
         out["result"] += walk.deep(record.result)
         out["spec_dict"] += walk.deep(record.spec_dict)

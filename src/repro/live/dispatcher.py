@@ -21,23 +21,22 @@ so executor count no longer implies thread count.  Handlers run on
 the loop thread and must not block; sends are buffered and flushed
 non-blocking.
 
-Lock map (replaces the old single RLock; see ``docs/PERFORMANCE.md``):
-
-========================  ==================================================
-``_queue_lock``           the ready queue (deque of task ids)
-``_records_lock``         ``_records`` dict membership only
-``_exec_lock``            ``_executors`` dict membership only
-``_client_lock``          ``_clients`` dict
-``record.lock``           one task record's mutable state
-``executor.lock``         one executor session's busy set / liveness
-========================  ==================================================
-
-Ordering discipline (deadlock freedom): ``record.lock`` may be taken
-first and ``_queue_lock`` or ``executor.lock`` inside it; those two
-are leaves — no other lock is ever acquired while holding them, and
-no path takes two record locks or two executor locks at once.  SUBMIT,
-GET_WORK and RESULT therefore contend only where they truly share
-state (the ready queue), not on one global monitor.
+One owner (see ``docs/PERFORMANCE.md``): the loop thread is the only
+writer of dispatcher state — the ready queue, the task, executor and
+client tables, the DLQ, gossiped peer depths, the retention FIFO and
+every task record and executor session — so no lock guards them.
+Every handler runs there, and so does everything another thread
+starts: the monitor's heartbeat evictions and replay-timeout requeues
+(:meth:`LiveDispatcher._expire`), an operator's ``dlq_retry`` from the
+HTTP thread, a peer link's gossip, steal grant and steal hint, and a
+session's close callback, which fires on whichever thread closed the
+connection.  Those threads *post* the work (:meth:`LiveDispatcher._post`,
+``IOLoop.call_soon``); it runs inline when the poster already is the
+loop.  The monitor keeps only timing, watchdog sampling, peer-link
+upkeep and journal compaction (the journal owns its own I/O lock).
+Readers on other threads (``stats()``, ``/status``, gauges, flight
+dumps) take GIL-atomic single reads — ``len()``, ``list(d.values())``,
+``dict(d)`` — and never iterate a live table.
 
 Liveness (the fault-tolerance leg): executors HEARTBEAT on an agreed
 interval; a monitor thread declares an executor dead once it has been
@@ -127,7 +126,7 @@ from repro.obs import (
 )
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
-from repro.obs.watchdog import StallDetector, TimedLock, WatchdogPanel
+from repro.obs.watchdog import StallDetector, WatchdogPanel
 from repro.obs.timeseries import DISPATCHER_SOURCE, PROVISIONER_SOURCE
 from repro.types import TaskResult, TaskSpec, TaskState, TaskTimeline
 
@@ -152,16 +151,18 @@ PEER_DEPTH_TTL = 2.0
 #: Most tasks one STEAL_GRANT may hand over.
 STEAL_BATCH_MAX = 32
 
+#: Queue depth below which a shard neither grants steals nor raids
+#: peers (the last few tasks are cheaper run locally than shipped).
+STEAL_MIN_QUEUE = 2
+
 #: The ``retry_after`` hint (seconds) carried on SUBMIT_REJECT.
 REJECT_RETRY_AFTER = 0.25
 
 #: Watchdog thresholds (seconds).  An IOLoop whose wakeup lag exceeds
 #: the first is being starved by a blocking handler; a journal flush
-#: slower than the second points at a dying disk; a leaf-lock convoy
-#: past the third means one subsystem is wedging another.
+#: slower than the second points at a dying disk.
 IOLOOP_LAG_DEGRADED = 1.0
 JOURNAL_FLUSH_DEGRADED = 1.0
-LOCK_WAIT_DEGRADED = 1.0
 #: With buffered journal records and no completed flush for this many
 #: seconds, the flusher thread is presumed wedged.
 JOURNAL_STALE_DEGRADED = 5.0
@@ -230,8 +231,6 @@ class _LiveRecord:
     #: eventual result must echo (the donor dedupes by attempt).
     origin_shard: str = ""
     origin_attempt: int = 0
-    #: Guards every mutable field above (fine-grained locking).
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 #: One settled result on its way out: the recipient (the owning client,
@@ -245,7 +244,7 @@ class _SettleBatch:
     """What one handler's settles owe the shared sinks, paid once per
     frame by :meth:`LiveDispatcher._flush_settles` — span rows, WAL
     rows, e2e samples and the two terminal counters — instead of one
-    lock round trip per sink per task."""
+    sink call per task."""
 
     __slots__ = ("span_rows", "journal_rows", "e2e", "completed", "failed")
 
@@ -262,13 +261,9 @@ class _ExecutorSession:
         self.executor_id = executor_id
         self.conn = conn
         self.pipeline = max(1, min(int(pipeline), MAX_PIPELINE_DEPTH))
-        self.lock = threading.Lock()
         self.busy: set[str] = set()  # task ids in flight on this agent
         self.notified = False
         self.last_seen = time.monotonic()
-        #: Set (under ``lock``) when the session leaves the executor
-        #: table; a concurrent claim seeing it undoes its dispatch.
-        self.dead = False
         self._dispatch_attrs: dict[str, tuple] = {}
 
     def dispatch_attrs(self, mode: str) -> tuple:
@@ -281,10 +276,7 @@ class _ExecutorSession:
         return attrs
 
     def capacity(self) -> int:
-        with self.lock:
-            if self.dead:
-                return 0
-            return max(0, self.pipeline - len(self.busy))
+        return max(0, self.pipeline - len(self.busy))
 
 
 class _ClientSession:
@@ -347,15 +339,12 @@ class LiveDispatcher:
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
         shard_id: Optional[str] = None,
-        steal_min_queue: int = 2,
         flight: bool = True,
         flight_dump_dir: Optional[str] = None,
         stall_after: float = 5.0,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if steal_min_queue < 0:
-            raise ValueError("steal_min_queue must be >= 0")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be >= 1 when set")
         if retain_settled is not None and retain_settled < 1:
@@ -377,10 +366,6 @@ class LiveDispatcher:
         #: dispatcher (gossip HEARTBEATs are ignored, STEAL frames are
         #: refused).
         self.shard_id = shard_id
-        #: Queue depth below which this shard neither grants steals nor
-        #: raids peers (the last few tasks are cheaper run locally than
-        #: shipped).
-        self.steal_min_queue = steal_min_queue
         #: Bounded terminal-state retention: keep at most this many
         #: acked, settled, non-DLQ records in memory (and prune the
         #: same set from journal snapshots).  ``None`` retains
@@ -395,22 +380,16 @@ class LiveDispatcher:
             monitor_interval = min([0.25] + [d / 2 for d in deadlines])
         self.monitor_interval = monitor_interval
 
-        # Fine-grained locking (see the module docstring's lock map).
-        # The three contended leaves are TimedLocks: uncontended
-        # acquisitions cost one extra try-acquire, contended ones feed
-        # the lock-wait watchdog gauge.
-        self._queue_lock = TimedLock()
-        self._records_lock = TimedLock()
-        self._exec_lock = TimedLock()
-        self._client_lock = threading.Lock()
+        # Written only on the loop thread (see the module docstring's
+        # "one owner").
         self._queue: deque[str] = deque()  # task ids
         self._records: dict[str, _LiveRecord] = {}
         self._executors: dict[str, _ExecutorSession] = {}
         self._clients: dict[str, _ClientSession] = {}
         # Federation plane: gossiped peer depths (shard id ->
-        # {"queued": n, "t": monotonic}) and the outbound peer links
-        # installed by the federation wiring (shard id -> PeerLink).
-        self._peer_lock = threading.Lock()
+        # {"queued": n, "t": monotonic}, each entry replaced whole) and
+        # the outbound peer links installed by the federation wiring
+        # (shard id -> PeerLink).
         self._peer_depths: dict[str, dict] = {}
         self._peer_links: dict[str, object] = {}
         self._client_seq = itertools.count(1)
@@ -548,13 +527,13 @@ class LiveDispatcher:
             help="Duration of the journal's most recent compaction",
             fn=lambda: (self.journal.last_compact_s
                         if self.journal is not None else 0.0))
+        # No locks are left to wait on.  The gauge stays, pinned at 0,
+        # only because bench/run.py parses it (lines 220 and 725); the
+        # next benchmark change retires it.
         self.metrics.gauge(
             "lock_wait_seconds",
-            help="Worst contended leaf-lock acquisition wait since the "
-                 "last sweep",
-            fn=lambda: max(self._queue_lock.max_wait_s,
-                           self._records_lock.max_wait_s,
-                           self._exec_lock.max_wait_s))
+            help="Always 0: the dispatcher holds no locks",
+            fn=lambda: 0.0)
         self.metrics.gauge(
             "degraded",
             help="1 while any watchdog reports a degraded reason",
@@ -562,7 +541,6 @@ class LiveDispatcher:
 
         # Poison-task quarantine: task id -> dead-letter entry dict.
         self._dlq: dict[str, dict] = {}
-        self._dlq_lock = threading.Lock()
         # Durability plane: recover *before* the server accepts —
         # reconnecting peers must find the rebuilt state, not a race.
         self.journal: Optional[Journal] = None
@@ -593,7 +571,6 @@ class LiveDispatcher:
         # _watchdog_tick).
         self._watchdogs.add("ioloop", self._check_ioloop_lag)
         self._watchdogs.add("journal", self._check_journal)
-        self._watchdogs.add("locks", self._check_lock_waits)
         self._loop.add_server(self._server, self._accept)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="dispatcher-monitor", daemon=True
@@ -613,6 +590,37 @@ class LiveDispatcher:
     def _now(self) -> float:
         """Seconds since dispatcher start (the span/timeline clock)."""
         return time.monotonic() - self._started
+
+    # -- the one owner ---------------------------------------------------------
+    def _post(self, op, *args) -> None:
+        """Run ``op(*args)`` on the loop thread, the only writer of
+        dispatcher state: inline when already there, else at the
+        loop's next iteration."""
+        if self._loop.in_loop_thread():
+            op(*args)
+        else:
+            self._loop.call_soon(lambda: op(*args))
+
+    def _call(self, op, *args) -> bool:
+        """:meth:`_post` for an answer: block until ``op(*args)`` has
+        run on the loop thread and return what it returned — ``False``
+        once the loop is stopped."""
+        if self._loop.in_loop_thread():
+            return op(*args)
+        done = threading.Event()
+        answer = [False]
+
+        def run() -> None:
+            try:
+                answer[0] = op(*args)
+            finally:
+                done.set()
+
+        self._loop.call_soon(run)
+        while not done.wait(0.05):
+            if self._loop.stopped:
+                return False
+        return answer[0]
 
     # Back-compat read views over the registry counters.
     @property
@@ -648,22 +656,13 @@ class LiveDispatcher:
         frames_dropped = (
             self.fault_plan.snapshot()["frames_dropped"] if self.fault_plan else 0
         )
-        with self._exec_lock:
-            # Peer pseudo-executors are shard links, not workers — they
-            # are excluded so registered/busy/idle describe real agents.
-            executors = [
-                e for eid, e in self._executors.items()
-                if not eid.startswith(PEER_PREFIX)
-            ]
-        busy = 0
-        for executor in executors:
-            with executor.lock:
-                if executor.busy:
-                    busy += 1
-        with self._queue_lock:
-            queued = len(self._queue)
+        # Peer pseudo-executors are shard links, not workers — they are
+        # excluded so registered/busy/idle describe real agents.
+        executors = [e for e in list(self._executors.values())
+                     if not e.executor_id.startswith(PEER_PREFIX)]
+        busy = sum(1 for executor in executors if executor.busy)
         return DispatcherStats(
-            queued=queued,
+            queued=len(self._queue),
             registered=len(executors),
             busy=busy,
             idle=len(executors) - busy,
@@ -708,9 +707,7 @@ class LiveDispatcher:
     def _recover_from_journal(self, state: RecoveredState) -> None:
         """Rebuild records, queue and DLQ from the journal's replay.
 
-        Runs in ``__init__`` before the server socket exists, so no
-        locks are contended; they are taken anyway for uniformity.
-        """
+        Runs in ``__init__``, before the loop thread exists."""
         if not state.tasks:
             return
         requeue: list[str] = []
@@ -770,13 +767,10 @@ class LiveDispatcher:
                 self.spans.record(task.task_id, "enqueue", now,
                                   attempt=record.attempts + 1, reason="recovered")
             if task.in_dlq:
-                with self._dlq_lock:
-                    self._dlq[task.task_id] = self._dlq_entry_from_record(
-                        record, task.dlq_error)
-            with self._records_lock:
-                self._records[task.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(requeue)
+                self._dlq[task.task_id] = self._dlq_entry_from_record(
+                    record, task.dlq_error)
+            self._records[task.task_id] = record
+        self._queue.extend(requeue)
         self.recovered_tasks = len(state.tasks)
         self._m_recovered.inc(len(state.tasks))
         self._m_accepted.inc(len(state.tasks))
@@ -802,43 +796,36 @@ class LiveDispatcher:
             attempt = entry.get("attempt")
             if not task_id or not isinstance(attempt, int):
                 continue
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
+            record = self._records.get(task_id)
+            if (record is None or record.state is not TaskState.QUEUED
+                    or record.attempts != attempt):
                 continue
-            adopted = False
-            with record.lock:
-                if record.state is TaskState.QUEUED and record.attempts == attempt:
-                    record.state = TaskState.DISPATCHED
-                    record.executor_id = executor.executor_id
-                    record.delivered = True
-                    record.dispatch_mode = "adopted"
-                    record.timeline.dispatched = self._now()
-                    ctx = self.spans.record(
-                        task_id, "notify", record.timeline.dispatched,
-                        attempt=record.attempts,
-                        executor=executor.executor_id, mode="adopted",
-                    )
-                    record.trace_wire = ctx.to_wire() if ctx is not None else None
-                    with executor.lock:
-                        executor.busy.add(task_id)
-                    # Recovery queued this task before the executor
-                    # reappeared; pull the entry so the queue stat and
-                    # idle push reflect reality (claimers would skip
-                    # the now-DISPATCHED record anyway).
-                    with self._queue_lock:
-                        try:
-                            self._queue.remove(task_id)
-                        except ValueError:
-                            pass
-                    adopted = True
-            if adopted:
-                self._m_adopted.inc()
-                self._journal_append("dispatch", task_id,
-                                     attempt=attempt,
-                                     executor=executor.executor_id,
-                                     adopted=True)
-                self.flight.record(fl.QUEUE_CLAIM, task_id, mode="adopted")
+            record.state = TaskState.DISPATCHED
+            record.executor_id = executor.executor_id
+            record.delivered = True
+            record.dispatch_mode = "adopted"
+            record.timeline.dispatched = self._now()
+            ctx = self.spans.record(
+                task_id, "notify", record.timeline.dispatched,
+                attempt=record.attempts,
+                executor=executor.executor_id, mode="adopted",
+            )
+            record.trace_wire = ctx.to_wire() if ctx is not None else None
+            executor.busy.add(task_id)
+            # Recovery queued this task before the executor reappeared;
+            # pull the entry so the queue stat and idle push reflect
+            # reality (claimers would skip the now-DISPATCHED record
+            # anyway).
+            try:
+                self._queue.remove(task_id)
+            except ValueError:
+                pass
+            self._m_adopted.inc()
+            self._journal_append("dispatch", task_id,
+                                 attempt=attempt,
+                                 executor=executor.executor_id,
+                                 adopted=True)
+            self.flight.record(fl.QUEUE_CLAIM, task_id, mode="adopted")
 
     @staticmethod
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
@@ -888,46 +875,43 @@ class LiveDispatcher:
     # -- dead-letter queue -----------------------------------------------------
     def dlq_list(self) -> list[dict]:
         """Current quarantine, oldest first."""
-        with self._dlq_lock:
-            entries = list(self._dlq.values())
-        return sorted(entries, key=lambda e: e.get("quarantined_t_wall", 0.0))
+        return sorted(list(self._dlq.values()),
+                      key=lambda e: e.get("quarantined_t_wall", 0.0))
 
     def dlq_entry(self, task_id: str) -> Optional[dict]:
-        with self._dlq_lock:
-            entry = self._dlq.get(task_id)
+        entry = self._dlq.get(task_id)
         return dict(entry) if entry is not None else None
 
     def dlq_retry(self, task_id: str) -> bool:
-        """Re-queue a quarantined task with a fresh retry budget.
+        """Re-queue a quarantined task with a fresh retry budget (on
+        the loop thread; callable from any thread).
 
         The owning client already saw the failure result (futures are
         exactly-once-visible; the first settle wins), so a later
         success reaches it only through GET_RESULTS polling — the DLQ
         retry is an operator-plane action.
         """
-        with self._dlq_lock:
-            entry = self._dlq.pop(task_id, None)
-        if entry is None:
+        return self._call(self._requeue_quarantined, task_id)
+
+    def _requeue_quarantined(self, task_id: str) -> bool:
+        if self._dlq.pop(task_id, None) is None:
             return False
-        with self._records_lock:
-            record = self._records.get(task_id)
+        record = self._records.get(task_id)
         if record is None:
             return False  # orphan DLQ entry (record evicted); drop it
-        with record.lock:
-            record.state = TaskState.QUEUED
-            record.attempts = 0
-            record.executor_id = ""
-            record.delivered = False
-            record.result = None
-            record.acked = False
-            record.timeline = TaskTimeline(submitted=self._now())
-            self.spans.record(task_id, "enqueue", self._now(),
-                              attempt=1, reason="dlq-retry")
-            with self._queue_lock:
-                self._queue.append(task_id)
+        record.state = TaskState.QUEUED
+        record.attempts = 0
+        record.executor_id = ""
+        record.delivered = False
+        record.result = None
+        record.acked = False
+        record.timeline = TaskTimeline(submitted=self._now())
+        self.spans.record(task_id, "enqueue", self._now(),
+                          attempt=1, reason="dlq-retry")
+        self._queue.append(task_id)
         self._journal_append("dlq-retry", task_id)
         self.flight.record(fl.DLQ_RETRY, task_id)
-        self._loop.call_soon(self._wake_idle)
+        self._wake_idle()
         return True
 
     # -- HTTP status surface --------------------------------------------------
@@ -997,16 +981,13 @@ class LiveDispatcher:
         all.
         """
         now = time.monotonic()
-        with self._exec_lock:
-            executors = list(self._executors.values())
         table = {}
-        for executor in executors:
-            with executor.lock:
-                info = {
-                    "busy_tasks": len(executor.busy),
-                    "pipeline": executor.pipeline,
-                    "age_s": max(0.0, now - executor.last_seen),
-                }
+        for executor in list(self._executors.values()):
+            info = {
+                "busy_tasks": len(executor.busy),
+                "pipeline": executor.pipeline,
+                "age_s": max(0.0, now - executor.last_seen),
+            }
             telemetry = self.timeseries.latest(executor.executor_id)
             for key, value in telemetry.items():
                 if key != "_t":
@@ -1044,14 +1025,13 @@ class LiveDispatcher:
             "health": self.health_snapshot(),
         }
         if self.shard_id is not None:
-            with self._peer_lock:
-                peers = {
-                    shard: {"queued": info["queued"],
-                            "age_s": max(0.0, now - info["t"]),
-                            "caps": list(info.get("caps", ())),
-                            "health": info.get("health")}
-                    for shard, info in self._peer_depths.items()
-                }
+            peers = {
+                shard: {"queued": info["queued"],
+                        "age_s": max(0.0, now - info["t"]),
+                        "caps": list(info.get("caps", ())),
+                        "health": info.get("health")}
+                for shard, info in list(self._peer_depths.items())
+            }
             snapshot["federation"] = {
                 "shard_id": self.shard_id,
                 "peers": peers,
@@ -1068,9 +1048,8 @@ class LiveDispatcher:
         if self._closing.is_set():
             return
         self._closing.set()
-        with self._peer_lock:
-            links = list(self._peer_links.values())
-            self._peer_links.clear()
+        links = list(self._peer_links.values())
+        self._peer_links.clear()
         for link in links:
             link.close()
         if self._http is not None:
@@ -1080,10 +1059,8 @@ class LiveDispatcher:
             self._server.close()
         except OSError:
             pass
-        with self._exec_lock:
-            sessions = [e.conn for e in self._executors.values()]
-        with self._client_lock:
-            sessions += [c.conn for c in self._clients.values()]
+        sessions = [e.conn for e in list(self._executors.values())]
+        sessions += [c.conn for c in list(self._clients.values())]
         for conn in sessions:
             conn.close()
         self._loop.stop()
@@ -1117,51 +1094,14 @@ class LiveDispatcher:
             sweep_cpu.inc(time.thread_time() - started)
 
     def _sweep(self) -> None:
+        """The monitor's share of a sweep — sampling, watchdogs,
+        peer-link upkeep, compaction; what falls due in dispatcher
+        state is posted to the loop as one :meth:`_expire`."""
         now = time.monotonic()
         self._sample_self(now)
-        dead: list[str] = []
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        if self.heartbeat_interval is not None:
-            deadline = self.heartbeat_interval * self.heartbeat_miss_budget
-            for executor in executors:
-                with executor.lock:
-                    if now - executor.last_seen > deadline:
-                        dead.append(executor.executor_id)
-        overdue_notifies: list[_Notify] = []
-        if self.replay_timeout is not None:
-            now_rel = now - self._started
-            with self._records_lock:
-                records = list(self._records.values())
-            for record in records:
-                with record.lock:
-                    if (
-                        record.state is TaskState.DISPATCHED
-                        and now_rel - record.timeline.dispatched > self.replay_timeout
-                    ):
-                        notify = self._requeue_dispatched(
-                            record, f"no response within replay_timeout={self.replay_timeout}s"
-                        )
-                        if notify is not None:
-                            overdue_notifies.append(notify)
-        with self._queue_lock:
-            qlen = len(self._queue)
-        if qlen:
-            # Anti-starvation: work the replays above requeued must not
-            # sit next to idle executors — push it from the loop thread
-            # (this one never claims), and re-arm idle peer shards'
-            # steal hint.
-            for executor in executors:
-                with executor.lock:
-                    if not executor.busy:
-                        executor.notified = False
-            self._loop.call_soon(self._wake_idle)
-        for executor_id in dead:
-            if self._drop_executor(executor_id, reason="heartbeat-timeout",
-                                   kind=fl.EXECUTOR_EVICT):
-                self._m_dead.inc()
-        self._notify_clients(overdue_notifies)
-        self._watchdog_tick(now, qlen, executors)
+        self._loop.call_soon(self._expire)
+        qlen = len(self._queue)
+        self._watchdog_tick(now, qlen, list(self._executors.values()))
         if self.shard_id is not None:
             self._federation_tick(now, qlen)
         # Journal hygiene: retire a long tail off the hot path (the
@@ -1171,6 +1111,40 @@ class LiveDispatcher:
         journal = self.journal
         if journal is not None and journal.should_compact():
             journal.compact()
+
+    def _expire(self) -> None:
+        """The loop's share of a sweep: evict executors silent past the
+        heartbeat deadline, replay dispatches past ``replay_timeout``,
+        and push whatever is queued to the idle (re-arming idle peer
+        shards' steal hint)."""
+        started = time.thread_time()
+        now = time.monotonic()
+        if self.heartbeat_interval is not None:
+            deadline = self.heartbeat_interval * self.heartbeat_miss_budget
+            silent = [e.executor_id for e in self._executors.values()
+                      if now - e.last_seen > deadline]
+            for executor_id in silent:
+                if self._drop_executor(executor_id, reason="heartbeat-timeout",
+                                       kind=fl.EXECUTOR_EVICT):
+                    self._m_dead.inc()
+        if self.replay_timeout is not None:
+            now_rel = now - self._started
+            reason = f"no response within replay_timeout={self.replay_timeout}s"
+            overdue = [r for r in self._records.values()
+                       if r.state is TaskState.DISPATCHED
+                       and now_rel - r.timeline.dispatched > self.replay_timeout]
+            notifies: list[_Notify] = []
+            for record in overdue:
+                notify = self._requeue_dispatched(record, reason)
+                if notify is not None:
+                    notifies.append(notify)
+            self._notify_clients(notifies)
+        if self._queue:
+            for executor in self._executors.values():
+                if not executor.busy:
+                    executor.notified = False
+            self._wake_idle()
+        self._m_handler_cpu["sweep"].inc(time.thread_time() - started)
 
     # -- watchdogs -------------------------------------------------------------
     def _check_ioloop_lag(self) -> Optional[str]:
@@ -1196,13 +1170,6 @@ class LiveDispatcher:
                     f"records, no flush for {stale:.1f}s")
         return None
 
-    def _check_lock_waits(self) -> Optional[str]:
-        worst = max(self._queue_lock.drain(), self._records_lock.drain(),
-                    self._exec_lock.drain())
-        if worst > LOCK_WAIT_DEGRADED:
-            return f"leaf lock convoy: {worst:.2f}s contended wait"
-        return None
-
     def _watchdog_tick(self, now: float, qlen: int,
                        executors: list[_ExecutorSession]) -> None:
         """Evaluate every watchdog into the ``degraded`` reasons list.
@@ -1211,13 +1178,9 @@ class LiveDispatcher:
         appearing) land in the flight ring so a later dump shows when
         degradation started, not just that it existed at dump time.
         """
-        idle = 0
-        for executor in executors:
-            if executor.executor_id.startswith(PEER_PREFIX):
-                continue  # peer links have no local capacity
-            with executor.lock:
-                if not executor.dead and not executor.busy:
-                    idle += 1
+        # Peer links have no local capacity.
+        idle = sum(1 for e in executors
+                   if not e.busy and not e.executor_id.startswith(PEER_PREFIX))
         reasons = []
         stall = self._stall.observe(now, qlen, self._h_dispatch.count, idle)
         if stall:
@@ -1248,18 +1211,10 @@ class LiveDispatcher:
         """Dump-time context: the exact open-task inventory, so the
         doctor never has to reconstruct it from a (possibly wrapped)
         event ring."""
-        with self._records_lock:
-            records = list(self._records.values())
-        inflight = []
-        for record in records:
-            with record.lock:
-                if record.state is TaskState.DISPATCHED:
-                    inflight.append(record.spec.task_id)
-        with self._queue_lock:
-            queued = list(self._queue)
         return {
-            "inflight": inflight,
-            "queued": queued,
+            "inflight": [r.spec.task_id for r in list(self._records.values())
+                         if r.state is TaskState.DISPATCHED],
+            "queued": list(self._queue),
             "degraded": list(self._degraded),
         }
 
@@ -1295,19 +1250,11 @@ class LiveDispatcher:
         so the derived cluster gauges (utilization, dispatch rate,
         efficiency) always read consistently.
         """
-        with self._queue_lock:
-            queued = len(self._queue)
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        busy = 0
-        for executor in executors:
-            with executor.lock:
-                if executor.busy:
-                    busy += 1
+        executors = list(self._executors.values())
         self.timeseries.ingest(DISPATCHER_SOURCE, now, {
-            "queued": queued,
+            "queued": len(self._queue),
             "registered": len(executors),
-            "busy": busy,
+            "busy": sum(1 for executor in executors if executor.busy),
             "accepted": self._m_accepted.value,
             "completed": self._m_completed.value,
             "failed": self._m_failed.value,
@@ -1317,33 +1264,27 @@ class LiveDispatcher:
             "exec_sum_s": self._h_exec.sum,
         })
 
-    def _exec_get(self, executor_id: str) -> Optional[_ExecutorSession]:
-        with self._exec_lock:
-            return self._executors.get(executor_id)
-
     def _touch(self, executor_id: str) -> None:
-        executor = self._exec_get(executor_id)
+        executor = self._executors.get(executor_id)
         if executor is not None:
-            with executor.lock:
-                executor.last_seen = time.monotonic()
+            executor.last_seen = time.monotonic()
 
     # -- client protocol ------------------------------------------------------
     def _on_create_instance(self, session: "_Session", msg: Message) -> None:
         requested = msg.payload.get("epr")
         stale_conn: Optional[Connection] = None
-        with self._client_lock:
-            if requested:
-                # A reconnecting client resumes its instance: results
-                # settled while it was away stay queryable under the
-                # same endpoint reference.
-                client_id = str(requested)
-                old = self._clients.get(client_id)
-                if old is not None and old.conn is not session.conn:
-                    stale_conn = old.conn
-                self._m_reconnects.inc()
-            else:
-                client_id = f"client-{next(self._client_seq):04d}"
-            self._clients[client_id] = _ClientSession(client_id, session.conn)
+        if requested:
+            # A reconnecting client resumes its instance: results
+            # settled while it was away stay queryable under the same
+            # endpoint reference.
+            client_id = str(requested)
+            old = self._clients.get(client_id)
+            if old is not None and old.conn is not session.conn:
+                stale_conn = old.conn
+            self._m_reconnects.inc()
+        else:
+            client_id = f"client-{next(self._client_seq):04d}"
+        self._clients[client_id] = _ClientSession(client_id, session.conn)
         session.role = ("client", client_id)
         self.flight.record(fl.CLIENT_CONNECT, client_id, resumed=bool(requested))
         if stale_conn is not None:
@@ -1365,8 +1306,7 @@ class LiveDispatcher:
         # atomically — partial acceptance would force clients to diff
         # their bundles against an ack they cannot correlate.
         if self.queue_limit is not None and tasks:
-            with self._queue_lock:
-                qlen = len(self._queue)
+            qlen = len(self._queue)
             if qlen + len(tasks) > self.queue_limit:
                 self._m_rejects.inc()
                 self.flight.record(fl.SUBMIT_REJECT, client_id,
@@ -1387,27 +1327,23 @@ class LiveDispatcher:
         # — resubmission is idempotent per task id.  ``raw_by_id`` keeps
         # the wire dict each fresh spec arrived as, verbatim: dispatch
         # re-serialises this shared dict instead of rebuilding it.
-        fresh: list[TaskSpec] = []
-        raw_by_id: dict[str, Optional[dict]] = {}
-        dup_records: list[_LiveRecord] = []
-        with self._records_lock:
-            for spec, raw in zip(tasks, raw_specs):
-                known = self._records.get(spec.task_id)
-                if known is not None:
-                    dup_records.append(known)
-                elif spec.task_id not in raw_by_id:
-                    raw_by_id[spec.task_id] = raw if isinstance(raw, dict) else None
-                    fresh.append(spec)
+        #
         # A duplicate of an already-settled task (resubmission after a
         # lost ack, or a reused journal directory) must still converge:
         # its original CLIENT_NOTIFY may have gone out long ago, so the
         # stored result is re-pushed to the submitter below.  The
         # future's first-wins rule dedupes on the client.
+        fresh: list[TaskSpec] = []
+        raw_by_id: dict[str, Optional[dict]] = {}
         settled_dupes: list[_Notify] = []
-        for record in dup_records:
-            with record.lock:
-                if record.result is not None:
-                    settled_dupes.append((client_id, record.result, record))
+        for spec, raw in zip(tasks, raw_specs):
+            known = self._records.get(spec.task_id)
+            if known is not None:
+                if known.result is not None:
+                    settled_dupes.append((client_id, known.result, known))
+            elif spec.task_id not in raw_by_id:
+                raw_by_id[spec.task_id] = raw if isinstance(raw, dict) else None
+                fresh.append(spec)
         journaled = self.journal is not None and bool(fresh)
         if journaled:
             # Durable-before-accept: one group commit covers the bundle
@@ -1446,9 +1382,9 @@ class LiveDispatcher:
             )
             return
         if new_records:
-            # Two collector-lock round trips per bundle, not three per
-            # task: open every trace, then append the submit/enqueue
-            # pairs in one batch.
+            # Two collector calls per bundle, not three per task: open
+            # every trace, then append the submit/enqueue pairs in one
+            # batch.
             self.spans.begin_many([r.spec.task_id for r in new_records])
             submit_attrs = (("client", client_id), ("bundle", bundle))
             enqueue_attrs = (("reason", "submit"),)
@@ -1458,13 +1394,9 @@ class LiveDispatcher:
                 rows.append((task_id, "submit", now, None, 0, submit_attrs))
                 rows.append((task_id, "enqueue", now, None, 1, enqueue_attrs))
             self.spans.record_many(rows)
-        # Records must be resolvable before their queue entries are
-        # poppable: claimers drop queue ids with no backing record.
-        with self._records_lock:
-            for record in new_records:
-                self._records[record.spec.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(record.spec.task_id for record in new_records)
+        for record in new_records:
+            self._records[record.spec.task_id] = record
+        self._queue.extend(record.spec.task_id for record in new_records)
         if new_records:
             self._m_accepted.inc(len(new_records))
             if self.flight.enabled:
@@ -1485,13 +1417,9 @@ class LiveDispatcher:
         if role is None or role[0] != "client":
             return
         client_id = role[1]
-        with self._records_lock:
-            records = list(self._records.values())
-        finished = []
-        for record in records:
-            with record.lock:
-                if record.client_id == client_id and record.result is not None:
-                    finished.append(result_to_dict(record.result))
+        finished = [result_to_dict(record.result)
+                    for record in self._records.values()
+                    if record.client_id == client_id and record.result is not None]
         session.conn.send(
             Message(MessageType.RESULTS, sender="dispatcher", payload={"results": finished})
         )
@@ -1499,10 +1427,12 @@ class LiveDispatcher:
     def _on_destroy_instance(self, session: "_Session", msg: Message) -> None:
         role = session.role
         if role and role[0] == "client":
-            with self._client_lock:
-                current = self._clients.get(role[1])
-                if current is not None and current.conn is session.conn:
-                    self._clients.pop(role[1], None)
+            self._forget_client(role[1], session.conn)
+
+    def _forget_client(self, client_id: str, conn: Connection) -> None:
+        current = self._clients.get(client_id)
+        if current is not None and current.conn is conn:
+            del self._clients[client_id]
 
     # -- executor protocol -----------------------------------------------------
     def _on_register(self, session: "_Session", msg: Message) -> None:
@@ -1512,9 +1442,7 @@ class LiveDispatcher:
             return
         reconnect = bool(msg.payload.get("reconnect"))
         pipeline = int(msg.payload.get("pipeline", 1) or 1)
-        with self._exec_lock:
-            existing = executor_id in self._executors
-        if existing:
+        if executor_id in self._executors:
             if not reconnect:
                 session.conn.send(
                     Message(MessageType.ERROR, payload={"error": "duplicate executor id"})
@@ -1524,15 +1452,9 @@ class LiveDispatcher:
             # half-open) session; the old in-flight tasks replay.
             self._drop_executor(executor_id)
         executor = _ExecutorSession(executor_id, session.conn, pipeline=pipeline)
-        with self._exec_lock:
-            if executor_id in self._executors:
-                session.conn.send(
-                    Message(MessageType.ERROR, payload={"error": "duplicate executor id"})
-                )
-                return
-            self._executors[executor_id] = executor
-            if reconnect:
-                self._m_reconnects.inc()
+        self._executors[executor_id] = executor
+        if reconnect:
+            self._m_reconnects.inc()
         session.role = ("executor", executor_id)
         self.flight.record(fl.EXECUTOR_REGISTER, executor_id,
                            reconnect=reconnect, pipeline=executor.pipeline)
@@ -1581,13 +1503,11 @@ class LiveDispatcher:
     # -- federation protocol ---------------------------------------------------
     def _gossip_message(self, rsvp: bool) -> Message:
         """Our side of the depth gossip, as a HEARTBEAT frame."""
-        with self._queue_lock:
-            qlen = len(self._queue)
         payload: dict = {
             "shard": {
                 "id": self.shard_id,
                 "caps": ["steal"],
-                "stats": {"queued": qlen},
+                "stats": {"queued": len(self._queue)},
                 # Fleet health rides the gossip leg: peers store the
                 # last observation, so /fleet can report a shard's
                 # degradation even after the shard itself dies.
@@ -1630,8 +1550,7 @@ class LiveDispatcher:
     def _ensure_peer_session(self, peer_id: str, conn: Connection) -> _ExecutorSession:
         """Register (or refresh) the pseudo-executor for a peer shard."""
         executor_id = PEER_PREFIX + peer_id
-        with self._exec_lock:
-            existing = self._executors.get(executor_id)
+        existing = self._executors.get(executor_id)
         if existing is not None:
             if existing.conn is conn:
                 return existing
@@ -1640,8 +1559,7 @@ class LiveDispatcher:
             self._drop_executor(executor_id, reason="peer-reconnect")
         executor = _ExecutorSession(executor_id, conn,
                                     pipeline=STEAL_BATCH_MAX)
-        with self._exec_lock:
-            self._executors[executor_id] = executor
+        self._executors[executor_id] = executor
         return executor
 
     def _note_peer_depth(self, peer_id: str, stats: dict, caps: list[str],
@@ -1654,21 +1572,18 @@ class LiveDispatcher:
             queued = int(stats.get("queued", 0))
         except (TypeError, ValueError):
             queued = 0
-        with self._peer_lock:
-            self._peer_depths[peer_id] = {
-                "queued": max(0, queued),
-                "caps": caps,
-                "health": health if isinstance(health, dict) else None,
-                "t": time.monotonic(),
-            }
+        self._peer_depths[peer_id] = {
+            "queued": max(0, queued),
+            "caps": caps,
+            "health": health if isinstance(health, dict) else None,
+            "t": time.monotonic(),
+        }
 
     def _local_idle_capacity(self) -> int:
         """Spare slots on real (non-peer) executors — what a steal
         could actually put to work right now."""
-        with self._exec_lock:
-            executors = [e for executor_id, e in self._executors.items()
-                         if not executor_id.startswith(PEER_PREFIX)]
-        return sum(executor.capacity() for executor in executors)
+        return sum(e.capacity() for e in list(self._executors.values())
+                   if not e.executor_id.startswith(PEER_PREFIX))
 
     def _on_steal_request(self, session: "_Session", msg: Message) -> None:
         """Donor side of work stealing: grant queued (never in-flight)
@@ -1685,11 +1600,10 @@ class LiveDispatcher:
             want = 0
         granted: list[_LiveRecord] = []
         if want > 0:
-            with self._queue_lock:
-                qlen = len(self._queue)
             # Keep enough queued work to feed our own idle capacity
-            # (plus the configured floor); only the surplus travels.
-            surplus = qlen - max(self._local_idle_capacity(), self.steal_min_queue)
+            # (plus the floor); only the surplus travels.
+            surplus = len(self._queue) - max(self._local_idle_capacity(),
+                                             STEAL_MIN_QUEUE)
             grant = min(want, STEAL_BATCH_MAX, surplus)
             if grant > 0:
                 granted = self._claim_many(executor, grant, mode="steal")
@@ -1714,13 +1628,14 @@ class LiveDispatcher:
             self._m_stolen_out.inc(len(granted))
             self.flight.record(fl.STEAL_GRANT, peer_id, tasks=len(granted))
 
-    def _ingest_stolen(self, donor_shard: str, entries: list) -> int:
+    def _ingest_stolen(self, donor_shard: str, entries: list) -> None:
         """Thief side: accept a STEAL_GRANT's tasks into our own
         queue, journalled with their origin before the first dispatch.
 
-        Journalling is append-only (no commit barrier — this runs on
-        the IOLoop thread): a crash inside the flush window loses the
-        steal, which the donor's replay timeout covers.  Duplicate
+        The peer link posts it from its own thread.  Journalling is
+        append-only (no commit barrier — this runs on the loop thread):
+        a crash inside the flush window loses the steal, which the
+        donor's replay timeout covers.  Duplicate
         grants (donor replayed after dropping us) refresh the attempt
         echo; a duplicate of an already-settled task immediately
         re-returns the stored result so both shards converge.
@@ -1737,14 +1652,11 @@ class LiveDispatcher:
                 attempt = int(entry.get("attempt", 0))
             except (KeyError, TypeError, ValueError):
                 continue
-            with self._records_lock:
-                record = self._records.get(spec.task_id)
+            record = self._records.get(spec.task_id)
             if record is not None:
-                with record.lock:
-                    record.origin_attempt = attempt
-                    stored = record.result if record.state.terminal else None
-                if stored is not None:
-                    resend.append((record.client_id, stored, record))
+                record.origin_attempt = attempt
+                if record.state.terminal and record.result is not None:
+                    resend.append((record.client_id, record.result, record))
                 continue
             record = _LiveRecord(spec=spec, client_id=client_id)
             record.origin_shard = donor_shard
@@ -1765,21 +1677,17 @@ class LiveDispatcher:
                             "attempt": record.origin_attempt}}
                 for record in accepted
             ])
-        with self._records_lock:
-            for record in accepted:
-                self._records[record.spec.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(record.spec.task_id for record in accepted)
+        for record in accepted:
+            self._records[record.spec.task_id] = record
+        self._queue.extend(record.spec.task_id for record in accepted)
         if accepted:
             self._m_accepted.inc(len(accepted))
             self._m_stolen_in.inc(len(accepted))
             self.flight.record(fl.STEAL_INGEST, donor_shard,
                                tasks=len(accepted))
-            # The grant arrives on the peer link's thread.
-            self._loop.call_soon(self._wake_idle)
+            self._wake_idle()
         if resend:
             self._notify_clients(resend)
-        return len(accepted)
 
     def _return_stolen(self, donor_shard: str, settled: list[_Notify]) -> None:
         """Send settled stolen-task results home over the donor's peer
@@ -1787,20 +1695,15 @@ class LiveDispatcher:
         notifies; an unreachable donor leaves them terminal and
         un-acked, so a re-grant after the donor recovers re-returns
         the stored result instead of re-running the task."""
-        with self._peer_lock:
-            link = self._peer_links.get(donor_shard)
+        link = self._peer_links.get(donor_shard)
         entries = []
         for _, result, record in settled:
-            with record.lock:
-                attempt = record.origin_attempt
-                exec_seconds = 0.0
-                if record.timeline.dispatched:
-                    exec_seconds = max(
-                        0.0,
-                        record.timeline.completed - record.timeline.dispatched,
-                    )
+            exec_seconds = 0.0
+            if record.timeline.dispatched:
+                exec_seconds = max(
+                    0.0, record.timeline.completed - record.timeline.dispatched)
             entries.append({"result": result_to_dict(result),
-                            "attempt": attempt,
+                            "attempt": record.origin_attempt,
                             "exec": {"seconds": exec_seconds}})
         if link is None or not link.send_results(entries):
             return
@@ -1816,8 +1719,7 @@ class LiveDispatcher:
         append per flush, not one per task."""
         acked_ids = []
         for _, result, record in settled:
-            with record.lock:
-                record.acked = True
+            record.acked = True
             acked_ids.append(result.task_id)
         self._journal_append("acked", "", ids=acked_ids)
         self._evict_settled(acked_ids)
@@ -1834,19 +1736,16 @@ class LiveDispatcher:
             raise RuntimeError("add_peer() requires a dispatcher with a shard_id")
         from repro.live.federation import PeerLink
 
-        target = Endpoint.parse(endpoint)
-        with self._peer_lock:
-            if shard_id in self._peer_links:
-                return
+        if shard_id not in self._peer_links:
             self._peer_links[shard_id] = PeerLink(
-                self, shard_id, target, key=self.key)
+                self, shard_id, Endpoint.parse(endpoint), key=self.key)
 
     def _federation_tick(self, now: float, qlen: int) -> None:
-        """Per-sweep federation duties: gossip over every peer link,
-        then steal when this shard is starved (empty queue, spare
-        executor capacity) and a fresh-depth peer advertises work."""
-        with self._peer_lock:
-            links = list(self._peer_links.items())
+        """Per-sweep federation duties (monitor thread): gossip over
+        every peer link, then steal when this shard is starved (empty
+        queue, spare executor capacity) and a fresh-depth peer
+        advertises work."""
+        links = list(self._peer_links.items())
         for _, link in links:
             link.tick(now)
         if qlen:
@@ -1854,10 +1753,8 @@ class LiveDispatcher:
         idle = self._local_idle_capacity()
         if idle <= 0:
             return
-        depth_floor = max(1, self.steal_min_queue)
-        with self._peer_lock:
-            depths = {shard: dict(info)
-                      for shard, info in self._peer_depths.items()}
+        depth_floor = max(1, STEAL_MIN_QUEUE)
+        depths = dict(self._peer_depths)  # entries are replaced, never mutated
         target = None
         best = 0
         for shard, link in links:
@@ -1877,9 +1774,7 @@ class LiveDispatcher:
     def _steal_hint(self, link) -> None:
         """A donor NOTIFYed our peer link: it has queued work.  Steal
         eagerly if we are starved — without waiting for the next sweep."""
-        with self._queue_lock:
-            qlen = len(self._queue)
-        if qlen:
+        if self._queue:
             return
         idle = self._local_idle_capacity()
         if idle > 0 and link.ready:
@@ -1889,7 +1784,7 @@ class LiveDispatcher:
         role = session.role
         if role is None or role[0] != "executor":
             return
-        executor = self._exec_get(role[1])
+        executor = self._executors.get(role[1])
         if executor is None:
             return
         # The explicit pull.  Depth-1 peers always get one task per
@@ -1942,17 +1837,13 @@ class LiveDispatcher:
                 entries.append((payload, attempt, exec_seconds))
         if not entries:
             return
-        executor = self._exec_get(executor_id)
+        executor = self._executors.get(executor_id)
         if executor is not None:
-            with executor.lock:
-                for payload, _, _ in entries:
-                    executor.busy.discard(payload["task_id"])
-                executor.notified = False
-        # One records-lock round trip for the whole batch: a pipelined
-        # RESULT frame carries dozens of completions.
-        with self._records_lock:
-            records = [self._records.get(payload["task_id"])
-                       for payload, _, _ in entries]
+            for payload, _, _ in entries:
+                executor.busy.discard(payload["task_id"])
+            executor.notified = False
+        records = [self._records.get(payload["task_id"])
+                   for payload, _, _ in entries]
         # Each result adopts its record's timeline (what _settle hands
         # the client anyway) and, below, its record's task id string —
         # the frame's decoded copies are garbage once the frame is.
@@ -1986,41 +1877,40 @@ class LiveDispatcher:
             if record is None:
                 continue
             result.task_id = record.spec.task_id
-            with record.lock:
-                # DISPATCHED is the state a result is expected in;
-                # only the others pay for the ``terminal`` property.
-                state = record.state
-                if state is not TaskState.DISPATCHED and state.terminal:
-                    continue
-                attempts = record.attempts
-                if echoed_attempt is not None and echoed_attempt != attempts:
-                    # A superseded attempt (the replay timer already
-                    # re-dispatched this task): drop the stale result.
-                    stale += 1
-                    continue
-                # One clock reading per settled entry stamps its exec
-                # end, result and completion.  The executor measured
-                # execution on its own clock; anchor the exec span at
-                # result arrival (the collector clamps it to stay
-                # monotonic).
-                now = self._now()
-                exec_samples.append(exec_seconds)
-                ok = result.ok
-                outcome = ("ok" if ok else
-                           "fail" if attempts > self.max_retries else "retry")
-                result_attrs = outcome_attrs.get(outcome)
-                if result_attrs is None:
-                    result_attrs = outcome_attrs[outcome] = (
-                        executor_attr, ("outcome", outcome))
-                task_id = result.task_id
-                span_rows.append(
-                    (task_id, "exec", now - exec_seconds, now, attempts,
-                     (executor_attr, ("seconds", exec_seconds))))
-                span_rows.append(
-                    (task_id, "result", now, None, attempts, result_attrs))
-                notify = self._settle(record, result, ok, now, batch)
-                if notify is not None:
-                    notifies.append(notify)
+            # DISPATCHED is the state a result is expected in;
+            # only the others pay for the ``terminal`` property.
+            state = record.state
+            if state is not TaskState.DISPATCHED and state.terminal:
+                continue
+            attempts = record.attempts
+            if echoed_attempt is not None and echoed_attempt != attempts:
+                # A superseded attempt (the replay timer already
+                # re-dispatched this task): drop the stale result.
+                stale += 1
+                continue
+            # One clock reading per settled entry stamps its exec
+            # end, result and completion.  The executor measured
+            # execution on its own clock; anchor the exec span at
+            # result arrival (the collector clamps it to stay
+            # monotonic).
+            now = self._now()
+            exec_samples.append(exec_seconds)
+            ok = result.ok
+            outcome = ("ok" if ok else
+                       "fail" if attempts > self.max_retries else "retry")
+            result_attrs = outcome_attrs.get(outcome)
+            if result_attrs is None:
+                result_attrs = outcome_attrs[outcome] = (
+                    executor_attr, ("outcome", outcome))
+            task_id = result.task_id
+            span_rows.append(
+                (task_id, "exec", now - exec_seconds, now, attempts,
+                 (executor_attr, ("seconds", exec_seconds))))
+            span_rows.append(
+                (task_id, "result", now, None, attempts, result_attrs))
+            notify = self._settle(record, result, ok, now, batch)
+            if notify is not None:
+                notifies.append(notify)
         self._h_exec.observe_many(exec_samples)
         if stale:
             self._m_stale.inc(stale)
@@ -2079,15 +1969,10 @@ class LiveDispatcher:
     def _claim_many(
         self, executor: _ExecutorSession, limit: int, mode: str
     ) -> list[_LiveRecord]:
-        """Claim up to *limit* runnable records for *executor*.
-
-        Lock-free between tables: pop an id (queue lock), resolve it
-        (records lock), transition it (record lock), charge the
-        executor (session lock) — never holding two at once except the
-        documented record→queue/record→session nestings inside helpers.
-        """
+        """Claim up to *limit* runnable records for *executor* (loop
+        thread only, like every mutation)."""
         claimed: list[_LiveRecord] = []
-        # Deferred "notify" spans: one span-lock round trip per claim
+        # Deferred "notify" spans: one span-collector call per claim
         # burst instead of per task (10 k individual record() calls per
         # 5 k pipelined tasks was a top profile frame).  The dispatch
         # WAL records defer the same way (same flush window either
@@ -2098,53 +1983,15 @@ class LiveDispatcher:
         # One clock reading and one attrs tuple stamp the whole burst.
         now = self._now()
         attrs = executor.dispatch_attrs(mode)
-        while len(claimed) < limit:
-            # Batched pops: one queue-lock and one records-lock round
-            # trip per claim burst, not per task (the hot path claims
-            # a full pipeline depth at once).
-            want = limit - len(claimed)
-            with self._queue_lock:
-                if not self._queue:
-                    break
-                task_ids = [self._queue.popleft()
-                            for _ in range(min(want, len(self._queue)))]
-            with self._records_lock:
-                records = [self._records.get(task_id) for task_id in task_ids]
-            stop = False
-            for index, record in enumerate(records):
-                if record is None:
-                    continue
-                with record.lock:
-                    if record.state is not TaskState.QUEUED:
-                        continue  # a duplicate queue entry from a replay path
-                    self._mark_dispatched(record, executor, mode, now, attrs,
-                                          span_batch, journal_batch)
-                task_id = record.spec.task_id
-                undo = False
-                with executor.lock:
-                    if executor.dead:
-                        undo = True
-                    else:
-                        executor.busy.add(task_id)
-                if undo:
-                    # The executor was dropped between our state checks:
-                    # the dispatch never happened, restore the task
-                    # intact — along with the rest of this popped batch,
-                    # which no longer has a taker.  Flush first so the
-                    # undone record's notify span lands ahead of the
-                    # rollback's enqueue span (chain order).
-                    self._flush_notify_spans(span_batch)
-                    span_batch.clear()
-                    self._unclaim(record, executor.executor_id)
-                    rest = task_ids[index + 1:]
-                    if rest:
-                        with self._queue_lock:
-                            self._queue.extendleft(reversed(rest))
-                    stop = True
-                    break
-                claimed.append(record)
-            if stop:
-                break
+        queue, records, busy = self._queue, self._records, executor.busy
+        while queue and len(claimed) < limit:
+            record = records.get(queue.popleft())
+            if record is None or record.state is not TaskState.QUEUED:
+                continue  # evicted, or a duplicate entry from a replay path
+            self._mark_dispatched(record, executor, mode, now, attrs,
+                                  span_batch, journal_batch)
+            busy.add(record.spec.task_id)
+            claimed.append(record)
         self._flush_notify_spans(span_batch)
         if journal_batch:
             self.journal.append_many(journal_batch)
@@ -2164,11 +2011,7 @@ class LiveDispatcher:
 
     @staticmethod
     def _spec_dict(record: _LiveRecord) -> dict:
-        """The task spec's wire dict, built at most once per task.
-
-        Benign race: two threads may both build; the results are
-        interchangeable and assignment is atomic, so no lock is taken.
-        """
+        """The task spec's wire dict, built at most once per task."""
         data = record.spec_dict
         if data is None:
             data = task_to_dict(record.spec)
@@ -2202,7 +2045,7 @@ class LiveDispatcher:
         span_rows: list[tuple["_LiveRecord", tuple]],
         journal_rows: Optional[list[dict]],
     ) -> None:
-        """Transition a QUEUED record to DISPATCHED (record lock held).
+        """Transition a QUEUED record to DISPATCHED.
 
         *now* and *attrs* (the claim burst's clock reading and its
         ``executor.dispatch_attrs(mode)``) stamp the "notify" span,
@@ -2231,32 +2074,15 @@ class LiveDispatcher:
                                  "attempt": record.attempts,
                                  "executor": executor.executor_id})
 
-    def _unclaim(self, record: _LiveRecord, executor_id: str) -> None:
-        """Roll back a dispatch that never charged its executor."""
-        with record.lock:
-            if (
-                record.state is TaskState.DISPATCHED
-                and record.executor_id == executor_id
-                and not record.delivered
-            ):
-                record.attempts -= 1
-                record.state = TaskState.QUEUED
-                record.executor_id = ""
-                self.spans.record(
-                    record.spec.task_id, "enqueue", self._now(),
-                    attempt=record.attempts + 1, reason="undelivered",
-                )
-                with self._queue_lock:
-                    self._queue.appendleft(record.spec.task_id)
-
     def _mark_delivered_many(
         self, records: list[_LiveRecord], executor: _ExecutorSession
     ) -> None:
         """The WORK/ack frame carrying *records* left this process.
 
         The "pull" spans for the whole frame flush in one
-        ``record_many`` call — the per-record version cost one span
-        lock per task, twice per dispatch with "notify".
+        ``record_many`` call, not one span call per task.  A record no
+        longer dispatched here (a fault-injected close inside the send
+        already requeued it) is skipped.
         """
         executor_id = executor.executor_id
         rows = []
@@ -2264,15 +2090,14 @@ class LiveDispatcher:
         # One clock reading for the frame: it left in one send.
         now = self._now()
         for record in records:
-            with record.lock:
-                if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
-                    record.delivered = True
-                    rows.append((
-                        record.spec.task_id, "pull", now, None,
-                        record.attempts,
-                        executor.dispatch_attrs(record.dispatch_mode),
-                    ))
-                    latencies.append(now - record.timeline.submitted)
+            if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
+                record.delivered = True
+                rows.append((
+                    record.spec.task_id, "pull", now, None,
+                    record.attempts,
+                    executor.dispatch_attrs(record.dispatch_mode),
+                ))
+                latencies.append(now - record.timeline.submitted)
         if rows:
             self.spans.record_many(rows)
             self._h_dispatch.observe_many(latencies)
@@ -2288,8 +2113,7 @@ class LiveDispatcher:
                 self._maybe_crash("after-dispatch")
 
     def _wake_idle(self) -> None:
-        """Hand queued work to the idle (loop thread only, like every
-        claim: other threads post it with ``self._loop.call_soon``).
+        """Hand queued work to the idle.
 
         In table order, each executor with an empty busy set is pushed
         one WORK frame of up to its advertised depth, until the queue
@@ -2298,16 +2122,13 @@ class LiveDispatcher:
         (stealing is explicit-request-only); an idle one gets the
         NOTIFY steal hint, once until the sweep re-arms it.
         """
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        for executor in executors:
-            with self._queue_lock:
-                if not self._queue:
-                    return
+        # A copy: a failed send drops its executor from the table.
+        for executor in list(self._executors.values()):
+            if not self._queue:
+                return
             peer = executor.executor_id.startswith(PEER_PREFIX)
-            with executor.lock:
-                if executor.dead or executor.busy or (peer and executor.notified):
-                    continue
+            if executor.busy or (peer and executor.notified):
+                continue
             if peer:
                 self._send_notify(executor)
             else:
@@ -2335,8 +2156,7 @@ class LiveDispatcher:
 
     def _send_notify(self, executor: _ExecutorSession) -> None:
         """The steal hint to an idle peer shard (shared NOTIFY bytes)."""
-        with executor.lock:
-            executor.notified = True
+        executor.notified = True
         self.flight.record(fl.FRAME_TX, "NOTIFY", executor=executor.executor_id)
         try:
             executor.conn.send_encoded(self._notify_frame)
@@ -2345,18 +2165,17 @@ class LiveDispatcher:
 
     def _settle(self, record: _LiveRecord, result: TaskResult, ok: bool,
                 now: float, batch: _SettleBatch) -> Optional[_Notify]:
-        """Finalize or retry (record lock held) — the only place a
-        record turns terminal.  Returns the client notify, or ``None``
-        when the task went back to the queue.
+        """Finalize or retry — the only place a record turns terminal.
+        Returns the client notify, or ``None`` when the task went back
+        to the queue.
 
         *ok* is ``result.ok`` and *now* the clock reading that stamps
         the transition, both taken once by the caller.  Span rows, WAL
         rows, the e2e sample and the terminal counters land in *batch*
         for the caller's one :meth:`_flush_settles` per frame (safe for
-        the retry path's "enqueue" span: claims only happen on the
-        dispatcher loop thread, so nothing can dispatch the requeued
-        task before the caller flushes; the WAL rows ride the async
-        flush window either way).
+        the retry path's "enqueue" span: only the loop thread claims,
+        so nothing can dispatch the requeued task before the caller
+        flushes; the WAL rows ride the async flush window either way).
         """
         # A stolen task settles on its FIRST result, pass or fail: the
         # donor shard owns the retry budget and the DLQ (each task has
@@ -2396,8 +2215,7 @@ class LiveDispatcher:
                 # still sees the terminal failure (no hanging futures);
                 # the task is additionally quarantined for inspection
                 # and operator-driven retry (``repro dlq``).
-                with self._dlq_lock:
-                    self._dlq[task_id] = self._dlq_entry_from_record(record)
+                self._dlq[task_id] = self._dlq_entry_from_record(record)
                 self._m_dlq.inc()
                 if journaled:
                     batch.journal_rows.append(
@@ -2415,8 +2233,7 @@ class LiveDispatcher:
             task_id, "enqueue", now, None,
             record.attempts + 1, (("reason", "retry"),),
         ))
-        with self._queue_lock:
-            self._queue.append(task_id)
+        self._queue.append(task_id)
         if journaled:
             batch.journal_rows.append({"k": "requeue", "id": task_id,
                                        "attempt": record.attempts})
@@ -2424,7 +2241,7 @@ class LiveDispatcher:
 
     def _flush_settles(self, batch: _SettleBatch) -> None:
         """Pay what a handler's :meth:`_settle` calls deferred: one
-        lock round trip per sink for the whole frame."""
+        call per sink for the whole frame."""
         if batch.span_rows:
             self.spans.record_many(batch.span_rows)
         if batch.journal_rows:
@@ -2436,14 +2253,13 @@ class LiveDispatcher:
         self._h_e2e.observe_many(batch.e2e)
 
     def _requeue_dispatched(self, record: _LiveRecord, reason: str):
-        """Replay a dispatched task whose executor/response is gone
-        (record lock held).  Returns client-notify args when retries
-        are exhausted and the task fails instead."""
-        executor = self._exec_get(record.executor_id)
+        """Replay a dispatched task whose executor/response is gone.
+        Returns client-notify args when retries are exhausted and the
+        task fails instead."""
+        executor = self._executors.get(record.executor_id)
         if executor is not None:
-            with executor.lock:
-                executor.busy.discard(record.spec.task_id)
-                executor.notified = False
+            executor.busy.discard(record.spec.task_id)
+            executor.notified = False
         if record.attempts <= self.max_retries:
             self._m_retries.inc()
             self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
@@ -2454,8 +2270,7 @@ class LiveDispatcher:
                 record.spec.task_id, "enqueue", self._now(),
                 attempt=record.attempts + 1, reason=reason,
             )
-            with self._queue_lock:
-                self._queue.append(record.spec.task_id)
+            self._queue.append(record.spec.task_id)
             self._journal_append("requeue", record.spec.task_id,
                                  attempt=record.attempts)
             return None
@@ -2505,8 +2320,7 @@ class LiveDispatcher:
         for donor_shard, settled in stolen_home.items():
             self._return_stolen(donor_shard, settled)
         for client_id, settled in by_client.items():
-            with self._client_lock:
-                client = self._clients.get(client_id)
+            client = self._clients.get(client_id)
             if client is None:
                 continue
             payloads = []
@@ -2532,10 +2346,8 @@ class LiveDispatcher:
         non-DLQ records beyond the cap.
 
         DLQ'd tasks are never evicted (``dlq retry`` needs the record);
-        a task whose state moved on since it entered the FIFO (a racing
-        ``dlq_retry`` re-queue) is kept.  No lock is held across
-        another — membership is re-checked under ``_records_lock``
-        before the pop.
+        a task whose state moved on since it entered the FIFO (a
+        ``dlq_retry`` re-queue) is kept.
         """
         cap = self.retain_settled
         if cap is None:
@@ -2543,19 +2355,10 @@ class LiveDispatcher:
         self._settled_fifo.extend(acked_ids)
         while len(self._settled_fifo) > cap:
             task_id = self._settled_fifo.popleft()
-            with self._dlq_lock:
-                if task_id in self._dlq:
-                    continue
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
-                continue
-            with record.lock:
-                evictable = record.state.terminal and record.acked
-            if evictable:
-                with self._records_lock:
-                    if self._records.get(task_id) is record:
-                        del self._records[task_id]
+            record = self._records.get(task_id)
+            if (record is not None and record.state.terminal and record.acked
+                    and task_id not in self._dlq):
+                del self._records[task_id]
 
     def _drop_executor(
         self,
@@ -2570,58 +2373,47 @@ class LiveDispatcher:
         tearing down the executor's replacement registration.  Returns
         whether an executor was actually removed.
         """
-        with self._exec_lock:
-            executor = self._executors.get(executor_id)
-            if executor is None:
-                return False
-            if only_conn is not None and executor.conn is not only_conn:
-                return False
-            del self._executors[executor_id]
+        executor = self._executors.get(executor_id)
+        if executor is None or (only_conn is not None
+                                and executor.conn is not only_conn):
+            return False
+        del self._executors[executor_id]
         if executor_id.startswith(PEER_PREFIX):
             # A dead peer's gossiped depth is no longer a steal target.
-            with self._peer_lock:
-                self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
+            self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
         # Telemetry convergence: the dead agent's series disappear so
         # the status surface never shows stuck gauges for it.
         self.timeseries.forget(executor_id)
         self.flight.record(kind, executor_id, reason=reason)
-        with executor.lock:
-            executor.dead = True
-            in_flight = list(executor.busy)
-            executor.busy.clear()
+        in_flight = list(executor.busy)
+        executor.busy.clear()
         notifies: list[_Notify] = []
         for task_id in in_flight:
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
+            record = self._records.get(task_id)
+            if (record is None or record.state is not TaskState.DISPATCHED
+                    or record.executor_id != executor_id):
                 continue
-            with record.lock:
-                if record.state is not TaskState.DISPATCHED or record.executor_id != executor_id:
-                    continue
-                if not record.delivered:
-                    # The dispatch never left this process (the
-                    # WORK/ack transmission failed): restore the task
-                    # unscathed — charging an attempt and a retry here
-                    # is the double-count bug.
-                    record.attempts -= 1
-                    record.state = TaskState.QUEUED
-                    record.executor_id = ""
-                    self.spans.record(
-                        task_id, "enqueue", self._now(),
-                        attempt=record.attempts + 1, reason="undelivered",
-                    )
-                    with self._queue_lock:
-                        self._queue.appendleft(task_id)
-                else:
-                    notify = self._requeue_dispatched(record, f"executor {executor_id} lost")
-                    if notify is not None:
-                        notifies.append(notify)
-        with self._queue_lock:
-            qlen = len(self._queue)
+            if not record.delivered:
+                # The dispatch never left this process (the WORK/ack
+                # transmission failed): restore the task unscathed —
+                # charging an attempt and a retry here is the
+                # double-count bug.
+                record.attempts -= 1
+                record.state = TaskState.QUEUED
+                record.executor_id = ""
+                self.spans.record(
+                    task_id, "enqueue", self._now(),
+                    attempt=record.attempts + 1, reason="undelivered",
+                )
+                self._queue.appendleft(task_id)
+            else:
+                notify = self._requeue_dispatched(record, f"executor {executor_id} lost")
+                if notify is not None:
+                    notifies.append(notify)
         executor.conn.close()
-        if qlen:
-            # Any thread drops executors (the loop on a close, the
-            # monitor on an eviction): the wake runs on the loop.
+        if self._queue:
+            # Posted, not inline: a failed send inside a wake drops its
+            # executor, and the wake must not re-enter itself.
             self._loop.call_soon(self._wake_idle)
         self._notify_clients(notifies)
         return True
@@ -2639,10 +2431,7 @@ class LiveDispatcher:
             self._drop_executor(PEER_PREFIX + name, only_conn=session.conn,
                                 reason="peer-connection-closed")
         elif kind == "client":
-            with self._client_lock:
-                current = self._clients.get(name)
-                if current is not None and current.conn is session.conn:
-                    self._clients.pop(name, None)
+            self._forget_client(name, session.conn)
 
     def __repr__(self) -> str:
         s = self.stats()
@@ -2675,13 +2464,18 @@ class _Session:
         self.role: Optional[tuple[str, str]] = None
         name = f"session-{next(dispatcher._session_seq)}"
         loop = dispatcher._loop
+
+        def on_close() -> None:
+            # Fires on whichever thread closed the connection.
+            dispatcher._post(dispatcher._session_closed, self)
+
         if dispatcher.fault_plan is not None:
             from repro.live.faults import FaultyConnection
 
             self.conn: Connection = FaultyConnection(
                 sock,
                 handler=self._handle,
-                on_close=lambda: dispatcher._session_closed(self),
+                on_close=on_close,
                 key=dispatcher.key,
                 name=name,
                 plan=dispatcher.fault_plan,
@@ -2691,7 +2485,7 @@ class _Session:
             self.conn = Connection(
                 sock,
                 handler=self._handle,
-                on_close=lambda: dispatcher._session_closed(self),
+                on_close=on_close,
                 key=dispatcher.key,
                 name=name,
                 loop=loop,

@@ -270,26 +270,29 @@ class PeerLink:
 
     # -- inbound ---------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
+        # This runs on the shared loop; what touches the owning
+        # dispatcher's state is posted to that dispatcher's loop.
+        dispatcher = self.dispatcher
         if msg.type is MessageType.HEARTBEAT:
             shard = msg.payload.get("shard")
             if isinstance(shard, dict) and str(shard.get("id")) == self.shard_id:
                 caps = tuple(c for c in (shard.get("caps") or ())
                              if isinstance(c, str))
                 self._caps = caps
-                self.dispatcher._note_peer_depth(
-                    self.shard_id, shard.get("stats") or {}, list(caps),
-                    health=shard.get("health"))
+                dispatcher._post(
+                    dispatcher._note_peer_depth, self.shard_id,
+                    shard.get("stats") or {}, list(caps), shard.get("health"))
         elif msg.type is MessageType.STEAL_GRANT:
             with self._lock:
                 self._outstanding_t = None
             tasks = msg.payload.get("tasks") or []
             if tasks:
                 self.steals_received += 1
-                self.dispatcher._ingest_stolen(self.shard_id, tasks)
+                dispatcher._post(dispatcher._ingest_stolen, self.shard_id, tasks)
         elif msg.type is MessageType.NOTIFY:
             # The donor NOTIFYed us as an idle pseudo-executor: it has
             # queued work.  Steal eagerly instead of waiting a sweep.
-            self.dispatcher._steal_hint(self)
+            dispatcher._post(dispatcher._steal_hint, self)
         # RESULT_ACK / NO_WORK / ERROR need no action here.
 
     def __repr__(self) -> str:
@@ -656,7 +659,6 @@ class LocalFederation:
         bundle_size: int = 300,
         journal_root: Optional[str] = None,
         queue_limit: Optional[int] = None,
-        steal_min_queue: int = 2,
         http_port: Optional[int] = None,
         retain_settled: Optional[int] = None,
         flight: bool = True,
@@ -677,7 +679,6 @@ class LocalFederation:
             replay_timeout=replay_timeout,
             monitor_interval=monitor_interval,
             queue_limit=queue_limit,
-            steal_min_queue=steal_min_queue,
             retain_settled=retain_settled,
             flight=flight,
             flight_dump_dir=flight_dir,
@@ -854,8 +855,7 @@ class LocalFederation:
             status = dispatcher.status_snapshot()
             status["alive"] = True
             shards[shard_id] = status
-            with dispatcher._peer_lock:
-                links = dict(dispatcher._peer_links)
+            links = dict(dispatcher._peer_links)
             steals[shard_id] = {
                 peer: {
                     "requested": link.steals_requested,

@@ -15,8 +15,11 @@ Thread model
   thread may attach/detach connections or arm write interest — or run
   any other op that must happen on the loop thread.
 * Connection handlers run *on the loop thread*.  They must not block;
-  the live plane's handlers only take short-held locks and append to
-  queues/buffers.
+  the live plane's handlers only append to queues/buffers.  A
+  connection's ``on_close`` callback fires on whichever thread closed
+  it — the loop on EOF or a read error, any other thread whose send
+  failed or that called ``close()`` — so a server whose state the loop
+  owns posts its close work back with :meth:`call_soon`.
 * Sends happen on the caller's thread: frames go into the
   connection's write buffer and are flushed opportunistically
   (non-blocking) right there; whatever the socket refuses is flushed
@@ -122,6 +125,14 @@ class IOLoop:
                 sock.close()
             except OSError:
                 pass
+
+    @property
+    def stopped(self) -> bool:
+        return self._stopped.is_set()
+
+    def in_loop_thread(self) -> bool:
+        """Whether the caller is running on this loop's thread."""
+        return threading.current_thread() is self._thread
 
     # -- cross-thread requests ----------------------------------------------
     def call_soon(self, op: Callable[[], None]) -> None:

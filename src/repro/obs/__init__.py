@@ -71,7 +71,7 @@ from repro.obs.flight import (
     read_flight_dump,
     replay_summary,
 )
-from repro.obs.watchdog import StallDetector, TimedLock, WatchdogPanel
+from repro.obs.watchdog import StallDetector, WatchdogPanel
 from repro.obs.doctor import analyze, render_report
 
 __all__ = [
@@ -111,7 +111,6 @@ __all__ = [
     "load_flight_dumps",
     "read_flight_dump",
     "StallDetector",
-    "TimedLock",
     "WatchdogPanel",
     "analyze",
     "render_report",

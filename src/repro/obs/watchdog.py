@@ -3,15 +3,14 @@
 The live plane's failure modes that *don't* close a socket are the
 hard ones: an IOLoop thread starved by a blocking handler, a queue
 that stops draining next to idle executors, a journal flusher wedged
-on a dying disk, a leaf lock turned convoy.  Each gets
-a cheap probe here; the dispatcher's monitor sweep evaluates them and
-surfaces the verdicts as registry gauges plus ``degraded`` reason
-strings on ``/healthz``.
+on a dying disk.  Each gets a cheap probe here; the dispatcher's
+monitor sweep evaluates them and surfaces the verdicts as registry
+gauges plus ``degraded`` reason strings on ``/healthz``.
 
 Design rules:
 
-* Probes never block and never take hot-path locks; they read plain
-  attributes (GIL-atomic) written by the component being watched.
+* Probes never block; they read plain attributes (GIL-atomic)
+  written by the component being watched.
 * A watchdog that can false-positive is worse than none: the stall
   detector suppresses the paused-but-empty queue (depth 0) and the
   sleep-heavy workload (all executors busy) — see
@@ -20,11 +19,9 @@ Design rules:
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Callable, Optional
 
-__all__ = ["StallDetector", "TimedLock", "WatchdogPanel"]
+__all__ = ["StallDetector", "WatchdogPanel"]
 
 
 class StallDetector:
@@ -77,59 +74,6 @@ class StallDetector:
         self._last_progress = None
         self._quiet_since = None
         self.stalled_for = 0.0
-
-
-class TimedLock:
-    """A ``threading.Lock`` that measures *contended* acquisition waits.
-
-    The uncontended fast path is one extra non-blocking try-acquire —
-    no clock reads, no branches beyond the miss check — so wrapping a
-    dispatcher leaf lock costs nanoseconds when nobody is waiting.
-    Only a miss (another thread holds the lock) takes timestamps.
-
-    ``max_wait_s`` is a high-water mark since the last :meth:`drain`;
-    the dispatcher's sweep drains it into a gauge each interval, so
-    the exported value is "worst convoy in the last sweep window".
-    Plain-float updates race benignly (worst case a sample is lost to
-    a concurrent drain); that is acceptable telemetry semantics.
-    """
-
-    __slots__ = ("_lock", "max_wait_s", "contended")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.max_wait_s = 0.0
-        self.contended = 0
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        if self._lock.acquire(False):
-            return True
-        if not blocking:
-            return False
-        started = time.monotonic()
-        ok = self._lock.acquire(True, timeout)
-        waited = time.monotonic() - started
-        self.contended += 1
-        if waited > self.max_wait_s:
-            self.max_wait_s = waited
-        return ok
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
-    def drain(self) -> float:
-        """Return and reset the high-water contended wait."""
-        peak, self.max_wait_s = self.max_wait_s, 0.0
-        return peak
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc) -> None:
-        self._lock.release()
 
 
 class WatchdogPanel:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.live import LiveClient, LiveDispatcher, LiveExecutor
+from repro.live import dispatcher as dispatcher_module
 from repro.live.federation import HashRing, LocalFederation, aggregate_stats
 from repro.types import TaskSpec
 
@@ -46,13 +47,13 @@ class TestHashRing:
 
 # ---------------------------------------------------------------- stealing
 class TestWorkStealing:
-    def test_idle_shard_steals_from_deep_peer(self):
+    def test_idle_shard_steals_from_deep_peer(self, monkeypatch):
         """A shard with zero executors donates everything to its idle
         peer; results settle back on the home shard's clients."""
-        donor = LiveDispatcher(shard_id="a", monitor_interval=0.05,
-                               steal_min_queue=0)
-        thief = LiveDispatcher(shard_id="b", monitor_interval=0.05,
-                               steal_min_queue=0)
+        # No floor: the donor cannot run its last tasks itself.
+        monkeypatch.setattr(dispatcher_module, "STEAL_MIN_QUEUE", 0)
+        donor = LiveDispatcher(shard_id="a", monitor_interval=0.05)
+        thief = LiveDispatcher(shard_id="b", monitor_interval=0.05)
         executor = client = None
         try:
             donor.add_peer("b", thief.endpoint)
@@ -109,8 +110,7 @@ class TestStealCapabilityGate:
         not steal from it: the plain side never advertises the "steal"
         capability, so the link never becomes ready."""
         plain = LiveDispatcher()  # shard_id=None: not federated
-        fed = LiveDispatcher(shard_id="f", monitor_interval=0.05,
-                             steal_min_queue=0)
+        fed = LiveDispatcher(shard_id="f", monitor_interval=0.05)
         plain_exec = fed_exec = client = None
         try:
             fed.add_peer("p", plain.endpoint)

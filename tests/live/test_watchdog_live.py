@@ -58,11 +58,11 @@ class TestTruePositive:
         """Idle executors are pushed WORK, so no dropped frame can leave
         work queued next to them any more: a lost WORK is a dispatched
         task, the replay timer's.  The stall push can still have is a
-        wedged loop thread — here a posted op blocks it while
-        ``dlq_retry`` queues work whose wake is posted behind it:
-        queued work, idle executors, no dispatch.  Must surface on
-        /healthz and /metrics, and clear once the loop runs the wake.
-        (No heartbeats: a wedged loop would evict the executors.)"""
+        wedged loop thread — here ``dlq_retry`` queues work on the loop
+        and the loop then blocks ahead of the wake: queued work, idle
+        executors, no dispatch.  Must surface on /healthz and /metrics,
+        and clear once the loop runs the wake.  (No heartbeats: a
+        wedged loop would evict the executors.)"""
         runs = []
 
         def fails_once():
@@ -73,14 +73,26 @@ class TestTruePositive:
         falkon = LocalFalkon(executors=2, max_retries=0,
                              python_registry={"fails_once": fails_once},
                              stall_after=0.4, http_port=0)
+        dispatcher = falkon.dispatcher
         wedge = threading.Event()
+        retried = []
         try:
             (result,) = falkon.run(
                 [TaskSpec(task_id="stall-0", command="python:fails_once")],
                 timeout=20)
             assert not result.ok
-            falkon.dispatcher._loop.call_soon(lambda: wedge.wait(30.0))
-            assert falkon.dispatcher.dlq_retry("stall-0")
+            wake = dispatcher._wake_idle
+
+            def wedged_wake():
+                dispatcher._wake_idle = wake
+                wedge.wait(30.0)  # a blocking op ahead of the wake
+                wake()
+
+            dispatcher._wake_idle = wedged_wake
+            # dlq_retry answers once the loop has run it: off this thread.
+            threading.Thread(
+                target=lambda: retried.append(dispatcher.dlq_retry("stall-0")),
+                daemon=True).start()
 
             def stalled():
                 health = falkon.dispatcher.health_snapshot()
@@ -99,6 +111,7 @@ class TestTruePositive:
             assert wait_until(
                 lambda: falkon.dispatcher.stats().completed == 1, timeout=10.0)
             assert wait_until(lambda: not stalled(), timeout=10.0)
+            assert retried == [True]
         finally:
             wedge.set()
             falkon.close()

@@ -1,17 +1,14 @@
-"""Watchdog primitives: stall detection semantics, contended-lock
-timing, and the named-check panel.
+"""Watchdog primitives: stall detection semantics and the named-check
+panel.
 
 The stall detector's suppression rules are the contract that matters:
 a detector that cries wolf on a paused queue or a sleep-heavy
 workload would train operators to ignore ``degraded``.
 """
 
-import threading
-import time
-
 import pytest
 
-from repro.obs.watchdog import StallDetector, TimedLock, WatchdogPanel
+from repro.obs.watchdog import StallDetector, WatchdogPanel
 
 
 class TestStallDetector:
@@ -66,56 +63,6 @@ class TestStallDetector:
     def test_stall_after_must_be_positive(self):
         with pytest.raises(ValueError):
             StallDetector(stall_after=0)
-
-
-class TestTimedLock:
-    def test_uncontended_acquire_counts_nothing(self):
-        lock = TimedLock()
-        with lock:
-            pass
-        assert lock.contended == 0
-        assert lock.max_wait_s == 0.0
-
-    def test_contended_acquire_records_the_wait(self):
-        lock = TimedLock()
-        held = threading.Event()
-
-        def hold():
-            with lock:
-                held.set()
-                time.sleep(0.05)
-
-        thread = threading.Thread(target=hold)
-        thread.start()
-        held.wait(timeout=5)
-        with lock:
-            pass
-        thread.join()
-        assert lock.contended == 1
-        assert lock.max_wait_s > 0.0
-
-    def test_drain_returns_and_resets_the_high_water(self):
-        lock = TimedLock()
-        lock.max_wait_s = 0.25
-        assert lock.drain() == 0.25
-        assert lock.max_wait_s == 0.0
-        assert lock.drain() == 0.0
-
-    def test_nonblocking_miss_reports_false_without_timing(self):
-        lock = TimedLock()
-        assert lock.acquire()
-        try:
-            assert lock.acquire(blocking=False) is False
-            assert lock.contended == 0
-        finally:
-            lock.release()
-
-    def test_locked_mirrors_state(self):
-        lock = TimedLock()
-        assert not lock.locked()
-        with lock:
-            assert lock.locked()
-        assert not lock.locked()
 
 
 class TestWatchdogPanel:

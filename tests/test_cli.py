@@ -100,6 +100,7 @@ def test_bench_subcommand_is_gone(capsys):
 
 @pytest.mark.parametrize("kwarg", [
     {"steal_batch_max": 1}, {"reject_retry_after": 1.0}, {"event_log": None},
+    {"steal_min_queue": 0},
 ])
 def test_dispatcher_constants_are_not_constructor_kwargs(kwarg):
     from repro.live import LiveDispatcher
@@ -114,4 +115,14 @@ def test_dispatcher_constructor_surface_only_shrinks():
     from repro.live import LiveDispatcher
 
     # 21 before the second removal round; ROADMAP item 3 targets 12.
-    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 18
+    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 17
+
+
+def test_dispatcher_state_has_one_owner_and_no_locks():
+    from repro.live import LiveDispatcher
+    from repro.live.dispatcher import _ExecutorSession, _LiveRecord
+
+    with LiveDispatcher() as dispatcher:
+        assert not [name for name in vars(dispatcher) if name.endswith("_lock")]
+    assert "lock" not in _LiveRecord.__slots__
+    assert not hasattr(_ExecutorSession("e", conn=None), "lock")
