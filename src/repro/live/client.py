@@ -196,7 +196,6 @@ class LiveClient:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         max_submit_retries: int = 1000,
-        flight: bool = True,
     ) -> None:
         if bundle_size <= 0:
             raise ValueError("bundle_size must be positive")
@@ -242,7 +241,7 @@ class LiveClient:
         self._reconnecting = threading.Lock()
         self.epr: Optional[str] = None
         #: Bounded ring of structured wire events (see repro.obs.flight).
-        self.flight = FlightRecorder("client", enabled=flight)
+        self.flight = FlightRecorder("client")
         self._conn = self._connect()
 
     @classmethod

@@ -8,8 +8,9 @@ Implements the full Figure 2 exchange over real sockets:
 * executors REGISTER and, while idle, are pushed WORK straight away
   (no NOTIFY → GET_WORK round trip); they deliver RESULT and get a
   RESULT_ACK that piggy-backs queued work (§3.4) — both up to the
-  executor's advertised ``pipeline`` depth.  GET_WORK stays the
-  explicit pull; NOTIFY is only the steal hint to peer shards;
+  executor's advertised ``pipeline`` depth.  Nothing is pulled: a
+  GET_WORK frame gets the ERROR any unexpected type gets; NOTIFY is
+  only the steal hint to peer shards;
 * a STATUS message answers the provisioner's poll {POLL}.
 
 Failed or disconnected executors have their in-flight tasks replayed
@@ -121,13 +122,11 @@ from repro.obs import (
     Span,
     SpanCollector,
     StatusServer,
-    TimeSeriesStore,
     render_prometheus,
 )
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
 from repro.obs.watchdog import StallDetector, WatchdogPanel
-from repro.obs.timeseries import DISPATCHER_SOURCE, PROVISIONER_SOURCE
 from repro.types import TaskResult, TaskSpec, TaskState, TaskTimeline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,6 +165,35 @@ JOURNAL_FLUSH_DEGRADED = 1.0
 #: With buffered journal records and no completed flush for this many
 #: seconds, the flusher thread is presumed wedged.
 JOURNAL_STALE_DEGRADED = 5.0
+#: Seconds of "work queued, executors idle, nothing dispatched" before
+#: the stall watchdog reports degraded.
+STALL_AFTER = 5.0
+
+#: ``/status`` reports completions per second over this many seconds.
+RATE_WINDOW = 5.0
+
+#: Task lengths (seconds) of ``/status``'s efficiency curve — the
+#: paper's Figure 5 sweep of efficiency vs task length.
+EFFICIENCY_TASK_LENGTHS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+def efficiency_curve(
+    overhead_per_task_s: float,
+    lengths: tuple[float, ...] = EFFICIENCY_TASK_LENGTHS,
+) -> dict[str, float]:
+    """Efficiency ``L / (L + overhead)`` for each task length *L*.
+
+    The paper's Figure 5 shape: with a fixed per-task dispatch overhead,
+    longer tasks amortise it and efficiency approaches 1.  NaN overhead
+    (no settled tasks yet) yields NaN everywhere.
+    """
+    out: dict[str, float] = {}
+    for length in lengths:
+        if math.isnan(overhead_per_task_s) or length <= 0:
+            out[f"{length:g}s"] = math.nan
+        else:
+            out[f"{length:g}s"] = length / (length + max(0.0, overhead_per_task_s))
+    return out
 
 
 def _wal_object(data: dict) -> dict:
@@ -205,8 +233,8 @@ class _LiveRecord:
     #: whose WORK/ack transmission failed is *undelivered*: requeueing
     #: it must not burn an attempt or count as a retry.
     delivered: bool = False
-    #: How the current attempt was handed over ("push"/"get-work"/
-    #: "piggyback"/"adopted"/"steal").
+    #: How the current attempt was handed over ("push"/"piggyback"/
+    #: "adopted"/"steal").
     dispatch_mode: str = ""
     #: Wire form of the trace context riding this attempt's WORK frame
     #: (restamped on every dispatch, released at terminal settle).
@@ -264,6 +292,10 @@ class _ExecutorSession:
         self.busy: set[str] = set()  # task ids in flight on this agent
         self.notified = False
         self.last_seen = time.monotonic()
+        #: The last HEARTBEAT's sanitized ``stats``: this executor's
+        #: ``/status`` row.  Replaced whole on the loop thread, never
+        #: mutated, so a reader on another thread takes one load.
+        self.telemetry: dict[str, float] = {}
         self._dispatch_attrs: dict[str, tuple] = {}
 
     def dispatch_attrs(self, mode: str) -> tuple:
@@ -339,9 +371,7 @@ class LiveDispatcher:
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
         shard_id: Optional[str] = None,
-        flight: bool = True,
         flight_dump_dir: Optional[str] = None,
-        stall_after: float = 5.0,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -410,10 +440,13 @@ class LiveDispatcher:
                   else "dispatcher_" + shard_id.replace("-", "_"))
         self.metrics = MetricsRegistry(prefix=prefix)
         self.spans = SpanCollector()
-        # The live telemetry plane: heartbeat-carried executor stats and
-        # the monitor's self-samples fold into bounded rolling series;
-        # the optional HTTP surface and ``repro top`` read them back.
-        self.timeseries = TimeSeriesStore()
+        # Telemetry is read where it is kept (see status_snapshot): an
+        # executor session holds its last heartbeat's stats, this the
+        # provisioner's last poll's, and each sweep appends one
+        # ``(t, completed)`` pair for the dispatch rate — 256 cover
+        # RATE_WINDOW down to a 20 ms sweep.
+        self._provisioner_stats: dict[str, float] = {}
+        self._completions: deque[tuple[float, int]] = deque(maxlen=256)
         self._http: Optional[StatusServer] = None
         #: Optional cross-shard trace resolver: called with a task id
         #: when the local span store has no chain, so ``/tasks/<id>``
@@ -494,18 +527,14 @@ class LiveDispatcher:
 
         # The flight recorder: a bounded ring of structured events,
         # flushed to a dump on crash/SIGTERM/oracle violation/POST
-        # /debug/dump.  Always constructed — a disabled recorder costs
-        # one attribute check per record() call — so hot-path hooks
-        # never branch on None.
-        self.flight = FlightRecorder(
-            "dispatcher", shard_id=shard_id, enabled=flight)
+        # /debug/dump, and followed as the lifecycle log.
+        self.flight = FlightRecorder("dispatcher", shard_id=shard_id)
         #: Where unsolicited dumps (crash, SIGTERM, debug) land;
         #: ``None`` falls back to a per-process temp directory.
         self.flight_dump_dir = flight_dump_dir
         # Watchdog plane: evaluated by the monitor sweep, surfaced as
         # gauges plus the ``degraded`` reasons list on /healthz.
-        self.stall_after = stall_after
-        self._stall = StallDetector(stall_after)
+        self._stall = StallDetector(STALL_AFTER)
         self._degraded: list[str] = []
         self._watchdogs = WatchdogPanel()
         self.metrics.gauge(
@@ -555,16 +584,14 @@ class LiveDispatcher:
             )
             self._recover_from_journal(journal.recovered)
             journal.recovered = None
-            if flight:
-                journal.flight = self.flight
+            journal.flight = self.flight
             self.journal = journal
 
         self._closing = threading.Event()
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._loop = IOLoop(name=f"dispatcher-{self.port}")
-        if flight:
-            self._loop.flight = self.flight
+        self._loop.flight = self.flight
         self._loop.start()
         # Watchdog checks over the subsystems just built (the queue
         # stall check needs per-sweep inputs and runs separately in
@@ -863,11 +890,10 @@ class LiveDispatcher:
         so post-mortem analysis sees the shard's final seconds and its
         in-flight inventory at death.
         """
-        if self.flight.enabled:
-            try:
-                self.dump_flight(reason="crash")
-            except OSError:
-                pass  # dying anyway; the dump is best-effort
+        try:
+            self.dump_flight(reason="crash")
+        except OSError:
+            pass  # dying anyway; the dump is best-effort
         if self.journal is not None:
             self.journal.abandon()
         self.close()
@@ -974,33 +1000,28 @@ class LiveDispatcher:
         """The ``/status`` payload: dispatcher stats, derived cluster
         gauges, and a per-executor telemetry table.
 
-        The executor table merges session-side truth (busy set,
-        pipeline depth, liveness age) with the newest heartbeat-carried
-        stats when the executor streams them — so the table is useful
-        even against agents that heartbeat without stats or not at
-        all.
+        Built at read time from where each fact is kept.  The executor
+        table merges session-side truth (busy set, pipeline depth,
+        liveness age) with the session's last heartbeat-carried stats
+        when the executor streams them — so the table is useful even
+        against agents that heartbeat without stats or not at all.
         """
         now = time.monotonic()
-        table = {}
-        for executor in list(self._executors.values()):
-            info = {
+        table = {
+            executor.executor_id: {
                 "busy_tasks": len(executor.busy),
                 "pipeline": executor.pipeline,
                 "age_s": max(0.0, now - executor.last_seen),
+                **executor.telemetry,
             }
-            telemetry = self.timeseries.latest(executor.executor_id)
-            for key, value in telemetry.items():
-                if key != "_t":
-                    info[key] = value
-            table[executor.executor_id] = info
+            for executor in list(self._executors.values())
+        }
+        stats = self.stats()
         snapshot = {
-            "dispatcher": self.stats().as_dict(),
-            "cluster": self.timeseries.cluster(),
+            "dispatcher": stats.as_dict(),
+            "cluster": self._cluster_gauges(stats),
             "executors": table,
-            "provisioner": {
-                k: v for k, v in self.timeseries.latest(PROVISIONER_SOURCE).items()
-                if k != "_t"
-            },
+            "provisioner": dict(self._provisioner_stats),
             "latency": {
                 "dispatch_p50_s": self._h_dispatch.p50,
                 "dispatch_p90_s": self._h_dispatch.p90,
@@ -1042,6 +1063,35 @@ class LiveDispatcher:
                 "stolen_failed": self._m_stolen_failed.value,
             }
         return snapshot
+
+    def _cluster_gauges(self, stats: DispatcherStats) -> dict:
+        """``/status``'s derived cluster gauges: the counts are
+        ``stats()``'s (real executors only), the per-task overhead is
+        ``(Σ e2e − Σ exec) / settled`` off the two latency histograms,
+        and the rate is :meth:`_dispatch_rate`."""
+        settled = self._h_e2e.count
+        overhead = (max(0.0, self._h_e2e.sum - self._h_exec.sum) / settled
+                    if settled else math.nan)
+        return {
+            "utilization": (stats.busy / stats.registered
+                            if stats.registered else math.nan),
+            "dispatch_rate_tasks_per_s": self._dispatch_rate(),
+            "queued": stats.queued,
+            "registered": stats.registered,
+            "busy": stats.busy,
+            "overhead_per_task_s": overhead,
+            "efficiency_vs_task_length": efficiency_curve(overhead),
+        }
+
+    def _dispatch_rate(self) -> float:
+        """Completions per second across the sweep samples of the last
+        :data:`RATE_WINDOW` seconds; NaN until two samples span time."""
+        samples = list(self._completions)
+        if len(samples) < 2:
+            return math.nan
+        t1, done1 = samples[-1]
+        t0, done0 = next(s for s in samples if s[0] >= t1 - RATE_WINDOW)
+        return (done1 - done0) / (t1 - t0) if t1 > t0 else math.nan
 
     def close(self) -> None:
         """Shut the server and every session down."""
@@ -1094,11 +1144,10 @@ class LiveDispatcher:
             sweep_cpu.inc(time.thread_time() - started)
 
     def _sweep(self) -> None:
-        """The monitor's share of a sweep — sampling, watchdogs,
-        peer-link upkeep, compaction; what falls due in dispatcher
-        state is posted to the loop as one :meth:`_expire`."""
+        """The monitor's share of a sweep — watchdogs, peer-link
+        upkeep, compaction; what falls due in dispatcher state is
+        posted to the loop as one :meth:`_expire`."""
         now = time.monotonic()
-        self._sample_self(now)
         self._loop.call_soon(self._expire)
         qlen = len(self._queue)
         self._watchdog_tick(now, qlen, list(self._executors.values()))
@@ -1113,12 +1162,14 @@ class LiveDispatcher:
             journal.compact()
 
     def _expire(self) -> None:
-        """The loop's share of a sweep: evict executors silent past the
+        """The loop's share of a sweep: sample the completed counter
+        for the dispatch rate, evict executors silent past the
         heartbeat deadline, replay dispatches past ``replay_timeout``,
         and push whatever is queued to the idle (re-arming idle peer
         shards' steal hint)."""
         started = time.thread_time()
         now = time.monotonic()
+        self._completions.append((now, self._m_completed.value))
         if self.heartbeat_interval is not None:
             deadline = self.heartbeat_interval * self.heartbeat_miss_budget
             silent = [e.executor_id for e in self._executors.values()
@@ -1186,12 +1237,11 @@ class LiveDispatcher:
         if stall:
             reasons.append(stall)
         reasons.extend(self._watchdogs.reasons())
-        if self.flight.enabled:
-            known = set(self._degraded)
-            for reason in reasons:
-                if reason not in known:
-                    self.flight.record(fl.WATCHDOG, reason.split(":", 1)[0],
-                                       reason=reason)
+        known = set(self._degraded)
+        for reason in reasons:
+            if reason not in known:
+                self.flight.record(fl.WATCHDOG, reason.split(":", 1)[0],
+                                   reason=reason)
         self._degraded = reasons
 
     def health_snapshot(self) -> dict:
@@ -1242,27 +1292,6 @@ class LiveDispatcher:
         if directory is None:
             directory = self.flight_dump_directory()
         return self.flight.dump_to_dir(directory, reason=reason, extra=extra)
-
-    def _sample_self(self, now: float) -> None:
-        """Fold the dispatcher's own gauges into the time-series store.
-
-        Same clock and store as the heartbeat-carried executor stats,
-        so the derived cluster gauges (utilization, dispatch rate,
-        efficiency) always read consistently.
-        """
-        executors = list(self._executors.values())
-        self.timeseries.ingest(DISPATCHER_SOURCE, now, {
-            "queued": len(self._queue),
-            "registered": len(executors),
-            "busy": sum(1 for executor in executors if executor.busy),
-            "accepted": self._m_accepted.value,
-            "completed": self._m_completed.value,
-            "failed": self._m_failed.value,
-            "retries": self._m_retries.value,
-            "e2e_sum_s": self._h_e2e.sum,
-            "e2e_count": self._h_e2e.count,
-            "exec_sum_s": self._h_exec.sum,
-        })
 
     def _touch(self, executor_id: str) -> None:
         executor = self._executors.get(executor_id)
@@ -1399,9 +1428,8 @@ class LiveDispatcher:
         self._queue.extend(record.spec.task_id for record in new_records)
         if new_records:
             self._m_accepted.inc(len(new_records))
-            if self.flight.enabled:
-                for record in new_records:
-                    self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
+            for record in new_records:
+                self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
         session.conn.send(
             Message(MessageType.SUBMIT_ACK, sender="dispatcher",
                     payload={"accepted": len(tasks)})
@@ -1475,10 +1503,10 @@ class LiveDispatcher:
 
     def _on_heartbeat(self, session: "_Session", msg: Message) -> None:
         # Receipt alone refreshes ``last_seen`` (see _Session._handle).
-        # Executors piggy-back a compact stats dict; it folds into the
-        # rolling time-series store.  Only sessions that completed
-        # REGISTER may write — a raw peer spraying junk heartbeats
-        # must not mint series.
+        # Executors piggy-back a compact stats dict; it becomes their
+        # session's telemetry row.  Only sessions that completed
+        # REGISTER have a row — a raw peer spraying junk heartbeats
+        # must not mint one.
         role = session.role
         shard = msg.payload.get("shard")
         if (
@@ -1496,9 +1524,10 @@ class LiveDispatcher:
             return
         if role is None or role[0] != "executor":
             return
+        executor = self._executors.get(role[1])
         stats = stats_from_payload(msg.payload)
-        if stats is not None:
-            self.timeseries.ingest(role[1], time.monotonic(), stats)
+        if executor is not None and stats is not None:
+            executor.telemetry = stats
 
     # -- federation protocol ---------------------------------------------------
     def _gossip_message(self, rsvp: bool) -> Message:
@@ -1780,21 +1809,6 @@ class LiveDispatcher:
         if idle > 0 and link.ready:
             link.maybe_steal(min(idle, STEAL_BATCH_MAX))
 
-    def _on_get_work(self, session: "_Session", msg: Message) -> None:
-        role = session.role
-        if role is None or role[0] != "executor":
-            return
-        executor = self._executors.get(role[1])
-        if executor is None:
-            return
-        # The explicit pull.  Depth-1 peers always get one task per
-        # pull (the pull floor: a pull from a depth-1 agent means it is
-        # free, whatever the busy set still says); pipelined peers get
-        # up to their remaining capacity.
-        want = max(1, executor.capacity()) if executor.pipeline == 1 else executor.capacity()
-        if not self._send_work(executor, want, "get-work"):
-            session.conn.send(Message(MessageType.NO_WORK, sender="dispatcher"))
-
     def _on_result(self, session: "_Session", msg: Message) -> None:
         role = session.role
         if role is None or role[0] not in ("executor", "peer"):
@@ -1956,10 +1970,10 @@ class LiveDispatcher:
     # -- provisioner protocol ----------------------------------------------------
     def _on_status(self, session: "_Session", msg: Message) -> None:
         # The provisioner's poll may piggy-back its own stats
-        # (mirroring executor heartbeats).
+        # (mirroring executor heartbeats); the last one is its row.
         stats = stats_from_payload(msg.payload)
         if stats is not None:
-            self.timeseries.ingest(PROVISIONER_SOURCE, time.monotonic(), stats)
+            self._provisioner_stats = stats
         session.conn.send(
             Message(MessageType.STATUS_REPLY, sender="dispatcher",
                     payload=self.stats().as_dict())
@@ -2132,27 +2146,25 @@ class LiveDispatcher:
             if peer:
                 self._send_notify(executor)
             else:
-                self._send_work(executor, executor.pipeline, "push")
+                self._send_work(executor)
 
-    def _send_work(self, executor: _ExecutorSession, want: int, mode: str) -> bool:
-        """Claim up to *want* queued tasks for *executor* and send them
-        in one WORK frame — a push and an explicit pull alike (the
-        piggy-backed ack runs the same steps on its RESULT_ACK).
-        Returns whether anything was claimed.  A failed send has
-        already closed the connection, whose close callback requeues
-        the undelivered claim uncharged; a dropped frame is a lost WORK
-        for the replay timer."""
-        claimed = self._claim_many(executor, want, mode)
+    def _send_work(self, executor: _ExecutorSession) -> None:
+        """Push up to the idle *executor*'s advertised depth of queued
+        tasks in one WORK frame (the piggy-backed ack runs the same
+        steps on its RESULT_ACK).  A failed send has already closed the
+        connection, whose close callback requeues the undelivered claim
+        uncharged; a dropped frame is a lost WORK for the replay
+        timer."""
+        claimed = self._claim_many(executor, executor.pipeline, "push")
         if not claimed:
-            return False
+            return
         work = Message(MessageType.WORK, sender="dispatcher", payload={})
         self._fill_task_payload(work, claimed)
         try:
             executor.conn.send(work)
         except ProtocolError:
-            return True
+            return
         self._mark_delivered_many(claimed, executor)
-        return True
 
     def _send_notify(self, executor: _ExecutorSession) -> None:
         """The steal hint to an idle peer shard (shared NOTIFY bytes)."""
@@ -2381,9 +2393,6 @@ class LiveDispatcher:
         if executor_id.startswith(PEER_PREFIX):
             # A dead peer's gossiped depth is no longer a steal target.
             self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
-        # Telemetry convergence: the dead agent's series disappear so
-        # the status surface never shows stuck gauges for it.
-        self.timeseries.forget(executor_id)
         self.flight.record(kind, executor_id, reason=reason)
         in_flight = list(executor.busy)
         executor.busy.clear()
@@ -2449,13 +2458,12 @@ class _Session:
         MessageType.REGISTER: LiveDispatcher._on_register,
         MessageType.DEREGISTER: LiveDispatcher._on_deregister,
         MessageType.HEARTBEAT: LiveDispatcher._on_heartbeat,
-        MessageType.GET_WORK: LiveDispatcher._on_get_work,
         MessageType.RESULT: LiveDispatcher._on_result,
         MessageType.STATUS: LiveDispatcher._on_status,
         MessageType.STEAL_REQUEST: LiveDispatcher._on_steal_request,
     }
     #: Handler-CPU attribution key per message type: ``submit``,
-    #: ``get_work``, ``result``, ...
+    #: ``result``, ``heartbeat``, ...
     HANDLER_NAMES = {mtype: handler.__name__.removeprefix("_on_")
                      for mtype, handler in _HANDLERS.items()}
 

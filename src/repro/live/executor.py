@@ -1,4 +1,4 @@
-"""The live executor: registers, pulls work, runs it for real.
+"""The live executor: registers, takes pushed work, runs it for real.
 
 Tasks execute as subprocesses (``command`` + ``args``) or as registered
 Python callables when the command is ``python:<name>``; ``sleep`` is
@@ -21,7 +21,7 @@ reconnects with capped exponential backoff and re-registers (the
 ``reconnect`` flag lets the dispatcher supersede the stale session).
 
 Telemetry: each HEARTBEAT piggy-backs a compact ``stats`` dict that
-the dispatcher folds into its rolling time-series store — no extra
+the dispatcher keeps as this executor's ``/status`` row — no extra
 frames, no extra round trips.
 
 Crash resilience (``docs/RELIABILITY.md``): a result whose RESULT
@@ -87,7 +87,6 @@ class LiveExecutor:
         backoff_cap: float = 2.0,
         fault_plan: Optional["FaultPlan"] = None,
         pipeline: int = 1,
-        flight: bool = True,
     ) -> None:
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive when set")
@@ -122,8 +121,7 @@ class LiveExecutor:
         # Agent-side flight recorder: frame rx/tx only (execution
         # detail already rides spans); dumped by the harness on crash
         # scenarios alongside the dispatcher's ring.
-        self.flight = FlightRecorder(
-            f"executor:{self.executor_id}", enabled=flight)
+        self.flight = FlightRecorder(f"executor:{self.executor_id}")
         self._m_executed = self.metrics.counter(
             "tasks_executed", help="Tasks run to a result on this agent")
         self._m_reconnects = self.metrics.counter(
@@ -369,8 +367,8 @@ class LiveExecutor:
             conn = self._conn
             if conn is None or conn.closed:
                 continue
-            # Compact stats delta, folded into the dispatcher's
-            # time-series store.
+            # Compact stats delta: the dispatcher keeps the last one
+            # as this executor's /status row.
             payload = {"stats": {
                 "busy": self._busy,
                 "backlog": self._backlog,

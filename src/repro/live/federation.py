@@ -661,9 +661,7 @@ class LocalFederation:
         queue_limit: Optional[int] = None,
         http_port: Optional[int] = None,
         retain_settled: Optional[int] = None,
-        flight: bool = True,
         flight_dir: Optional[str] = None,
-        stall_after: float = 5.0,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -680,14 +678,11 @@ class LocalFederation:
             monitor_interval=monitor_interval,
             queue_limit=queue_limit,
             retain_settled=retain_settled,
-            flight=flight,
             flight_dump_dir=flight_dir,
-            stall_after=stall_after,
         )
         self._executor_kwargs = dict(
             heartbeat_interval=heartbeat_interval,
             pipeline=pipeline_depth,
-            flight=flight,
         )
         self.journal_root = journal_root
         self.executors_per_shard = executors_per_shard
@@ -890,17 +885,16 @@ class LocalFederation:
         paths: list[str] = []
         for shard_id in self.shard_ids:
             dispatcher = self.dispatchers[shard_id]
-            if dispatcher is not None and dispatcher.flight.enabled:
+            if dispatcher is not None:
                 paths.append(dispatcher.dump_flight(
                     reason=reason, directory=directory))
             for executor in self.executors[shard_id]:
-                if executor.flight.enabled:
-                    target = directory
-                    if target is None and dispatcher is not None:
-                        target = dispatcher.flight_dump_directory()
-                    if target is not None:
-                        paths.append(executor.flight.dump_to_dir(
-                            target, reason=reason))
+                target = directory
+                if target is None and dispatcher is not None:
+                    target = dispatcher.flight_dump_directory()
+                if target is not None:
+                    paths.append(executor.flight.dump_to_dir(
+                        target, reason=reason))
         return paths
 
     # -- FalkonClient surface (delegated to the router) ------------------------
@@ -974,11 +968,10 @@ def shard_main(
                                 **dispatcher_kwargs)
 
     def _on_sigterm(signum, frame) -> None:
-        if dispatcher.flight.enabled:
-            try:
-                dispatcher.dump_flight(reason="sigterm")
-            except OSError:
-                pass
+        try:
+            dispatcher.dump_flight(reason="sigterm")
+        except OSError:
+            pass
         if stop_event is not None:
             stop_event.set()
         else:

@@ -100,9 +100,6 @@ BASE_NAME = "base.jsonl"
 ROTATED_NAME = TAIL_NAME + ".compacting"
 #: Rotated tails a journal that releases nothing keeps, in order.
 ARCHIVE_NAME = "archive-{:06d}.jsonl"
-#: What older commits compacted into; read, never written.  The first
-#: :class:`Journal` opened on one rewrites it as archive 0.
-SNAPSHOT_NAME = "snapshot.json"
 #: Rows per line of a base: bounds one ``json.dumps`` (one GIL hold).
 BASE_LINE_ROWS = 1000
 
@@ -235,7 +232,7 @@ def read_journal_tail(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict],
 # ---------------------------------------------------------------------------
 @dataclass
 class RecoveredTask:
-    """One task's state as reconstructed from snapshot + tail."""
+    """One task's state as reconstructed from a journal's rows."""
 
     task_id: str
     spec: dict[str, Any]
@@ -265,23 +262,6 @@ class RecoveredTask:
         pruning journal forgets it; a ``submit`` for its id starts over."""
         return self.terminal and self.acked and not self.in_dlq
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RecoveredTask":
-        """One ``snapshot.json`` entry (the format older commits wrote)."""
-        return cls(
-            task_id=str(data["task_id"]),
-            spec=dict(data.get("spec", {})),
-            client_id=str(data.get("client_id", "")),
-            state=str(data.get("state", "queued")),
-            attempts=int(data.get("attempts", 0)),
-            executor_id=str(data.get("executor_id", "")),
-            result=data.get("result"),
-            acked=bool(data.get("acked", False)),
-            in_dlq=bool(data.get("in_dlq", False)),
-            dlq_error=str(data.get("dlq_error", "")),
-            origin=data.get("origin") if isinstance(data.get("origin"), dict) else None,
-        )
-
 
 @dataclass
 class RecoveredState:
@@ -292,7 +272,7 @@ class RecoveredState:
     replayed: int = 0
     #: Lines dropped at a torn/corrupt record.
     truncated: int = 0
-    #: Whether a base, an archive or a legacy snapshot contributed state.
+    #: Whether a base or an archive contributed state.
     from_snapshot: bool = False
 
     def apply(self, record: dict[str, Any]) -> None:
@@ -372,38 +352,6 @@ class RecoveredState:
         )
 
 
-def _snapshot_rows(path: Union[str, "os.PathLike[str]"]) -> list[dict[str, Any]]:
-    """A legacy ``snapshot.json`` as journal rows that replay to the
-    tasks it holds (none if absent or unreadable)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            snapshot = json.load(fh)
-    except (FileNotFoundError, ValueError):
-        return []
-    rows: list[dict[str, Any]] = []
-    for entry in snapshot.get("tasks", ()) if isinstance(snapshot, dict) else ():
-        try:
-            task = RecoveredTask.from_dict(entry)
-        except (KeyError, TypeError, ValueError):
-            continue
-        task_id = task.task_id
-        rows.append({"k": "submit", "id": task_id, "spec": task.spec,
-                     "client": task.client_id, "origin": task.origin})
-        if task.attempts or task.executor_id:
-            rows.append({"k": "dispatch", "id": task_id, "attempt": task.attempts,
-                         "executor": task.executor_id})
-            if task.state == "queued":
-                rows.append({"k": "requeue", "id": task_id, "attempt": task.attempts})
-        if task.terminal:
-            rows.append({"k": "result", "id": task_id, "result": task.result,
-                         "outcome": "ok" if task.state == "completed" else "fail"})
-        if task.in_dlq:
-            rows.append({"k": "dlq", "id": task_id, "error": task.dlq_error})
-        if task.acked:
-            rows.append({"k": "acked", "id": task_id})
-    return rows
-
-
 def _write_rows(path: str, rows: list[dict[str, Any]]) -> int:
     """Replace *path* with *rows* as journal lines, all or nothing:
     temp file, fsync, atomic rename.  Returns the bytes written."""
@@ -423,18 +371,26 @@ def _archives(directory: str) -> list[str]:
 
 
 def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
-    """Replay *directory* in write order — legacy snapshot, archives,
-    base, rotated segment, tail — showing *track* each file's rows.
-    Returns the state, the tail's row count and its good byte length.
+    """Replay *directory* in write order — archives, base, rotated
+    segment, tail — showing *track* each file's rows.  Returns the
+    state, the tail's row count and its good byte length.
+
+    Raises ``ValueError`` on a ``snapshot.json``, what commits before
+    the base compacted into: nothing here reads it, and booting past
+    it would silently drop durable state.
     """
+    legacy = os.path.join(directory, "snapshot.json")
+    if os.path.exists(legacy):
+        raise ValueError(
+            f"{legacy}: a journal snapshot in the format older commits "
+            "wrote; this reader does not load it (an older commit reads "
+            "it and rewrites it as journal rows)")
     state = RecoveredState()
-    history = [os.path.join(directory, SNAPSHOT_NAME), *_archives(directory),
-               os.path.join(directory, BASE_NAME)]
+    history = [*_archives(directory), os.path.join(directory, BASE_NAME)]
     rows = good = 0
     for path in history + [os.path.join(directory, ROTATED_NAME),
                            os.path.join(directory, TAIL_NAME)]:
-        records, truncated, good = (
-            (_snapshot_rows(path), 0, 0) if path.endswith(".json") else _scan(path))
+        records, truncated, good = _scan(path)
         for record in records:
             state.apply(record)
         if track is not None:
@@ -449,7 +405,8 @@ def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
 
 
 def recover(directory: Union[str, "os.PathLike[str]"]) -> RecoveredState:
-    """Rebuild dispatcher state from a journal directory (read-only)."""
+    """Rebuild dispatcher state from a journal directory (read-only;
+    ``ValueError`` on a legacy ``snapshot.json``)."""
     return _replay(os.fspath(directory))[0]
 
 
@@ -492,11 +449,6 @@ class Journal:
         #: unreleased task, in write order — what the next base is made
         #: of.  Empty unless ``prune_settled``.  Guarded by ``_io_lock``.
         self._live: dict[str, list] = {}
-        snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
-        legacy = _snapshot_rows(snapshot_path)
-        if legacy:  # a directory an older commit wrote: now its oldest archive
-            _write_rows(os.path.join(self.directory, ARCHIVE_NAME.format(0)), legacy)
-            os.unlink(snapshot_path)
         #: What the directory held at open, for the dispatcher to boot
         #: from (it clears this once read).
         self.recovered: Optional[RecoveredState]

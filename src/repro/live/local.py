@@ -60,7 +60,6 @@ class LocalFalkon:
     events_out:
         Follow the dispatcher's flight ring to this JSONL path, one
         line per event (``repro events replay`` reads it back).
-        Requires ``flight=True``.
     journal_dir:
         Directory for the dispatcher's crash-safe journal; a directory
         holding state from a previous run is recovered on boot
@@ -77,16 +76,11 @@ class LocalFalkon:
         memory and in journal snapshots; ``None`` (default) retains
         everything.  Endurance runs set a cap so RSS and compaction
         cost stay flat at millions of tasks.
-    flight:
-        Keep flight recorders (bounded in-memory event rings; see
-        :mod:`repro.obs.flight`) on every component.  On by default —
-        the ring is append-only and lock-free.
     flight_dump_dir:
-        Where crash/SIGTERM/manual flight dumps land; ``None`` falls
-        back to a per-PID directory under the system tempdir.
-    stall_after:
-        Seconds of "work queued, executors idle, nothing dispatched"
-        before the dispatcher's stall watchdog reports degraded.
+        Where crash/SIGTERM/manual dumps of the components' flight
+        recorders (bounded event rings, :mod:`repro.obs.flight`) land;
+        ``None`` falls back to a per-PID directory under the system
+        tempdir.
     """
 
     def __init__(
@@ -110,16 +104,12 @@ class LocalFalkon:
         queue_limit: Optional[int] = None,
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
-        flight: bool = True,
         flight_dump_dir: Optional[str] = None,
-        stall_after: float = 5.0,
     ) -> None:
         if executors <= 0:
             raise ValueError("executors must be positive")
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        if events_out is not None and not flight:
-            raise ValueError("events_out follows the flight ring: it needs flight=True")
         key =b"local-falkon-shared-key" if security is SecurityMode.GSI_SECURE_CONVERSATION else None
         self.dispatcher = LiveDispatcher(
             key=key,
@@ -132,9 +122,7 @@ class LocalFalkon:
             queue_limit=queue_limit,
             journal_compact_every=journal_compact_every,
             retain_settled=retain_settled,
-            flight=flight,
             flight_dump_dir=flight_dump_dir,
-            stall_after=stall_after,
         )
         if events_out is not None:
             # Before any peer connects; the ring already holds a
@@ -156,7 +144,6 @@ class LocalFalkon:
                     python_registry=self.python_registry,
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
-                    flight=flight,
                     **kw,
                 ),
             ).start()
@@ -168,13 +155,12 @@ class LocalFalkon:
                     python_registry=self.python_registry,
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
-                    flight=flight,
                 ).start()
                 self.executors.append(executor)
             for executor in self.executors:
                 executor.wait_registered()
         self.client = LiveClient(self.dispatcher.endpoint, key=key,
-                                 bundle_size=bundle_size, flight=flight)
+                                 bundle_size=bundle_size)
         if http_port is not None:
             # Started last: the registries closure re-reads the pool on
             # every scrape, so provisioned executors appear without
@@ -264,19 +250,13 @@ class LocalFalkon:
         client); returns the written paths.  ``None`` uses the
         dispatcher's configured (or default per-PID tempdir) dump
         directory so every component's dump lands in one place.
-        Components with recording disabled are skipped.
         """
         if directory is None:
             directory = self.dispatcher.flight_dump_directory()
-        paths = []
-        if self.dispatcher.flight.enabled:
-            paths.append(self.dispatcher.dump_flight(reason=reason,
-                                                     directory=directory))
-        for executor in self.executors:
-            if executor.flight.enabled:
-                paths.append(executor.flight.dump_to_dir(directory, reason=reason))
-        if self.client.flight.enabled:
-            paths.append(self.client.flight.dump_to_dir(directory, reason=reason))
+        paths = [self.dispatcher.dump_flight(reason=reason, directory=directory)]
+        paths += [executor.flight.dump_to_dir(directory, reason=reason)
+                  for executor in self.executors]
+        paths.append(self.client.flight.dump_to_dir(directory, reason=reason))
         return paths
 
     def close(self) -> None:

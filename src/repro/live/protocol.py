@@ -174,21 +174,27 @@ def result_from_dict(
     )
 
 
+#: Most entries one ``stats`` field keeps (the junk-peer bound).
+MAX_STATS_KEYS = 32
+
+
 def stats_from_payload(payload: Mapping[str, Any]) -> Optional[dict[str, float]]:
     """Extract the optional ``stats`` field from a payload.
 
     HEARTBEAT and STATUS frames may carry a compact ``stats`` dict of
     numeric deltas (see ``docs/PROTOCOL.md``).  It is best-effort:
-    anything that is not a ``{str: finite number}`` mapping is dropped
-    rather than trusted — a junk peer must never poison the
-    dispatcher's time-series store.  Returns ``None`` when nothing
-    usable remains.
+    entries that are not ``str: finite number`` are dropped rather than
+    trusted, and at most :data:`MAX_STATS_KEYS` are kept — a junk peer
+    must never poison or bloat the telemetry rows the dispatcher serves
+    on ``/status``.  Returns ``None`` when nothing usable remains.
     """
     raw = payload.get("stats")
     if not isinstance(raw, Mapping):
         return None
     out: dict[str, float] = {}
     for key, value in raw.items():
+        if len(out) >= MAX_STATS_KEYS:
+            break
         if not isinstance(key, str):
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -12,12 +12,10 @@ One layer shared by the simulation and live planes:
   stringly-keyed ``stats()`` dicts.
 * :mod:`repro.obs.exporters` — Prometheus-style text and JSON-lines
   dumps consumed by ``repro live --metrics-out`` / ``repro trace``.
-* :mod:`repro.obs.timeseries` — rolling-window ring-buffer store the
-  dispatcher folds heartbeat-carried stats deltas into (live telemetry
-  plane), with derived cluster gauges.
 * :mod:`repro.obs.httpd` — the stdlib HTTP scrape/status surface
   (``/metrics``, ``/status``, ``/tasks/<id>``) behind ``repro live
-  --http-port`` and ``repro top``.
+  --http-port`` and ``repro top``; the dispatcher builds ``/status``
+  at read time from its registry and session tables.
 * :mod:`repro.obs.flight` — per-component flight recorders: bounded
   lock-free event rings flushed to versioned JSON dumps on crash,
   SIGTERM, oracle violation or ``POST /debug/dump``, and followed as
@@ -54,13 +52,6 @@ from repro.obs.exporters import (
     read_spans_jsonl,
     dump_observability,
 )
-from repro.obs.timeseries import (
-    DISPATCHER_SOURCE,
-    PROVISIONER_SOURCE,
-    RingSeries,
-    TimeSeriesStore,
-    efficiency_curve,
-)
 from repro.obs.httpd import StatusServer, json_safe
 from repro.obs.flight import (
     FLIGHT_DUMP_VERSION,
@@ -96,11 +87,6 @@ __all__ = [
     "write_metrics_jsonl",
     "read_spans_jsonl",
     "dump_observability",
-    "DISPATCHER_SOURCE",
-    "PROVISIONER_SOURCE",
-    "RingSeries",
-    "TimeSeriesStore",
-    "efficiency_curve",
     "StatusServer",
     "json_safe",
     "read_events_jsonl",

@@ -7,8 +7,7 @@ without paying for always-on logging.  The flight recorder is that
 black box: every live-plane component (dispatcher, executor, client,
 IOLoop, federation shard) appends compact event tuples into a
 ``collections.deque(maxlen=...)`` ring.  Appends are GIL-atomic, so
-the hot path takes **no lock**: one enabled-check, one tuple build,
-one append.  The ring bounds memory; old events fall off the back.
+the hot path takes **no lock**: one tuple build, one append.  The ring bounds memory; old events fall off the back.
 
 On crash, SIGTERM, oracle violation, or an explicit ``POST
 /debug/dump``, the ring is flushed to a versioned JSON dump that
@@ -125,7 +124,7 @@ class _FollowedRing(deque):
     """The ring while a JSONL follow is attached.
 
     ``append`` also writes the event as one line, so ``record()`` is
-    the same enabled check, tuple and append with or without a follow.
+    the same tuple and append with or without a follow.
     The file has its own lock: the IOLoop, monitor and journal threads
     share the ring.
     """
@@ -167,27 +166,23 @@ class FlightRecorder:
     common event costs a 4-tuple and nothing else.
     """
 
-    __slots__ = ("component", "shard_id", "enabled", "_ring")
+    __slots__ = ("component", "shard_id", "_ring")
 
     def __init__(
         self,
         component: str,
         shard_id: Optional[str] = None,
         capacity: int = DEFAULT_CAPACITY,
-        enabled: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.component = component
         self.shard_id = shard_id
-        self.enabled = enabled
         self._ring: deque = deque(maxlen=capacity)
 
     # -- hot path ------------------------------------------------------------
     def record(self, kind: str, subject: str = "", **attrs: Any) -> None:
-        """Append one event; a no-op when disabled."""
-        if not self.enabled:
-            return
+        """Append one event."""
         self._ring.append((time.monotonic(), kind, subject, attrs or None))
 
     def __len__(self) -> int:
@@ -282,8 +277,7 @@ class FlightRecorder:
         )
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (f"<FlightRecorder {self.component} {state} "
+        return (f"<FlightRecorder {self.component} "
                 f"{len(self._ring)}/{self.capacity}>")
 
 

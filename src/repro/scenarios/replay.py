@@ -585,7 +585,7 @@ def replay_live_federated(
             oracle_dumpers = [
                 (d.flight, d._flight_extra())
                 for d in fed.dispatchers.values()
-                if d is not None and d.flight.enabled
+                if d is not None
             ]
     finally:
         stop_chaos.set()

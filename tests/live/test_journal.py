@@ -5,7 +5,6 @@ and the replay fold (:class:`RecoveredState`) — everything that must
 hold for restart recovery to be trustworthy, tested without sockets.
 """
 
-import dataclasses
 import json
 import os
 import zlib
@@ -17,7 +16,6 @@ from repro.live.journal import (
     RESULT_DEFAULTS,
     SPEC_DEFAULTS,
     RecoveredState,
-    RecoveredTask,
     journal_line,
     parse_journal_line,
     read_journal_tail,
@@ -400,58 +398,18 @@ def test_recover_converges_when_segment_already_folded(tmp_path):
     assert state.pending() == []
 
 
-def _legacy_entry(task):
-    """A task as the snapshot writer of older commits serialised it."""
-    entry = dataclasses.asdict(task)
-    if entry["origin"] is None:
-        del entry["origin"]
-    return entry
-
-
-@pytest.mark.parametrize("prune", [False, True])
-def test_legacy_snapshot_directory_upgrades_in_place(tmp_path, prune):
-    """snapshot.json + segment + tail, as commits before the base wrote
-    them: recovered as they read it, and rewritten as journal rows by
-    the first Journal opened on it."""
-    folded = RecoveredState()
-    for record in [
-        _submit("t-queued"),
-        {"k": "dispatch", "id": "t-queued", "attempt": 2, "executor": "e-1"},
-        {"k": "requeue", "id": "t-queued", "attempt": 2},
-        _submit("t-run", origin={"shard": "s-1", "attempt": 3}),
-        {"k": "dispatch", "id": "t-run", "attempt": 1, "executor": "e-2"},
-        _submit("t-unacked"),
-        {"k": "dispatch", "id": "t-unacked", "attempt": 1, "executor": "e-1"},
-        {"k": "result", "id": "t-unacked", "outcome": "ok",
-         "result": {"executor_id": "e-1"}},
-        _submit("t-dlq"),
-        {"k": "result", "id": "t-dlq", "outcome": "fail",
-         "result": {"return_code": 1}},
-        {"k": "dlq", "id": "t-dlq", "error": "poison"},
-        {"k": "acked", "id": "", "ids": ["t-dlq"]},
-    ]:
-        folded.apply(record)
-    (tmp_path / "snapshot.json").write_text(json.dumps(
-        {"version": 1, "tasks": [_legacy_entry(t) for t in folded.tasks.values()]}))
-    (tmp_path / "journal.jsonl.compacting").write_text(
-        journal_line({"k": "acked", "id": "", "ids": ["t-unacked"]}) + "\n"
-        + _submit_line("t-rot"))
+@pytest.mark.parametrize("opener", [recover, Journal], ids=["recover", "journal"])
+def test_legacy_snapshot_directory_is_refused(tmp_path, opener):
+    """``snapshot.json`` is what commits before the base compacted
+    into.  Nothing reads it now, so a directory holding one is refused,
+    naming the file, and left as it was: booting past it would
+    silently drop durable state."""
+    (tmp_path / "snapshot.json").write_text(json.dumps({"version": 1, "tasks": [
+        {"task_id": "t-1", "spec": {"args": ["0"]}, "client_id": "c-1"}]}))
     (tmp_path / "journal.jsonl").write_text(_submit_line("t-tail"))
-    before = recover(tmp_path)
-    assert before.from_snapshot and before.replayed == 3
-    assert before.tasks["t-queued"] == folded.tasks["t-queued"]
-    assert before.tasks["t-unacked"].released
-
-    with Journal(tmp_path, prune_settled=prune) as journal:
-        assert journal.recovered.tasks == before.tasks
-    history = (["base.jsonl"] if prune else
-               ["archive-000000.jsonl", "archive-000001.jsonl"])
-    assert sorted(os.listdir(tmp_path)) == sorted(history + ["journal.jsonl"])
-    after = recover(tmp_path)
-    if prune:
-        assert "t-unacked" not in after.tasks  # released in the segment
-        del before.tasks["t-unacked"]
-    assert after.tasks == before.tasks
+    with pytest.raises(ValueError, match="snapshot.json"):
+        opener(tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["journal.jsonl", "snapshot.json"]
 
 
 def test_append_after_torn_tail_is_recoverable(tmp_path):
@@ -605,12 +563,3 @@ def test_journal_validation():
         Journal("/tmp/x", flush_window=0)
     with pytest.raises(ValueError):
         Journal("/tmp/x", compact_every=0)
-
-
-def test_recovered_task_dict_round_trip():
-    task = RecoveredTask(
-        task_id="t-1", spec={"command": "sleep"}, client_id="c-1",
-        state="dispatched", attempts=2, executor_id="e-1",
-        result=None, acked=False, in_dlq=False,
-    )
-    assert RecoveredTask.from_dict(_legacy_entry(task)) == task

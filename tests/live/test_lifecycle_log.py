@@ -83,8 +83,7 @@ def test_flight_dump_holds_eviction_and_reject_and_doctor_inventory_is_unmoved(
             client.recv_until(MessageType.SUBMIT_REJECT)
             # The executor takes one task and goes silent: half-open.
             executor.register("e-silent")
-            executor.send(Message(MessageType.GET_WORK, sender="e-silent"))
-            executor.recv_until(MessageType.WORK)
+            executor.recv_work()  # pushed at REGISTER
             assert wait_until(
                 lambda: dispatcher.stats().executors_declared_dead == 1)
             path = dispatcher.dump_flight(str(tmp_path / "flight-d.json"),

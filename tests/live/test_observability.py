@@ -90,8 +90,7 @@ class TestLiveMetrics:
             cpu = falkon.dispatcher.stats().handler_cpu_s
             snap = falkon.dispatcher.metrics.snapshot()
             status = falkon.dispatcher.status_snapshot()
-        assert {"submit", "result", "get_work", "heartbeat", "register",
-                "sweep"} <= set(cpu)
+        assert {"submit", "result", "heartbeat", "register", "sweep"} <= set(cpu)
         # 400 admissions and 400 settles cost measurable CPU; nobody
         # polled for results.
         assert cpu["submit"] > 0 and cpu["result"] > 0

@@ -51,9 +51,7 @@ def test_pipelined_work_frame_carries_task_list():
         peer = RawPeer(dispatcher.address)
         try:
             _register_pipelined(peer, "pp-exec", 4)
-            peer.send(Message(MessageType.GET_WORK, sender="pp-exec"))
-            work = peer.recv_until(MessageType.WORK)
-            entries = work.payload["tasks"]
+            entries = peer.recv_work()  # pushed: the agent registered idle
             assert 1 <= len(entries) <= 4
             for entry in entries:
                 assert entry["task"]["task_id"].startswith("wl-")
@@ -72,9 +70,7 @@ def test_batched_result_settles_all_and_refills_ack():
         peer = RawPeer(dispatcher.address)
         try:
             _register_pipelined(peer, "br-exec", 4)
-            peer.send(Message(MessageType.GET_WORK, sender="br-exec"))
-            work = peer.recv_until(MessageType.WORK)
-            entries = work.payload["tasks"]
+            entries = peer.recv_work()
             assert len(entries) == 4
             # One RESULT frame carries the whole batch.
             peer.send(
@@ -112,8 +108,7 @@ def test_batched_result_settles_all_and_refills_ack():
 
 def test_depth1_peer_gets_one_entry_task_lists():
     # Depth 1 is the N = 1 case of the list shapes: no singular
-    # "task"/"attempt" keys, one entry per WORK — pushed or pulled —
-    # and per RESULT_ACK.
+    # "task"/"attempt" keys, one entry per WORK and per RESULT_ACK.
     with LiveDispatcher() as dispatcher:
         client = LiveClient(dispatcher.endpoint)
         futures = client.submit(_sleep_tasks(4, "d1"))
@@ -141,15 +136,29 @@ def test_depth1_peer_gets_one_entry_task_lists():
             done = next(f for f in futures
                         if f.task_id == entry["task"]["task_id"])
             assert done.result(timeout=5.0).ok
-            # The explicit pull keeps its depth-1 floor: one more task,
-            # though the busy set still holds the refill.
-            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
-            (pulled,) = peer.recv_work()
-            assert pulled["task"]["task_id"] not in {
-                entry["task"]["task_id"], refill["task"]["task_id"]}
         finally:
             peer.close()
             client.close()
+
+
+def test_get_work_gets_the_error_of_any_unexpected_frame():
+    """Nothing is pulled: GET_WORK is answered as every frame type the
+    dispatcher has no handler for, and hands out no task."""
+    with LiveDispatcher() as dispatcher:
+        client = LiveClient(dispatcher.endpoint)
+        futures = client.submit(_sleep_tasks(2, "gw"))
+        peer = RawPeer(dispatcher.address)
+        try:
+            peer.register("gw-exec")
+            assert len(peer.recv_work()) == 1  # the push to a depth-1 agent
+            peer.send(Message(MessageType.GET_WORK, sender="gw-exec"))
+            error = peer.recv_until(MessageType.ERROR)
+            assert error.payload == {"error": "unexpected get-work"}
+            assert dispatcher.stats().queued == 1
+        finally:
+            peer.close()
+            client.close()
+            del futures
 
 
 def test_depth1_executor_end_to_end_has_complete_span_chains():
@@ -172,9 +181,7 @@ def test_advertised_depth_is_capped():
         peer = RawPeer(dispatcher.address)
         try:
             _register_pipelined(peer, "cap-exec", 10_000)
-            peer.send(Message(MessageType.GET_WORK, sender="cap-exec"))
-            work = peer.recv_until(MessageType.WORK)
-            assert len(work.payload["tasks"]) == MAX_PIPELINE_DEPTH
+            assert len(peer.recv_work()) == MAX_PIPELINE_DEPTH
         finally:
             peer.close()
             client.close()
@@ -246,14 +253,14 @@ def _drive_mixed_results(journal_dir: str, one_frame: bool) -> dict:
         client.recv_until(MessageType.INSTANCE_CREATED)
         _register_pipelined(executor, "e-1", 8)
         # mx-spent burns its one retry and mx-done settles, up front.
+        # The three submitted meanwhile queue behind the busy executor
+        # until that ack refills it with them and mx-spent's retry.
         submit("mx-spent", "mx-done")
-        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
-        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 2
-        (again,) = report(entry("mx-spent", 1, ok=False), entry("mx-done", 1))
-        assert (again["task"]["task_id"], again["attempt"]) == ("mx-spent", 2)
+        assert len(executor.recv_work()) == 2
         submit("mx-ok", "mx-retry", "mx-stale")
-        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
-        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 3
+        refill = report(entry("mx-spent", 1, ok=False), entry("mx-done", 1))
+        assert [(t["task"]["task_id"], t["attempt"]) for t in refill] == [
+            ("mx-ok", 1), ("mx-retry", 1), ("mx-stale", 1), ("mx-spent", 2)]
 
         mixed = [
             entry("mx-ok", 1), entry("mx-retry", 1, ok=False),
@@ -344,8 +351,7 @@ def _drive_frame_with_bad_entry(journal_dir: str, bad) -> dict:
             "tasks": [{"task_id": task_id, "args": ["0"]} for task_id in ids]}))
         client.recv_until(MessageType.SUBMIT_ACK)
         _register_pipelined(executor, "e-1", 8)
-        executor.send(Message(MessageType.GET_WORK, sender="e-1"))
-        assert len(executor.recv_until(MessageType.WORK).payload["tasks"]) == 3
+        assert len(executor.recv_work()) == 3
 
         entries = [ok_entry("bad-0", 1), ok_entry("bad-1", 1)]
         if bad is not None:
@@ -376,8 +382,7 @@ def _drive_frame_with_bad_entry(journal_dir: str, bad) -> dict:
         executor.close()
         second = RawPeer(dispatcher.address)
         _register_pipelined(second, "e-2", 8)
-        second.send(Message(MessageType.GET_WORK, sender="e-2"))
-        (again,) = second.recv_until(MessageType.WORK).payload["tasks"]
+        (again,) = second.recv_work()  # pushed once the drop requeues it
         assert (again["task"]["task_id"], again["attempt"]) == ("bad-2", 2)
         second.send(Message(MessageType.RESULT, sender="e-2",
                             payload={"results": [ok_entry("bad-2", 2)]}))

@@ -3,6 +3,7 @@ seeded fuzzing of the frame parser: truncated, corrupted, oversized and
 garbage frames must surface as :class:`ProtocolError` — never as a
 hang, another exception type, or a dead server thread."""
 
+import math
 import random
 import socket
 import struct
@@ -20,6 +21,7 @@ from repro.live import (
     task_from_dict,
     task_to_dict,
 )
+from repro.live.protocol import stats_from_payload
 from repro.net.message import Message, MessageType
 from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC, FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
@@ -237,3 +239,24 @@ def test_hostile_frames_drop_session_but_not_server(hostile_bytes):
         _assert_dispatcher_still_serves(dispatcher)
     finally:
         dispatcher.close()
+
+
+def test_stats_from_payload_keeps_only_finite_numbers_under_string_keys():
+    stats = stats_from_payload({"stats": {
+        "ok": 3, "string": "nope", "nan": math.nan, "inf": math.inf,
+        "bool": True, "list": [1, 2], 42: 7}})
+    assert stats == {"ok": 3.0}
+
+
+def test_stats_from_payload_of_all_junk_is_none():
+    assert stats_from_payload({"stats": {"a": "x", "b": math.nan}}) is None
+    assert stats_from_payload({"stats": "not a mapping"}) is None
+    assert stats_from_payload({}) is None
+
+
+def test_stats_from_payload_keeps_at_most_32_keys():
+    """The junk-peer bound sits with the other guards: a 40-key field
+    keeps 32, and junk entries do not use the bound up."""
+    stats = stats_from_payload({"stats": {
+        "junk": "x", **{f"k{i:02d}": i for i in range(40)}}})
+    assert stats == {f"k{i:02d}": float(i) for i in range(32)}

@@ -268,7 +268,7 @@ def test_recovery_reads_older_journal_shapes_like_its_own(tmp_path):
 
     # The same history, driven through a live dispatcher by hand.
     own_dir = str(tmp_path / "own")
-    disp = LiveDispatcher(journal_dir=own_dir, max_retries=0, flight=False)
+    disp = LiveDispatcher(journal_dir=own_dir, max_retries=0)
     client = RawPeer(disp.address)
     executor = RawPeer(disp.address)
     try:

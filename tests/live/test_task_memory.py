@@ -20,8 +20,9 @@ from repro.types import TaskSpec
 
 from tests.live.util import RawPeer, wait_until
 
-#: Retained bytes per settled task: 1.25 x the 1 126 this reads (1 222
-#: while every task record still carried a ``threading.Lock``).
+#: Retained bytes per settled task: 1.25 x the 1 126 the untraced-
+#: warm-up method of the parent read (1 222 while every task record still
+#: carried a ``threading.Lock``); this method reads ~1 050.
 BYTES_PER_TASK_BUDGET = 1_408
 
 
@@ -35,24 +36,32 @@ def test_retained_bytes_per_settled_task_within_budget():
     allocations, so no timing and no flake.  The parent of the
     per-task diet (list-of-tuples span store, ``spec_dict`` and
     ``trace_wire`` kept, unslotted records) reads 3 584 bytes per task
-    here — 2.5 x this budget — so the gate can fail.  The flight
-    recorder is off because its ring is bounded, not per-task: 4 000
-    tasks would only measure it still filling."""
+    here — 2.5 x this budget — so the gate can fail.  The warm-up
+    runs until the dispatcher's flight ring is full: the ring is
+    bounded, not per-task, and 4 000 tasks would otherwise measure it
+    still filling.  Tracing starts before the deployment exists, so a
+    column the measured run reallocates counts only what it grew."""
     tasks = 4_000
-    with LocalFalkon(executors=2, pipeline_depth=16, flight=False) as falkon:
-        assert all(r.ok for r in falkon.run(sleep0("warm", 500), timeout=60))
-        falkon.client.release_settled()
-        gc.collect()
-        tracemalloc.start()
-        try:
+    tracemalloc.start()
+    try:
+        with LocalFalkon(executors=2, pipeline_depth=16) as falkon:
+            flight = falkon.dispatcher.flight
+            warm = 0
+            while len(flight) < flight.capacity:
+                assert all(r.ok for r in falkon.run(sleep0(f"warm{warm}", 500),
+                                                    timeout=60))
+                warm += 500
+            falkon.client.release_settled()
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
             ok = all(r.ok for r in falkon.run(sleep0("mem", tasks), timeout=120))
             falkon.client.release_settled()
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert ok
-        assert falkon.dispatcher.stats().completed == tasks + 500
+            retained = tracemalloc.get_traced_memory()[0] - before
+            assert ok
+            assert falkon.dispatcher.stats().completed == tasks + warm
+    finally:
+        tracemalloc.stop()
     assert retained / tasks <= BYTES_PER_TASK_BUDGET
 
 
@@ -77,9 +86,8 @@ class _Exchange:
         return self.client.recv_until(MessageType.SUBMIT_ACK)
 
     def pull(self):
-        """GET_WORK; returns the single WORK entry."""
-        self.executor.send(Message(MessageType.GET_WORK, sender="e-1"))
-        (entry,) = self.executor.recv_until(MessageType.WORK).payload["tasks"]
+        """The single entry of the WORK pushed to the idle executor."""
+        (entry,) = self.executor.recv_work()
         return entry
 
     def finish(self, entry, return_code):

@@ -1,14 +1,15 @@
 """Chaos tests for heartbeat-carried telemetry (``pytest -m chaos``).
 
-The acceptance bar for the live telemetry plane under adversity:
+The acceptance bar for the live telemetry plane under adversity, read
+through ``status_snapshot()`` — the ``/status`` payload:
 
 * stats deltas riding HEARTBEAT frames keep converging when a seeded
   fault plan drops frames — telemetry is best-effort but self-healing,
   because every delta carries cumulative counters;
-* an evicted executor's series disappear from the store and the status
-  surface (no stuck gauges);
+* an evicted executor's row leaves the status surface with its session
+  (no stuck gauges);
 * hand-written peers — bare heartbeats, or junk where the stats field
-  should be — interoperate: the run completes and the store stays clean.
+  should be — interoperate: the run completes and the rows stay clean.
 """
 
 import math
@@ -26,6 +27,20 @@ pytestmark = pytest.mark.chaos
 
 SEED = 20070607
 
+#: What an executor row holds from session-side truth alone.
+SESSION_KEYS = {"busy_tasks", "pipeline", "age_s"}
+
+
+def _rows(falkon) -> dict:
+    return falkon.dispatcher.status_snapshot()["executors"]
+
+
+def _sync(peer: RawPeer, sender: str) -> None:
+    """Frames are handled in order: the STATUS_REPLY proves every frame
+    *peer* sent before its STATUS was processed."""
+    peer.send(Message(MessageType.STATUS, sender=sender))
+    peer.recv_until(MessageType.STATUS_REPLY)
+
 
 class TestStatsUnderFrameLoss:
     def test_timeseries_converges_despite_dropped_frames(self):
@@ -41,18 +56,18 @@ class TestStatsUnderFrameLoss:
             tasks = [TaskSpec.sleep(0, task_id=f"loss-{i:04d}") for i in range(150)]
             results = falkon.run(tasks, timeout=120)
             assert all(r.ok for r in results)
-            store = falkon.dispatcher.timeseries
 
             # Heartbeats are lossy, but the deltas are cumulative
-            # counters: the *latest* surviving sample per executor must
-            # converge on the true totals.
+            # counters: the row each executor's latest surviving
+            # heartbeat left must converge on the true totals.
             def totals_converged():
+                rows = _rows(falkon)
                 executed = 0.0
                 for executor in falkon.executors:
-                    latest = store.latest(executor.executor_id)
-                    if "executed" not in latest:
+                    row = rows.get(executor.executor_id, {})
+                    if "executed" not in row:
                         return False
-                    executed += latest["executed"]
+                    executed += row["executed"]
                 return executed >= len(tasks)
 
             assert wait_until(totals_converged, timeout=15.0)
@@ -71,15 +86,18 @@ class TestStatsUnderFrameLoss:
             tasks = [TaskSpec.sleep(0, task_id=f"self-{i:04d}") for i in range(100)]
             results = falkon.run(tasks, timeout=120)
             assert all(r.ok for r in results)
-            store = falkon.dispatcher.timeseries
-            assert wait_until(
-                lambda: store.latest("dispatcher").get("completed", 0.0) >= 100,
-                timeout=15.0,
-            )
-            cluster = store.cluster()
-            assert cluster["registered"] == 3.0
+            # The cluster gauges are derived from the dispatcher's own
+            # counters and histograms, which no dropped frame touches.
+            status = falkon.dispatcher.status_snapshot()
+            assert status["dispatcher"]["completed"] >= 100
+            cluster = status["cluster"]
+            assert cluster["registered"] == 3
             overhead = cluster["overhead_per_task_s"]
             assert not math.isnan(overhead) and overhead >= 0.0
+            # The rate needs two sweeps' samples, and nothing else.
+            assert wait_until(lambda: not math.isnan(
+                falkon.dispatcher.status_snapshot()["cluster"][
+                    "dispatch_rate_tasks_per_s"]), timeout=10.0)
 
 
 class TestEvictionConvergence:
@@ -94,25 +112,21 @@ class TestEvictionConvergence:
             tasks = [TaskSpec.sleep(0, task_id=f"evict-{i:04d}") for i in range(60)]
             results = falkon.run(tasks, timeout=60)
             assert all(r.ok for r in results)
-            store = falkon.dispatcher.timeseries
             victim = falkon.executors[0]
             # Its heartbeats have been streaming stats.
             assert wait_until(
-                lambda: "executed" in store.latest(victim.executor_id), timeout=10.0
-            )
+                lambda: "executed" in _rows(falkon).get(victim.executor_id, {}),
+                timeout=10.0)
             # Socket death with no deregister: the liveness monitor must
-            # both evict the session and forget its telemetry.
+            # evict the session, and its telemetry row goes with it.
             victim._stop.set()
             victim._conn.close()
             assert wait_until(
-                lambda: victim.executor_id not in store.sources(), timeout=15.0
-            )
-            assert store.latest(victim.executor_id) == {}
-            snapshot = falkon.dispatcher.status_snapshot()
-            assert victim.executor_id not in snapshot["executors"]
+                lambda: victim.executor_id not in _rows(falkon), timeout=15.0)
             # The survivors' telemetry is untouched.
-            survivors = [e.executor_id for e in falkon.executors[1:]]
-            assert all(s in store.sources() for s in survivors)
+            rows = _rows(falkon)
+            assert all("executed" in rows[e.executor_id]
+                       for e in falkon.executors[1:])
 
 
 def _serve_bare(peer: RawPeer, stop: threading.Event) -> None:
@@ -137,7 +151,7 @@ def _serve_bare(peer: RawPeer, stop: threading.Event) -> None:
 class TestV1Interop:
     def test_stats_free_heartbeats_complete_the_run(self):
         # A hand-written agent sending bare HEARTBEAT frames: no stats
-        # field anywhere.  Liveness is served, no series is minted.
+        # field anywhere.  Liveness is served, no telemetry row is made.
         with LocalFalkon(executors=1) as falkon:
             peer = RawPeer(falkon.dispatcher.address)
             stop = threading.Event()
@@ -146,10 +160,10 @@ class TestV1Interop:
                 peer.register("bare-exec")
                 for _ in range(3):
                     peer.send(Message(MessageType.HEARTBEAT, sender="bare-exec"))
-                # Frames are handled in order: the NO_WORK reply proves
-                # the heartbeats before it were processed.
-                peer.send(Message(MessageType.GET_WORK, sender="bare-exec"))
-                peer.recv_until(MessageType.NO_WORK)
+                _sync(peer, "bare-exec")
+                # The status surface degrades gracefully: the executor
+                # table lists the agent from session-side truth only.
+                assert set(_rows(falkon)["bare-exec"]) == SESSION_KEYS
                 # Idle agents are pushed work, so the bare one takes its
                 # share of the run.
                 server.start()
@@ -157,17 +171,11 @@ class TestV1Interop:
                 results = falkon.run(tasks, timeout=60)
                 assert all(r.ok for r in results)
                 assert any(r.executor_id == "bare-exec" for r in results)
-                store = falkon.dispatcher.timeseries
-                assert store.latest("bare-exec") == {}
-                # The dispatcher's own samples (and derived gauges)
-                # still work.
-                assert wait_until(
-                    lambda: store.latest("dispatcher").get("completed", 0.0) >= 80,
-                    timeout=10.0,
-                )
-                # The status surface degrades gracefully: the executor
-                # table still lists the agent from session-side truth.
-                row = falkon.dispatcher.status_snapshot()["executors"]["bare-exec"]
+                # The dispatcher's own gauges still work.
+                status = falkon.dispatcher.status_snapshot()
+                assert status["dispatcher"]["completed"] >= 80
+                assert not math.isnan(status["cluster"]["overhead_per_task_s"])
+                row = status["executors"]["bare-exec"]
                 assert "pipeline" in row and "executed" not in row
             finally:
                 stop.set()
@@ -185,13 +193,8 @@ class TestV1Interop:
                     payload={"stats": {"executed": "a lot", "nan": float("nan"),
                                        "list": [1], "ok": 5}},
                 ))
-                store = falkon.dispatcher.timeseries
-
-                def sanitized():
-                    latest = store.latest("junk-exec")
-                    return set(latest) == {"ok", "_t"}
-
-                assert wait_until(sanitized, timeout=10.0)
+                _sync(peer, "junk-exec")
+                assert set(_rows(falkon)["junk-exec"]) == SESSION_KEYS | {"ok"}
                 # Entirely malformed stats fields are ignored outright.
                 peer.send(Message(
                     MessageType.HEARTBEAT, sender="junk-exec",
@@ -201,18 +204,20 @@ class TestV1Interop:
                     MessageType.HEARTBEAT, sender="junk-exec",
                     payload={"stats": {"everything": "junk"}},
                 ))
+                _sync(peer, "junk-exec")
                 # The dispatcher still works: real tasks flow.
                 results = falkon.run(
                     [TaskSpec.sleep(0, task_id="post-junk")], timeout=30
                 )
                 assert results[0].ok
-                assert set(store.latest("junk-exec")) == {"ok", "_t"}
+                row = _rows(falkon)["junk-exec"]
+                assert set(row) == SESSION_KEYS | {"ok"} and row["ok"] == 5.0
             finally:
                 peer.close()
 
     def test_unregistered_peer_cannot_mint_series(self):
         # A raw socket spraying HEARTBEAT+stats without REGISTER must
-        # not create telemetry series (role-gated ingest).
+        # not create a telemetry row (role-gated ingest).
         with LocalFalkon(executors=1) as falkon:
             peer = RawPeer(falkon.dispatcher.address)
             try:
@@ -220,10 +225,13 @@ class TestV1Interop:
                     MessageType.HEARTBEAT, sender="ghost",
                     payload={"stats": {"executed": 999}},
                 ))
+                _sync(peer, "ghost")
                 results = falkon.run(
                     [TaskSpec.sleep(0, task_id="after-ghost")], timeout=30
                 )
                 assert results[0].ok
-                assert "ghost" not in falkon.dispatcher.timeseries.sources()
+                rows = _rows(falkon)
+                assert "ghost" not in rows
+                assert all(row.get("executed") != 999 for row in rows.values())
             finally:
                 peer.close()

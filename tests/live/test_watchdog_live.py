@@ -9,6 +9,7 @@ import threading
 import urllib.request
 
 from repro.live import LocalFalkon
+from repro.live import dispatcher as dispatcher_module
 from repro.types import TaskSpec
 
 from tests.live.util import wait_until
@@ -20,11 +21,11 @@ def fetch(url: str, timeout: float = 5.0) -> bytes:
 
 
 class TestNoFalsePositives:
-    def test_paused_but_empty_queue_never_trips(self):
+    def test_paused_but_empty_queue_never_trips(self, monkeypatch):
         """Depth 0 with idle executors is quiet, not stalled — an idle
-        deployment sitting many multiples of stall_after must stay ok."""
-        with LocalFalkon(executors=2, stall_after=0.2,
-                         heartbeat_interval=0.05) as falkon:
+        deployment sitting many multiples of STALL_AFTER must stay ok."""
+        monkeypatch.setattr(dispatcher_module, "STALL_AFTER", 0.2)
+        with LocalFalkon(executors=2, heartbeat_interval=0.05) as falkon:
             deadline_sweeps = wait_until(
                 lambda: falkon.dispatcher.health_snapshot()["uptime_s"] > 1.0,
                 timeout=10.0)
@@ -33,11 +34,11 @@ class TestNoFalsePositives:
             assert health["status"] == "ok"
             assert health["degraded"] == []
 
-    def test_sleep_heavy_workload_never_trips(self):
+    def test_sleep_heavy_workload_never_trips(self, monkeypatch):
         """Queue deep + every executor busy is backpressure: zero idle
         capacity suppresses the detector for the whole run."""
-        with LocalFalkon(executors=2, stall_after=0.2,
-                         heartbeat_interval=0.05) as falkon:
+        monkeypatch.setattr(dispatcher_module, "STALL_AFTER", 0.2)
+        with LocalFalkon(executors=2, heartbeat_interval=0.05) as falkon:
             futures = falkon.submit(
                 [TaskSpec.sleep(0.3, task_id=f"heavy-{i}") for i in range(6)])
             stall_seen = []
@@ -54,7 +55,7 @@ class TestNoFalsePositives:
 
 
 class TestTruePositive:
-    def test_dropped_notifies_trip_the_stall_detector(self):
+    def test_dropped_notifies_trip_the_stall_detector(self, monkeypatch):
         """Idle executors are pushed WORK, so no dropped frame can leave
         work queued next to them any more: a lost WORK is a dispatched
         task, the replay timer's.  The stall push can still have is a
@@ -63,6 +64,7 @@ class TestTruePositive:
         executors, no dispatch.  Must surface on /healthz and /metrics,
         and clear once the loop runs the wake.  (No heartbeats: a
         wedged loop would evict the executors.)"""
+        monkeypatch.setattr(dispatcher_module, "STALL_AFTER", 0.4)
         runs = []
 
         def fails_once():
@@ -72,7 +74,7 @@ class TestTruePositive:
 
         falkon = LocalFalkon(executors=2, max_retries=0,
                              python_registry={"fails_once": fails_once},
-                             stall_after=0.4, http_port=0)
+                             http_port=0)
         dispatcher = falkon.dispatcher
         wedge = threading.Event()
         retried = []

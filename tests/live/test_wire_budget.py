@@ -78,7 +78,7 @@ def test_hot_frames_stay_within_their_byte_budgets(monkeypatch):
     assert len(submit.payload["tasks"]) == TASKS
     assert submit.payload["tasks"][0] == {
         "task_id": tasks[0].task_id, "args": ["0"]}
-    # Full-depth frames only: the first pull and every piggy-backed ack
+    # Full-depth frames only: the first push and every piggy-backed ack
     # carry 32 entries; a RESULT batch split by the executor's 20 ms
     # flush window is skipped, not counted.
     work = next(m for m in by_type[MessageType.WORK]

@@ -70,8 +70,8 @@ class RawPeer:
         raise TimeoutError(f"no {mtype} within timeout")
 
     def recv_work(self, timeout: float = 5.0) -> list[dict]:
-        """The task entries of the next WORK frame: pushed while this
-        peer is idle, or the answer to its GET_WORK."""
+        """The task entries of the next WORK frame, pushed to this peer
+        while it is idle."""
         return self.recv_until(MessageType.WORK, timeout).payload["tasks"]
 
     def register(self, executor_id: str) -> None:

@@ -29,21 +29,6 @@ class TestEmission:
         assert row["t_mono"] == recorder.snapshot()[0][0]
         assert row["t_wall"] > row["t_mono"] > 0
 
-    def test_disabled_log_is_a_null_object(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        recorder = FlightRecorder("dispatcher", enabled=False)
-        recorder.close()  # no follow attached: no-op, no error
-        recorder.follow(path)
-        recorder.record(fl.QUEUE_ENQUEUE, "t-1")
-        recorder.close()
-        assert len(recorder) == 0
-        assert path.read_text() == ""
-        # The deployment refuses the pair before it starts anything.
-        from repro.live import LocalFalkon
-
-        with pytest.raises(ValueError, match="flight=True"):
-            LocalFalkon(events_out=str(tmp_path / "e.jsonl"), flight=False)
-
     def test_ring_is_bounded(self, tmp_path):
         # The follow keeps the ring's bound; the file keeps everything.
         path = tmp_path / "events.jsonl"

@@ -26,11 +26,6 @@ class TestRing:
         assert len(recorder) == 3
         assert [e[2] for e in recorder.snapshot()] == ["t-2", "t-3", "t-4"]
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = FlightRecorder("dispatcher", enabled=False)
-        recorder.record(FRAME_RX, "SUBMIT")
-        assert len(recorder) == 0
-
     def test_attrs_ride_along_and_hot_path_stores_none(self):
         recorder = FlightRecorder("dispatcher")
         recorder.record(FRAME_TX, "WORK", tasks=7)

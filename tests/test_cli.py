@@ -100,7 +100,7 @@ def test_bench_subcommand_is_gone(capsys):
 
 @pytest.mark.parametrize("kwarg", [
     {"steal_batch_max": 1}, {"reject_retry_after": 1.0}, {"event_log": None},
-    {"steal_min_queue": 0},
+    {"steal_min_queue": 0}, {"flight": False}, {"stall_after": 1.0},
 ])
 def test_dispatcher_constants_are_not_constructor_kwargs(kwarg):
     from repro.live import LiveDispatcher
@@ -114,8 +114,19 @@ def test_dispatcher_constructor_surface_only_shrinks():
 
     from repro.live import LiveDispatcher
 
-    # 21 before the second removal round; ROADMAP item 3 targets 12.
-    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 17
+    # 21 before the second removal round, 17 before the third; ROADMAP
+    # item 3 targets 12.
+    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 15
+
+
+def test_telemetry_is_read_where_it_is_kept():
+    import repro.obs
+    from repro.live import LiveDispatcher
+
+    for name in ("TimeSeriesStore", "RingSeries"):
+        assert name not in repro.obs.__all__ and not hasattr(repro.obs, name)
+    with LiveDispatcher() as dispatcher:
+        assert not hasattr(dispatcher, "timeseries")
 
 
 def test_dispatcher_state_has_one_owner_and_no_locks():
