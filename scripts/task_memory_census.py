@@ -105,7 +105,7 @@ def _by_structure(dispatcher) -> dict[str, int]:
     walk = _Walk()
     records = dispatcher._records
     out = {"records": sys.getsizeof(records)}
-    for name in ("spec", "result", "spec_dict", "trace_wire"):
+    for name in ("spec", "result", "spec_dict"):
         out[name] = 0
     walk.seen.add(id(records))
     for task_id, record in records.items():
@@ -114,7 +114,6 @@ def _by_structure(dispatcher) -> dict[str, int]:
         out["spec"] += walk.deep(record.spec)
         out["result"] += walk.deep(record.result)
         out["spec_dict"] += walk.deep(record.spec_dict)
-        out["trace_wire"] += walk.deep(record.trace_wire)
     spans = dispatcher.spans
     out["span attrs"] = sum(walk.deep(attrs) for attrs in spans._attrs)
     out["span attrs"] += sum(walk.deep(row[4]) for rows in spans._spill.values()

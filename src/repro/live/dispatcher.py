@@ -53,10 +53,12 @@ counter lives in a typed :class:`repro.obs.MetricsRegistry`, dispatch/
 exec/end-to-end latencies feed fixed-bucket histograms (p50/p90/p99),
 and each task accumulates an ordered span chain ``submit → enqueue →
 notify → pull → exec → result → ack`` in a :class:`repro.obs.SpanCollector`,
-queryable with :meth:`LiveDispatcher.trace`.  A compact trace context
-rides each WORK/RESULT_ACK task entry and is echoed back on RESULT, so
-executor-side execution timing lands in the right task's chain even
-across replays.
+queryable with :meth:`LiveDispatcher.trace`.  Each task transition —
+admit, dispatch, delivery, settle, requeue — is one method, the only
+writer of that transition's state, span rows, flight event, WAL row and
+counters.  The attempt number each WORK/RESULT_ACK task entry carries
+and each RESULT entry echoes is all the executor's exec window needs to
+land on the right attempt of the chain, even across replays.
 
 Durability (see ``docs/RELIABILITY.md``): with ``journal_dir`` set,
 every lifecycle transition is written through a crash-safe
@@ -236,9 +238,6 @@ class _LiveRecord:
     #: How the current attempt was handed over ("push"/"piggyback"/
     #: "adopted"/"steal").
     dispatch_mode: str = ""
-    #: Wire form of the trace context riding this attempt's WORK frame
-    #: (restamped on every dispatch, released at terminal settle).
-    trace_wire: Optional[dict] = None
     #: The spec's wire dict, captured verbatim from the client's
     #: SUBMIT payload (else built lazily on first dispatch), so a
     #: WORK/RESULT_ACK frame never rebuilds it — the C JSON encoder
@@ -266,22 +265,6 @@ class _LiveRecord:
 #: record it settled — in hand at every call site, so the notify path
 #: marks it acked without a second table lookup.
 _Notify = tuple[str, TaskResult, "_LiveRecord"]
-
-
-class _SettleBatch:
-    """What one handler's settles owe the shared sinks, paid once per
-    frame by :meth:`LiveDispatcher._flush_settles` — span rows, WAL
-    rows, e2e samples and the two terminal counters — instead of one
-    sink call per task."""
-
-    __slots__ = ("span_rows", "journal_rows", "e2e", "completed", "failed")
-
-    def __init__(self) -> None:
-        self.span_rows: list[tuple] = []
-        self.journal_rows: list[dict] = []
-        self.e2e: list[float] = []
-        self.completed = 0
-        self.failed = 0
 
 
 class _ExecutorSession:
@@ -737,14 +720,22 @@ class LiveDispatcher:
         Runs in ``__init__``, before the loop thread exists."""
         if not state.tasks:
             return
-        requeue: list[str] = []
-        now = self._now()
+        records: list[_LiveRecord] = []
         for task in state.pending() + [t for t in state.tasks.values() if t.terminal]:
             try:
                 spec = task_from_dict(task.spec)
             except (KeyError, TypeError, ValueError):
                 continue  # a record from a future/foreign spec version
-            record = _LiveRecord(spec=spec, client_id=task.client_id)
+            # Queued *and* dispatched tasks both re-enter the queue: a
+            # dispatched task whose executor still holds it will be
+            # adopted back via the REGISTER inflight echo; until then,
+            # re-dispatching it to someone else is the at-least-once
+            # default.  Settled ones stay queryable, never runnable.
+            record = _LiveRecord(
+                spec=spec, client_id=task.client_id,
+                state=(TaskState.QUEUED if not task.terminal
+                       else TaskState.COMPLETED if task.state == "completed"
+                       else TaskState.FAILED))
             record.attempts = task.attempts
             record.acked = task.acked
             if task.origin is not None:
@@ -758,8 +749,6 @@ class LiveDispatcher:
                     record.origin_attempt = 0
                 self._m_stolen_in.inc()
             if task.terminal:
-                record.state = (TaskState.COMPLETED if task.state == "completed"
-                                else TaskState.FAILED)
                 if task.result is not None:
                     try:
                         record.result = result_from_dict(task.result)
@@ -779,32 +768,19 @@ class LiveDispatcher:
                     self._m_completed.inc()
                 else:
                     self._m_failed.inc()
-            else:
-                # Queued *and* dispatched tasks both re-enter the queue:
-                # a dispatched task whose executor still holds it will
-                # be adopted back via the REGISTER inflight echo; until
-                # then, re-dispatching it to someone else is the
-                # at-least-once default.
-                record.state = TaskState.QUEUED
-                record.timeline.submitted = now
-                requeue.append(task.task_id)
-                self.spans.begin(task.task_id)
-                self.spans.record(task.task_id, "submit", now,
-                                  client=task.client_id, recovered=True)
-                self.spans.record(task.task_id, "enqueue", now,
-                                  attempt=record.attempts + 1, reason="recovered")
             if task.in_dlq:
                 self._dlq[task.task_id] = self._dlq_entry_from_record(
                     record, task.dlq_error)
-            self._records[task.task_id] = record
-        self._queue.extend(requeue)
+            records.append(record)
         self.recovered_tasks = len(state.tasks)
         self._m_recovered.inc(len(state.tasks))
-        self._m_accepted.inc(len(state.tasks))
         self.flight.record(fl.RECOVER, "dispatcher",
-                           tasks=len(state.tasks), requeued=len(requeue),
+                           tasks=len(state.tasks),
+                           requeued=sum(1 for r in records
+                                        if r.state is TaskState.QUEUED),
                            truncated=state.truncated,
                            from_snapshot=state.from_snapshot)
+        self._admit(records, "recovered", (("recovered", True),))
 
     def _adopt_inflight(self, executor: _ExecutorSession, echo) -> None:
         """Adopt REGISTER-echoed tasks the executor still holds.
@@ -827,32 +803,15 @@ class LiveDispatcher:
             if (record is None or record.state is not TaskState.QUEUED
                     or record.attempts != attempt):
                 continue
-            record.state = TaskState.DISPATCHED
-            record.executor_id = executor.executor_id
-            record.delivered = True
-            record.dispatch_mode = "adopted"
-            record.timeline.dispatched = self._now()
-            ctx = self.spans.record(
-                task_id, "notify", record.timeline.dispatched,
-                attempt=record.attempts,
-                executor=executor.executor_id, mode="adopted",
-            )
-            record.trace_wire = ctx.to_wire() if ctx is not None else None
-            executor.busy.add(task_id)
             # Recovery queued this task before the executor reappeared;
             # pull the entry so the queue stat and idle push reflect
-            # reality (claimers would skip the now-DISPATCHED record
-            # anyway).
+            # reality (claimers would skip the DISPATCHED record anyway).
             try:
                 self._queue.remove(task_id)
             except ValueError:
                 pass
+            self._mark_dispatched([record], executor, "adopted")
             self._m_adopted.inc()
-            self._journal_append("dispatch", task_id,
-                                 attempt=attempt,
-                                 executor=executor.executor_id,
-                                 adopted=True)
-            self.flight.record(fl.QUEUE_CLAIM, task_id, mode="adopted")
 
     @staticmethod
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
@@ -925,18 +884,7 @@ class LiveDispatcher:
         record = self._records.get(task_id)
         if record is None:
             return False  # orphan DLQ entry (record evicted); drop it
-        record.state = TaskState.QUEUED
-        record.attempts = 0
-        record.executor_id = ""
-        record.delivered = False
-        record.result = None
-        record.acked = False
-        record.timeline = TaskTimeline(submitted=self._now())
-        self.spans.record(task_id, "enqueue", self._now(),
-                          attempt=1, reason="dlq-retry")
-        self._queue.append(task_id)
-        self._journal_append("dlq-retry", task_id)
-        self.flight.record(fl.DLQ_RETRY, task_id)
+        self._requeue(record, "dlq-retry")
         self._wake_idle()
         return True
 
@@ -1186,9 +1134,12 @@ class LiveDispatcher:
                        and now_rel - r.timeline.dispatched > self.replay_timeout]
             notifies: list[_Notify] = []
             for record in overdue:
-                notify = self._requeue_dispatched(record, reason)
-                if notify is not None:
-                    notifies.append(notify)
+                executor = self._executors.get(record.executor_id)
+                if executor is not None:
+                    executor.busy.discard(record.spec.task_id)
+                    executor.notified = False
+                notifies += self._settle([(record, None, 0.0)],
+                                         record.executor_id, lost=reason)
             self._notify_clients(notifies)
         if self._queue:
             for executor in self._executors.values():
@@ -1348,13 +1299,12 @@ class LiveDispatcher:
                                      "limit": self.queue_limit})
                 )
                 return
-        now = self._now()
         bundle = len(tasks)
         # Dedupe against known ids and within the bundle (first
         # occurrence wins): a client retrying a SUBMIT whose ack was
         # lost (or rejected bundle it re-sends) must not double-enqueue
-        # — resubmission is idempotent per task id.  ``raw_by_id`` keeps
-        # the wire dict each fresh spec arrived as, verbatim: dispatch
+        # — resubmission is idempotent per task id.  Each fresh record
+        # keeps the wire dict its spec arrived as, verbatim: dispatch
         # re-serialises this shared dict instead of rebuilding it.
         #
         # A duplicate of an already-settled task (resubmission after a
@@ -1362,38 +1312,19 @@ class LiveDispatcher:
         # its original CLIENT_NOTIFY may have gone out long ago, so the
         # stored result is re-pushed to the submitter below.  The
         # future's first-wins rule dedupes on the client.
-        fresh: list[TaskSpec] = []
-        raw_by_id: dict[str, Optional[dict]] = {}
+        fresh: dict[str, _LiveRecord] = {}
         settled_dupes: list[_Notify] = []
         for spec, raw in zip(tasks, raw_specs):
             known = self._records.get(spec.task_id)
             if known is not None:
                 if known.result is not None:
                     settled_dupes.append((client_id, known.result, known))
-            elif spec.task_id not in raw_by_id:
-                raw_by_id[spec.task_id] = raw if isinstance(raw, dict) else None
-                fresh.append(spec)
-        journaled = self.journal is not None and bool(fresh)
-        if journaled:
-            # Durable-before-accept: one group commit covers the bundle
-            # and runs before any dispatcher state changes, so a
-            # SUBMIT_ACK is a promise the tasks survive a crash.  Specs
-            # are stored in the sparse wire form and the whole bundle
-            # is buffered under one lock — the WAL cost of a submit is
-            # a few dict keys per task.
-            self.journal.append_many([
-                {"k": "submit", "id": spec.task_id,
-                 "spec": _wal_object(task_to_dict(spec)),
-                 "client": client_id}
-                for spec in fresh
-            ])
-        new_records: list[_LiveRecord] = []
-        for spec in fresh:
-            record = _LiveRecord(spec=spec, client_id=client_id)
-            record.spec_dict = raw_by_id[spec.task_id]
-            record.timeline.submitted = now
-            new_records.append(record)
-        if journaled and not self.journal.commit():
+            elif spec.task_id not in fresh:
+                fresh[spec.task_id] = _LiveRecord(
+                    spec=spec, client_id=client_id,
+                    spec_dict=raw if isinstance(raw, dict) else None)
+        if not self._admit(list(fresh.values()), "submit",
+                           (("bundle", bundle),), durable=True):
             # The journal cannot confirm durability (fsync failure
             # or commit timeout): acking anyway would silently void
             # the whole crash-safety promise.  Refuse the bundle —
@@ -1410,26 +1341,6 @@ class LiveDispatcher:
                                  "reason": "journal"})
             )
             return
-        if new_records:
-            # Two collector calls per bundle, not three per task: open
-            # every trace, then append the submit/enqueue pairs in one
-            # batch.
-            self.spans.begin_many([r.spec.task_id for r in new_records])
-            submit_attrs = (("client", client_id), ("bundle", bundle))
-            enqueue_attrs = (("reason", "submit"),)
-            rows = []
-            for record in new_records:
-                task_id = record.spec.task_id
-                rows.append((task_id, "submit", now, None, 0, submit_attrs))
-                rows.append((task_id, "enqueue", now, None, 1, enqueue_attrs))
-            self.spans.record_many(rows)
-        for record in new_records:
-            self._records[record.spec.task_id] = record
-        self._queue.extend(record.spec.task_id for record in new_records)
-        if new_records:
-            self._m_accepted.inc(len(new_records))
-            for record in new_records:
-                self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
         session.conn.send(
             Message(MessageType.SUBMIT_ACK, sender="dispatcher",
                     payload={"accepted": len(tasks)})
@@ -1669,9 +1580,8 @@ class LiveDispatcher:
         echo; a duplicate of an already-settled task immediately
         re-returns the stored result so both shards converge.
         """
-        accepted: list[_LiveRecord] = []
+        accepted: dict[str, _LiveRecord] = {}
         resend: list[_Notify] = []
-        now = self._now()
         client_id = PEER_PREFIX + donor_shard
         for entry in entries:
             if not isinstance(entry, dict):
@@ -1681,36 +1591,18 @@ class LiveDispatcher:
                 attempt = int(entry.get("attempt", 0))
             except (KeyError, TypeError, ValueError):
                 continue
-            record = self._records.get(spec.task_id)
+            record = self._records.get(spec.task_id) or accepted.get(spec.task_id)
             if record is not None:
                 record.origin_attempt = attempt
                 if record.state.terminal and record.result is not None:
                     resend.append((record.client_id, record.result, record))
                 continue
-            record = _LiveRecord(spec=spec, client_id=client_id)
-            record.origin_shard = donor_shard
-            record.origin_attempt = attempt
-            record.timeline.submitted = now
-            self.spans.begin(spec.task_id)
-            self.spans.record(spec.task_id, "submit", now,
-                              client=client_id, stolen=True)
-            self.spans.record(spec.task_id, "enqueue", now, attempt=1,
-                              reason="stolen")
-            accepted.append(record)
-        if self.journal is not None and accepted:
-            self.journal.append_many([
-                {"k": "submit", "id": record.spec.task_id,
-                 "spec": _wal_object(task_to_dict(record.spec)),
-                 "client": client_id,
-                 "origin": {"shard": donor_shard,
-                            "attempt": record.origin_attempt}}
-                for record in accepted
-            ])
-        for record in accepted:
-            self._records[record.spec.task_id] = record
-        self._queue.extend(record.spec.task_id for record in accepted)
+            accepted[spec.task_id] = _LiveRecord(
+                spec=spec, client_id=client_id,
+                origin_shard=donor_shard, origin_attempt=attempt)
+        # Append-only, no commit barrier (see above).
+        self._admit(list(accepted.values()), "stolen", (("stolen", True),))
         if accepted:
-            self._m_accepted.inc(len(accepted))
             self._m_stolen_in.inc(len(accepted))
             self.flight.record(fl.STEAL_INGEST, donor_shard,
                                tasks=len(accepted))
@@ -1856,79 +1748,35 @@ class LiveDispatcher:
             for payload, _, _ in entries:
                 executor.busy.discard(payload["task_id"])
             executor.notified = False
-        records = [self._records.get(payload["task_id"])
-                   for payload, _, _ in entries]
-        # Each result adopts its record's timeline (what _settle hands
-        # the client anyway) and, below, its record's task id string —
-        # the frame's decoded copies are garbage once the frame is.
-        results = [
-            result_from_dict(payload,
-                             record.timeline if record is not None else None)
-            for (payload, _, _), record in zip(entries, records)
-        ]
-        # Everything the frame owes a shared sink is paid once, after
-        # the loop: exec/result span rows (plus any retry-enqueue rows
-        # _settle appends — row order = append order = chain order, so
-        # per-task ordering is exactly what per-task calls gave), WAL
-        # rows (same flush window, so durability is unchanged), the
-        # exec/e2e histogram samples and the counters.
-        notifies: list[_Notify] = []
-        batch = _SettleBatch()
-        span_rows = batch.span_rows
-        exec_samples: list[float] = []
+        settles: list[tuple[_LiveRecord, TaskResult, float]] = []
         stale = 0
-        # Span attrs identical across the frame are built once, not per
-        # task: the executor pair, and one tuple per outcome seen.
-        executor_attr = ("executor", executor_id)
-        outcome_attrs: dict[str, tuple] = {}
-        for (_, echoed_attempt, exec_seconds), result, record in zip(
-            entries, results, records
-        ):
-            if not (is_peer and result.executor_id):
-                # Peer-returned results keep the remote executor's
-                # identity when the thief filled it in.
-                result.executor_id = executor_id
+        for payload, echoed_attempt, exec_seconds in entries:
+            record = self._records.get(payload["task_id"])
             if record is None:
                 continue
-            result.task_id = record.spec.task_id
             # DISPATCHED is the state a result is expected in;
             # only the others pay for the ``terminal`` property.
             state = record.state
             if state is not TaskState.DISPATCHED and state.terminal:
                 continue
-            attempts = record.attempts
-            if echoed_attempt is not None and echoed_attempt != attempts:
+            if echoed_attempt is not None and echoed_attempt != record.attempts:
                 # A superseded attempt (the replay timer already
                 # re-dispatched this task): drop the stale result.
                 stale += 1
                 continue
-            # One clock reading per settled entry stamps its exec
-            # end, result and completion.  The executor measured
-            # execution on its own clock; anchor the exec span at
-            # result arrival (the collector clamps it to stay
-            # monotonic).
-            now = self._now()
-            exec_samples.append(exec_seconds)
-            ok = result.ok
-            outcome = ("ok" if ok else
-                       "fail" if attempts > self.max_retries else "retry")
-            result_attrs = outcome_attrs.get(outcome)
-            if result_attrs is None:
-                result_attrs = outcome_attrs[outcome] = (
-                    executor_attr, ("outcome", outcome))
-            task_id = result.task_id
-            span_rows.append(
-                (task_id, "exec", now - exec_seconds, now, attempts,
-                 (executor_attr, ("seconds", exec_seconds))))
-            span_rows.append(
-                (task_id, "result", now, None, attempts, result_attrs))
-            notify = self._settle(record, result, ok, now, batch)
-            if notify is not None:
-                notifies.append(notify)
-        self._h_exec.observe_many(exec_samples)
+            # The result adopts its record's timeline (what _settle hands
+            # the client anyway) and task id string — the frame's decoded
+            # copies are garbage once the frame is.
+            result = result_from_dict(payload, record.timeline)
+            result.task_id = record.spec.task_id
+            if not (is_peer and result.executor_id):
+                # Peer-returned results keep the remote executor's
+                # identity when the thief filled it in.
+                result.executor_id = executor_id
+            settles.append((record, result, exec_seconds))
         if stale:
             self._m_stale.inc(stale)
-        self._flush_settles(batch)
+        notifies = self._settle(settles, executor_id)
         # Piggy-back queued work on the acknowledgement {7}, up to the
         # executor's remaining pipeline capacity (§3.4 extended).
         # Never to a federation peer: stealing is explicit-request-only,
@@ -1952,15 +1800,8 @@ class LiveDispatcher:
         else:
             if claimed:
                 self._mark_delivered_many(claimed, executor)
-        if notifies:
-            ack_now = self._now()
-            ack_attrs = (("executor", executor_id),
-                         ("delivered", ack_delivered))
-            self.spans.record_many([
-                (record.spec.task_id, "ack", ack_now, None,
-                 record.attempts, ack_attrs)
-                for _, _, record in notifies
-            ])
+        self._record_acks(notifies, (("executor", executor_id),
+                                     ("delivered", ack_delivered)))
         if not claimed:
             # Nothing piggy-backed (a peer's results, or this executor
             # has no room left): whatever is queued goes to the idle.
@@ -1979,114 +1820,134 @@ class LiveDispatcher:
                     payload=self.stats().as_dict())
         )
 
-    # -- dispatch internals --------------------------------------------------------
+    # -- task transitions ------------------------------------------------------
+    # Each transition of a task has one writer, which also pays what the
+    # transition owes the shared sinks — its span rows, flight event, WAL
+    # row and counters: _admit puts a task in the queue, _mark_dispatched
+    # hands it to an executor, _mark_delivered_many notes that the frame
+    # left, _settle decides how the attempt ended and _requeue sends it
+    # back.  (_record_acks writes the "ack" span that closes a chain.)
+    def _admit(self, records: list[_LiveRecord], reason: str,
+               submit_attrs: tuple = (), durable: bool = False) -> bool:
+        """Admit *records* to the table — the one way a task gets in:
+        SUBMIT (*reason* ``submit``), steal ingest (``stolen``) and boot
+        recovery (``recovered``).
+
+        A QUEUED record is stamped submitted, opens its trace with a
+        ``submit`` span (attrs: its client plus *submit_attrs*) and an
+        ``enqueue`` span, logs one ``queue.enq`` and joins the queue; a
+        recovered settled one only joins the table, queryable for
+        reconnecting clients.  With a journal, one ``submit`` WAL row per
+        record goes first (a stolen record's carries its origin;
+        recovery writes none — the rows are what it was rebuilt from),
+        in the sparse wire form and buffered under one lock.  *durable*
+        commits them before anything changes, so a SUBMIT_ACK is a
+        promise the tasks survive a crash, and returns ``False`` with
+        nothing changed when the journal cannot confirm.
+        """
+        if not records:
+            return True
+        now = self._now()
+        journal = self.journal
+        if journal is not None and reason != "recovered":
+            wal = []
+            for record in records:
+                row = {"k": "submit", "id": record.spec.task_id,
+                       "spec": _wal_object(task_to_dict(record.spec)),
+                       "client": record.client_id}
+                if record.origin_shard:
+                    row["origin"] = {"shard": record.origin_shard,
+                                     "attempt": record.origin_attempt}
+                wal.append(row)
+            journal.append_many(wal)
+            if durable and not journal.commit():
+                return False
+        table, record_event = self._records, self.flight.record
+        enqueue_attrs = (("reason", reason),)
+        # One shared attrs tuple per client, not one per task.
+        by_client: dict[str, tuple] = {}
+        queued: list[str] = []
+        rows: list[tuple] = []
+        for record in records:
+            task_id = record.spec.task_id
+            table[task_id] = record
+            if record.state is not TaskState.QUEUED:
+                continue
+            record.timeline.submitted = now
+            attrs = by_client.get(record.client_id)
+            if attrs is None:
+                attrs = by_client[record.client_id] = (
+                    ("client", record.client_id), *submit_attrs)
+            rows.append((task_id, "submit", now, None, 0, attrs))
+            rows.append((task_id, "enqueue", now, None,
+                         record.attempts + 1, enqueue_attrs))
+            record_event(fl.QUEUE_ENQUEUE, task_id)
+            queued.append(task_id)
+        self.spans.begin_many(queued)
+        self.spans.record_many(rows)
+        self._queue.extend(queued)
+        self._m_accepted.inc(len(records))
+        return True
+
     def _claim_many(
         self, executor: _ExecutorSession, limit: int, mode: str
     ) -> list[_LiveRecord]:
-        """Claim up to *limit* runnable records for *executor* (loop
-        thread only, like every mutation)."""
+        """Claim up to *limit* runnable records for *executor*."""
         claimed: list[_LiveRecord] = []
-        # Deferred "notify" spans: one span-collector call per claim
-        # burst instead of per task (10 k individual record() calls per
-        # 5 k pipelined tasks was a top profile frame).  The dispatch
-        # WAL records defer the same way (same flush window either
-        # way — deferring within one handler changes no durability).
-        span_batch: list[tuple[_LiveRecord, tuple]] = []
-        journal_batch: Optional[list[dict]] = (
-            [] if self.journal is not None else None)
-        # One clock reading and one attrs tuple stamp the whole burst.
-        now = self._now()
-        attrs = executor.dispatch_attrs(mode)
-        queue, records, busy = self._queue, self._records, executor.busy
+        queue, records = self._queue, self._records
         while queue and len(claimed) < limit:
             record = records.get(queue.popleft())
             if record is None or record.state is not TaskState.QUEUED:
                 continue  # evicted, or a duplicate entry from a replay path
-            self._mark_dispatched(record, executor, mode, now, attrs,
-                                  span_batch, journal_batch)
-            busy.add(record.spec.task_id)
             claimed.append(record)
-        self._flush_notify_spans(span_batch)
-        if journal_batch:
-            self.journal.append_many(journal_batch)
+        if claimed:
+            self._mark_dispatched(claimed, executor, mode)
         return claimed
 
-    def _flush_notify_spans(
-        self, batch: list[tuple["_LiveRecord", tuple]]
-    ) -> None:
-        """Record a claim burst's "notify" spans in one call and stamp
-        each record's wire trace context from the returned spans (the
-        one span per dispatch whose context goes on the wire)."""
-        if not batch:
-            return
-        wires = self.spans.record_wire([row for _, row in batch])
-        for (record, _row), wire in zip(batch, wires):
-            record.trace_wire = wire
-
-    @staticmethod
-    def _spec_dict(record: _LiveRecord) -> dict:
-        """The task spec's wire dict, built at most once per task."""
-        data = record.spec_dict
-        if data is None:
-            data = task_to_dict(record.spec)
-            record.spec_dict = data
-        return data
-
-    def _fill_task_payload(
-        self, message: Message, claimed: list[_LiveRecord]
-    ) -> None:
-        """Attach claimed tasks to a WORK/RESULT_ACK message as a
-        ``tasks`` list whose entries carry their own attempt and trace
-        context.  Spec dicts are the cached wire dicts — never rebuilt
-        per frame.
-        """
-        message.payload["tasks"] = [
-            {
-                "task": self._spec_dict(record),
-                "attempt": record.attempts,
-                "trace": record.trace_wire,
-            }
-            for record in claimed
-        ]
-
     def _mark_dispatched(
-        self,
-        record: _LiveRecord,
-        executor: _ExecutorSession,
-        mode: str,
-        now: float,
-        attrs: tuple,
-        span_rows: list[tuple["_LiveRecord", tuple]],
-        journal_rows: Optional[list[dict]],
+        self, records: list[_LiveRecord], executor: _ExecutorSession, mode: str
     ) -> None:
-        """Transition a QUEUED record to DISPATCHED.
+        """QUEUED → DISPATCHED on *executor*, for every way a task is
+        handed over: ``push``, ``piggyback`` and ``steal`` claims start a
+        new attempt; ``adopted`` (a REGISTER inflight echo of the current
+        attempt) keeps it, and is delivered already.
 
-        *now* and *attrs* (the claim burst's clock reading and its
-        ``executor.dispatch_attrs(mode)``) stamp the "notify" span,
-        which is deferred into *span_rows*; the caller
-        flushes the burst through :meth:`_flush_notify_spans`, which
-        also stamps ``record.trace_wire`` — before any frame is built
-        from it (``_fill_task_payload`` runs after the claim returns).
-        The dispatch WAL record defers into *journal_rows* the same
-        way (``None`` when no journal is attached): dispatch records
-        ride the flush window anyway, so a crash may lose the last
-        ~20 ms of transitions — recovery then replays those
-        dispatches (at-least-once).
+        One clock reading, one span call and one WAL append cover the
+        burst.  The dispatch rows ride the journal's flush window, so a
+        crash may lose the last ~20 ms of them — recovery then replays
+        those dispatches (at-least-once).
         """
-        record.state = TaskState.DISPATCHED
-        record.attempts += 1
-        record.executor_id = executor.executor_id
-        record.delivered = False
-        record.dispatch_mode = mode
-        record.timeline.dispatched = now
-        task_id = record.spec.task_id
-        self.flight.record(fl.QUEUE_CLAIM, task_id)
-        span_rows.append((record, (
-            task_id, "notify", now, None, record.attempts, attrs)))
-        if journal_rows is not None:
-            journal_rows.append({"k": "dispatch", "id": task_id,
-                                 "attempt": record.attempts,
-                                 "executor": executor.executor_id})
+        now = self._now()
+        attrs = executor.dispatch_attrs(mode)
+        adopted = mode == "adopted"
+        executor_id = executor.executor_id
+        busy, record_event = executor.busy, self.flight.record
+        rows: list[tuple] = []
+        wal: Optional[list[dict]] = [] if self.journal is not None else None
+        for record in records:
+            if not adopted:
+                record.attempts += 1
+            record.state = TaskState.DISPATCHED
+            record.executor_id = executor_id
+            record.delivered = adopted
+            record.dispatch_mode = mode
+            record.timeline.dispatched = now
+            task_id = record.spec.task_id
+            busy.add(task_id)
+            if adopted:
+                record_event(fl.QUEUE_CLAIM, task_id, mode=mode)
+            else:
+                record_event(fl.QUEUE_CLAIM, task_id)
+            rows.append((task_id, "notify", now, None, record.attempts, attrs))
+            if wal is not None:
+                row = {"k": "dispatch", "id": task_id,
+                       "attempt": record.attempts, "executor": executor_id}
+                if adopted:
+                    row["adopted"] = True
+                wal.append(row)
+        self.spans.record_many(rows)
+        if wal:
+            self.journal.append_many(wal)
 
     def _mark_delivered_many(
         self, records: list[_LiveRecord], executor: _ExecutorSession
@@ -2125,6 +1986,203 @@ class LiveDispatcher:
         if plan is not None and plan.crash_points:
             for _ in records:
                 self._maybe_crash("after-dispatch")
+
+    def _settle(
+        self,
+        settles: list[tuple[_LiveRecord, Optional[TaskResult], float]],
+        executor_id: str,
+        lost: Optional[str] = None,
+    ) -> list[_Notify]:
+        """Decide how each attempt ended and write it — the one place a
+        record turns terminal or goes back for a retry.  Returns the
+        notifies of the settled records.
+
+        *settles* holds ``(record, result, exec_seconds)`` per DISPATCHED
+        record.  The outcome is ``ok``; or ``fail`` once the retry budget
+        is spent, or on a stolen task's first failed result (the donor
+        shard owns its retry budget and DLQ — each task has exactly one
+        home — so the failure travels back); else ``retry``, which
+        :meth:`_requeue` carries out.  Each attempt's ``exec`` and
+        ``result`` spans land in one span call, stamped on one clock
+        reading; the executor measured the execution on its own clock,
+        so the exec span is anchored at result arrival.
+
+        With *lost* set (the replay timer, or the executor is gone) no
+        executor frame will ever close these attempts, and *result* is
+        ``None``.  One with budget left, or one whose frame never left
+        this process, goes back to the queue.  A spent one settles as a
+        failure carrying *lost* as its error; the dispatcher is the
+        observer of record, so synthetic exec/result/ack spans close
+        its chain.
+        """
+        now = self._now()
+        max_retries = self.max_retries
+        journal = self.journal
+        executor_attr = ("executor", executor_id)
+        outcome_attrs: dict[str, tuple] = {}
+        if lost is not None:
+            lost_exec = (executor_attr, ("synthetic", True), ("seconds", 0.0))
+            lost_result = (executor_attr, ("synthetic", True),
+                           ("outcome", "fail"), ("reason", lost))
+        rows: list[tuple] = []
+        wal: list[dict] = []
+        exec_samples: list[float] = []
+        e2e: list[float] = []
+        notifies: list[_Notify] = []
+        retries: list[_LiveRecord] = []
+        completed = failed = 0
+        for record, result, exec_seconds in settles:
+            task_id = record.spec.task_id
+            attempts = record.attempts
+            stolen = bool(record.origin_shard)
+            if result is not None:
+                ok = result.ok
+                outcome = ("ok" if ok else
+                           "fail" if stolen or attempts > max_retries else "retry")
+                result_attrs = outcome_attrs.get(outcome)
+                if result_attrs is None:
+                    result_attrs = outcome_attrs[outcome] = (
+                        executor_attr, ("outcome", outcome))
+                exec_samples.append(exec_seconds)
+                rows.append((task_id, "exec", now - exec_seconds, now, attempts,
+                             (executor_attr, ("seconds", exec_seconds))))
+                rows.append((task_id, "result", now, None, attempts, result_attrs))
+            elif record.delivered and attempts > max_retries:
+                ok, outcome = False, "fail"
+                result = TaskResult(task_id, return_code=1, error=lost,
+                                    executor_id=executor_id)
+                rows.append((task_id, "exec", now, None, attempts, lost_exec))
+                rows.append((task_id, "result", now, None, attempts, lost_result))
+            else:
+                outcome = "retry"
+            if outcome == "retry":
+                retries.append(record)
+                continue
+            record.state = TaskState.COMPLETED if ok else TaskState.FAILED
+            record.timeline.completed = now
+            result.attempts = attempts
+            result.timeline = record.timeline
+            record.result = result
+            # Wire-only state: a settled task is not dispatched again
+            # unless dlq_retry requeues it, and _spec_dict() rebuilds it.
+            record.spec_dict = None
+            if ok:
+                completed += 1
+                if stolen:
+                    self._m_stolen_done.inc()
+            else:
+                failed += 1
+                if stolen:
+                    self._m_stolen_failed.inc()
+            e2e.append(now - record.timeline.submitted)
+            self.flight.record(fl.TASK_SETTLE, task_id, outcome=outcome)
+            if journal is not None:
+                wal.append({"k": "result", "id": task_id, "outcome": outcome,
+                            "result": _wal_object(result_to_dict(result))})
+            if not ok and not stolen:
+                # Poison task: the retry budget is spent.  The client
+                # still sees the terminal failure (no hanging futures);
+                # the task is additionally quarantined for inspection
+                # and operator-driven retry (``repro dlq``).
+                self._dlq[task_id] = self._dlq_entry_from_record(record)
+                self._m_dlq.inc()
+                if journal is not None:
+                    wal.append({"k": "dlq", "id": task_id, "error": result.error})
+                self.flight.record(fl.DLQ_ADD, task_id,
+                                   attempts=attempts, error=result.error)
+            notifies.append((record.client_id, result, record))
+        self.spans.record_many(rows)
+        if wal:
+            journal.append_many(wal)
+        if completed:
+            self._m_completed.inc(completed)
+        if failed:
+            self._m_failed.inc(failed)
+        self._h_exec.observe_many(exec_samples)
+        self._h_e2e.observe_many(e2e)
+        for record in retries:
+            self._requeue(record, "retry" if lost is None else lost)
+        if lost is not None:
+            self._record_acks(notifies, (executor_attr, ("synthetic", True),
+                                         ("delivered", False)))
+        return notifies
+
+    def _requeue(self, record: _LiveRecord, reason: str) -> None:
+        """Send *record* back to the ready queue — the one writer of
+        that transition, logged as an ``enqueue`` span for the next
+        attempt with *reason*.
+
+        * A settled one is an operator's ``dlq retry``: a fresh retry
+          budget and timeline, logged as ``dlq.retry``.
+        * An undelivered dispatch — its WORK/ack never left this
+          process — gets its attempt back uncharged and returns to the
+          head it was claimed from, with reason ``undelivered``.
+        * Anything else (a failed result, the replay timer, a lost
+          executor) is a retry: counted, logged as ``queue.requeue``,
+          queued at the tail.
+
+        The WAL row carries the attempt the record now holds, so
+        recovery reads what the live table does.
+        """
+        task_id = record.spec.task_id
+        now = self._now()
+        if record.state.terminal:
+            record.attempts = 0
+            record.result = None
+            record.acked = False
+            record.timeline = TaskTimeline(submitted=now)
+            self._queue.append(task_id)
+            self._journal_append("dlq-retry", task_id)
+            self.flight.record(fl.DLQ_RETRY, task_id)
+        elif record.state is TaskState.DISPATCHED and not record.delivered:
+            reason = "undelivered"
+            record.attempts -= 1
+            self._queue.appendleft(task_id)
+            self._journal_append("requeue", task_id, attempt=record.attempts)
+        else:
+            self._m_retries.inc()
+            self._queue.append(task_id)
+            self._journal_append("requeue", task_id, attempt=record.attempts)
+            self.flight.record(fl.QUEUE_REQUEUE, task_id)
+        record.state = TaskState.QUEUED
+        record.executor_id = ""
+        record.delivered = False
+        self.spans.record(task_id, "enqueue", now,
+                          attempt=record.attempts + 1, reason=reason)
+
+    def _record_acks(self, notifies: list[_Notify], attrs: tuple) -> None:
+        """The ``ack`` spans closing the settled attempts' chains: after
+        the RESULT_ACK went out (*attrs* say to whom and whether it
+        left), or synthetic, from :meth:`_settle`."""
+        if notifies:
+            now = self._now()
+            self.spans.record_many([
+                (record.spec.task_id, "ack", now, None, record.attempts, attrs)
+                for _, _, record in notifies
+            ])
+
+    # -- dispatch internals --------------------------------------------------------
+    @staticmethod
+    def _spec_dict(record: _LiveRecord) -> dict:
+        """The task spec's wire dict, built at most once per task."""
+        data = record.spec_dict
+        if data is None:
+            data = task_to_dict(record.spec)
+            record.spec_dict = data
+        return data
+
+    def _fill_task_payload(
+        self, message: Message, claimed: list[_LiveRecord]
+    ) -> None:
+        """Attach claimed tasks to a WORK/RESULT_ACK message as a
+        ``tasks`` list whose entries carry their own attempt (the
+        executor echoes it on RESULT).  Spec dicts are the cached wire
+        dicts — never rebuilt per frame.
+        """
+        message.payload["tasks"] = [
+            {"task": self._spec_dict(record), "attempt": record.attempts}
+            for record in claimed
+        ]
 
     def _wake_idle(self) -> None:
         """Hand queued work to the idle.
@@ -2174,141 +2232,6 @@ class LiveDispatcher:
             executor.conn.send_encoded(self._notify_frame)
         except Exception:
             self._drop_executor(executor.executor_id, only_conn=executor.conn)
-
-    def _settle(self, record: _LiveRecord, result: TaskResult, ok: bool,
-                now: float, batch: _SettleBatch) -> Optional[_Notify]:
-        """Finalize or retry — the only place a record turns terminal.
-        Returns the client notify, or ``None`` when the task went back
-        to the queue.
-
-        *ok* is ``result.ok`` and *now* the clock reading that stamps
-        the transition, both taken once by the caller.  Span rows, WAL
-        rows, the e2e sample and the terminal counters land in *batch*
-        for the caller's one :meth:`_flush_settles` per frame (safe for
-        the retry path's "enqueue" span: only the loop thread claims,
-        so nothing can dispatch the requeued task before the caller
-        flushes; the WAL rows ride the async flush window either way).
-        """
-        # A stolen task settles on its FIRST result, pass or fail: the
-        # donor shard owns the retry budget and the DLQ (each task has
-        # exactly one home), so retrying or quarantining here would
-        # double-count both.  The failure travels back instead.
-        stolen = bool(record.origin_shard)
-        task_id = record.spec.task_id
-        journaled = self.journal is not None
-        if ok or stolen or record.attempts > self.max_retries:
-            outcome = "ok" if ok else "fail"
-            record.state = TaskState.COMPLETED if ok else TaskState.FAILED
-            record.timeline.completed = now
-            result.attempts = record.attempts
-            result.timeline = record.timeline
-            record.result = result
-            # Wire-only state: a settled task is not dispatched again
-            # unless dlq_retry requeues it, and then _spec_dict()
-            # rebuilds and the notify flush restamps.
-            record.spec_dict = None
-            record.trace_wire = None
-            if ok:
-                batch.completed += 1
-                if stolen:
-                    self._m_stolen_done.inc()
-            else:
-                batch.failed += 1
-                if stolen:
-                    self._m_stolen_failed.inc()
-            batch.e2e.append(now - record.timeline.submitted)
-            self.flight.record(fl.TASK_SETTLE, task_id, outcome=outcome)
-            if journaled:
-                batch.journal_rows.append(
-                    {"k": "result", "id": task_id, "outcome": outcome,
-                     "result": _wal_object(result_to_dict(result))})
-            if not ok and not stolen:
-                # Poison task: the retry budget is spent.  The client
-                # still sees the terminal failure (no hanging futures);
-                # the task is additionally quarantined for inspection
-                # and operator-driven retry (``repro dlq``).
-                self._dlq[task_id] = self._dlq_entry_from_record(record)
-                self._m_dlq.inc()
-                if journaled:
-                    batch.journal_rows.append(
-                        {"k": "dlq", "id": task_id, "error": result.error})
-                self.flight.record(fl.DLQ_ADD, task_id,
-                                   attempts=record.attempts, error=result.error)
-            return (record.client_id, result, record)
-        # retry
-        self._m_retries.inc()
-        self.flight.record(fl.QUEUE_REQUEUE, task_id)
-        record.state = TaskState.QUEUED
-        record.executor_id = ""
-        record.delivered = False
-        batch.span_rows.append((
-            task_id, "enqueue", now, None,
-            record.attempts + 1, (("reason", "retry"),),
-        ))
-        self._queue.append(task_id)
-        if journaled:
-            batch.journal_rows.append({"k": "requeue", "id": task_id,
-                                       "attempt": record.attempts})
-        return None
-
-    def _flush_settles(self, batch: _SettleBatch) -> None:
-        """Pay what a handler's :meth:`_settle` calls deferred: one
-        call per sink for the whole frame."""
-        if batch.span_rows:
-            self.spans.record_many(batch.span_rows)
-        if batch.journal_rows:
-            self.journal.append_many(batch.journal_rows)
-        if batch.completed:
-            self._m_completed.inc(batch.completed)
-        if batch.failed:
-            self._m_failed.inc(batch.failed)
-        self._h_e2e.observe_many(batch.e2e)
-
-    def _requeue_dispatched(self, record: _LiveRecord, reason: str):
-        """Replay a dispatched task whose executor/response is gone.
-        Returns client-notify args when retries are exhausted and the
-        task fails instead."""
-        executor = self._executors.get(record.executor_id)
-        if executor is not None:
-            executor.busy.discard(record.spec.task_id)
-            executor.notified = False
-        if record.attempts <= self.max_retries:
-            self._m_retries.inc()
-            self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
-            record.state = TaskState.QUEUED
-            record.executor_id = ""
-            record.delivered = False
-            self.spans.record(
-                record.spec.task_id, "enqueue", self._now(),
-                attempt=record.attempts + 1, reason=reason,
-            )
-            self._queue.append(record.spec.task_id)
-            self._journal_append("requeue", record.spec.task_id,
-                                 attempt=record.attempts)
-            return None
-        result = TaskResult(
-            record.spec.task_id,
-            return_code=1,
-            error=reason,
-            executor_id=record.executor_id,
-        )
-        # No executor frame will ever close this attempt: the dispatcher
-        # is the observer of record, so it closes the chain itself with
-        # synthetic exec/result/ack spans before settling as failed.
-        now = self._now()
-        task_id = record.spec.task_id
-        self.spans.record(task_id, "exec", now, attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True, seconds=0.0)
-        self.spans.record(task_id, "result", now, attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True,
-                          outcome="fail", reason=reason)
-        batch = _SettleBatch()
-        notify = self._settle(record, result, False, now, batch)
-        self._flush_settles(batch)
-        self.spans.record(task_id, "ack", self._now(), attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True,
-                          delivered=False)
-        return notify
 
     def _notify_clients(self, notifies: list[_Notify]) -> None:
         """Push settled results, one CLIENT_NOTIFY frame per client.
@@ -2394,31 +2317,16 @@ class LiveDispatcher:
             # A dead peer's gossiped depth is no longer a steal target.
             self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
         self.flight.record(kind, executor_id, reason=reason)
-        in_flight = list(executor.busy)
+        in_flight = [record for record in map(self._records.get, executor.busy)
+                     if record is not None
+                     and record.state is TaskState.DISPATCHED
+                     and record.executor_id == executor_id]
         executor.busy.clear()
-        notifies: list[_Notify] = []
-        for task_id in in_flight:
-            record = self._records.get(task_id)
-            if (record is None or record.state is not TaskState.DISPATCHED
-                    or record.executor_id != executor_id):
-                continue
-            if not record.delivered:
-                # The dispatch never left this process (the WORK/ack
-                # transmission failed): restore the task unscathed —
-                # charging an attempt and a retry here is the
-                # double-count bug.
-                record.attempts -= 1
-                record.state = TaskState.QUEUED
-                record.executor_id = ""
-                self.spans.record(
-                    task_id, "enqueue", self._now(),
-                    attempt=record.attempts + 1, reason="undelivered",
-                )
-                self._queue.appendleft(task_id)
-            else:
-                notify = self._requeue_dispatched(record, f"executor {executor_id} lost")
-                if notify is not None:
-                    notifies.append(notify)
+        # An undelivered dispatch (the WORK/ack transmission failed) goes
+        # back uncharged — charging an attempt and a retry for it is the
+        # double-count bug.
+        notifies = self._settle([(record, None, 0.0) for record in in_flight],
+                                executor_id, lost=f"executor {executor_id} lost")
         executor.conn.close()
         if self._queue:
             # Posted, not inline: a failed send inside a wake drops its

@@ -344,10 +344,10 @@ class LiveExecutor:
                     pending, self._unreported = self._unreported, []
                     self._send_results(pending)
             elif msg.type in (MessageType.WORK, MessageType.RESULT_ACK):
-                # A "tasks" list whose entries carry their own attempt
-                # and trace context, asked for or not.
+                # A "tasks" list whose entries carry their own attempt,
+                # asked for or not.
                 entries = [
-                    (item["task"], item.get("attempt"), item.get("trace"))
+                    (item["task"], item.get("attempt"))
                     for item in msg.payload.get("tasks", ())
                     if isinstance(item, dict) and item.get("task") is not None
                 ]
@@ -383,7 +383,7 @@ class LiveExecutor:
                 pass  # the main loop handles the dead connection
 
     def _execute_batch(
-        self, entries: list[tuple[dict, Optional[int], Optional[dict]]]
+        self, entries: list[tuple[dict, Optional[int]]]
     ) -> None:
         """Run one WORK/RESULT_ACK batch, reporting results in bulk.
 
@@ -396,7 +396,7 @@ class LiveExecutor:
         pending: list[dict] = []
         exec_samples: list[float] = []
         window_started = 0.0
-        for task_payload, attempt, trace in entries:
+        for task_payload, attempt in entries:
             if self._stop.is_set():
                 break
             exec_started = time.monotonic()
@@ -422,8 +422,6 @@ class LiveExecutor:
                 # Echo the dispatcher's attempt number so late results
                 # from superseded attempts can be recognised and dropped.
                 entry["attempt"] = attempt
-            if trace is not None:
-                entry["trace"] = trace
             pending.append(entry)
             if finished - window_started >= _RESULT_BATCH_WINDOW:
                 if not self._report(pending, exec_samples):

@@ -4,10 +4,9 @@ One layer shared by the simulation and live planes:
 
 * :mod:`repro.obs.registry` — typed, thread-safe metrics (counters,
   gauges, fixed-bucket histograms with p50/p90/p99).
-* :mod:`repro.obs.trace` — end-to-end task tracing: a compact
-  :class:`TraceContext` rides the wire frames; the dispatcher collects
-  an ordered span chain ``submit → enqueue → notify → pull → exec →
-  result → ack`` per task attempt.
+* :mod:`repro.obs.trace` — end-to-end task tracing: the dispatcher
+  collects an ordered span chain ``submit → enqueue → notify → pull →
+  exec → result → ack`` per task attempt.
 * :mod:`repro.obs.stats` — frozen typed snapshots replacing the old
   stringly-keyed ``stats()`` dicts.
 * :mod:`repro.obs.exporters` — Prometheus-style text and JSON-lines
@@ -36,7 +35,7 @@ from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     quantile_from_values,
 )
-from repro.obs.trace import SPAN_ORDER, Span, SpanCollector, TraceContext
+from repro.obs.trace import SPAN_ORDER, Span, SpanCollector
 from repro.obs.stats import (
     StatsSnapshot,
     DispatcherStats,
@@ -75,7 +74,6 @@ __all__ = [
     "SPAN_ORDER",
     "Span",
     "SpanCollector",
-    "TraceContext",
     "StatsSnapshot",
     "DispatcherStats",
     "ExecutorStats",

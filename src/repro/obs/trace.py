@@ -1,4 +1,4 @@
-"""End-to-end task tracing: trace contexts, spans, and the collector.
+"""End-to-end task tracing: spans and the collector.
 
 Every task settled through the live plane produces an ordered span
 chain covering the full Figure 2 exchange::
@@ -7,13 +7,13 @@ chain covering the full Figure 2 exchange::
 
 The dispatcher is the observer of record: it opens the trace when the
 SUBMIT bundle lands, stamps each protocol step on its own monotonic
-clock, and closes the chain when the result is acknowledged.  A
-compact :class:`TraceContext` (trace id + span id) rides the WORK /
-RESULT_ACK / RESULT frames so the executor's measurements (the ``exec``
-span) attach to the right task *and attempt* even across replays — the
-RADICAL-Pilot characterization lesson: a pilot system is only tunable
-once every task carries its full event timeline through every
-component.
+clock, and closes the chain when the result is acknowledged.  Nothing
+trace-shaped crosses the wire: the executor's measurement (the ``exec``
+span's duration) rides the RESULT entry with the attempt number the
+WORK entry carried, which is all it takes to attach it to the right
+task *and attempt* even across replays — the RADICAL-Pilot
+characterization lesson: record each transition once, as one
+timestamped event, and derive every view from that record.
 
 Retried tasks re-enter the chain with a fresh ``enqueue`` span carrying
 the new attempt number; chain-completeness is judged on the attempt
@@ -29,7 +29,6 @@ from typing import Any, Iterable, Optional
 
 __all__ = [
     "SPAN_ORDER",
-    "TraceContext",
     "Span",
     "SpanCollector",
 ]
@@ -53,23 +52,6 @@ _ATTEMPT_MAX = 2**31 - 1
 def _trace_id(seq: int, task_id: str) -> str:
     """Human-greppable trace id: the collector's open order + the task."""
     return f"tr-{seq:08x}-{task_id}"
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """The compact context that rides wire frames: ids only, no state."""
-
-    trace_id: str
-    span_id: int
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"tid": self.trace_id, "sid": self.span_id}
-
-    @classmethod
-    def from_wire(cls, data: Optional[dict]) -> Optional["TraceContext"]:
-        if not data or "tid" not in data:
-            return None
-        return cls(trace_id=str(data["tid"]), span_id=int(data.get("sid", 0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,16 +195,15 @@ class SpanCollector:
         end: Optional[float] = None,
         attempt: int = 0,
         **attrs: Any,
-    ) -> Optional[TraceContext]:
+    ) -> None:
         """Append one span to *task_id*'s chain.
 
         The parent is the previously recorded span, so the chain order
-        is the record order.  Returns the new span's context (``None``
-        for unknown tasks — never invents orphan traces for stale
-        deliveries).
+        is the record order.  A span for an unknown task is dropped —
+        no orphan traces are invented for stale deliveries.
         """
-        return self.record_stamped(
-            [(task_id, name, start, end, attempt, tuple(attrs.items()))])[0]
+        self.record_many(
+            [(task_id, name, start, end, attempt, tuple(attrs.items()))])
 
     def record_many(self, rows: Iterable[tuple]) -> None:
         """Append many spans under one lock round trip.
@@ -230,39 +211,12 @@ class SpanCollector:
         Each row is ``(task_id, name, start, end, attempt, attrs_items)``
         with *attrs_items* a tuple of key/value pairs.  Rows append in
         order (chain order = row order); rows for unknown tasks are
-        dropped, as in :meth:`record`.  No contexts are built — callers
-        that put one on the wire use :meth:`record_stamped`.
+        dropped, as in :meth:`record`.
         """
         with self._lock:
-            self._append_locked(rows, None)
+            self._append_locked(rows)
 
-    def record_stamped(
-        self, rows: Iterable[tuple]
-    ) -> list[Optional[TraceContext]]:
-        """:meth:`record_many`, returning each row's span context
-        (``None`` for unknown tasks) — taken under the same lock, so a
-        concurrent span for the same task cannot slip between the
-        append and the read."""
-        contexts: list[Optional[TraceContext]] = []
-        with self._lock:
-            self._append_locked(rows, contexts)
-        return contexts
-
-    def record_wire(self, rows: Iterable[tuple]) -> list[Optional[dict]]:
-        """:meth:`record_stamped` for callers that only put the context
-        on the wire: each row's ``{"tid", "sid"}`` dict (what
-        :meth:`TraceContext.to_wire` gives), with no context object
-        built in between."""
-        wire: list[Optional[dict]] = []
-        with self._lock:
-            self._append_locked(rows, wire, wire_form=True)
-        return wire
-
-    def _append_locked(
-        self, rows: Iterable[tuple],
-        contexts: Optional[list],
-        wire_form: bool = False,
-    ) -> None:
+    def _append_locked(self, rows: Iterable[tuple]) -> None:
         rank_of = _SPAN_RANK.get
         seq_of = self._seq.get
         capacity = self.capacity
@@ -282,8 +236,6 @@ class SpanCollector:
                         f"unknown span name {name!r} (expected one of {SPAN_ORDER})")
                 seq = seq_of(task_id)
                 if seq is None:
-                    if contexts is not None:
-                        contexts.append(None)
                     continue
                 slot = seq % capacity
                 n = count[slot]
@@ -315,11 +267,6 @@ class SpanCollector:
                 # Last, so a row whose cells failed to store stays invisible.
                 count[slot] = n + 1
                 recorded += 1
-                if contexts is not None:
-                    contexts.append(
-                        {"tid": _trace_id(seq, task_id), "sid": n + 1}
-                        if wire_form
-                        else TraceContext(_trace_id(seq, task_id), n + 1))
         finally:
             self.spans_recorded += recorded
 
@@ -355,13 +302,6 @@ class SpanCollector:
             )
             for span_id, (start, end, rank, attempt, attrs) in enumerate(rows, 1)
         ]
-
-    def context(self, task_id: str) -> Optional[TraceContext]:
-        """Context of the most recent span of *task_id*."""
-        with self._lock:
-            seq = self._seq.get(task_id)
-            n = self._count[seq % self.capacity] if seq is not None else 0
-        return TraceContext(_trace_id(seq, task_id), n) if n else None
 
     def task_ids(self) -> list[str]:
         with self._lock:

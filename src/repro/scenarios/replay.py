@@ -24,7 +24,7 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.scenarios.generate import Scenario, generate
 from repro.scenarios.oracles import (
@@ -168,6 +168,58 @@ def replay_sim(scenario: Scenario) -> ReplayReport:
 # ---------------------------------------------------------------------------
 # live plane
 # ---------------------------------------------------------------------------
+def _submit_paced(
+    scenario: Scenario,
+    submit: Callable[[list], list],
+    on_done: Callable,
+    started: float,
+    time_scale: float,
+    timeout: float,
+) -> dict:
+    """Submit *scenario*'s tasks through *submit* on their arrival
+    schedule, then wait up to *timeout* for every future; returns the
+    futures by task id.
+
+    Dependency-free tasks already due go in one batch; a DAG node is
+    held back until its parents settled (the live plane has no workflow
+    engine — the harness is the Swift-like driver).
+    """
+    futures: dict = {}
+    batch: list = []
+
+    def flush_batch() -> None:
+        if not batch:
+            return
+        for fut in submit([t.spec for t in batch]):
+            futures[fut.task_id] = fut
+            fut.add_done_callback(on_done)
+        batch.clear()
+
+    for task in sorted(scenario.tasks, key=lambda t: (t.arrival, t.spec.task_id)):
+        due = started + task.arrival * time_scale
+        now = time.monotonic()
+        if task.deps or now < due:
+            flush_batch()
+        if now < due:
+            time.sleep(due - now)
+        deadline = time.monotonic() + timeout
+        for dep in task.deps:
+            dep_future = futures.get(dep)
+            while dep_future is not None and not dep_future.done():
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.002)
+        batch.append(task)
+    flush_batch()
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if all(f.done() for f in futures.values()):
+            break
+        time.sleep(0.02)
+    return futures
+
+
 def replay_live(
     scenario: Scenario,
     journal_dir: Optional[str] = None,
@@ -219,7 +271,6 @@ def replay_live(
         flight_dump_dir=flight_dir,
     )
     started = time.monotonic()
-    futures: dict = {}
     stop_churn = threading.Event()
 
     def churn_loop() -> None:
@@ -251,45 +302,8 @@ def replay_live(
         churn_thread.start()
 
     try:
-        # Paced submission: honour the arrival schedule, batch
-        # dependency-free tasks that are already due, and hold a DAG
-        # node back until its parents settled (the live plane has no
-        # workflow engine — the harness is the Swift-like driver).
-        ordered = sorted(
-            scenario.tasks, key=lambda t: (t.arrival, t.spec.task_id)
-        )
-        batch = []
-
-        def flush_batch() -> None:
-            if not batch:
-                return
-            for fut in falkon.client.submit([t.spec for t in batch]):
-                futures[fut.task_id] = fut
-                fut.add_done_callback(on_done)
-            batch.clear()
-
-        for task in ordered:
-            due = started + task.arrival * time_scale
-            now = time.monotonic()
-            if task.deps or now < due:
-                flush_batch()
-            if now < due:
-                time.sleep(due - now)
-            deadline = time.monotonic() + timeout
-            for dep in task.deps:
-                dep_future = futures.get(dep)
-                while dep_future is not None and not dep_future.done():
-                    if time.monotonic() > deadline:
-                        break
-                    time.sleep(0.002)
-            batch.append(task)
-        flush_batch()
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if all(f.done() for f in futures.values()):
-                break
-            time.sleep(0.02)
+        futures = _submit_paced(scenario, falkon.client.submit, on_done,
+                                started, time_scale, timeout)
         duration = time.monotonic() - started
 
         stats = falkon.dispatcher.stats()
@@ -452,7 +466,6 @@ def replay_live_federated(
     victims = [(sid, i) for sid in fed.shard_ids
                for i in range(len(fed.executors[sid]))]
     started = time.monotonic()
-    futures: dict = {}
     stop_chaos = threading.Event()
     crashed_shards: list[str] = []
 
@@ -509,41 +522,8 @@ def replay_live_federated(
         thread.start()
 
     try:
-        ordered = sorted(
-            scenario.tasks, key=lambda t: (t.arrival, t.spec.task_id)
-        )
-        batch = []
-
-        def flush_batch() -> None:
-            if not batch:
-                return
-            for fut in fed.submit([t.spec for t in batch]):
-                futures[fut.task_id] = fut
-                fut.add_done_callback(on_done)
-            batch.clear()
-
-        for task in ordered:
-            due = started + task.arrival * time_scale
-            now = time.monotonic()
-            if task.deps or now < due:
-                flush_batch()
-            if now < due:
-                time.sleep(due - now)
-            dep_deadline = time.monotonic() + timeout
-            for dep in task.deps:
-                dep_future = futures.get(dep)
-                while dep_future is not None and not dep_future.done():
-                    if time.monotonic() > dep_deadline:
-                        break
-                    time.sleep(0.002)
-            batch.append(task)
-        flush_batch()
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if all(f.done() for f in futures.values()):
-                break
-            time.sleep(0.02)
+        futures = _submit_paced(scenario, fed.submit, on_done,
+                                started, time_scale, timeout)
         for thread in chaos_threads:
             thread.join(timeout=max(5.0, timeout * 0.5))
 

@@ -13,7 +13,9 @@ from repro.live.client import LiveClient
 from repro.live.dispatcher import MAX_PIPELINE_DEPTH, LiveDispatcher
 from repro.live.faults import FaultPlan
 from repro.live.local import LocalFalkon
+from repro.live.protocol import Connection
 from repro.net.message import Message, MessageType
+from repro.net.wire import decode_frame
 from repro.types import TaskSpec
 
 from tests.live.util import RawPeer, wait_until
@@ -44,6 +46,31 @@ def test_pipelined_deployment_completes_with_full_traces():
                 falkon.dispatcher.spans.chain_errors(task.task_id)
 
 
+def test_work_and_result_entries_carry_no_trace_context(monkeypatch):
+    """The attempt number is the whole per-entry context: the WORK
+    entry carries it, the RESULT entry echoes it with the exec window,
+    and no trace id rides along either way."""
+    frames = []
+    send_encoded = Connection.send_encoded
+
+    def recording(self, frame):
+        frames.append(frame)
+        send_encoded(self, frame)
+
+    monkeypatch.setattr(Connection, "send_encoded", recording)
+    with LocalFalkon(executors=1, pipeline_depth=4) as falkon:
+        assert all(r.ok for r in falkon.run(_sleep_tasks(12, "nt"), timeout=30))
+    messages = [decode_frame(frame) for frame in frames]
+    work = [entry for m in messages
+            if m.type in (MessageType.WORK, MessageType.RESULT_ACK)
+            for entry in m.payload.get("tasks", ())]
+    results = [entry for m in messages if m.type is MessageType.RESULT
+               for entry in m.payload["results"]]
+    assert len(work) == len(results) == 12
+    assert all(set(entry) == {"task", "attempt"} for entry in work)
+    assert all(set(entry) == {"result", "attempt", "exec"} for entry in results)
+
+
 def test_pipelined_work_frame_carries_task_list():
     with LiveDispatcher() as dispatcher:
         client = LiveClient(dispatcher.endpoint)
@@ -56,7 +83,7 @@ def test_pipelined_work_frame_carries_task_list():
             for entry in entries:
                 assert entry["task"]["task_id"].startswith("wl-")
                 assert entry["attempt"] == 1
-                assert entry["trace"] and "tid" in entry["trace"]
+                assert set(entry) == {"task", "attempt"}
         finally:
             peer.close()
             client.close()
@@ -121,14 +148,13 @@ def test_depth1_peer_gets_one_entry_task_lists():
             (entry,) = work.payload["tasks"]
             assert entry["task"]["task_id"].startswith("d1-")
             assert entry["attempt"] == 1
-            assert entry["trace"] and "tid" in entry["trace"]
+            assert set(entry) == {"task", "attempt"}
             peer.send(Message(
                 MessageType.RESULT, sender="d1-exec",
                 payload={"results": [{
                     "result": {"task_id": entry["task"]["task_id"],
                                "return_code": 0},
                     "attempt": entry["attempt"],
-                    "trace": entry["trace"],
                 }]}))
             ack = peer.recv_until(MessageType.RESULT_ACK)
             (refill,) = ack.payload["tasks"]

@@ -114,10 +114,12 @@ def test_settle_releases_wire_state_and_it_is_rebuilt_on_demand():
         first = exchange.pull()
         record = dispatcher._records[SPEC.task_id]
         assert first["task"] == task_to_dict(SPEC)
-        assert record.spec_dict is not None and record.trace_wire == first["trace"]
+        assert record.spec_dict is not None
+        assert wait_until(lambda: dispatcher.trace(SPEC.task_id)[-1].name == "pull")
 
         assert exchange.finish(first, return_code=1)["return_code"] == 1
-        assert record.spec_dict is None and record.trace_wire is None
+        assert record.spec_dict is None
+        assert dispatcher.trace(SPEC.task_id)[-2].get("outcome") == "fail"
         assert [e["task_id"] for e in dispatcher.dlq_list()] == [SPEC.task_id]
 
         # A duplicate SUBMIT of the settled id re-pushes the stored result.
@@ -126,21 +128,24 @@ def test_settle_releases_wire_state_and_it_is_rebuilt_on_demand():
             MessageType.CLIENT_NOTIFY).payload["results"]
         assert again["task_id"] == SPEC.task_id and again["return_code"] == 1
 
-        # dlq_retry re-dispatches the same spec under a fresh context:
-        # same trace, a later span — the new attempt's own notify.
+        # dlq_retry re-dispatches the same spec on the same chain: the
+        # new attempt's own enqueue and notify follow the settled ack.
         assert dispatcher.dlq_retry(SPEC.task_id)
         second = exchange.pull()
         assert second["task"] == task_to_dict(SPEC)
         assert second["attempt"] == 1
-        assert second["trace"]["tid"] == first["trace"]["tid"]
-        assert second["trace"]["sid"] > first["trace"]["sid"]
+        assert wait_until(lambda: dispatcher.trace(SPEC.task_id)[-1].name == "pull")
         chain = dispatcher.trace(SPEC.task_id)
-        assert chain[second["trace"]["sid"] - 1].name == "notify"
+        assert len({span.trace_id for span in chain}) == 1
+        assert [span.name for span in chain[-4:]] == [
+            "ack", "enqueue", "notify", "pull"]
+        assert chain[-3].get("reason") == "dlq-retry"
 
         # An ok result travels sparse: return_code 0 is a default.
         done = exchange.finish(second, return_code=0)
         assert set(done) == {"task_id", "executor_id", "timeline"}
-        assert record.spec_dict is None and record.trace_wire is None
+        assert record.spec_dict is None
+        assert dispatcher.spans.chain_complete(SPEC.task_id)
         assert dispatcher.stats().completed == 1
     finally:
         exchange.close()

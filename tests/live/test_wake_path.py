@@ -30,9 +30,10 @@ from tests.live.util import RawPeer, wait_until
 
 #: The functions that mutate dispatcher state.
 MUTATORS = (
-    "_settle", "_claim_many", "_requeue_dispatched", "_drop_executor",
-    "_evict_settled", "_mark_acked", "_adopt_inflight", "_ingest_stolen",
-    "_note_peer_depth", "_requeue_quarantined",
+    "_admit", "_claim_many", "_mark_dispatched", "_settle", "_requeue",
+    "_expire", "_drop_executor", "_evict_settled", "_mark_acked",
+    "_adopt_inflight", "_ingest_stolen", "_note_peer_depth",
+    "_requeue_quarantined",
 )
 
 
@@ -226,7 +227,7 @@ def test_heartbeat_eviction_mutates_only_on_the_loop(monkeypatch):
         silent.recv_work()
         assert future.result(timeout=15).executor_id == "steady"
         assert dispatcher.stats().executors_declared_dead == 1
-        _assert_loop_owned(seen, "_drop_executor", "_requeue_dispatched",
+        _assert_loop_owned(seen, "_drop_executor", "_requeue",
                            "_claim_many", "_settle", "_mark_acked",
                            "_evict_settled", "_adopt_inflight")
     finally:
@@ -253,7 +254,7 @@ def test_replay_timeout_requeue_mutates_only_on_the_loop(monkeypatch):
             "results": [{"result": {"task_id": "owner-replay"},
                          "attempt": again["attempt"]}]}))
         assert future.result(timeout=15).ok
-        _assert_loop_owned(seen, "_requeue_dispatched", "_claim_many",
+        _assert_loop_owned(seen, "_expire", "_requeue", "_claim_many",
                            "_settle", "_mark_acked")
     finally:
         if client is not None:
@@ -345,7 +346,7 @@ def test_failed_client_notify_is_handled_on_the_loop(monkeypatch):
         monkeypatch.setattr(conn, "_flush_locked", broken_pipe)
         assert wait_until(lambda: dispatcher.stats().failed == 1
                           and client_id not in dispatcher._clients)
-        _assert_loop_owned(seen, "_requeue_dispatched", "_settle")
+        _assert_loop_owned(seen, "_expire", "_settle")
     finally:
         client.close()
         mute.close()

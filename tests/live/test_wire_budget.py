@@ -10,18 +10,21 @@ and the executor-measured ``exec.seconds`` — are pinned before
 counting, so the byte counts repeat exactly and the gate can fail
 without flaking.
 
-Readings (bytes per task; budget = 1.1 x this commit's):
+Readings (bytes per task; budget = 1.1 x the last column):
 
-===========  ==================  ===========
-frame        all-keys wire form  sparse form
-===========  ==================  ===========
-SUBMIT x500  179.1               61.1
-WORK x32     274.1               156.1
-RESULT x32   269.3               205.3
-===========  ==================  ===========
+===========  ==================  ===========  ================
+frame        all-keys wire form  sparse form  no trace context
+===========  ==================  ===========  ================
+SUBMIT x500  179.1               61.1         61.1
+WORK x32     274.1               156.1        84.1
+RESULT x32   269.3               205.3        133.3
+===========  ==================  ===========  ================
 
-The all-keys column is the parent commit (``task_to_dict`` /
-``result_to_dict`` emitting every field, defaults included).
+The all-keys column is ``task_to_dict`` / ``result_to_dict`` emitting
+every field, defaults included; the sparse column omits defaults but
+still carries a ``{"tid", "sid"}`` trace context on every WORK entry
+and its echo on every RESULT entry; the last column is the attempt
+echo alone.
 
 The wake path is pinned by frame count: a bundle arriving at idle
 executors costs one pushed WORK, where the paper's hybrid exchange paid
@@ -40,10 +43,10 @@ from repro.types import TaskSpec
 TASKS = 500
 DEPTH = 32
 
-#: 1.1 x the sparse-form readings above, in bytes per task.
+#: 1.1 x the no-trace-context readings above, in bytes per task.
 SUBMIT_BUDGET = 67.2
-WORK_BUDGET = 171.7
-RESULT_BUDGET = 225.8
+WORK_BUDGET = 92.5
+RESULT_BUDGET = 146.6
 
 
 def pinned_size(message: Message) -> int:

@@ -1,8 +1,8 @@
-"""Unit tests for trace contexts and the span collector."""
+"""Unit tests for the span collector."""
 
 import pytest
 
-from repro.obs import SPAN_ORDER, SpanCollector, TraceContext
+from repro.obs import SPAN_ORDER, SpanCollector
 
 
 def record_full_attempt(collector, task_id, attempt=1, t0=0.0):
@@ -15,17 +15,6 @@ def record_full_attempt(collector, task_id, attempt=1, t0=0.0):
     collector.record(task_id, "ack", t0 + 0.07, attempt=attempt)
 
 
-class TestTraceContext:
-    def test_wire_round_trip(self):
-        ctx = TraceContext("tr-1-t", 7)
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-
-    def test_from_wire_tolerates_junk(self):
-        assert TraceContext.from_wire(None) is None
-        assert TraceContext.from_wire({}) is None
-        assert TraceContext.from_wire({"sid": 3}) is None
-
-
 class TestSpanCollector:
     def test_begin_is_idempotent(self):
         c = SpanCollector()
@@ -33,8 +22,9 @@ class TestSpanCollector:
 
     def test_unknown_task_records_nothing(self):
         c = SpanCollector()
-        assert c.record("ghost", "exec", 1.0) is None
+        c.record("ghost", "exec", 1.0)
         assert c.all_spans() == []
+        assert c.spans_recorded == 0
 
     def test_unknown_span_name_rejected(self):
         c = SpanCollector()
@@ -59,9 +49,9 @@ class TestSpanCollector:
         c.record("t1", "submit", 5.0)
         # An executor-measured window anchored before the predecessor
         # must be clamped, not allowed to rewind the chain.
-        span_ctx = c.record("t1", "enqueue", 4.0, end=4.5)
-        assert span_ctx is not None
+        c.record("t1", "enqueue", 4.0, end=4.5)
         chain = c.chain("t1")
+        assert len(chain) == 2
         assert chain[-1].start == 5.0
         assert chain[-1].end == 5.0
 
@@ -122,26 +112,3 @@ class TestSpanCollector:
         assert c.task_ids() == ["t2", "t3"]
         assert c.traces_evicted == 1
 
-    def test_context_tracks_latest_span(self):
-        c = SpanCollector()
-        c.begin("t1")
-        c.record("t1", "submit", 0.0)
-        ctx = c.record("t1", "enqueue", 0.01, attempt=1)
-        assert c.context("t1") == ctx
-        assert c.context("ghost") is None
-
-    def test_record_wire_is_record_stamped_in_wire_form(self):
-        """Same rows, same order, same ids — just no context object
-        between the collector and the frame."""
-        rows = [("t1", "submit", 0.0, None, 0, ()),
-                ("ghost", "notify", 0.1, None, 1, ()),
-                ("t1", "enqueue", 0.1, None, 1, (("reason", "submit"),)),
-                ("t2", "submit", 0.2, None, 0, ())]
-        stamped, wired = SpanCollector(), SpanCollector()
-        for collector in (stamped, wired):
-            collector.begin_many(["t1", "t2"])
-        contexts = stamped.record_stamped(rows)
-        assert wired.record_wire(rows) == [
-            ctx.to_wire() if ctx is not None else None for ctx in contexts]
-        assert contexts[1] is None
-        assert wired.all_spans() == stamped.all_spans()

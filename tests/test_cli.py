@@ -137,3 +137,16 @@ def test_dispatcher_state_has_one_owner_and_no_locks():
         assert not [name for name in vars(dispatcher) if name.endswith("_lock")]
     assert "lock" not in _LiveRecord.__slots__
     assert not hasattr(_ExecutorSession("e", conn=None), "lock")
+
+
+def test_no_trace_context_rides_the_wire():
+    import repro.obs
+    from repro.live.dispatcher import LiveDispatcher, _LiveRecord
+    from repro.obs import SpanCollector
+
+    assert "TraceContext" not in repro.obs.__all__
+    assert not hasattr(repro.obs, "TraceContext")
+    assert "trace_wire" not in _LiveRecord.__slots__
+    for name in ("record_stamped", "record_wire", "context"):
+        assert not hasattr(SpanCollector, name)
+    assert not hasattr(LiveDispatcher, "_flush_notify_spans")
