@@ -31,6 +31,7 @@ from repro.errors import ProtocolError, ReconnectError
 from repro.live.endpoint import Endpoint, EndpointLike, as_endpoint
 from repro.live.protocol import Connection, result_from_dict, task_to_dict
 from repro.net.message import Message, MessageType
+from repro.net.wire import dumps, encode_message_v4
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
 from repro.types import Bundle, TaskResult, TaskSpec, TaskTimeline
 
@@ -337,6 +338,11 @@ class LiveClient:
     def _submit_many(self, tasks: list[TaskSpec]) -> list[TaskFuture]:
         if not tasks:
             return []
+        # Encode every frame before touching shared state, for the same
+        # reason as the id checks below: a task the codec refuses must
+        # not leave the bundle's other futures registered.
+        frames = [self._encode_bundle(bundle)
+                  for bundle in Bundle.split(tasks, self.bundle_size)]
         futures = []
         with self._lock:
             # Validate the *whole* bundle before touching shared state:
@@ -355,11 +361,31 @@ class LiveClient:
                 self._futures[spec.task_id] = future
                 futures.append(future)
         with self._submit_lock:
-            for bundle in Bundle.split(list(tasks), self.bundle_size):
-                self._send_bundle(bundle)
+            for frame, count in frames:
+                self._send_bundle(frame, count)
         return futures
 
-    def _send_bundle(self, bundle: Sequence[TaskSpec]) -> None:
+    def _encode_bundle(self, bundle: Bundle) -> tuple[bytes, int]:
+        """One bundle's SUBMIT frame and task count; ``ValueError``
+        naming the first task the codec refuses (an unpaired surrogate
+        in a string, an integer beyond 64 bits)."""
+        specs = [task_to_dict(t) for t in bundle]
+        # The dispatcher keeps the parsed spec dicts verbatim for
+        # re-dispatch.
+        message = Message(MessageType.SUBMIT, sender=self.epr or "client",
+                          payload={"tasks": specs})
+        try:
+            return encode_message_v4(message, key=self.key), len(specs)
+        except TypeError:
+            for spec in specs:
+                try:
+                    dumps(spec)
+                except TypeError as exc:
+                    raise ValueError(
+                        f"task {spec['task_id']!r} cannot be encoded: {exc}") from None
+            raise
+
+    def _send_bundle(self, frame: bytes, count: int) -> None:
         """One SUBMIT exchange, resubmitting on SUBMIT_REJECT.
 
         The backoff honours the dispatcher's ``retry_after`` hint as a
@@ -367,18 +393,12 @@ class LiveClient:
         ``backoff_cap``; resubmission is idempotent (the dispatcher
         dedupes task ids), so a lost ack is safe to retry too.
         """
-        specs = [task_to_dict(t) for t in bundle]
         delay = self.backoff_base
         for _attempt in range(self.max_submit_retries + 1):
             self._submit_ack.clear()
             self._submit_reply = {}
-            # The dispatcher keeps the parsed spec dicts verbatim for
-            # re-dispatch.
-            self._conn.send(
-                Message(MessageType.SUBMIT, sender=self.epr or "client",
-                        payload={"tasks": specs})
-            )
-            self.flight.record(FRAME_TX, "SUBMIT", tasks=len(specs))
+            self._conn.send_encoded(frame)
+            self.flight.record(FRAME_TX, "SUBMIT", tasks=count)
             if not self._submit_ack.wait(30.0):
                 raise ProtocolError("dispatcher did not acknowledge SUBMIT")
             reply = self._submit_reply

@@ -1894,11 +1894,18 @@ class LiveDispatcher:
     ) -> list[_LiveRecord]:
         """Claim up to *limit* runnable records for *executor*."""
         claimed: list[_LiveRecord] = []
+        # A record stays QUEUED until _mark_dispatched below, so a
+        # duplicate entry (a retry of an already requeued task) would
+        # otherwise be claimed twice into one frame and settle twice.
+        claimed_ids: set[str] = set()
         queue, records = self._queue, self._records
         while queue and len(claimed) < limit:
-            record = records.get(queue.popleft())
-            if record is None or record.state is not TaskState.QUEUED:
+            task_id = queue.popleft()
+            record = records.get(task_id)
+            if (record is None or record.state is not TaskState.QUEUED
+                    or task_id in claimed_ids):
                 continue  # evicted, or a duplicate entry from a replay path
+            claimed_ids.add(task_id)
             claimed.append(record)
         if claimed:
             self._mark_dispatched(claimed, executor, mode)

@@ -47,6 +47,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 from repro.live.endpoint import EndpointLike, as_endpoint
 from repro.live.protocol import Connection, result_to_dict, task_from_dict
 from repro.net.message import Message, MessageType
+from repro.net.wire import replace_surrogates
 from repro.obs import ExecutorStats, MetricsRegistry
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
 from repro.types import TaskResult, TaskSpec
@@ -465,15 +466,25 @@ class LiveExecutor:
                     time.sleep(seconds)
                 return TaskResult(spec.task_id, executor_id=self.executor_id)
             if spec.command.startswith("python:"):
-                return self._execute_python(spec)
-            return self._execute_subprocess(spec)
+                result = self._execute_python(spec)
+            else:
+                result = self._execute_subprocess(spec)
         except Exception as exc:  # never let a task kill the executor
-            return TaskResult(
+            result = TaskResult(
                 spec.task_id,
                 return_code=1,
                 error=f"{type(exc).__name__}: {exc}",
                 executor_id=self.executor_id,
             )
+        # Task output is arbitrary text; the wire carries only valid
+        # Unicode, so unpaired surrogates become U+FFFD here (the one
+        # rule, docs/PROTOCOL.md) — or the RESULT could never be sent.
+        if not (result.stdout.isascii() and result.stderr.isascii()
+                and result.error.isascii()):
+            result.stdout = replace_surrogates(result.stdout)
+            result.stderr = replace_surrogates(result.stderr)
+            result.error = replace_surrogates(result.error)
+        return result
 
     def _execute_python(self, spec: TaskSpec) -> TaskResult:
         name = spec.command.removeprefix("python:")

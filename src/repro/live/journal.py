@@ -38,9 +38,11 @@ Durability model (see ``docs/RELIABILITY.md``):
   close — takes it inside the I/O-lock hold that writes it.  Rows
   therefore reach the file in append order, and the count of durable
   rows is a position: rows ``[0, n)`` are on disk.
-* Every record line carries a CRC32 over its JSON body.  A torn or
-  bit-rotten tail (the process died mid-write) truncates cleanly at
-  the last good record instead of poisoning recovery.
+* Every record line carries a CRC32 over its JSON body's exact UTF-8
+  bytes.  A torn or bit-rotten tail (the process died mid-write)
+  truncates cleanly at the last good record instead of poisoning
+  recovery; a line whose CRC matches is never cut — it decodes or the
+  open fails loudly.
 * Periodic compaction reads nothing back: the journal keeps the
   durable rows of every task not yet *released* (settled, acked, out
   of the DLQ) and writes those as the new ``base.jsonl`` — see
@@ -58,14 +60,15 @@ before the crash.
 from __future__ import annotations
 
 import glob
-import json
+import json  # only for lines older commits wrote: see _legacy_loads
 import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
+from repro.net.wire import dumps, loads, replace_surrogates
 from repro.obs import flight as fl
 
 __all__ = [
@@ -100,50 +103,73 @@ BASE_NAME = "base.jsonl"
 ROTATED_NAME = TAIL_NAME + ".compacting"
 #: Rotated tails a journal that releases nothing keeps, in order.
 ARCHIVE_NAME = "archive-{:06d}.jsonl"
-#: Rows per line of a base: bounds one ``json.dumps`` (one GIL hold).
+#: Rows per line of a base: bounds one encode (one GIL hold).
 BASE_LINE_ROWS = 1000
 
 
 # ---------------------------------------------------------------------------
 # record codec
 # ---------------------------------------------------------------------------
-def journal_line(records: Union[dict[str, Any], list[dict[str, Any]]]) -> str:
-    """Encode one record (or one batch of records) as ``crc32hex8 <json>``.
+def journal_line(records: Union[dict[str, Any], list[dict[str, Any]]]) -> bytes:
+    """Encode one record (or one batch of records) as ``crc32hex8 <json>``
+    (no newline; the writer appends it).
 
     A line's body is either a JSON object (a single record) or a JSON
     array (every record of one flush window).  Batching a window into
-    one line matters for throughput: one ``json.dumps`` over the array
-    costs a third of per-record encoding, and the line stays the atomic
-    unit — a torn line loses exactly one not-yet-durable window, which
-    is the crash-replay granularity anyway.  The CRC covers the exact
-    JSON bytes that follow it, so corruption is detectable without
+    one line matters for throughput: one encode over the array costs a
+    third of per-record encoding, and the line stays the atomic unit —
+    a torn line loses exactly one not-yet-durable window, which is the
+    crash-replay granularity anyway.  The CRC covers the exact UTF-8
+    bytes the encoder produced, so corruption is detectable without
     trusting JSON error positions.
     """
-    body = json.dumps(records, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {body}"
+    body = dumps(records)
+    return b"%08x %b" % (zlib.crc32(body), body)
 
 
-def parse_journal_line(line: str) -> Optional[list[dict[str, Any]]]:
+def _legacy_loads(body: bytes) -> Any:
+    """Decode a CRC-valid body the codec refuses.
+
+    Older commits wrote lines with stdlib ``json``: lone surrogates as
+    ``\\ud800`` escapes and non-finite floats as ``NaN`` / ``Infinity``
+    tokens, both of which :func:`repro.net.wire.loads` rejects.  This
+    is the only reader of such lines; its strings pass through the
+    wire's surrogate rule, so what it yields is encodable again.
+    """
+    return _replace_surrogates(json.loads(body))
+
+
+def _replace_surrogates(value: Any) -> Any:
+    if isinstance(value, str):
+        return replace_surrogates(value)
+    if isinstance(value, dict):
+        return {replace_surrogates(k): _replace_surrogates(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_replace_surrogates(v) for v in value]
+    return value
+
+
+def parse_journal_line(line: bytes) -> Optional[list[dict[str, Any]]]:
     """Decode one line into its records; ``None`` if torn or corrupt.
 
     Single-record lines come back as a one-element list so callers
-    never care which form was written.
+    never care which form was written.  A line whose CRC matches is
+    not torn: if its body does not decode, ``ValueError`` is raised
+    rather than the line being treated as a tail to cut.
     """
-    line = line.rstrip("\n")
-    if len(line) < 10 or line[8] != " ":
+    end = len(line) - line.endswith(b"\n")
+    if end < 10 or line[8] != 0x20:
+        return None
+    body = memoryview(line)[9:end]
+    if b"%08x" % zlib.crc32(body) != line[:8]:
         return None
     try:
-        crc = int(line[:8], 16)
+        decoded = loads(body)
     except ValueError:
-        return None
-    body = line[9:]
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    try:
-        decoded = json.loads(body)
-    except ValueError:
-        return None
+        try:
+            decoded = _legacy_loads(bytes(body))
+        except ValueError as exc:
+            raise ValueError(f"journal line with a valid CRC does not decode: {exc}") from exc
     if isinstance(decoded, dict):
         return [decoded]
     if isinstance(decoded, list) and all(isinstance(r, dict) for r in decoded):
@@ -194,37 +220,43 @@ def strip_defaults(data: dict[str, Any], defaults: dict[str, Any]) -> dict[str, 
     return {k: v for k, v in data.items() if defaults.get(k, _MISSING) != v}
 
 
-def _scan(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int, int]:
-    """``(records, truncated, good)`` of one journal file.
+def _scan(path: Union[str, "os.PathLike[str]"],
+          sink: Callable[[list[dict]], None]) -> tuple[int, int, int]:
+    """Pass each whole line's records of one journal file to *sink*;
+    returns ``(rows, truncated, good)``.
 
     *truncated* counts lines dropped at the first CRC/parse failure —
     replay stops there, since anything after a torn record cannot be
     trusted to be ordered — and *good* is the byte length of what came
     before it.  A line is whole only with its newline: the writer emits
     both in one write, so a line without one was never acknowledged.
+    Lines are read and handed over one at a time, so a replay never
+    holds more than one line's rows besides what it keeps.
     """
-    records: list[dict] = []
-    good = 0
+    rows = good = 0
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
-        return records, 0, good
+        return rows, 0, good
     with fh:
-        lines = fh.readlines()
-    for index, raw in enumerate(lines):
-        if raw.strip():
-            decoded = (parse_journal_line(raw.decode("utf-8", errors="replace"))
-                       if raw.endswith(b"\n") else None)
-            if decoded is None:
-                return records, sum(1 for rest in lines[index:] if rest.strip()), good
-            records.extend(decoded)
-        good += len(raw)
-    return records, 0, good
+        for number, raw in enumerate(fh, 1):
+            if raw.strip():
+                try:
+                    decoded = parse_journal_line(raw) if raw.endswith(b"\n") else None
+                except ValueError as exc:
+                    raise ValueError(f"{os.fspath(path)} line {number}: {exc}") from None
+                if decoded is None:
+                    return rows, 1 + sum(1 for rest in fh if rest.strip()), good
+                sink(decoded)
+                rows += len(decoded)
+            good += len(raw)
+    return rows, 0, good
 
 
 def read_journal_tail(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int]:
     """Every valid record of a journal file, and the lines dropped."""
-    return _scan(path)[:2]
+    records: list[dict] = []
+    return records, _scan(path, records.extend)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +388,9 @@ def _write_rows(path: str, rows: list[dict[str, Any]]) -> int:
     """Replace *path* with *rows* as journal lines, all or nothing:
     temp file, fsync, atomic rename.  Returns the bytes written."""
     size = 0
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+    with open(path + ".tmp", "wb") as fh:
         for at in range(0, len(rows), BASE_LINE_ROWS):
-            size += fh.write(journal_line(rows[at:at + BASE_LINE_ROWS]) + "\n")
+            size += fh.write(journal_line(rows[at:at + BASE_LINE_ROWS]) + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(path + ".tmp", path)
@@ -377,7 +409,8 @@ def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
 
     Raises ``ValueError`` on a ``snapshot.json``, what commits before
     the base compacted into: nothing here reads it, and booting past
-    it would silently drop durable state.
+    it would silently drop durable state.  Likewise on a line whose CRC
+    matches but whose body does not decode (:func:`parse_journal_line`).
     """
     legacy = os.path.join(directory, "snapshot.json")
     if os.path.exists(legacy):
@@ -387,16 +420,18 @@ def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
             "it and rewrites it as journal rows)")
     state = RecoveredState()
     history = [*_archives(directory), os.path.join(directory, BASE_NAME)]
-    rows = good = 0
-    for path in history + [os.path.join(directory, ROTATED_NAME),
-                           os.path.join(directory, TAIL_NAME)]:
-        records, truncated, good = _scan(path)
+
+    def sink(records: list[dict]) -> None:
         for record in records:
             state.apply(record)
         if track is not None:
             track(records)
+
+    rows = good = 0
+    for path in history + [os.path.join(directory, ROTATED_NAME),
+                           os.path.join(directory, TAIL_NAME)]:
+        rows, truncated, good = _scan(path, sink)
         state.truncated += truncated
-        rows = len(records)
         if path not in history:
             state.replayed += rows
         elif rows:
@@ -406,7 +441,8 @@ def _replay(directory: str, track=None) -> tuple[RecoveredState, int, int]:
 
 def recover(directory: Union[str, "os.PathLike[str]"]) -> RecoveredState:
     """Rebuild dispatcher state from a journal directory (read-only;
-    ``ValueError`` on a legacy ``snapshot.json``)."""
+    ``ValueError`` on a legacy ``snapshot.json`` or an undecodable
+    CRC-valid line)."""
     return _replay(os.fspath(directory))[0]
 
 
@@ -460,7 +496,7 @@ class Journal:
             self._retire_history(self._live_rows())
         except OSError:
             pass  # recovery reads the files in place; retried next compact
-        self._fh = open(self.tail_path, "a", encoding="utf-8")
+        self._fh = open(self.tail_path, "ab")
         if self._fh.tell() != good:
             # A torn last line (power cut mid-write): cut it, or every
             # later append lands behind it where no reader ever looks.
@@ -582,14 +618,15 @@ class Journal:
             return
         started = time.monotonic()
         try:
-            # One array line per window: a single json.dumps amortises
+            # One array line per window: a single encode amortises
             # the per-record encoder overhead (~3x cheaper), and the
             # whole window stays atomic under the line's CRC.
-            self._fh.write(journal_line(batch) + "\n")
+            self._fh.write(journal_line(batch) + b"\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        except (OSError, ValueError):
-            # A write or fsync error is fatal: _flushed can never
+        except (OSError, ValueError, TypeError):
+            # A write or fsync error, or a row the codec refuses
+            # (TypeError), is fatal: _flushed can never
             # catch _appended again, so pretending otherwise would
             # leave every future commit() waiting while acks silently
             # stop being durable.  Fail the journal loudly instead —
@@ -726,7 +763,7 @@ class Journal:
                     try:
                         self._fh.close()
                         os.replace(self.tail_path, self.rotated_path)
-                        self._fh = open(self.tail_path, "a", encoding="utf-8")
+                        self._fh = open(self.tail_path, "ab")
                     except OSError:
                         self._failed = True
                         self._cond.notify_all()

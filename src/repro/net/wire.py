@@ -6,12 +6,20 @@ One framing, one version.  Every frame is::
     body     u32 head_len || head JSON
     trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
 
-The head is ``{"sender", "msg_id", "payload"}``: the message type
-lives only in the header code, and the head is *not* canonicalised (no
-``sort_keys``) — signing covers the transmitted header+body bytes
-directly, so neither side re-serialises to sign or verify.  The HMAC
-is our stand-in for GSISecureConversation's per-message authentication
-(the paper treats security purely as per-message overhead, §4.1).
+The head is ``{"sender", "msg_id", "payload"}`` as UTF-8 JSON: the
+message type lives only in the header code, and the head is *not*
+canonicalised (no sorted keys) — signing covers the transmitted
+header+body bytes directly, so neither side re-serialises to sign or
+verify.  The HMAC is our stand-in for GSISecureConversation's
+per-message authentication (the paper treats security purely as
+per-message overhead, §4.1).
+
+:func:`dumps` and :func:`loads` are the live plane's one JSON codec
+(``orjson``): frames, journal lines and HTTP replies all go through
+them.  Strings must be valid Unicode and integers fit in 64 bits —
+:func:`dumps` raises ``TypeError`` otherwise; non-finite floats are
+written as ``null``, and :func:`loads` refuses ``NaN``/``Infinity``
+tokens.
 
 The codec is deliberately socket-free: :func:`encode_message_v4`
 returns bytes and :class:`FrameReader` is an incremental push parser,
@@ -23,9 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
+import re
 import struct
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional, Union
+
+import orjson
 
 from repro.errors import ProtocolError, SecurityError
 from repro.net.message import CODE_TO_TYPE, PROTOCOL_VERSION, Message, WIRE_CODES
@@ -35,8 +45,11 @@ __all__ = [
     "V4_MAGIC",
     "HEADER_BYTES",
     "decode_frame",
+    "dumps",
     "encode_message_v4",
     "FrameReader",
+    "loads",
+    "replace_surrogates",
 ]
 
 #: Upper bound on a single frame; a 300-task bundle of sleep tasks is
@@ -56,7 +69,25 @@ _V4_FLAG_SIGNED = 0x01
 _V4_KNOWN_FLAGS = _V4_FLAG_SIGNED
 _V4_DIGEST_BYTES = 32
 
-_dumps = json.dumps  # hot-path alias; heads are not canonicalised
+#: The code points UTF-8 cannot carry: the surrogate range.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def dumps(obj: Any, sort_keys: bool = False) -> bytes:
+    """Encode *obj* as compact UTF-8 JSON (see the module docstring)."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS if sort_keys else None)
+
+
+def loads(data: Union[bytes, bytearray, memoryview]) -> Any:
+    """Decode UTF-8 JSON; ``ValueError`` on anything else."""
+    return orjson.loads(data)
+
+
+def replace_surrogates(text: str) -> str:
+    """*text* with every surrogate code point replaced by U+FFFD — the
+    one rule for making a Python string encodable (``PROTOCOL.md``)."""
+    return _SURROGATE.sub("\ufffd", text)
+
 
 #: Sentinel: the buffer does not yet hold a complete frame.
 _INCOMPLETE = object()
@@ -73,11 +104,8 @@ def decode_frame(frame: bytes, key: Optional[bytes] = None) -> Message:
 
 def encode_message_v4(message: Message, key: Optional[bytes] = None) -> bytes:
     """Serialise *message* into one frame (layout in the module docstring)."""
-    head_bytes = _dumps(
-        {"sender": message.sender, "msg_id": message.msg_id,
-         "payload": message.payload},
-        separators=(",", ":"),
-    ).encode()
+    head_bytes = dumps({"sender": message.sender, "msg_id": message.msg_id,
+                        "payload": message.payload})
     body_len = _V4_U32.size + len(head_bytes)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {body_len} bytes exceeds limit {MAX_FRAME_BYTES}")
@@ -105,11 +133,11 @@ def _decode_v4_body(code: int, body: memoryview) -> Message:
     if _V4_U32.size + head_len != len(body):
         raise ProtocolError("frame head length disagrees with body length")
     try:
-        head = json.loads(bytes(body[_V4_U32.size:]))
+        head = loads(body[_V4_U32.size:])
     except ValueError as exc:
-        # JSONDecodeError and UnicodeDecodeError both subclass
-        # ValueError; a fuzzed frame must never escape the
-        # ProtocolError contract and kill the I/O loop.
+        # Invalid UTF-8, a lone surrogate escape and a NaN token all
+        # raise JSONDecodeError (a ValueError): a fuzzed frame must
+        # never escape the ProtocolError contract and kill the I/O loop.
         raise ProtocolError(f"frame head is not valid JSON: {exc}") from exc
     if not isinstance(head, dict):
         raise ProtocolError("frame head is not an object")

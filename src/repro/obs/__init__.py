@@ -51,7 +51,7 @@ from repro.obs.exporters import (
     read_spans_jsonl,
     dump_observability,
 )
-from repro.obs.httpd import StatusServer, json_safe
+from repro.obs.httpd import StatusServer
 from repro.obs.flight import (
     FLIGHT_DUMP_VERSION,
     FlightRecorder,
@@ -86,7 +86,6 @@ __all__ = [
     "read_spans_jsonl",
     "dump_observability",
     "StatusServer",
-    "json_safe",
     "read_events_jsonl",
     "replay_summary",
     "FLIGHT_DUMP_VERSION",

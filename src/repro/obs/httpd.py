@@ -27,32 +27,16 @@ scraper never touches the dispatch path.
 
 from __future__ import annotations
 
-import json
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
-__all__ = ["StatusServer", "json_safe"]
+from repro.net.wire import dumps
+
+__all__ = ["StatusServer"]
 
 #: Prometheus text exposition content type.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def json_safe(value: Any) -> Any:
-    """Recursively replace NaN/±Inf with ``None``.
-
-    ``json.dumps`` would happily emit bare ``NaN`` tokens, which are
-    not JSON and break strict parsers (curl | jq, browsers); status
-    payloads must stay consumable by anything.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    return value
 
 
 class StatusServer:
@@ -133,7 +117,7 @@ class StatusServer:
             handler.wfile.write(body)
             return
         if path == "/status":
-            self._reply_json(handler, 200, json_safe(self._status()))
+            self._reply_json(handler, 200, self._status())
             return
         if path.startswith("/tasks/"):
             task_id = path[len("/tasks/"):]
@@ -145,11 +129,11 @@ class StatusServer:
                 return
             self._reply_json(
                 handler, 200,
-                {"task_id": task_id, "spans": json_safe(chain)},
+                {"task_id": task_id, "spans": chain},
             )
             return
         if path == "/dlq" and self._dlq is not None:
-            self._reply_json(handler, 200, {"dlq": json_safe(self._dlq())})
+            self._reply_json(handler, 200, {"dlq": self._dlq()})
             return
         if path.startswith("/dlq/") and self._dlq_entry is not None:
             task_id = path[len("/dlq/"):]
@@ -159,15 +143,15 @@ class StatusServer:
                     handler, 404, {"error": f"task {task_id!r} is not in the DLQ"}
                 )
                 return
-            self._reply_json(handler, 200, json_safe(entry))
+            self._reply_json(handler, 200, entry)
             return
         if path == "/healthz":
             health = (self._healthz() if self._healthz is not None
                       else {"status": "ok", "degraded": []})
-            self._reply_json(handler, 200, json_safe(health))
+            self._reply_json(handler, 200, health)
             return
         if path == "/fleet" and self._fleet is not None:
-            self._reply_json(handler, 200, json_safe(self._fleet()))
+            self._reply_json(handler, 200, self._fleet())
             return
         endpoints = ["/metrics", "/status", "/tasks/<id>", "/dlq",
                      "/dlq/<id>", "/healthz"]
@@ -211,7 +195,9 @@ class StatusServer:
 
     @staticmethod
     def _reply_json(handler: BaseHTTPRequestHandler, code: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        # Strict JSON for any consumer (curl | jq, browsers): the codec
+        # writes NaN and ±Inf as null, never as bare NaN tokens.
+        body = dumps(payload, sort_keys=True)
         handler.send_response(code)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(body)))

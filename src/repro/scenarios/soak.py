@@ -205,6 +205,13 @@ def run_soak(
             wave_elapsed = time.monotonic() - wave_started
             wave_throughputs.append(n / wave_elapsed if wave_elapsed > 0 else 0.0)
             falkon.client.release_settled()
+            # Waves never outrun compaction (the monitor runs it on its
+            # tick): however fast a wave settles, the run cycles the
+            # journal it sets out to exercise.
+            journal = falkon.dispatcher.journal
+            while (journal is not None and journal.should_compact()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
 
             wave_index += 1
             if churn_every_waves and wave_index % churn_every_waves == 0:

@@ -41,23 +41,22 @@ def test_batch_line_round_trip():
 
 def test_corrupt_crc_rejected():
     line = journal_line({"k": "submit", "id": "t-1"})
-    flipped = ("0" if line[0] != "0" else "1") + line[1:]
+    flipped = (b"0" if line[:1] != b"0" else b"1") + line[1:]
     assert parse_journal_line(flipped) is None
 
 
 def test_corrupt_body_rejected():
     line = journal_line({"k": "submit", "id": "t-1"})
-    assert parse_journal_line(line[:-2] + "xx") is None
+    assert parse_journal_line(line[:-2] + b"xx") is None
 
 
 def test_garbage_lines_rejected():
-    assert parse_journal_line("") is None
-    assert parse_journal_line("not a journal line") is None
-    assert parse_journal_line("zzzzzzzz {}") is None
+    assert parse_journal_line(b"") is None
+    assert parse_journal_line(b"not a journal line") is None
+    assert parse_journal_line(b"zzzzzzzz {}") is None
     # valid CRC over a non-dict body must also be refused
-    body = json.dumps(["not", "records"])
-    crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
-    assert parse_journal_line(f"{crc:08x} {body}") is None
+    body = json.dumps(["not", "records"]).encode()
+    assert parse_journal_line(b"%08x %b" % (zlib.crc32(body), body)) is None
 
 
 def test_torn_tail_truncates_at_first_bad_line(tmp_path):
@@ -65,7 +64,7 @@ def test_torn_tail_truncates_at_first_bad_line(tmp_path):
     good = [journal_line({"k": "submit", "id": f"t-{i}"}) for i in range(3)]
     torn = journal_line({"k": "submit", "id": "t-torn"})[:-7]  # mid-write death
     after = journal_line({"k": "submit", "id": "t-after"})
-    path.write_text("\n".join(good + [torn, after]) + "\n")
+    path.write_bytes(b"\n".join(good + [torn, after]) + b"\n")
     records, truncated = read_journal_tail(path)
     assert [r["id"] for r in records] == ["t-0", "t-1", "t-2"]
     assert truncated == 2  # the torn line and everything after it
@@ -343,16 +342,16 @@ def test_commit_never_returns_before_its_rows_are_on_disk(tmp_path):
 
 def _submit_line(task_id):
     return journal_line({"k": "submit", "id": task_id,
-                         "spec": {"command": "sleep"}, "client": "c"}) + "\n"
+                         "spec": {"command": "sleep"}, "client": "c"}) + b"\n"
 
 
 def test_recover_reads_interrupted_compaction_segment(tmp_path, prune=False):
     """Crash between the tail rotation and the base swap: the rotated
     segment holds records absent from both base and tail, and recovery
     must replay it between the two."""
-    (tmp_path / "base.jsonl").write_text(_submit_line("t-base"))
-    (tmp_path / "journal.jsonl.compacting").write_text(_submit_line("t-rot"))
-    (tmp_path / "journal.jsonl").write_text(_submit_line("t-tail"))
+    (tmp_path / "base.jsonl").write_bytes(_submit_line("t-base"))
+    (tmp_path / "journal.jsonl.compacting").write_bytes(_submit_line("t-rot"))
+    (tmp_path / "journal.jsonl").write_bytes(_submit_line("t-tail"))
     state = recover(tmp_path)
     assert set(state.tasks) == {"t-base", "t-rot", "t-tail"}
     assert state.from_snapshot and state.replayed == 2
@@ -388,9 +387,9 @@ def test_recover_converges_when_segment_already_folded(tmp_path):
         {"k": "dispatch", "id": "t-1", "attempt": 2, "executor": "e-2"},
         {"k": "result", "id": "t-1", "outcome": "ok", "result": {}},
     ]
-    lines = "\n".join(journal_line(r) for r in records) + "\n"
-    (tmp_path / "base.jsonl").write_text(lines)
-    (tmp_path / "journal.jsonl.compacting").write_text(lines)
+    lines = b"\n".join(journal_line(r) for r in records) + b"\n"
+    (tmp_path / "base.jsonl").write_bytes(lines)
+    (tmp_path / "journal.jsonl.compacting").write_bytes(lines)
     state = recover(tmp_path)
     task = state.tasks["t-1"]
     assert task.state == "completed" and task.attempts == 2
@@ -406,7 +405,7 @@ def test_legacy_snapshot_directory_is_refused(tmp_path, opener):
     silently drop durable state."""
     (tmp_path / "snapshot.json").write_text(json.dumps({"version": 1, "tasks": [
         {"task_id": "t-1", "spec": {"args": ["0"]}, "client_id": "c-1"}]}))
-    (tmp_path / "journal.jsonl").write_text(_submit_line("t-tail"))
+    (tmp_path / "journal.jsonl").write_bytes(_submit_line("t-tail"))
     with pytest.raises(ValueError, match="snapshot.json"):
         opener(tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["journal.jsonl", "snapshot.json"]
@@ -437,8 +436,8 @@ def test_line_without_its_newline_is_torn(tmp_path):
     """The writer emits a line and its newline in one write, so a line
     that ends the file without one was never acknowledged — and must
     not be kept, or the next append would be glued onto it."""
-    (tmp_path / "journal.jsonl").write_text(
-        _submit_line("a") + _submit_line("b").rstrip("\n"))
+    (tmp_path / "journal.jsonl").write_bytes(
+        _submit_line("a") + _submit_line("b").rstrip(b"\n"))
     records, truncated = read_journal_tail(tmp_path / "journal.jsonl")
     assert [r["id"] for r in records] == ["a"] and truncated == 1
     with Journal(tmp_path) as journal:
@@ -550,7 +549,7 @@ def test_recover_torn_tail_end_to_end(tmp_path):
         journal_line({"k": "result", "id": "t-1", "outcome": "ok", "result": {}}),
         journal_line({"k": "result", "id": "t-2", "outcome": "ok", "result": {}})[:-9],
     ]
-    (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "journal.jsonl").write_bytes(b"\n".join(lines) + b"\n")
     state = recover(tmp_path)
     assert state.truncated == 1
     assert state.tasks["t-1"].terminal

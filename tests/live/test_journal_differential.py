@@ -69,8 +69,8 @@ class FoldingReference:
         self.snapshot = os.path.join(directory, "snapshot.json")
 
     def append(self, rows):
-        with open(self.tail, "a", encoding="utf-8") as fh:
-            fh.write(journal_line(rows) + "\n")
+        with open(self.tail, "ab") as fh:
+            fh.write(journal_line(rows) + b"\n")
 
     def _load_snapshot(self, state):
         if os.path.exists(self.snapshot):
@@ -233,6 +233,7 @@ def test_compaction_parses_nothing_and_keeps_only_unreleased_rows(
                 patch.setattr(journal_module, name, forbidden)
             patch.setattr(json, "load", forbidden)
             patch.setattr(json, "loads", forbidden)
+            patch.setattr(journal_module, "loads", forbidden)
             journal.compact()
         assert journal.stats()["compactions"] == 1
         assert journal.tail_records == 0

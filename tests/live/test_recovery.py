@@ -567,7 +567,7 @@ def test_resubmission_is_idempotent_per_task_id():
         peer_client.submit(specs(3, prefix="dup"))
         # Re-send the same bundle straight over the wire (the client
         # API would refuse the duplicate ids locally).
-        peer_client._send_bundle(specs(3, prefix="dup"))
+        peer_client._send_bundle(*peer_client._encode_bundle(specs(3, prefix="dup")))
         assert disp.stats().queued == 3
     finally:
         peer_client.close()

@@ -120,3 +120,37 @@ def test_thief_lifecycle_log_counts_what_its_stats_count(tmp_path, monkeypatch):
     assert summary["submitted"] == stats.accepted
     assert summary["retries"] == stats.retries
     assert summary["settled"] == stats.completed + stats.failed
+
+
+def test_a_duplicate_queue_entry_is_claimed_and_settled_once():
+    """A failed result for a task the replay timer or an executor loss
+    already requeued queues it a second time.  A claim burst must still
+    hand the task out once: a WORK frame carrying it twice makes the
+    executor answer twice in one RESULT frame, and the one attempt
+    settles twice (a poison task is counted failed twice)."""
+    dispatcher = LiveDispatcher()
+    client = _client(dispatcher)
+    executor = RawPeer(dispatcher.address)
+    try:
+        client.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": "dup-0", "args": ["0"]}]}))
+        client.recv_until(MessageType.SUBMIT_ACK)
+        dispatcher._post(dispatcher._queue.append, "dup-0")
+        assert wait_until(lambda: list(dispatcher._queue) == ["dup-0", "dup-0"])
+        executor.send(Message(MessageType.REGISTER, sender="e-dup", payload={
+            "executor_id": "e-dup", "pipeline": 4}))
+        executor.recv_until(MessageType.REGISTER_ACK)
+        entries = executor.recv_work()
+        assert [(e["task"]["task_id"], e["attempt"]) for e in entries] == [("dup-0", 1)]
+        # Answer every entry, as an executor does, in one frame.
+        executor.send(Message(MessageType.RESULT, sender="e-dup", payload={"results": [
+            {"result": {"task_id": e["task"]["task_id"]}, "attempt": e["attempt"],
+             "exec": {"seconds": 0.0}} for e in entries]}))
+        executor.recv_until(MessageType.RESULT_ACK)
+        stats = dispatcher.stats()
+        assert (stats.accepted, stats.completed, stats.failed) == (1, 1, 0)
+        assert dispatcher._records["dup-0"].attempts == 1
+    finally:
+        client.close()
+        executor.close()
+        dispatcher.close()

@@ -5,7 +5,7 @@ dependency): generate adversarial specs/results/payloads and assert the
 round-trip laws the journal and the wire rely on:
 
 * ``parse_journal_line(journal_line(x)) == x`` for records and batches,
-  and any single-character corruption is detected (CRC), never
+  and any single-byte corruption is detected (CRC), never
   mis-parsed.
 * ``strip_defaults`` + the wire parsers reconstruct the exact
   ``TaskSpec`` / ``TaskResult``, including unicode, large blobs, and
@@ -133,8 +133,8 @@ def test_journal_line_detects_any_single_character_corruption():
     line = journal_line({"kind": "submit", "task_id": "t-ünïcode-1", "a": [1, 2]})
     for _ in range(ROUNDS):
         pos = rng.randrange(len(line))
-        flipped = chr((ord(line[pos]) + rng.randrange(1, 64)) % 0x7F or 0x21)
-        corrupted = line[:pos] + flipped + line[pos:][1:]
+        flipped = (line[pos] + rng.randrange(1, 64)) % 0x7F or 0x21
+        corrupted = line[:pos] + bytes([flipped]) + line[pos + 1:]
         parsed = parse_journal_line(corrupted)
         # Either rejected outright, or (CRC-digit flip that still
         # matches? impossible: body unchanged ⇒ crc mismatch) — so:
@@ -143,14 +143,13 @@ def test_journal_line_detects_any_single_character_corruption():
 
 def test_journal_line_rejects_torn_and_non_record_lines():
     line = journal_line({"kind": "submit"})
-    for torn in (line[: len(line) // 2], line[9:], "", "zz", "0" * 8):
+    for torn in (line[: len(line) // 2], line[9:], b"", b"zz", b"0" * 8):
         assert parse_journal_line(torn) is None
     # Valid CRC over a non-object body must not produce records.
     import zlib
 
-    body = json.dumps(["not-a-dict", 3])
-    crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
-    assert parse_journal_line(f"{crc:08x} {body}") is None
+    body = json.dumps(["not-a-dict", 3]).encode()
+    assert parse_journal_line(b"%08x %b" % (zlib.crc32(body), body)) is None
 
 
 def test_defaults_stripped_specs_round_trip_exactly():

@@ -20,7 +20,8 @@ def test_live_plane_imports_neither_numpy_nor_the_sim_plane():
     code = (
         "import repro.live.dispatcher, repro.live.executor, sys; "
         "from repro.live.faults import FaultPlan; FaultPlan(seed=1); "
-        "assert 'numpy' not in sys.modules and 'repro.core' not in sys.modules"
+        "assert 'numpy' not in sys.modules and 'repro.core' not in sys.modules; "
+        "assert 'orjson' in sys.modules  # the one JSON codec (repro.net.wire)"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env,
