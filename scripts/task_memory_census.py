@@ -10,11 +10,12 @@ process under ``tracemalloc``; a client in a child process pushes
 sleep-0 tasks through them in closed-loop waves (the ``burst_sleep0``
 shape of the standing benchmark) and exits, so what stays traced is
 what the dispatcher retains.  The by-structure table is a deep
-``sys.getsizeof`` walk over the dispatcher's records and span store;
-an object reachable from two structures is charged to the first in the
-order printed (task-id strings land under "records").  The walk reads
-the span store's private columns — this is a diagnostic, not an API
-consumer.  Collector counts are the process's ``gc.get_stats()`` delta
+``sys.getsizeof`` walk over the dispatcher's records and its event
+ring (every task transition, chained per task, plus the other flight
+events); an object reachable from two structures is charged to the
+first in the order printed (task-id strings land under "records").
+The walk reads the ring's private columns — this is a diagnostic, not
+an API consumer.  Collector counts are the process's ``gc.get_stats()`` delta
 over the run (``docs/PERFORMANCE.md``, "Per-task memory").
 """
 
@@ -114,11 +115,9 @@ def _by_structure(dispatcher) -> dict[str, int]:
         out["spec"] += walk.deep(record.spec)
         out["result"] += walk.deep(record.result)
         out["spec_dict"] += walk.deep(record.spec_dict)
-    spans = dispatcher.spans
-    out["span attrs"] = sum(walk.deep(attrs) for attrs in spans._attrs)
-    out["span attrs"] += sum(walk.deep(row[4]) for rows in spans._spill.values()
-                             for row in rows)
-    out["span store"] = walk.deep(spans)
+    ring = dispatcher.flight
+    out["ring attrs"] = sum(walk.deep(attrs) for attrs in ring._attrs)
+    out["event ring"] = walk.deep(ring)
     return out
 
 

@@ -1120,8 +1120,8 @@ def _trace_http(args) -> int:
 
 
 def _eviction_note(bases: list[str]) -> str:
-    """Why a chain may be missing though the task ran: the span store
-    is bounded.  Empty unless some shard's ``/status`` reports
+    """Why a chain may be missing though the task ran: the dispatcher's
+    event ring is bounded.  Empty unless some shard's ``/status`` reports
     evictions (or when none answers — the note is best-effort)."""
     import urllib.error
 
@@ -1133,8 +1133,8 @@ def _eviction_note(bases: list[str]) -> str:
             continue
         if store.get("evicted_total"):
             where = f"{base}: " if len(bases) > 1 else ""
-            notes.append(f"; {where}the collector keeps the newest "
-                         f"{store.get('capacity')} traces and has evicted "
+            notes.append(f"; {where}the dispatcher keeps the newest "
+                         f"{store.get('capacity')} events and has evicted "
                          f"{store['evicted_total']}")
     return "".join(notes)
 

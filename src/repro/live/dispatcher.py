@@ -52,12 +52,13 @@ Observability (the unified plane, see ``docs/OBSERVABILITY.md``): every
 counter lives in a typed :class:`repro.obs.MetricsRegistry`, dispatch/
 exec/end-to-end latencies feed fixed-bucket histograms (p50/p90/p99),
 and each task accumulates an ordered span chain ``submit → enqueue →
-notify → pull → exec → result → ack`` in a :class:`repro.obs.SpanCollector`,
-queryable with :meth:`LiveDispatcher.trace`.  Each task transition —
-admit, dispatch, delivery, settle, requeue — is one method, the only
-writer of that transition's state, span rows, flight event, WAL row and
-counters.  The attempt number each WORK/RESULT_ACK task entry carries
-and each RESULT entry echoes is all the executor's exec window needs to
+notify → pull → exec → result → ack`` in the one event ring that is
+also its flight recorder (:class:`repro.obs.FlightRecorder`), queryable
+with :meth:`LiveDispatcher.trace`.  Each task transition — admit,
+dispatch, delivery, settle, requeue — is one method, the only writer of
+that transition's state, its event, WAL row and counters.  The attempt
+number each WORK/RESULT_ACK task entry carries and each RESULT entry
+echoes is all the executor's exec window needs to
 land on the right attempt of the chain, even across replays.
 
 Durability (see ``docs/RELIABILITY.md``): with ``journal_dir`` set,
@@ -122,7 +123,6 @@ from repro.obs import (
     DispatcherStats,
     MetricsRegistry,
     Span,
-    SpanCollector,
     StatusServer,
     render_prometheus,
 )
@@ -173,6 +173,11 @@ STALL_AFTER = 5.0
 
 #: ``/status`` reports completions per second over this many seconds.
 RATE_WINDOW = 5.0
+
+#: Events the dispatcher's ring keeps: whole chains for the newest
+#: 100 000 tasks of a pipelined sleep-0 run, which records about 7.1
+#: events per task (7 transitions, a tenth of a frame event).
+EVENT_CAPACITY = 720_000
 
 #: Task lengths (seconds) of ``/status``'s efficiency curve — the
 #: paper's Figure 5 sweep of efficiency vs task length.
@@ -407,7 +412,11 @@ class LiveDispatcher:
         self._peer_links: dict[str, object] = {}
         self._client_seq = itertools.count(1)
         self._session_seq = itertools.count(1)
-        self._started = time.monotonic()
+        # The one event ring — span chains, flight dumps, lifecycle
+        # log — and its clock is the dispatcher's.
+        self.flight = self.spans = FlightRecorder(
+            "dispatcher", shard_id=shard_id, capacity=EVENT_CAPACITY)
+        self._started = self.flight.t0
         # NOTIFY carries no state: one frame, encoded and signed once,
         # sent to every idle peer shard as its steal hint from this
         # shared bytes cache.
@@ -415,14 +424,12 @@ class LiveDispatcher:
             Message(MessageType.NOTIFY, sender="dispatcher"), key=key
         )
         # The observability plane: typed instruments replace the old
-        # hand-rolled integer attributes (kept readable via properties),
-        # and every task grows an ordered span chain in the collector.
+        # hand-rolled integer attributes (kept readable via properties).
         # Federated shards get a per-shard metric prefix so N shards'
         # registries render side by side without name collisions.
         prefix = ("dispatcher" if shard_id is None
                   else "dispatcher_" + shard_id.replace("-", "_"))
         self.metrics = MetricsRegistry(prefix=prefix)
-        self.spans = SpanCollector()
         # Telemetry is read where it is kept (see status_snapshot): an
         # executor session holds its last heartbeat's stats, this the
         # provisioner's last poll's, and each sweep appends one
@@ -432,7 +439,7 @@ class LiveDispatcher:
         self._completions: deque[tuple[float, int]] = deque(maxlen=256)
         self._http: Optional[StatusServer] = None
         #: Optional cross-shard trace resolver: called with a task id
-        #: when the local span store has no chain, so ``/tasks/<id>``
+        #: when the local ring has no chain, so ``/tasks/<id>``
         #: on any shard of a federation resolves the owning shard
         #: instead of 404ing (set by the federation wiring).
         self.trace_fallback = None
@@ -470,15 +477,15 @@ class LiveDispatcher:
             "stolen_completed", help="Stolen tasks settled ok on behalf of a peer")
         self._m_stolen_failed = self.metrics.counter(
             "stolen_failed", help="Stolen tasks settled failed on behalf of a peer")
-        # The span store is bounded: a chain missing from it is an
-        # evicted trace, not a lost task, and these two say which.
+        # The ring is bounded: a chain missing from it is evicted, not
+        # a lost task, and these two say which.
         self.metrics.counter(
-            "trace_spans", help="Spans recorded by the span collector",
-            fn=lambda: self.spans.spans_recorded)
+            "trace_spans", help="Events recorded by the dispatcher's ring",
+            fn=lambda: self.spans.recorded)
         self.metrics.counter(
             "trace_evicted",
-            help="Traces evicted from the bounded span collector (oldest first)",
-            fn=lambda: self.spans.traces_evicted)
+            help="Events evicted from the bounded ring (oldest first)",
+            fn=lambda: self.spans.evicted)
         self.metrics.gauge("peers", help="Peer shards with fresh gossip",
                            fn=lambda: len(self._peer_depths))
         self.metrics.gauge("dlq_size", help="Tasks currently quarantined",
@@ -508,10 +515,6 @@ class LiveDispatcher:
             for name in (*_Session.HANDLER_NAMES.values(), "sweep")
         }
 
-        # The flight recorder: a bounded ring of structured events,
-        # flushed to a dump on crash/SIGTERM/oracle violation/POST
-        # /debug/dump, and followed as the lifecycle log.
-        self.flight = FlightRecorder("dispatcher", shard_id=shard_id)
         #: Where unsolicited dumps (crash, SIGTERM, debug) land;
         #: ``None`` falls back to a per-process temp directory.
         self.flight_dump_dir = flight_dump_dir
@@ -598,7 +601,7 @@ class LiveDispatcher:
         return Endpoint(self.host, self.port)
 
     def _now(self) -> float:
-        """Seconds since dispatcher start (the span/timeline clock)."""
+        """Seconds since dispatcher start (the ring's and timelines' clock)."""
         return time.monotonic() - self._started
 
     # -- the one owner ---------------------------------------------------------
@@ -980,9 +983,9 @@ class LiveDispatcher:
             "journal": self.journal.stats() if self.journal is not None else None,
             "trace": {
                 "capacity": self.spans.capacity,
-                "traces": len(self.spans),
-                "spans_total": self.spans.spans_recorded,
-                "evicted_total": self.spans.traces_evicted,
+                "traces": self.spans.traces,
+                "spans_total": self.spans.recorded,
+                "evicted_total": self.spans.evicted,
             },
             "dlq": self.dlq_list(),
             "uptime_s": now - self._started,
@@ -1217,6 +1220,8 @@ class LiveDispatcher:
                          if r.state is TaskState.DISPATCHED],
             "queued": list(self._queue),
             "degraded": list(self._degraded),
+            # None tells the doctor no HEARTBEAT was ever due.
+            "heartbeat_interval": self.heartbeat_interval,
         }
 
     def flight_dump_directory(self) -> str:
@@ -1769,6 +1774,16 @@ class LiveDispatcher:
             # copies are garbage once the frame is.
             result = result_from_dict(payload, record.timeline)
             result.task_id = record.spec.task_id
+            if state is TaskState.QUEUED:
+                # The replay timer requeued this attempt: its failure
+                # is already a retry; a success settles, out of the queue.
+                if not result.ok:
+                    stale += 1
+                    continue
+                try:
+                    self._queue.remove(result.task_id)
+                except ValueError:
+                    pass
             if not (is_peer and result.executor_id):
                 # Peer-returned results keep the remote executor's
                 # identity when the thief filled it in.
@@ -1822,8 +1837,8 @@ class LiveDispatcher:
 
     # -- task transitions ------------------------------------------------------
     # Each transition of a task has one writer, which also pays what the
-    # transition owes the shared sinks — its span rows, flight event, WAL
-    # row and counters: _admit puts a task in the queue, _mark_dispatched
+    # transition owes — its one event in the ring, WAL row and
+    # counters: _admit puts a task in the queue, _mark_dispatched
     # hands it to an executor, _mark_delivered_many notes that the frame
     # left, _settle decides how the attempt ended and _requeue sends it
     # back.  (_record_acks writes the "ack" span that closes a chain.)
@@ -1833,9 +1848,10 @@ class LiveDispatcher:
         SUBMIT (*reason* ``submit``), steal ingest (``stolen``) and boot
         recovery (``recovered``).
 
-        A QUEUED record is stamped submitted, opens its trace with a
+        A QUEUED record is stamped submitted, opens its chain with a
         ``submit`` span (attrs: its client plus *submit_attrs*) and an
-        ``enqueue`` span, logs one ``queue.enq`` and joins the queue; a
+        ``enqueue`` span (``queue.enq`` in the flight view) and joins the
+        queue; a
         recovered settled one only joins the table, queryable for
         reconnecting clients.  With a journal, one ``submit`` WAL row per
         record goes first (a stolen record's carries its origin;
@@ -1862,7 +1878,7 @@ class LiveDispatcher:
             journal.append_many(wal)
             if durable and not journal.commit():
                 return False
-        table, record_event = self._records, self.flight.record
+        table = self._records
         enqueue_attrs = (("reason", reason),)
         # One shared attrs tuple per client, not one per task.
         by_client: dict[str, tuple] = {}
@@ -1881,9 +1897,7 @@ class LiveDispatcher:
             rows.append((task_id, "submit", now, None, 0, attrs))
             rows.append((task_id, "enqueue", now, None,
                          record.attempts + 1, enqueue_attrs))
-            record_event(fl.QUEUE_ENQUEUE, task_id)
             queued.append(task_id)
-        self.spans.begin_many(queued)
         self.spans.record_many(rows)
         self._queue.extend(queued)
         self._m_accepted.inc(len(records))
@@ -1928,7 +1942,7 @@ class LiveDispatcher:
         attrs = executor.dispatch_attrs(mode)
         adopted = mode == "adopted"
         executor_id = executor.executor_id
-        busy, record_event = executor.busy, self.flight.record
+        busy = executor.busy
         rows: list[tuple] = []
         wal: Optional[list[dict]] = [] if self.journal is not None else None
         for record in records:
@@ -1941,10 +1955,6 @@ class LiveDispatcher:
             record.timeline.dispatched = now
             task_id = record.spec.task_id
             busy.add(task_id)
-            if adopted:
-                record_event(fl.QUEUE_CLAIM, task_id, mode=mode)
-            else:
-                record_event(fl.QUEUE_CLAIM, task_id)
             rows.append((task_id, "notify", now, None, record.attempts, attrs))
             if wal is not None:
                 row = {"k": "dispatch", "id": task_id,
@@ -2037,6 +2047,7 @@ class LiveDispatcher:
         e2e: list[float] = []
         notifies: list[_Notify] = []
         retries: list[_LiveRecord] = []
+        quarantined: list[tuple[str, int, str]] = []
         completed = failed = 0
         for record, result, exec_seconds in settles:
             task_id = record.spec.task_id
@@ -2082,7 +2093,6 @@ class LiveDispatcher:
                 if stolen:
                     self._m_stolen_failed.inc()
             e2e.append(now - record.timeline.submitted)
-            self.flight.record(fl.TASK_SETTLE, task_id, outcome=outcome)
             if journal is not None:
                 wal.append({"k": "result", "id": task_id, "outcome": outcome,
                             "result": _wal_object(result_to_dict(result))})
@@ -2095,10 +2105,12 @@ class LiveDispatcher:
                 self._m_dlq.inc()
                 if journal is not None:
                     wal.append({"k": "dlq", "id": task_id, "error": result.error})
-                self.flight.record(fl.DLQ_ADD, task_id,
-                                   attempts=attempts, error=result.error)
+                quarantined.append((task_id, attempts, result.error))
             notifies.append((record.client_id, result, record))
         self.spans.record_many(rows)
+        # After the rows: a task's dlq.add follows its settle.
+        for task_id, attempts, error in quarantined:
+            self.flight.record(fl.DLQ_ADD, task_id, attempts=attempts, error=error)
         if wal:
             journal.append_many(wal)
         if completed:
@@ -2120,13 +2132,14 @@ class LiveDispatcher:
         attempt with *reason*.
 
         * A settled one is an operator's ``dlq retry``: a fresh retry
-          budget and timeline, logged as ``dlq.retry``.
+          budget and timeline (reason ``dlq-retry``, ``dlq.retry`` in
+          the flight view).
         * An undelivered dispatch — its WORK/ack never left this
           process — gets its attempt back uncharged and returns to the
           head it was claimed from, with reason ``undelivered``.
         * Anything else (a failed result, the replay timer, a lost
-          executor) is a retry: counted, logged as ``queue.requeue``,
-          queued at the tail.
+          executor) is a retry: counted, queued at the tail
+          (``queue.requeue`` in the flight view).
 
         The WAL row carries the attempt the record now holds, so
         recovery reads what the live table does.
@@ -2140,7 +2153,6 @@ class LiveDispatcher:
             record.timeline = TaskTimeline(submitted=now)
             self._queue.append(task_id)
             self._journal_append("dlq-retry", task_id)
-            self.flight.record(fl.DLQ_RETRY, task_id)
         elif record.state is TaskState.DISPATCHED and not record.delivered:
             reason = "undelivered"
             record.attempts -= 1
@@ -2150,12 +2162,11 @@ class LiveDispatcher:
             self._m_retries.inc()
             self._queue.append(task_id)
             self._journal_append("requeue", task_id, attempt=record.attempts)
-            self.flight.record(fl.QUEUE_REQUEUE, task_id)
         record.state = TaskState.QUEUED
         record.executor_id = ""
         record.delivered = False
-        self.spans.record(task_id, "enqueue", now,
-                          attempt=record.attempts + 1, reason=reason)
+        self.spans.record_many([(task_id, "enqueue", now, None,
+                                 record.attempts + 1, (("reason", reason),))])
 
     def _record_acks(self, notifies: list[_Notify], attrs: tuple) -> None:
         """The ``ack`` spans closing the settled attempts' chains: after

@@ -4,9 +4,9 @@ One layer shared by the simulation and live planes:
 
 * :mod:`repro.obs.registry` — typed, thread-safe metrics (counters,
   gauges, fixed-bucket histograms with p50/p90/p99).
-* :mod:`repro.obs.trace` — end-to-end task tracing: the dispatcher
-  collects an ordered span chain ``submit → enqueue → notify → pull →
-  exec → result → ack`` per task attempt.
+* :mod:`repro.obs.trace` — end-to-end task tracing: the span chain
+  ``submit → enqueue → notify → pull → exec → result → ack`` per task
+  attempt and its check, read from the dispatcher's flight ring.
 * :mod:`repro.obs.stats` — frozen typed snapshots replacing the old
   stringly-keyed ``stats()`` dicts.
 * :mod:`repro.obs.exporters` — Prometheus-style text and JSON-lines
@@ -16,9 +16,10 @@ One layer shared by the simulation and live planes:
   --http-port`` and ``repro top``; the dispatcher builds ``/status``
   at read time from its registry and session tables.
 * :mod:`repro.obs.flight` — per-component flight recorders: bounded
-  lock-free event rings flushed to versioned JSON dumps on crash,
-  SIGTERM, oracle violation or ``POST /debug/dump``, and followed as
-  JSONL for ``repro events replay`` timeline reconstruction.
+  columnar event rings (the dispatcher's holds its task transitions)
+  flushed to versioned JSON dumps on crash, SIGTERM, oracle violation
+  or ``POST /debug/dump``, and followed as JSONL for ``repro events
+  replay`` timeline reconstruction.
 * :mod:`repro.obs.watchdog` — stall detection, contended-lock timing
   and the named-check panel behind ``/healthz``'s ``degraded`` field.
 * :mod:`repro.obs.doctor` — the ``repro doctor`` dump analyzer:
@@ -35,7 +36,7 @@ from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     quantile_from_values,
 )
-from repro.obs.trace import SPAN_ORDER, Span, SpanCollector
+from repro.obs.trace import SPAN_ORDER, Span
 from repro.obs.stats import (
     StatsSnapshot,
     DispatcherStats,
@@ -55,6 +56,7 @@ from repro.obs.httpd import StatusServer
 from repro.obs.flight import (
     FLIGHT_DUMP_VERSION,
     FlightRecorder,
+    SpanCollector,
     flight_dump_path,
     load_flight_dumps,
     read_events_jsonl,

@@ -200,9 +200,13 @@ def analyze(path: str, window_s: float = DEFAULT_WINDOW_S) -> dict:
             report["resolutions"].append(resolution)
 
     # Heartbeat silence: a dispatcher dump with zero HEARTBEAT rx in
-    # its window while executors were registered suggests dead links.
+    # its window while executors were registered suggests dead links,
+    # unless it says no heartbeat was due (older dumps lack the key).
     for dump in dumps:
         if dump.get("component") != "dispatcher":
+            continue
+        extra = dump.get("extra") or {}
+        if "heartbeat_interval" in extra and extra["heartbeat_interval"] is None:
             continue
         t_end = dump.get("t_mono", 0.0)
         saw_hb = any(

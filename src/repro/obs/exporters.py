@@ -1,7 +1,7 @@
 """Exporters: Prometheus-style text and JSON-lines dumps.
 
 Two formats, one source of truth (a :class:`~repro.obs.registry.MetricsRegistry`
-plus an optional :class:`~repro.obs.trace.SpanCollector`):
+plus an optional :class:`~repro.obs.flight.FlightRecorder` holding span chains):
 
 * :func:`render_prometheus` — the ``text/plain; version=0.0.4``
   exposition format (``# TYPE`` lines, cumulative ``_bucket{le=...}``
@@ -22,7 +22,8 @@ import tempfile
 from typing import Any, Iterable, Iterator, Optional, TextIO, Union
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import Span, SpanCollector
+from repro.obs.flight import FlightRecorder
+from repro.obs.trace import Span
 
 __all__ = [
     "atomic_writer",
@@ -147,9 +148,9 @@ def _write_lines(target: Union[str, "os.PathLike[str]", TextIO], rows: Iterable[
 
 def write_spans_jsonl(
     target: Union[str, "os.PathLike[str]", TextIO],
-    collector: SpanCollector,
+    collector: FlightRecorder,
 ) -> int:
-    """Dump every buffered span as one JSON object per line."""
+    """Dump every span chain in *collector* as one JSON object per line."""
     return _write_lines(target, (span.to_dict() for span in collector.all_spans()))
 
 
@@ -194,7 +195,7 @@ def read_spans_jsonl(path: Union[str, "os.PathLike[str]"]) -> list[Span]:
 def dump_observability(
     out_dir: Union[str, "os.PathLike[str]"],
     registries: Iterable[MetricsRegistry],
-    collector: Optional[SpanCollector] = None,
+    collector: Optional[FlightRecorder] = None,
     namespace: str = "falkon",
 ) -> list[str]:
     """Write ``metrics.prom``, ``metrics.jsonl`` and (when a collector

@@ -7,7 +7,7 @@ observed *while tasks flow* — no dependencies, no framework:
 ``GET /metrics``            Prometheus text exposition (``render_prometheus``)
 ``GET /status``             JSON snapshot: typed dispatcher stats, derived
                             cluster gauges, per-executor telemetry table
-``GET /tasks/<id>``         the task's span chain from the SpanCollector
+``GET /tasks/<id>``         the task's span chain from the dispatcher's ring
 ``GET /dlq``                the dead-letter queue (quarantined tasks)
 ``GET /dlq/<id>``           one quarantined task's entry
 ``POST /dlq/<id>/retry``    re-queue a quarantined task (``repro dlq retry``)

@@ -65,7 +65,7 @@ def quantile_from_values(values: Sequence[float], q: float) -> float:
 class Counter:
     """A monotonic counter — an event count, or an accumulated quantity
     such as CPU seconds; may also read through a callback when the
-    count already lives elsewhere (the span collector's totals)."""
+    count already lives elsewhere (the event ring's totals)."""
 
     __slots__ = ("name", "help", "_value", "_fn", "_lock")
 

@@ -76,7 +76,12 @@ def test_faulty_connection_drops_frames():
     right = Connection(right_sock, handler=received.append, name="R").start()
     for _ in range(5):
         left.send(Message(MessageType.NOTIFY))
-    time.sleep(0.2)
+    # A sentinel on the same connection, past the plan: once it is in,
+    # any of the five that had been sent would be in before it.
+    left.plan = None
+    left.send(Message(MessageType.STATUS))
+    assert wait_until(lambda: len(received) == 1)
+    assert received.pop().type is MessageType.STATUS
     assert received == []
     assert plan.snapshot()["frames_dropped"] == 5
     left.close()
@@ -95,8 +100,11 @@ def test_type_scoped_drops_match_the_header_type_code_exactly():
     left.send(Message(MessageType.NOTIFY))
     left.send(Message(MessageType.RESULT, sender="notify", payload=result))
     left.send(Message(MessageType.NOTIFY))
-    assert wait_until(lambda: len(received) == 1)
-    time.sleep(0.1)
+    # An out-of-scope sentinel behind the second NOTIFY: once it is in,
+    # that NOTIFY would be too, had it not been dropped.
+    left.send(Message(MessageType.STATUS))
+    assert wait_until(lambda: len(received) == 2)
+    assert received.pop().type is MessageType.STATUS
     assert [m.type for m in received] == [MessageType.RESULT]
     assert received[0].payload == result
     assert plan.snapshot()["frames_seen"] == 2

@@ -122,7 +122,10 @@ class TestStealCapabilityGate:
             plain_exec.wait_registered()
             client = LiveClient(plain.endpoint)
             futures = client.submit(specs(12, seconds=0.05, prefix="plain"))
-            time.sleep(0.6)  # several monitor sweeps' worth of temptation
+            # Several of the federated side's monitor sweeps' worth of
+            # temptation: each sweep samples one completion count.
+            swept = len(fed._completions)
+            assert wait_until(lambda: len(fed._completions) >= swept + 12)
             # No peer pseudo-executor materialised on the plain dispatcher,
             # no grants, no stolen tasks anywhere.
             assert not [e for e in plain._executors if e.startswith("peer:")]

@@ -257,34 +257,40 @@ class TestLiveHttpSmoke:
         assert "done 40/40" in out
         assert "EXECUTOR" in out  # the per-executor table rendered
 
-    def test_span_eviction_is_surfaced_not_mistaken_for_a_lost_task(self, capsys):
-        """The span store is bounded; an evicted chain must read as
+    def test_span_eviction_is_surfaced_not_mistaken_for_a_lost_task(
+        self, capsys, monkeypatch
+    ):
+        """The event ring is bounded; an evicted chain must read as
         evicted — in /metrics, /status and ``repro trace --http``."""
         from repro.cli import main
-        from repro.obs import SpanCollector
+        from repro.live import dispatcher as dispatcher_module
 
+        # Room for the newest five or so of ten seven-event chains.
+        monkeypatch.setattr(dispatcher_module, "EVENT_CAPACITY", 40)
         with LocalFalkon(executors=1, http_port=0) as falkon:
-            falkon.dispatcher.spans = SpanCollector(capacity=4)
             tasks = [TaskSpec.sleep(0, task_id=f"ev-{i:04d}") for i in range(10)]
             assert all(r.ok for r in falkon.run(tasks, timeout=60))
             base = falkon.http.url("").rstrip("/")
-            text = fetch(base + "/metrics")[2].decode()
-            assert "falkon_dispatcher_trace_evicted_total 6" in text
-            # Spans for an evicted trace are dropped, so the total is
-            # whatever the store took — at least the four live chains.
-            spans = falkon.dispatcher.spans.spans_recorded
-            assert spans >= 4 * 7
-            assert f"falkon_dispatcher_trace_spans_total {spans}" in text
+            ring = falkon.dispatcher.spans
+            # The last CLIENT_NOTIFY's frame event may land just after
+            # the client saw its result.
+            assert wait_until(lambda: json.loads(fetch(base + "/status")[2])[
+                "trace"]["spans_total"] == ring.recorded)
             store = json.loads(fetch(base + "/status")[2])["trace"]
-            assert store == {"capacity": 4, "traces": 4,
-                             "spans_total": spans, "evicted_total": 6}
+            evicted = store["evicted_total"]
+            assert store == {"capacity": 40, "traces": ring.traces,
+                             "spans_total": 40 + evicted, "evicted_total": evicted}
+            assert evicted >= 10 * 7 - 40 and 0 < ring.traces < 10
+            text = fetch(base + "/metrics")[2].decode()
+            assert f"falkon_dispatcher_trace_evicted_total {evicted}\n" in text
+            assert f"falkon_dispatcher_trace_spans_total {40 + evicted}\n" in text
             assert falkon.dispatcher.metrics.snapshot()[
-                "dispatcher_trace_evicted"] == 6
+                "dispatcher_trace_evicted"] == evicted
             assert main(["trace", "ev-0000", "--http", base]) == 1
             err = capsys.readouterr().err
             assert "no trace recorded" in err
-            assert "keeps the newest 4 traces and has evicted 6" in err
-            # A newest-four chain still resolves, and a store that has
+            assert f"keeps the newest 40 events and has evicted {evicted}" in err
+            # A newest chain still resolves, and a ring that has
             # evicted nothing adds no note.
             assert main(["trace", "ev-0009", "--http", base]) == 0
         with LocalFalkon(executors=1, http_port=0) as falkon:

@@ -182,8 +182,12 @@ def test_every_kind_the_dispatcher_records_is_a_named_constant_with_a_docs_row()
     source = inspect.getsource(dispatcher) + inspect.getsource(journal)
     assert not re.search(r"flight\.record\(\s*[\"']", source)  # no literals
     names = set(re.findall(r"\bfl\.([A-Z_]+)\b", source))
-    assert {"QUEUE_ENQUEUE", "EXECUTOR_EVICT", "SUBMIT_REJECT",
+    assert {"DLQ_ADD", "EXECUTOR_EVICT", "SUBMIT_REJECT",
             "JOURNAL_COMMIT", "JOURNAL_COMPACT"} <= names
+    # Task transitions are recorded once, as span events; the flight
+    # view shows them under these kinds.
+    names |= {"QUEUE_ENQUEUE", "QUEUE_CLAIM", "QUEUE_REQUEUE", "TASK_SETTLE",
+              "DLQ_RETRY"}
     assert names <= set(fl.__all__)
     docs = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "docs", "OBSERVABILITY.md")

@@ -9,6 +9,8 @@ from repro.live import LocalFalkon, TaskFuture
 from repro.obs import SPAN_ORDER, render_prometheus
 from repro.types import Bundle, TaskResult, TaskSpec
 
+from tests.live.util import wait_until
+
 
 class TestLiveTracing:
     def test_every_settled_task_has_a_complete_chain(self):
@@ -53,6 +55,41 @@ class TestLiveTracing:
         assert result_spans[-1].get("outcome") == "fail"
         # The retry re-entered the queue with the next attempt number.
         assert result_spans[-1].attempt == 2
+
+
+class TestOneEventRing:
+    def test_each_transition_is_recorded_once(self):
+        """Spans and the flight view read one ring: seven task events
+        per sleep-0 task, three of which the flight view shows."""
+        from repro.obs import flight as fl
+
+        tasks = [TaskSpec.sleep(0, task_id=f"ring-{i:03d}") for i in range(40)]
+        with LocalFalkon(executors=2, pipeline_depth=1) as falkon:
+            assert all(r.ok for r in falkon.run(tasks, timeout=60))
+            ring = falkon.dispatcher.spans
+            assert ring is falkon.dispatcher.flight
+            assert wait_until(lambda: all(
+                len(ring.chain(t.task_id)) == len(SPAN_ORDER) for t in tasks))
+            by_task = {}
+            for _, kind, subject, _ in ring.snapshot():
+                by_task.setdefault(subject, []).append(kind)
+        assert sum(len(ring.chain(t.task_id)) for t in tasks) == 7 * len(tasks)
+        for task in tasks:
+            assert by_task[task.task_id] == [
+                fl.QUEUE_ENQUEUE, fl.QUEUE_CLAIM, fl.TASK_SETTLE], task.task_id
+
+    def test_doctor_reads_no_heartbeat_silence_into_a_run_without_heartbeats(
+        self, tmp_path
+    ):
+        from repro.obs.doctor import analyze
+
+        with LocalFalkon(executors=2) as falkon:
+            assert falkon.dispatcher.heartbeat_interval is None
+            tasks = [TaskSpec.sleep(0, task_id=f"hb-{i:02d}") for i in range(50)]
+            assert all(r.ok for r in falkon.run(tasks, timeout=60))
+            path = falkon.dispatcher.dump_flight(str(tmp_path / "flight.json"))
+        report = analyze(path)
+        assert [g for g in report["gaps"] if g["kind"] == "heartbeat-silence"] == []
 
 
 class TestLiveMetrics:

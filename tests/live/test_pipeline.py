@@ -448,3 +448,51 @@ def test_malformed_result_entry_is_skipped_and_the_rest_of_the_frame_settles(
     assert with_bad["wal"]["bad-0"] == ["submit", "dispatch", "result"]
     assert with_bad["wal"]["bad-2"] == ["submit", "dispatch"]
     assert with_bad["acked"] == ["bad-0", "bad-1"]
+
+
+# -- a result that arrives after the replay timer requeued its attempt -------------
+def _late_result(return_code: int) -> dict:
+    """Submit ``late-a`` and ``late-b`` to a depth-1 executor that sits
+    on ``late-a`` until the replay timer requeues it (and ``late-b``
+    is pushed in its place), then deliver ``late-a``'s result for
+    attempt 1 with *return_code*."""
+    dispatcher = LiveDispatcher(replay_timeout=0.3)
+    client = RawPeer(dispatcher.address)
+    executor = RawPeer(dispatcher.address)
+    try:
+        client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        client.recv_until(MessageType.INSTANCE_CREATED)
+        executor.register("e-late")
+        client.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": task_id, "args": ["0"]}
+                      for task_id in ("late-a", "late-b")]}))
+        client.recv_until(MessageType.SUBMIT_ACK)
+        assert [t["task"]["task_id"] for t in executor.recv_work()] == ["late-a"]
+        assert [t["task"]["task_id"] for t in executor.recv_work()] == ["late-b"]
+        assert dispatcher.stats().retries == 1
+        executor.send(Message(MessageType.RESULT, sender="e-late", payload={
+            "results": [{"result": {"task_id": "late-a", "return_code": return_code},
+                         "attempt": 1, "exec": {"seconds": 0.0}}]}))
+        executor.recv_until(MessageType.RESULT_ACK)
+        stats = dispatcher.stats()
+        return {"retries": stats.retries, "stale": stats.stale_results,
+                "queued": stats.queued, "queue": list(dispatcher._queue),
+                "state": dispatcher._records["late-a"].state.name}
+    finally:
+        client.close()
+        executor.close()
+        dispatcher.close()
+
+
+def test_late_failed_result_of_a_requeued_attempt_is_stale():
+    # The replay timer already charged this attempt as a retry and
+    # queued the task once: the failure must not do either again.
+    assert _late_result(return_code=1) == {
+        "retries": 1, "stale": 1, "queued": 1, "queue": ["late-a"],
+        "state": "QUEUED"}
+
+
+def test_late_ok_result_of_a_requeued_attempt_settles_and_leaves_the_queue():
+    assert _late_result(return_code=0) == {
+        "retries": 1, "stale": 0, "queued": 0, "queue": [],
+        "state": "COMPLETED"}
