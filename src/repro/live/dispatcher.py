@@ -413,10 +413,10 @@ class LiveDispatcher:
         self._client_seq = itertools.count(1)
         self._session_seq = itertools.count(1)
         # The one event ring — span chains, flight dumps, lifecycle
-        # log — and its clock is the dispatcher's.
+        # log — and its clock (seconds since start) is the timelines'.
         self.flight = self.spans = FlightRecorder(
             "dispatcher", shard_id=shard_id, capacity=EVENT_CAPACITY)
-        self._started = self.flight.t0
+        self._started, self._now = self.flight.t0, self.flight.now
         # NOTIFY carries no state: one frame, encoded and signed once,
         # sent to every idle peer shard as its steal hint from this
         # shared bytes cache.
@@ -599,10 +599,6 @@ class LiveDispatcher:
     def endpoint(self) -> Endpoint:
         """This dispatcher's address as a typed :class:`Endpoint`."""
         return Endpoint(self.host, self.port)
-
-    def _now(self) -> float:
-        """Seconds since dispatcher start (the ring's and timelines' clock)."""
-        return time.monotonic() - self._started
 
     # -- the one owner ---------------------------------------------------------
     def _post(self, op, *args) -> None:

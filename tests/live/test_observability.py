@@ -78,18 +78,17 @@ class TestOneEventRing:
             assert by_task[task.task_id] == [
                 fl.QUEUE_ENQUEUE, fl.QUEUE_CLAIM, fl.TASK_SETTLE], task.task_id
 
-    def test_doctor_reads_no_heartbeat_silence_into_a_run_without_heartbeats(
-        self, tmp_path
-    ):
-        from repro.obs.doctor import analyze
 
-        with LocalFalkon(executors=2) as falkon:
-            assert falkon.dispatcher.heartbeat_interval is None
-            tasks = [TaskSpec.sleep(0, task_id=f"hb-{i:02d}") for i in range(50)]
-            assert all(r.ok for r in falkon.run(tasks, timeout=60))
-            path = falkon.dispatcher.dump_flight(str(tmp_path / "flight.json"))
-        report = analyze(path)
-        assert [g for g in report["gaps"] if g["kind"] == "heartbeat-silence"] == []
+def test_doctor_reads_no_heartbeat_silence_into_a_run_without_heartbeats(tmp_path):
+    from repro.obs.doctor import analyze
+
+    with LocalFalkon(executors=2) as falkon:
+        assert falkon.dispatcher.heartbeat_interval is None
+        tasks = [TaskSpec.sleep(0, task_id=f"hb-{i:02d}") for i in range(50)]
+        assert all(r.ok for r in falkon.run(tasks, timeout=60))
+        path = falkon.dispatcher.dump_flight(str(tmp_path / "flight.json"))
+    report = analyze(path)
+    assert [g for g in report["gaps"] if g["kind"] == "heartbeat-silence"] == []
 
 
 class TestLiveMetrics:
