@@ -15,7 +15,7 @@ standing benchmark), so this process's CPU bill is the SUT's alone.
 two durable workloads instead (``bench/workloads.DURABLE_CONFIG``: a
 journal in a temporary directory, heartbeating executors, bounded
 retention), which adds the ``journal-flusher`` row and puts compaction
-on the ``dispatcher-monitor`` one.  ``--paced`` drives that durable SUT
+on it.  ``--paced`` drives that durable SUT
 with the ``paced_durable`` shape instead of waves: seeded Poisson
 arrivals at ``PACED_RATE_PER_S`` whose child client submits each
 ``TICK_S`` tick's due tasks, open loop, for ``--seconds`` — the
@@ -25,7 +25,7 @@ Four tables, all in µs (or bytes) per task:
 
 * **threads** — each thread's CPU clock over the run;
 * **handlers** — the dispatcher's own ``stats().handler_cpu_s``: thread
-  CPU inside each message handler and the monitor sweep (the loop
+  CPU inside each message handler and the sweep timer (the loop
   thread's remainder is frame decode, socket I/O and ``select``);
 * **collector** — time inside the cyclic GC by generation, from
   ``gc.callbacks`` installed by this script (nothing under ``src/``

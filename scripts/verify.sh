@@ -3,12 +3,43 @@
 # smoke, shard scaling, the scenario oracles and a Figure 3 smoke.  Every
 # step runs from tracked files alone, so it passes on a fresh clone.
 #
-# Usage: scripts/verify.sh [--quick]
-#   --quick  skip only the Figure 3 throughput smoke at the end
+# Usage: scripts/verify.sh [--quick | --stress]
+#   --quick   skip only the Figure 3 throughput smoke at the end
+#   --stress  instead of the gate: run tests/live 5x with one busy-loop
+#             process per CPU, print failures per test id, and exit
+#             non-zero on any failure (the zero-flake budget)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
+
+if [[ "${1:-}" == "--stress" ]]; then
+    rounds=5
+    cpus=$(python -c 'import os; print(os.cpu_count() or 1)')
+    echo "== stress: tests/live x${rounds}, ${cpus} busy-loop process(es) =="
+    hogs=()
+    for _ in $(seq "$cpus"); do
+        python -c 'while True: pass' &
+        hogs+=("$!")
+    done
+    failures=$(mktemp)
+    trap 'kill "${hogs[@]}" 2>/dev/null || true; rm -f "$failures"' EXIT
+    for round in $(seq "$rounds"); do
+        log=$(python -m pytest tests/live -p no:cacheprovider -rfE 2>&1) && status=0 || status=$?
+        echo "round ${round}: $(tail -n 1 <<<"$log")"
+        grep -E '^(FAILED|ERROR) ' <<<"$log" | awk '{print $2}' >>"$failures" || true
+        if [[ $status -ne 0 ]] && ! grep -qE '^(FAILED|ERROR) ' <<<"$log"; then
+            echo "round-${round}:pytest-exit-${status}" >>"$failures"
+        fi
+    done
+    if [[ -s "$failures" ]]; then
+        echo "== failures per test id (of ${rounds} rounds) =="
+        sort "$failures" | uniq -c | sort -rn
+        exit 1
+    fi
+    echo "stress OK: no failures in ${rounds} rounds"
+    exit 0
+fi
 
 echo "== compileall (syntax gate) =="
 python -m compileall -q src tests benchmarks bench scripts

@@ -26,21 +26,21 @@ One owner (see ``docs/PERFORMANCE.md``): the loop thread is the only
 writer of dispatcher state — the ready queue, the task, executor and
 client tables, the DLQ, gossiped peer depths, the retention FIFO and
 every task record and executor session — so no lock guards them.
-Every handler runs there, and so does everything another thread
-starts: the monitor's heartbeat evictions and replay-timeout requeues
-(:meth:`LiveDispatcher._expire`), an operator's ``dlq_retry`` from the
-HTTP thread, a peer link's gossip, steal grant and steal hint, and a
-session's close callback, which fires on whichever thread closed the
-connection.  Those threads *post* the work (:meth:`LiveDispatcher._post`,
+Every handler runs there, and so does the sweep, a loop timer
+(:meth:`LiveDispatcher._expire`), and everything another thread
+starts: an operator's ``dlq_retry`` from the HTTP thread, a peer
+link's gossip, steal grant and steal hint, and a session's close
+callback, which fires on whichever thread closed the connection.
+Those threads *post* the work (:meth:`LiveDispatcher._post`,
 ``IOLoop.call_soon``); it runs inline when the poster already is the
-loop.  The monitor keeps only timing, watchdog sampling, peer-link
-upkeep and journal compaction (the journal owns its own I/O lock).
-Readers on other threads (``stats()``, ``/status``, gauges, flight
-dumps) take GIL-atomic single reads — ``len()``, ``list(d.values())``,
-``dict(d)`` — and never iterate a live table.
+loop.  Every time the dispatcher reads is the loop's clock
+(``IOLoop.now``).  Readers on other threads (``stats()``, ``/status``,
+gauges, flight dumps, the watchdogs on the shared loop) take
+GIL-atomic single reads — ``len()``, ``list(d.values())``, ``dict(d)``
+— and never iterate a live table.
 
 Liveness (the fault-tolerance leg): executors HEARTBEAT on an agreed
-interval; a monitor thread declares an executor dead once it has been
+interval; the sweep declares an executor dead once it has been
 silent for ``heartbeat_interval * heartbeat_miss_budget`` seconds —
 catching the half-open sockets that a TCP close never reports — and
 requeues its in-flight tasks through the same replay path.  An optional
@@ -107,7 +107,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.live.endpoint import Endpoint
-from repro.live.ioloop import IOLoop
+from repro.live.ioloop import IOLoop, default_loop
 from repro.live.journal import Journal, RecoveredState
 from repro.live.protocol import (
     Connection,
@@ -279,7 +279,7 @@ class _ExecutorSession:
         self.pipeline = max(1, min(int(pipeline), MAX_PIPELINE_DEPTH))
         self.busy: set[str] = set()  # task ids in flight on this agent
         self.notified = False
-        self.last_seen = time.monotonic()
+        self.last_seen = 0.0  # the dispatcher stamps it, on its loop's clock
         #: The last HEARTBEAT's sanitized ``stats``: this executor's
         #: ``/status`` row.  Replaced whole on the loop thread, never
         #: mutated, so a reader on another thread takes one load.
@@ -321,8 +321,8 @@ class LiveDispatcher:
         Re-dispatch a task whose result has not arrived this many
         seconds after dispatch; ``None`` disables the timer.
     monitor_interval:
-        Liveness/replay sweep period; defaults to a fraction of the
-        tightest configured deadline.
+        Period of the liveness/replay sweep and of the watchdogs;
+        defaults to a fraction of the tightest configured deadline.
     fault_plan:
         A :class:`repro.live.faults.FaultPlan`; when set, every inbound
         session speaks through a fault-injecting connection.
@@ -405,7 +405,7 @@ class LiveDispatcher:
         self._executors: dict[str, _ExecutorSession] = {}
         self._clients: dict[str, _ClientSession] = {}
         # Federation plane: gossiped peer depths (shard id ->
-        # {"queued": n, "t": monotonic}, each entry replaced whole) and
+        # {"queued": n, "t": loop clock}, each entry replaced whole) and
         # the outbound peer links installed by the federation wiring
         # (shard id -> PeerLink).
         self._peer_depths: dict[str, dict] = {}
@@ -413,10 +413,15 @@ class LiveDispatcher:
         self._client_seq = itertools.count(1)
         self._session_seq = itertools.count(1)
         # The one event ring — span chains, flight dumps, lifecycle
-        # log — and its clock (seconds since start) is the timelines'.
+        # log — and the loop, whose clock stamps timelines (_now) from
+        # recovery on.
         self.flight = self.spans = FlightRecorder(
             "dispatcher", shard_id=shard_id, capacity=EVENT_CAPACITY)
-        self._started, self._now = self.flight.t0, self.flight.now
+        self._started = self.flight.t0
+        self._closing = threading.Event()
+        self._server = socket.create_server((host, port))
+        self.host, self.port = self._server.getsockname()[:2]
+        self._loop = IOLoop(name=f"dispatcher-{self.port}")
         # NOTIFY carries no state: one frame, encoded and signed once,
         # sent to every idle peer shard as its steal hint from this
         # shared bytes cache.
@@ -507,7 +512,7 @@ class LiveDispatcher:
             "e2e_latency_seconds",
             help="Submit -> settle latency per task")
         # Where the loop thread's CPU goes, by message type (plus the
-        # monitor's sweep): thread-CPU seconds spent inside each handler.
+        # sweep): thread-CPU seconds spent inside each handler.
         self._m_handler_cpu = {
             name: self.metrics.counter(
                 f"handler_{name}_cpu_seconds",
@@ -518,8 +523,8 @@ class LiveDispatcher:
         #: Where unsolicited dumps (crash, SIGTERM, debug) land;
         #: ``None`` falls back to a per-process temp directory.
         self.flight_dump_dir = flight_dump_dir
-        # Watchdog plane: evaluated by the monitor sweep, surfaced as
-        # gauges plus the ``degraded`` reasons list on /healthz.
+        # Watchdog plane: evaluated by _watch, surfaced as gauges plus
+        # the ``degraded`` reasons list on /healthz.
         self._stall = StallDetector(STALL_AFTER)
         self._degraded: list[str] = []
         self._watchdogs = WatchdogPanel()
@@ -556,7 +561,7 @@ class LiveDispatcher:
 
         # Poison-task quarantine: task id -> dead-letter entry dict.
         self._dlq: dict[str, dict] = {}
-        # Durability plane: recover *before* the server accepts —
+        # Durability plane: recover *before* the loop accepts —
         # reconnecting peers must find the rebuilt state, not a race.
         self.journal: Optional[Journal] = None
         self.recovered_tasks = 0
@@ -573,22 +578,15 @@ class LiveDispatcher:
             journal.flight = self.flight
             self.journal = journal
 
-        self._closing = threading.Event()
-        self._server = socket.create_server((host, port))
-        self.host, self.port = self._server.getsockname()[:2]
-        self._loop = IOLoop(name=f"dispatcher-{self.port}")
         self._loop.flight = self.flight
         self._loop.start()
-        # Watchdog checks over the subsystems just built (the queue
-        # stall check needs per-sweep inputs and runs separately in
-        # _watchdog_tick).
+        # Watchdog checks over the subsystems just built (_watch runs
+        # the queue stall check itself).
         self._watchdogs.add("ioloop", self._check_ioloop_lag)
         self._watchdogs.add("journal", self._check_journal)
         self._loop.add_server(self._server, self._accept)
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="dispatcher-monitor", daemon=True
-        )
-        self._monitor.start()
+        self._loop.call_later(self.monitor_interval, self._expire)
+        default_loop().call_later(self.monitor_interval, self._watch)
 
     # -- public --------------------------------------------------------------
     @property
@@ -599,6 +597,10 @@ class LiveDispatcher:
     def endpoint(self) -> Endpoint:
         """This dispatcher's address as a typed :class:`Endpoint`."""
         return Endpoint(self.host, self.port)
+
+    def _now(self) -> float:
+        """Seconds since start on the loop's clock (the timelines')."""
+        return self._loop.now() - self._started
 
     # -- the one owner ---------------------------------------------------------
     def _post(self, op, *args) -> None:
@@ -953,7 +955,7 @@ class LiveDispatcher:
         when the executor streams them — so the table is useful even
         against agents that heartbeat without stats or not at all.
         """
-        now = time.monotonic()
+        now = self._loop.now()
         table = {
             executor.executor_id: {
                 "busy_tasks": len(executor.busy),
@@ -1079,43 +1081,16 @@ class LiveDispatcher:
         # The session's role is unknown until its first message.
         _Session(self, sock).start()
 
-    # -- liveness monitor ------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        sweep_cpu = self._m_handler_cpu["sweep"]
-        while not self._closing.wait(self.monitor_interval):
-            started = time.thread_time()
-            try:
-                self._sweep()
-            except Exception:  # a sweep must never kill the monitor
-                pass
-            sweep_cpu.inc(time.thread_time() - started)
-
-    def _sweep(self) -> None:
-        """The monitor's share of a sweep — watchdogs, peer-link
-        upkeep, compaction; what falls due in dispatcher state is
-        posted to the loop as one :meth:`_expire`."""
-        now = time.monotonic()
-        self._loop.call_soon(self._expire)
-        qlen = len(self._queue)
-        self._watchdog_tick(now, qlen, list(self._executors.values()))
-        if self.shard_id is not None:
-            self._federation_tick(now, qlen)
-        # Journal hygiene: retire a long tail off the hot path (the
-        # monitor thread).  The journal compacts from its own table of
-        # durable rows, so no dispatcher state view is captured here —
-        # there is no snapshot-vs-append race to get wrong.
-        journal = self.journal
-        if journal is not None and journal.should_compact():
-            journal.compact()
-
+    # -- the sweep -------------------------------------------------------------
     def _expire(self) -> None:
-        """The loop's share of a sweep: sample the completed counter
-        for the dispatch rate, evict executors silent past the
-        heartbeat deadline, replay dispatches past ``replay_timeout``,
-        and push whatever is queued to the idle (re-arming idle peer
-        shards' steal hint)."""
+        """The sweep, a loop timer that re-arms itself first: sample the
+        completed counter for the dispatch rate, evict executors silent
+        past the heartbeat deadline, replay dispatches past
+        ``replay_timeout``, push whatever is queued to the idle
+        (re-arming idle peer shards' steal hint), federation duties."""
+        self._loop.call_later(self.monitor_interval, self._expire)
         started = time.thread_time()
-        now = time.monotonic()
+        now = self._loop.now()
         self._completions.append((now, self._m_completed.value))
         if self.heartbeat_interval is not None:
             deadline = self.heartbeat_interval * self.heartbeat_miss_budget
@@ -1145,6 +1120,8 @@ class LiveDispatcher:
                 if not executor.busy:
                     executor.notified = False
             self._wake_idle()
+        if self.shard_id is not None:
+            self._federation_tick(now)
         self._m_handler_cpu["sweep"].inc(time.thread_time() - started)
 
     # -- watchdogs -------------------------------------------------------------
@@ -1171,19 +1148,22 @@ class LiveDispatcher:
                     f"records, no flush for {stale:.1f}s")
         return None
 
-    def _watchdog_tick(self, now: float, qlen: int,
-                       executors: list[_ExecutorSession]) -> None:
+    def _watch(self) -> None:
         """Evaluate every watchdog into the ``degraded`` reasons list.
 
-        Runs on the monitor thread each sweep; transitions (a reason
-        appearing) land in the flight ring so a later dump shows when
-        degradation started, not just that it existed at dump time.
+        A timer on the shared loop: one on the loop it watches could not
+        see that loop wedged.  Transitions (a reason appearing) land in the
+        flight ring, so a dump shows when degradation started.
         """
+        if self._closing.is_set():
+            return
+        default_loop().call_later(self.monitor_interval, self._watch)
         # Peer links have no local capacity.
-        idle = sum(1 for e in executors
+        idle = sum(1 for e in list(self._executors.values())
                    if not e.busy and not e.executor_id.startswith(PEER_PREFIX))
         reasons = []
-        stall = self._stall.observe(now, qlen, self._h_dispatch.count, idle)
+        stall = self._stall.observe(self._loop.now(), len(self._queue),
+                                    self._h_dispatch.count, idle)
         if stall:
             reasons.append(stall)
         reasons.extend(self._watchdogs.reasons())
@@ -1203,7 +1183,7 @@ class LiveDispatcher:
             "degraded": reasons,
             "shard_id": self.shard_id,
             "wire": "v4",
-            "uptime_s": time.monotonic() - self._started,
+            "uptime_s": self._now(),
         }
 
     # -- flight dumps ----------------------------------------------------------
@@ -1248,7 +1228,7 @@ class LiveDispatcher:
     def _touch(self, executor_id: str) -> None:
         executor = self._executors.get(executor_id)
         if executor is not None:
-            executor.last_seen = time.monotonic()
+            executor.last_seen = self._loop.now()
 
     # -- client protocol ------------------------------------------------------
     def _on_create_instance(self, session: "_Session", msg: Message) -> None:
@@ -1392,6 +1372,7 @@ class LiveDispatcher:
             # half-open) session; the old in-flight tasks replay.
             self._drop_executor(executor_id)
         executor = _ExecutorSession(executor_id, session.conn, pipeline=pipeline)
+        executor.last_seen = self._loop.now()
         self._executors[executor_id] = executor
         if reconnect:
             self._m_reconnects.inc()
@@ -1500,6 +1481,7 @@ class LiveDispatcher:
             self._drop_executor(executor_id, reason="peer-reconnect")
         executor = _ExecutorSession(executor_id, conn,
                                     pipeline=STEAL_BATCH_MAX)
+        executor.last_seen = self._loop.now()
         self._executors[executor_id] = executor
         return executor
 
@@ -1517,13 +1499,13 @@ class LiveDispatcher:
             "queued": max(0, queued),
             "caps": caps,
             "health": health if isinstance(health, dict) else None,
-            "t": time.monotonic(),
+            "t": self._loop.now(),
         }
 
     def _local_idle_capacity(self) -> int:
         """Spare slots on real (non-peer) executors — what a steal
         could actually put to work right now."""
-        return sum(e.capacity() for e in list(self._executors.values())
+        return sum(e.capacity() for e in self._executors.values()
                    if not e.executor_id.startswith(PEER_PREFIX))
 
     def _on_steal_request(self, session: "_Session", msg: Message) -> None:
@@ -1662,25 +1644,23 @@ class LiveDispatcher:
             self._peer_links[shard_id] = PeerLink(
                 self, shard_id, Endpoint.parse(endpoint), key=self.key)
 
-    def _federation_tick(self, now: float, qlen: int) -> None:
-        """Per-sweep federation duties (monitor thread): gossip over
-        every peer link, then steal when this shard is starved (empty
-        queue, spare executor capacity) and a fresh-depth peer
-        advertises work."""
-        links = list(self._peer_links.items())
+    def _federation_tick(self, now: float) -> None:
+        """Per-sweep federation duties: gossip over every peer link,
+        then steal when this shard is starved (empty queue, spare
+        executor capacity) and a fresh-depth peer advertises work."""
+        links = list(self._peer_links.items())  # add_peer/close: any thread
         for _, link in links:
             link.tick(now)
-        if qlen:
+        if self._queue:
             return
         idle = self._local_idle_capacity()
         if idle <= 0:
             return
         depth_floor = max(1, STEAL_MIN_QUEUE)
-        depths = dict(self._peer_depths)  # entries are replaced, never mutated
         target = None
         best = 0
         for shard, link in links:
-            info = depths.get(shard)
+            info = self._peer_depths.get(shard)
             if info is None or now - info["t"] > PEER_DEPTH_TTL:
                 continue  # never steal on stale gossip
             if "steal" not in info.get("caps", ()):

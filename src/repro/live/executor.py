@@ -15,10 +15,10 @@ an executor that waits that long without work de-registers and exits
 (§3.1).
 
 Fault tolerance: with a ``heartbeat_interval`` the executor emits
-HEARTBEAT frames from a side thread so the dispatcher can tell a slow
-task from a dead agent; when the connection drops unexpectedly it
-reconnects with capped exponential backoff and re-registers (the
-``reconnect`` flag lets the dispatcher supersede the stale session).
+HEARTBEAT frames (a timer on the shared I/O loop) so the dispatcher
+can tell a slow task from a dead agent; when the connection drops
+unexpectedly it reconnects with capped exponential backoff and
+re-registers (the ``reconnect`` flag supersedes the stale session).
 
 Telemetry: each HEARTBEAT piggy-backs a compact ``stats`` dict that
 the dispatcher keeps as this executor's ``/status`` row — no extra
@@ -45,6 +45,7 @@ import time
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.live.endpoint import EndpointLike, as_endpoint
+from repro.live.ioloop import default_loop
 from repro.live.protocol import Connection, result_to_dict, task_from_dict
 from repro.net.message import Message, MessageType
 from repro.net.wire import replace_surrogates
@@ -134,7 +135,7 @@ class LiveExecutor:
         self._registered = threading.Event()
         self._rejected = threading.Event()
         self._acked_this_conn = False
-        # Instantaneous load, read by the heartbeat thread (plain int
+        # Instantaneous load, read by the heartbeat timer (plain int
         # reads/writes; torn values are impossible under the GIL and a
         # stale sample is harmless telemetry).
         self._busy = 0
@@ -147,11 +148,12 @@ class LiveExecutor:
             target=self._run, name=self.executor_id, daemon=True
         )
         self._conn: Optional[Connection] = None
-        self._hb_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "LiveExecutor":
         self._thread.start()
+        if self.heartbeat_interval is not None:
+            default_loop().call_later(self.heartbeat_interval, self._heartbeat)
         return self
 
     def wait_registered(self, timeout: float = 10.0) -> bool:
@@ -290,13 +292,6 @@ class LiveExecutor:
                     continue
                 if registered_once:
                     self._m_reconnects.inc()
-                if self.heartbeat_interval is not None and self._hb_thread is None:
-                    self._hb_thread = threading.Thread(
-                        target=self._heartbeat_loop,
-                        name=f"hb-{self.executor_id}",
-                        daemon=True,
-                    )
-                    self._hb_thread.start()
                 reason = self._loop()
                 if self._acked_this_conn:
                     registered_once = True
@@ -363,25 +358,28 @@ class LiveExecutor:
                 if "duplicate executor id" in msg.payload.get("error", ""):
                     self._rejected.set()
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
-            conn = self._conn
-            if conn is None or conn.closed:
-                continue
-            # Compact stats delta: the dispatcher keeps the last one
-            # as this executor's /status row.
-            payload = {"stats": {
-                "busy": self._busy,
-                "backlog": self._backlog,
-                "executed": self._m_executed.value,
-                "exec_sum_s": self._h_exec.sum,
-                "reconnects": self._m_reconnects.value,
-            }}
-            try:
-                conn.send(Message(MessageType.HEARTBEAT, sender=self.executor_id,
-                                  payload=payload))
-            except Exception:
-                pass  # the main loop handles the dead connection
+    def _heartbeat(self) -> None:
+        """One HEARTBEAT, re-armed on the shared loop until stopped."""
+        if self._stop.is_set() or not self._thread.is_alive():
+            return
+        default_loop().call_later(self.heartbeat_interval, self._heartbeat)
+        conn = self._conn
+        if conn is None or conn.closed:
+            return
+        # Compact stats delta: the dispatcher keeps the last one
+        # as this executor's /status row.
+        payload = {"stats": {
+            "busy": self._busy,
+            "backlog": self._backlog,
+            "executed": self._m_executed.value,
+            "exec_sum_s": self._h_exec.sum,
+            "reconnects": self._m_reconnects.value,
+        }}
+        try:
+            conn.send(Message(MessageType.HEARTBEAT, sender=self.executor_id,
+                              payload=payload))
+        except Exception:
+            pass  # the executor thread handles the dead connection
 
     def _execute_batch(
         self, entries: list[tuple[dict, Optional[int]]]

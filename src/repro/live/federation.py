@@ -15,7 +15,7 @@ own executors, journal and metrics, joined two ways:
 
 * **Shard side** — every shard holds an outbound :class:`PeerLink` to
   every other shard (a full mesh of directed links).  Links gossip
-  queue depths over HEARTBEAT frames each monitor sweep; an idle shard
+  queue depths over HEARTBEAT frames each sweep; an idle shard
   steals a bounded batch of *queued* (never in-flight) tasks from the
   deepest fresh peer via STEAL_REQUEST / STEAL_GRANT.  Stolen tasks
   are journalled on the thief with their origin before first dispatch
@@ -108,10 +108,10 @@ class PeerLink:
     """One directed shard-to-shard connection (thief side).
 
     The owning dispatcher gossips its queue depth over the link every
-    monitor sweep and steals through it when starved.  The remote end
-    sees a ``peer`` session and mirrors us as a ``peer:<id>``
-    pseudo-executor.  Dials (and redials, with capped backoff) happen
-    on a background thread so a dead peer never stalls the monitor.
+    sweep and steals through it when starved.  The remote end sees a
+    ``peer`` session and mirrors us as a ``peer:<id>`` pseudo-executor.
+    Dials (and redials, with capped backoff) happen on a background
+    thread so a dead peer never stalls the dispatcher's loop.
     """
 
     def __init__(
@@ -155,7 +155,7 @@ class PeerLink:
 
     # -- lifecycle -------------------------------------------------------------
     def tick(self, now: float) -> None:
-        """One monitor sweep's worth of link upkeep: redial when down,
+        """One sweep's worth of link upkeep: redial when down,
         gossip when up, expire a stuck steal request."""
         if self._closed:
             return
@@ -193,7 +193,7 @@ class PeerLink:
         except OSError:
             with self._lock:
                 self._dialing = False
-                self._next_dial = (time.monotonic() + self._dial_delay)
+                self._next_dial = self.dispatcher._loop.now() + self._dial_delay
                 self._dial_delay = min(self._dial_delay * 2,
                                        self.dial_backoff_cap)
             return
@@ -211,7 +211,7 @@ class PeerLink:
             self._conn = None
             self._caps = ()
             self._outstanding_t = None
-            self._next_dial = time.monotonic() + self._dial_delay
+            self._next_dial = self.dispatcher._loop.now() + self._dial_delay
 
     def close(self) -> None:
         with self._lock:
@@ -244,7 +244,7 @@ class PeerLink:
         with self._lock:
             if self._outstanding_t is not None:
                 return False
-            self._outstanding_t = time.monotonic()
+            self._outstanding_t = self.dispatcher._loop.now()
         sent = self._send(
             Message(MessageType.STEAL_REQUEST,
                     sender=f"shard:{self.dispatcher.shard_id}",

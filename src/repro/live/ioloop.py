@@ -13,7 +13,9 @@ Thread model
 * The loop thread owns the selector.  All selector mutations funnel
   through :meth:`call_soon`, a wake-up pipe plus an op queue, so any
   thread may attach/detach connections or arm write interest — or run
-  any other op that must happen on the loop thread.
+  any other op on the loop thread, now or, through :meth:`call_later`,
+  as a timer: due in ``(deadline, seq)`` order on :meth:`now`, with
+  ``select`` sleeping until the earliest (periodic duties re-arm).
 * Connection handlers run *on the loop thread*.  They must not block;
   the live plane's handlers only append to queues/buffers.  A
   connection's ``on_close`` callback fires on whichever thread closed
@@ -33,6 +35,8 @@ per instance so their lifecycle is self-contained.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import selectors
 import socket
 import threading
@@ -46,11 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["IOLoop", "default_loop"]
 
 
-#: Lag-probe interval: the loop's ``select`` wakes at least this often
-#: so the scheduled-vs-actual wakeup delta can be measured even on an
-#: otherwise idle loop.  Coarse on purpose — two extra wakeups per
-#: second cost nothing and the probe only needs to notice *seconds*
-#: of starvation (a handler blocking the loop thread).
+#: Lag-probe period: coarse on purpose — two wakeups per second cost
+#: nothing and the probe only needs to notice *seconds* of starvation
+#: (a handler blocking the loop thread).
 LAG_PROBE_INTERVAL = 0.5
 
 
@@ -65,20 +67,20 @@ class IOLoop:
         self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
         self._ops: deque[Callable[[], None]] = deque()
+        # (deadline, seq, op) heap: loop thread only (see call_later).
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timer_seq = itertools.count()
         self._stopped = threading.Event()
         self._start_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
-        #: Latest scheduled-vs-actual wakeup delta (seconds).  Written
-        #: only by the loop thread; read by watchdog gauges.  A loop
-        #: thread starved by a blocking handler shows up here because
-        #: its timed ``select`` returns far later than requested.
+        #: Latest scheduled-vs-actual wakeup delta (seconds): how late
+        #: the lag probe's timer ran.  Written only by the loop thread;
+        #: read by watchdog gauges.
         self.lag_s = 0.0
         #: Worst lag observed since the last :meth:`drain_max_lag`.
         self.max_lag_s = 0.0
-        #: Loop iterations completed (GIL-atomic increments).
-        self.iterations = 0
         #: Optional :class:`repro.obs.flight.FlightRecorder`; when set,
-        #: timer wakeups record ``loop.iter`` events (~2/s, not per fd).
+        #: each lag probe records a ``loop.iter`` event (~2/s, not per fd).
         self.flight = None
 
     def drain_max_lag(self) -> float:
@@ -97,7 +99,7 @@ class IOLoop:
         return self
 
     def stop(self) -> None:
-        """Stop the loop thread and close every registered fd."""
+        """Stop the loop thread (dropping its timers) and close every fd."""
         if self._stopped.is_set():
             return
         self._stopped.set()
@@ -134,12 +136,27 @@ class IOLoop:
         """Whether the caller is running on this loop's thread."""
         return threading.current_thread() is self._thread
 
+    def now(self) -> float:
+        """The loop's clock, in monotonic seconds."""
+        return time.monotonic()
+
     # -- cross-thread requests ----------------------------------------------
     def call_soon(self, op: Callable[[], None]) -> None:
         """Run *op* on the loop thread at its next iteration (from any
         thread, the loop thread included)."""
         self._ops.append(op)
         self._wake()
+
+    def call_later(self, delay: float, op: Callable[[], None]) -> None:
+        """Run *op* on the loop thread once *delay* seconds have passed
+        on :meth:`now` (from any thread)."""
+        if delay < 0:
+            raise ValueError(f"call_later delay must be >= 0, got {delay}")
+        timer = (self.now() + delay, next(self._timer_seq), op)
+        if self.in_loop_thread():
+            heapq.heappush(self._timers, timer)
+        else:
+            self.call_soon(lambda: heapq.heappush(self._timers, timer))
 
     def _wake(self) -> None:
         try:
@@ -235,27 +252,25 @@ class IOLoop:
                 except OSError:
                     pass
 
+    def _probe(self) -> None:
+        """The lag probe, a repeating timer: its lateness is the lag, so
+        a handler that blocks the loop for N seconds shows up to N."""
+        now = self.now()
+        lag, self._probe_due = now - self._probe_due, now + LAG_PROBE_INTERVAL
+        self.call_later(LAG_PROBE_INTERVAL, self._probe)
+        self.lag_s = lag
+        self.max_lag_s = max(self.max_lag_s, lag)
+        if self.flight is not None:
+            self.flight.record("loop.iter", self.name, lag_s=round(lag, 6))
+
     def _run(self) -> None:
-        # The lag probe: every iteration schedules the next wakeup for
-        # at most LAG_PROBE_INTERVAL away (select gets a timeout), and
-        # the next iteration measures how far past that deadline it
-        # actually started.  A handler that blocks the loop thread for
-        # N seconds therefore shows up as ~N seconds of lag even though
-        # select itself returned promptly.
-        next_probe = time.monotonic() + LAG_PROBE_INTERVAL
+        timers = self._timers
+        self._probe_due = self.now()
+        self._probe()
         while not self._stopped.is_set():
-            now = time.monotonic()
-            if now > next_probe:
-                lag = now - next_probe
-                self.lag_s = lag
-                if lag > self.max_lag_s:
-                    self.max_lag_s = lag
-                flight = self.flight
-                if flight is not None:
-                    flight.record("loop.iter", self.name, lag_s=round(lag, 6))
-            else:
-                self.lag_s = 0.0
-            next_probe = now + LAG_PROBE_INTERVAL
+            now = self.now()  # due timers join the ops; re-armed ones wait
+            while timers and timers[0][0] <= now:
+                self._ops.append(heapq.heappop(timers)[2])
             while self._ops:
                 op = self._ops.popleft()
                 try:
@@ -263,10 +278,10 @@ class IOLoop:
                 except Exception:
                     pass  # a bad op must never kill the loop
             try:
-                events = self._selector.select(LAG_PROBE_INTERVAL)
+                events = self._selector.select(
+                    max(0.0, timers[0][0] - self.now()) if timers else None)
             except OSError:
                 continue
-            self.iterations += 1
             for key, mask in events:
                 kind, obj = key.data
                 if kind == "wake":

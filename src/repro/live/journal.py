@@ -452,10 +452,10 @@ def recover(directory: Union[str, "os.PathLike[str]"]) -> RecoveredState:
 class Journal:
     """Append-only WAL with group commit and read-free compaction.
 
-    Thread-safe: appends may come from any dispatcher thread (handlers
-    run on the I/O loop, sweeps on the monitor thread); the file is
-    written under the I/O lock by whoever takes the buffer — the
-    flusher's window timer, a committing caller, compaction or close.
+    Thread-safe: appends may come from any thread; the file is written
+    under the I/O lock by whoever takes the buffer — the flusher's
+    window timer, a committing caller, compaction or close.  The
+    flusher also compacts when :meth:`should_compact` says so.
     """
 
     def __init__(
@@ -509,6 +509,7 @@ class Journal:
         #: final close.  Lock order: ``_io_lock`` may wrap ``_cond``,
         #: never the reverse.
         self._io_lock = threading.Lock()
+        self._base_lock = threading.Lock()  # one base write at a time
         self._buffer: list[dict] = []
         self._appended = 0  # records ever appended (this incarnation)
         self._flushed = 0   # records durable on disk: the first this many
@@ -522,8 +523,8 @@ class Journal:
             "compactions": 0,
         }
         # Latency watchdog feed: last flush / compaction duration, the
-        # worst of each, and when the last flush finished (monotonic).
-        # Plain floats (GIL-atomic) read by the dispatcher's sweep.
+        # worst of each, and when the last flush finished (monotonic,
+        # empty ones too).  Plain floats (GIL-atomic), read by watchdogs.
         self.last_flush_s = 0.0
         self.max_flush_s = 0.0
         self.last_flush_t = time.monotonic()
@@ -598,8 +599,8 @@ class Journal:
     # -- flusher -------------------------------------------------------------
     def _flush_loop(self) -> None:
         """Write the asynchronous rows (dispatch, result, acked) once a
-        window.  Sleeping the full window, never waking on buffer
-        occupancy, is what batches them into one fsync."""
+        window — sleeping it whole, never waking on buffer occupancy,
+        batches them into one fsync — then compact if due."""
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: self._closed or self._failed,
@@ -608,6 +609,8 @@ class Journal:
                     return
             with self._io_lock:
                 self._flush_locked()
+            if self.should_compact():
+                self.compact()
 
     def _flush_locked(self) -> None:
         """Take the buffer and write it (``_io_lock`` held): the one
@@ -615,6 +618,7 @@ class Journal:
         with self._cond:
             batch, self._buffer = self._buffer, []
         if not batch:
+            self.last_flush_t = time.monotonic()  # idle, not stalled
             return
         started = time.monotonic()
         try:
@@ -771,7 +775,8 @@ class Journal:
                     self._tail_records = 0
             rows, live_tasks = self._live_rows(), len(self._live)
         try:
-            size = self._retire_history(rows)
+            with self._base_lock:  # the flusher's and any caller's
+                size = self._retire_history(rows)
         except OSError:
             # Disk trouble: the segment stays on disk, recovery replays
             # it in place, and the next compaction (or boot) retries.

@@ -182,8 +182,8 @@ class FlightRecorder:
     :meth:`snapshot`, :meth:`dump`, :meth:`follow` — shows transitions
     under the kinds dumps have always used (:func:`_flight_view`).
 
-    The dispatcher's loop, monitor and journal threads share one ring,
-    so every append and read takes its lock — one round trip per batch.
+    Loop, watchdog and journal threads share one ring, so every append
+    and read takes its lock — one round trip per batch.
     """
 
     __slots__ = ("component", "shard_id", "capacity", "t0", "_lock", "_kinds",

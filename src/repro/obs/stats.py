@@ -78,7 +78,7 @@ class DispatcherStats(StatsSnapshot):
     dispatch_latency_p99: float = math.nan
     #: Thread-CPU seconds spent inside each message handler (keyed by
     #: message type: ``submit``, ``result``, ``heartbeat``, ...) and in
-    #: the monitor's ``sweep`` — which layer is burning the loop's CPU.
+    #: the ``sweep`` timer — which layer is burning the loop's CPU.
     handler_cpu_s: dict[str, float] = field(default_factory=dict)
 
 

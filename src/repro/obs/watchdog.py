@@ -4,7 +4,7 @@ The live plane's failure modes that *don't* close a socket are the
 hard ones: an IOLoop thread starved by a blocking handler, a queue
 that stops draining next to idle executors, a journal flusher wedged
 on a dying disk.  Each gets a cheap probe here; the dispatcher's
-monitor sweep evaluates them and surfaces the verdicts as registry
+watchdog timer evaluates them and surfaces the verdicts as registry
 gauges plus ``degraded`` reason strings on ``/healthz``.
 
 Design rules:
@@ -28,7 +28,7 @@ class StallDetector:
     """Queue-progress stall detection: depth > 0, idle capacity, and
     zero dispatches for ``stall_after`` seconds.
 
-    ``observe`` is fed by the dispatcher's monitor sweep with three
+    ``observe`` is fed by the dispatcher's watchdog timer with three
     plain numbers: current queue depth, a monotonically increasing
     dispatch-progress counter, and the number of idle executors.  The
     timer resets whenever any of these excuses the silence:

@@ -205,9 +205,9 @@ def run_soak(
             wave_elapsed = time.monotonic() - wave_started
             wave_throughputs.append(n / wave_elapsed if wave_elapsed > 0 else 0.0)
             falkon.client.release_settled()
-            # Waves never outrun compaction (the monitor runs it on its
-            # tick): however fast a wave settles, the run cycles the
-            # journal it sets out to exercise.
+            # Waves never outrun compaction (the journal's flusher runs
+            # it when due): however fast a wave settles, the run cycles
+            # the journal it sets out to exercise.
             journal = falkon.dispatcher.journal
             while (journal is not None and journal.should_compact()
                    and time.monotonic() < deadline):

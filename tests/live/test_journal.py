@@ -7,6 +7,7 @@ hold for restart recovery to be trustworthy, tested without sockets.
 
 import json
 import os
+import time
 import zlib
 
 import pytest
@@ -173,7 +174,11 @@ def test_reopen_existing_tail_appends(tmp_path):
 
 
 def test_compaction_snapshots_and_truncates(tmp_path, prune=False):
-    journal = Journal(tmp_path, compact_every=5, prune_settled=prune)
+    # The flusher compacts a due tail on its own; with a window longer
+    # than the test it never wakes, so the compaction here is the
+    # hand-driven one.
+    journal = Journal(tmp_path, flush_window=30.0, compact_every=5,
+                      prune_settled=prune)
     try:
         for i in range(6):
             journal.append("submit", f"t-{i}", spec={"command": "sleep"}, client="c")
@@ -200,6 +205,42 @@ def test_compaction_snapshots_and_truncates(tmp_path, prune=False):
 
 def test_pruning_compaction_writes_base_and_truncates(tmp_path):
     test_compaction_snapshots_and_truncates(tmp_path, prune=True)
+
+
+def test_flusher_compacts_a_due_tail_on_its_own(tmp_path):
+    """Compaction is the journal's own duty: the flusher runs it once
+    its window flushes a tail of ``compact_every`` rows, with no caller
+    asking."""
+    with Journal(tmp_path, compact_every=5, prune_settled=True) as journal:
+        for i in range(6):
+            journal.append("submit", f"t-{i}", spec={"command": "sleep"}, client="c")
+        assert wait_until(lambda: journal.stats()["compactions"] == 1)
+        assert journal.tail_records == 0 and not journal.should_compact()
+        journal.append("result", "t-0", outcome="ok", result={})
+    assert journal.stats()["compactions"] == 1  # a short tail waits
+    assert len(read_journal_tail(tmp_path / "base.jsonl")[0]) == 6
+    state = recover(tmp_path)
+    assert len(state.tasks) == 6 and state.tasks["t-0"].state == "completed"
+
+
+def test_an_idle_flusher_is_not_read_as_stalled(tmp_path):
+    """Every flusher pass stamps ``last_flush_t``, empty or not.  Only
+    writes used to, so after a long idle spell the first async row read
+    as buffered-and-stale until the next window took it — the
+    dispatcher's watchdog reported a healthy flusher as stalled."""
+    from repro.live import LiveDispatcher
+
+    dispatcher = LiveDispatcher(journal_dir=str(tmp_path))
+    try:
+        journal = dispatcher.journal
+        journal.last_flush_t -= 10.0  # ten idle seconds
+        # Empty windows pass (a stamp, when the fix is in).
+        wait_until(lambda: journal.last_flush_t > time.monotonic() - 1.0,
+                   timeout=1.0)
+        journal.append("requeue", "t-0", attempt=1)
+        assert dispatcher._check_journal() is None
+    finally:
+        dispatcher.close()
 
 
 def test_pruning_compaction_keeps_only_unreleased_tasks(tmp_path):
@@ -243,8 +284,9 @@ def test_compaction_never_loses_committed_records(tmp_path):
     fresh tail — never in a file the compaction destroys.  Every record
     whose commit() returned True must survive recovery, with three
     committers (more threads than this suite assumes cores), the
-    flusher and a compaction loop all taking the buffer, and thread
-    switches forced every 10 µs."""
+    flusher (which compacts too: every pass is due) and a compaction
+    loop all taking the buffer, and thread switches forced every
+    10 µs."""
     import sys
     import threading
 

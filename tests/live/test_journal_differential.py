@@ -209,7 +209,10 @@ def test_compaction_parses_nothing_and_keeps_only_unreleased_rows(
         tmp_path, monkeypatch):
     settled = [f"s-{i:05d}" for i in range(6_000)]
     running = [f"r-{i:02d}" for i in range(50)]
-    with Journal(tmp_path, compact_every=20_000, prune_settled=True) as journal:
+    # A window longer than the test: the flusher, which would compact
+    # the due tail on its own, never wakes; the compaction is ours.
+    with Journal(tmp_path, flush_window=3600.0, compact_every=20_000,
+                 prune_settled=True) as journal:
         for at in range(0, len(settled), 500):
             bundle = settled[at:at + 500]
             journal.append_many([row for task_id in bundle
