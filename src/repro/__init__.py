@@ -53,7 +53,6 @@ from repro.api import FalkonClient, as_completed, connect
 from repro.live.endpoint import Endpoint
 from repro.config import (
     AcquisitionPolicyName,
-    DispatchPolicyName,
     FalkonConfig,
     ReleasePolicyName,
     SecurityMode,
@@ -69,7 +68,6 @@ __all__ = [
     "Endpoint",
     "FalkonConfig",
     "SecurityMode",
-    "DispatchPolicyName",
     "AcquisitionPolicyName",
     "ReleasePolicyName",
     "FalkonSystem",

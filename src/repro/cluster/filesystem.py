@@ -27,8 +27,6 @@ GPFS read+write 326 combined ⇒ write path ≈ 366; LOCAL read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim import Environment, Resource
 
 __all__ = ["SharedFileSystem", "LocalDisk", "gpfs_model", "local_disk_model"]

@@ -9,7 +9,7 @@ processor slot for its lifetime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.sim import Environment

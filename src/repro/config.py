@@ -1,16 +1,18 @@
-"""Configuration objects for the Falkon system.
+"""Configuration of the simulation plane.
 
-:class:`FalkonConfig` gathers every knob the paper describes: the
-dispatch policy, the replay (retry) policy, the five resource
-acquisition policies, the release policies with their idle-time
-settings, bundling/piggy-backing switches, and the security mode.
-One config object drives both the simulation and the live planes.
+:class:`FalkonConfig` holds the paper's policy settings that the
+simulated dispatcher, system and provisioner (``repro.core``) read:
+the replay (retry) policy, the five resource acquisition policies, the
+release policies with their idle-time settings, the bundling and
+piggy-backing switches, and the security mode.  The live plane
+(``repro.live``) takes its settings as constructor arguments instead;
+only :class:`SecurityMode` is shared by both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -18,7 +20,6 @@ from repro.errors import ConfigError
 
 __all__ = [
     "SecurityMode",
-    "DispatchPolicyName",
     "AcquisitionPolicyName",
     "ReleasePolicyName",
     "FalkonConfig",
@@ -36,17 +37,6 @@ class SecurityMode(Enum):
 
     NONE = "none"
     GSI_SECURE_CONVERSATION = "gsi-secure-conversation"
-
-
-class DispatchPolicyName(Enum):
-    """§3.1: which executor gets the next task.
-
-    The paper evaluates ``next-available``; ``data-aware`` is the §6
-    future-work policy implemented in `repro.extensions.datacache`.
-    """
-
-    NEXT_AVAILABLE = "next-available"
-    DATA_AWARE = "data-aware"
 
 
 class AcquisitionPolicyName(Enum):
@@ -69,25 +59,17 @@ class ReleasePolicyName(Enum):
 
 @dataclass
 class FalkonConfig:
-    """All Falkon policy and tuning parameters.
+    """The simulation plane's policy and tuning parameters.
 
     Defaults reproduce the paper's headline configuration: no security,
-    next-available dispatch, client–dispatcher bundling and
-    piggy-backing enabled, all-at-once acquisition, distributed idle
-    release.
+    client–dispatcher bundling and piggy-backing enabled, all-at-once
+    acquisition, distributed idle release.  Dispatch is always
+    next-available (§3.1), the policy the paper evaluates.
     """
 
-    # --- dispatch & replay policy (§3.1) ---
-    dispatch_policy: DispatchPolicyName = DispatchPolicyName.NEXT_AVAILABLE
+    # --- replay policy (§3.1) ---
     max_retries: int = 3
     replay_timeout: Optional[float] = None  # None: no re-dispatch timer
-
-    # --- liveness & reconnect (live plane fault tolerance) ---
-    heartbeat_interval: Optional[float] = None  # None: no liveness protocol
-    heartbeat_miss_budget: int = 3              # misses before eviction
-    max_reconnects: int = 5                     # reconnect attempts per peer
-    reconnect_backoff_base: float = 0.05        # first retry delay (s)
-    reconnect_backoff_cap: float = 2.0          # exponential backoff ceiling (s)
 
     # --- communication optimisations (§3.4) ---
     client_bundling: bool = True
@@ -109,28 +91,12 @@ class FalkonConfig:
     provisioner_poll_interval: float = 1.0  # dispatcher-state polling {POLL}
     centralized_queue_threshold: int = 0   # release when queued < q
 
-    # --- §6 future-work extensions ---
-    prefetch: bool = False                 # executor task pre-fetching
-    data_cache: bool = False               # executor-side data caching
-
-    # --- misc ---
-    notification_threads: int = 4          # shared notification engine pool
-    seed: int = 0
-
     def validate(self) -> "FalkonConfig":
         """Raise :class:`ConfigError` on inconsistent settings; return self."""
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.replay_timeout is not None and self.replay_timeout <= 0:
             raise ConfigError("replay_timeout must be positive when set")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ConfigError("heartbeat_interval must be positive when set")
-        if self.heartbeat_miss_budget < 1:
-            raise ConfigError("heartbeat_miss_budget must be >= 1")
-        if self.max_reconnects < 0:
-            raise ConfigError("max_reconnects must be >= 0")
-        if not 0 < self.reconnect_backoff_base <= self.reconnect_backoff_cap:
-            raise ConfigError("need 0 < reconnect_backoff_base <= reconnect_backoff_cap")
         if self.bundle_size <= 0:
             raise ConfigError("bundle_size must be positive")
         if not 0 <= self.min_executors <= self.max_executors:
@@ -146,8 +112,6 @@ class FalkonConfig:
             raise ConfigError("allocation_lease must be positive")
         if self.provisioner_poll_interval <= 0:
             raise ConfigError("provisioner_poll_interval must be positive")
-        if self.notification_threads <= 0:
-            raise ConfigError("notification_threads must be positive")
         if self.executor_bundling and not self.client_bundling:
             raise ConfigError("executor_bundling requires client_bundling")
         return self

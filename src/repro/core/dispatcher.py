@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from repro.cluster.jvm import JVMModel
-from repro.config import FalkonConfig, SecurityMode
+from repro.config import FalkonConfig
 from repro.net.costs import NetworkModel, WSCostModel
 from repro.sim import Counter, Environment, Event, FilterStore, Gauge, Resource
 from repro.sim.tracing import Tracer

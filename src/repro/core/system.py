@@ -11,7 +11,7 @@ stand up a fixed set of executors (the §4.1–§4.5 microbenchmarks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np

@@ -10,7 +10,7 @@ are out of scope; the paper's runs assume success).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.dag.graph import TaskNode, Workflow
 from repro.dag.providers import ExecutionProvider

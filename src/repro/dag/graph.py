@@ -8,8 +8,8 @@ computation, and produce output").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import WorkflowError
 from repro.types import TaskSpec

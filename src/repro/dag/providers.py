@@ -14,8 +14,7 @@ Three providers mirror §5.1's three measured configurations:
 
 from __future__ import annotations
 
-import math
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.dispatcher import SimDispatcher
 from repro.lrm.base import LRMJob

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.sim import TimeSeries
 

@@ -20,7 +20,7 @@ clustered submission is slower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.node import Cluster, ClusterSpec, NodeSpec
 from repro.config import FalkonConfig
@@ -29,7 +29,7 @@ from repro.dag import ClusteredGramProvider, FalkonProvider, WorkflowEngine
 from repro.lrm.gram import Gram4Gateway
 from repro.lrm.pbs import make_pbs
 from repro.sim import Environment
-from repro.workloads.montage import MONTAGE_STAGE_ORDER, MontageShape, montage_workflow
+from repro.workloads.montage import MontageShape, montage_workflow
 
 __all__ = ["MontageResult", "run_montage", "mpi_stage_times", "PAPER_ANCHORS_MONTAGE"]
 

@@ -19,7 +19,7 @@ allocated/registered/active executor time series (Figures 12–13).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np

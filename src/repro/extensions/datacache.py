@@ -20,7 +20,7 @@ Ablation X3 measures the benefit on a locality-heavy workload.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.dispatcher import TaskRecord
 from repro.core.executor import SimExecutor

@@ -20,11 +20,9 @@ responsiveness lost to the polling interval.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.core.dispatcher import TaskRecord
-from repro.core.executor import ExecutorState, SimExecutor
-from repro.sim import Interrupt
+from repro.core.executor import SimExecutor
 
 __all__ = ["PollingExecutor"]
 

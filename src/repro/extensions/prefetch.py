@@ -14,7 +14,7 @@ single-executor rate roughly doubles (measured by ablation bench X2).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.dispatcher import TaskRecord
 from repro.core.executor import ExecutorState, SimExecutor

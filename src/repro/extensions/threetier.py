@@ -22,7 +22,7 @@ from typing import Generator, Optional
 from repro.core.dispatcher import SimDispatcher, TaskRecord
 from repro.net.costs import NetworkModel
 from repro.sim import Environment, Resource
-from repro.types import TaskResult, TaskSpec
+from repro.types import TaskSpec
 
 __all__ = ["Forwarder", "ForwarderResult"]
 

@@ -5,23 +5,22 @@ an array of tasks (bundled, §3.4), receive results asynchronously via
 notifications {8}, or poll with GET_RESULTS {9, 10}.
 
 When the dispatcher connection drops unexpectedly the client
-reconnects with capped exponential backoff, resumes its instance (the
-``epr`` rides along on CREATE_INSTANCE), and backfills results that
-were settled while it was away via GET_RESULTS.  If the reconnect
+reconnects on the shared :func:`~repro.live.protocol.backoff` schedule,
+resumes its instance (the ``epr`` rides along on CREATE_INSTANCE), and
+backfills results that were settled while it was away via GET_RESULTS.  If the reconnect
 budget is exhausted, every outstanding future fails with
 :class:`repro.errors.ReconnectError` instead of hanging.
 
 Backpressure: a dispatcher running with a bounded queue answers an
 overflowing SUBMIT with SUBMIT_REJECT instead of SUBMIT_ACK.  The
-client resubmits the same bundle with capped exponential backoff,
-honouring the server's ``retry_after`` hint — submission converges
-once the queue drains, and the dispatcher-side task-id dedupe makes
-the resubmission idempotent.
+client resubmits the same bundle on that schedule, honouring the
+server's ``retry_after`` hint — submission converges once the queue
+drains, and the dispatcher-side task-id dedupe makes the resubmission
+idempotent.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -29,7 +28,14 @@ from typing import Callable, Iterable, Optional, Sequence, Union, overload
 
 from repro.errors import ProtocolError, ReconnectError
 from repro.live.endpoint import Endpoint, EndpointLike, as_endpoint
-from repro.live.protocol import Connection, result_from_dict, task_to_dict
+from repro.live.protocol import (
+    RECONNECT_ATTEMPTS,
+    RECONNECT_CAP,
+    Connection,
+    backoff,
+    result_from_dict,
+    task_to_dict,
+)
 from repro.net.message import Message, MessageType
 from repro.net.wire import dumps, encode_message_v4
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
@@ -193,32 +199,26 @@ class LiveClient:
         address: EndpointLike,
         key: Optional[bytes] = None,
         bundle_size: int = 300,
-        max_reconnects: int = 5,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
+        max_reconnects: int = RECONNECT_ATTEMPTS,
         max_submit_retries: int = 1000,
     ) -> None:
         if bundle_size <= 0:
             raise ValueError("bundle_size must be positive")
         if max_reconnects < 0:
             raise ValueError("max_reconnects must be >= 0")
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_cap")
         if max_submit_retries < 0:
             raise ValueError("max_submit_retries must be >= 0")
         #: The dispatcher's address as an :class:`Endpoint` (accepts a
         #: ``falkon://host:port`` / ``host:port`` string; the legacy
         #: tuple spelling is gone).
         self.endpoint = as_endpoint(address, owner="LiveClient")
-        self.address = self.endpoint.address
         self.key = key
         self.bundle_size = bundle_size
         self.max_reconnects = max_reconnects
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Bound on per-bundle SUBMIT_REJECT resubmissions before
-        #: giving up (a safety valve, not a tuning knob — with capped
-        #: backoff this is minutes of sustained overload).
+        #: giving up (a safety valve — with capped backoff this is
+        #: minutes of sustained overload; the router sets 0 to
+        #: retarget at once).
         self.max_submit_retries = max_submit_retries
         self.reconnects = 0
         #: SUBMIT_REJECT frames received (admission-control pushback).
@@ -258,15 +258,9 @@ class LiveClient:
     # -- connection management -------------------------------------------------
     def _connect(self) -> Connection:
         """Dial the dispatcher and (re-)establish our instance."""
-        sock = socket.create_connection(self.address, timeout=10.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = Connection(
-            sock,
-            handler=self._handle,
-            on_close=self._conn_closed,
-            key=self.key,
-            name="client",
-        ).start()
+        conn = Connection.dial(self.endpoint, self._handle,
+                               on_close=self._conn_closed, key=self.key,
+                               name="client", timeout=10.0)
         # Factory/instance pattern: obtain our endpoint reference first;
         # a reconnect resumes the existing instance by sending it back.
         self._instance_ready.clear()
@@ -292,12 +286,10 @@ class LiveClient:
         if not self._reconnecting.acquire(blocking=False):
             return  # another reconnect attempt is already running
         try:
-            delay = self.backoff_base
-            for _attempt in range(self.max_reconnects):
+            for delay in backoff(self.max_reconnects):
                 if self._user_closed:
                     return
                 time.sleep(delay)
-                delay = min(delay * 2, self.backoff_cap)
                 try:
                     self._conn = self._connect()
                 except Exception:
@@ -310,7 +302,7 @@ class LiveClient:
                     continue
                 return
             error = ReconnectError(
-                f"lost dispatcher {self.address} after {self.max_reconnects} reconnect attempts"
+                f"lost dispatcher {self.endpoint.url} after {self.max_reconnects} reconnect attempts"
             )
             with self._lock:
                 pending = [f for f in self._futures.values() if not f.done()]
@@ -388,13 +380,14 @@ class LiveClient:
     def _send_bundle(self, frame: bytes, count: int) -> None:
         """One SUBMIT exchange, resubmitting on SUBMIT_REJECT.
 
-        The backoff honours the dispatcher's ``retry_after`` hint as a
-        floor and grows the local delay exponentially up to
-        ``backoff_cap``; resubmission is idempotent (the dispatcher
-        dedupes task ids), so a lost ack is safe to retry too.
+        Each retry waits the next :func:`backoff` delay, with the
+        dispatcher's ``retry_after`` hint as a floor and
+        ``RECONNECT_CAP`` as the ceiling; resubmission is idempotent
+        (the dispatcher dedupes task ids), so a lost ack is safe to
+        retry too.
         """
-        delay = self.backoff_base
-        for _attempt in range(self.max_submit_retries + 1):
+        delays = backoff(self.max_submit_retries)
+        while True:
             self._submit_ack.clear()
             self._submit_reply = {}
             self._conn.send_encoded(frame)
@@ -404,9 +397,11 @@ class LiveClient:
             reply = self._submit_reply
             if reply.get("ok", True):
                 return
+            delay = next(delays, None)
+            if delay is None:
+                break
             retry_after = float(reply.get("retry_after", 0.0) or 0.0)
-            time.sleep(min(max(retry_after, delay), self.backoff_cap))
-            delay = min(delay * 2, self.backoff_cap)
+            time.sleep(min(max(retry_after, delay), RECONNECT_CAP))
         raise ProtocolError(
             f"dispatcher rejected SUBMIT {self.max_submit_retries + 1} times "
             "(queue stayed full)"

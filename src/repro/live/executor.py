@@ -17,8 +17,9 @@ an executor that waits that long without work de-registers and exits
 Fault tolerance: with a ``heartbeat_interval`` the executor emits
 HEARTBEAT frames (a timer on the shared I/O loop) so the dispatcher
 can tell a slow task from a dead agent; when the connection drops
-unexpectedly it reconnects with capped exponential backoff and
-re-registers (the ``reconnect`` flag supersedes the stale session).
+unexpectedly it reconnects on the shared :func:`~repro.live.protocol.backoff`
+schedule and re-registers (the ``reconnect`` flag supersedes the stale
+session).
 
 Telemetry: each HEARTBEAT piggy-backs a compact ``stats`` dict that
 the dispatcher keeps as this executor's ``/status`` row — no extra
@@ -38,23 +39,25 @@ from __future__ import annotations
 
 import itertools
 import queue
-import socket
 import subprocess
 import threading
 import time
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional
 
 from repro.live.endpoint import EndpointLike, as_endpoint
 from repro.live.ioloop import default_loop
-from repro.live.protocol import Connection, result_to_dict, task_from_dict
+from repro.live.protocol import (
+    RECONNECT_ATTEMPTS,
+    Connection,
+    backoff,
+    result_to_dict,
+    task_from_dict,
+)
 from repro.net.message import Message, MessageType
 from repro.net.wire import replace_surrogates
 from repro.obs import ExecutorStats, MetricsRegistry
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
 from repro.types import TaskResult, TaskSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.live.faults import FaultPlan
 
 __all__ = ["LiveExecutor"]
 
@@ -71,6 +74,9 @@ _CONN_CLOSED = "connection-closed"
 #: dispatcher's replay timer must not see silence while tasks finish.
 _RESULT_BATCH_WINDOW = 0.02
 
+#: Wall-clock limit (seconds) on one subprocess task.
+SUBPROCESS_TIMEOUT = 300.0
+
 
 class LiveExecutor:
     """One executor agent connected to a live dispatcher."""
@@ -82,29 +88,19 @@ class LiveExecutor:
         executor_id: Optional[str] = None,
         idle_timeout: Optional[float] = None,
         python_registry: Optional[PythonRegistry] = None,
-        subprocess_timeout: float = 300.0,
         heartbeat_interval: Optional[float] = None,
-        max_reconnects: int = 5,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        fault_plan: Optional["FaultPlan"] = None,
         pipeline: int = 1,
     ) -> None:
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive when set")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive when set")
-        if max_reconnects < 0:
-            raise ValueError("max_reconnects must be >= 0")
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_cap")
         if pipeline < 1:
             raise ValueError("pipeline must be >= 1")
         #: The dispatcher's address as an :class:`Endpoint` (accepts a
         #: ``falkon://host:port`` / ``host:port`` string; the legacy
         #: tuple spelling is gone).
         self.endpoint = as_endpoint(address, owner="LiveExecutor")
-        self.address = self.endpoint.address
         self.key = key
         #: Advertised pipelining depth: how many queued tasks the
         #: dispatcher may stack on one WORK/RESULT_ACK frame (§3.4
@@ -113,12 +109,7 @@ class LiveExecutor:
         self.executor_id = executor_id or f"live-exec-{next(_executor_seq):05d}"
         self.idle_timeout = idle_timeout
         self.python_registry = python_registry or {}
-        self.subprocess_timeout = subprocess_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.max_reconnects = max_reconnects
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.fault_plan = fault_plan
         self.metrics = MetricsRegistry(prefix="executor")
         # Agent-side flight recorder: frame rx/tx only (execution
         # detail already rides spans); dumped by the harness on crash
@@ -204,37 +195,6 @@ class LiveExecutor:
         )
 
     # -- main loop -----------------------------------------------------------
-    def _open_connection(self) -> Optional[Connection]:
-        try:
-            sock = socket.create_connection(self.address, timeout=10.0)
-        except OSError:
-            return None
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        on_close = lambda: self._inbox.put(
-            Message(MessageType.SHUTDOWN, payload={"reason": _CONN_CLOSED})
-        )
-        if self.fault_plan is not None:
-            from repro.live.faults import FaultyConnection
-
-            conn: Connection = FaultyConnection(
-                sock,
-                handler=self._inbox.put,
-                on_close=on_close,
-                key=self.key,
-                name=self.executor_id,
-                plan=self.fault_plan,
-                fault_role="executor",
-            )
-        else:
-            conn = Connection(
-                sock,
-                handler=self._inbox.put,
-                on_close=on_close,
-                key=self.key,
-                name=self.executor_id,
-            )
-        return conn.start()
-
     def _drain_inbox(self) -> None:
         """Discard messages left over from a previous connection."""
         while True:
@@ -245,66 +205,21 @@ class LiveExecutor:
 
     def _run(self) -> None:
         registered_once = False
-        failures = 0
-        backoff = self.backoff_base
+        delays = backoff(RECONNECT_ATTEMPTS)
         reason = "stop"
         try:
             while not self._stop.is_set():
-                conn = self._open_connection()
-                if conn is None:
-                    failures += 1
-                    if failures > self.max_reconnects or self._stop.wait(backoff):
-                        return
-                    backoff = min(backoff * 2, self.backoff_cap)
-                    continue
-                self._drain_inbox()
-                self._conn = conn
-                self._acked_this_conn = False
-                register_payload = {
-                    "executor_id": self.executor_id,
-                    "reconnect": registered_once,
-                    "pipeline": self.pipeline,
-                }
-                if self._unreported:
-                    # Inflight echo: tasks this agent
-                    # already executed whose results never left — a
-                    # recovered dispatcher adopts them by attempt match
-                    # instead of double-executing.
-                    register_payload["inflight"] = [
-                        {"task_id": entry["result"]["task_id"],
-                         "attempt": entry.get("attempt")}
-                        for entry in self._unreported
-                    ]
-                try:
-                    conn.send(
-                        Message(
-                            MessageType.REGISTER,
-                            sender=self.executor_id,
-                            payload=register_payload,
-                        )
-                    )
-                except Exception:
-                    conn.close()
-                    failures += 1
-                    if failures > self.max_reconnects or self._stop.wait(backoff):
-                        return
-                    backoff = min(backoff * 2, self.backoff_cap)
-                    continue
-                if registered_once:
-                    self._m_reconnects.inc()
-                reason = self._loop()
+                reason = self._session(reconnect=registered_once)
                 if self._acked_this_conn:
                     registered_once = True
-                    failures = 0
-                    backoff = self.backoff_base
+                    delays = backoff(RECONNECT_ATTEMPTS)
                 if reason in ("stop", "idle"):
                     return
-                # The dispatcher went away mid-session: back off, retry.
-                conn.close()
-                failures += 1
-                if failures > self.max_reconnects or self._stop.wait(backoff):
+                # The dial, the REGISTER or the session failed: back
+                # off and retry until the budget runs out.
+                delay = next(delays, None)
+                if delay is None or self._stop.wait(delay):
                     return
-                backoff = min(backoff * 2, self.backoff_cap)
         finally:
             conn = self._conn
             if conn is not None and not conn.closed:
@@ -314,6 +229,57 @@ class LiveExecutor:
                     except Exception:
                         pass
                 conn.close()
+
+    def _session(self, reconnect: bool) -> str:
+        """Dial, REGISTER and serve one dispatcher connection; returns
+        why it ended: ``stop`` / ``idle`` / ``closed`` (also when the
+        dial or the REGISTER failed)."""
+        self._acked_this_conn = False
+        try:
+            conn = Connection.dial(
+                self.endpoint,
+                self._inbox.put,
+                on_close=lambda: self._inbox.put(
+                    Message(MessageType.SHUTDOWN, payload={"reason": _CONN_CLOSED})),
+                key=self.key,
+                name=self.executor_id,
+                timeout=10.0,
+            )
+        except OSError:
+            return "closed"
+        self._drain_inbox()
+        self._conn = conn
+        register_payload = {
+            "executor_id": self.executor_id,
+            "reconnect": reconnect,
+            "pipeline": self.pipeline,
+        }
+        if self._unreported:
+            # Inflight echo: tasks this agent already executed whose
+            # results never left — a recovered dispatcher adopts them
+            # by attempt match instead of double-executing.
+            register_payload["inflight"] = [
+                {"task_id": entry["result"]["task_id"],
+                 "attempt": entry.get("attempt")}
+                for entry in self._unreported
+            ]
+        try:
+            conn.send(
+                Message(
+                    MessageType.REGISTER,
+                    sender=self.executor_id,
+                    payload=register_payload,
+                )
+            )
+        except Exception:
+            conn.close()
+            return "closed"
+        if reconnect:
+            self._m_reconnects.inc()
+        reason = self._loop()
+        if reason == "closed":
+            conn.close()
+        return reason
 
     def _loop(self) -> str:
         """Serve one connection; returns why it ended:
@@ -509,7 +475,7 @@ class LiveExecutor:
             text=True,
             cwd=spec.working_dir,
             env=env,
-            timeout=self.subprocess_timeout,
+            timeout=SUBPROCESS_TIMEOUT,
         )
         return TaskResult(
             spec.task_id,

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import bisect
 import os
-import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -41,9 +40,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import ProtocolError, ReconnectError
 from repro.live.client import LiveClient, TaskFuture
-from repro.live.dispatcher import LiveDispatcher, PEER_PREFIX
+from repro.live.dispatcher import LiveDispatcher
 from repro.live.endpoint import Endpoint, EndpointLike
-from repro.live.protocol import Connection
+from repro.live.protocol import RECONNECT_BASE, Connection, backoff
 from repro.net.message import Message, MessageType
 from repro.obs.stats import StatsSnapshot
 from repro.types import TaskResult, TaskSpec
@@ -57,6 +56,11 @@ __all__ = [
     "LocalFederation",
     "shard_main",
 ]
+
+#: Seconds a peer link waits for a STEAL_GRANT before re-arming.
+STEAL_TIMEOUT = 5.0
+#: Seconds the router skips a shard it saw fail before dialling it again.
+DOWN_TTL = 2.0
 
 
 class HashRing:
@@ -110,8 +114,9 @@ class PeerLink:
     The owning dispatcher gossips its queue depth over the link every
     sweep and steals through it when starved.  The remote end sees a
     ``peer`` session and mirrors us as a ``peer:<id>`` pseudo-executor.
-    Dials (and redials, with capped backoff) happen on a background
-    thread so a dead peer never stalls the dispatcher's loop.
+    Dials (and redials, on the unbounded :func:`backoff` schedule)
+    happen on a background thread so a dead peer never stalls the
+    dispatcher's loop.
     """
 
     def __init__(
@@ -120,21 +125,17 @@ class PeerLink:
         shard_id: str,
         endpoint: Endpoint,
         key: Optional[bytes] = None,
-        steal_timeout: float = 5.0,
-        dial_backoff_cap: float = 2.0,
     ) -> None:
         self.dispatcher = dispatcher
         self.shard_id = shard_id  # the PEER's shard id
         self.endpoint = Endpoint.parse(endpoint)
         self.key = key
-        self.steal_timeout = steal_timeout
-        self.dial_backoff_cap = dial_backoff_cap
         self._lock = threading.Lock()
         self._conn: Optional[Connection] = None
         self._caps: tuple[str, ...] = ()
         self._dialing = False
         self._next_dial = 0.0
-        self._dial_delay = 0.05
+        self._dial_delays = backoff(None)
         self._outstanding_t: Optional[float] = None
         self._closed = False
         #: Steal traffic over this link (thief-side view).
@@ -161,7 +162,7 @@ class PeerLink:
             return
         with self._lock:
             if (self._outstanding_t is not None
-                    and now - self._outstanding_t > self.steal_timeout):
+                    and now - self._outstanding_t > STEAL_TIMEOUT):
                 self._outstanding_t = None  # the grant is lost; re-arm
             if self._conn is None or self._conn.closed:
                 if self._dialing or now < self._next_dial:
@@ -181,25 +182,18 @@ class PeerLink:
 
     def _dial(self) -> None:
         try:
-            sock = socket.create_connection(self.endpoint.address, timeout=2.0)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = Connection(
-                sock,
-                handler=self._on_message,
-                on_close=self._conn_closed,
-                key=self.key,
-                name=f"peer-{self.shard_id}",
-            ).start()
+            conn = Connection.dial(self.endpoint, self._on_message,
+                                   on_close=self._conn_closed, key=self.key,
+                                   name=f"peer-{self.shard_id}", timeout=2.0)
         except OSError:
             with self._lock:
                 self._dialing = False
-                self._next_dial = self.dispatcher._loop.now() + self._dial_delay
-                self._dial_delay = min(self._dial_delay * 2,
-                                       self.dial_backoff_cap)
+                self._next_dial = (self.dispatcher._loop.now()
+                                   + next(self._dial_delays))
             return
         with self._lock:
             self._dialing = False
-            self._dial_delay = 0.05
+            self._dial_delays = backoff(None)
             if self._closed:
                 conn.close()
                 return
@@ -211,7 +205,7 @@ class PeerLink:
             self._conn = None
             self._caps = ()
             self._outstanding_t = None
-            self._next_dial = self.dispatcher._loop.now() + self._dial_delay
+            self._next_dial = self.dispatcher._loop.now() + RECONNECT_BASE
 
     def close(self) -> None:
         with self._lock:
@@ -322,22 +316,17 @@ class ShardRouter:
         endpoints: Union[str, Iterable[EndpointLike]],
         key: Optional[bytes] = None,
         bundle_size: int = 300,
-        down_ttl: float = 2.0,
-        max_reconnects: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
     ) -> None:
         self.endpoints = Endpoint.parse_list(endpoints)
         if len({e.url for e in self.endpoints}) != len(self.endpoints):
             raise ValueError("duplicate shard endpoints")
         self.key = key
         self.bundle_size = bundle_size
-        self.down_ttl = down_ttl
         self._client_kwargs = dict(
             bundle_size=bundle_size,
-            max_reconnects=max_reconnects,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
+            # A dead shard fails its futures after two redials (0.05 s
+            # and 0.1 s) so they move to a survivor promptly.
+            max_reconnects=2,
             # The router owns retarget policy: a SUBMIT_REJECT must
             # surface immediately so the bundle can move shards instead
             # of camping on a full queue.
@@ -349,8 +338,10 @@ class ShardRouter:
         self._clients: dict[str, LiveClient] = {}
         self._down: dict[str, float] = {}  # url -> monotonic retry-at
         self._futures: dict[str, _RouterFuture] = {}
-        self._specs: dict[str, TaskSpec] = {}
         self._owners: dict[str, str] = {}  # task id -> accepting shard url
+        # Tasks a dead shard failed, by that shard's url; a key is
+        # present while that shard's re-placing thread runs.
+        self._orphans: dict[str, list[TaskSpec]] = {}
         self._closed = False
         #: Bundles moved off their hash-owner shard (reject/failover).
         self.retargets = 0
@@ -380,7 +371,7 @@ class ShardRouter:
 
     def _mark_down(self, url: str) -> None:
         with self._lock:
-            self._down[url] = time.monotonic() + self.down_ttl
+            self._down[url] = time.monotonic() + DOWN_TTL
             # Drop the dead client so the next attempt redials fresh
             # (its reconnect loop may have given up for good).
             client = self._clients.pop(url, None)
@@ -432,7 +423,6 @@ class ShardRouter:
             for spec in specs:
                 future = _RouterFuture(spec.task_id)
                 self._futures[spec.task_id] = future
-                self._specs[spec.task_id] = spec
                 futures.append(future)
         groups: dict[str, list[TaskSpec]] = {}
         for spec in specs:
@@ -451,7 +441,7 @@ class ShardRouter:
         # Desperation pass: every shard is marked down — try them all
         # anyway rather than failing without a single connection attempt.
         candidates += [u for u in order if u not in candidates]
-        for attempt, url in enumerate(candidates):
+        for url in candidates:
             client = self._client(url)
             if client is None:
                 continue
@@ -475,14 +465,14 @@ class ShardRouter:
                 # bundle right now.
                 self._mark_down(url)
                 continue
-            if attempt > 0:
+            if url != primary_url:
                 self.retargets += 1
             with self._lock:
                 for spec in specs:
                     self._owners[spec.task_id] = url
             for spec, inner_future in zip(specs, inner):
                 inner_future.add_done_callback(
-                    self._forward(spec, inner_future))
+                    self._forward(url, spec, inner_future))
             return
         error = ReconnectError(
             f"no shard accepted the bundle (tried {len(candidates)}): "
@@ -494,7 +484,7 @@ class ShardRouter:
             if future is not None:
                 future._fail(error)
 
-    def _forward(self, spec: TaskSpec, inner: TaskFuture):
+    def _forward(self, url: str, spec: TaskSpec, inner: TaskFuture):
         def done(_f) -> None:
             with self._lock:
                 future = self._futures.get(spec.task_id)
@@ -507,27 +497,51 @@ class ShardRouter:
                 future.cancel()
                 return
             # The shard died under the task (ReconnectError after the
-            # budget): resubmit to a survivor off this callback thread.
-            # The original shard may still recover and complete the
-            # task from its journal — the wrapper future's first-wins
-            # rule keeps the caller's view exactly-once.
-            self.resubmits += 1
-            threading.Thread(
-                target=self._resubmit, args=(spec,),
-                name=f"router-resubmit-{spec.task_id}", daemon=True,
-            ).start()
+            # budget).  The original shard may still recover and
+            # complete the task from its journal — the wrapper future's
+            # first-wins rule keeps the caller's view exactly-once.
+            self._orphaned(url, spec)
 
         return done
 
-    def _resubmit(self, spec: TaskSpec) -> None:
+    def _orphaned(self, url: str, spec: TaskSpec) -> None:
+        """Queue *spec* for re-placement off the dead shard *url*.
+
+        A dead shard fails all its futures in one burst; the first
+        starts the one thread that re-places them, the rest join its
+        batch — one thread and a few bundles per dead shard, not one
+        of each per task.
+        """
         with self._lock:
-            future = self._futures.get(spec.task_id)
-            owner = self._owners.get(spec.task_id)
-        if future is None or future.done() or self._closed:
-            return
-        if owner is not None:
-            self._mark_down(owner)
-        self._place(self.ring.owner(spec.task_id), [spec])
+            self.resubmits += 1
+            draining = url in self._orphans
+            self._orphans.setdefault(url, []).append(spec)
+            if draining:
+                return
+        threading.Thread(
+            target=self._resubmit, args=(url,),
+            name=f"router-resubmit-{url}", daemon=True,
+        ).start()
+
+    def _resubmit(self, url: str) -> None:
+        """Re-place the dead shard's orphans by hash owner, in bundles,
+        until none arrive between two rounds."""
+        self._mark_down(url)
+        while True:
+            with self._lock:
+                specs = self._orphans[url]
+                if not specs or self._closed:
+                    del self._orphans[url]
+                    return
+                self._orphans[url] = []
+                live = [spec for spec in specs
+                        if (f := self._futures.get(spec.task_id)) is not None
+                        and not f.done()]
+            groups: dict[str, list[TaskSpec]] = {}
+            for spec in live:
+                groups.setdefault(self.ring.owner(spec.task_id), []).append(spec)
+            for owner, group in groups.items():
+                self._place(owner, group)
 
     # -- FalkonClient surface --------------------------------------------------
     def run(
@@ -556,7 +570,6 @@ class ShardRouter:
             done = [tid for tid, f in self._futures.items() if f.done()]
             for tid in done:
                 self._futures.pop(tid, None)
-                self._specs.pop(tid, None)
                 self._owners.pop(tid, None)
             clients = list(self._clients.values())
         for client in clients:
@@ -660,7 +673,6 @@ class LocalFederation:
         journal_root: Optional[str] = None,
         queue_limit: Optional[int] = None,
         http_port: Optional[int] = None,
-        retain_settled: Optional[int] = None,
         flight_dir: Optional[str] = None,
     ) -> None:
         if shards < 1:
@@ -677,7 +689,6 @@ class LocalFederation:
             replay_timeout=replay_timeout,
             monitor_interval=monitor_interval,
             queue_limit=queue_limit,
-            retain_settled=retain_settled,
             flight_dump_dir=flight_dir,
         )
         self._executor_kwargs = dict(

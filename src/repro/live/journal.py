@@ -461,17 +461,13 @@ class Journal:
     def __init__(
         self,
         directory: Union[str, "os.PathLike[str]"],
-        flush_window: float = FLUSH_WINDOW,
         compact_every: int = DEFAULT_COMPACT_EVERY,
         prune_settled: bool = False,
     ) -> None:
-        if flush_window <= 0:
-            raise ValueError("flush_window must be positive")
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.flush_window = flush_window
         self.compact_every = compact_every
         #: Forget released tasks (:attr:`RecoveredTask.released`) at
         #: compaction.  Without this nothing is ever reclaimed: the
@@ -604,7 +600,7 @@ class Journal:
         while True:
             with self._cond:
                 self._cond.wait_for(lambda: self._closed or self._failed,
-                                    self.flush_window)
+                                    FLUSH_WINDOW)
                 if self._closed or self._failed:
                     return
             with self._io_lock:

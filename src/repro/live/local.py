@@ -11,7 +11,7 @@ real commands through the Falkon protocol::
 from __future__ import annotations
 
 import shlex
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.config import SecurityMode
 from repro.live.client import LiveClient

@@ -16,16 +16,21 @@ up only its own buffer — heartbeat ACKs to other executors keep
 flowing (the old implementation held the lock across ``sendall``).
 Consecutive small frames that land in the buffer together are
 coalesced into a single syscall.
+
+Every live-plane dialer — client, executor, provisioner and peer link
+— connects through :meth:`Connection.dial` and retries on the one
+:func:`backoff` schedule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import socket
 import sys
 import threading
 from collections import deque
-from typing import Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional
 
 from repro.errors import ProtocolError
 from repro.live.ioloop import IOLoop, default_loop
@@ -33,8 +38,15 @@ from repro.net.message import Message
 from repro.net.wire import FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec, TaskTimeline
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.live.endpoint import Endpoint
+
 __all__ = [
     "Connection",
+    "backoff",
+    "RECONNECT_BASE",
+    "RECONNECT_CAP",
+    "RECONNECT_ATTEMPTS",
     "task_to_dict",
     "task_from_dict",
     "result_to_dict",
@@ -206,6 +218,27 @@ def stats_from_payload(payload: Mapping[str, Any]) -> Optional[dict[str, float]]
 
 
 # ---------------------------------------------------------------------------
+# reconnect policy
+# ---------------------------------------------------------------------------
+#: First retry delay (seconds); each later one doubles it.
+RECONNECT_BASE = 0.05
+#: Ceiling on one retry delay (seconds).
+RECONNECT_CAP = 2.0
+#: Retries a component makes before it gives up on its dispatcher.
+RECONNECT_ATTEMPTS = 5
+
+
+def backoff(attempts: Optional[int]) -> Iterator[float]:
+    """The delays to sleep before each retry: ``RECONNECT_BASE · 2^n``
+    capped at ``RECONNECT_CAP``, *attempts* of them (``None``: without
+    end).  The first dial is not a retry and waits for nothing."""
+    delay = min(RECONNECT_BASE, RECONNECT_CAP)
+    for _ in itertools.repeat(None) if attempts is None else range(attempts):
+        yield delay
+        delay = min(delay * 2, RECONNECT_CAP)
+
+
+# ---------------------------------------------------------------------------
 # connection
 # ---------------------------------------------------------------------------
 #: Coalesce buffered frames into writes of at most this many bytes;
@@ -245,6 +278,28 @@ class Connection:
         self._write_armed = False
         self._started = False
         self._closed = threading.Event()
+
+    @classmethod
+    def dial(
+        cls,
+        endpoint: "Endpoint",
+        handler: Callable[[Message], None],
+        *,
+        on_close: Optional[Callable[[], None]] = None,
+        key: Optional[bytes] = None,
+        name: str,
+        timeout: float,
+    ) -> "Connection":
+        """Connect to *endpoint* within *timeout* seconds, disable
+        Nagle and start the connection on the shared loop; ``OSError``
+        when the peer cannot be reached."""
+        sock = socket.create_connection(endpoint.address, timeout=timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            sock.close()
+            raise
+        return cls(sock, handler, on_close=on_close, key=key, name=name).start()
 
     def start(self) -> "Connection":
         if self._loop is None:

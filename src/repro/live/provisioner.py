@@ -9,19 +9,20 @@ carry an ``idle_timeout`` and retire themselves (§3.1).
 
 from __future__ import annotations
 
-import math
 import queue
-import socket
 import threading
 from typing import Callable, Optional
 
 from repro.live.endpoint import EndpointLike, as_endpoint
 from repro.live.executor import LiveExecutor
-from repro.live.protocol import Connection
+from repro.live.protocol import RECONNECT_ATTEMPTS, Connection, backoff
 from repro.net.message import Message, MessageType
 from repro.obs import DispatcherStats, MetricsRegistry, ProvisionerStats
 
 __all__ = ["LocalProvisioner"]
+
+#: Seconds between two STATUS polls {POLL}.
+POLL_INTERVAL = 0.5
 
 
 class LocalProvisioner:
@@ -31,35 +32,22 @@ class LocalProvisioner:
         self,
         address: "EndpointLike",
         key: Optional[bytes] = None,
-        min_executors: int = 0,
         max_executors: int = 4,
         idle_timeout: float = 60.0,
-        poll_interval: float = 0.5,
         executor_factory: Optional[Callable[..., LiveExecutor]] = None,
-        max_reconnects: int = 3,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 2.0,
     ) -> None:
-        if not 0 <= min_executors <= max_executors:
-            raise ValueError("need 0 <= min_executors <= max_executors")
-        if idle_timeout <= 0 or poll_interval <= 0:
-            raise ValueError("timeouts must be positive")
-        if max_reconnects < 0:
-            raise ValueError("max_reconnects must be >= 0")
+        if max_executors < 0:
+            raise ValueError("max_executors must be >= 0")
+        if idle_timeout <= 0:
+            raise ValueError("idle_timeout must be positive")
         #: The dispatcher's address as an :class:`Endpoint` (accepts a
         #: ``falkon://host:port`` / ``host:port`` string; the legacy
         #: tuple spelling is gone).
         self.endpoint = as_endpoint(address, owner="LocalProvisioner")
-        self.address = self.endpoint.address
         self.key = key
-        self.min_executors = min_executors
         self.max_executors = max_executors
         self.idle_timeout = idle_timeout
-        self.poll_interval = poll_interval
         self.executor_factory = executor_factory or self._default_factory
-        self.max_reconnects = max_reconnects
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.metrics = MetricsRegistry(prefix="provisioner")
         self._m_allocations = self.metrics.counter(
             "allocations", help="Executors allocated into the pool")
@@ -124,20 +112,17 @@ class LocalProvisioner:
 
     def _dial(self) -> Optional[Connection]:
         try:
-            sock = socket.create_connection(self.address, timeout=10.0)
+            return Connection.dial(self.endpoint, self._on_message,
+                                   key=self.key, name="provisioner",
+                                   timeout=10.0)
         except OSError:
             return None
-        return Connection(
-            sock, handler=self._on_message, key=self.key, name="provisioner"
-        ).start()
 
     def _reconnect(self) -> bool:
-        """Re-dial the dispatcher with capped exponential backoff."""
-        delay = self.backoff_base
-        for _attempt in range(self.max_reconnects):
+        """Re-dial the dispatcher on the shared backoff schedule."""
+        for delay in backoff(RECONNECT_ATTEMPTS):
             if self._stop.wait(delay):
                 return False
-            delay = min(delay * 2, self.backoff_cap)
             conn = self._dial()
             if conn is not None:
                 self._conn = conn
@@ -149,7 +134,6 @@ class LocalProvisioner:
         self._conn = self._dial()
         if self._conn is None:
             return
-        self._scale_to(self.min_executors)
         while not self._stop.is_set():
             stats = self._poll()
             if stats is None:
@@ -160,10 +144,10 @@ class LocalProvisioner:
                 continue
             self._reap()
             demand = stats.queued + stats.busy
-            target = max(self.min_executors, min(self.max_executors, demand))
+            target = min(self.max_executors, demand)
             if target > len(self._pool):
                 self._scale_to(target)
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(POLL_INTERVAL)
 
     def _poll(self) -> Optional[DispatcherStats]:
         # The poll piggy-backs this provisioner's own stats (same

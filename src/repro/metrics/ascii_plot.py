@@ -9,7 +9,7 @@ scale (Figures 4–7 are log-log or semilog).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 __all__ = ["Series", "AsciiPlot"]

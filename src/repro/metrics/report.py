@@ -8,7 +8,7 @@ The renderer is dependency-free and aligns on plain monospace.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.obs import quantile_from_values
 

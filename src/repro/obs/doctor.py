@@ -18,7 +18,6 @@ from typing import Optional
 from repro.obs.flight import (
     FRAME_RX,
     QUEUE_CLAIM,
-    QUEUE_ENQUEUE,
     TASK_SETTLE,
     load_flight_dumps,
 )

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.flight import FlightRecorder

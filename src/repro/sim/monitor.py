@@ -10,7 +10,7 @@ samples, 60-sample moving averages, step integration for utilization).
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.obs import Histogram, quantile_from_values
 

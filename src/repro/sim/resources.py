@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.core import Environment, Event
 

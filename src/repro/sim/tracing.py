@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = ["TraceEvent", "Tracer"]

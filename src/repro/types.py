@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Optional
+from typing import Optional
 
 __all__ = [
     "TaskState",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.types import DataLocation, DataRef, TaskSpec
 
 __all__ = ["sleep_workload", "uniform_workload", "data_workload"]

@@ -279,11 +279,10 @@ def test_replay_timeout_redispatches_lost_work():
 
 
 # ---------------------------------------------------------------- reconnect
-def test_executor_reconnects_with_backoff_and_supersedes():
+def test_executor_reconnects_with_backoff_and_supersedes(monkeypatch):
+    monkeypatch.setattr("repro.live.protocol.RECONNECT_BASE", 0.02)
     dispatcher = LiveDispatcher()
-    executor = LiveExecutor(
-        dispatcher.endpoint, executor_id="phoenix", max_reconnects=5, backoff_base=0.02
-    ).start()
+    executor = LiveExecutor(dispatcher.endpoint, executor_id="phoenix").start()
     client = None
     try:
         assert executor.wait_registered()
@@ -305,9 +304,10 @@ def test_executor_reconnects_with_backoff_and_supersedes():
         dispatcher.close()
 
 
-def test_client_reconnects_resumes_instance_and_backfills():
+def test_client_reconnects_resumes_instance_and_backfills(monkeypatch):
+    monkeypatch.setattr("repro.live.protocol.RECONNECT_BASE", 0.02)
     with LocalFalkon(executors=2) as falkon:
-        client = LiveClient(falkon.dispatcher.endpoint, backoff_base=0.02)
+        client = LiveClient(falkon.dispatcher.endpoint)
         try:
             first = client.run([TaskSpec.sleep(0.0, task_id="pre-drop")], timeout=15)[0]
             assert first.ok
@@ -322,9 +322,10 @@ def test_client_reconnects_resumes_instance_and_backfills():
             client.close()
 
 
-def test_client_reconnect_exhaustion_fails_futures():
+def test_client_reconnect_exhaustion_fails_futures(monkeypatch):
+    monkeypatch.setattr("repro.live.protocol.RECONNECT_BASE", 0.02)
     dispatcher = LiveDispatcher()
-    client = LiveClient(dispatcher.endpoint, max_reconnects=2, backoff_base=0.02)
+    client = LiveClient(dispatcher.endpoint, max_reconnects=2)
     # No executors: the future stays pending when the dispatcher dies.
     futures = client.submit([TaskSpec.sleep(0.0, task_id="orphaned")])
     dispatcher.close()

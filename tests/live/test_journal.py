@@ -131,8 +131,9 @@ def test_append_many_single_commit(tmp_path):
     assert len(records) == 50
 
 
-def test_window_flush_without_commit(tmp_path):
-    journal = Journal(tmp_path, flush_window=0.01)
+def test_window_flush_without_commit(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 0.01)
+    journal = Journal(tmp_path)
     try:
         journal.append("submit", "t-1")
         assert wait_until(lambda: journal.stats()["pending"] == 0, timeout=5.0)
@@ -151,8 +152,9 @@ def test_close_flushes_remaining(tmp_path):
     assert journal.commit() is False  # closed journals refuse barriers
 
 
-def test_abandon_drops_buffered_window(tmp_path):
-    journal = Journal(tmp_path, flush_window=30.0)  # nothing flushes on its own
+def test_abandon_drops_buffered_window(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 30.0)
+    journal = Journal(tmp_path)  # nothing flushes on its own
     journal.append("submit", "t-durable")
     assert journal.commit()
     journal.append("submit", "t-volatile")
@@ -173,12 +175,12 @@ def test_reopen_existing_tail_appends(tmp_path):
     assert [r["id"] for r in records] == ["t-1", "t-2"]
 
 
-def test_compaction_snapshots_and_truncates(tmp_path, prune=False):
+def test_compaction_snapshots_and_truncates(tmp_path, monkeypatch, prune=False):
     # The flusher compacts a due tail on its own; with a window longer
     # than the test it never wakes, so the compaction here is the
     # hand-driven one.
-    journal = Journal(tmp_path, flush_window=30.0, compact_every=5,
-                      prune_settled=prune)
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 30.0)
+    journal = Journal(tmp_path, compact_every=5, prune_settled=prune)
     try:
         for i in range(6):
             journal.append("submit", f"t-{i}", spec={"command": "sleep"}, client="c")
@@ -203,8 +205,8 @@ def test_compaction_snapshots_and_truncates(tmp_path, prune=False):
     assert state.replayed == 1  # only the post-compaction record
 
 
-def test_pruning_compaction_writes_base_and_truncates(tmp_path):
-    test_compaction_snapshots_and_truncates(tmp_path, prune=True)
+def test_pruning_compaction_writes_base_and_truncates(tmp_path, monkeypatch):
+    test_compaction_snapshots_and_truncates(tmp_path, monkeypatch, prune=True)
 
 
 def test_flusher_compacts_a_due_tail_on_its_own(tmp_path):
@@ -279,7 +281,7 @@ def test_pruning_compaction_keeps_only_unreleased_tasks(tmp_path):
     assert [t.task_id for t in state.pending()] == ["t-dlq", "t-run"]
 
 
-def test_compaction_never_loses_committed_records(tmp_path):
+def test_compaction_never_loses_committed_records(tmp_path, monkeypatch):
     """Appends racing a compaction land in the rotated segment or the
     fresh tail — never in a file the compaction destroys.  Every record
     whose commit() returned True must survive recovery, with three
@@ -290,7 +292,8 @@ def test_compaction_never_loses_committed_records(tmp_path):
     import sys
     import threading
 
-    journal = Journal(tmp_path, flush_window=0.001, compact_every=1)
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 0.001)
+    journal = Journal(tmp_path, compact_every=1)
     committed = []
 
     def churn(name):
@@ -321,7 +324,7 @@ def test_compaction_never_loses_committed_records(tmp_path):
     assert missing == []
 
 
-def test_commit_never_returns_before_its_rows_are_on_disk(tmp_path):
+def test_commit_never_returns_before_its_rows_are_on_disk(tmp_path, monkeypatch):
     """Regression: durable rows were counted, not positioned.  A taker
     took the buffer under the append lock and wrote it under the I/O
     lock, so with the flusher paused between taking b0..b2 and writing
@@ -355,7 +358,8 @@ def test_commit_never_returns_before_its_rows_are_on_disk(tmp_path):
         def __exit__(self, *exc):
             self.release()
 
-    journal = Journal(tmp_path, flush_window=0.05)
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 0.05)
+    journal = Journal(tmp_path)
     journal._io_lock = PausingLock(journal._io_lock)
     outcome = []
     committer = threading.Thread(
@@ -492,7 +496,8 @@ def test_fsync_failure_fails_journal_and_commit(tmp_path, monkeypatch):
     """A write/fsync error must fail the journal loudly: commit()
     returns False at once (no 5 s stall per call) and later appends are
     dropped instead of accumulating in a buffer that can never drain."""
-    journal = Journal(tmp_path, flush_window=0.001)
+    monkeypatch.setattr("repro.live.journal.FLUSH_WINDOW", 0.001)
+    journal = Journal(tmp_path)
     try:
         monkeypatch.setattr("repro.live.journal.os.fsync",
                             lambda fd: (_ for _ in ()).throw(OSError("disk gone")))
@@ -600,7 +605,5 @@ def test_recover_torn_tail_end_to_end(tmp_path):
 
 
 def test_journal_validation():
-    with pytest.raises(ValueError):
-        Journal("/tmp/x", flush_window=0)
     with pytest.raises(ValueError):
         Journal("/tmp/x", compact_every=0)

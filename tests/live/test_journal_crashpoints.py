@@ -150,6 +150,13 @@ class Disk:
             file.close()
 
 
+@pytest.fixture(autouse=True)
+def _flusher_never_wakes(monkeypatch):
+    # A window longer than the test: every write is one the history
+    # (or the boot) asked for, never the flusher's own.
+    monkeypatch.setattr(journal_module, "FLUSH_WINDOW", 3600.0)
+
+
 @pytest.fixture
 def disk_of(monkeypatch):
     """Install a :class:`Disk` under ``repro.live.journal`` only."""
@@ -293,8 +300,7 @@ def enumerate_crash_points(tmp_path, disk_of, prune):
     """The whole enumeration; returns how many wrecks it examined."""
     disk = disk_of()
     history = History()
-    history.run(Journal(tmp_path / "clean", flush_window=3600.0,
-                        prune_settled=prune))
+    history.run(Journal(tmp_path / "clean", prune_settled=prune))
     assert history.promised == len(history.rows)  # the uncut run commits all
     total = disk.ops
     assert total >= 15
@@ -306,8 +312,7 @@ def enumerate_crash_points(tmp_path, disk_of, prune):
             disk_of(budget, tear)
             history = History()
             try:
-                history.run(Journal(directory, flush_window=3600.0,
-                                    prune_settled=prune))
+                history.run(Journal(directory, prune_settled=prune))
             except PowerCut:
                 pass  # died inside Journal(): nothing was promised
             disk_of()  # power back on
@@ -324,7 +329,7 @@ def enumerate_crash_points(tmp_path, disk_of, prune):
                 shutil.copytree(directory, again)
                 boot_disk = disk_of(boot_ops, tear)
                 try:
-                    Journal(again, flush_window=3600.0, prune_settled=prune).close()
+                    Journal(again, prune_settled=prune).close()
                 except PowerCut:
                     pass
                 disk_of()

@@ -174,9 +174,10 @@ def _rows_of(op, model):
 def test_recovers_what_the_fold_recovered(ops, prune):
     with tempfile.TemporaryDirectory() as new_dir, \
             tempfile.TemporaryDirectory() as old_dir, \
-            mock.patch.object(os, "fsync", lambda fd: None):
+            mock.patch.object(os, "fsync", lambda fd: None), \
+            mock.patch.object(journal_module, "FLUSH_WINDOW", 3600.0):
         reference = FoldingReference(old_dir, prune)
-        journal = Journal(new_dir, flush_window=3600.0, prune_settled=prune)
+        journal = Journal(new_dir, prune_settled=prune)
         model = RecoveredState()
         try:
             for op in ops:
@@ -211,7 +212,8 @@ def test_compaction_parses_nothing_and_keeps_only_unreleased_rows(
     running = [f"r-{i:02d}" for i in range(50)]
     # A window longer than the test: the flusher, which would compact
     # the due tail on its own, never wakes; the compaction is ours.
-    with Journal(tmp_path, flush_window=3600.0, compact_every=20_000,
+    monkeypatch.setattr(journal_module, "FLUSH_WINDOW", 3600.0)
+    with Journal(tmp_path, compact_every=20_000,
                  prune_settled=True) as journal:
         for at in range(0, len(settled), 500):
             bundle = settled[at:at + 500]

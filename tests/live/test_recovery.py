@@ -95,7 +95,7 @@ def test_bundle_acked_after_a_torn_tail_survives_the_next_crash(tmp_path):
 
 
 @pytest.mark.chaos
-def test_seeded_crash_between_dispatch_and_result_ack(tmp_path):
+def test_seeded_crash_between_dispatch_and_result_ack(tmp_path, monkeypatch):
     """Seeded chaos: the dispatcher dies with a RESULT frame in hand
     (between DISPATCH and RESULT_ACK — the executor did the work, but
     no settle was journalled).  A successor on the same port recovers;
@@ -105,7 +105,8 @@ def test_seeded_crash_between_dispatch_and_result_ack(tmp_path):
     plan = FaultPlan(seed=20070607, crash_points={"before-result": 1})
     disp = LiveDispatcher(journal_dir=journal_dir, fault_plan=plan)
     port = disp.address[1]
-    executor = LiveExecutor(disp.endpoint, max_reconnects=100, backoff_base=0.05).start()
+    monkeypatch.setattr("repro.live.executor.RECONNECT_ATTEMPTS", 100)
+    executor = LiveExecutor(disp.endpoint).start()
     executor.wait_registered()
     client = LiveClient(disp.endpoint, max_reconnects=100)
     disp2 = None
@@ -130,7 +131,7 @@ def test_seeded_crash_between_dispatch_and_result_ack(tmp_path):
 
 
 @pytest.mark.chaos
-def test_kill_dash_nine_survives_with_exactly_once_visibility(tmp_path):
+def test_kill_dash_nine_survives_with_exactly_once_visibility(tmp_path, monkeypatch):
     """The real thing: SIGKILL the dispatcher *process* mid-run, then
     restart against the same journal directory and port."""
     n = 12
@@ -155,7 +156,8 @@ def test_kill_dash_nine_survives_with_exactly_once_visibility(tmp_path):
     try:
         port = int(child.stdout.readline())
         address = f"127.0.0.1:{port}"
-        executor = LiveExecutor(address, max_reconnects=200, backoff_base=0.05).start()
+        monkeypatch.setattr("repro.live.executor.RECONNECT_ATTEMPTS", 200)
+        executor = LiveExecutor(address).start()
         executor.wait_registered()
         client = LiveClient(address, max_reconnects=200)
         futures = client.submit(specs(n, seconds=0.1, prefix="k9"))
@@ -447,12 +449,13 @@ def test_register_inflight_echo_mismatched_attempt_not_adopted(tmp_path):
         disp.close()
 
 
-def test_executor_stash_resends_unreported_results(tmp_path):
+def test_executor_stash_resends_unreported_results(tmp_path, monkeypatch):
     """The executor-side half of adoption: results that could not be
     sent are stashed, echoed on REGISTER, and resent after the ack."""
     _seed_journal(str(tmp_path), "stash-1")
     disp = LiveDispatcher(journal_dir=str(tmp_path))
-    executor = LiveExecutor(disp.endpoint, max_reconnects=10)
+    monkeypatch.setattr("repro.live.executor.RECONNECT_ATTEMPTS", 10)
+    executor = LiveExecutor(disp.endpoint)
     executor._unreported.append(
         {"result": {"task_id": "stash-1", "return_code": 0}, "attempt": 1,
          "exec": {"seconds": 0.0}}
@@ -523,9 +526,9 @@ def test_dlq_retry_unknown_task_is_false():
 
 
 # ---------------------------------------------------------------- admission
-def test_overflow_rejected_then_converges():
+def test_overflow_rejected_then_converges(monkeypatch):
+    monkeypatch.setattr("repro.live.protocol.RECONNECT_CAP", 0.2)
     with LocalFalkon(executors=1, queue_limit=8, bundle_size=4) as falkon:
-        falkon.client.backoff_cap = 0.2
         futures = falkon.client.submit(specs(16, seconds=0.02, prefix="adm"))
         results = [f.result(timeout=60.0) for f in futures]
         assert all(r.ok for r in results)

@@ -110,13 +110,61 @@ def test_dispatcher_constants_are_not_constructor_kwargs(kwarg):
 
 
 def test_dispatcher_constructor_surface_only_shrinks():
+    import dataclasses
     import inspect
 
-    from repro.live import LiveDispatcher
+    from repro.config import FalkonConfig
+    from repro.live import (
+        Journal,
+        LiveClient,
+        LiveDispatcher,
+        LiveExecutor,
+        LocalFalkon,
+        LocalFederation,
+        LocalProvisioner,
+        ShardRouter,
+    )
+    from repro.live.federation import PeerLink
 
-    # 21 before the second removal round, 17 before the third; ROADMAP
-    # item 3 targets 12.
-    assert len(inspect.signature(LiveDispatcher.__init__).parameters) - 1 <= 15
+    # LiveDispatcher: 21 before the second removal round, 17 before the
+    # third; ROADMAP item 3 targets 12.  The others as the knob census
+    # left them: 123 settable values across these ten, now 93.
+    most = {LiveDispatcher: 15, LiveExecutor: 7, LiveClient: 5,
+            LocalProvisioner: 5, PeerLink: 4, ShardRouter: 3,
+            LocalFederation: 15, Journal: 3, LocalFalkon: 20}
+    for cls, count in most.items():
+        assert len(inspect.signature(cls.__init__).parameters) - 1 <= count, cls
+    assert len(dataclasses.fields(FalkonConfig)) <= 16
+
+
+@pytest.mark.parametrize(("owner", "kwarg"), [
+    ("executor.LiveExecutor", "subprocess_timeout"),
+    ("executor.LiveExecutor", "backoff_base"),
+    ("executor.LiveExecutor", "fault_plan"),
+    ("client.LiveClient", "backoff_cap"),
+    ("provisioner.LocalProvisioner", "min_executors"),
+    ("provisioner.LocalProvisioner", "poll_interval"),
+    ("federation.PeerLink", "steal_timeout"),
+    ("federation.ShardRouter", "down_ttl"),
+    ("federation.LocalFederation", "retain_settled"),
+    ("journal.Journal", "flush_window"),
+])
+def test_census_settings_are_constants_not_kwargs(owner, kwarg):
+    import importlib
+
+    module, name = owner.split(".")
+    cls = getattr(importlib.import_module(f"repro.live.{module}"), name)
+    with pytest.raises(TypeError, match=kwarg):
+        cls(None, **{kwarg: 1})
+
+
+@pytest.mark.parametrize("field", ["dispatch_policy", "heartbeat_interval",
+                                   "notification_threads", "seed"])
+def test_config_fields_nothing_read_are_gone(field):
+    from repro.config import FalkonConfig
+
+    with pytest.raises(TypeError, match=field):
+        FalkonConfig(**{field: 1})
 
 
 def test_telemetry_is_read_where_it_is_kept():

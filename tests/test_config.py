@@ -33,7 +33,7 @@ def test_paper_defaults_valid():
         dict(idle_release_time=0.0),
         dict(allocation_lease=-5),
         dict(provisioner_poll_interval=0),
-        dict(notification_threads=0),
+        dict(max_executors=-1),
         dict(executor_bundling=True, client_bundling=False),
     ],
 )

@@ -2,9 +2,12 @@
 
 A process that only runs the live plane (``bench/sut.py``, a deployed
 dispatcher or executor) must not pay for the simulation plane: numpy
-alone is ~170 ms of start-up and ~17 MB of resident memory.
+alone is ~170 ms of start-up and ~17 MB of resident memory.  No module
+under ``src/`` imports a name it never uses (a stdlib ``ast`` stand-in
+for ruff's F401, which runs without ruff installed).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -52,3 +55,87 @@ def test_removed_names_stay_removed():
                           (repro.obs, "Event" + "Log")):
         assert not hasattr(package, name)
         assert name not in package.__all__
+
+
+def _annotation_names(node):
+    """Names inside the quoted parts of an annotation (``"FaultPlan"``)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _unused_imports(path):
+    """``(line, name)`` for each module-level import *path* never reads.
+
+    Exempt: ``__future__`` imports, names listed in ``__all__`` and
+    lines marked ``# noqa: F401``.  Imports under a module-level
+    ``if`` / ``try`` (``TYPE_CHECKING`` blocks) count as module-level.
+    """
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            pending += node.body + node.orelse
+            pending += getattr(node, "finalbody", [])
+            for handler in getattr(node, "handlers", []):
+                pending += handler.body
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("noqa: F401" in lines[n - 1]
+                   for n in range(node.lineno, node.end_lineno + 1)):
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_module_under_src_imports_a_name_it_never_uses():
+    unused = []
+    for directory, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py") and name != "__init__.py":
+                path = os.path.join(directory, name)
+                unused += [f"{os.path.relpath(path, SRC)}:{line}: {imported}"
+                           for line, imported in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_check_sees_what_ruff_would(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import json  # noqa: F401\n"
+        "from typing import Optional, TYPE_CHECKING\n"
+        "from os import path, sep\n"
+        "if TYPE_CHECKING:\n"
+        "    from queue import Queue\n"
+        "__all__ = [\"sep\"]\n"
+        "def f(q: \"Queue\") -> None:\n"
+        "    return path.join(\"a\")\n"
+    )
+    assert _unused_imports(str(module)) == [(2, "math"), (4, "Optional")]
