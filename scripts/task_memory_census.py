@@ -13,10 +13,15 @@ what the dispatcher retains.  The by-structure table is a deep
 ``sys.getsizeof`` walk over the dispatcher's records and its event
 ring (every task transition, chained per task, plus the other flight
 events); an object reachable from two structures is charged to the
-first in the order printed (task-id strings land under "records").
-The walk reads the ring's private columns — this is a diagnostic, not
-an API consumer.  Collector counts are the process's ``gc.get_stats()`` delta
-over the run (``docs/PERFORMANCE.md``, "Per-task memory").
+first in the order printed (task-id strings land under "records";
+"spec_dict" is the one spec row: a record keeps its spec only as the
+wire dict, and only while the task can still be sent).  The walk reads
+the dispatcher's and the ring's private fields — this is a diagnostic,
+not an API consumer, and ``scripts/verify.sh`` runs it small so that a
+renamed field fails there.  Collector counts are the process's
+``gc.get_stats()`` delta over the run, and tracked containers per task
+the ``len(gc.get_objects())`` delta after a full collection: what every
+later full collection walks (``docs/PERFORMANCE.md``, "Per-task memory").
 """
 
 from __future__ import annotations
@@ -106,15 +111,14 @@ def _by_structure(dispatcher) -> dict[str, int]:
     walk = _Walk()
     records = dispatcher._records
     out = {"records": sys.getsizeof(records)}
-    for name in ("spec", "result", "spec_dict"):
+    for name in ("spec_dict", "result"):
         out[name] = 0
     walk.seen.add(id(records))
     for task_id, record in records.items():
         out["records"] += (walk.deep(task_id) + walk.shallow(record)
                            + walk.deep(record.timeline))
-        out["spec"] += walk.deep(record.spec)
-        out["result"] += walk.deep(record.result)
         out["spec_dict"] += walk.deep(record.spec_dict)
+        out["result"] += walk.deep(record.result)
     ring = dispatcher.flight
     out["ring attrs"] = sum(walk.deep(attrs) for attrs in ring._attrs)
     out["event ring"] = walk.deep(ring)
@@ -143,6 +147,7 @@ def main() -> int:
                 raise RuntimeError(f"{executor.executor_id} did not register")
         gc.collect()
         traced_before = tracemalloc.get_traced_memory()[0]
+        tracked_before = len(gc.get_objects())
         gc_before = [gen["collections"] for gen in gc.get_stats()]
         code = subprocess.run(
             [sys.executable, __file__, "--tasks", str(args.tasks),
@@ -155,6 +160,7 @@ def main() -> int:
             return 1
         gc.collect()
         traced = tracemalloc.get_traced_memory()[0] - traced_before
+        tracked = len(gc.get_objects()) - tracked_before
         tracemalloc.stop()
         table = _by_structure(dispatcher)
     finally:
@@ -176,6 +182,8 @@ def main() -> int:
           "   (tracemalloc, whole process)")
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
           " (with tracemalloc's own tables)")
+    print(f"tracked containers per task: {tracked / n:.2f}"
+          " (gc.get_objects() delta after a full collection)")
     print(f"gc collections per 100k tasks: gen0 {(gc_after[0] - gc_before[0]) * scale:.0f}"
           f"  gen1 {(gc_after[1] - gc_before[1]) * scale:.0f}"
           f"  full {(gc_after[2] - gc_before[2]) * scale:.0f}")

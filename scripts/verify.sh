@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verify gate: syntax, lint, tier-1 tests, the standing benchmark's
-# smoke, shard scaling, the scenario oracles and a Figure 3 smoke.  Every
-# step runs from tracked files alone, so it passes on a fresh clone.
+# smoke, the per-task censuses, shard scaling, the scenario oracles and a
+# Figure 3 smoke.  Every step runs from tracked files alone, so it passes
+# on a fresh clone.
 #
 # Usage: scripts/verify.sh [--quick | --stress]
 #   --quick   skip only the Figure 3 throughput smoke at the end
@@ -69,6 +70,13 @@ python -m pytest -x -q
 echo "== standing benchmark smoke =="
 python3 bench/run.py --smoke --trace | tail -n 1 | grep -q '"correct": true'
 python3 -m pytest bench/tests -q
+
+# The per-task censuses (docs/PERFORMANCE.md), run small: both walk
+# private dispatcher and ring fields, so a rename fails here instead of
+# breaking the next measurement unnoticed.
+echo "== per-task censuses (memory, CPU) =="
+python scripts/task_memory_census.py --tasks 5000
+python scripts/task_cpu_census.py --waves 1
 
 # Shard-scaling gate: 2 dispatcher shards behind a ShardRouter must
 # deliver >= 1.5x the 1-shard aggregate capacity on fixed-duration

@@ -110,12 +110,12 @@ from repro.live.endpoint import Endpoint
 from repro.live.ioloop import IOLoop, default_loop
 from repro.live.journal import Journal, RecoveredState
 from repro.live.protocol import (
+    _SPEC0,
     Connection,
     result_from_dict,
     result_to_dict,
     stats_from_payload,
     task_from_dict,
-    task_to_dict,
 )
 from repro.net.message import Message, MessageType
 from repro.net.wire import encode_message_v4
@@ -129,7 +129,7 @@ from repro.obs import (
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
 from repro.obs.watchdog import StallDetector, WatchdogPanel
-from repro.types import TaskResult, TaskSpec, TaskState, TaskTimeline
+from repro.types import TaskResult, TaskState, TaskTimeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.live.faults import FaultPlan
@@ -204,11 +204,13 @@ def efficiency_curve(
 
 
 def _wal_object(data: dict) -> dict:
-    """A freshly built wire object (``task_to_dict`` / ``result_to_dict``)
-    as a WAL row stores it: minus ``task_id``, which the row's ``id``
-    carries and recovery restores."""
-    del data["task_id"]
-    return data
+    """A wire object (a record's kept spec dict, a ``result_to_dict``)
+    as a WAL row stores it: a copy minus ``task_id``, which the row's
+    ``id`` carries and recovery restores.  A copy, because the spec
+    dict is the one the record keeps sending."""
+    row = data.copy()
+    del row["task_id"]
+    return row
 
 
 def _timeline_stamps(timeline: TaskTimeline) -> Optional[dict]:
@@ -231,7 +233,7 @@ def _timeline_stamps(timeline: TaskTimeline) -> Optional[dict]:
 
 @dataclass(slots=True)
 class _LiveRecord:
-    spec: TaskSpec
+    task_id: str
     client_id: str
     state: TaskState = TaskState.QUEUED
     attempts: int = 0
@@ -243,15 +245,16 @@ class _LiveRecord:
     #: How the current attempt was handed over ("push"/"piggyback"/
     #: "adopted"/"steal").
     dispatch_mode: str = ""
-    #: The spec's wire dict, captured verbatim from the client's
-    #: SUBMIT payload (else built lazily on first dispatch), so a
-    #: WORK/RESULT_ACK frame never rebuilds it — the C JSON encoder
-    #: re-serialises the shared dict at frame speed.  (Pre-encoded
-    #: byte splicing was measured slower: many small Python-level
-    #: ops lose to one big C ``dumps``; see docs/PERFORMANCE.md.)
-    #: Released at terminal settle — a settled task is never sent
-    #: again unless ``dlq_retry`` requeues it, and ``_spec_dict``
-    #: rebuilds it then.
+    #: The task's spec, kept only as the wire dict it arrived as (a
+    #: SUBMIT entry, a steal grant's, the journal's ``submit`` row):
+    #: admission parses it to refuse a malformed entry, and nothing
+    #: keeps the parsed :class:`~repro.types.TaskSpec`.  A WORK /
+    #: RESULT_ACK frame re-serialises this shared dict at C speed.
+    #: (Pre-encoded byte splicing was measured slower: many small
+    #: Python-level ops lose to one big C ``dumps``; see
+    #: docs/PERFORMANCE.md.)  Kept while the task can still be sent —
+    #: queued, dispatched, or quarantined in the DLQ (``dlq_retry``
+    #: requeues it) — and released at every other terminal settle.
     spec_dict: Optional[dict] = None
     timeline: TaskTimeline = field(default_factory=TaskTimeline)
     result: Optional[TaskResult] = None
@@ -724,19 +727,21 @@ class LiveDispatcher:
         records: list[_LiveRecord] = []
         for task in state.pending() + [t for t in state.tasks.values() if t.terminal]:
             try:
-                spec = task_from_dict(task.spec)
+                task_id = task_from_dict(task.spec).task_id
             except (KeyError, TypeError, ValueError):
                 continue  # a record from a future/foreign spec version
             # Queued *and* dispatched tasks both re-enter the queue: a
             # dispatched task whose executor still holds it will be
             # adopted back via the REGISTER inflight echo; until then,
             # re-dispatching it to someone else is the at-least-once
-            # default.  Settled ones stay queryable, never runnable.
+            # default.  Settled ones stay queryable, never runnable, and
+            # keep their spec only if quarantined.
             record = _LiveRecord(
-                spec=spec, client_id=task.client_id,
+                task_id=task_id, client_id=task.client_id,
                 state=(TaskState.QUEUED if not task.terminal
                        else TaskState.COMPLETED if task.state == "completed"
-                       else TaskState.FAILED))
+                       else TaskState.FAILED),
+                spec_dict=task.spec if task.in_dlq or not task.terminal else None)
             record.attempts = task.attempts
             record.acked = task.acked
             if task.origin is not None:
@@ -818,9 +823,9 @@ class LiveDispatcher:
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
         result = record.result
         return {
-            "task_id": record.spec.task_id,
+            "task_id": record.task_id,
             "client_id": record.client_id,
-            "command": record.spec.command,
+            "command": record.spec_dict.get("command", _SPEC0.command),
             "attempts": record.attempts,
             "error": error or (result.error if result is not None else ""),
             "return_code": result.return_code if result is not None else 1,
@@ -1110,7 +1115,7 @@ class LiveDispatcher:
             for record in overdue:
                 executor = self._executors.get(record.executor_id)
                 if executor is not None:
-                    executor.busy.discard(record.spec.task_id)
+                    executor.busy.discard(record.task_id)
                     executor.notified = False
                 notifies += self._settle([(record, None, 0.0)],
                                          record.executor_id, lost=reason)
@@ -1192,7 +1197,7 @@ class LiveDispatcher:
         doctor never has to reconstruct it from a (possibly wrapped)
         event ring."""
         return {
-            "inflight": [r.spec.task_id for r in list(self._records.values())
+            "inflight": [r.task_id for r in list(self._records.values())
                          if r.state is TaskState.DISPATCHED],
             "queued": list(self._queue),
             "degraded": list(self._degraded),
@@ -1285,8 +1290,8 @@ class LiveDispatcher:
         # occurrence wins): a client retrying a SUBMIT whose ack was
         # lost (or rejected bundle it re-sends) must not double-enqueue
         # — resubmission is idempotent per task id.  Each fresh record
-        # keeps the wire dict its spec arrived as, verbatim: dispatch
-        # re-serialises this shared dict instead of rebuilding it.
+        # keeps the wire dict its spec arrived as, verbatim, and not the
+        # parsed spec: dispatch re-serialises this shared dict.
         #
         # A duplicate of an already-settled task (resubmission after a
         # lost ack, or a reused journal directory) must still converge:
@@ -1302,8 +1307,7 @@ class LiveDispatcher:
                     settled_dupes.append((client_id, known.result, known))
             elif spec.task_id not in fresh:
                 fresh[spec.task_id] = _LiveRecord(
-                    spec=spec, client_id=client_id,
-                    spec_dict=raw if isinstance(raw, dict) else None)
+                    task_id=spec.task_id, client_id=client_id, spec_dict=raw)
         if not self._admit(list(fresh.values()), "submit",
                            (("bundle", bundle),), durable=True):
             # The journal cannot confirm durability (fsync failure
@@ -1337,12 +1341,22 @@ class LiveDispatcher:
         if role is None or role[0] != "client":
             return
         client_id = role[1]
-        finished = [result_to_dict(record.result)
-                    for record in self._records.values()
-                    if record.client_id == client_id and record.result is not None]
-        session.conn.send(
-            Message(MessageType.RESULTS, sender="dispatcher", payload={"results": finished})
-        )
+        settled = [(client_id, record.result, record)
+                   for record in self._records.values()
+                   if record.client_id == client_id and record.result is not None]
+        try:
+            session.conn.send(
+                Message(MessageType.RESULTS, sender="dispatcher",
+                        payload={"results": [result_to_dict(result)
+                                             for _, result, _ in settled]})
+            )
+        except ProtocolError:
+            return  # the client went away; results remain queryable
+        # The backfill delivered them as a CLIENT_NOTIFY would have:
+        # acked, so retention and journal pruning can release them.
+        unacked = [notify for notify in settled if not notify[2].acked]
+        if unacked:
+            self._mark_acked(unacked)
 
     def _on_destroy_instance(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -1537,7 +1551,7 @@ class LiveDispatcher:
                 # The attempt echo: the thief returns it with each
                 # result so a donor-side replay in the meantime makes
                 # the late result stale instead of double-settling.
-                "tasks": [{"task": task_to_dict(record.spec),
+                "tasks": [{"task": record.spec_dict,
                            "attempt": record.attempts}
                           for record in granted],
             },
@@ -1569,19 +1583,20 @@ class LiveDispatcher:
         for entry in entries:
             if not isinstance(entry, dict):
                 continue
+            raw = entry.get("task")
             try:
-                spec = task_from_dict(entry.get("task") or {})
+                task_id = task_from_dict(raw).task_id
                 attempt = int(entry.get("attempt", 0))
             except (KeyError, TypeError, ValueError):
                 continue
-            record = self._records.get(spec.task_id) or accepted.get(spec.task_id)
+            record = self._records.get(task_id) or accepted.get(task_id)
             if record is not None:
                 record.origin_attempt = attempt
                 if record.state.terminal and record.result is not None:
                     resend.append((record.client_id, record.result, record))
                 continue
-            accepted[spec.task_id] = _LiveRecord(
-                spec=spec, client_id=client_id,
+            accepted[task_id] = _LiveRecord(
+                task_id=task_id, client_id=client_id, spec_dict=raw,
                 origin_shard=donor_shard, origin_attempt=attempt)
         # Append-only, no commit barrier (see above).
         self._admit(list(accepted.values()), "stolen", (("stolen", True),))
@@ -1749,7 +1764,7 @@ class LiveDispatcher:
             # the client anyway) and task id string — the frame's decoded
             # copies are garbage once the frame is.
             result = result_from_dict(payload, record.timeline)
-            result.task_id = record.spec.task_id
+            result.task_id = record.task_id
             if state is TaskState.QUEUED:
                 # The replay timer requeued this attempt: its failure
                 # is already a retry; a success settles, out of the queue.
@@ -1844,8 +1859,8 @@ class LiveDispatcher:
         if journal is not None and reason != "recovered":
             wal = []
             for record in records:
-                row = {"k": "submit", "id": record.spec.task_id,
-                       "spec": _wal_object(task_to_dict(record.spec)),
+                row = {"k": "submit", "id": record.task_id,
+                       "spec": _wal_object(record.spec_dict),
                        "client": record.client_id}
                 if record.origin_shard:
                     row["origin"] = {"shard": record.origin_shard,
@@ -1861,7 +1876,7 @@ class LiveDispatcher:
         queued: list[str] = []
         rows: list[tuple] = []
         for record in records:
-            task_id = record.spec.task_id
+            task_id = record.task_id
             table[task_id] = record
             if record.state is not TaskState.QUEUED:
                 continue
@@ -1929,7 +1944,7 @@ class LiveDispatcher:
             record.delivered = adopted
             record.dispatch_mode = mode
             record.timeline.dispatched = now
-            task_id = record.spec.task_id
+            task_id = record.task_id
             busy.add(task_id)
             rows.append((task_id, "notify", now, None, record.attempts, attrs))
             if wal is not None:
@@ -1961,7 +1976,7 @@ class LiveDispatcher:
             if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
                 record.delivered = True
                 rows.append((
-                    record.spec.task_id, "pull", now, None,
+                    record.task_id, "pull", now, None,
                     record.attempts,
                     executor.dispatch_attrs(record.dispatch_mode),
                 ))
@@ -1998,7 +2013,10 @@ class LiveDispatcher:
         :meth:`_requeue` carries out.  Each attempt's ``exec`` and
         ``result`` spans land in one span call, stamped on one clock
         reading; the executor measured the execution on its own clock,
-        so the exec span is anchored at result arrival.
+        so the exec span is anchored at result arrival: it starts
+        *exec_seconds* before the ``result`` stamp, and the ring reads
+        its ``seconds`` back as that gap (one shared attrs tuple per
+        frame, like every other transition's).
 
         With *lost* set (the replay timer, or the executor is gone) no
         executor frame will ever close these attempts, and *result* is
@@ -2012,9 +2030,10 @@ class LiveDispatcher:
         max_retries = self.max_retries
         journal = self.journal
         executor_attr = ("executor", executor_id)
+        exec_attrs = (executor_attr,)
         outcome_attrs: dict[str, tuple] = {}
         if lost is not None:
-            lost_exec = (executor_attr, ("synthetic", True), ("seconds", 0.0))
+            lost_exec = (executor_attr, ("synthetic", True))
             lost_result = (executor_attr, ("synthetic", True),
                            ("outcome", "fail"), ("reason", lost))
         rows: list[tuple] = []
@@ -2026,7 +2045,7 @@ class LiveDispatcher:
         quarantined: list[tuple[str, int, str]] = []
         completed = failed = 0
         for record, result, exec_seconds in settles:
-            task_id = record.spec.task_id
+            task_id = record.task_id
             attempts = record.attempts
             stolen = bool(record.origin_shard)
             if result is not None:
@@ -2039,7 +2058,7 @@ class LiveDispatcher:
                         executor_attr, ("outcome", outcome))
                 exec_samples.append(exec_seconds)
                 rows.append((task_id, "exec", now - exec_seconds, now, attempts,
-                             (executor_attr, ("seconds", exec_seconds))))
+                             exec_attrs))
                 rows.append((task_id, "result", now, None, attempts, result_attrs))
             elif record.delivered and attempts > max_retries:
                 ok, outcome = False, "fail"
@@ -2057,9 +2076,6 @@ class LiveDispatcher:
             result.attempts = attempts
             result.timeline = record.timeline
             record.result = result
-            # Wire-only state: a settled task is not dispatched again
-            # unless dlq_retry requeues it, and _spec_dict() rebuilds it.
-            record.spec_dict = None
             if ok:
                 completed += 1
                 if stolen:
@@ -2082,6 +2098,9 @@ class LiveDispatcher:
                 if journal is not None:
                     wal.append({"k": "dlq", "id": task_id, "error": result.error})
                 quarantined.append((task_id, attempts, result.error))
+            else:
+                # Never sent again: only a DLQ'd task is (dlq_retry).
+                record.spec_dict = None
             notifies.append((record.client_id, result, record))
         self.spans.record_many(rows)
         # After the rows: a task's dlq.add follows its settle.
@@ -2120,7 +2139,7 @@ class LiveDispatcher:
         The WAL row carries the attempt the record now holds, so
         recovery reads what the live table does.
         """
-        task_id = record.spec.task_id
+        task_id = record.task_id
         now = self._now()
         if record.state.terminal:
             record.attempts = 0
@@ -2151,30 +2170,21 @@ class LiveDispatcher:
         if notifies:
             now = self._now()
             self.spans.record_many([
-                (record.spec.task_id, "ack", now, None, record.attempts, attrs)
+                (record.task_id, "ack", now, None, record.attempts, attrs)
                 for _, _, record in notifies
             ])
 
     # -- dispatch internals --------------------------------------------------------
-    @staticmethod
-    def _spec_dict(record: _LiveRecord) -> dict:
-        """The task spec's wire dict, built at most once per task."""
-        data = record.spec_dict
-        if data is None:
-            data = task_to_dict(record.spec)
-            record.spec_dict = data
-        return data
-
     def _fill_task_payload(
         self, message: Message, claimed: list[_LiveRecord]
     ) -> None:
         """Attach claimed tasks to a WORK/RESULT_ACK message as a
         ``tasks`` list whose entries carry their own attempt (the
-        executor echoes it on RESULT).  Spec dicts are the cached wire
-        dicts — never rebuilt per frame.
+        executor echoes it on RESULT).  Spec dicts are the records' kept
+        wire dicts — never rebuilt per frame.
         """
         message.payload["tasks"] = [
-            {"task": self._spec_dict(record), "attempt": record.attempts}
+            {"task": record.spec_dict, "attempt": record.attempts}
             for record in claimed
         ]
 

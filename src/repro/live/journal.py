@@ -60,7 +60,6 @@ before the crash.
 from __future__ import annotations
 
 import glob
-import json  # only for lines older commits wrote: see _legacy_loads
 import os
 import threading
 import time
@@ -68,7 +67,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.net.wire import dumps, loads, replace_surrogates
+from repro.net.wire import dumps, loads
 from repro.obs import flight as fl
 
 __all__ = [
@@ -127,35 +126,16 @@ def journal_line(records: Union[dict[str, Any], list[dict[str, Any]]]) -> bytes:
     return b"%08x %b" % (zlib.crc32(body), body)
 
 
-def _legacy_loads(body: bytes) -> Any:
-    """Decode a CRC-valid body the codec refuses.
-
-    Older commits wrote lines with stdlib ``json``: lone surrogates as
-    ``\\ud800`` escapes and non-finite floats as ``NaN`` / ``Infinity``
-    tokens, both of which :func:`repro.net.wire.loads` rejects.  This
-    is the only reader of such lines; its strings pass through the
-    wire's surrogate rule, so what it yields is encodable again.
-    """
-    return _replace_surrogates(json.loads(body))
-
-
-def _replace_surrogates(value: Any) -> Any:
-    if isinstance(value, str):
-        return replace_surrogates(value)
-    if isinstance(value, dict):
-        return {replace_surrogates(k): _replace_surrogates(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_replace_surrogates(v) for v in value]
-    return value
-
-
 def parse_journal_line(line: bytes) -> Optional[list[dict[str, Any]]]:
     """Decode one line into its records; ``None`` if torn or corrupt.
 
     Single-record lines come back as a one-element list so callers
     never care which form was written.  A line whose CRC matches is
     not torn: if its body does not decode, ``ValueError`` is raised
-    rather than the line being treated as a tail to cut.
+    rather than the line being treated as a tail to cut.  That covers
+    the lines older commits wrote with stdlib ``json`` (``NaN`` tokens,
+    lone-surrogate escapes): this reader refuses them, and an older
+    commit reads and compacts them into lines it accepts.
     """
     end = len(line) - line.endswith(b"\n")
     if end < 10 or line[8] != 0x20:
@@ -165,11 +145,8 @@ def parse_journal_line(line: bytes) -> Optional[list[dict[str, Any]]]:
         return None
     try:
         decoded = loads(body)
-    except ValueError:
-        try:
-            decoded = _legacy_loads(bytes(body))
-        except ValueError as exc:
-            raise ValueError(f"journal line with a valid CRC does not decode: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"journal line with a valid CRC does not decode: {exc}") from exc
     if isinstance(decoded, dict):
         return [decoded]
     if isinstance(decoded, list) and all(isinstance(r, dict) for r in decoded):

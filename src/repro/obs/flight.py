@@ -178,7 +178,11 @@ class FlightRecorder:
     events without scanning the ring; a chain older than the ring is
     cut at its head.  Every event is an instant but ``exec``, the one
     span with a duration: it ends where its chain's next event (the
-    ``result`` recorded with it) begins.  The flight view —
+    ``result`` recorded with it) begins, and its ``seconds`` attr is
+    that end minus the start it was recorded with — the executor's
+    measurement, which no row stores.  Stamps are kept as given and
+    made causal on read: an event never starts before its chain's
+    previous one (an executor-measured exec start can).  The flight view —
     :meth:`snapshot`, :meth:`dump`, :meth:`follow` — shows transitions
     under the kinds dumps have always used (:func:`_flight_view`).
 
@@ -275,11 +279,6 @@ class FlightRecorder:
             head = self._head.get(subject)
             if head is not None:
                 back = n - head
-                # Chains are causal: the executor-measured exec start
-                # must not rewind behind its predecessor.
-                floor = self._t[head % capacity]
-                if t < floor:
-                    t = floor
             self._head[subject] = n
         try:
             self._attempt[i] = attempt
@@ -318,12 +317,24 @@ class FlightRecorder:
             return []
         rows.reverse()
         trace_id = f"tr-{rows[0][0]:08x}-{task_id}"
+        # Chains are causal: an event starts no earlier than the one
+        # before it (the executor-measured exec start may be earlier).
+        starts = []
+        floor = rows[0][1]
+        for row in rows:
+            floor = max(floor, row[1])
+            starts.append(floor)
         last = len(rows) - 1
+        spans = []
         # Span ids are chain positions; the parent is the previous span.
-        return [Span(trace_id, k + 1, k or None, SPAN_ORDER[code], task_id, attempt,
-                     t, rows[k + 1][1] if code == _EXEC and k < last else t,
-                     tuple(sorted(attrs)))
-                for k, (_, t, code, attempt, attrs) in enumerate(rows)]
+        for k, (_, t, code, attempt, attrs) in enumerate(rows):
+            end = start = starts[k]
+            if code == _EXEC and k < last:
+                end = starts[k + 1]
+                attrs = dict(attrs, seconds=end - t).items()
+            spans.append(Span(trace_id, k + 1, k or None, SPAN_ORDER[code], task_id,
+                              attempt, start, end, tuple(sorted(attrs))))
+        return spans
 
     def chain_errors(self, task_id: str, spans: Optional[list[Span]] = None) -> list[str]:
         """Why *task_id*'s chain is incomplete or disordered (empty = ok)."""

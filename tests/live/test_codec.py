@@ -5,12 +5,13 @@ and integers beyond 64 bits; ``loads`` refuses ``NaN`` / ``Infinity``
 tokens and lone-surrogate escapes.  Each place such an input can come
 from is handled where it enters: the client refuses the bundle before
 registering anything, the executor makes task output valid Unicode,
-and the journal still reads the lines older commits wrote with stdlib
-``json``.
+and the journal refuses, naming file and line, the lines older commits
+wrote with stdlib ``json`` that hold either.
 """
 
 import json
 import os
+import re
 import struct
 import zlib
 
@@ -113,11 +114,12 @@ def parent_line(rows) -> bytes:
     return f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x} {body}\n".encode()
 
 
-def _legacy_tail(directory):
+def _legacy_tail(directory, nan=True):
+    estimate = float("nan") if nan else 0.5
     tail = b"".join([
         parent_line([
             {"k": "submit", "id": "a", "spec": {"args": ["0"],
-                                                "runtime_estimate": float("nan")},
+                                                "runtime_estimate": estimate},
              "client": "c"},
             {"k": "submit", "id": "b", "spec": {"command": "python:x"}, "client": "c"}]),
         parent_line([{"k": "dispatch", "id": "a", "attempt": 1, "executor": "e"},
@@ -125,34 +127,26 @@ def _legacy_tail(directory):
         parent_line([{"k": "result", "id": "b", "outcome": "ok",
                       "result": {"stdout": "x\ud800y"}}]),
     ])
-    assert b"\\ud800" in tail and b"NaN" in tail
+    assert b"\\ud800" in tail and (b"NaN" in tail) == nan
     path = os.path.join(directory, "journal.jsonl")
     with open(path, "wb") as fh:
         fh.write(tail)
     return path, tail
 
 
-def _check_legacy_state(state):
-    assert set(state.tasks) == {"a", "b"} and state.truncated == 0
-    assert state.tasks["b"].state == "completed"
-    assert state.tasks["b"].result["stdout"] == "x\ufffdy"
-    assert [t.task_id for t in state.pending()] == ["a"]
-
-
-def test_legacy_lines_recover_and_compact(tmp_path):
-    path, tail = _legacy_tail(tmp_path)
-    _check_legacy_state(recover(tmp_path))
-    with Journal(tmp_path, prune_settled=True) as journal:
-        with open(path, "rb") as fh:
-            assert fh.read() == tail  # a CRC-valid line is never cut
-        _check_legacy_state(journal.recovered)
-        journal.compact()
-        assert journal.stats()["compactions"] == 1
-    with open(tmp_path / "base.jsonl", "rb") as fh:
-        base = fh.read()
-    base.decode("utf-8")  # strict: the rewrite is valid UTF-8
-    assert b"\\ud800" not in base and b"NaN" not in base
-    _check_legacy_state(recover(tmp_path))
+@pytest.mark.parametrize("nan, line", [(True, 1), (False, 3)])
+def test_legacy_lines_are_refused_naming_file_and_line(tmp_path, nan, line):
+    """A CRC-valid line the codec refuses — a ``NaN`` token (line 1),
+    a lone-surrogate escape (line 3) — fails the boot loudly with the
+    file and line to look at, and is left on disk as it was."""
+    path, tail = _legacy_tail(tmp_path, nan=nan)
+    where = rf"^{re.escape(path)} line {line}: journal line with a valid CRC"
+    with pytest.raises(ValueError, match=where):
+        recover(tmp_path)
+    with pytest.raises(ValueError, match=where):
+        Journal(tmp_path, prune_settled=True)
+    with open(path, "rb") as fh:
+        assert fh.read() == tail  # a CRC-valid line is never cut
 
 
 def test_crc_valid_line_that_does_not_decode_fails_loudly(tmp_path):
@@ -161,8 +155,9 @@ def test_crc_valid_line_that_does_not_decode_fails_loudly(tmp_path):
     bad = b"%08x %b\n" % (zlib.crc32(body), body)
     path = tmp_path / "journal.jsonl"
     path.write_bytes(good + bad)
-    with pytest.raises(ValueError, match="line 2"):
+    where = rf"^{re.escape(str(path))} line 2: journal line with a valid CRC"
+    with pytest.raises(ValueError, match=where):
         recover(tmp_path)
-    with pytest.raises(ValueError, match="valid CRC"):
+    with pytest.raises(ValueError, match=where):
         Journal(tmp_path)
     assert path.read_bytes() == good + bad

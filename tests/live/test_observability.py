@@ -5,11 +5,13 @@ import threading
 import pytest
 
 from repro.errors import ReconnectError
-from repro.live import LocalFalkon, TaskFuture
+from repro.live import LiveDispatcher, LocalFalkon, TaskFuture
+from repro.live.protocol import task_to_dict
+from repro.net.message import Message, MessageType
 from repro.obs import SPAN_ORDER, render_prometheus
 from repro.types import Bundle, TaskResult, TaskSpec
 
-from tests.live.util import wait_until
+from tests.live.util import RawPeer, wait_until
 
 
 class TestLiveTracing:
@@ -40,6 +42,60 @@ class TestLiveTracing:
         exec_span = next(s for s in chain if s.name == "exec")
         assert exec_span.get("seconds") >= 0.05
         assert exec_span.duration == pytest.approx(exec_span.get("seconds"), abs=1e-6)
+
+    def test_exec_start_before_notify_is_clamped_on_read(self):
+        """An executor that reports more seconds than the task spent
+        dispatched (its clock, not ours): the ring stores the start it
+        implies, ``chain()`` starts the span no earlier than ``pull``,
+        and ``seconds`` still reads what the executor measured."""
+        dispatcher = LiveDispatcher()
+        client, executor = RawPeer(dispatcher.address), RawPeer(dispatcher.address)
+        try:
+            client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+            client.recv_until(MessageType.INSTANCE_CREATED)
+            executor.register("e-1")
+            client.send(Message(MessageType.SUBMIT, sender="c", payload={
+                "tasks": [task_to_dict(TaskSpec.sleep(0, task_id="skew"))]}))
+            (entry,) = executor.recv_work()
+            executor.send(Message(MessageType.RESULT, sender="e-1", payload={
+                "results": [{"result": {"task_id": "skew"},
+                             "attempt": entry["attempt"],
+                             "exec": {"seconds": 30.0}}]}))
+            executor.recv_until(MessageType.RESULT_ACK)
+            client.recv_until(MessageType.CLIENT_NOTIFY)
+            chain = dispatcher.trace("skew")
+        finally:
+            client.close()
+            executor.close()
+            dispatcher.close()
+        names = [s.name for s in chain]
+        pull, exec_span, result = (chain[names.index(n)] for n in ("pull", "exec", "result"))
+        assert exec_span.start == pull.start
+        assert exec_span.end == result.start
+        assert exec_span.get("seconds") == pytest.approx(30.0, abs=1e-6)
+        assert [s.start for s in chain] == sorted(s.start for s in chain)
+
+    def test_lost_executor_exec_reads_zero_seconds(self):
+        """The dispatcher closes a lost attempt's chain with a synthetic
+        instant exec; its ``seconds`` is derived like any other's."""
+        dispatcher = LiveDispatcher(max_retries=0)
+        client, executor = RawPeer(dispatcher.address), RawPeer(dispatcher.address)
+        try:
+            client.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+            client.recv_until(MessageType.INSTANCE_CREATED)
+            executor.register("e-1")
+            client.send(Message(MessageType.SUBMIT, sender="c", payload={
+                "tasks": [task_to_dict(TaskSpec.sleep(0, task_id="lost"))]}))
+            executor.recv_work()
+            executor.close()
+            client.recv_until(MessageType.CLIENT_NOTIFY)
+            assert wait_until(lambda: dispatcher.trace("lost")[-1].name == "ack")
+            exec_span = next(s for s in dispatcher.trace("lost") if s.name == "exec")
+        finally:
+            client.close()
+            dispatcher.close()
+        assert exec_span.get("synthetic") is True
+        assert exec_span.get("seconds") == 0.0 and exec_span.duration == 0.0
 
     def test_failed_task_settles_with_fail_outcome(self):
         with LocalFalkon(executors=1, max_retries=1) as falkon:

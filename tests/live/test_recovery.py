@@ -27,7 +27,7 @@ from repro.live import (
     LocalFalkon,
 )
 from repro.live.journal import read_journal_tail
-from repro.live.protocol import task_to_dict
+from repro.live.protocol import task_from_dict, task_to_dict
 from repro.net.message import Message, MessageType
 from repro.net.wire import HEADER_BYTES
 from repro.types import TaskSpec
@@ -242,14 +242,16 @@ LEGACY_SPECS = [
 
 
 def recovered_view(journal_dir):
-    """What a dispatcher booted on *journal_dir* rebuilt, minus clocks."""
+    """What a dispatcher booted on *journal_dir* rebuilt, minus clocks.
+    A kept spec dict is shown parsed: older rows name more defaults."""
     disp = LiveDispatcher(journal_dir=journal_dir)
     try:
         records = {}
         for task_id, record in disp._records.items():
             result = record.result
             records[task_id] = (
-                record.spec, record.state, record.attempts, record.client_id,
+                record.spec_dict and task_from_dict(record.spec_dict),
+                record.state, record.attempts, record.client_id,
                 record.acked,
                 result and (result.return_code, result.stdout, result.stderr,
                             result.executor_id, result.error, result.attempts),
@@ -312,7 +314,10 @@ def test_recovery_reads_older_journal_shapes_like_its_own(tmp_path):
 
     assert recovered_view(legacy_dir) == recovered_view(own_dir)
     records, dlq, queue = recovered_view(own_dir)
-    assert [records[spec.task_id][0] for spec in LEGACY_SPECS] == LEGACY_SPECS
+    # The settled ok task keeps no spec; the quarantined and the
+    # in-flight one keep theirs.
+    assert [records[spec.task_id][0] for spec in LEGACY_SPECS] == [
+        None, *LEGACY_SPECS[1:]]
     assert dlq == ["lg-2"] and queue == ["lg-3"]
 
 
@@ -602,12 +607,13 @@ def test_duplicate_task_id_inside_one_bundle_is_accepted_once(tmp_path):
         report = OracleReport()
         check_conservation(report, submitted=2, stats=disp.stats())
         assert report.ok, report.summary()
-        assert disp._records["twin"].spec.stage == "first"
         assert wait_until(lambda: disp.spans.chain_errors("twin") == [], timeout=5.0)
         assert [s.name for s in disp.trace("twin")].count("submit") == 1
         assert disp.stats().queued == 0
     rows, _ = read_journal_tail(os.path.join(str(tmp_path), "journal.jsonl"))
     assert sorted(r["id"] for r in rows if r["k"] == "submit") == ["single", "twin"]
+    (twin,) = [r for r in rows if r["k"] == "submit" and r["id"] == "twin"]
+    assert twin["spec"]["stage"] == "first"
 
 
 def test_duplicate_submit_of_settled_task_renotifies():
