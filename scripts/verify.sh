@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo verify gate: syntax, lint, tier-1 tests, the standing benchmark's
-# smoke, the per-task censuses, shard scaling, the scenario oracles and a
-# Figure 3 smoke.  Every step runs from tracked files alone, so it passes
-# on a fresh clone.
+# smoke, the per-task censuses, a cold-start print, shard scaling, the
+# scenario oracles and a Figure 3 smoke.  Every step runs from tracked
+# files alone, so it passes on a fresh clone.
 #
 # Usage: scripts/verify.sh [--quick | --stress]
 #   --quick   skip only the Figure 3 throughput smoke at the end
@@ -77,6 +77,13 @@ python3 -m pytest bench/tests -q
 echo "== per-task censuses (memory, CPU) =="
 python scripts/task_memory_census.py --tasks 5000
 python scripts/task_cpu_census.py --waves 1
+
+# Cold start of a bare live-plane process from a tree with no bytecode
+# (docs/PERFORMANCE.md "Cold start"): print-only, since wall time on a
+# shared host cannot gate; tests/test_package_imports.py pins the
+# import graph that sets it.
+echo "== cold start (print-only) =="
+python scripts/cold_start.py -n 3
 
 # Shard-scaling gate: 2 dispatcher shards behind a ShardRouter must
 # deliver >= 1.5x the 1-shard aggregate capacity on fixed-duration

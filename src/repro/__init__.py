@@ -22,6 +22,14 @@ Layering (bottom up):
 * :mod:`repro.experiments` — one module per paper table/figure, plus
   CSV export (`python -m repro export`).
 
+The rule between the planes: a live-plane process (a dispatcher, an
+executor) imports neither the sim plane (:mod:`repro.sim`,
+:mod:`repro.core`, :mod:`repro.net.costs`, numpy) nor the HTTP surface
+(:mod:`repro.obs.httpd`, ``http.server``) until it is asked for them.
+Every package ``__init__`` therefore exports its names lazily
+(:func:`repro._lazy.lazy_exports`): importing a package runs none of
+its modules, and reading a name imports only the module defining it.
+
 Quickstart (simulation plane)::
 
     from repro import FalkonConfig, FalkonSystem
@@ -49,15 +57,7 @@ Quickstart (unified facade — one API over every deployment shape)::
         results = fed.map(specs)
 """
 
-from repro.api import FalkonClient, as_completed, connect
-from repro.live.endpoint import Endpoint
-from repro.config import (
-    AcquisitionPolicyName,
-    FalkonConfig,
-    ReleasePolicyName,
-    SecurityMode,
-)
-from repro.types import Bundle, DataLocation, DataRef, TaskResult, TaskSpec, TaskState
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -84,18 +84,13 @@ __all__ = [
     "__version__",
 ]
 
-#: The simulation plane's names resolve on first access (PEP 562): a
-#: process that only runs the live plane never imports ``repro.core``
-#: and, through it, numpy.
-_SIM_PLANE = frozenset(
-    {"FalkonSystem", "SimDispatcher", "SimExecutor", "SimClient", "Provisioner"})
-
-
-def __getattr__(name: str):
-    if name in _SIM_PLANE:
-        from importlib import import_module
-
-        value = getattr(import_module("repro.core"), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api": ("FalkonClient", "as_completed", "connect"),
+    "repro.live.endpoint": ("Endpoint",),
+    "repro.config": ("AcquisitionPolicyName", "FalkonConfig",
+                     "ReleasePolicyName", "SecurityMode"),
+    "repro.core": ("FalkonSystem", "SimDispatcher", "SimExecutor",
+                   "SimClient", "Provisioner"),
+    "repro.types": ("Bundle", "DataLocation", "DataRef", "TaskResult",
+                    "TaskSpec", "TaskState"),
+})

@@ -30,28 +30,7 @@ and sockets instead of simulated time:
   multi-shard deployments (``docs/API.md``).
 """
 
-from repro.live.protocol import (
-    Connection,
-    task_to_dict,
-    task_from_dict,
-    result_to_dict,
-    result_from_dict,
-)
-from repro.live.faults import FaultAction, FaultPlan, FaultyConnection
-from repro.live.journal import Journal, RecoveredState, RecoveredTask, recover
-from repro.live.endpoint import Endpoint, as_endpoint
-from repro.live.dispatcher import LiveDispatcher
-from repro.live.executor import LiveExecutor
-from repro.live.client import LiveClient, TaskFuture
-from repro.live.provisioner import LocalProvisioner
-from repro.live.local import LocalFalkon
-from repro.live.federation import (
-    FederationStats,
-    HashRing,
-    LocalFederation,
-    ShardRouter,
-    aggregate_stats,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Connection",
@@ -80,3 +59,20 @@ __all__ = [
     "aggregate_stats",
     "LocalFederation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.live.protocol": ("Connection", "task_to_dict", "task_from_dict",
+                            "result_to_dict", "result_from_dict"),
+    "repro.live.faults": ("FaultAction", "FaultPlan", "FaultyConnection"),
+    "repro.live.journal": ("Journal", "RecoveredState", "RecoveredTask",
+                           "recover"),
+    "repro.live.endpoint": ("Endpoint", "as_endpoint"),
+    "repro.live.dispatcher": ("LiveDispatcher",),
+    "repro.live.executor": ("LiveExecutor",),
+    "repro.live.client": ("LiveClient", "TaskFuture"),
+    "repro.live.provisioner": ("LocalProvisioner",),
+    "repro.live.local": ("LocalFalkon",),
+    "repro.live.federation": ("FederationStats", "HashRing",
+                              "LocalFederation", "ShardRouter",
+                              "aggregate_stats"),
+})

@@ -119,20 +119,17 @@ from repro.live.protocol import (
 )
 from repro.net.message import Message, MessageType
 from repro.net.wire import encode_message_v4
-from repro.obs import (
-    DispatcherStats,
-    MetricsRegistry,
-    Span,
-    StatusServer,
-    render_prometheus,
-)
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
+from repro.obs.registry import MetricsRegistry
+from repro.obs.stats import DispatcherStats
+from repro.obs.trace import Span
 from repro.obs.watchdog import StallDetector, WatchdogPanel
 from repro.types import TaskResult, TaskState, TaskTimeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.live.faults import FaultPlan
+    from repro.obs.httpd import StatusServer
 
 __all__ = ["LiveDispatcher", "PEER_PREFIX"]
 
@@ -913,6 +910,10 @@ class LiveDispatcher:
         """
         if self._http is not None:
             return self._http
+        # Imported here, not at the top: http.server, http.client and
+        # email are a dispatcher's start-up cost only when it serves.
+        from repro.obs.exporters import render_prometheus
+        from repro.obs.httpd import StatusServer
 
         def metrics_text() -> str:
             registries = [self.metrics]

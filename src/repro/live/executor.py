@@ -55,8 +55,9 @@ from repro.live.protocol import (
 )
 from repro.net.message import Message, MessageType
 from repro.net.wire import replace_surrogates
-from repro.obs import ExecutorStats, MetricsRegistry
 from repro.obs.flight import FRAME_RX, FRAME_TX, FlightRecorder
+from repro.obs.registry import MetricsRegistry
+from repro.obs.stats import ExecutorStats
 from repro.types import TaskResult, TaskSpec
 
 __all__ = ["LiveExecutor"]

@@ -11,9 +11,7 @@ Three pieces:
   signing, used by the live TCP plane.
 """
 
-from repro.net.costs import WSCostModel, BundlingCostModel, NetworkModel
-from repro.net.message import Message, MessageType
-from repro.net.wire import FrameReader, decode_frame, encode_message_v4
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WSCostModel",
@@ -25,3 +23,9 @@ __all__ = [
     "decode_frame",
     "encode_message_v4",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.costs": ("WSCostModel", "BundlingCostModel", "NetworkModel"),
+    "repro.net.message": ("Message", "MessageType"),
+    "repro.net.wire": ("FrameReader", "decode_frame", "encode_message_v4"),
+})

@@ -28,43 +28,7 @@ One layer shared by the simulation and live planes:
 See ``docs/OBSERVABILITY.md`` for the span schema and metric names.
 """
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    DEFAULT_LATENCY_BUCKETS,
-    quantile_from_values,
-)
-from repro.obs.trace import SPAN_ORDER, Span
-from repro.obs.stats import (
-    StatsSnapshot,
-    DispatcherStats,
-    ExecutorStats,
-    ProvisionerStats,
-)
-from repro.obs.exporters import (
-    atomic_writer,
-    render_prometheus,
-    write_prometheus,
-    write_spans_jsonl,
-    write_metrics_jsonl,
-    read_spans_jsonl,
-    dump_observability,
-)
-from repro.obs.httpd import StatusServer
-from repro.obs.flight import (
-    FLIGHT_DUMP_VERSION,
-    FlightRecorder,
-    SpanCollector,
-    flight_dump_path,
-    load_flight_dumps,
-    read_events_jsonl,
-    read_flight_dump,
-    replay_summary,
-)
-from repro.obs.watchdog import StallDetector, WatchdogPanel
-from repro.obs.doctor import analyze, render_report
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -100,3 +64,22 @@ __all__ = [
     "analyze",
     "render_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                           "DEFAULT_LATENCY_BUCKETS", "quantile_from_values"),
+    "repro.obs.trace": ("SPAN_ORDER", "Span"),
+    "repro.obs.stats": ("StatsSnapshot", "DispatcherStats", "ExecutorStats",
+                        "ProvisionerStats"),
+    "repro.obs.exporters": ("atomic_writer", "render_prometheus",
+                            "write_prometheus", "write_spans_jsonl",
+                            "write_metrics_jsonl", "read_spans_jsonl",
+                            "dump_observability"),
+    "repro.obs.httpd": ("StatusServer",),
+    "repro.obs.flight": ("FLIGHT_DUMP_VERSION", "FlightRecorder",
+                         "SpanCollector", "flight_dump_path",
+                         "load_flight_dumps", "read_events_jsonl",
+                         "read_flight_dump", "replay_summary"),
+    "repro.obs.watchdog": ("StallDetector", "WatchdogPanel"),
+    "repro.obs.doctor": ("analyze", "render_report"),
+})

@@ -36,13 +36,7 @@ Public API
 ==============================  ==============================================
 """
 
-from repro.sim.core import Environment, Event, Process, Interrupt, StopSimulation
-from repro.sim.events import Timeout, AllOf, AnyOf, Condition
-from repro.sim.resources import Resource, PriorityResource, Container
-from repro.sim.store import Store, FilterStore, PriorityStore
-from repro.sim.monitor import TimeSeries, Gauge, Counter, moving_average
-from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceEvent, Tracer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Environment",
@@ -68,3 +62,14 @@ __all__ = [
     "TraceEvent",
     "Tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.core": ("Environment", "Event", "Process", "Interrupt",
+                       "StopSimulation"),
+    "repro.sim.events": ("Timeout", "AllOf", "AnyOf", "Condition"),
+    "repro.sim.resources": ("Resource", "PriorityResource", "Container"),
+    "repro.sim.store": ("Store", "FilterStore", "PriorityStore"),
+    "repro.sim.monitor": ("TimeSeries", "Gauge", "Counter", "moving_average"),
+    "repro.sim.rng": ("RngStreams",),
+    "repro.sim.tracing": ("TraceEvent", "Tracer"),
+})

@@ -113,7 +113,10 @@ def test_seeded_crash_between_dispatch_and_result_ack(tmp_path, monkeypatch):
     try:
         futures = client.submit(specs(n, prefix="cr"))
         assert wait_until(lambda: plan.counters["crashes_fired"] == 1, timeout=30.0)
-        assert wait_until(lambda: disp.journal.closed, timeout=10.0)
+        # The crash abandons the journal before it closes the listener,
+        # so the journal's flag is no sign the port is free: wait for
+        # the listening socket itself to be closed.
+        assert wait_until(lambda: disp._server.fileno() == -1, timeout=10.0)
         disp2 = LiveDispatcher(journal_dir=journal_dir, port=port)
         results = [f.result(timeout=60.0) for f in futures]
         assert all(r.ok for r in results)

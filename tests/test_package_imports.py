@@ -1,13 +1,17 @@
 """What importing the package costs, and that the lazy names resolve.
 
 A process that only runs the live plane (``bench/sut.py``, a deployed
-dispatcher or executor) must not pay for the simulation plane: numpy
-alone is ~170 ms of start-up and ~17 MB of resident memory.  No module
-under ``src/`` imports a name it never uses (a stdlib ``ast`` stand-in
-for ruff's F401, which runs without ruff installed).
+dispatcher or executor) must not pay for the simulation plane (numpy
+alone is ~170 ms of start-up and ~17 MB of resident memory) nor for
+the HTTP surface it does not serve; every module it imports is compiled
+again on each spawn when bytecode is not written.  No module under
+``src/`` imports a name it never uses (a stdlib ``ast`` stand-in for
+ruff's F401, which runs without ruff installed).
 """
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -19,17 +23,85 @@ import repro
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_live_plane_imports_neither_numpy_nor_the_sim_plane():
-    code = (
-        "import repro.live.dispatcher, repro.live.executor, sys; "
-        "from repro.live.faults import FaultPlan; FaultPlan(seed=1); "
-        "assert 'numpy' not in sys.modules and 'repro.core' not in sys.modules; "
-        "assert 'orjson' in sys.modules  # the one JSON codec (repro.net.wire)"
-    )
+#: Each package's ``__all__``, in order: lazy exports change when a
+#: name is loaded, never which names there are.
+EXPORTS = {
+    "repro": """FalkonClient connect as_completed Endpoint FalkonConfig
+        SecurityMode AcquisitionPolicyName ReleasePolicyName FalkonSystem
+        SimDispatcher SimExecutor SimClient Provisioner TaskSpec TaskResult
+        TaskState Bundle DataRef DataLocation __version__""",
+    "repro.live": """Connection task_to_dict task_from_dict result_to_dict
+        result_from_dict FaultAction FaultPlan FaultyConnection Journal
+        RecoveredState RecoveredTask recover LiveDispatcher LiveExecutor
+        LiveClient TaskFuture LocalProvisioner LocalFalkon Endpoint
+        as_endpoint HashRing ShardRouter FederationStats aggregate_stats
+        LocalFederation""",
+    "repro.obs": """Counter Gauge Histogram MetricsRegistry
+        DEFAULT_LATENCY_BUCKETS quantile_from_values SPAN_ORDER Span
+        SpanCollector StatsSnapshot DispatcherStats ExecutorStats
+        ProvisionerStats atomic_writer render_prometheus write_prometheus
+        write_spans_jsonl write_metrics_jsonl read_spans_jsonl
+        dump_observability StatusServer read_events_jsonl replay_summary
+        FLIGHT_DUMP_VERSION FlightRecorder flight_dump_path load_flight_dumps
+        read_flight_dump StallDetector WatchdogPanel analyze render_report""",
+    "repro.net": """WSCostModel BundlingCostModel NetworkModel Message
+        MessageType FrameReader decode_frame encode_message_v4""",
+    "repro.sim": """Environment Event Process Interrupt StopSimulation Timeout
+        AllOf AnyOf Condition Resource PriorityResource Container Store
+        FilterStore PriorityStore TimeSeries Gauge Counter moving_average
+        RngStreams TraceEvent Tracer""",
+}
+
+#: What a dispatcher-and-executor process must not load: the sim plane,
+#: the client side, the federation, the sim-only cost model and the HTTP
+#: surface (imported by ``serve_http`` when it is called).
+LIVE_PLANE_NEVER_LOADS = (
+    "repro.sim", "repro.api", "repro.live.client", "repro.live.federation",
+    "repro.live.faults", "repro.net.costs", "repro.obs.httpd",
+    "repro.obs.exporters", "repro.obs.doctor", "http.server",
+)
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter holds after running *code*."""
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_live_plane_imports_neither_numpy_nor_the_sim_plane():
+    loaded = _modules_after(
+        "import repro.live.dispatcher, repro.live.executor\n"
+        "from repro.live.faults import FaultPlan; FaultPlan(seed=1)")
+    assert not loaded & {"numpy", "repro.core", "repro.sim.core"}
+    assert "orjson" in loaded  # the one JSON codec (repro.net.wire)
+
+
+def test_live_plane_loads_only_the_live_plane():
+    loaded = _modules_after("import repro.live.dispatcher, repro.live.executor")
+    assert sorted(loaded.intersection(LIVE_PLANE_NEVER_LOADS)) == []
+    ours = sorted(m for m in loaded if m == "repro" or m.startswith("repro."))
+    assert len(ours) <= 20, ours
+
+
+@pytest.mark.parametrize("package", sorted(EXPORTS))
+def test_package_exports_resolve_lazily_to_their_defining_modules(package):
+    module = importlib.import_module(package)
+    assert module.__all__ == EXPORTS[package].split()
+    star = {}
+    exec(f"from {package} import *", star)
+    listed = dir(module)
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert star[name] is value and name in listed
+        home = getattr(value, "__module__", None)
+        if home is not None and home.startswith("repro."):
+            assert getattr(sys.modules[home], name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
 
 
 def test_sim_plane_names_resolve_lazily_from_the_package():
