@@ -13,6 +13,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
+# No step leaves bytecode in the tree (see the syntax gate below).
+export PYTHONDONTWRITEBYTECODE=1
 
 if [[ "${1:-}" == "--stress" ]]; then
     rounds=5
@@ -42,8 +44,25 @@ if [[ "${1:-}" == "--stress" ]]; then
     exit 0
 fi
 
-echo "== compileall (syntax gate) =="
-python -m compileall -q src tests benchmarks bench scripts
+# The syntax gate compiles every file in memory: compileall would
+# write __pycache__ into the tree (whatever PYTHONDONTWRITEBYTECODE
+# says), and every later in-tree run would then start from warm
+# bytecode and read a faster set-up than a fresh checkout does.
+echo "== syntax gate (compiled in memory) =="
+python - src tests benchmarks bench scripts <<'PY'
+import pathlib
+import sys
+
+failed = False
+for root in sys.argv[1:]:
+    for path in sorted(pathlib.Path(root).rglob("*.py")):
+        try:
+            compile(path.read_bytes(), str(path), "exec")
+        except (SyntaxError, ValueError) as exc:
+            print(f"*** {path}: {exc}", file=sys.stderr)
+            failed = True
+sys.exit(1 if failed else 0)
+PY
 
 # Lint with ruff when the container has it; the image does not ship
 # it by default and the gate must not fail on a missing tool.

@@ -24,16 +24,16 @@ non-blocking.
 
 One owner (see ``docs/PERFORMANCE.md``): the loop thread is the only
 writer of dispatcher state — the ready queue, the task, executor and
-client tables, the DLQ, gossiped peer depths, the retention FIFO and
-every task record and executor session — so no lock guards them.
-Every handler runs there, and so does the sweep, a loop timer
-(:meth:`LiveDispatcher._expire`), and everything another thread
-starts: an operator's ``dlq_retry`` from the HTTP thread, a peer
-link's gossip, steal grant and steal hint, and a session's close
-callback, which fires on whichever thread closed the connection.
-Those threads *post* the work (:meth:`LiveDispatcher._post`,
-``IOLoop.call_soon``); it runs inline when the poster already is the
-loop.  Every time the dispatcher reads is the loop's clock
+client tables, the DLQ, the retention FIFO, every task record and
+executor session, and a shard's federation plane — so no lock guards
+them.  Every handler runs there, and so do the sweep, a loop timer
+(:meth:`LiveDispatcher._expire`), and the peer links' inbound frames
+(their connections live on this loop).  What another thread starts —
+``dlq_retry`` from the HTTP thread, ``add_peer``, a peer link's new
+connection from its dial thread, a session's close callback, which
+fires on whichever thread closed the connection — is *posted*
+(:meth:`LiveDispatcher._post`, ``IOLoop.call_soon``), or run inline
+when the poster is the loop.  Every time the dispatcher reads is the loop's clock
 (``IOLoop.now``).  Readers on other threads (``stats()``, ``/status``,
 gauges, flight dumps, the watchdogs on the shared loop) take
 GIL-atomic single reads — ``len()``, ``list(d.values())``, ``dict(d)``
@@ -78,19 +78,20 @@ backpressure instead of OOM.  Poison tasks that exhaust their retry
 budget land in a dead-letter queue (``repro dlq list|show|retry``)
 instead of cycling through executor evictions forever.
 
-Federation (see ``repro.live.federation``): with ``shard_id``
-set, the dispatcher is one shard of a multi-dispatcher deployment.
-Peer shards gossip queue depths over the HEARTBEAT stats leg, and an
-idle shard steals bounded batches of *queued* tasks from the deepest
-peer (STEAL_REQUEST / STEAL_GRANT).  The donor models the thief as a
-pseudo-executor session (``peer:<shard>``), so stolen work reuses the
-entire executor machinery: attempt-echoed results, stale-result
-dropping, and in-flight replay when the peer link dies — exactly-once-
-visible completion therefore holds across steals with no new
-invariants.  The thief journals stolen tasks (with their donor origin)
-before running them and returns results over its peer link; stolen
-tasks never retry or dead-letter locally — the donor owns the retry
-budget and the DLQ, so each task has exactly one home.
+Federation (see ``repro.live.federation``): with ``shard_id`` set,
+the dispatcher is one shard of a multi-dispatcher deployment and
+builds that module's shard plane (peer links, gossip, stealing); a
+dispatcher without one never loads the module.  The core calls the
+plane at a few seams: gossip in, STEAL_REQUEST in, the sweep tick,
+the idle-peer hint, results home, a lost peer session, ``/status``
+and close.  What stays here is task state.  A thief is a
+pseudo-executor session on its donor (marked ``peer``; id
+``peer:<shard>``), so stolen work reuses the executor machinery —
+attempt-echoed results, stale-result dropping, in-flight replay when
+the peer link dies — and exactly-once-visible completion holds across
+steals.  A stolen record carries its origin, settles on its first
+result, pass or fail, and goes home: the donor owns the retry budget
+and the DLQ, so each task has one home.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
-from repro.live.endpoint import Endpoint
+from repro.live.endpoint import Endpoint, EndpointLike
 from repro.live.ioloop import IOLoop, default_loop
 from repro.live.journal import Journal, RecoveredState
 from repro.live.protocol import (
@@ -118,7 +119,6 @@ from repro.live.protocol import (
     task_from_dict,
 )
 from repro.net.message import Message, MessageType
-from repro.net.wire import encode_message_v4
 from repro.obs import flight as fl
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
@@ -136,22 +136,12 @@ __all__ = ["LiveDispatcher", "PEER_PREFIX"]
 #: Sanity cap on an executor's advertised pipeline depth.
 MAX_PIPELINE_DEPTH = 64
 
-#: Identity prefix for peer shards: the donor registers a thief as a
-#: pseudo-executor ``peer:<shard-id>`` and the thief records the donor
-#: as pseudo-client ``peer:<shard-id>`` on stolen records.
+#: Identity prefix for peer shards, written to spans, flight events
+#: and the journal: the donor registers a thief as a pseudo-executor
+#: ``peer:<shard-id>`` and the thief records the donor as pseudo-client
+#: ``peer:<shard-id>`` on stolen records (the federation plane builds
+#: both; nothing here parses them).
 PEER_PREFIX = "peer:"
-
-#: Ignore gossiped peer depths older than this many seconds when
-#: choosing a steal victim — a stale depth must not trigger a raid on
-#: a shard that already drained.
-PEER_DEPTH_TTL = 2.0
-
-#: Most tasks one STEAL_GRANT may hand over.
-STEAL_BATCH_MAX = 32
-
-#: Queue depth below which a shard neither grants steals nor raids
-#: peers (the last few tasks are cheaper run locally than shipped).
-STEAL_MIN_QUEUE = 2
 
 #: The ``retry_after`` hint (seconds) carried on SUBMIT_REJECT.
 REJECT_RETRY_AFTER = 0.25
@@ -265,10 +255,10 @@ class _LiveRecord:
     origin_attempt: int = 0
 
 
-#: One settled result on its way out: the recipient (the owning client,
-#: or ``peer:<shard>`` for a stolen task's donor), the result, and the
-#: record it settled — in hand at every call site, so the notify path
-#: marks it acked without a second table lookup.
+#: One settled result on its way out: the owning client's id, the
+#: result, and the record it settled — in hand at every call site, so
+#: the notify path marks it acked (and sends a stolen task home by its
+#: ``origin_shard``) without a second table lookup.
 _Notify = tuple[str, TaskResult, "_LiveRecord"]
 
 
@@ -284,6 +274,10 @@ class _ExecutorSession:
         #: ``/status`` row.  Replaced whole on the loop thread, never
         #: mutated, so a reader on another thread takes one load.
         self.telemetry: dict[str, float] = {}
+        #: Whether this is a peer shard's pseudo-executor (set by the
+        #: federation plane that creates it): a link, not a worker —
+        #: never pushed work, no local capacity, not counted in stats.
+        self.peer = False
         self._dispatch_attrs: dict[str, tuple] = {}
 
     def dispatch_attrs(self, mode: str) -> tuple:
@@ -382,7 +376,7 @@ class LiveDispatcher:
         self.queue_limit = queue_limit
         #: Federation identity: ``None`` keeps the classic single-shard
         #: dispatcher (gossip HEARTBEATs are ignored, STEAL frames are
-        #: refused).
+        #: refused, ``repro.live.federation`` is never loaded).
         self.shard_id = shard_id
         #: Bounded terminal-state retention: keep at most this many
         #: acked, settled, non-DLQ records in memory (and prune the
@@ -404,12 +398,12 @@ class LiveDispatcher:
         self._records: dict[str, _LiveRecord] = {}
         self._executors: dict[str, _ExecutorSession] = {}
         self._clients: dict[str, _ClientSession] = {}
-        # Federation plane: gossiped peer depths (shard id ->
-        # {"queued": n, "t": loop clock}, each entry replaced whole) and
-        # the outbound peer links installed by the federation wiring
-        # (shard id -> PeerLink).
-        self._peer_depths: dict[str, dict] = {}
-        self._peer_links: dict[str, object] = {}
+        # A shard's federation plane: peer links, gossip, stealing.
+        self._federation = None
+        if shard_id is not None:
+            from repro.live.federation import _ShardPlane
+
+            self._federation = _ShardPlane(self)
         self._client_seq = itertools.count(1)
         self._session_seq = itertools.count(1)
         # The one event ring — span chains, flight dumps, lifecycle
@@ -422,12 +416,6 @@ class LiveDispatcher:
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._loop = IOLoop(name=f"dispatcher-{self.port}")
-        # NOTIFY carries no state: one frame, encoded and signed once,
-        # sent to every idle peer shard as its steal hint from this
-        # shared bytes cache.
-        self._notify_frame = encode_message_v4(
-            Message(MessageType.NOTIFY, sender="dispatcher"), key=key
-        )
         # The observability plane: typed instruments replace the old
         # hand-rolled integer attributes (kept readable via properties).
         # Federated shards get a per-shard metric prefix so N shards'
@@ -491,8 +479,10 @@ class LiveDispatcher:
             "trace_evicted",
             help="Events evicted from the bounded ring (oldest first)",
             fn=lambda: self.spans.evicted)
-        self.metrics.gauge("peers", help="Peer shards with fresh gossip",
-                           fn=lambda: len(self._peer_depths))
+        self.metrics.gauge(
+            "peers", help="Peer shards with fresh gossip",
+            fn=lambda: (self._federation.gossiping()
+                        if self._federation is not None else 0))
         self.metrics.gauge("dlq_size", help="Tasks currently quarantined",
                            fn=lambda: len(self._dlq))
         self.metrics.gauge("queued", help="Tasks in the wait queue",
@@ -669,8 +659,7 @@ class LiveDispatcher:
         )
         # Peer pseudo-executors are shard links, not workers — they are
         # excluded so registered/busy/idle describe real agents.
-        executors = [e for e in list(self._executors.values())
-                     if not e.executor_id.startswith(PEER_PREFIX)]
+        executors = [e for e in list(self._executors.values()) if not e.peer]
         busy = sum(1 for executor in executors if executor.busy)
         return DispatcherStats(
             queued=len(self._queue),
@@ -1000,23 +989,8 @@ class LiveDispatcher:
             "wire": "v4",
             "health": self.health_snapshot(),
         }
-        if self.shard_id is not None:
-            peers = {
-                shard: {"queued": info["queued"],
-                        "age_s": max(0.0, now - info["t"]),
-                        "caps": list(info.get("caps", ())),
-                        "health": info.get("health")}
-                for shard, info in list(self._peer_depths.items())
-            }
-            snapshot["federation"] = {
-                "shard_id": self.shard_id,
-                "peers": peers,
-                "steals_granted": self._m_steals_granted.value,
-                "stolen_in": self._m_stolen_in.value,
-                "stolen_out": self._m_stolen_out.value,
-                "stolen_completed": self._m_stolen_done.value,
-                "stolen_failed": self._m_stolen_failed.value,
-            }
+        if self._federation is not None:
+            snapshot["federation"] = self._federation.status(now)
         return snapshot
 
     def _cluster_gauges(self, stats: DispatcherStats) -> dict:
@@ -1053,10 +1027,8 @@ class LiveDispatcher:
         if self._closing.is_set():
             return
         self._closing.set()
-        links = list(self._peer_links.values())
-        self._peer_links.clear()
-        for link in links:
-            link.close()
+        if self._federation is not None:
+            self._federation.close()
         if self._http is not None:
             self._http.close()
         self.flight.close()
@@ -1093,7 +1065,7 @@ class LiveDispatcher:
         completed counter for the dispatch rate, evict executors silent
         past the heartbeat deadline, replay dispatches past
         ``replay_timeout``, push whatever is queued to the idle
-        (re-arming idle peer shards' steal hint), federation duties."""
+        (re-arming idle peer shards' steal hint), the federation tick."""
         self._loop.call_later(self.monitor_interval, self._expire)
         started = time.thread_time()
         now = self._loop.now()
@@ -1126,8 +1098,8 @@ class LiveDispatcher:
                 if not executor.busy:
                     executor.notified = False
             self._wake_idle()
-        if self.shard_id is not None:
-            self._federation_tick(now)
+        if self._federation is not None:
+            self._federation.tick(now)
         self._m_handler_cpu["sweep"].inc(time.thread_time() - started)
 
     # -- watchdogs -------------------------------------------------------------
@@ -1166,7 +1138,7 @@ class LiveDispatcher:
         default_loop().call_later(self.monitor_interval, self._watch)
         # Peer links have no local capacity.
         idle = sum(1 for e in list(self._executors.values())
-                   if not e.busy and not e.executor_id.startswith(PEER_PREFIX))
+                   if not e.busy and not e.peer)
         reasons = []
         stall = self._stall.observe(self._loop.now(), len(self._queue),
                                     self._h_dispatch.count, idle)
@@ -1410,26 +1382,15 @@ class LiveDispatcher:
             session.role = None
 
     def _on_heartbeat(self, session: "_Session", msg: Message) -> None:
+        # A shard's peers gossip over HEARTBEAT; the plane takes theirs.
+        if self._federation is not None and self._federation.on_gossip(session, msg):
+            return
         # Receipt alone refreshes ``last_seen`` (see _Session._handle).
         # Executors piggy-back a compact stats dict; it becomes their
         # session's telemetry row.  Only sessions that completed
         # REGISTER have a row — a raw peer spraying junk heartbeats
         # must not mint one.
         role = session.role
-        shard = msg.payload.get("shard")
-        if (
-            self.shard_id is not None
-            and isinstance(shard, dict)
-            and shard.get("id")
-            and (role is None or role[0] == "peer")
-        ):
-            # Federation gossip.  A non-federated dispatcher (``shard_id
-            # is None``) skips this branch, falls through, and drops
-            # the frame on the unregistered-session floor — it never
-            # advertises the "steal" capability, so a peer never sends
-            # it a STEAL frame.
-            self._on_peer_gossip(session, msg, shard)
-            return
         if role is None or role[0] != "executor":
             return
         executor = self._executors.get(role[1])
@@ -1437,197 +1398,11 @@ class LiveDispatcher:
         if executor is not None and stats is not None:
             executor.telemetry = stats
 
-    # -- federation protocol ---------------------------------------------------
-    def _gossip_message(self, rsvp: bool) -> Message:
-        """Our side of the depth gossip, as a HEARTBEAT frame."""
-        payload: dict = {
-            "shard": {
-                "id": self.shard_id,
-                "caps": ["steal"],
-                "stats": {"queued": len(self._queue)},
-                # Fleet health rides the gossip leg: peers store the
-                # last observation, so /fleet can report a shard's
-                # degradation even after the shard itself dies.
-                "health": {
-                    "status": "degraded" if self._degraded else "ok",
-                    "degraded": list(self._degraded),
-                },
-            }
-        }
-        if rsvp:
-            # Ask the receiver for its gossip in return.  Replies never
-            # set it, so gossip cannot ping-pong forever.
-            payload["rsvp"] = True
-        return Message(MessageType.HEARTBEAT, sender="dispatcher", payload=payload)
-
-    def _on_peer_gossip(self, session: "_Session", msg: Message, shard: dict) -> None:
-        """An inbound peer shard's depth gossip (HEARTBEAT + ``shard``).
-
-        The first gossip frame on a session is its REGISTER: the
-        session becomes a ``peer`` role and the peer a pseudo-executor
-        ``peer:<id>`` so stolen-out tasks reuse the executor machinery
-        (busy accounting, in-flight replay on drop, liveness eviction).
-        """
-        peer_id = str(shard.get("id"))
-        if peer_id == self.shard_id:
-            return
-        if session.role is None:
-            session.role = ("peer", peer_id)
-        elif session.role[1] != peer_id:
-            return  # a session cannot change shard identity mid-stream
-        self._ensure_peer_session(peer_id, session.conn)
-        self._touch(PEER_PREFIX + peer_id)
-        caps = [c for c in (shard.get("caps") or ()) if isinstance(c, str)]
-        self.flight.record(fl.GOSSIP, peer_id)
-        self._note_peer_depth(peer_id, shard.get("stats") or {}, caps,
-                              health=shard.get("health"))
-        if msg.payload.get("rsvp"):
-            session.conn.send(self._gossip_message(rsvp=False))
-
-    def _ensure_peer_session(self, peer_id: str, conn: Connection) -> _ExecutorSession:
-        """Register (or refresh) the pseudo-executor for a peer shard."""
-        executor_id = PEER_PREFIX + peer_id
-        existing = self._executors.get(executor_id)
-        if existing is not None:
-            if existing.conn is conn:
-                return existing
-            # A reconnecting peer supersedes its old (likely half-open)
-            # session; its in-flight stolen-out tasks replay here.
-            self._drop_executor(executor_id, reason="peer-reconnect")
-        executor = _ExecutorSession(executor_id, conn,
-                                    pipeline=STEAL_BATCH_MAX)
-        executor.last_seen = self._loop.now()
-        self._executors[executor_id] = executor
-        return executor
-
-    def _note_peer_depth(self, peer_id: str, stats: dict, caps: list[str],
-                         health: Optional[dict] = None) -> None:
-        """Record a peer's gossiped queue depth (thief-side input to
-        the steal decision; stale entries age out via PEER_DEPTH_TTL)
-        and its self-reported health (the fleet plane's peer-observed
-        view)."""
-        try:
-            queued = int(stats.get("queued", 0))
-        except (TypeError, ValueError):
-            queued = 0
-        self._peer_depths[peer_id] = {
-            "queued": max(0, queued),
-            "caps": caps,
-            "health": health if isinstance(health, dict) else None,
-            "t": self._loop.now(),
-        }
-
-    def _local_idle_capacity(self) -> int:
-        """Spare slots on real (non-peer) executors — what a steal
-        could actually put to work right now."""
-        return sum(e.capacity() for e in self._executors.values()
-                   if not e.executor_id.startswith(PEER_PREFIX))
-
     def _on_steal_request(self, session: "_Session", msg: Message) -> None:
-        """Donor side of work stealing: grant queued (never in-flight)
-        tasks to an idle peer, bounded by our own surplus."""
-        role = session.role
-        if role is None or role[0] != "peer" or self.shard_id is None:
-            return
-        peer_id = role[1]
-        executor = self._ensure_peer_session(peer_id, session.conn)
-        self.flight.record(fl.STEAL_REQUEST, peer_id)
-        try:
-            want = int(msg.payload.get("want", 0))
-        except (TypeError, ValueError):
-            want = 0
-        granted: list[_LiveRecord] = []
-        if want > 0:
-            # Keep enough queued work to feed our own idle capacity
-            # (plus the floor); only the surplus travels.
-            surplus = len(self._queue) - max(self._local_idle_capacity(),
-                                             STEAL_MIN_QUEUE)
-            grant = min(want, STEAL_BATCH_MAX, surplus)
-            if grant > 0:
-                granted = self._claim_many(executor, grant, mode="steal")
-        reply = Message(
-            MessageType.STEAL_GRANT, sender="dispatcher",
-            payload={
-                "shard": self.shard_id,
-                # The attempt echo: the thief returns it with each
-                # result so a donor-side replay in the meantime makes
-                # the late result stale instead of double-settling.
-                "tasks": [{"task": record.spec_dict,
-                           "attempt": record.attempts}
-                          for record in granted],
-            },
-        )
-        # An empty grant still goes out: it clears the thief's
-        # outstanding-request flag so it can try another peer.
-        session.conn.send(reply)
-        self._mark_delivered_many(granted, executor)
-        if granted:
-            self._m_steals_granted.inc()
-            self._m_stolen_out.inc(len(granted))
-            self.flight.record(fl.STEAL_GRANT, peer_id, tasks=len(granted))
-
-    def _ingest_stolen(self, donor_shard: str, entries: list) -> None:
-        """Thief side: accept a STEAL_GRANT's tasks into our own
-        queue, journalled with their origin before the first dispatch.
-
-        The peer link posts it from its own thread.  Journalling is
-        append-only (no commit barrier — this runs on the loop thread):
-        a crash inside the flush window loses the steal, which the
-        donor's replay timeout covers.  Duplicate
-        grants (donor replayed after dropping us) refresh the attempt
-        echo; a duplicate of an already-settled task immediately
-        re-returns the stored result so both shards converge.
-        """
-        accepted: dict[str, _LiveRecord] = {}
-        resend: list[_Notify] = []
-        client_id = PEER_PREFIX + donor_shard
-        for entry in entries:
-            if not isinstance(entry, dict):
-                continue
-            raw = entry.get("task")
-            try:
-                task_id = task_from_dict(raw).task_id
-                attempt = int(entry.get("attempt", 0))
-            except (KeyError, TypeError, ValueError):
-                continue
-            record = self._records.get(task_id) or accepted.get(task_id)
-            if record is not None:
-                record.origin_attempt = attempt
-                if record.state.terminal and record.result is not None:
-                    resend.append((record.client_id, record.result, record))
-                continue
-            accepted[task_id] = _LiveRecord(
-                task_id=task_id, client_id=client_id, spec_dict=raw,
-                origin_shard=donor_shard, origin_attempt=attempt)
-        # Append-only, no commit barrier (see above).
-        self._admit(list(accepted.values()), "stolen", (("stolen", True),))
-        if accepted:
-            self._m_stolen_in.inc(len(accepted))
-            self.flight.record(fl.STEAL_INGEST, donor_shard,
-                               tasks=len(accepted))
-            self._wake_idle()
-        if resend:
-            self._notify_clients(resend)
-
-    def _return_stolen(self, donor_shard: str, settled: list[_Notify]) -> None:
-        """Send settled stolen-task results home over the donor's peer
-        link.  Delivered results are acked + evicted like client
-        notifies; an unreachable donor leaves them terminal and
-        un-acked, so a re-grant after the donor recovers re-returns
-        the stored result instead of re-running the task."""
-        link = self._peer_links.get(donor_shard)
-        entries = []
-        for _, result, record in settled:
-            exec_seconds = 0.0
-            if record.timeline.dispatched:
-                exec_seconds = max(
-                    0.0, record.timeline.completed - record.timeline.dispatched)
-            entries.append({"result": result_to_dict(result),
-                            "attempt": record.origin_attempt,
-                            "exec": {"seconds": exec_seconds}})
-        if link is None or not link.send_results(entries):
-            return
-        self._mark_acked(settled)
+        # Only a shard grants steals; a plain dispatcher never
+        # advertises the capability, so no peer asks it.
+        if self._federation is not None:
+            self._federation.on_steal_request(session, msg)
 
     def _mark_acked(self, settled: list[_Notify]) -> None:
         """The frame carrying *settled* left this process: journal the
@@ -1644,59 +1419,15 @@ class LiveDispatcher:
         self._journal_append("acked", "", ids=acked_ids)
         self._evict_settled(acked_ids)
 
-    def add_peer(self, shard_id: str, endpoint) -> None:
-        """Join this shard to a peer (one direction of the mesh).
-
-        Creates the outbound :class:`~repro.live.federation.PeerLink`
-        this shard gossips over and steals through; the peer learns of
-        us from the link's first gossip frame.  A full mesh is
-        N*(N-1) calls, made by the federation wiring, not by users.
-        """
-        if self.shard_id is None:
+    def add_peer(self, shard_id: str, endpoint: EndpointLike) -> None:
+        """Join this shard to a peer (one direction of the mesh): the
+        outbound link this shard gossips over and steals through.  The
+        peer learns of us from the link's first gossip frame.  A full
+        mesh is N*(N-1) calls, made by the federation wiring, not by
+        users.  Callable from any thread."""
+        if self._federation is None:
             raise RuntimeError("add_peer() requires a dispatcher with a shard_id")
-        from repro.live.federation import PeerLink
-
-        if shard_id not in self._peer_links:
-            self._peer_links[shard_id] = PeerLink(
-                self, shard_id, Endpoint.parse(endpoint), key=self.key)
-
-    def _federation_tick(self, now: float) -> None:
-        """Per-sweep federation duties: gossip over every peer link,
-        then steal when this shard is starved (empty queue, spare
-        executor capacity) and a fresh-depth peer advertises work."""
-        links = list(self._peer_links.items())  # add_peer/close: any thread
-        for _, link in links:
-            link.tick(now)
-        if self._queue:
-            return
-        idle = self._local_idle_capacity()
-        if idle <= 0:
-            return
-        depth_floor = max(1, STEAL_MIN_QUEUE)
-        target = None
-        best = 0
-        for shard, link in links:
-            info = self._peer_depths.get(shard)
-            if info is None or now - info["t"] > PEER_DEPTH_TTL:
-                continue  # never steal on stale gossip
-            if "steal" not in info.get("caps", ()):
-                continue  # the peer does not grant steals
-            if not link.ready:
-                continue
-            if info["queued"] >= depth_floor and info["queued"] > best:
-                best = info["queued"]
-                target = link
-        if target is not None:
-            target.maybe_steal(min(idle, STEAL_BATCH_MAX))
-
-    def _steal_hint(self, link) -> None:
-        """A donor NOTIFYed our peer link: it has queued work.  Steal
-        eagerly if we are starved — without waiting for the next sweep."""
-        if self._queue:
-            return
-        idle = self._local_idle_capacity()
-        if idle > 0 and link.ready:
-            link.maybe_steal(min(idle, STEAL_BATCH_MAX))
+        self._call(self._federation.add_peer, shard_id, Endpoint.parse(endpoint))
 
     def _on_result(self, session: "_Session", msg: Message) -> None:
         role = session.role
@@ -1711,7 +1442,7 @@ class LiveDispatcher:
         # they settle through the same pseudo-executor that carried
         # the grant, so busy accounting and attempt echoes line up.
         is_peer = role[0] == "peer"
-        executor_id = PEER_PREFIX + role[1] if is_peer else role[1]
+        executor_id = role[1]
         # A "results" list whose entries each carry their own attempt
         # echo and exec window — one frame (and one ack) for a whole
         # executor-side batch.  The frame is validated whole before it
@@ -2197,19 +1928,18 @@ class LiveDispatcher:
         runs dry — what the first GET_WORK to answer a NOTIFY used to
         take, one round trip later.  A peer shard is never pushed work
         (stealing is explicit-request-only); an idle one gets the
-        NOTIFY steal hint, once until the sweep re-arms it.
+        federation plane's steal hint, once until the sweep re-arms it.
         """
         # A copy: a failed send drops its executor from the table.
         for executor in list(self._executors.values()):
             if not self._queue:
                 return
-            peer = executor.executor_id.startswith(PEER_PREFIX)
-            if executor.busy or (peer and executor.notified):
+            if executor.busy:
                 continue
-            if peer:
-                self._send_notify(executor)
-            else:
+            if not executor.peer:
                 self._send_work(executor)
+            elif not executor.notified:
+                self._federation.hint(executor)
 
     def _send_work(self, executor: _ExecutorSession) -> None:
         """Push up to the idle *executor*'s advertised depth of queued
@@ -2229,36 +1959,25 @@ class LiveDispatcher:
             return
         self._mark_delivered_many(claimed, executor)
 
-    def _send_notify(self, executor: _ExecutorSession) -> None:
-        """The steal hint to an idle peer shard (shared NOTIFY bytes)."""
-        executor.notified = True
-        self.flight.record(fl.FRAME_TX, "NOTIFY", executor=executor.executor_id)
-        try:
-            executor.conn.send_encoded(self._notify_frame)
-        except Exception:
-            self._drop_executor(executor.executor_id, only_conn=executor.conn)
-
     def _notify_clients(self, notifies: list[_Notify]) -> None:
         """Push settled results, one CLIENT_NOTIFY frame per client.
 
         Results settled in the same batch and owned by the same client
-        ride a single frame (``results`` list).
+        ride a single frame (``results`` list).  A settled stolen task
+        goes home instead: the federation plane returns it to its
+        ``origin_shard``.
         """
         if not notifies:
             return
         by_client: dict[str, list[_Notify]] = {}
-        stolen_home: dict[str, list[_Notify]] = {}
+        home: list[_Notify] = []
         for notify in notifies:
-            client_id = notify[0]
-            if client_id.startswith(PEER_PREFIX):
-                # A settled stolen task: its "client" is the donor
-                # shard, and the result goes home over the peer link.
-                stolen_home.setdefault(
-                    client_id[len(PEER_PREFIX):], []).append(notify)
+            if notify[2].origin_shard:
+                home.append(notify)
             else:
-                by_client.setdefault(client_id, []).append(notify)
-        for donor_shard, settled in stolen_home.items():
-            self._return_stolen(donor_shard, settled)
+                by_client.setdefault(notify[0], []).append(notify)
+        if home and self._federation is not None:
+            self._federation.results_home(home)
         for client_id, settled in by_client.items():
             client = self._clients.get(client_id)
             if client is None:
@@ -2318,9 +2037,8 @@ class LiveDispatcher:
                                 and executor.conn is not only_conn):
             return False
         del self._executors[executor_id]
-        if executor_id.startswith(PEER_PREFIX):
-            # A dead peer's gossiped depth is no longer a steal target.
-            self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
+        if executor.peer:
+            self._federation.session_lost(executor)
         self.flight.record(kind, executor_id, reason=reason)
         in_flight = [record for record in map(self._records.get, executor.busy)
                      if record is not None
@@ -2350,7 +2068,7 @@ class LiveDispatcher:
         elif kind == "peer":
             # The peer's in-flight stolen-out tasks replay here, same
             # as an executor loss — the grant was at-least-once.
-            self._drop_executor(PEER_PREFIX + name, only_conn=session.conn,
+            self._drop_executor(name, only_conn=session.conn,
                                 reason="peer-connection-closed")
         elif kind == "client":
             self._forget_client(name, session.conn)
@@ -2417,11 +2135,10 @@ class _Session:
 
     def _handle(self, msg: Message) -> None:
         self.dispatcher.flight.record(fl.FRAME_RX, msg.type.name)
-        if self.role is not None and self.role[0] == "executor":
-            # Any traffic proves liveness, not just heartbeats.
+        if self.role is not None and self.role[0] != "client":
+            # Any traffic proves liveness, not just heartbeats (an
+            # executor's or a peer shard's pseudo-executor).
             self.dispatcher._touch(self.role[1])
-        elif self.role is not None and self.role[0] == "peer":
-            self.dispatcher._touch(PEER_PREFIX + self.role[1])
         handler = self._HANDLERS.get(msg.type)
         if handler is None:
             self.conn.send(
@@ -2438,7 +2155,9 @@ class _Session:
             # its fault stream by stable actor identity (not the
             # accept-order session number) so the same seed reproduces
             # the same chaos timeline per actor across runs.
-            self.conn.fault_role = self.role[0]
+            kind, name = self.role
+            self.conn.fault_role = kind
             adopt = getattr(self.conn, "adopt_identity", None)
             if adopt is not None:
-                adopt(f"{self.role[0]}:{self.role[1]}")
+                # A peer's name is its identity already (``peer:<id>``).
+                adopt(name if kind == "peer" else f"{kind}:{name}")

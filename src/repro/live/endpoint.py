@@ -8,19 +8,17 @@ first-class value: :class:`Endpoint` parses and prints the
 the comma-separated shard lists the :class:`~repro.live.federation.ShardRouter`
 takes.
 
-``Endpoint`` deliberately iterates like the legacy 2-tuple, so it can
-be handed straight to ``socket.create_connection`` and to any code
-still unpacking ``host, port = address``.  Constructors take an
-:class:`Endpoint` or a URL/``host:port`` string through
-:func:`as_endpoint`; the bare-tuple spelling went through its
-one-release deprecation shim and is now rejected (``Endpoint.parse``
-keeps coercing tuples for data-shaped inputs like shard lists).
+Every entry point — constructors through :func:`as_endpoint`, shard
+lists and peers through :meth:`Endpoint.parse` — takes an
+:class:`Endpoint` or a URL/``host:port`` string and refuses the legacy
+``(host, port)`` tuple with the same message.  Read ``.host`` /
+``.port``, or ``.address`` for the socket address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Union
 
 __all__ = ["Endpoint", "EndpointLike", "as_endpoint"]
 
@@ -44,20 +42,12 @@ class Endpoint:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def parse(cls, text: Union[str, "Endpoint", Sequence]) -> "Endpoint":
-        """Parse ``falkon://host:port`` or bare ``host:port``.
-
-        Also accepts an existing :class:`Endpoint` (returned as-is) and
-        a legacy 2-tuple (converted silently — parse is the coercion
-        point, the deprecation warning belongs to :func:`as_endpoint`).
-        """
-        if isinstance(text, Endpoint):
-            return text
-        if isinstance(text, (tuple, list)):
-            host, port = text
-            return cls(str(host), int(port))
+    def parse(cls, text: Union[str, "Endpoint"]) -> "Endpoint":
+        """Parse ``falkon://host:port`` or bare ``host:port``; an
+        :class:`Endpoint` is returned as-is and anything else refused
+        as :func:`as_endpoint` refuses it."""
         if not isinstance(text, str):
-            raise TypeError(f"cannot parse endpoint from {type(text).__name__}")
+            return as_endpoint(text)
         spec = text.strip()
         if "://" in spec:
             scheme, _, rest = spec.partition("://")
@@ -80,7 +70,7 @@ class Endpoint:
 
     @classmethod
     def parse_list(
-        cls, text: Union[str, Iterable[Union[str, "Endpoint", Sequence]]]
+        cls, text: Union[str, Iterable[Union[str, "Endpoint"]]]
     ) -> list["Endpoint"]:
         """Parse a comma-separated shard list (or any iterable of
         endpoint-likes) into endpoints, order preserved."""
@@ -100,13 +90,8 @@ class Endpoint:
 
     @property
     def address(self) -> tuple[str, int]:
-        """The legacy tuple view."""
+        """The socket address."""
         return (self.host, self.port)
-
-    def __iter__(self) -> Iterator:
-        # Unpacks like the legacy tuple: ``host, port = endpoint`` and
-        # ``socket.create_connection(endpoint)`` both keep working.
-        return iter((self.host, self.port))
 
     def __str__(self) -> str:
         return self.url

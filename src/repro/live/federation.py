@@ -8,19 +8,27 @@ own executors, journal and metrics, joined two ways:
 
 * **Client side** — :class:`ShardRouter` speaks to every shard and
   routes each SUBMIT by consistent hash of the task id
-  (:class:`HashRing`).  It retargets a bundle on SUBMIT_REJECT or a
-  shard death, and its futures are exactly-once-visible: a task
-  resubmitted to a survivor *and* completed by the recovering original
-  shard settles the caller's future once (first result wins).
+  (:class:`HashRing`).  A bundle its owner refuses (SUBMIT_REJECT) or
+  cannot take (a dead shard) moves to the next shard in endpoint-list
+  order after the owner, wrapping around.  Its futures are
+  exactly-once-visible: a task resubmitted to a survivor *and*
+  completed by the recovering original shard settles the caller's
+  future once (first result wins).
 
-* **Shard side** — every shard holds an outbound :class:`PeerLink` to
-  every other shard (a full mesh of directed links).  Links gossip
-  queue depths over HEARTBEAT frames each sweep; an idle shard
+* **Shard side** — a dispatcher built with a ``shard_id`` builds one
+  :class:`_ShardPlane`, the only code that speaks the shard-to-shard
+  protocol, and keeps one :class:`PeerLink` record per peer shard: its
+  depth gossip, the outbound link this shard dials to it (a full mesh
+  of directed links), and its inbound pseudo-executor session.  Links
+  gossip queue depths over HEARTBEAT frames each sweep; an idle shard
   steals a bounded batch of *queued* (never in-flight) tasks from the
   deepest fresh peer via STEAL_REQUEST / STEAL_GRANT.  Stolen tasks
   are journalled on the thief with their origin before first dispatch
   and settle on their first result — the donor keeps the retry budget
-  and the DLQ, so every task has exactly one home shard.
+  and the DLQ, so every task has exactly one home shard.  All of it
+  runs on the dispatcher's loop, the links' connections included;
+  only a link's connect runs on a short-lived thread, so a dead peer
+  never stalls the loop.
 
 :class:`LocalFederation` wires all of it up in-process (the unit-test
 and scenario plane); :func:`shard_main` runs one shard as a standalone
@@ -40,10 +48,23 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import ProtocolError, ReconnectError
 from repro.live.client import LiveClient, TaskFuture
-from repro.live.dispatcher import LiveDispatcher
+from repro.live.dispatcher import (
+    PEER_PREFIX,
+    LiveDispatcher,
+    _ExecutorSession,
+    _LiveRecord,
+)
 from repro.live.endpoint import Endpoint, EndpointLike
-from repro.live.protocol import RECONNECT_BASE, Connection, backoff
+from repro.live.protocol import (
+    RECONNECT_BASE,
+    Connection,
+    backoff,
+    result_to_dict,
+    task_from_dict,
+)
 from repro.net.message import Message, MessageType
+from repro.net.wire import encode_message_v4
+from repro.obs import flight as fl
 from repro.obs.stats import StatsSnapshot
 from repro.types import TaskResult, TaskSpec
 
@@ -61,6 +82,15 @@ __all__ = [
 STEAL_TIMEOUT = 5.0
 #: Seconds the router skips a shard it saw fail before dialling it again.
 DOWN_TTL = 2.0
+#: Ignore gossiped peer depths older than this many seconds when
+#: choosing a steal victim — a stale depth must not trigger a raid on
+#: a shard that already drained.
+PEER_DEPTH_TTL = 2.0
+#: Most tasks one STEAL_GRANT may hand over.
+STEAL_BATCH_MAX = 32
+#: Queue depth below which a shard neither grants steals nor raids
+#: peers (the last few tasks are cheaper run locally than shipped).
+STEAL_MIN_QUEUE = 2
 
 
 class HashRing:
@@ -76,7 +106,6 @@ class HashRing:
             raise ValueError("HashRing needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError("HashRing nodes must be unique")
-        self.nodes = list(nodes)
         points: list[tuple[int, str]] = []
         for node in nodes:
             for i in range(vnodes):
@@ -95,54 +124,44 @@ class HashRing:
         idx = bisect.bisect(self._keys, self._hash(key)) % len(self._points)
         return self._points[idx][1]
 
-    def preference(self, key: str) -> list[str]:
-        """All nodes in fallback order for *key*: the owner first, then
-        the remaining nodes walking the ring — the retarget order."""
-        start = bisect.bisect(self._keys, self._hash(key)) % len(self._points)
-        seen: list[str] = []
-        for _, node in self._points[start:] + self._points[:start]:
-            if node not in seen:
-                seen.append(node)
-            if len(seen) == len(self.nodes):
-                break
-        return seen
-
 
 class PeerLink:
-    """One directed shard-to-shard connection (thief side).
+    """One peer shard as this shard sees it — the plane's one record
+    per peer, on the dispatcher's loop:
 
-    The owning dispatcher gossips its queue depth over the link every
-    sweep and steals through it when starved.  The remote end sees a
-    ``peer`` session and mirrors us as a ``peer:<id>`` pseudo-executor.
-    Dials (and redials, on the unbounded :func:`backoff` schedule)
-    happen on a background thread so a dead peer never stalls the
-    dispatcher's loop.
+    * gossip: the peer's last queue depth, capabilities and health,
+      and when it arrived (``seen``; ``None`` before the first and once
+      its inbound session is lost);
+    * session: its ``peer:<id>`` pseudo-executor, while it holds a
+      link to us;
+    * link: the outbound connection this shard gossips over and steals
+      through, once ``add_peer`` named the endpoint.  A short-lived
+      thread only connects (redials follow :func:`backoff`) and hands
+      the connection to the loop, where it lives.
     """
 
-    def __init__(
-        self,
-        dispatcher: LiveDispatcher,
-        shard_id: str,
-        endpoint: Endpoint,
-        key: Optional[bytes] = None,
-    ) -> None:
-        self.dispatcher = dispatcher
+    def __init__(self, plane: "_ShardPlane", shard_id: str,
+                 endpoint: Optional[Endpoint] = None) -> None:
+        self.plane = plane
         self.shard_id = shard_id  # the PEER's shard id
-        self.endpoint = Endpoint.parse(endpoint)
-        self.key = key
-        self._lock = threading.Lock()
+        #: Its pseudo-executor id on a donor and pseudo-client id on a
+        #: thief, as spans, flight events and the journal write it.
+        self.identity = PEER_PREFIX + shard_id
+        self.endpoint = endpoint
+        self.queued = 0
+        self.caps: tuple[str, ...] = ()
+        self.health: Optional[dict] = None
+        self.seen: Optional[float] = None
+        self.session: Optional[_ExecutorSession] = None
         self._conn: Optional[Connection] = None
-        self._caps: tuple[str, ...] = ()
         self._dialing = False
         self._next_dial = 0.0
         self._dial_delays = backoff(None)
         self._outstanding_t: Optional[float] = None
-        self._closed = False
-        #: Steal traffic over this link (thief-side view).
+        #: Steal traffic over the link (thief-side view).
         self.steals_requested = 0
         self.steals_received = 0
 
-    # -- state ----------------------------------------------------------------
     @property
     def connected(self) -> bool:
         conn = self._conn
@@ -151,70 +170,77 @@ class PeerLink:
     @property
     def ready(self) -> bool:
         """Connected *and* the peer advertised the "steal" capability
-        in its gossip reply."""
-        return self.connected and "steal" in self._caps
+        in its gossip."""
+        return self.connected and "steal" in self.caps
 
-    # -- lifecycle -------------------------------------------------------------
+    def note(self, shard: dict) -> None:
+        """Take one gossip frame's ``shard`` object.  Health rides the
+        gossip so ``/fleet`` can report a shard's last observed
+        degradation even after the shard itself dies."""
+        try:
+            queued = int((shard.get("stats") or {}).get("queued", 0))
+        except (AttributeError, TypeError, ValueError):
+            queued = 0
+        self.queued = max(0, queued)
+        self.caps = tuple(c for c in (shard.get("caps") or ())
+                          if isinstance(c, str))
+        health = shard.get("health")
+        self.health = health if isinstance(health, dict) else None
+        self.seen = self.plane.dispatcher._loop.now()
+
+    # -- the link ----------------------------------------------------------------
     def tick(self, now: float) -> None:
-        """One sweep's worth of link upkeep: redial when down,
-        gossip when up, expire a stuck steal request."""
-        if self._closed:
-            return
-        with self._lock:
-            if (self._outstanding_t is not None
-                    and now - self._outstanding_t > STEAL_TIMEOUT):
-                self._outstanding_t = None  # the grant is lost; re-arm
-            if self._conn is None or self._conn.closed:
-                if self._dialing or now < self._next_dial:
-                    return
-                self._dialing = True
-                dial = True
-            else:
-                dial = False
-        if dial:
-            threading.Thread(
-                target=self._dial,
-                name=f"peer-dial-{self.shard_id}",
-                daemon=True,
-            ).start()
-            return
-        self.gossip()
+        """One sweep's link upkeep: expire a stuck steal request,
+        gossip when up, redial when down."""
+        if (self._outstanding_t is not None
+                and now - self._outstanding_t > STEAL_TIMEOUT):
+            self._outstanding_t = None  # the grant is lost; re-arm
+        if self.connected:
+            self.gossip()
+        elif (self.endpoint is not None and not self._dialing
+              and now >= self._next_dial):
+            self._dialing = True
+            threading.Thread(target=self._dial, name=f"peer-dial-{self.shard_id}",
+                             daemon=True).start()
 
     def _dial(self) -> None:
+        """The dial thread: connect onto the dispatcher's loop, then
+        hand the connection (or the failure) to that loop."""
+        dispatcher = self.plane.dispatcher
         try:
             conn = Connection.dial(self.endpoint, self._on_message,
-                                   on_close=self._conn_closed, key=self.key,
-                                   name=f"peer-{self.shard_id}", timeout=2.0)
+                                   on_close=self._conn_closed, key=dispatcher.key,
+                                   name=f"peer-{self.shard_id}", timeout=2.0,
+                                   loop=dispatcher._loop)
         except OSError:
-            with self._lock:
-                self._dialing = False
-                self._next_dial = (self.dispatcher._loop.now()
-                                   + next(self._dial_delays))
-            return
-        with self._lock:
-            self._dialing = False
-            self._dial_delays = backoff(None)
-            if self._closed:
-                conn.close()
-                return
+            conn = None
+        if conn is not None and self.plane.closed:
+            conn.close()  # the dispatcher closed while we dialled
+        else:
+            dispatcher._loop.call_soon(lambda: self._dialed(conn))
+
+    def _dialed(self, conn: Optional[Connection]) -> None:
+        self._dialing = False
+        if conn is None:
+            self._next_dial = (self.plane.dispatcher._loop.now()
+                               + next(self._dial_delays))
+        elif self.plane.closed:
+            conn.close()
+        else:
             self._conn = conn
-        self.gossip()
+            self._dial_delays = backoff(None)
+            self.gossip()
 
     def _conn_closed(self) -> None:
-        with self._lock:
-            self._conn = None
-            self._caps = ()
-            self._outstanding_t = None
-            self._next_dial = self.dispatcher._loop.now() + RECONNECT_BASE
+        self._conn = None
+        self._outstanding_t = None
+        self._next_dial = self.plane.dispatcher._loop.now() + RECONNECT_BASE
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            conn, self._conn = self._conn, None
+        conn = self._conn
         if conn is not None:
             conn.close()
 
-    # -- traffic ---------------------------------------------------------------
     def _send(self, message: Message) -> bool:
         conn = self._conn
         if conn is None or conn.closed:
@@ -227,71 +253,330 @@ class PeerLink:
 
     def gossip(self) -> None:
         """Advertise our depth; the reply refreshes the peer's."""
-        self._send(self.dispatcher._gossip_message(rsvp=True))
+        self._send(self.plane.gossip_message(rsvp=True))
 
-    def maybe_steal(self, want: int) -> bool:
+    def maybe_steal(self, want: int) -> None:
         """Request up to *want* tasks, one outstanding request at a
         time (the donor answers every request, even with an empty
         grant, which re-arms the flag)."""
-        if want <= 0 or not self.ready:
-            return False
-        with self._lock:
-            if self._outstanding_t is not None:
-                return False
-            self._outstanding_t = self.dispatcher._loop.now()
-        sent = self._send(
-            Message(MessageType.STEAL_REQUEST,
-                    sender=f"shard:{self.dispatcher.shard_id}",
-                    payload={"want": int(want)})
-        )
-        if sent:
+        if want <= 0 or not self.ready or self._outstanding_t is not None:
+            return
+        self._outstanding_t = self.plane.dispatcher._loop.now()
+        if self._send(Message(MessageType.STEAL_REQUEST, sender=self.plane.sender,
+                              payload={"want": int(want)})):
             self.steals_requested += 1
         else:
-            with self._lock:
-                self._outstanding_t = None
-        return sent
+            self._outstanding_t = None
 
     def send_results(self, entries: list[dict]) -> bool:
         """Return settled stolen-task results to the donor; ``True``
         only when the frame left this process."""
-        if not entries:
-            return True
-        return self._send(
-            Message(MessageType.RESULT,
-                    sender=f"shard:{self.dispatcher.shard_id}",
-                    payload={"results": entries})
-        )
+        return self._send(Message(MessageType.RESULT, sender=self.plane.sender,
+                                  payload={"results": entries}))
 
-    # -- inbound ---------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
-        # This runs on the shared loop; what touches the owning
-        # dispatcher's state is posted to that dispatcher's loop.
-        dispatcher = self.dispatcher
+        # An inbound frame on the link, on the dispatcher's loop.
         if msg.type is MessageType.HEARTBEAT:
             shard = msg.payload.get("shard")
             if isinstance(shard, dict) and str(shard.get("id")) == self.shard_id:
-                caps = tuple(c for c in (shard.get("caps") or ())
-                             if isinstance(c, str))
-                self._caps = caps
-                dispatcher._post(
-                    dispatcher._note_peer_depth, self.shard_id,
-                    shard.get("stats") or {}, list(caps), shard.get("health"))
+                self.note(shard)
         elif msg.type is MessageType.STEAL_GRANT:
-            with self._lock:
-                self._outstanding_t = None
+            self._outstanding_t = None
             tasks = msg.payload.get("tasks") or []
             if tasks:
                 self.steals_received += 1
-                dispatcher._post(dispatcher._ingest_stolen, self.shard_id, tasks)
+                self.plane.ingest(self.shard_id, tasks)
         elif msg.type is MessageType.NOTIFY:
             # The donor NOTIFYed us as an idle pseudo-executor: it has
-            # queued work.  Steal eagerly instead of waiting a sweep.
-            dispatcher._post(dispatcher._steal_hint, self)
+            # queued work.  Steal now if starved, not a sweep later.
+            self.maybe_steal(self.plane.want())
         # RESULT_ACK / NO_WORK / ERROR need no action here.
 
     def __repr__(self) -> str:
         state = "ready" if self.ready else ("up" if self.connected else "down")
-        return f"<PeerLink ->{self.shard_id} {self.endpoint.url} {state}>"
+        url = self.endpoint.url if self.endpoint is not None else "inbound"
+        return f"<PeerLink ->{self.shard_id} {url} {state}>"
+
+
+class _ShardPlane:
+    """The shard side of a federation: what a dispatcher with a
+    ``shard_id`` does for its peers — gossip, the steal grant (donor),
+    steal ingest and results home (thief), the steal tick and hint —
+    over one :class:`PeerLink` per peer.  Its dispatcher calls it on
+    its loop (``status``, ``gossiping`` and ``close`` from any
+    thread).  It keeps no task state: stolen work goes through the
+    dispatcher's own transitions.
+    """
+
+    def __init__(self, dispatcher: LiveDispatcher) -> None:
+        self.dispatcher = dispatcher
+        #: One record per peer shard, by identity (``peer:<id>``).
+        self.peers: dict[str, PeerLink] = {}
+        self.sender = f"shard:{dispatcher.shard_id}"
+        self.closed = False
+        # NOTIFY carries no state: one frame, encoded and signed once,
+        # sent to every idle peer shard as its steal hint.
+        self._notify = encode_message_v4(
+            Message(MessageType.NOTIFY, sender="dispatcher"), key=dispatcher.key)
+
+    def _peer(self, shard_id: str) -> PeerLink:
+        peer = self.peers.get(PEER_PREFIX + shard_id)
+        if peer is None:
+            peer = PeerLink(self, shard_id)
+            self.peers[peer.identity] = peer
+        return peer
+
+    def add_peer(self, shard_id: str, endpoint: Endpoint) -> None:
+        """Name a peer's endpoint: the next tick dials it."""
+        peer = self._peer(shard_id)
+        if peer.endpoint is None:
+            peer.endpoint = endpoint
+
+    def close(self) -> None:
+        self.closed = True
+        for peer in list(self.peers.values()):
+            peer.close()
+
+    # -- gossip ------------------------------------------------------------------
+    def gossip_message(self, rsvp: bool) -> Message:
+        """Our side of the depth gossip, as a HEARTBEAT frame."""
+        degraded = self.dispatcher._degraded
+        payload: dict = {"shard": {
+            "id": self.dispatcher.shard_id,
+            "caps": ["steal"],
+            "stats": {"queued": len(self.dispatcher._queue)},
+            "health": {"status": "degraded" if degraded else "ok",
+                       "degraded": list(degraded)},
+        }}
+        if rsvp:
+            # Ask the receiver for its gossip in return.  Replies never
+            # set it, so gossip cannot ping-pong forever.
+            payload["rsvp"] = True
+        return Message(MessageType.HEARTBEAT, sender="dispatcher", payload=payload)
+
+    def on_gossip(self, session, msg: Message) -> bool:
+        """Take a HEARTBEAT on an inbound session if it is a peer
+        shard's gossip (it carries a ``shard`` object).
+
+        The first one on a session is its REGISTER: the session becomes
+        a ``peer`` and the peer a pseudo-executor, so stolen-out tasks
+        reuse the executor machinery (busy accounting, in-flight replay
+        on drop, liveness eviction).
+        """
+        shard = msg.payload.get("shard")
+        role = session.role
+        if (not isinstance(shard, dict) or not shard.get("id")
+                or (role is not None and role[0] != "peer")):
+            return False
+        shard_id = str(shard["id"])
+        if shard_id == self.dispatcher.shard_id:
+            return True
+        peer = self._peer(shard_id)
+        if role is None:
+            session.role = ("peer", peer.identity)
+        elif role[1] != peer.identity:
+            return True  # a session cannot change shard identity mid-stream
+        self._session(peer, session.conn)
+        self.dispatcher.flight.record(fl.GOSSIP, shard_id)
+        peer.note(shard)
+        if msg.payload.get("rsvp"):
+            session.conn.send(self.gossip_message(rsvp=False))
+        return True
+
+    def _session(self, peer: PeerLink, conn: Connection) -> _ExecutorSession:
+        """The peer's pseudo-executor on *conn*, registered on demand."""
+        executor = peer.session
+        if executor is not None and executor.conn is conn:
+            return executor
+        dispatcher = self.dispatcher
+        # A reconnecting peer supersedes its old (likely half-open)
+        # session; its in-flight stolen-out tasks replay here.
+        dispatcher._drop_executor(peer.identity, reason="peer-reconnect")
+        executor = _ExecutorSession(peer.identity, conn, pipeline=STEAL_BATCH_MAX)
+        executor.peer = True
+        executor.last_seen = dispatcher._loop.now()
+        dispatcher._executors[peer.identity] = executor
+        peer.session = executor
+        return executor
+
+    def session_lost(self, executor: _ExecutorSession) -> None:
+        """The peer's pseudo-executor left the table: its gossip is no
+        longer a steal target, nor a live peer on ``/status``."""
+        peer = self.peers[executor.executor_id]
+        peer.session = None
+        peer.seen = None
+
+    # -- stealing ------------------------------------------------------------------
+    def _spare(self) -> int:
+        """Spare slots on real (non-peer) executors."""
+        return sum(e.capacity() for e in self.dispatcher._executors.values()
+                   if not e.peer)
+
+    def want(self) -> int:
+        """What a steal could put to work right now: nothing while
+        tasks are queued here, else the spare slots (one grant's
+        worth at most)."""
+        if self.dispatcher._queue:
+            return 0
+        return min(self._spare(), STEAL_BATCH_MAX)
+
+    def tick(self, now: float) -> None:
+        """The sweep's federation duties: link upkeep and gossip, then
+        a steal from the deepest peer with fresh gossip when this shard
+        is starved (empty queue, spare executor capacity)."""
+        if self.closed:
+            return
+        for peer in self.peers.values():
+            peer.tick(now)
+        want = self.want()
+        if want <= 0:
+            return
+        depth_floor = max(1, STEAL_MIN_QUEUE)
+        victims = [peer for peer in self.peers.values()
+                   if peer.ready and peer.queued >= depth_floor
+                   and peer.seen is not None
+                   and now - peer.seen <= PEER_DEPTH_TTL]  # never on stale gossip
+        if victims:
+            max(victims, key=lambda peer: peer.queued).maybe_steal(want)
+
+    def hint(self, executor: _ExecutorSession) -> None:
+        """The steal hint to an idle peer's pseudo-executor (the shared
+        NOTIFY bytes), once until the sweep re-arms it."""
+        executor.notified = True
+        dispatcher = self.dispatcher
+        dispatcher.flight.record(fl.FRAME_TX, "NOTIFY", executor=executor.executor_id)
+        try:
+            executor.conn.send_encoded(self._notify)
+        except Exception:
+            dispatcher._drop_executor(executor.executor_id, only_conn=executor.conn)
+
+    def on_steal_request(self, session, msg: Message) -> None:
+        """Donor side: grant queued (never in-flight) tasks to an idle
+        peer, bounded by our own surplus."""
+        role = session.role
+        if role is None or role[0] != "peer":
+            return
+        dispatcher = self.dispatcher
+        peer = self.peers[role[1]]
+        executor = self._session(peer, session.conn)
+        dispatcher.flight.record(fl.STEAL_REQUEST, peer.shard_id)
+        try:
+            want = int(msg.payload.get("want", 0))
+        except (TypeError, ValueError):
+            want = 0
+        # Keep enough queued work to feed our own idle capacity (plus
+        # the floor); only the surplus travels.
+        grant = min(want, STEAL_BATCH_MAX,
+                    len(dispatcher._queue) - max(self._spare(), STEAL_MIN_QUEUE))
+        granted = dispatcher._claim_many(executor, grant, "steal") if grant > 0 else []
+        # An empty grant still goes out: it clears the thief's
+        # outstanding-request flag so it can try another peer.  The
+        # attempt echo: the thief returns it with each result, so a
+        # donor-side replay in the meantime makes the late result stale
+        # instead of double-settling.
+        session.conn.send(Message(
+            MessageType.STEAL_GRANT, sender="dispatcher",
+            payload={"shard": dispatcher.shard_id,
+                     "tasks": [{"task": record.spec_dict, "attempt": record.attempts}
+                               for record in granted]}))
+        dispatcher._mark_delivered_many(granted, executor)
+        if granted:
+            dispatcher._m_steals_granted.inc()
+            dispatcher._m_stolen_out.inc(len(granted))
+            dispatcher.flight.record(fl.STEAL_GRANT, peer.shard_id, tasks=len(granted))
+
+    def ingest(self, donor_shard: str, entries: list) -> None:
+        """Thief side: admit a STEAL_GRANT's tasks to our own queue,
+        journalled with their origin before the first dispatch.
+
+        Journalling is append-only (no commit barrier on the loop): a
+        crash inside the flush window loses the steal, which the
+        donor's replay timeout covers.  A duplicate grant (the donor
+        replayed after dropping us) refreshes the attempt echo; a
+        duplicate of an already-settled task re-returns the stored
+        result at once, so both shards converge.
+        """
+        dispatcher = self.dispatcher
+        accepted: dict[str, _LiveRecord] = {}
+        resend = []
+        client_id = PEER_PREFIX + donor_shard
+        for entry in entries:
+            if not isinstance(entry, dict):
+                continue
+            raw = entry.get("task")
+            try:
+                task_id = task_from_dict(raw).task_id
+                attempt = int(entry.get("attempt", 0))
+            except (KeyError, TypeError, ValueError):
+                continue
+            record = dispatcher._records.get(task_id) or accepted.get(task_id)
+            if record is not None:
+                record.origin_attempt = attempt
+                if record.state.terminal and record.result is not None:
+                    resend.append((record.client_id, record.result, record))
+                continue
+            accepted[task_id] = _LiveRecord(
+                task_id=task_id, client_id=client_id, spec_dict=raw,
+                origin_shard=donor_shard, origin_attempt=attempt)
+        dispatcher._admit(list(accepted.values()), "stolen", (("stolen", True),))
+        if accepted:
+            dispatcher._m_stolen_in.inc(len(accepted))
+            dispatcher.flight.record(fl.STEAL_INGEST, donor_shard, tasks=len(accepted))
+            dispatcher._wake_idle()
+        if resend:
+            dispatcher._notify_clients(resend)
+
+    def results_home(self, settled: list) -> None:
+        """Send settled stolen-task results home over each donor's link.
+
+        Delivered results are acked and evicted like client notifies;
+        an unreachable donor leaves them terminal and un-acked, so a
+        re-grant after the donor recovers re-returns the stored result
+        instead of re-running the task.
+        """
+        by_donor: dict[str, list] = {}
+        for notify in settled:
+            by_donor.setdefault(notify[2].origin_shard, []).append(notify)
+        for donor_shard, notifies in by_donor.items():
+            peer = self.peers.get(PEER_PREFIX + donor_shard)
+            if peer is None:
+                continue
+            entries = []
+            for _, result, record in notifies:
+                timeline = record.timeline
+                seconds = (max(0.0, timeline.completed - timeline.dispatched)
+                           if timeline.dispatched else 0.0)
+                entries.append({"result": result_to_dict(result),
+                                "attempt": record.origin_attempt,
+                                "exec": {"seconds": seconds}})
+            if peer.send_results(entries):
+                self.dispatcher._mark_acked(notifies)
+
+    # -- what other threads read -----------------------------------------------------
+    def gossiping(self) -> int:
+        """Peers with gossip on record (the ``peers`` gauge)."""
+        return sum(1 for peer in list(self.peers.values()) if peer.seen is not None)
+
+    def status(self, now: float) -> dict:
+        """The ``/status`` ``federation`` section."""
+        dispatcher = self.dispatcher
+        peers = {}
+        for peer in list(self.peers.values()):
+            seen = peer.seen
+            if seen is not None:
+                peers[peer.shard_id] = {"queued": peer.queued,
+                                        "age_s": max(0.0, now - seen),
+                                        "caps": list(peer.caps),
+                                        "health": peer.health}
+        return {
+            "shard_id": dispatcher.shard_id,
+            "peers": peers,
+            "steals_granted": dispatcher._m_steals_granted.value,
+            "stolen_in": dispatcher._m_stolen_in.value,
+            "stolen_out": dispatcher._m_stolen_out.value,
+            "stolen_completed": dispatcher._m_stolen_done.value,
+            "stolen_failed": dispatcher._m_stolen_failed.value,
+        }
 
 
 class _RouterFuture(TaskFuture):
@@ -306,7 +591,8 @@ class ShardRouter:
     """A thin federated client: one facade over N shard dispatchers.
 
     Routes each task to its hash-owner shard; a rejected or failed
-    bundle retargets along the ring (the survivor adopts the work).
+    bundle retargets to the next shard in endpoint-list order (the
+    survivor adopts the work).
     Implements the same :class:`~repro.api.FalkonClient` surface as
     :class:`~repro.live.client.LiveClient`.
     """
@@ -432,7 +718,8 @@ class ShardRouter:
         return futures
 
     def _place(self, primary_url: str, specs: list[TaskSpec]) -> None:
-        """Land a bundle on its primary shard, walking the ring past
+        """Land a bundle on its primary shard, else on the next shards
+        in endpoint-list order from it (wrapping around) past
         rejecting/dead shards; all-shards-down fails the futures."""
         urls = [e.url for e in self.endpoints]
         start = urls.index(primary_url)
@@ -701,6 +988,7 @@ class LocalFederation:
         self.dispatchers: dict[str, Optional[LiveDispatcher]] = {}
         self.executors: dict[str, list] = {s: [] for s in self.shard_ids}
         self.http = None
+        self._dead_ports: dict[str, int] = {}  # killed shard -> its port
         for shard_id in self.shard_ids:
             self.dispatchers[shard_id] = self._start_dispatcher(shard_id)
         self._mesh()
@@ -732,20 +1020,10 @@ class LocalFederation:
             journal_dir=self._journal_dir(shard_id),
             **self._kwargs,
         )
-        dispatcher.trace_fallback = self._trace_fallback(shard_id)
+        # /tasks/<id> on any shard resolves a chain held by another.
+        dispatcher.trace_fallback = (
+            lambda task_id: [span.to_dict() for span in self.trace(task_id)] or None)
         return dispatcher
-
-    def _trace_fallback(self, shard_id: str):
-        def fallback(task_id: str):
-            for other_id, other in self.dispatchers.items():
-                if other_id == shard_id or other is None:
-                    continue
-                chain = other.spans.chain(task_id)
-                if chain:
-                    return [span.to_dict() for span in chain]
-            return None
-
-        return fallback
 
     def _mesh(self) -> None:
         for a, dispatcher in self.dispatchers.items():
@@ -781,7 +1059,6 @@ class LocalFederation:
         dispatcher = self.dispatchers[shard_id]
         if dispatcher is None:
             return
-        self._dead_ports = getattr(self, "_dead_ports", {})
         self._dead_ports[shard_id] = dispatcher.port
         dispatcher.simulate_crash()
         self.dispatchers[shard_id] = None
@@ -791,14 +1068,12 @@ class LocalFederation:
         peers' links redial it, and it re-joins the mesh itself."""
         if self.dispatchers.get(shard_id) is not None:
             raise RuntimeError(f"shard {shard_id} is still running")
-        port = getattr(self, "_dead_ports", {}).get(shard_id)
+        port = self._dead_ports.get(shard_id)
         if port is None:
             raise RuntimeError(f"shard {shard_id} was never killed")
         dispatcher = self._start_dispatcher(shard_id, port=port)
         self.dispatchers[shard_id] = dispatcher
-        for other_id, other in self.dispatchers.items():
-            if other_id != shard_id and other is not None:
-                dispatcher.add_peer(other_id, other.endpoint)
+        self._mesh()  # links that exist already are left alone
         return dispatcher
 
     # -- observability ---------------------------------------------------------
@@ -861,14 +1136,14 @@ class LocalFederation:
             status = dispatcher.status_snapshot()
             status["alive"] = True
             shards[shard_id] = status
-            links = dict(dispatcher._peer_links)
             steals[shard_id] = {
-                peer: {
-                    "requested": link.steals_requested,
-                    "received": link.steals_received,
-                    "connected": link.connected,
+                peer.shard_id: {
+                    "requested": peer.steals_requested,
+                    "received": peer.steals_received,
+                    "connected": peer.connected,
                 }
-                for peer, link in links.items()
+                for peer in list(dispatcher._federation.peers.values())
+                if peer.endpoint is not None
             }
         alive = sum(1 for s in shards.values() if s.get("alive"))
         degraded = sorted(
@@ -996,7 +1271,7 @@ def shard_main(
     pool = []
     try:
         for peer_id, endpoint in peers.items():
-            dispatcher.add_peer(peer_id, Endpoint.parse(endpoint))
+            dispatcher.add_peer(peer_id, endpoint)
         for _ in range(executors):
             pool.append(
                 LiveExecutor(dispatcher.endpoint, key=key, pipeline=pipeline).start()

@@ -289,17 +289,19 @@ class Connection:
         key: Optional[bytes] = None,
         name: str,
         timeout: float,
+        loop: Optional[IOLoop] = None,
     ) -> "Connection":
         """Connect to *endpoint* within *timeout* seconds, disable
-        Nagle and start the connection on the shared loop; ``OSError``
-        when the peer cannot be reached."""
+        Nagle and start the connection on *loop* (default: the shared
+        loop); ``OSError`` when the peer cannot be reached."""
         sock = socket.create_connection(endpoint.address, timeout=timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             sock.close()
             raise
-        return cls(sock, handler, on_close=on_close, key=key, name=name).start()
+        return cls(sock, handler, on_close=on_close, key=key, name=name,
+                   loop=loop).start()
 
     def start(self) -> "Connection":
         if self._loop is None:

@@ -17,18 +17,21 @@ class TestParsing:
     def test_bare_host_port(self):
         assert Endpoint.parse("localhost:7000") == Endpoint("localhost", 7000)
 
-    def test_parse_accepts_endpoint_and_tuple(self):
+    def test_parse_accepts_endpoint_and_refuses_tuple(self):
         ep = Endpoint("h", 1)
         assert Endpoint.parse(ep) is ep
-        assert Endpoint.parse(("h", 1)) == ep
+        with pytest.raises(TypeError, match="no longer supported"):
+            Endpoint.parse(("h", 1))
 
     def test_parse_list_comma_forms(self):
         eps = Endpoint.parse_list("falkon://a:1,b:2, falkon://c:3")
         assert eps == [Endpoint("a", 1), Endpoint("b", 2), Endpoint("c", 3)]
 
     def test_parse_list_accepts_iterables(self):
-        eps = Endpoint.parse_list([Endpoint("a", 1), "b:2", ("c", 3)])
+        eps = Endpoint.parse_list([Endpoint("a", 1), "b:2", "falkon://c:3"])
         assert eps == [Endpoint("a", 1), Endpoint("b", 2), Endpoint("c", 3)]
+        with pytest.raises(TypeError, match="no longer supported"):
+            Endpoint.parse_list(["a:1", ("c", 3)])
 
     @pytest.mark.parametrize("bad", [
         "", "nohost", "falkon://", "falkon://h:", "h:notaport",
@@ -40,11 +43,6 @@ class TestParsing:
 
 
 class TestTupleCompatibility:
-    def test_iterates_like_a_pair(self):
-        host, port = Endpoint("h", 9)
-        assert (host, port) == ("h", 9)
-        assert tuple(Endpoint("h", 9)) == ("h", 9)
-
     def test_address_property(self):
         assert Endpoint("h", 9).address == ("h", 9)
 
@@ -85,6 +83,17 @@ class TestTupleRemoval:
             client.close()
         finally:
             disp.close()
+
+    def test_every_entry_point_refuses_a_tuple(self):
+        from repro.live import LiveDispatcher, ShardRouter
+
+        with pytest.raises(TypeError, match="no longer supported"):
+            ShardRouter([("127.0.0.1", 1)])
+        with LiveDispatcher(shard_id="a") as dispatcher:
+            with pytest.raises(TypeError, match="no longer supported"):
+                dispatcher.add_peer("b", ("127.0.0.1", 1))
+        with pytest.raises(TypeError):
+            iter(Endpoint("h", 9))
 
     def test_live_client_rejects_tuple(self):
         from repro.live import LiveDispatcher, LiveClient

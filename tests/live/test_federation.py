@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.live import LiveClient, LiveDispatcher, LiveExecutor
-from repro.live import dispatcher as dispatcher_module
+from repro.live import federation as federation_module
 from repro.live.federation import HashRing, LocalFederation, aggregate_stats
 from repro.types import TaskSpec
 
@@ -34,12 +34,6 @@ class TestHashRing:
         owned = sum(1 for i in range(1000) if ring.owner(f"t-{i}") == "s0")
         assert 200 < owned < 800
 
-    def test_preference_starts_with_owner_and_covers_all(self):
-        ring = HashRing(["s0", "s1", "s2"])
-        pref = ring.preference("some-task")
-        assert pref[0] == ring.owner("some-task")
-        assert sorted(pref) == ["s0", "s1", "s2"]
-
     def test_single_label(self):
         ring = HashRing(["only"])
         assert ring.owner("anything") == "only"
@@ -51,7 +45,7 @@ class TestWorkStealing:
         """A shard with zero executors donates everything to its idle
         peer; results settle back on the home shard's clients."""
         # No floor: the donor cannot run its last tasks itself.
-        monkeypatch.setattr(dispatcher_module, "STEAL_MIN_QUEUE", 0)
+        monkeypatch.setattr(federation_module, "STEAL_MIN_QUEUE", 0)
         donor = LiveDispatcher(shard_id="a", monitor_interval=0.05)
         thief = LiveDispatcher(shard_id="b", monitor_interval=0.05)
         executor = client = None
@@ -93,7 +87,8 @@ class TestWorkStealing:
             donor.add_peer("b", thief.endpoint)
             thief.add_peer("a", donor.endpoint)
             assert wait_until(
-                lambda: "a" in thief._peer_depths and "b" in donor._peer_depths,
+                lambda: "a" in thief.status_snapshot()["federation"]["peers"]
+                and "b" in donor.status_snapshot()["federation"]["peers"],
                 timeout=5.0,
             )
             assert donor.stats().registered == 0

@@ -15,7 +15,7 @@ import gc
 import tracemalloc
 
 from repro.live import LiveDispatcher, LiveExecutor, LocalFalkon
-from repro.live import dispatcher as dispatcher_module
+from repro.live import federation as federation_module
 from repro.live.protocol import task_to_dict
 from repro.net.message import Message, MessageType
 from repro.net.wire import dumps
@@ -167,7 +167,7 @@ def test_settle_releases_wire_state_and_it_is_rebuilt_on_demand():
 
 def test_steal_grant_of_a_requeued_settled_task_carries_the_full_spec(monkeypatch):
     # One queued task is all there is: no floor may keep it home.
-    monkeypatch.setattr(dispatcher_module, "STEAL_MIN_QUEUE", 0)
+    monkeypatch.setattr(federation_module, "STEAL_MIN_QUEUE", 0)
     exchange = _Exchange(LiveDispatcher(max_retries=0, shard_id="a"))
     dispatcher = exchange.dispatcher
     thief = None

@@ -9,7 +9,7 @@ are in the lifecycle log like SUBMIT's.
 
 from repro.errors import ProtocolError
 from repro.live import LiveDispatcher
-from repro.live import dispatcher as dispatcher_module
+from repro.live import federation as federation_module
 from repro.live.client import LiveClient
 from repro.live.executor import LiveExecutor
 from repro.live.federation import LocalFederation
@@ -73,7 +73,7 @@ def test_failed_stolen_task_result_span_says_fail():
     spec = TaskSpec.sleep(0, task_id="stolen-fail")
     try:
         executor.register("e-1")
-        dispatcher._post(dispatcher._ingest_stolen, "donor",
+        dispatcher._post(dispatcher._federation.ingest, "donor",
                          [{"task": task_to_dict(spec), "attempt": 1}])
         (entry,) = executor.recv_work()
         executor.send(Message(MessageType.RESULT, sender="e-1", payload={
@@ -94,7 +94,7 @@ def test_thief_lifecycle_log_counts_what_its_stats_count(tmp_path, monkeypatch):
     """Steal ingest is an admission like SUBMIT: one ``queue.enq`` per
     task, so the thief's followed log replays to its own counters."""
     # The donor has no executors; no floor may keep its last tasks home.
-    monkeypatch.setattr(dispatcher_module, "STEAL_MIN_QUEUE", 0)
+    monkeypatch.setattr(federation_module, "STEAL_MIN_QUEUE", 0)
     logs = {}
     with LocalFederation(shards=2, executors_per_shard=0,
                          monitor_interval=0.05) as fed:

@@ -12,7 +12,9 @@ The owner tests go further: every function that mutates dispatcher
 state runs on ``ioloop-dispatcher-<port>``, whichever thread set it off
 — the monitor (heartbeat eviction, replay timeout, a CLIENT_NOTIFY
 whose send fails), the HTTP server (``POST /dlq/<id>/retry``) or a peer
-link on the shared loop (a two-shard steal).
+shard (a two-shard steal).  So does every mutator of a shard's
+federation plane and of its peer links, whose inbound frames arrive on
+that loop too.
 """
 
 import sys
@@ -20,7 +22,7 @@ import threading
 import urllib.request
 
 from repro.live import LiveClient, LiveDispatcher, LiveExecutor, LocalFalkon
-from repro.live.federation import LocalFederation
+from repro.live.federation import LocalFederation, PeerLink, _ShardPlane
 from repro.live.protocol import Connection
 from repro.net.message import CODE_TO_TYPE, Message, MessageType
 from repro.obs import render_prometheus
@@ -32,9 +34,15 @@ from tests.live.util import RawPeer, wait_until
 MUTATORS = (
     "_admit", "_claim_many", "_mark_dispatched", "_settle", "_requeue",
     "_expire", "_drop_executor", "_evict_settled", "_mark_acked",
-    "_adopt_inflight", "_ingest_stolen", "_note_peer_depth",
-    "_requeue_quarantined",
+    "_adopt_inflight", "_requeue_quarantined",
 )
+#: The functions that mutate a shard's federation plane and its peer
+#: records, the link's inbound handler among them.
+PLANE_MUTATORS = {
+    _ShardPlane: ("add_peer", "on_gossip", "_session", "session_lost",
+                  "tick", "hint", "on_steal_request", "ingest", "results_home"),
+    PeerLink: ("_on_message", "note", "tick", "_dialed", "maybe_steal"),
+}
 
 
 def _watch(monkeypatch, dispatcher):
@@ -180,10 +188,10 @@ def test_peer_shard_gets_the_steal_hint_and_never_unrequested_work():
 
 
 # -- one owner ------------------------------------------------------------------
-def _record_owners(monkeypatch, *dispatchers):
+def _record_owners(monkeypatch, *dispatchers, seen=None):
     """Record ``(function, dispatcher port, thread name)`` for every
     mutator call on *dispatchers*."""
-    seen = []
+    seen = [] if seen is None else seen
     for dispatcher in dispatchers:
         for name in MUTATORS:
             method = getattr(dispatcher, name, None)
@@ -196,6 +204,27 @@ def _record_owners(monkeypatch, *dispatchers):
                 return _method(*args, **kwargs)
 
             monkeypatch.setattr(dispatcher, name, recording)
+    return seen
+
+
+def _record_plane_owners(monkeypatch):
+    """Record ``(Class.function, dispatcher port, thread name)`` for
+    every plane and peer-record mutator call — patched on the classes,
+    before any plane exists, since a link's connection holds its bound
+    handler from the dial on."""
+    seen = []
+    for cls, names in PLANE_MUTATORS.items():
+        for name in names:
+            method = getattr(cls, name)
+
+            def recording(self, *args, _method=method,
+                          _name=f"{cls.__name__}.{name}", **kwargs):
+                plane = self if isinstance(self, _ShardPlane) else self.plane
+                seen.append((_name, plane.dispatcher.port,
+                             threading.current_thread().name))
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, recording)
     return seen
 
 
@@ -300,10 +329,11 @@ def test_http_dlq_retry_mutates_only_on_the_loop(monkeypatch):
 
 
 def test_two_shard_steal_mutates_only_on_each_shards_loop(monkeypatch):
+    seen = _record_plane_owners(monkeypatch)
     with LocalFederation(shards=2, executors_per_shard=0,
                          monitor_interval=0.05) as fed:
         donor, thief = fed.dispatchers["s0"], fed.dispatchers["s1"]
-        seen = _record_owners(monkeypatch, donor, thief)
+        _record_owners(monkeypatch, donor, thief, seen=seen)
         executor = LiveExecutor(thief.endpoint, pipeline=4).start()
         client = None
         try:
@@ -315,8 +345,12 @@ def test_two_shard_steal_mutates_only_on_each_shards_loop(monkeypatch):
                            for i in range(8)])
             assert wait_until(lambda: thief.stats().stolen_completed >= 1
                               and donor.stats().completed >= 1)
-            _assert_loop_owned(seen, "_note_peer_depth", "_ingest_stolen",
-                               "_claim_many", "_settle", "_mark_acked")
+            _assert_loop_owned(
+                seen, "_claim_many", "_settle", "_mark_acked",
+                "_ShardPlane.add_peer", "_ShardPlane.tick", "PeerLink._dialed",
+                "_ShardPlane.on_gossip", "PeerLink._on_message", "PeerLink.note",
+                "_ShardPlane.on_steal_request", "_ShardPlane.ingest",
+                "_ShardPlane.results_home")
         finally:
             if client is not None:
                 client.close()

@@ -130,7 +130,7 @@ def test_dispatcher_constructor_surface_only_shrinks():
     # third; ROADMAP item 3 targets 12.  The others as the knob census
     # left them: 123 settable values across these ten, now 93.
     most = {LiveDispatcher: 15, LiveExecutor: 7, LiveClient: 5,
-            LocalProvisioner: 5, PeerLink: 4, ShardRouter: 3,
+            LocalProvisioner: 5, PeerLink: 3, ShardRouter: 3,
             LocalFederation: 15, Journal: 3, LocalFalkon: 20}
     for cls, count in most.items():
         assert len(inspect.signature(cls.__init__).parameters) - 1 <= count, cls
@@ -181,10 +181,25 @@ def test_dispatcher_state_has_one_owner_and_no_locks():
     from repro.live import LiveDispatcher
     from repro.live.dispatcher import _ExecutorSession, _LiveRecord
 
+    from tests.live.util import wait_until
+
+    def locks(owner):
+        return [name for name in vars(owner) if name.endswith("_lock")]
+
     with LiveDispatcher() as dispatcher:
-        assert not [name for name in vars(dispatcher) if name.endswith("_lock")]
+        assert not locks(dispatcher)
     assert "lock" not in _LiveRecord.__slots__
     assert not hasattr(_ExecutorSession("e", conn=None), "lock")
+    # A shard: neither its federation plane nor its peer links lock.
+    with LiveDispatcher(shard_id="a", monitor_interval=0.05) as donor, \
+            LiveDispatcher(shard_id="b", monitor_interval=0.05) as thief:
+        donor.add_peer("b", thief.endpoint)
+        thief.add_peer("a", donor.endpoint)
+        plane = donor._federation
+        assert wait_until(lambda: [peer.connected for peer in plane.peers.values()]
+                          == [True])
+        for owner in (donor, plane, *plane.peers.values()):
+            assert not locks(owner), owner
 
 
 def test_no_trace_context_rides_the_wire():

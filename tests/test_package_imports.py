@@ -80,11 +80,20 @@ def test_live_plane_imports_neither_numpy_nor_the_sim_plane():
     assert "orjson" in loaded  # the one JSON codec (repro.net.wire)
 
 
+def _source_lines(module):
+    path = os.path.join(SRC, *module.split("."))
+    path = path + ".py" if os.path.isfile(path + ".py") else os.path.join(path, "__init__.py")
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for _ in handle)
+
+
 def test_live_plane_loads_only_the_live_plane():
     loaded = _modules_after("import repro.live.dispatcher, repro.live.executor")
     assert sorted(loaded.intersection(LIVE_PLANE_NEVER_LOADS)) == []
     ours = sorted(m for m in loaded if m == "repro" or m.startswith("repro."))
     assert len(ours) <= 20, ours
+    # Every spawn compiles these when no bytecode is written.
+    assert sum(map(_source_lines, ours)) <= 6_850
 
 
 @pytest.mark.parametrize("package", sorted(EXPORTS))
