@@ -6,6 +6,7 @@ Usage::
 
     PYTHONPATH=src python scripts/task_cpu_census.py [--waves 20] [--durable] [--profile]
     PYTHONPATH=src python scripts/task_cpu_census.py --paced [--seconds 20]
+    PYTHONPATH=src python scripts/task_cpu_census.py --repeat 5 [--durable]
 
 A bare ``LiveDispatcher`` and four pipelined executors run in this
 process; a client in a child process pushes sleep-0 tasks through them
@@ -41,6 +42,11 @@ Four tables, all in µs (or bytes) per task:
 place of the tables, whose clocks the instrumentation would skew: the
 tables say which thread and handler, the profile says which function.
 
+``--repeat N`` runs the census N times, each in a fresh process, and
+prints every value as its median and [min, max] over the runs: on a
+small, shared host one run is not a measurement (the process CPU of
+three consecutive runs can differ by 40 %).
+
 See ``docs/PERFORMANCE.md``, "CPU per task" and "The durable path".
 """
 
@@ -51,6 +57,7 @@ import contextlib
 import gc
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -172,7 +179,7 @@ class _CollectorClock:
             self.collections[generation] += 1
 
 
-def main() -> int:
+def _parse() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--waves", type=int, default=20,
                         help="closed-loop waves of 5 000 sleep-0 tasks")
@@ -184,17 +191,26 @@ def main() -> int:
                              "shape instead of closed-loop waves")
     parser.add_argument("--seconds", type=float, default=20.0,
                         help="length of the --paced arrival schedule")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="run the census this many times, each in a fresh "
+                             "process, and print every value's median and "
+                             "[min, max] over the runs")
     parser.add_argument("--profile", action="store_true",
                         help="print the top-20 cumulative cProfile frames "
                              "over all threads instead of the tables")
+    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--client", nargs=2, metavar=("HOST", "PORT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
-    paced_seconds = args.seconds if args.paced else 0.0
-    if args.client:
-        return _client(args.client[0], int(args.client[1]), args.waves,
-                       paced_seconds)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    return args
 
+
+def _measure(args: argparse.Namespace) -> "dict | None":
+    """One census run in this process: its tables as a dict, or
+    ``None`` when the run failed (or only printed its profile)."""
+    paced_seconds = args.seconds if args.paced else 0.0
     from repro.live import ioloop
     from repro.live.dispatcher import LiveDispatcher
     from repro.live.executor import LiveExecutor
@@ -248,7 +264,7 @@ def main() -> int:
                 print(f"census run failed: client exit {child.returncode}, "
                       f"{dispatcher.tasks_completed}/{tasks} completed",
                       file=sys.stderr)
-                return 1
+                return None
             client = json.loads(child.stdout.splitlines()[-1])
         finally:
             for executor in executors:
@@ -261,54 +277,134 @@ def main() -> int:
     if args.profile:
         print(f"{tasks} sleep-0 tasks under instrumentation")
         print(print_top(collect(), 20), end="")
-        return 0
+        return None
 
     def per_task(seconds: float) -> float:
         return seconds / tasks * 1e6
 
     shape = (f"open loop for {args.seconds:g} s" if args.paced
              else f"{args.waves} waves of {WAVE}")
-    print(f"{tasks} sleep-0 tasks, {shape}, "
-          f"{EXECUTORS} executors at depth {PIPELINE}"
-          + (f", durable ({journal['compactions']} compactions)"
-             if config else ""))
-    print(f"\nprocess CPU {per_task(cpu):7.1f} us/task   "
-          f"(client process {per_task(client['cpu_s']):.1f})")
-
-    print(f"\n{'thread':<28} {'us/task':>8}")
+    census: dict = {
+        "title": (f"{tasks} sleep-0 tasks, {shape}, "
+                  f"{EXECUTORS} executors at depth {PIPELINE}"
+                  + (", durable" if config else "")),
+        "compactions": journal.get("compactions", 0),
+        "process": {"process CPU": per_task(cpu),
+                    "client process": per_task(client["cpu_s"])},
+    }
     executor_names = {e.executor_id for e in executors}
     folded: Counter = Counter()
     for name, after in threads.items():
         spent = after - threads_before.get(name, 0.0)
-        folded["executors (x%d)" % EXECUTORS if name in executor_names
-               else name] += spent
-    for name, spent in sorted(folded.items(), key=lambda kv: -kv[1]):
-        if per_task(spent) >= 0.05:
-            print(f"{name:<28} {per_task(spent):8.1f}")
-
-    print(f"\n{'handler':<28} {'us/task':>8}")
+        if name in executor_names:
+            name = "executors (x%d)" % EXECUTORS
+        elif name.startswith("ioloop-dispatcher-"):
+            name = "ioloop-dispatcher"  # the port differs run to run
+        folded[name] += spent
+    census["thread"] = {name: per_task(spent) for name, spent in folded.items()}
     spent_in = {name: handlers[name] - handlers_before.get(name, 0.0)
                 for name in handlers}
-    for name, spent in sorted(spent_in.items(), key=lambda kv: -kv[1]):
-        if per_task(spent) >= 0.05:
-            print(f"{name:<28} {per_task(spent):8.1f}")
-    print(f"{'all handlers':<28} {per_task(sum(spent_in.values())):8.1f}")
-
-    print(f"\n{'collector':<28} {'us/task':>8} {'collections':>12}")
-    for generation in range(3):
-        print(f"{'generation %d' % generation:<28} "
-              f"{per_task(collector.seconds[generation]):8.1f} "
-              f"{collector.collections[generation]:12d}")
-    print(f"{'all generations':<28} {per_task(sum(collector.seconds)):8.1f}")
-
-    print(f"\n{'frame kind':<28} {'bytes/task':>10} {'frames/task':>12}")
+    census["handler"] = {name: per_task(spent) for name, spent in spent_in.items()}
+    census["handler"]["all handlers"] = per_task(sum(spent_in.values()))
+    census["collector"] = {
+        f"generation {generation}": (per_task(collector.seconds[generation]),
+                                     collector.collections[generation])
+        for generation in range(3)}
+    census["collector"]["all generations"] = (per_task(sum(collector.seconds)),
+                                              sum(collector.collections))
     sent_bytes.update(client["bytes"])
     sent_frames.update(client["frames"])
-    for kind, size in sorted(sent_bytes.items(), key=lambda kv: -kv[1]):
-        print(f"{kind:<28} {size / tasks:10.1f} "
-              f"{sent_frames[kind] / tasks:12.3f}")
-    print(f"{'all frames':<28} {sum(sent_bytes.values()) / tasks:10.1f} "
-          f"{sum(sent_frames.values()) / tasks:12.3f}")
+    census["frame kind"] = {kind: (size / tasks, sent_frames[kind] / tasks)
+                            for kind, size in sent_bytes.items()}
+    census["frame kind"]["all frames"] = (sum(sent_bytes.values()) / tasks,
+                                          sum(sent_frames.values()) / tasks)
+    return census
+
+
+#: Each table's value columns after the row name (``--repeat`` prints
+#: every value as its median and [min, max] over the runs).
+COLUMNS = {"thread": ("us/task",), "handler": ("us/task",),
+           "collector": ("us/task", "collections"),
+           "frame kind": ("bytes/task", "frames/task")}
+#: The value formats of a table (the process line uses the first).
+FORMATS = {"collector": ("{:.1f}", "{:.0f}"),
+           "frame kind": ("{:.1f}", "{:.3f}")}
+
+
+def _spread(values: list[float], fmt: str) -> str:
+    """*values* as their median alone (one run) or ``median [min, max]``."""
+    if len(values) == 1:
+        return fmt.format(values[0])
+    return (fmt.format(statistics.median(values))
+            + " [" + fmt.format(min(values)) + ", " + fmt.format(max(values)) + "]")
+
+
+def _print_census(runs: list[dict]) -> None:
+    """One run's tables, or every value's spread over *runs*: the rows
+    are those of the first run, in its order; a row some run lacks
+    counts as 0 there."""
+    first = runs[0]
+    repeat = f", median [min, max] over {len(runs)} runs" if len(runs) > 1 else ""
+    compactions = _spread([run["compactions"] for run in runs], "{:.0f}")
+    print(first["title"] + (f" ({compactions} compactions)" if "durable" in first["title"]
+                            else "") + repeat)
+    print("\nprocess CPU "
+          + _spread([run["process"]["process CPU"] for run in runs], "{:.1f}")
+          + " us/task   (client process "
+          + _spread([run["process"]["client process"] for run in runs], "{:.1f}") + ")")
+    for table, columns in COLUMNS.items():
+        formats = FORMATS.get(table, ("{:.1f}",))
+        rows = list(first[table].items())
+        if table != "collector":
+            rows.sort(key=lambda kv: (kv[0].startswith("all "),
+                                      -(kv[1][0] if len(columns) > 1 else kv[1])))
+        width = 14 if len(runs) == 1 else 26
+        print(f"\n{table:<28}" + "".join(f" {column:>{width}}" for column in columns))
+        for name, value in rows:
+            if table in ("thread", "handler") and value < 0.05 and not name.startswith("all"):
+                continue
+            cells = []
+            for column in range(len(columns)):
+                values = []
+                for run in runs:
+                    got = run[table].get(name, (0.0,) * len(columns)
+                                         if len(columns) > 1 else 0.0)
+                    values.append(got[column] if len(columns) > 1 else got)
+                cells.append(_spread(values, formats[min(column, len(formats) - 1)]))
+            print(f"{name:<28}" + "".join(f" {cell:>{width}}" for cell in cells))
+
+
+def main() -> int:
+    args = _parse()
+    if args.client:
+        return _client(args.client[0], int(args.client[1]), args.waves,
+                       args.seconds if args.paced else 0.0)
+    if args.json:
+        census = _measure(args)
+        if census is None:
+            return 1
+        print(json.dumps(census))
+        return 0
+    if args.repeat > 1 and not args.profile:
+        # Each run is a fresh process: a second SUT in this one would
+        # start on a warmed heap, a grown ring and a busier collector.
+        runs = []
+        for _ in range(args.repeat):
+            child = subprocess.run(
+                [sys.executable, __file__, "--json", "--waves", str(args.waves),
+                 "--seconds", str(args.seconds),
+                 *(["--durable"] if args.durable else []),
+                 *(["--paced"] if args.paced else [])],
+                stdout=subprocess.PIPE, text=True)
+            if child.returncode != 0:
+                return 1
+            runs.append(json.loads(child.stdout.splitlines()[-1]))
+        _print_census(runs)
+        return 0
+    census = _measure(args)
+    if census is None:
+        return 0 if args.profile else 1
+    _print_census([census])
     return 0
 
 

@@ -115,8 +115,8 @@ from repro.live.protocol import (
     Connection,
     result_from_dict,
     result_to_dict,
+    spec_task_id,
     stats_from_payload,
-    task_from_dict,
 )
 from repro.net.message import Message, MessageType
 from repro.obs import flight as fl
@@ -200,13 +200,17 @@ def _wal_object(data: dict) -> dict:
     return row
 
 
-def _timeline_stamps(timeline: TaskTimeline) -> Optional[dict]:
-    """The CLIENT_NOTIFY ``timeline`` object: the stamps that are known.
+def _notify_payload(result: TaskResult, payload: Optional[dict] = None) -> dict:
+    """*result* as a CLIENT_NOTIFY entry: its wire object (*payload*, if
+    built already) plus a ``timeline`` object of the stamps that are known.
 
     An unknown stamp (NaN — a result recovered from the journal has a
     fresh timeline) is omitted, as defaults are everywhere on the wire,
-    and ``None`` says no stamp is known: ``NaN`` is not JSON.
+    and so is the whole key when no stamp is known: ``NaN`` is not JSON.
     """
+    if payload is None:
+        payload = result_to_dict(result)
+    timeline = result.timeline
     isfinite = math.isfinite
     stamps = {}
     if isfinite(timeline.submitted):
@@ -215,7 +219,9 @@ def _timeline_stamps(timeline: TaskTimeline) -> Optional[dict]:
         stamps["dispatched"] = timeline.dispatched
     if isfinite(timeline.completed):
         stamps["completed"] = timeline.completed
-    return stamps or None
+    if stamps:
+        payload["timeline"] = stamps
+    return payload
 
 
 @dataclass(slots=True)
@@ -255,11 +261,12 @@ class _LiveRecord:
     origin_attempt: int = 0
 
 
-#: One settled result on its way out: the owning client's id, the
-#: result, and the record it settled — in hand at every call site, so
-#: the notify path marks it acked (and sends a stolen task home by its
+#: One settled result on its way out: the owning client's id, its
+#: CLIENT_NOTIFY entry (built once, where the result settled), and the
+#: record it settled — in hand at every call site, so the notify path
+#: marks it acked (and sends a stolen task home by its
 #: ``origin_shard``) without a second table lookup.
-_Notify = tuple[str, TaskResult, "_LiveRecord"]
+_Notify = tuple[str, dict, "_LiveRecord"]
 
 
 class _ExecutorSession:
@@ -713,7 +720,7 @@ class LiveDispatcher:
         records: list[_LiveRecord] = []
         for task in state.pending() + [t for t in state.tasks.values() if t.terminal]:
             try:
-                task_id = task_from_dict(task.spec).task_id
+                task_id = spec_task_id(task.spec)
             except (KeyError, TypeError, ValueError):
                 continue  # a record from a future/foreign spec version
             # Queued *and* dispatched tasks both re-enter the queue: a
@@ -1240,16 +1247,42 @@ class LiveDispatcher:
             return
         client_id = role[1]
         raw_specs = msg.payload.get("tasks", ())
-        tasks = [task_from_dict(t) for t in raw_specs]
+        # One pass judges each raw entry (a malformed one raises before
+        # anything changed: the session drops, the bundle unacked) and
+        # builds the bundle's records.  Dedupe against known ids and within the bundle (first
+        # occurrence wins): a client retrying a SUBMIT whose ack was
+        # lost (or rejected bundle it re-sends) must not double-enqueue
+        # — resubmission is idempotent per task id.  Each fresh record
+        # keeps the wire dict its spec arrived as, verbatim, and no
+        # parsed spec: dispatch re-serialises this shared dict.
+        #
+        # A duplicate of an already-settled task (resubmission after a
+        # lost ack, or a reused journal directory) must still converge:
+        # its original CLIENT_NOTIFY may have gone out long ago, so the
+        # stored result is re-pushed to the submitter below.  The
+        # future's first-wins rule dedupes on the client.
+        known_records = self._records
+        fresh: dict[str, _LiveRecord] = {}
+        settled_dupes: list[_Notify] = []
+        for raw in raw_specs:
+            task_id = spec_task_id(raw)
+            known = known_records.get(task_id)
+            if known is not None:
+                if known.result is not None:
+                    settled_dupes.append(
+                        (client_id, _notify_payload(known.result), known))
+            elif task_id not in fresh:
+                fresh[task_id] = _LiveRecord(task_id, client_id, spec_dict=raw)
+        bundle = len(raw_specs)
         # Admission control: the whole bundle is accepted or refused
         # atomically — partial acceptance would force clients to diff
         # their bundles against an ack they cannot correlate.
-        if self.queue_limit is not None and tasks:
+        if self.queue_limit is not None and bundle:
             qlen = len(self._queue)
-            if qlen + len(tasks) > self.queue_limit:
+            if qlen + bundle > self.queue_limit:
                 self._m_rejects.inc()
                 self.flight.record(fl.SUBMIT_REJECT, client_id,
-                                   bundle=len(tasks), queued=qlen,
+                                   bundle=bundle, queued=qlen,
                                    limit=self.queue_limit)
                 session.conn.send(
                     Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
@@ -1258,29 +1291,6 @@ class LiveDispatcher:
                                      "limit": self.queue_limit})
                 )
                 return
-        bundle = len(tasks)
-        # Dedupe against known ids and within the bundle (first
-        # occurrence wins): a client retrying a SUBMIT whose ack was
-        # lost (or rejected bundle it re-sends) must not double-enqueue
-        # — resubmission is idempotent per task id.  Each fresh record
-        # keeps the wire dict its spec arrived as, verbatim, and not the
-        # parsed spec: dispatch re-serialises this shared dict.
-        #
-        # A duplicate of an already-settled task (resubmission after a
-        # lost ack, or a reused journal directory) must still converge:
-        # its original CLIENT_NOTIFY may have gone out long ago, so the
-        # stored result is re-pushed to the submitter below.  The
-        # future's first-wins rule dedupes on the client.
-        fresh: dict[str, _LiveRecord] = {}
-        settled_dupes: list[_Notify] = []
-        for spec, raw in zip(tasks, raw_specs):
-            known = self._records.get(spec.task_id)
-            if known is not None:
-                if known.result is not None:
-                    settled_dupes.append((client_id, known.result, known))
-            elif spec.task_id not in fresh:
-                fresh[spec.task_id] = _LiveRecord(
-                    task_id=spec.task_id, client_id=client_id, spec_dict=raw)
         if not self._admit(list(fresh.values()), "submit",
                            (("bundle", bundle),), durable=True):
             # The journal cannot confirm durability (fsync failure
@@ -1301,7 +1311,7 @@ class LiveDispatcher:
             return
         session.conn.send(
             Message(MessageType.SUBMIT_ACK, sender="dispatcher",
-                    payload={"accepted": len(tasks)})
+                    payload={"accepted": bundle})
         )
         if settled_dupes:
             self._notify_clients(settled_dupes)
@@ -1314,20 +1324,19 @@ class LiveDispatcher:
         if role is None or role[0] != "client":
             return
         client_id = role[1]
-        settled = [(client_id, record.result, record)
-                   for record in self._records.values()
+        settled = [record for record in self._records.values()
                    if record.client_id == client_id and record.result is not None]
         try:
             session.conn.send(
                 Message(MessageType.RESULTS, sender="dispatcher",
-                        payload={"results": [result_to_dict(result)
-                                             for _, result, _ in settled]})
+                        payload={"results": [result_to_dict(record.result)
+                                             for record in settled]})
             )
         except ProtocolError:
             return  # the client went away; results remain queryable
         # The backfill delivered them as a CLIENT_NOTIFY would have:
         # acked, so retention and journal pruning can release them.
-        unacked = [notify for notify in settled if not notify[2].acked]
+        unacked = [record for record in settled if not record.acked]
         if unacked:
             self._mark_acked(unacked)
 
@@ -1404,7 +1413,7 @@ class LiveDispatcher:
         if self._federation is not None:
             self._federation.on_steal_request(session, msg)
 
-    def _mark_acked(self, settled: list[_Notify]) -> None:
+    def _mark_acked(self, settled: list[_LiveRecord]) -> None:
         """The frame carrying *settled* left this process: journal the
         delivery so recovery knows which results the receiver may have
         seen.  (Buffered send ≠ receipt — the ``acked`` bit is a
@@ -1413,9 +1422,9 @@ class LiveDispatcher:
         covers the whole frame — ``ids`` keeps the hot path at one
         append per flush, not one per task."""
         acked_ids = []
-        for _, result, record in settled:
+        for record in settled:
             record.acked = True
-            acked_ids.append(result.task_id)
+            acked_ids.append(record.task_id)
         self._journal_append("acked", "", ids=acked_ids)
         self._evict_settled(acked_ids)
 
@@ -1445,11 +1454,15 @@ class LiveDispatcher:
         executor_id = role[1]
         # A "results" list whose entries each carry their own attempt
         # echo and exec window — one frame (and one ack) for a whole
-        # executor-side batch.  The frame is validated whole before it
-        # mutates anything: a malformed entry is skipped — its task
-        # stays DISPATCHED and in ``busy`` for the normal replay paths —
-        # so it cannot strand the frame's good entries mid-settle.
-        entries: list[tuple[dict, Optional[int], float]] = []
+        # executor-side batch, judged and settled in one pass.  A
+        # malformed entry is skipped untouched (its task stays in
+        # ``busy`` for the replay paths), and nothing below raises.
+        executor = self._executors.get(executor_id)
+        busy = executor.busy if executor is not None else set()
+        records, queue = self._records, self._queue
+        isfinite = math.isfinite
+        settles: list[tuple[_LiveRecord, TaskResult, float]] = []
+        entries = stale = 0
         for item in msg.payload.get("results", ()):
             if not isinstance(item, dict):
                 continue
@@ -1458,7 +1471,7 @@ class LiveDispatcher:
             exec_info = item.get("exec") or {}
             if (
                 not isinstance(payload, dict)
-                or not isinstance(payload.get("task_id"), str)
+                or not isinstance(task_id := payload.get("task_id"), str)
                 or not isinstance(exec_info, dict)
                 or not (attempt is None or isinstance(attempt, int))
             ):
@@ -1467,19 +1480,11 @@ class LiveDispatcher:
                 exec_seconds = float(exec_info.get("seconds", 0.0))
             except (TypeError, ValueError):
                 continue
-            if math.isfinite(exec_seconds):
-                entries.append((payload, attempt, exec_seconds))
-        if not entries:
-            return
-        executor = self._executors.get(executor_id)
-        if executor is not None:
-            for payload, _, _ in entries:
-                executor.busy.discard(payload["task_id"])
-            executor.notified = False
-        settles: list[tuple[_LiveRecord, TaskResult, float]] = []
-        stale = 0
-        for payload, echoed_attempt, exec_seconds in entries:
-            record = self._records.get(payload["task_id"])
+            if not isfinite(exec_seconds):
+                continue
+            entries += 1
+            busy.discard(task_id)
+            record = records.get(task_id)
             if record is None:
                 continue
             # DISPATCHED is the state a result is expected in;
@@ -1487,7 +1492,7 @@ class LiveDispatcher:
             state = record.state
             if state is not TaskState.DISPATCHED and state.terminal:
                 continue
-            if echoed_attempt is not None and echoed_attempt != record.attempts:
+            if attempt is not None and attempt != record.attempts:
                 # A superseded attempt (the replay timer already
                 # re-dispatched this task): drop the stale result.
                 stale += 1
@@ -1504,7 +1509,7 @@ class LiveDispatcher:
                     stale += 1
                     continue
                 try:
-                    self._queue.remove(result.task_id)
+                    queue.remove(task_id)
                 except ValueError:
                     pass
             if not (is_peer and result.executor_id):
@@ -1512,6 +1517,10 @@ class LiveDispatcher:
                 # identity when the thief filled it in.
                 result.executor_id = executor_id
             settles.append((record, result, exec_seconds))
+        if not entries:
+            return
+        if executor is not None:
+            executor.notified = False
         if stale:
             self._m_stale.inc(stale)
         notifies = self._settle(settles, executor_id)
@@ -1602,11 +1611,11 @@ class LiveDispatcher:
             if durable and not journal.commit():
                 return False
         table = self._records
-        enqueue_attrs = (("reason", reason),)
         # One shared attrs tuple per client, not one per task.
         by_client: dict[str, tuple] = {}
         queued: list[str] = []
-        rows: list[tuple] = []
+        submit_attrs_col: list[tuple] = []
+        attempts: list[int] = []
         for record in records:
             task_id = record.task_id
             table[task_id] = record
@@ -1617,11 +1626,12 @@ class LiveDispatcher:
             if attrs is None:
                 attrs = by_client[record.client_id] = (
                     ("client", record.client_id), *submit_attrs)
-            rows.append((task_id, "submit", now, None, 0, attrs))
-            rows.append((task_id, "enqueue", now, None,
-                         record.attempts + 1, enqueue_attrs))
+            submit_attrs_col.append(attrs)
             queued.append(task_id)
-        self.spans.record_many(rows)
+            attempts.append(record.attempts + 1)
+        spans = self.spans
+        spans.record_frame("submit", queued, now, [0] * len(queued), submit_attrs_col)
+        spans.record_frame("enqueue", queued, now, attempts, (("reason", reason),))
         self._queue.extend(queued)
         self._m_accepted.inc(len(records))
         return True
@@ -1656,7 +1666,7 @@ class LiveDispatcher:
         new attempt; ``adopted`` (a REGISTER inflight echo of the current
         attempt) keeps it, and is delivered already.
 
-        One clock reading, one span call and one WAL append cover the
+        One clock reading, one ring append and one WAL append cover the
         burst.  The dispatch rows ride the journal's flush window, so a
         crash may lose the last ~20 ms of them — recovery then replays
         those dispatches (at-least-once).
@@ -1666,7 +1676,8 @@ class LiveDispatcher:
         adopted = mode == "adopted"
         executor_id = executor.executor_id
         busy = executor.busy
-        rows: list[tuple] = []
+        ids: list[str] = []
+        attempts: list[int] = []
         wal: Optional[list[dict]] = [] if self.journal is not None else None
         for record in records:
             if not adopted:
@@ -1678,14 +1689,15 @@ class LiveDispatcher:
             record.timeline.dispatched = now
             task_id = record.task_id
             busy.add(task_id)
-            rows.append((task_id, "notify", now, None, record.attempts, attrs))
+            ids.append(task_id)
+            attempts.append(record.attempts)
             if wal is not None:
                 row = {"k": "dispatch", "id": task_id,
                        "attempt": record.attempts, "executor": executor_id}
                 if adopted:
                     row["adopted"] = True
                 wal.append(row)
-        self.spans.record_many(rows)
+        self.spans.record_frame("notify", ids, now, attempts, attrs)
         if wal:
             self.journal.append_many(wal)
 
@@ -1694,29 +1706,31 @@ class LiveDispatcher:
     ) -> None:
         """The WORK/ack frame carrying *records* left this process.
 
-        The "pull" spans for the whole frame flush in one
-        ``record_many`` call, not one span call per task.  A record no
-        longer dispatched here (a fault-injected close inside the send
-        already requeued it) is skipped.
+        The "pull" spans for the whole frame are one ring append (the
+        frame's records were claimed together, so they share a dispatch
+        mode and its attrs), not one per task.  A record no longer
+        dispatched here (a fault-injected close inside the send already
+        requeued it) is skipped.
         """
         executor_id = executor.executor_id
-        rows = []
-        latencies = []
+        ids: list[str] = []
+        attempts: list[int] = []
+        latencies: list[float] = []
+        mode = ""
         # One clock reading for the frame: it left in one send.
         now = self._now()
         for record in records:
             if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
                 record.delivered = True
-                rows.append((
-                    record.task_id, "pull", now, None,
-                    record.attempts,
-                    executor.dispatch_attrs(record.dispatch_mode),
-                ))
+                mode = record.dispatch_mode
+                ids.append(record.task_id)
+                attempts.append(record.attempts)
                 latencies.append(now - record.timeline.submitted)
-        if rows:
-            self.spans.record_many(rows)
+        if ids:
+            self.spans.record_frame("pull", ids, now, attempts,
+                                    executor.dispatch_attrs(mode))
             self._h_dispatch.observe_many(latencies)
-            self.flight.record(fl.FRAME_TX, "WORK", tasks=len(rows),
+            self.flight.record(fl.FRAME_TX, "WORK", tasks=len(ids),
                                executor=executor_id)
         # Chaos hook: die right after a WORK/ack frame left — the task
         # is on an executor but its result will never be processed
@@ -1762,15 +1776,17 @@ class LiveDispatcher:
         max_retries = self.max_retries
         journal = self.journal
         executor_attr = ("executor", executor_id)
-        exec_attrs = (executor_attr,)
         outcome_attrs: dict[str, tuple] = {}
-        if lost is not None:
-            lost_exec = (executor_attr, ("synthetic", True))
-            lost_result = (executor_attr, ("synthetic", True),
-                           ("outcome", "fail"), ("reason", lost))
-        rows: list[tuple] = []
+        exec_attrs = (executor_attr,) if lost is None else (
+            executor_attr, ("synthetic", True))
+        lost_result = (*exec_attrs, ("outcome", "fail"), ("reason", lost))
+        # The exec and result rows of the settled attempts, as columns.
+        ids: list[str] = []
+        attempts_col: list[int] = []
+        result_attrs_col: list[tuple] = []
         wal: list[dict] = []
         exec_samples: list[float] = []
+        exec_starts: list[float] = []
         e2e: list[float] = []
         notifies: list[_Notify] = []
         retries: list[_LiveRecord] = []
@@ -1789,24 +1805,28 @@ class LiveDispatcher:
                     result_attrs = outcome_attrs[outcome] = (
                         executor_attr, ("outcome", outcome))
                 exec_samples.append(exec_seconds)
-                rows.append((task_id, "exec", now - exec_seconds, now, attempts,
-                             exec_attrs))
-                rows.append((task_id, "result", now, None, attempts, result_attrs))
+                exec_starts.append(now - exec_seconds)
+                ids.append(task_id)
+                attempts_col.append(attempts)
+                result_attrs_col.append(result_attrs)
             elif record.delivered and attempts > max_retries:
                 ok, outcome = False, "fail"
                 result = TaskResult(task_id, return_code=1, error=lost,
                                     executor_id=executor_id)
-                rows.append((task_id, "exec", now, None, attempts, lost_exec))
-                rows.append((task_id, "result", now, None, attempts, lost_result))
+                exec_starts.append(now)
+                ids.append(task_id)
+                attempts_col.append(attempts)
+                result_attrs_col.append(lost_result)
             else:
                 outcome = "retry"
             if outcome == "retry":
                 retries.append(record)
                 continue
+            timeline = record.timeline
             record.state = TaskState.COMPLETED if ok else TaskState.FAILED
-            record.timeline.completed = now
+            timeline.completed = now
             result.attempts = attempts
-            result.timeline = record.timeline
+            result.timeline = timeline
             record.result = result
             if ok:
                 completed += 1
@@ -1816,10 +1836,13 @@ class LiveDispatcher:
                 failed += 1
                 if stolen:
                     self._m_stolen_failed.inc()
-            e2e.append(now - record.timeline.submitted)
+            e2e.append(now - timeline.submitted)
+            # The wire object, built once: the WAL row keeps a copy (the
+            # flusher serialises it later), and it is the notify entry.
+            payload = result_to_dict(result)
             if journal is not None:
                 wal.append({"k": "result", "id": task_id, "outcome": outcome,
-                            "result": _wal_object(result_to_dict(result))})
+                            "result": _wal_object(payload)})
             if not ok and not stolen:
                 # Poison task: the retry budget is spent.  The client
                 # still sees the terminal failure (no hanging futures);
@@ -1833,8 +1856,9 @@ class LiveDispatcher:
             else:
                 # Never sent again: only a DLQ'd task is (dlq_retry).
                 record.spec_dict = None
-            notifies.append((record.client_id, result, record))
-        self.spans.record_many(rows)
+            notifies.append((record.client_id, _notify_payload(result, payload), record))
+        self.spans.record_frame("exec", ids, exec_starts, attempts_col, exec_attrs)
+        self.spans.record_frame("result", ids, now, attempts_col, result_attrs_col)
         # After the rows: a task's dlq.add follows its settle.
         for task_id, attempts, error in quarantined:
             self.flight.record(fl.DLQ_ADD, task_id, attempts=attempts, error=error)
@@ -1892,19 +1916,18 @@ class LiveDispatcher:
         record.state = TaskState.QUEUED
         record.executor_id = ""
         record.delivered = False
-        self.spans.record_many([(task_id, "enqueue", now, None,
-                                 record.attempts + 1, (("reason", reason),))])
+        self.spans.record_frame("enqueue", [task_id], now, [record.attempts + 1],
+                                (("reason", reason),))
 
     def _record_acks(self, notifies: list[_Notify], attrs: tuple) -> None:
         """The ``ack`` spans closing the settled attempts' chains: after
         the RESULT_ACK went out (*attrs* say to whom and whether it
         left), or synthetic, from :meth:`_settle`."""
         if notifies:
-            now = self._now()
-            self.spans.record_many([
-                (record.task_id, "ack", now, None, record.attempts, attrs)
-                for _, _, record in notifies
-            ])
+            records = [record for _, _, record in notifies]
+            self.spans.record_frame("ack", [record.task_id for record in records],
+                                    self._now(),
+                                    [record.attempts for record in records], attrs)
 
     # -- dispatch internals --------------------------------------------------------
     def _fill_task_payload(
@@ -1963,9 +1986,9 @@ class LiveDispatcher:
         """Push settled results, one CLIENT_NOTIFY frame per client.
 
         Results settled in the same batch and owned by the same client
-        ride a single frame (``results`` list).  A settled stolen task
-        goes home instead: the federation plane returns it to its
-        ``origin_shard``.
+        ride a single frame (``results`` list) of the entries built where
+        they settled.  A settled stolen task goes home instead: the
+        federation plane returns it to its ``origin_shard``.
         """
         if not notifies:
             return
@@ -1982,13 +2005,7 @@ class LiveDispatcher:
             client = self._clients.get(client_id)
             if client is None:
                 continue
-            payloads = []
-            for _, result, _ in settled:
-                payload = result_to_dict(result)
-                stamps = _timeline_stamps(result.timeline)
-                if stamps is not None:
-                    payload["timeline"] = stamps
-                payloads.append(payload)
+            payloads = [payload for _, payload, _ in settled]
             try:
                 client.conn.send(
                     Message(MessageType.CLIENT_NOTIFY, sender="dispatcher",
@@ -1998,7 +2015,7 @@ class LiveDispatcher:
                 continue  # client went away; results remain queryable
             self.flight.record(fl.FRAME_TX, "CLIENT_NOTIFY",
                                results=len(payloads))
-            self._mark_acked(settled)
+            self._mark_acked([record for _, _, record in settled])
 
     def _evict_settled(self, acked_ids: list[str]) -> None:
         """Enforce ``retain_settled``: drop the oldest acked, settled,

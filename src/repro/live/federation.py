@@ -53,6 +53,7 @@ from repro.live.dispatcher import (
     LiveDispatcher,
     _ExecutorSession,
     _LiveRecord,
+    _notify_payload,
 )
 from repro.live.endpoint import Endpoint, EndpointLike
 from repro.live.protocol import (
@@ -60,7 +61,7 @@ from repro.live.protocol import (
     Connection,
     backoff,
     result_to_dict,
-    task_from_dict,
+    spec_task_id,
 )
 from repro.net.message import Message, MessageType
 from repro.net.wire import encode_message_v4
@@ -505,7 +506,7 @@ class _ShardPlane:
                 continue
             raw = entry.get("task")
             try:
-                task_id = task_from_dict(raw).task_id
+                task_id = spec_task_id(raw)
                 attempt = int(entry.get("attempt", 0))
             except (KeyError, TypeError, ValueError):
                 continue
@@ -513,7 +514,8 @@ class _ShardPlane:
             if record is not None:
                 record.origin_attempt = attempt
                 if record.state.terminal and record.result is not None:
-                    resend.append((record.client_id, record.result, record))
+                    resend.append((record.client_id, _notify_payload(record.result),
+                                   record))
                 continue
             accepted[task_id] = _LiveRecord(
                 task_id=task_id, client_id=client_id, spec_dict=raw,
@@ -542,15 +544,15 @@ class _ShardPlane:
             if peer is None:
                 continue
             entries = []
-            for _, result, record in notifies:
+            for _, _, record in notifies:
                 timeline = record.timeline
                 seconds = (max(0.0, timeline.completed - timeline.dispatched)
                            if timeline.dispatched else 0.0)
-                entries.append({"result": result_to_dict(result),
+                entries.append({"result": result_to_dict(record.result),
                                 "attempt": record.origin_attempt,
                                 "exec": {"seconds": seconds}})
             if peer.send_results(entries):
-                self.dispatcher._mark_acked(notifies)
+                self.dispatcher._mark_acked([record for _, _, record in notifies])
 
     # -- what other threads read -----------------------------------------------------
     def gossiping(self) -> int:

@@ -49,6 +49,7 @@ __all__ = [
     "RECONNECT_ATTEMPTS",
     "task_to_dict",
     "task_from_dict",
+    "spec_task_id",
     "result_to_dict",
     "result_from_dict",
     "stats_from_payload",
@@ -111,13 +112,16 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
     Any subset of the fields is accepted — absent means default — so
     the sparse form, the all-keys form of older journals and
     checkpoints, and a hand-written peer's minimal spec all parse
-    through these same lines.  Non-dict input raises ``TypeError`` and
-    a missing ``task_id`` ``KeyError`` (recovery skips such records).
+    through these same lines.  Non-dict input raises ``TypeError``, a
+    missing ``task_id`` ``KeyError`` and one that is not a string
+    ``TypeError`` (recovery skips such records).
     The low-cardinality strings are interned: a decoded frame carries
     a fresh command / stage label per task, and the dispatcher retains
     every spec.
     """
     task_id = data["task_id"]
+    if not isinstance(task_id, str):
+        raise TypeError(f"task_id must be a string, got {type(task_id).__name__}")
     get = data.get
     d = _SPEC0
     intern = sys.intern
@@ -137,6 +141,32 @@ def task_from_dict(data: dict[str, Any]) -> TaskSpec:
         runtime_estimate=get("runtime_estimate", d.runtime_estimate),
         stage=intern(get("stage", d.stage)),
     )
+
+
+#: Spec keys :func:`task_from_dict` takes as is when of exactly this type.
+_PLAIN_SPEC_KEYS = {"task_id": str, "command": str, "args": list,
+                    "working_dir": str, "stage": str}
+
+
+def spec_task_id(data: Any) -> str:
+    """The ``task_id`` of a wire/WAL spec dict, refusing exactly what
+    :func:`task_from_dict` refuses, with the same exception class, but
+    without building the :class:`TaskSpec` admission would drop.  A
+    dict of plain keys of exactly the type it takes as is, a finite,
+    non-negative float ``duration``, ``runtime_estimate`` (stored as
+    given) and keys outside the spec (ignored) is judged here — the
+    sparse sleep-0 spec is ``{"task_id", "args"}`` — anything else by
+    :func:`task_from_dict` itself."""
+    if type(data) is dict and type(task_id := data.get("task_id")) is str and task_id:
+        for key, value in data.items():
+            kind = _PLAIN_SPEC_KEYS.get(key)
+            if (type(value) is not kind if kind is not None
+                    else key in ("env", "reads", "writes") or key == "duration" and not (
+                        type(value) is float and 0.0 <= value < math.inf)):
+                break
+        else:
+            return task_id
+    return task_from_dict(data).task_id
 
 
 def result_to_dict(result: TaskResult) -> dict[str, Any]:

@@ -97,7 +97,7 @@ class TaskSpec:
     Parameters
     ----------
     task_id:
-        Unique id; autogenerate with :func:`new_task_id`.
+        Unique, non-empty string id; autogenerate with :func:`new_task_id`.
     command:
         Executable (live plane) or a label (simulation plane).
     args:
@@ -128,6 +128,8 @@ class TaskSpec:
     stage: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.task_id, str):
+            raise TypeError(f"task_id must be a string, got {type(self.task_id).__name__}")
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
         if self.duration < 0 or not math.isfinite(self.duration):

@@ -349,6 +349,47 @@ def test_mixed_result_frame_accounts_like_one_entry_frames(tmp_path):
     assert batched["acked"] == ["mx-done", "mx-ok", "mx-spent"]
 
 
+# -- a SUBMIT entry whose id is not a string ------------------------------------------
+def test_submit_entry_with_a_non_string_id_is_refused_and_wedges_no_executor():
+    """``{"task_id": 7}`` used to be acked and run; its RESULT was then
+    skipped (the id is not a string), so the task sat in the executor's
+    ``busy`` set for good and the executor was never pushed work again:
+    a normal task submitted next stayed queued until timeout.  The one
+    judge of a spec refuses the entry: the bundle is not acked, the
+    session drops, and a later normal task settles on the same executor."""
+    from repro.live.executor import LiveExecutor
+
+    dispatcher = LiveDispatcher()
+    executor = LiveExecutor(dispatcher.endpoint, pipeline=1).start()
+    first = RawPeer(dispatcher.address)
+    second = RawPeer(dispatcher.address)
+    try:
+        assert executor.wait_registered(timeout=10.0)
+        first.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
+        first.recv_until(MessageType.INSTANCE_CREATED)
+        first.send(Message(MessageType.SUBMIT, sender="c", payload={
+            "tasks": [{"task_id": 7, "args": ["0"]}]}))
+        with pytest.raises(ConnectionError):
+            first.recv_until(MessageType.SUBMIT_ACK)
+        assert dispatcher.stats().accepted == 0
+
+        second.send(Message(MessageType.CREATE_INSTANCE, sender="c2"))
+        second.recv_until(MessageType.INSTANCE_CREATED)
+        second.send(Message(MessageType.SUBMIT, sender="c2", payload={
+            "tasks": [{"task_id": "after-7", "args": ["0"]}]}))
+        assert second.recv_until(MessageType.SUBMIT_ACK).payload == {"accepted": 1}
+        (result,) = second.recv_until(MessageType.CLIENT_NOTIFY).payload["results"]
+        assert result["task_id"] == "after-7" and result.get("return_code", 0) == 0
+        stats = dispatcher.stats()
+        assert (stats.accepted, stats.completed, stats.queued, stats.busy) == (1, 1, 0, 0)
+    finally:
+        first.close()
+        second.close()
+        executor.stop()
+        executor.join(timeout=5.0)
+        dispatcher.close()
+
+
 # -- a RESULT frame is validated whole before it mutates anything -------------------
 def _drive_frame_with_bad_entry(journal_dir: str, bad) -> dict:
     """Three tasks dispatched in one WORK frame to a journaled

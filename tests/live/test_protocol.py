@@ -10,6 +10,7 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, SecurityError
 from repro.live import (
@@ -21,7 +22,7 @@ from repro.live import (
     task_from_dict,
     task_to_dict,
 )
-from repro.live.protocol import stats_from_payload
+from repro.live.protocol import spec_task_id, stats_from_payload
 from repro.net.message import Message, MessageType
 from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC, FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
@@ -46,6 +47,100 @@ def test_task_roundtrip_full():
 def test_task_roundtrip_defaults():
     task = TaskSpec.sleep(0, task_id="s")
     assert task_from_dict(task_to_dict(task)) == task
+
+
+# -- the one judge of a spec dict ---------------------------------------------------
+SPEC_KEYS = ["task_id", "command", "args", "working_dir", "env", "duration",
+             "reads", "writes", "runtime_estimate", "stage", "not-a-field"]
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+#: Values close to what each key takes, so near-valid specs are drawn
+#: as often as junk: a data ref with each of its keys maybe missing or
+#: off, env pairs, stamps and sizes at the edges of their ranges.
+REFS = st.lists(st.dictionaries(
+    st.sampled_from(["name", "size", "location"]),
+    st.sampled_from(["x", "shared", "local", 0, -1, 2.5, None, [1]]),
+    max_size=3), max_size=2)
+NEAR_VALID = {
+    "task_id": st.sampled_from(["t", "", 7, None, True, ["t"], {"t": 1}, 0.5]),
+    "args": st.lists(st.text(max_size=3), max_size=2) | JSON_VALUES,
+    "env": st.lists(st.lists(st.text(max_size=2), max_size=2) | JSON_LEAVES,
+                    max_size=2),
+    "duration": st.floats() | st.integers(min_value=-2, max_value=2**1100),
+    "reads": REFS,
+    "writes": REFS,
+}
+SPEC_VALUES = st.sampled_from(SPEC_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key),
+                          (NEAR_VALID.get(key, JSON_VALUES) | JSON_VALUES)))
+SPECS = (st.lists(SPEC_VALUES, max_size=6).map(dict)
+         | st.lists(SPEC_VALUES, max_size=5).map(
+             lambda items: dict([("task_id", "t"), *items]))
+         | JSON_VALUES)
+
+
+def _verdict(judge, data):
+    try:
+        return ("ok", judge(data))
+    except Exception as exc:  # the class is the verdict
+        return ("raise", type(exc))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(SPECS)
+def test_spec_task_id_refuses_exactly_what_task_from_dict_refuses(data):
+    assert _verdict(spec_task_id, data) == _verdict(
+        lambda d: task_from_dict(d).task_id, data)
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"task_id": 7}, TypeError),
+    ({"task_id": None, "args": ["0"]}, TypeError),
+    ({"task_id": ["t"]}, TypeError),
+    ({"args": ["0"]}, KeyError),
+    ({"task_id": ""}, ValueError),
+    ({"task_id": "t", "duration": -1.0}, ValueError),
+    ({"task_id": "t", "duration": float("nan")}, ValueError),
+    ({"task_id": "t", "duration": 2**1100}, OverflowError),
+    ({"task_id": "t", "command": None}, TypeError),
+    ({"task_id": "t", "args": 3}, TypeError),
+    ({"task_id": "t", "reads": [{"name": "x", "size": 1}]}, KeyError),
+    ({"task_id": "t", "reads": [{"name": "x", "size": 1, "location": "disk"}]},
+     ValueError),
+    (["task_id", "t"], TypeError),
+    ("t", TypeError),
+    (None, TypeError),
+])
+def test_the_judge_and_the_parser_refuse_alike(data, error):
+    with pytest.raises(error):
+        task_from_dict(data)
+    with pytest.raises(error):
+        spec_task_id(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"task_id": "t"},
+    {"task_id": "t", "args": ["0"]},
+    {"task_id": "t", "args": ["0.005"], "duration": 0.005},
+    {"task_id": "t", "runtime_estimate": "anything", "unknown": [1, {}]},
+    {"task_id": "t", "env": [["A", "1"]], "duration": 3,
+     "reads": [{"name": "in", "size": 10, "location": "local"}]},
+    {"task_id": "t", "args": "ab", "env": {"k": 1}, "duration": False},
+])
+def test_the_judge_returns_the_parsers_id(data):
+    assert spec_task_id(data) == task_from_dict(data).task_id == "t"
+
+
+def test_task_spec_refuses_a_non_string_id():
+    with pytest.raises(TypeError):
+        TaskSpec(task_id=7)
+    with pytest.raises(ValueError):
+        TaskSpec(task_id="")
 
 
 def test_result_roundtrip():

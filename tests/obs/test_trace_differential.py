@@ -10,7 +10,10 @@ as given and clamped on read to the chain's previous event; an
 through the same seeded random sequence of task transitions
 (``record_many``), other events (``record``) and the no-op ``begin_many``
 kept for the benchmark, and must agree on every observable after every
-step.
+step.  Per-frame appends (``record_frame``: one name, a shared or
+per-task stamp and attrs) are driven too, as the reference's rows in
+order: frames that straddle the wrap, frames longer than the ring, and
+frames naming one task twice.
 """
 
 import random
@@ -86,7 +89,33 @@ def random_row(rng, clock):
             rng.randrange(0, 40), attrs)
 
 
+def random_frame(rng, clock):
+    """One ``record_frame`` call and the rows it stands for."""
+    size = rng.choice((1, 2, 5, CAPACITY - 1, CAPACITY + 1, 2 * CAPACITY + 5))
+    task_ids = [rng.choice(POOL) for _ in range(size)]
+    name = rng.choice(SPAN_ORDER)
+    attempts = [rng.randrange(0, 40) for _ in task_ids]
+    clock[0] += rng.choice((0.0, 0.001, 0.25))
+    if rng.random() < 0.5:
+        start = clock[0]
+        starts = [start] * size
+    else:
+        start = starts = [clock[0] - rng.random() for _ in task_ids]
+    shared = rng.choice(((), (("mode", "push"), ("executor", "e-1"))))
+    if rng.random() < 0.5:
+        attrs, per_row = shared, [shared] * size
+    else:
+        attrs = per_row = [rng.choice(((), (("outcome", "ok"),)))
+                           for _ in task_ids]
+    rows = [(task_id, name, begin, None, attempt, row_attrs)
+            for task_id, begin, attempt, row_attrs
+            in zip(task_ids, starts, attempts, per_row)]
+    return (name, task_ids, start, attempts, attrs), rows
+
+
 def assert_same(new, ref):
+    # The head table holds no chain the ring no longer does.
+    assert len(new._head) <= len(ref.task_ids())
     assert set(new.task_ids()) == ref.task_ids()
     assert new.traces == len(ref.task_ids())
     assert new.recorded == len(ref.events)
@@ -102,6 +131,7 @@ def test_columnar_store_matches_reference(seed):
     new, ref = SpanCollector(capacity=CAPACITY), ReferenceRing(CAPACITY)
     clock = [0.0]
     cut = 0
+    frames = wrapped = 0
     for _ in range(1500):
         op = rng.random()
         if op < 0.05:
@@ -113,7 +143,14 @@ def test_columnar_store_matches_reference(seed):
                                         ("dlq.add", rng.choice(POOL))))
             ref.record(kind, subject)
             FlightRecorder.record(new, kind, subject)  # the shim's is span-shaped
-        elif op < 0.60:
+        elif op < 0.40:
+            call, rows = random_frame(rng, clock)
+            first = new.recorded % CAPACITY
+            ref.record_many(rows)
+            new.record_frame(*call)
+            frames += 1
+            wrapped += first + len(rows) > CAPACITY
+        elif op < 0.70:
             row = random_row(rng, clock)
             ref.record_many([row])
             new.record(row[0], row[1], row[2], attempt=row[4], **dict(row[5]))
@@ -129,6 +166,7 @@ def test_columnar_store_matches_reference(seed):
     assert ref.oldest > 3 * CAPACITY
     assert cut > 100
     assert len(ref.clamped) > 10
+    assert frames > 200 and wrapped > 50
 
 
 def test_bad_name_mid_batch_keeps_earlier_rows_only():
@@ -145,6 +183,16 @@ def test_attempt_beyond_32_bits_saturates_instead_of_raising():
     new = FlightRecorder("dispatcher")
     new.record_many([("t1", "submit", 0.0, None, 2**40, ())])
     assert new.chain("t1")[0].attempt == 2**31 - 1
+    new.record_frame("enqueue", ["t1", "t2"], 1.0, [2**40, -2**40], ())
+    assert [s.attempt for s in new.chain("t1")] == [2**31 - 1, 2**31 - 1]
+    assert new.chain("t2")[0].attempt == -(2**31 - 1)
+
+
+def test_record_frame_refuses_an_unknown_name_and_writes_nothing():
+    new = FlightRecorder("dispatcher")
+    with pytest.raises(ValueError):
+        new.record_frame("teleport", ["t1"], 0.0, [1], ())
+    assert new.recorded == 0
 
 
 def test_empty_collector_allocates_no_columns():
