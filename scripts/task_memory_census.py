@@ -13,20 +13,23 @@ what the dispatcher retains.  The by-structure table is a deep
 ``sys.getsizeof`` walk over the dispatcher's records and its event
 ring (every task transition, chained per task, plus the other flight
 events); an object reachable from two structures is charged to the
-first in the order printed (task-id strings land under "records";
-"spec_dict" is the one spec row: a record keeps its spec only as the
-wire dict, and only while the task can still be sent).  The walk reads
-the dispatcher's and the ring's private fields — this is a diagnostic,
-not an API consumer, and ``scripts/verify.sh`` runs it small so that a
-renamed field fails there.  Collector counts are the process's
+first in the order printed (task-id strings and the three stamps land
+under "records"; "spec_dict" is the one spec row: a record keeps its
+spec only as the wire dict, and only while the task can still be sent;
+"result" is the result object a settled record keeps as it arrived).
+The walk reads the dispatcher's and the ring's private fields — this
+is a diagnostic, not an API consumer, and ``scripts/verify.sh`` runs
+it small so that a renamed field fails there.  Collector counts are the process's
 ``gc.get_stats()`` delta over the run, and tracked containers per task
 the ``len(gc.get_objects())`` delta after a full collection: what every
-later full collection walks (``docs/PERFORMANCE.md``, "Per-task memory").
+later full collection walks (``docs/PERFORMANCE.md``, "Per-task memory"),
+with the types that make up that delta.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import enum
 import gc
 import resource
@@ -116,13 +119,19 @@ def _by_structure(dispatcher) -> dict[str, int]:
     walk.seen.add(id(records))
     for task_id, record in records.items():
         out["records"] += (walk.deep(task_id) + walk.shallow(record)
-                           + walk.deep(record.timeline))
+                           + walk.deep(record.submitted) + walk.deep(record.dispatched)
+                           + walk.deep(record.completed))
         out["spec_dict"] += walk.deep(record.spec_dict)
         out["result"] += walk.deep(record.result)
     ring = dispatcher.flight
     out["ring attrs"] = sum(walk.deep(attrs) for attrs in ring._attrs)
     out["event ring"] = walk.deep(ring)
     return out
+
+
+def _type_counts() -> collections.Counter:
+    """Collector-tracked objects by type name."""
+    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
 
 
 def main() -> int:
@@ -147,7 +156,8 @@ def main() -> int:
                 raise RuntimeError(f"{executor.executor_id} did not register")
         gc.collect()
         traced_before = tracemalloc.get_traced_memory()[0]
-        tracked_before = len(gc.get_objects())
+        types_before = _type_counts()
+        tracked_before = sum(types_before.values())
         gc_before = [gen["collections"] for gen in gc.get_stats()]
         code = subprocess.run(
             [sys.executable, __file__, "--tasks", str(args.tasks),
@@ -160,7 +170,9 @@ def main() -> int:
             return 1
         gc.collect()
         traced = tracemalloc.get_traced_memory()[0] - traced_before
-        tracked = len(gc.get_objects()) - tracked_before
+        types_after = _type_counts()
+        tracked = sum(types_after.values()) - tracked_before
+        types_after.subtract(types_before)
         tracemalloc.stop()
         table = _by_structure(dispatcher)
     finally:
@@ -184,6 +196,8 @@ def main() -> int:
           " (with tracemalloc's own tables)")
     print(f"tracked containers per task: {tracked / n:.2f}"
           " (gc.get_objects() delta after a full collection)")
+    print("  by type: " + "  ".join(
+        f"{name} {count / n:.3f}" for name, count in types_after.most_common(5)))
     print(f"gc collections per 100k tasks: gen0 {(gc_after[0] - gc_before[0]) * scale:.0f}"
           f"  gen1 {(gc_after[1] - gc_before[1]) * scale:.0f}"
           f"  full {(gc_after[2] - gc_before[2]) * scale:.0f}")

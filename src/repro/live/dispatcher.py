@@ -103,7 +103,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
@@ -113,8 +113,6 @@ from repro.live.journal import Journal, RecoveredState
 from repro.live.protocol import (
     _SPEC0,
     Connection,
-    result_from_dict,
-    result_to_dict,
     spec_task_id,
     stats_from_payload,
 )
@@ -125,7 +123,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import DispatcherStats
 from repro.obs.trace import Span
 from repro.obs.watchdog import StallDetector, WatchdogPanel
-from repro.types import TaskResult, TaskState, TaskTimeline
+from repro.types import TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.live.faults import FaultPlan
@@ -191,37 +189,18 @@ def efficiency_curve(
 
 
 def _wal_object(data: dict) -> dict:
-    """A wire object (a record's kept spec dict, a ``result_to_dict``)
-    as a WAL row stores it: a copy minus ``task_id``, which the row's
-    ``id`` carries and recovery restores.  A copy, because the spec
-    dict is the one the record keeps sending."""
+    """A wire object (a record's kept spec or result dict) as a WAL row
+    stores it: a copy minus ``task_id``, which the row's ``id`` carries
+    and recovery restores.  A copy, because the record keeps sending
+    the dict it holds."""
     row = data.copy()
     del row["task_id"]
     return row
 
 
-def _notify_payload(result: TaskResult, payload: Optional[dict] = None) -> dict:
-    """*result* as a CLIENT_NOTIFY entry: its wire object (*payload*, if
-    built already) plus a ``timeline`` object of the stamps that are known.
-
-    An unknown stamp (NaN — a result recovered from the journal has a
-    fresh timeline) is omitted, as defaults are everywhere on the wire,
-    and so is the whole key when no stamp is known: ``NaN`` is not JSON.
-    """
-    if payload is None:
-        payload = result_to_dict(result)
-    timeline = result.timeline
-    isfinite = math.isfinite
-    stamps = {}
-    if isfinite(timeline.submitted):
-        stamps["submitted"] = timeline.submitted
-    if isfinite(timeline.dispatched):
-        stamps["dispatched"] = timeline.dispatched
-    if isfinite(timeline.completed):
-        stamps["completed"] = timeline.completed
-    if stamps:
-        payload["timeline"] = stamps
-    return payload
+def _result_ok(result: dict) -> bool:
+    """A result object's success: return code 0 and no error."""
+    return result.get("return_code", 0) == 0 and not result.get("error")
 
 
 @dataclass(slots=True)
@@ -239,18 +218,20 @@ class _LiveRecord:
     #: "adopted"/"steal").
     dispatch_mode: str = ""
     #: The task's spec, kept only as the wire dict it arrived as (a
-    #: SUBMIT entry, a steal grant's, the journal's ``submit`` row):
-    #: admission parses it to refuse a malformed entry, and nothing
-    #: keeps the parsed :class:`~repro.types.TaskSpec`.  A WORK /
-    #: RESULT_ACK frame re-serialises this shared dict at C speed.
-    #: (Pre-encoded byte splicing was measured slower: many small
-    #: Python-level ops lose to one big C ``dumps``; see
-    #: docs/PERFORMANCE.md.)  Kept while the task can still be sent —
-    #: queued, dispatched, or quarantined in the DLQ (``dlq_retry``
-    #: requeues it) — and released at every other terminal settle.
+    #: SUBMIT entry, a steal grant's, the journal's ``submit`` row), which
+    #: every WORK / RESULT_ACK frame re-serialises as is.  Kept while the
+    #: task can still be sent — queued, dispatched, or quarantined in the
+    #: DLQ (``dlq_retry`` requeues it) — and released at every other
+    #: terminal settle.
     spec_dict: Optional[dict] = None
-    timeline: TaskTimeline = field(default_factory=TaskTimeline)
-    result: Optional[TaskResult] = None
+    #: Stamps on the dispatcher's clock; NaN until known.
+    submitted: float = math.nan
+    dispatched: float = math.nan
+    completed: float = math.nan
+    #: The settled result object as it arrived (a RESULT entry's, the
+    #: journal's row), kept like ``spec_dict``: the settle sets its
+    #: ``task_id``, ``executor_id`` and ``attempts`` in place.
+    result: Optional[dict] = None
     #: Whether the settled result's CLIENT_NOTIFY left this process
     #: (journalled as ``acked``; delivery-guarantee bookkeeping).
     acked: bool = False
@@ -259,6 +240,23 @@ class _LiveRecord:
     #: eventual result must echo (the donor dedupes by attempt).
     origin_shard: str = ""
     origin_attempt: int = 0
+
+    def entry(self) -> dict:
+        """The settled result as a CLIENT_NOTIFY / RESULTS entry: a copy
+        of the kept object plus a ``timeline`` of the known stamps (an
+        unknown one is omitted, and the key when none is: ``NaN`` is not
+        JSON; a result recovered from the journal has none)."""
+        entry = self.result.copy()
+        stamps = {}
+        if math.isfinite(self.submitted):
+            stamps["submitted"] = self.submitted
+        if math.isfinite(self.dispatched):
+            stamps["dispatched"] = self.dispatched
+        if math.isfinite(self.completed):
+            stamps["completed"] = self.completed
+        if stamps:
+            entry["timeline"] = stamps
+        return entry
 
 
 #: One settled result on its way out: the owning client's id, its
@@ -414,7 +412,7 @@ class LiveDispatcher:
         self._client_seq = itertools.count(1)
         self._session_seq = itertools.count(1)
         # The one event ring — span chains, flight dumps, lifecycle
-        # log — and the loop, whose clock stamps timelines (_now) from
+        # log — and the loop, whose clock stamps the records (_now) from
         # recovery on.
         self.flight = self.spans = FlightRecorder(
             "dispatcher", shard_id=shard_id, capacity=EVENT_CAPACITY)
@@ -596,7 +594,7 @@ class LiveDispatcher:
         return Endpoint(self.host, self.port)
 
     def _now(self) -> float:
-        """Seconds since start on the loop's clock (the timelines')."""
+        """Seconds since start on the loop's clock (the records' stamps)."""
         return self._loop.now() - self._started
 
     # -- the one owner ---------------------------------------------------------
@@ -748,22 +746,17 @@ class LiveDispatcher:
                     record.origin_attempt = 0
                 self._m_stolen_in.inc()
             if task.terminal:
-                if task.result is not None:
-                    try:
-                        record.result = result_from_dict(task.result)
-                    except (KeyError, TypeError, ValueError):
-                        # A malformed journalled result (version skew,
-                        # corruption that passed the CRC) degrades to
-                        # the synthesized failure below — one bad
-                        # record must not abort the whole boot.
-                        record.result = None
-                if record.result is None:
-                    record.result = TaskResult(
-                        task.task_id, return_code=1,
-                        error=task.dlq_error or "failed before crash",
-                        attempts=task.attempts,
-                    )
-                if record.result.ok:
+                # The journalled result object is kept as written; a
+                # missing or malformed one degrades to a synthesized failure.
+                result = task.result
+                if not isinstance(result, dict):
+                    result = {"task_id": task_id, "return_code": 1,
+                              "error": task.dlq_error or "failed before crash"}
+                    if task.attempts != 1:
+                        result["attempts"] = task.attempts
+                result["task_id"] = task_id
+                record.result = result
+                if record.state is TaskState.COMPLETED:
                     self._m_completed.inc()
                 else:
                     self._m_failed.inc()
@@ -814,14 +807,14 @@ class LiveDispatcher:
 
     @staticmethod
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
-        result = record.result
+        result = record.result  # a quarantined task has settled
         return {
             "task_id": record.task_id,
             "client_id": record.client_id,
             "command": record.spec_dict.get("command", _SPEC0.command),
             "attempts": record.attempts,
-            "error": error or (result.error if result is not None else ""),
-            "return_code": result.return_code if result is not None else 1,
+            "error": error or result.get("error", ""),
+            "return_code": result.get("return_code", 0),
             "quarantined_t_wall": time.time(),
         }
 
@@ -1090,7 +1083,7 @@ class LiveDispatcher:
             reason = f"no response within replay_timeout={self.replay_timeout}s"
             overdue = [r for r in self._records.values()
                        if r.state is TaskState.DISPATCHED
-                       and now_rel - r.timeline.dispatched > self.replay_timeout]
+                       and now_rel - r.dispatched > self.replay_timeout]
             notifies: list[_Notify] = []
             for record in overdue:
                 executor = self._executors.get(record.executor_id)
@@ -1247,9 +1240,10 @@ class LiveDispatcher:
             return
         client_id = role[1]
         raw_specs = msg.payload.get("tasks", ())
-        # One pass judges each raw entry (a malformed one raises before
-        # anything changed: the session drops, the bundle unacked) and
-        # builds the bundle's records.  Dedupe against known ids and within the bundle (first
+        # One pass judges each raw entry (a malformed one refuses the
+        # bundle before anything changed: an ERROR names the entry and
+        # why, then the session drops, the bundle unacked) and builds
+        # the bundle's records.  Dedupe against known ids and within the bundle (first
         # occurrence wins): a client retrying a SUBMIT whose ack was
         # lost (or rejected bundle it re-sends) must not double-enqueue
         # — resubmission is idempotent per task id.  Each fresh record
@@ -1264,13 +1258,19 @@ class LiveDispatcher:
         known_records = self._records
         fresh: dict[str, _LiveRecord] = {}
         settled_dupes: list[_Notify] = []
-        for raw in raw_specs:
-            task_id = spec_task_id(raw)
+        for index, raw in enumerate(raw_specs):
+            try:
+                task_id = spec_task_id(raw)
+            except (KeyError, TypeError, ValueError) as exc:
+                session.conn.send(Message(MessageType.ERROR, sender="dispatcher", payload={
+                    "error": "malformed task entry", "index": index,
+                    "reason": f"{type(exc).__name__}: {exc}"}))
+                session.conn.close()
+                return
             known = known_records.get(task_id)
             if known is not None:
                 if known.result is not None:
-                    settled_dupes.append(
-                        (client_id, _notify_payload(known.result), known))
+                    settled_dupes.append((client_id, known.entry(), known))
             elif task_id not in fresh:
                 fresh[task_id] = _LiveRecord(task_id, client_id, spec_dict=raw)
         bundle = len(raw_specs)
@@ -1329,8 +1329,7 @@ class LiveDispatcher:
         try:
             session.conn.send(
                 Message(MessageType.RESULTS, sender="dispatcher",
-                        payload={"results": [result_to_dict(record.result)
-                                             for record in settled]})
+                        payload={"results": [record.entry() for record in settled]})
             )
         except ProtocolError:
             return  # the client went away; results remain queryable
@@ -1461,7 +1460,7 @@ class LiveDispatcher:
         busy = executor.busy if executor is not None else set()
         records, queue = self._records, self._queue
         isfinite = math.isfinite
-        settles: list[tuple[_LiveRecord, TaskResult, float]] = []
+        settles: list[tuple[_LiveRecord, dict, float]] = []
         entries = stale = 0
         for item in msg.payload.get("results", ()):
             if not isinstance(item, dict):
@@ -1497,26 +1496,24 @@ class LiveDispatcher:
                 # re-dispatched this task): drop the stale result.
                 stale += 1
                 continue
-            # The result adopts its record's timeline (what _settle hands
-            # the client anyway) and task id string — the frame's decoded
-            # copies are garbage once the frame is.
-            result = result_from_dict(payload, record.timeline)
-            result.task_id = record.task_id
             if state is TaskState.QUEUED:
                 # The replay timer requeued this attempt: its failure
                 # is already a retry; a success settles, out of the queue.
-                if not result.ok:
+                if not _result_ok(payload):
                     stale += 1
                     continue
                 try:
                     queue.remove(task_id)
                 except ValueError:
                     pass
-            if not (is_peer and result.executor_id):
+            # Kept as it arrived, with the record's task id string (the
+            # frame's copy is garbage once the frame is).
+            payload["task_id"] = record.task_id
+            if not (is_peer and payload.get("executor_id")):
                 # Peer-returned results keep the remote executor's
                 # identity when the thief filled it in.
-                result.executor_id = executor_id
-            settles.append((record, result, exec_seconds))
+                payload["executor_id"] = executor_id
+            settles.append((record, payload, exec_seconds))
         if not entries:
             return
         if executor is not None:
@@ -1621,7 +1618,7 @@ class LiveDispatcher:
             table[task_id] = record
             if record.state is not TaskState.QUEUED:
                 continue
-            record.timeline.submitted = now
+            record.submitted = now
             attrs = by_client.get(record.client_id)
             if attrs is None:
                 attrs = by_client[record.client_id] = (
@@ -1686,7 +1683,7 @@ class LiveDispatcher:
             record.executor_id = executor_id
             record.delivered = adopted
             record.dispatch_mode = mode
-            record.timeline.dispatched = now
+            record.dispatched = now
             task_id = record.task_id
             busy.add(task_id)
             ids.append(task_id)
@@ -1725,7 +1722,7 @@ class LiveDispatcher:
                 mode = record.dispatch_mode
                 ids.append(record.task_id)
                 attempts.append(record.attempts)
-                latencies.append(now - record.timeline.submitted)
+                latencies.append(now - record.submitted)
         if ids:
             self.spans.record_frame("pull", ids, now, attempts,
                                     executor.dispatch_attrs(mode))
@@ -1743,7 +1740,7 @@ class LiveDispatcher:
 
     def _settle(
         self,
-        settles: list[tuple[_LiveRecord, Optional[TaskResult], float]],
+        settles: list[tuple[_LiveRecord, Optional[dict], float]],
         executor_id: str,
         lost: Optional[str] = None,
     ) -> list[_Notify]:
@@ -1752,10 +1749,12 @@ class LiveDispatcher:
         notifies of the settled records.
 
         *settles* holds ``(record, result, exec_seconds)`` per DISPATCHED
-        record.  The outcome is ``ok``; or ``fail`` once the retry budget
-        is spent, or on a stolen task's first failed result (the donor
-        shard owns its retry budget and DLQ — each task has exactly one
-        home — so the failure travels back); else ``retry``, which
+        record; *result* is the RESULT entry's result object, which a
+        settled record keeps.  The outcome is ``ok``; or ``fail`` once
+        the retry budget is spent, or on a stolen task's first failed
+        result (the donor shard owns its retry budget and DLQ — each
+        task has exactly one home — so the failure travels back); else
+        ``retry``, which
         :meth:`_requeue` carries out.  Each attempt's ``exec`` and
         ``result`` spans land in one span call, stamped on one clock
         reading; the executor measured the execution on its own clock,
@@ -1797,7 +1796,7 @@ class LiveDispatcher:
             attempts = record.attempts
             stolen = bool(record.origin_shard)
             if result is not None:
-                ok = result.ok
+                ok = _result_ok(result)
                 outcome = ("ok" if ok else
                            "fail" if stolen or attempts > max_retries else "retry")
                 result_attrs = outcome_attrs.get(outcome)
@@ -1811,8 +1810,8 @@ class LiveDispatcher:
                 result_attrs_col.append(result_attrs)
             elif record.delivered and attempts > max_retries:
                 ok, outcome = False, "fail"
-                result = TaskResult(task_id, return_code=1, error=lost,
-                                    executor_id=executor_id)
+                result = {"task_id": task_id, "return_code": 1,
+                          "executor_id": executor_id, "error": lost}
                 exec_starts.append(now)
                 ids.append(task_id)
                 attempts_col.append(attempts)
@@ -1822,11 +1821,12 @@ class LiveDispatcher:
             if outcome == "retry":
                 retries.append(record)
                 continue
-            timeline = record.timeline
             record.state = TaskState.COMPLETED if ok else TaskState.FAILED
-            timeline.completed = now
-            result.attempts = attempts
-            result.timeline = timeline
+            record.completed = now
+            if attempts != 1:
+                result["attempts"] = attempts
+            elif "attempts" in result:
+                del result["attempts"]
             record.result = result
             if ok:
                 completed += 1
@@ -1836,13 +1836,10 @@ class LiveDispatcher:
                 failed += 1
                 if stolen:
                     self._m_stolen_failed.inc()
-            e2e.append(now - timeline.submitted)
-            # The wire object, built once: the WAL row keeps a copy (the
-            # flusher serialises it later), and it is the notify entry.
-            payload = result_to_dict(result)
+            e2e.append(now - record.submitted)
             if journal is not None:
                 wal.append({"k": "result", "id": task_id, "outcome": outcome,
-                            "result": _wal_object(payload)})
+                            "result": _wal_object(result)})
             if not ok and not stolen:
                 # Poison task: the retry budget is spent.  The client
                 # still sees the terminal failure (no hanging futures);
@@ -1850,13 +1847,14 @@ class LiveDispatcher:
                 # and operator-driven retry (``repro dlq``).
                 self._dlq[task_id] = self._dlq_entry_from_record(record)
                 self._m_dlq.inc()
+                error = result.get("error", "")
                 if journal is not None:
-                    wal.append({"k": "dlq", "id": task_id, "error": result.error})
-                quarantined.append((task_id, attempts, result.error))
+                    wal.append({"k": "dlq", "id": task_id, "error": error})
+                quarantined.append((task_id, attempts, error))
             else:
                 # Never sent again: only a DLQ'd task is (dlq_retry).
                 record.spec_dict = None
-            notifies.append((record.client_id, _notify_payload(result, payload), record))
+            notifies.append((record.client_id, record.entry(), record))
         self.spans.record_frame("exec", ids, exec_starts, attempts_col, exec_attrs)
         self.spans.record_frame("result", ids, now, attempts_col, result_attrs_col)
         # After the rows: a task's dlq.add follows its settle.
@@ -1883,7 +1881,7 @@ class LiveDispatcher:
         attempt with *reason*.
 
         * A settled one is an operator's ``dlq retry``: a fresh retry
-          budget and timeline (reason ``dlq-retry``, ``dlq.retry`` in
+          budget and fresh stamps (reason ``dlq-retry``, ``dlq.retry`` in
           the flight view).
         * An undelivered dispatch — its WORK/ack never left this
           process — gets its attempt back uncharged and returns to the
@@ -1901,7 +1899,8 @@ class LiveDispatcher:
             record.attempts = 0
             record.result = None
             record.acked = False
-            record.timeline = TaskTimeline(submitted=now)
+            record.submitted = now
+            record.dispatched = record.completed = math.nan
             self._queue.append(task_id)
             self._journal_append("dlq-retry", task_id)
         elif record.state is TaskState.DISPATCHED and not record.delivered:

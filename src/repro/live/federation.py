@@ -53,14 +53,12 @@ from repro.live.dispatcher import (
     LiveDispatcher,
     _ExecutorSession,
     _LiveRecord,
-    _notify_payload,
 )
 from repro.live.endpoint import Endpoint, EndpointLike
 from repro.live.protocol import (
     RECONNECT_BASE,
     Connection,
     backoff,
-    result_to_dict,
     spec_task_id,
 )
 from repro.net.message import Message, MessageType
@@ -513,9 +511,8 @@ class _ShardPlane:
             record = dispatcher._records.get(task_id) or accepted.get(task_id)
             if record is not None:
                 record.origin_attempt = attempt
-                if record.state.terminal and record.result is not None:
-                    resend.append((record.client_id, _notify_payload(record.result),
-                                   record))
+                if record.result is not None:  # settled
+                    resend.append((record.client_id, record.entry(), record))
                 continue
             accepted[task_id] = _LiveRecord(
                 task_id=task_id, client_id=client_id, spec_dict=raw,
@@ -544,11 +541,13 @@ class _ShardPlane:
             if peer is None:
                 continue
             entries = []
-            for _, _, record in notifies:
-                timeline = record.timeline
-                seconds = (max(0.0, timeline.completed - timeline.dispatched)
-                           if timeline.dispatched else 0.0)
-                entries.append({"result": result_to_dict(record.result),
+            for _, entry, record in notifies:
+                # The notify entry less its timeline: the donor keeps its
+                # own stamps, and the exec window travels as ``exec``.
+                entry.pop("timeline", None)
+                seconds = (max(0.0, record.completed - record.dispatched)
+                           if record.dispatched else 0.0)
+                entries.append({"result": entry,
                                 "attempt": record.origin_attempt,
                                 "exec": {"seconds": seconds}})
             if peer.send_results(entries):

@@ -355,8 +355,9 @@ def test_submit_entry_with_a_non_string_id_is_refused_and_wedges_no_executor():
     skipped (the id is not a string), so the task sat in the executor's
     ``busy`` set for good and the executor was never pushed work again:
     a normal task submitted next stayed queued until timeout.  The one
-    judge of a spec refuses the entry: the bundle is not acked, the
-    session drops, and a later normal task settles on the same executor."""
+    judge of a spec refuses the entry: the bundle is not acked, an ERROR
+    names the entry and why, the session drops, and a later normal task
+    settles on the same executor."""
     from repro.live.executor import LiveExecutor
 
     dispatcher = LiveDispatcher()
@@ -368,7 +369,13 @@ def test_submit_entry_with_a_non_string_id_is_refused_and_wedges_no_executor():
         first.send(Message(MessageType.CREATE_INSTANCE, sender="c"))
         first.recv_until(MessageType.INSTANCE_CREATED)
         first.send(Message(MessageType.SUBMIT, sender="c", payload={
-            "tasks": [{"task_id": 7, "args": ["0"]}]}))
+            "tasks": [{"task_id": "fine", "args": ["0"]},
+                      {"task_id": 7, "args": ["0"]}]}))
+        refusal = first.recv()
+        assert refusal.type is MessageType.ERROR
+        assert refusal.payload["error"] == "malformed task entry"
+        assert refusal.payload["index"] == 1
+        assert "task_id must be a string" in refusal.payload["reason"]
         with pytest.raises(ConnectionError):
             first.recv_until(MessageType.SUBMIT_ACK)
         assert dispatcher.stats().accepted == 0

@@ -27,7 +27,7 @@ from repro.live import (
     LocalFalkon,
 )
 from repro.live.journal import read_journal_tail
-from repro.live.protocol import task_from_dict, task_to_dict
+from repro.live.protocol import result_from_dict, task_from_dict, task_to_dict
 from repro.net.message import Message, MessageType
 from repro.net.wire import HEADER_BYTES
 from repro.types import TaskSpec
@@ -246,18 +246,17 @@ LEGACY_SPECS = [
 
 def recovered_view(journal_dir):
     """What a dispatcher booted on *journal_dir* rebuilt, minus clocks.
-    A kept spec dict is shown parsed: older rows name more defaults."""
+    A kept spec or result dict is shown parsed: older rows name more
+    defaults."""
     disp = LiveDispatcher(journal_dir=journal_dir)
     try:
         records = {}
         for task_id, record in disp._records.items():
-            result = record.result
             records[task_id] = (
                 record.spec_dict and task_from_dict(record.spec_dict),
                 record.state, record.attempts, record.client_id,
                 record.acked,
-                result and (result.return_code, result.stdout, result.stderr,
-                            result.executor_id, result.error, result.attempts),
+                record.result and result_from_dict(record.result),
             )
         return records, [e["task_id"] for e in disp.dlq_list()], list(disp._queue)
     finally:

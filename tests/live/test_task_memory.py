@@ -19,7 +19,7 @@ from repro.live import federation as federation_module
 from repro.live.protocol import task_to_dict
 from repro.net.message import Message, MessageType
 from repro.net.wire import dumps
-from repro.types import TaskSpec
+from repro.types import TaskResult, TaskSpec, TaskTimeline
 
 from tests.live.util import RawPeer, wait_until
 
@@ -28,10 +28,13 @@ from tests.live.util import RawPeer, wait_until
 #: exec attrs tuple (it read ~1 122 with both, against a 1 408 budget).
 BYTES_PER_TASK_BUDGET = 975
 
-#: Collector-tracked containers retained per settled task: the record,
-#: its timeline and its result (~3.0; ~4.0 while the record kept its
-#: parsed spec too).  Every one of them is walked by every full collection.
-TRACKED_PER_TASK_BUDGET = 3.5
+#: Collector-tracked containers retained per settled task: 1.25 x the
+#: ~1.0 this method reads once a record keeps its stamps in slots and its
+#: result as the wire dict it arrived as — a dict of strings the
+#: collector does not track — so the record is the one container left
+#: (~3.0 with a parsed result and its timeline, ~4.0 with the parsed spec
+#: too).  Every one of them is walked by every full collection.
+TRACKED_PER_TASK_BUDGET = 1.25
 
 
 def sleep0(prefix, n):
@@ -68,6 +71,11 @@ def test_retained_bytes_per_settled_task_within_budget():
             tracked = len(gc.get_objects()) - tracked_before
             assert ok
             assert falkon.dispatcher.stats().completed == tasks + warm
+            # A settled task keeps its result as the wire dict it came as.
+            assert not any(
+                isinstance(getattr(record, name), (TaskResult, TaskTimeline))
+                for record in falkon.dispatcher._records.values()
+                for name in record.__slots__)
     finally:
         tracemalloc.stop()
     assert retained / tasks <= BYTES_PER_TASK_BUDGET
@@ -155,9 +163,11 @@ def test_settle_releases_wire_state_and_it_is_rebuilt_on_demand():
             "ack", "enqueue", "notify", "pull"]
         assert chain[-3].get("reason") == "dlq-retry"
 
-        # An ok result travels sparse: return_code 0 is a default.
+        # The result object travels as the executor sent it (this one
+        # names its default return code), with the settle's executor
+        # id and the timeline added.
         done = exchange.finish(second, return_code=0)
-        assert set(done) == {"task_id", "executor_id", "timeline"}
+        assert set(done) == {"task_id", "return_code", "executor_id", "timeline"}
         assert record.spec_dict is None
         assert dispatcher.spans.chain_complete(SPEC.task_id)
         assert dispatcher.stats().completed == 1
@@ -249,3 +259,20 @@ def test_backfilled_results_are_acked_and_released(tmp_path):
             executor.stop()
             executor.join(timeout=5.0)
         dispatcher.close()
+
+
+def test_backfilled_results_carry_their_stamps():
+    """A RESULTS entry is built like a CLIENT_NOTIFY one: a future a
+    reconnecting client backfills gets the dispatcher's stamps, in
+    causal order, instead of none."""
+    exchange = _Exchange(LiveDispatcher())
+    try:
+        exchange.submit(SPEC)
+        notified = exchange.finish(exchange.pull(), return_code=0)
+        exchange.client.send(Message(MessageType.GET_RESULTS, sender="c"))
+        (entry,) = exchange.client.recv_until(MessageType.RESULTS).payload["results"]
+        timeline = entry["timeline"]
+        assert timeline["submitted"] <= timeline["dispatched"] <= timeline["completed"]
+        assert entry == notified
+    finally:
+        exchange.close()
